@@ -14,13 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .grlin import (
-    GradedMap,
     LinearSystem,
-    Subspace,
     Window,
-    is_zero_matrix,
     kernel_basis,
-    mat_mul,
     rank,
     zeros,
 )
@@ -32,24 +28,19 @@ from .algebra import (
     NotTorsion,
     PolyAlgebra,
     basic_injective,
-    dg_module,
     direct_sum,
     fibre,
     hom_R,
     homology,
     homology_module,
-    koszul_model,
     koszul_stage,
     zero_module,
 )
 from .resolve import (
     BigradedTable,
-    NotFiniteLength,
-    RHomResult,
     WindowTooSmall,
     ext_bigraded,
     injective_resolution,
-    is_zero_diff,
     module_hom_space,
     rhom_homology,
 )

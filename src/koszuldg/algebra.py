@@ -22,8 +22,8 @@ from .grlin import (
     GradedMap,
     GradedVS,
     Matrix,
-    Subspace,
     Window,
+    ZERO,
     coordinates,
     frac,
     identity,
@@ -31,7 +31,7 @@ from .grlin import (
     kernel_basis,
     mat_mul,
     mat_scale,
-    mat_sub,
+    solve,
     transpose,
     unit_vector,
     zeros,
@@ -523,24 +523,27 @@ def dg_module(algebra, dims: dict, diff_blocks: dict, action_blocks: list,
                     complete_below, complete_above, name=name)
 
 
-def _entry(m, i, j):
-    """Entry with zero fallback: degenerate empty matrices are zero maps."""
-    if i < len(m) and j < len(m[i]):
-        return m[i][j]
-    return Fraction(0)
-
-
 def _maps_agree(a, b, rows, cols, sgn=1) -> bool:
     """a == sgn * b compared entrywise over an explicit shape.
 
     Composites through a zero-dimensional degree lose their shape in the
     dense representation; comparing over the true shape with zero fallback
-    keeps a silent truncation from masking a violation.
+    keeps a silent truncation from masking a violation.  Equal entries that
+    are the same object (the shared ZERO of untouched entries, shared small
+    integers) agree without arithmetic.
     """
     for i in range(rows):
-        for j in range(cols):
-            if _entry(a, i, j) != sgn * _entry(b, i, j):
+        ra = a[i] if i < len(a) else ()
+        rb = b[i] if i < len(b) else ()
+        if len(ra) != cols or len(rb) != cols:
+            ra = [ra[j] if j < len(ra) else ZERO for j in range(cols)]
+            rb = [rb[j] if j < len(rb) else ZERO for j in range(cols)]
+        if sgn == 1:
+            if ra != rb:
                 return False
+        elif any(x != -y for x, y in zip(ra, rb)
+                 if x is not ZERO or y is not ZERO):
+            return False
     return True
 
 
@@ -1044,10 +1047,6 @@ def chain_map_from_blocks(A: DGModule, B: DGModule, degree: int,
     return ChainMap(A, B, degree, blocks, check=check)
 
 
-def chain_map_space_dim(A: DGModule, B: DGModule, degree: int = 0) -> int:
-    return len(chain_map_space(A, B, degree))
-
-
 def zero_map(A: DGModule, B: DGModule, degree: int = 0) -> ChainMap:
     return ChainMap(A, B, degree, {})
 
@@ -1241,34 +1240,17 @@ def homology_dims(M: DGModule) -> dict:
     return homology(M).dims()
 
 
-def is_acyclic(M: DGModule) -> bool:
-    return homology(M).is_zero()
-
-
 def express_in_homology(M: DGModule, H: Homology, n: int, v) -> list | None:
     """Coordinates of a cycle's class in the homology basis at degree n.
 
-    Returns None when v is not a cycle class at n (up to boundaries).
+    Returns None when v is not a cycle class at n (up to boundaries).  H is
+    the homology of M; each piece factors its basis once for all queries.
     """
-    from .grlin import LinearSystem
     piece = H.pieces.get(n)
-    reps = piece.representatives if piece else []
-    dim_up = M.known_dim(n + 1) or 0
-    sys = LinearSystem()
-    for k in range(len(reps)):
-        sys.var(("c", k))
-    dn1 = M.diff.block(n + 1)
-    for row in range(M.dim(n)):
-        coeffs = {}
-        for k, rep in enumerate(reps):
-            coeffs[("c", k)] = rep[row]
-        for j in range(dim_up):
-            coeffs[("w", j)] = dn1[row][j]
-        sys.add_equation(coeffs, rhs=v[row])
-    sol = sys.solve()
-    if sol is None:
-        return None
-    return [sol.get(("c", k), Fraction(0)) for k in range(len(reps))]
+    if piece is not None:
+        return piece.class_coordinates(v)
+    # nothing stored at n: only boundaries have a (zero) class there
+    return [] if solve(M.diff.block(n + 1), v) is not None else None
 
 
 def homology_module(M: DGModule, name: str = "") -> DGModule:
@@ -1471,7 +1453,8 @@ def gamma_m(M: DGModule, name: str = "") -> DGModule:
             tb = sub_bases.get(t, [])
             if len(tb) == M.dim(t):
                 continue
-            proj = _complement_projector(M.dim(t), tb)
+            # rows whose kernel is exactly the span of tb
+            proj = kernel_basis(tb, cols=M.dim(t))
             for row in mat_mul(proj, blk):
                 rows.append(row)
         if escaped:
@@ -1509,22 +1492,6 @@ def gamma_m(M: DGModule, name: str = "") -> DGModule:
     return dg_module(R, dims, diff_blocks, act_blocks, M.lo, M.hi,
                      M.complete_below, M.complete_above,
                      labels=labels, name=name or f"Gamma({M.name})")
-
-
-def _complement_projector(dim: int, span_vectors: list) -> Matrix:
-    """Rows whose kernel is exactly the span of the given vectors."""
-    sub = Subspace(dim, span_vectors)
-    pivots = set(sub.pivots)
-    rows = []
-    for j in range(dim):
-        if j in pivots:
-            continue
-        row = [Fraction(0)] * dim
-        row[j] = Fraction(1)
-        for r, p in zip(sub.rows, sub.pivots):
-            row[p] = -r[j]
-        rows.append(row)
-    return rows
 
 
 def matlis_dual(M: DGModule, name: str = "") -> DGModule:

@@ -92,7 +92,9 @@ def cmd_ext(args) -> int:
         rep.add_check("route_agreement", tables["via_free"] == tables["via_injective"])
     rep.add_check("row_bound", first.max_row() <= R.r,
                   f"max row {first.max_row()} <= rank {R.r}")
-    rep.window = Window(0, max((t for _, t in first.entries), default=0))
+    ts = [t for _, t in first.entries] or [0]
+    # internal degrees from 0 up, or the classes' own range when all are below 0
+    rep.window = Window(0 if max(ts) >= 0 else min(ts), max(ts))
     return _finish(rep, started, args.format)
 
 

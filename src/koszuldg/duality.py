@@ -14,14 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .grlin import (
-    GradedMap,
-    GradedVS,
     LinearSystem,
     Subspace,
     Window,
     is_zero_matrix,
     is_zero_vector,
-    mat_mul,
     rank,
     zeros,
 )
@@ -39,17 +36,13 @@ from .algebra import (
     basic_injective,
     dg_module,
     ext_algebra,
-    free_module,
     hom_from_free,
     homology,
     homology_module,
     koszul_model,
-    koszul_stage,
     mapping_cone,
-    residue_field,
     tensor_over_ext,
     to_degreewise,
-    zero_module,
 )
 
 
@@ -168,6 +161,18 @@ def _action_ranks(M: DGModule) -> dict:
     return out
 
 
+def _dims_agree(left: DGModule, right: DGModule, lo: int, hi: int) -> bool:
+    """Equal dimensions in every degree of [lo, hi] known on both sides.
+
+    Fails closed: with no degree known on both sides nothing was compared,
+    which is not agreement.
+    """
+    compared = [n for n in range(lo, hi + 1)
+                if left.known_dim(n) is not None and right.known_dim(n) is not None]
+    return bool(compared) and all(left.known_dim(n) == right.known_dim(n)
+                                  for n in compared)
+
+
 def roundtrip_check(X: DGModule, R: PolyAlgebra | None = None,
                     window_pad: int = 3) -> RoundTripReport:
     """Round-trip homology comparison through the duality functors.
@@ -189,10 +194,7 @@ def roundtrip_check(X: DGModule, R: PolyAlgebra | None = None,
         TS = functor_T(S)
         left = homology_module(TS)
         right = homology_module(X)
-        lo, hi = min(X.lo, left.lo), max(X.hi, left.hi)
-        agree = all((left.known_dim(n) or 0) == (right.known_dim(n) or 0)
-                    for n in range(lo, hi + 1)
-                    if left.known_dim(n) is not None and right.known_dim(n) is not None)
+        agree = _dims_agree(left, right, min(X.lo, left.lo), max(X.hi, left.hi))
         la, ra = _action_ranks(left), _action_ranks(right)
         agree = agree and la == ra
         return RoundTripReport("exterior", dict_dims(left), dict_dims(right),
@@ -207,11 +209,7 @@ def roundtrip_check(X: DGModule, R: PolyAlgebra | None = None,
     TST = functor_T(STM)
     left = homology_module(TST)
     right = homology_module(T1)
-    lo = min(right.lo, left.lo)
-    hi = max(right.hi, left.hi)
-    agree = all((left.known_dim(n) or 0) == (right.known_dim(n) or 0)
-                for n in range(lo, hi + 1)
-                if left.known_dim(n) is not None and right.known_dim(n) is not None)
+    agree = _dims_agree(left, right, min(right.lo, left.lo), max(right.hi, left.hi))
     la, ra = _action_ranks(left), _action_ranks(right)
     agree = agree and la == ra
     return RoundTripReport("torsion", dict_dims(left), dict_dims(right),
@@ -704,7 +702,6 @@ def acyclic_extension_dga(R: PolyAlgebra, w: Window, cell_degree: int) -> Degree
     basis monomials x^a, x^a u, x^a v with du = 0 pattern d(v) = u shifted."""
     # ideal spanned by u (degree cell_degree) and v (degree cell_degree+1),
     # with d v = u, d u = 0, u*u = u*v = v*v = 0, R acting freely.
-    lo, hi = w.lo, min(w.hi, 0) if False else w.hi
     dims, labels = {}, {}
     for n in range(w.lo, w.hi + 1):
         labs = [f"{R.monomial_label(a)}" for a in R.monomials(-n)]

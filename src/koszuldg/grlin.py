@@ -1,61 +1,48 @@
 """Exact graded linear algebra over the rationals.
 
-Everything downstream computes through this module: dense matrices of
-`fractions.Fraction`, deterministic echelon forms, graded vector spaces
-keyed by integer degree, graded maps, and degreewise homology.  No floats,
-no rounding, ever.  All echelon choices (pivoting, free-variable order,
-normalisation) are fixed so that every derived basis is reproducible
-bit-for-bit across runs.
+Everything downstream computes through this module: matrices of
+`fractions.Fraction` at the API edge, one fraction-free elimination on
+sparse integer rows behind every echelon form, graded vector spaces keyed by
+integer degree, graded maps, and degreewise homology.  No floats, no
+rounding, ever.  All echelon choices (pivot columns, free-variable order,
+normalisation) are those of the canonical reduced row echelon form, so every
+derived basis is reproducible bit-for-bit across runs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from itertools import compress, repeat
+from math import gcd, lcm
+from operator import is_not
 
-Scalar = Fraction
 Vector = list  # list[Fraction]
 Matrix = list  # list[list[Fraction]], rows x cols
+
+# shared small integers, ZERO among them: entries are immutable, and equal
+# entries that are the same object compare without arithmetic
+_INTS = {v: Fraction(v) for v in range(-64, 65)}
+ZERO, _ONE = _INTS[0], _INTS[1]
 
 
 class CompositionNotZero(Exception):
     """Two maps expected to compose to zero do not."""
 
 
-class LinearSolveFailed(Exception):
-    """An inhomogeneous linear system expected to be solvable is not."""
-
-
 def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def make_matrix(rows: int, cols: int, entries=None) -> Matrix:
-    if entries is None:
-        return [[Fraction(0)] * cols for _ in range(rows)]
-    m = [[frac(x) for x in row] for row in entries]
-    assert len(m) == rows and all(len(row) == cols for row in m)
-    return m
-
-
 def zeros(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
+    return [[ZERO] * cols for _ in range(rows)]
 
 
 def identity(n: int) -> Matrix:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def copy_matrix(m: Matrix) -> Matrix:
-    return [row[:] for row in m]
+    return [[_ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(c, m: Matrix) -> Matrix:
@@ -63,23 +50,41 @@ def mat_scale(c, m: Matrix) -> Matrix:
     return [[c * x for x in row] for row in m]
 
 
+def _unshared(row):
+    """Indices of the entries that are not the shared ZERO, found without
+    arithmetic."""
+    return compress(range(len(row)), map(is_not, row, repeat(ZERO)))
+
+
+def _nonzeros(row) -> list:
+    """[(index, entry)] of the nonzero entries."""
+    return [(j, row[j]) for j in _unshared(row) if row[j]]
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     # rows(a) x cols(b); cols(a) must equal rows(b)
     if a and b:
         assert len(a[0]) == len(b), "matrix dimensions do not compose"
-    rows, inner = len(a), len(b)
     cols = len(b[0]) if b else 0
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            c = ai[k]
-            if c:
-                bk = b[k]
-                for j in range(cols):
-                    if bk[j]:
-                        oi[j] += c * bk[j]
+    # integer products over common denominators, nonzeros only
+    a_nz = [_nonzeros(ai) for ai in a]
+    b_nz = [_nonzeros(bk) for bk in b]
+    da = lcm(*[c.denominator for ai in a_nz for _, c in ai])
+    db = lcm(*[x.denominator for bk in b_nz for _, x in bk])
+    b_int = [[(j, x.numerator * (db // x.denominator)) for j, x in bk]
+             for bk in b_nz]
+    den = da * db
+    out = []
+    for ai in a_nz:
+        acc = [0] * cols
+        for k, c in ai:
+            c = c.numerator * (da // c.denominator)
+            for j, x in b_int[k]:
+                acc[j] += c * x
+        if den == 1:
+            out.append([_INTS[v] if v in _INTS else Fraction(v) for v in acc])
+        else:
+            out.append([Fraction(v, den) if v else ZERO for v in acc])
     return out
 
 
@@ -89,102 +94,162 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
 
 
 def transpose(a: Matrix) -> Matrix:
-    if not a:
-        return []
-    return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
+    return [list(col) for col in zip(*a)]
 
 
 def is_zero_matrix(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return [x + y for x, y in zip(u, v)]
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return [x - y for x, y in zip(u, v)]
-
-
-def vec_scale(c, v: Vector) -> Vector:
-    c = frac(c)
-    return [c * x for x in v]
+    return not any(row[j] for row in a for j in _unshared(row))
 
 
 def is_zero_vector(v: Vector) -> bool:
-    return all(x == 0 for x in v)
+    return not any(v)
+
+
+# ---------------------------------------------------------------------------
+# the elimination: sparse primitive integer rows
+#
+# A row is a {column: int} dict without zero entries, scaled by the lcm of
+# its denominators and divided by the gcd of its entries.  Scaling a row
+# changes neither its row space nor the reduced echelon form, so all the
+# routines below return exactly what Gauss-Jordan elimination over QQ
+# returns, while the arithmetic stays in small Python ints (fraction-free
+# elimination, Bareiss 1968) and touches only nonzeros (structured sparse
+# elimination, LaMacchia & Odlyzko 1990).
+
+
+def _primitive(row: dict) -> dict:
+    """Integer multiple of a {col: rational} dict with coprime entries."""
+    if not row:
+        return row
+    den = lcm(*[x.denominator for x in row.values()])
+    if den != 1:
+        row = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+    else:
+        row = {j: x.numerator for j, x in row.items()}
+    g = gcd(*row.values())
+    if g != 1:
+        row = {j: x // g for j, x in row.items()}
+    return row
+
+
+def _sparse_rows(m: Matrix, extra=None) -> list:
+    """Primitive integer rows of a dense matrix; extra[i], when given, is
+    appended to row i as one more column."""
+    rows = []
+    for i, row in enumerate(m):
+        if extra is not None:
+            row = row + [extra[i]]
+        rows.append(_primitive(dict(_nonzeros(row))))
+    return rows
+
+
+def _eliminate(row: dict, prow: dict, c: int) -> dict:
+    """row with its entry at c cleared by prow, which leads at c."""
+    a, b = prow[c], row[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {j: a * x for j, x in row.items()} if a != 1 else dict(row)
+    for j, y in prow.items():
+        x = out.get(j, 0) - b * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    g = gcd(*out.values()) if out else 1
+    if g != 1:
+        out = {j: x // g for j, x in out.items()}
+    return out
+
+
+def _echelon(rows: list) -> dict:
+    """Forward pass: {pivot column: row leading there}.
+
+    The pivot columns are those of the canonical RREF whatever the row
+    order, so the sparsest rows are taken as pivots first to limit fill.
+    """
+    pivots = {}
+    for row in sorted(rows, key=len):
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = row
+                break
+            row = _eliminate(row, prow, c)
+    return pivots
+
+
+def _reduced(rows: list) -> list:
+    """Back-substituted echelon form as [(pivot column, row)], pivots
+    increasing; row / row[pivot] is the corresponding canonical RREF row."""
+    pivots = _echelon(rows)
+    order = sorted(pivots)
+    for c in reversed(order):
+        row = pivots[c]
+        for j in sorted(j for j in row if j != c and j in pivots):
+            row = _eliminate(row, pivots[j], j)
+        pivots[c] = row
+    return [(c, pivots[c]) for c in order]
+
+
+def _kernel(reduced: list, cols: int) -> list:
+    """Right null space of a reduced form as sparse {col: value} vectors:
+    one per free column, in increasing order, first nonzero entry 1."""
+    above = {}  # free column -> [(pivot column, pivot row)] touching it
+    for p, row in reduced:
+        for j in row:
+            if j != p:
+                above.setdefault(j, []).append((p, row))
+    pivot_set = {p for p, _ in reduced}
+    basis = []
+    for j in range(cols):
+        if j in pivot_set:
+            continue
+        v = {p: Fraction(-row[j], row[p]) for p, row in above.get(j, ())}
+        v[j] = _ONE
+        lead = v[min(v)]
+        if lead != 1:
+            v = {i: x / lead for i, x in v.items()}
+        basis.append(v)
+    return basis
+
+
+def _particular(reduced: list, n_cols: int) -> Vector | None:
+    """The solution with free variables 0 of a reduced augmented system
+    whose right-hand side is column n_cols, or None."""
+    if reduced and reduced[-1][0] == n_cols:
+        return None
+    x = [ZERO] * n_cols
+    for p, row in reduced:
+        if n_cols in row:
+            x[p] = Fraction(row[n_cols], row[p])
+    return x
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank by integer fraction-free (Bareiss) elimination.
-
-    Rows are scaled to integers first (scaling does not change rank); the
-    Bareiss interior divisions are then exact in ZZ, which keeps the
-    intermediate entries from swelling the way naive integer elimination
-    would.
-    """
-    if not m or not m[0]:
-        return 0
-    a = []
-    for row in m:
-        den = lcm(*(x.denominator for x in row)) if row else 1
-        a.append([int(x * den) for x in row])
-    n_rows, n_cols = len(a), len(a[0])
-    r = 0
-    prev = 1
-    for c in range(n_cols):
-        piv = None
-        for i in range(r, n_rows):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, n_rows):
-            for j in range(c + 1, n_cols):
-                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r == n_rows:
-            break
-    return r
+    """Exact rank: the pivot count of the forward elimination pass."""
+    return len(_echelon(_sparse_rows(m)))
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and its pivot columns.
 
-    Pivoting is first-nonzero scanning rows top-down, columns left-right,
-    so the output is the canonical RREF.
+    The canonical RREF: pivot rows in increasing pivot column, each scaled
+    to a leading 1, then the zero rows.
     """
-    a = copy_matrix(m)
-    if not a or not a[0]:
-        return a, []
-    n_rows, n_cols = len(a), len(a[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        piv = None
-        for i in range(r, n_rows):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(n_rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return a, pivots
+    if not m or not m[0]:
+        return [row[:] for row in m], []
+    n_cols = len(m[0])
+    reduced = _reduced(_sparse_rows(m))
+    out = []
+    for p, row in reduced:
+        d = row[p]
+        dense = [ZERO] * n_cols
+        for j, x in row.items():
+            dense[j] = Fraction(x, d)
+        out.append(dense)
+    out.extend([ZERO] * n_cols for _ in range(len(m) - len(reduced)))
+    return out, [p for p, _ in reduced]
 
 
 def kernel_basis(m: Matrix, cols: int | None = None) -> list[Vector]:
@@ -195,24 +260,11 @@ def kernel_basis(m: Matrix, cols: int | None = None) -> list[Vector]:
     """
     if cols is None:
         cols = len(m[0]) if m else 0
-    if cols == 0:
-        return []
-    if not m:
-        return [unit_vector(cols, j) for j in range(cols)]
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(cols) if j not in pivot_set]
     basis = []
-    for j in free:
-        v = [Fraction(0)] * cols
-        v[j] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][j]
-        for x in v:
-            if x != 0:
-                if x != 1:
-                    v = [y / x for y in v]
-                break
+    for entries in _kernel(_reduced(_sparse_rows(m)), cols):
+        v = [ZERO] * cols
+        for i, x in entries.items():
+            v[i] = x
         basis.append(v)
     return basis
 
@@ -225,19 +277,9 @@ def unit_vector(n: int, j: int) -> Vector:
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
     """One exact solution of a x = b with free variables set to 0, or None."""
-    n_rows = len(a)
     n_cols = len(a[0]) if a else 0
-    assert len(b) == n_rows
-    aug = [row[:] + [frac(y)] for row, y in zip(a, b)]
-    if not aug:
-        return [Fraction(0)] * n_cols
-    red, pivots = rref(aug)
-    if n_cols in pivots:
-        return None
-    x = [Fraction(0)] * n_cols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][n_cols]
-    return x
+    assert len(b) == len(a)
+    return _particular(_reduced(_sparse_rows(a, b)), n_cols)
 
 
 class Subspace:
@@ -341,11 +383,6 @@ class Window:
         return Window(self.lo + a, self.hi + a,
                       self.guaranteed_lo + a, self.guaranteed_hi + a)
 
-    def shrink(self, below: int = 0, above: int = 0) -> "Window":
-        return Window(self.lo, self.hi,
-                      min(self.guaranteed_lo + below, self.guaranteed_hi),
-                      max(self.guaranteed_hi - above, self.guaranteed_lo))
-
     def degrees(self):
         return range(self.lo, self.hi + 1)
 
@@ -376,13 +413,6 @@ class GradedVS:
         if self.labels and n in self.labels:
             return self.labels[n][i]
         return f"e{n}_{i}"
-
-    def degree_labels(self, n: int) -> list[str]:
-        return [self.label(n, i) for i in range(self.dim(n))]
-
-    def same_dims(self, other: "GradedVS") -> bool:
-        keys = set(self.dims) | set(other.dims)
-        return all(self.dim(n) == other.dim(n) for n in keys)
 
 
 @dataclass
@@ -415,32 +445,6 @@ class GradedMap:
     def apply(self, n: int, v: Vector) -> Vector:
         return mat_vec(self.block(n), v)
 
-    def compose(self, other: "GradedMap") -> "GradedMap":
-        """self after other."""
-        deg = self.degree + other.degree
-        blocks = {}
-        for n in set(other.blocks) | {m - other.degree for m in self.blocks}:
-            b = mat_mul(self.block(n + other.degree), other.block(n))
-            if not is_zero_matrix(b):
-                blocks[n] = b
-        return GradedMap(other.source, self.target, deg, blocks)
-
-    def add(self, other: "GradedMap") -> "GradedMap":
-        assert self.degree == other.degree
-        blocks = {}
-        for n in set(self.blocks) | set(other.blocks):
-            b = mat_add(self.block(n), other.block(n))
-            if not is_zero_matrix(b):
-                blocks[n] = b
-        return GradedMap(self.source, self.target, self.degree, blocks)
-
-    def scale(self, c) -> "GradedMap":
-        return GradedMap(self.source, self.target, self.degree,
-                         {n: mat_scale(c, b) for n, b in self.blocks.items()})
-
-    def is_zero_on(self, degrees) -> bool:
-        return all(is_zero_matrix(self.block(n)) for n in degrees)
-
 
 @dataclass
 class HomologyPiece:
@@ -451,14 +455,54 @@ class HomologyPiece:
     representatives: list
     cycle_basis: list
     boundary_basis: list
+    _solver: tuple | None = field(default=None, repr=False, compare=False)
+
+    def class_coordinates(self, v: Vector) -> Vector | None:
+        """Coordinates of v's class on the representatives, or None when v
+        is not in the span of cycles (representatives plus boundaries).
+
+        [representatives | boundaries] has independent columns; one
+        reduction of [that | identity] gives rows that read off each
+        coordinate and rows that span its left null space.  It is made on
+        the first call and kept with the piece.
+        """
+        if self._solver is None:
+            vecs = self.representatives + self.boundary_basis
+            k, length = len(vecs), len(v)
+            rows = []
+            for i in range(length):
+                row = {j: z[i] for j, z in enumerate(vecs) if z[i]}
+                row[k + i] = 1
+                rows.append(_primitive(row))
+            coord, null = [], []
+            for p, row in _reduced(rows):
+                tail = {j - k: x for j, x in row.items() if j >= k}
+                if p < self.dim:
+                    coord.append((row[p], tail))
+                elif p >= k:
+                    null.append(tail)
+            self._solver = (coord, null)
+        coord, null = self._solver
+        den = lcm(*[x.denominator for x in v])
+        w = {i: x.numerator * (den // x.denominator)
+             for i, x in enumerate(v) if x}
+
+        def dot(tail):
+            return sum(x * w[i] for i, x in tail.items() if i in w)
+
+        if any(dot(tail) for tail in null):
+            return None
+        return [Fraction(dot(tail), d * den) for d, tail in coord]
 
 
 def homology_at(d_in: GradedMap, d_out: GradedMap, n: int) -> HomologyPiece:
     """Homology of (d_in into degree n, d_out out of degree n).
 
-    Raises CompositionNotZero unless d_out . d_in = 0 at n.  Representatives
-    are kernel-basis vectors completing the boundary subspace, taken in
-    kernel-basis order, so the answer is deterministic.
+    Raises CompositionNotZero unless d_out . d_in = 0 at n.  Boundaries are
+    the columns of d_in independent of the ones before them; representatives
+    are the kernel-basis vectors independent of the boundaries and of the
+    ones before them.  Both are the pivot columns of one elimination of
+    [d_in | cycle basis], so the answer is deterministic.
     """
     into = d_in.block_into(n)
     out = d_out.block(n)
@@ -466,13 +510,16 @@ def homology_at(d_in: GradedMap, d_out: GradedMap, n: int) -> HomologyPiece:
         raise CompositionNotZero(f"d.d != 0 entering degree {n}")
     amb = len(out[0]) if out else (len(into) if into else 0)
     cycles = kernel_basis(out, cols=amb)
-    boundaries = []
-    span = Subspace(amb)
     cols = transpose(into)
-    for col in cols:
-        if span.add(col):
-            boundaries.append(col)
-    reps = span.complement_in(cycles)
+    k = len(cols)
+    rows = []
+    for i in range(amb):
+        row = {j: col[i] for j, col in enumerate(cols) if col[i]}
+        row.update((k + j, z[i]) for j, z in enumerate(cycles) if z[i])
+        rows.append(_primitive(row))
+    pivots = sorted(_echelon(rows))
+    boundaries = [cols[j] for j in pivots if j < k]
+    reps = [cycles[j - k][:] for j in pivots if j >= k]
     return HomologyPiece(n, len(reps), reps, cycles, boundaries)
 
 
@@ -508,25 +555,21 @@ class LinearSystem:
         self.rows.append(row)
         self.rhs.append(frac(rhs))
 
-    def _dense(self) -> Matrix:
-        n = self.num_vars
-        return [[row.get(j, Fraction(0)) for j in range(n)] for row in self.rows]
-
     def solve(self) -> dict | None:
         """A particular solution as {key: value}, or None."""
         if not self.rows:
             return {name: Fraction(0) for name in self._names}
-        sol = solve(self._dense(), self.rhs)
+        n = self.num_vars
+        rows = [_primitive({**row, n: y} if y else row)
+                for row, y in zip(self.rows, self.rhs)]
+        sol = _particular(_reduced(rows), n)
         if sol is None:
             return None
         return {name: sol[i] for i, name in enumerate(self._names)}
 
     def kernel(self) -> list[dict]:
         """Basis of the homogeneous solution space as dicts."""
-        vecs = kernel_basis(self._dense(), cols=self.num_vars)
-        return [{name: v[i] for i, name in enumerate(self._names) if v[i]}
-                for v in vecs]
-
-    def solution_dim(self) -> int:
-        assert all(x == 0 for x in self.rhs), "solution_dim is for homogeneous systems"
-        return self.num_vars - rank(self._dense())
+        names = self._names
+        return [{names[i]: x for i, x in sorted(v.items())}
+                for v in _kernel(_reduced([_primitive(row) for row in self.rows]),
+                                 self.num_vars)]

@@ -21,14 +21,11 @@ from .grlin import (
     Subspace,
     Window,
     is_zero_matrix,
-    kernel_basis,
-    mat_mul,
     rank,
     unit_vector,
     zeros,
 )
 from .algebra import (
-    ChainMap,
     DGModule,
     FreeDGModule,
     InvariantViolation,
@@ -38,7 +35,6 @@ from .algebra import (
     chain_map_space,
     dg_module,
     homology,
-    homology_module,
     poly_as_module,
     to_degreewise,
     zero_module,

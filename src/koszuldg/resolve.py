@@ -35,13 +35,11 @@ from .algebra import (
     InvariantViolation,
     Poly,
     PolyAlgebra,
-    basic_injective,
     dg_module,
     double_dual_comparison,
     free_module,
     hom_R,
     homology,
-    koszul_model,
     matlis_dual,
     mapping_cone,
     to_degreewise,
@@ -735,10 +733,6 @@ def _ext_connecting_inj(M: DGModule, res: InjectiveResolutionData, s: int,
         for i, x in enumerate(sol):
             out[i][j] = x
     return out
-
-
-def ext_route_agreement(M: DGModule, N: DGModule) -> bool:
-    return ext_bigraded(M, N, "via_free") == ext_bigraded(M, N, "via_injective")
 
 
 def totalize_injective_resolution(res: InjectiveResolutionData) -> DGModule:

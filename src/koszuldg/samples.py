@@ -25,7 +25,6 @@ from .algebra import (
     mapping_cone,
     residue_field,
     trivial_lambda_module,
-    zero_module,
 )
 
 

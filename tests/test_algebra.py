@@ -320,3 +320,22 @@ def test_action_operators_commute_even_anticommute_odd():
     ij = mat_mul(a0.block(1), a1.block(0))
     ji = mat_mul(a1.block(1), a0.block(0))
     assert is_zero_matrix(mat_add(ij, ji))
+
+
+def test_invariant_checks_see_odd_signs():
+    # x (deg 1) with d x = y, a x = x', a y = y': Leibniz for the odd
+    # generator forces d x' = -y'; +y' must be rejected, and so must an odd
+    # generator that fails to square to zero
+    L = alg.ext_algebra(T)
+
+    def build(s, square=0):
+        return alg.dg_module(L, {0: 1, 1: 2, 2: 1},
+                             {1: [[F(1), F(0)]], 2: [[F(0)], [F(s)]]},
+                             [{0: [[F(0)], [F(1)]], 1: [[F(1), F(square)]]}],
+                             0, 2, complete_below=True, complete_above=True)
+
+    build(-1)
+    with pytest.raises(alg.InvariantViolation):
+        build(1)
+    with pytest.raises(alg.InvariantViolation):
+        build(-1, square=1)

@@ -87,6 +87,23 @@ def test_roundtrip_zero():
     assert rep.agrees and not rep.left_dims and not rep.right_dims
 
 
+def _windowed_class(n):
+    """One exterior class in degree n, known only on the window n-1..n+1."""
+    return alg.dg_module(L1, {n: 1}, {}, [{}], n - 1, n + 1)
+
+
+@pytest.mark.parametrize("left_deg,right_deg,agrees", [(20, 30, False),
+                                                       (20, 20, True)])
+def test_roundtrip_fails_closed_on_empty_comparison(monkeypatch, left_deg,
+                                                    right_deg, agrees):
+    # the two homologies are known on disjoint windows: no degree is
+    # compared, which must not count as agreement
+    sides = iter([_windowed_class(left_deg), _windowed_class(right_deg)])
+    monkeypatch.setattr(du, "homology_module", lambda M, name="": next(sides))
+    rep = du.roundtrip_check(alg.residue_field(R1))
+    assert rep.agrees is agrees
+
+
 def test_roundtrip_random_exterior_modules():
     rng = random.Random(43)
     for g in (T, T2):

@@ -192,3 +192,209 @@ def test_determinism_bit_for_bit():
     first = [(rank(m), kernel_basis(m)) for m in mats]
     second = [(rank(m), kernel_basis(m)) for m in mats]
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# the sparse integer elimination against dense Fraction Gauss-Jordan
+
+
+def reference_rref(m):
+    """Dense Gauss-Jordan over QQ: first nonzero row as pivot, columns left
+    to right, pivot scaled to 1 and cleared from every other row."""
+    a = [row[:] for row in m]
+    if not a or not a[0]:
+        return a, []
+    n_rows, n_cols = len(a), len(a[0])
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        piv = next((i for i in range(r, n_rows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(n_rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return a, pivots
+
+
+def reference_kernel(m, cols):
+    if cols == 0:
+        return []
+    if not m:
+        return [[F(int(i == j)) for i in range(cols)] for j in range(cols)]
+    red, pivots = reference_rref(m)
+    basis = []
+    for j in (j for j in range(cols) if j not in pivots):
+        v = [F(0)] * cols
+        v[j] = F(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][j]
+        lead = next(x for x in v if x != 0)
+        basis.append([y / lead for y in v])
+    return basis
+
+
+def reference_solve(a, b):
+    n_cols = len(a[0]) if a else 0
+    if not a:
+        return [F(0)] * n_cols
+    red, pivots = reference_rref([row + [y] for row, y in zip(a, b)])
+    if n_cols in pivots:
+        return None
+    x = [F(0)] * n_cols
+    for r, p in enumerate(pivots):
+        x[p] = red[r][n_cols]
+    return x
+
+
+def random_matrix(rng, rows, cols, density):
+    return [[F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 5)))
+             if rng.random() < density else F(0) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def seeded_matrices():
+    rng = random.Random(11)
+    shapes = [(0, 0), (0, 4), (3, 0), (1, 1), (1, 9), (9, 1), (4, 4),
+              (25, 6), (6, 25), (30, 40), (40, 30), (36, 36)]
+    out = [[], [[]], [[F(0)] * 5 for _ in range(4)]]
+    for rows, cols in shapes:
+        for density in (0.0, 0.02, 0.05, 0.1):
+            out.append(random_matrix(rng, rows, cols, density))
+    out.append(random_matrix(rng, 7, 8, 0.6))
+    # dependent rows: a low-rank product
+    for _ in range(5):
+        k = rng.randint(1, 4)
+        left = random_matrix(rng, 12, k, 0.6)
+        right = random_matrix(rng, k, 15, 0.6)
+        out.append(mat_mul(left, right))
+    return out
+
+
+def test_rref_matches_dense_reference():
+    for m in seeded_matrices():
+        assert rref(m) == reference_rref(m)
+
+
+def test_rank_kernel_solve_match_dense_reference():
+    rng = random.Random(12)
+    for m in seeded_matrices():
+        cols = len(m[0]) if m else 0
+        _, pivots = reference_rref(m)
+        assert rank(m) == len(pivots)
+        assert kernel_basis(m, cols=cols) == reference_kernel(m, cols)
+        x = [F(rng.randint(-2, 2), rng.choice((1, 3))) for _ in range(cols)]
+        image = [sum((a * b for a, b in zip(row, x)), F(0)) for row in m]
+        other = [F(rng.randint(-1, 1)) for _ in m]
+        for b in (image, other):
+            assert solve(m, b) == reference_solve(m, b)
+        assert solve(m, image) is not None
+
+
+def reference_homology_at(d_in, d_out, n):
+    """The greedy Subspace construction: boundaries are the columns of d_in
+    that enlarge the span so far, representatives the cycle-basis vectors
+    that enlarge span(boundaries) so far."""
+    into, out = d_in.block_into(n), d_out.block(n)
+    amb = len(out[0]) if out else (len(into) if into else 0)
+    cycles = kernel_basis(out, cols=amb)
+    span, boundaries = Subspace(amb), []
+    for col in ([into[i][j] for i in range(len(into))]
+                for j in range(len(into[0]) if into else 0)):
+        if span.add(col):
+            boundaries.append(col)
+    return cycles, boundaries, span.complement_in(cycles)
+
+
+def random_complex(rng):
+    a, b, c = (rng.randint(0, 7) for _ in range(3))
+    d_out = random_matrix(rng, a, b, rng.choice((0.1, 0.3, 0.7)))
+    ker = kernel_basis(d_out, cols=b)
+    d_in = [[F(0)] * c for _ in range(b)]
+    for j in range(c):
+        for v in ker:
+            s = F(rng.randint(-2, 2), rng.choice((1, 2)))
+            for i in range(b):
+                d_in[i][j] += s * v[i]
+    vs = GradedVS({0: a, 1: b, 2: c})
+    return (GradedMap(vs, vs, -1, {2: d_in} if c and b else {}),
+            GradedMap(vs, vs, -1, {1: d_out} if a and b else {}))
+
+
+def test_homology_at_matches_greedy_subspace():
+    rng = random.Random(13)
+    for _ in range(80):
+        d_in, d_out = random_complex(rng)
+        piece = homology_at(d_in, d_out, 1)
+        cycles, boundaries, reps = reference_homology_at(d_in, d_out, 1)
+        assert piece.cycle_basis == cycles
+        assert piece.boundary_basis == boundaries
+        assert piece.representatives == reps
+        assert piece.dim == len(reps) == len(cycles) - len(boundaries)
+
+
+def reference_express(M, H, n, v):
+    """One LinearSystem per vector: v = sum c_k rep_k + d(w)."""
+    piece = H.pieces.get(n)
+    reps = piece.representatives if piece else []
+    dim_up = M.known_dim(n + 1) or 0
+    sys = LinearSystem()
+    for k in range(len(reps)):
+        sys.var(("c", k))
+    dn1 = M.diff.block(n + 1)
+    for row in range(M.dim(n)):
+        coeffs = {("c", k): rep[row] for k, rep in enumerate(reps)}
+        coeffs.update((("w", j), dn1[row][j]) for j in range(dim_up))
+        sys.add_equation(coeffs, rhs=v[row])
+    sol = sys.solve()
+    if sol is None:
+        return None
+    return [sol.get(("c", k), F(0)) for k in range(len(reps))]
+
+
+def test_express_in_homology_matches_linear_system():
+    from koszuldg import algebra as alg
+    from koszuldg import duality as du
+    from koszuldg import samples as sm
+
+    rng = random.Random(14)
+    R2 = alg.poly_algebra(alg.GroupData((2, 2)))
+    modules = [du.functor_T(alg.residue_field(R2)),
+               du.functor_T(sm.cyclic_quotient(R2, (2, 1)))]
+    modules += [sm.conjugate(du.functor_T(sm.random_torsion_dg_module(
+        R2, rng, max_total=5)), rng) for _ in range(3)]
+    non_cycles = 0
+    for M in modules:
+        H = alg.homology(M)
+        for n in range(M.lo - 1, M.hi + 2):
+            piece = H.pieces.get(n)
+            dim = M.dim(n)
+            vectors = [[F(rng.randint(-2, 2)) for _ in range(dim)]
+                       for _ in range(3)]
+            if piece:
+                def combo(vs):
+                    cs = [F(rng.randint(-3, 3)) for _ in vs]
+                    return [sum((c * z[i] for c, z in zip(cs, vs)), F(0))
+                            for i in range(dim)]
+                vectors.append(combo(piece.cycle_basis))
+                boundary = combo(piece.boundary_basis)
+                assert alg.express_in_homology(M, H, n, boundary) == [F(0)] * piece.dim
+                vectors.append(boundary)
+                out = M.diff.block(n)
+                for j in range(dim):
+                    if any(row[j] for row in out):
+                        unit = [F(int(i == j)) for i in range(dim)]
+                        assert alg.express_in_homology(M, H, n, unit) is None
+                        non_cycles += 1
+            for v in vectors:
+                assert (alg.express_in_homology(M, H, n, v)
+                        == reference_express(M, H, n, v))
+    assert non_cycles

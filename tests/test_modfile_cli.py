@@ -130,6 +130,21 @@ def test_cli_ext_json(capsys):
     assert all(c["passed"] for c in out["checks"])
 
 
+def test_cli_ext_all_classes_in_negative_degrees(tmp_path, capsys):
+    # M = k, N supported in degrees -6 and -4: every Ext class has t < 0
+    n = tmp_path / "n.kdg"
+    n.write_text("algebra poly 2\nwindow -6 -4\ncomplete both\n"
+                 "component -6 a\ncomponent -4 b\nx1 b = a\n")
+    code = main(["ext", "--group", "2", "--M", "k", "--N", str(n),
+                 "--format", "json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["tables"]["ext"]
+    ts = [int(key.split("t=")[1]) for key in out["tables"]["ext"]]
+    assert max(ts) < 0
+    assert all(c["passed"] for c in out["checks"])
+
+
 def test_cli_table_and_json_contain_same_numbers(capsys):
     main(["ext", "--group", "2", "--M", "k", "--N", "k", "--format", "table"])
     table = capsys.readouterr().out
