@@ -23,7 +23,9 @@ from .grlin import (
     GradedVS,
     Matrix,
     Window,
-    ZERO,
+    _int_agree,
+    _int_form,
+    _int_product,
     coordinates,
     frac,
     identity,
@@ -460,25 +462,32 @@ class DGModule:
         if rows == 0 or cols == 0:
             return out
         gens = self.generator_degrees()
-        for alpha, c in p.terms.items():
-            m = identity(cols)
+        forms = {}
+
+        def monomial(alpha):
+            """Integer form of alpha acting on degree n; None when it passes
+            through an absent block and so acts by zero."""
+            m = (1, [{j: 1} for j in range(cols)], cols)
             at = n
-            dead = False
             for i, a in enumerate(alpha):
                 for _ in range(a):
-                    if self.space.dim(at + gens[i]) == 0:
-                        dead = True
-                        break
-                    m = mat_mul(self.actions[i].block(at), m)
+                    if (i, at) not in forms:
+                        blk = self.actions[i].blocks.get(at)
+                        forms[i, at] = None if blk is None else _int_form(blk)
+                    if forms[i, at] is None:
+                        return None
+                    m = _int_product(forms[i, at], m)
                     at += gens[i]
-                if dead:
-                    break
-            if dead:
+            return m
+
+        for alpha, c in p.terms.items():
+            m = monomial(alpha)
+            if m is None:
                 continue
-            for rr in range(rows):
-                for cc in range(cols):
-                    if m[rr][cc]:
-                        out[rr][cc] += c * m[rr][cc]
+            c /= m[0]
+            for out_row, row in zip(out, m[1]):
+                for j, v in row.items():
+                    out_row[j] += c * v
         return out
 
     def shift(self, a: int) -> "DGModule":
@@ -523,35 +532,41 @@ def dg_module(algebra, dims: dict, diff_blocks: dict, action_blocks: list,
                     complete_below, complete_above, name=name)
 
 
-def _maps_agree(a, b, rows, cols, sgn=1) -> bool:
-    """a == sgn * b compared entrywise over an explicit shape.
+def _block_products():
+    """product(f, m, g, n): the integer form of f.block(m) . g.block(n), or
+    None, standing for zero, when either block is absent or zero.
 
-    Composites through a zero-dimensional degree lose their shape in the
-    dense representation; comparing over the true shape with zero fallback
-    keeps a silent truncation from masking a violation.  Equal entries that
-    are the same object (the shared ZERO of untouched entries, shared small
-    integers) agree without arithmetic.
+    Each stored block is converted once per returned function.  The cache
+    lives only as long as that function, one check, so a block list edited
+    between checks is always read afresh.
     """
-    for i in range(rows):
-        ra = a[i] if i < len(a) else ()
-        rb = b[i] if i < len(b) else ()
-        if len(ra) != cols or len(rb) != cols:
-            ra = [ra[j] if j < len(ra) else ZERO for j in range(cols)]
-            rb = [rb[j] if j < len(rb) else ZERO for j in range(cols)]
-        if sgn == 1:
-            if ra != rb:
-                return False
-        elif any(x != -y for x, y in zip(ra, rb)
-                 if x is not ZERO or y is not ZERO):
-            return False
-    return True
+    forms = {}
+
+    def form(gm, n):
+        key = (id(gm), n)
+        if key not in forms:
+            m = gm.blocks.get(n)
+            f = None if m is None else _int_form(m)
+            forms[key] = f if f is not None and any(f[1]) else None
+        return forms[key]
+
+    def product(f, m, g, n):
+        a = form(f, m)
+        if a is None:
+            return None
+        b = form(g, n)
+        return None if b is None else _int_product(a, b)
+
+    return product
 
 
 def check_dg_invariants(M: DGModule):
     """d.d = 0, Koszul-signed Leibniz, and operator (anti)commutation.
 
     Compositions are checked wherever every degree involved is known, which
-    is every place they are meaningful for a windowed module.
+    is every place they are meaningful for a windowed module.  They are
+    formed as sparse integer products, and a composite through an absent
+    block is zero without being formed.
     """
     gens = M.generator_degrees()
     if len(M.actions) != len(gens):
@@ -563,34 +578,36 @@ def check_dg_invariants(M: DGModule):
     def known(n):
         return M.known_dim(n) is not None
 
-    zero = []
+    product = _block_products()
+    d, acts = M.diff, M.actions
     for n in range(M.lo, M.hi + 1):
         if M.dim(n) == 0:
             continue
         if known(n - 1) and known(n - 2):
-            dd = mat_mul(M.diff.block(n - 1), M.diff.block(n))
-            if not is_zero_matrix(dd):
+            if not _int_agree(product(d, n - 1, d, n), None):
                 raise InvariantViolation(f"d.d != 0 at degree {n}")
         for i, gi in enumerate(gens):
             if known(n + gi) and known(n + gi - 1) and known(n - 1):
-                lhs = mat_mul(M.diff.block(n + gi), M.actions[i].block(n))
-                rhs = mat_mul(M.actions[i].block(n - 1), M.diff.block(n))
+                lhs = product(d, n + gi, acts[i], n)
+                rhs = product(acts[i], n - 1, d, n)
                 sgn = -1 if gi % 2 else 1
-                if not _maps_agree(lhs, rhs, M.dim(n + gi - 1), M.dim(n), sgn):
+                if not _int_agree(lhs, rhs, sgn):
                     raise InvariantViolation(
                         f"d fails Leibniz against generator {i} at degree {n}")
             for j in range(i, len(gens)):
                 gj = gens[j]
                 if not (known(n + gi) and known(n + gj) and known(n + gi + gj)):
                     continue
-                ij = mat_mul(M.actions[i].block(n + gj), M.actions[j].block(n))
                 if i == j:
-                    if gi % 2 and not _maps_agree(ij, zero, M.dim(n + 2 * gi), M.dim(n)):
+                    # even generators commute with themselves: nothing to form
+                    if gi % 2 and not _int_agree(product(acts[i], n + gi, acts[i], n),
+                                                 None):
                         raise InvariantViolation(f"odd generator {i} fails square-zero")
                     continue
-                ji = mat_mul(M.actions[j].block(n + gi), M.actions[i].block(n))
+                ij = product(acts[i], n + gj, acts[j], n)
+                ji = product(acts[j], n + gi, acts[i], n)
                 sgn = -1 if (gi % 2 and gj % 2) else 1
-                if not _maps_agree(ij, ji, M.dim(n + gi + gj), M.dim(n), sgn):
+                if not _int_agree(ij, ji, sgn):
                     raise InvariantViolation(
                         f"generators {i},{j} fail graded commutation at degree {n}")
 
@@ -936,6 +953,8 @@ class ChainMap:
 
     def commutes_with_diff(self) -> bool:
         sgn = -1 if self.degree % 2 else 1
+        product = _block_products()
+        f, d_src, d_tgt = self.map, self.source.diff, self.target.diff
         for n in range(self.source.lo, self.source.hi + 1):
             if self.source.dim(n) == 0:
                 continue
@@ -944,17 +963,18 @@ class ChainMap:
                     or self.target.known_dim(tn - 1) is None
                     or self.source.known_dim(n - 1) is None):
                 continue
-            lhs = mat_mul(self.target.diff.block(tn), self.map.block(n))
-            rhs = mat_mul(self.map.block(n - 1), self.source.diff.block(n))
-            if not _maps_agree(lhs, rhs, self.target.known_dim(tn - 1),
-                               self.source.dim(n), sgn):
+            if not _int_agree(product(d_tgt, tn, f, n),
+                              product(f, n - 1, d_src, n), sgn):
                 return False
         return True
 
     def is_module_map(self) -> bool:
         gens = self.source.generator_degrees()
+        product = _block_products()
+        f = self.map
         for i, g in enumerate(gens):
             sgn = -1 if (self.degree % 2 and g % 2) else 1
+            a_src, a_tgt = self.source.actions[i], self.target.actions[i]
             for n in range(self.source.lo, self.source.hi + 1):
                 if self.source.dim(n) == 0:
                     continue
@@ -963,10 +983,8 @@ class ChainMap:
                         or self.target.known_dim(tn + g) is None
                         or self.source.known_dim(n + g) is None):
                     continue
-                lhs = mat_mul(self.target.actions[i].block(tn), self.map.block(n))
-                rhs = mat_mul(self.map.block(n + g), self.source.actions[i].block(n))
-                if not _maps_agree(lhs, rhs, self.target.known_dim(tn + g),
-                                   self.source.dim(n), sgn):
+                if not _int_agree(product(a_tgt, tn, f, n),
+                                  product(f, n + g, a_src, n), sgn):
                     return False
         return True
 

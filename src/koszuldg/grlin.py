@@ -25,7 +25,7 @@ _INTS = {v: Fraction(v) for v in range(-64, 65)}
 ZERO, _ONE = _INTS[0], _INTS[1]
 
 
-class CompositionNotZero(Exception):
+class CompositionNotZero(ValueError):
     """Two maps expected to compose to zero do not."""
 
 
@@ -61,30 +61,82 @@ def _nonzeros(row) -> list:
     return [(j, row[j]) for j in _unshared(row) if row[j]]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    # rows(a) x cols(b); cols(a) must equal rows(b)
-    if a and b:
-        assert len(a[0]) == len(b), "matrix dimensions do not compose"
-    cols = len(b[0]) if b else 0
-    # integer products over common denominators, nonzeros only
-    a_nz = [_nonzeros(ai) for ai in a]
-    b_nz = [_nonzeros(bk) for bk in b]
-    da = lcm(*[c.denominator for ai in a_nz for _, c in ai])
-    db = lcm(*[x.denominator for bk in b_nz for _, x in bk])
-    b_int = [[(j, x.numerator * (db // x.denominator)) for j, x in bk]
-             for bk in b_nz]
-    den = da * db
+# ---------------------------------------------------------------------------
+# integer forms: a matrix as (den, rows, cols), rows being {col: int} dicts of
+# its nonzeros over the one denominator den; cols is None for a matrix
+# without rows, whose width the dense representation does not keep
+
+
+def _int_form(m: Matrix) -> tuple:
+    nz = [_nonzeros(row) for row in m]
+    den = lcm(*[x.denominator for row in nz for _, x in row])
+    if den == 1:
+        rows = [{j: x.numerator for j, x in row} for row in nz]
+    else:
+        rows = [{j: x.numerator * (den // x.denominator) for j, x in row}
+                for row in nz]
+    return den, rows, (len(m[0]) if m else None)
+
+
+def _int_product(a: tuple, b: tuple) -> tuple:
+    """The integer form of the product of two integer forms."""
+    da, ra, ca = a
+    db, rb, cb = b
+    if ca is not None and ca != len(rb):
+        raise ValueError(f"matrix dimensions do not compose: "
+                         f"{len(ra)}x{ca} times {len(rb)}x{cb}")
     out = []
-    for ai in a_nz:
-        acc = [0] * cols
-        for k, c in ai:
-            c = c.numerator * (da // c.denominator)
-            for j, x in b_int[k]:
-                acc[j] += c * x
-        if den == 1:
-            out.append([_INTS[v] if v in _INTS else Fraction(v) for v in acc])
-        else:
-            out.append([Fraction(v, den) if v else ZERO for v in acc])
+    for row in ra:
+        acc = {}
+        for k, c in row.items():
+            for j, x in rb[k].items():
+                acc[j] = acc.get(j, 0) + c * x
+        out.append({j: v for j, v in acc.items() if v})
+    return da * db, out, (cb if ra else None)
+
+
+def _int_agree(p: tuple | None, q: tuple | None, sgn: int = 1) -> bool:
+    """p == sgn * q exactly, None standing for a zero matrix of the right
+    shape: rows are compared over the longer of the two, and the entries by
+    cross-multiplying the denominators."""
+    if p is None:
+        p, q = q, p  # sgn is +-1, so the relation is symmetric
+    if p is None:
+        return True
+    dp, rp, _ = p
+    if q is None:
+        return not any(rp)
+    dq, rq, _ = q
+    empty = {}
+    for i in range(max(len(rp), len(rq))):
+        x = rp[i] if i < len(rp) else empty
+        y = rq[i] if i < len(rq) else empty
+        if len(x) != len(y):
+            return False
+        if sgn == 1 and dp == dq:
+            if x != y:
+                return False
+            continue
+        sp, sq = sgn * dp, dq
+        for j, v in x.items():
+            if v * sq != sp * y.get(j, 0):
+                return False
+    return True
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """rows(a) x cols(b); raises ValueError unless cols(a) == rows(b)."""
+    den, rows, _ = _int_product(_int_form(a), _int_form(b))
+    cols = len(b[0]) if b else 0
+    out = []
+    for row in rows:
+        dense = [ZERO] * cols
+        for j, v in row.items():
+            if den == 1:
+                dense[j] = _INTS[v] if v in _INTS else Fraction(v)
+            else:
+                dense[j] = Fraction(v, den)
+        out.append(dense)
     return out
 
 
@@ -504,10 +556,13 @@ def homology_at(d_in: GradedMap, d_out: GradedMap, n: int) -> HomologyPiece:
     ones before them.  Both are the pivot columns of one elimination of
     [d_in | cycle basis], so the answer is deterministic.
     """
+    stored_in = d_in.blocks.get(n - d_in.degree)
+    stored_out = d_out.blocks.get(n)
+    if stored_in is not None and stored_out is not None and any(
+            _int_product(_int_form(stored_out), _int_form(stored_in))[1]):
+        raise CompositionNotZero(f"d.d != 0 entering degree {n}")
     into = d_in.block_into(n)
     out = d_out.block(n)
-    if into and out and not is_zero_matrix(mat_mul(out, into)):
-        raise CompositionNotZero(f"d.d != 0 entering degree {n}")
     amb = len(out[0]) if out else (len(into) if into else 0)
     cycles = kernel_basis(out, cols=amb)
     cols = transpose(into)

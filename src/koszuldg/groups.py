@@ -355,13 +355,14 @@ def coextend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
                     # constraints below the window floor are dropped; the
                     # depth choice makes the dropped ones vacuous
                     continue
-                tblk = Tmod.action_poly_block(p, n)
+                # a zero image contributes no T-side term
+                tblk = None if p.is_zero() else Tmod.action_poly_block(p, n)
                 mblk = M.actions[i].block(n + t)
                 md2 = M.known_dim(n + t - di) or 0
                 for rr in range(md2):
                     for cc in range(Tmod.dim(n)):
                         coeffs = {}
-                        for kk in range(Tmod.dim(n - di)):
+                        for kk in range(Tmod.dim(n - di) if tblk is not None else 0):
                             if tblk[kk][cc]:
                                 key = (n - di, rr, kk)
                                 coeffs[key] = coeffs.get(key, Fraction(0)) + tblk[kk][cc]

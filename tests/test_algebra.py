@@ -1,9 +1,10 @@
+import copy
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from koszuldg.grlin import Window, is_zero_matrix
+from koszuldg.grlin import GradedMap, Window, is_zero_matrix
 from koszuldg import algebra as alg
 from koszuldg import samples as sm
 
@@ -339,3 +340,256 @@ def test_invariant_checks_see_odd_signs():
         build(1)
     with pytest.raises(alg.InvariantViolation):
         build(-1, square=1)
+
+
+# ---------------------------------------------------------------------------
+# reference: the dense checkers the sparse integer ones replaced.  Products
+# are plain Fraction triple loops over GradedMap.block, whose absent blocks
+# are dense zero matrices, compared entrywise over the true shape.
+
+
+def _dense_mul(a, b):
+    cols = len(b[0]) if b else 0
+    if a and b:
+        assert len(a[0]) == len(b)
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), F(0))
+             for j in range(cols)] for row in a]
+
+
+def _maps_agree(a, b, rows, cols, sgn=1):
+    for i in range(rows):
+        ra = a[i] if i < len(a) else ()
+        rb = b[i] if i < len(b) else ()
+        for j in range(cols):
+            x = ra[j] if j < len(ra) else 0
+            y = rb[j] if j < len(rb) else 0
+            if x != sgn * y:
+                return False
+    return True
+
+
+def _reference_invariants(M):
+    gens = M.generator_degrees()
+
+    def known(n):
+        return M.known_dim(n) is not None
+
+    for n in range(M.lo, M.hi + 1):
+        if M.dim(n) == 0:
+            continue
+        if known(n - 1) and known(n - 2):
+            dd = _dense_mul(M.diff.block(n - 1), M.diff.block(n))
+            if not is_zero_matrix(dd):
+                raise alg.InvariantViolation(f"d.d != 0 at degree {n}")
+        for i, gi in enumerate(gens):
+            if known(n + gi) and known(n + gi - 1) and known(n - 1):
+                lhs = _dense_mul(M.diff.block(n + gi), M.actions[i].block(n))
+                rhs = _dense_mul(M.actions[i].block(n - 1), M.diff.block(n))
+                sgn = -1 if gi % 2 else 1
+                if not _maps_agree(lhs, rhs, M.dim(n + gi - 1), M.dim(n), sgn):
+                    raise alg.InvariantViolation(
+                        f"d fails Leibniz against generator {i} at degree {n}")
+            for j in range(i, len(gens)):
+                gj = gens[j]
+                if not (known(n + gi) and known(n + gj) and known(n + gi + gj)):
+                    continue
+                ij = _dense_mul(M.actions[i].block(n + gj), M.actions[j].block(n))
+                if i == j:
+                    if gi % 2 and not _maps_agree(ij, [], M.dim(n + 2 * gi), M.dim(n)):
+                        raise alg.InvariantViolation(f"odd generator {i} fails square-zero")
+                    continue
+                ji = _dense_mul(M.actions[j].block(n + gi), M.actions[i].block(n))
+                sgn = -1 if (gi % 2 and gj % 2) else 1
+                if not _maps_agree(ij, ji, M.dim(n + gi + gj), M.dim(n), sgn):
+                    raise alg.InvariantViolation(
+                        f"generators {i},{j} fail graded commutation at degree {n}")
+
+
+def _reference_commutes_with_diff(f):
+    sgn = -1 if f.degree % 2 else 1
+    for n in range(f.source.lo, f.source.hi + 1):
+        if f.source.dim(n) == 0:
+            continue
+        tn = n + f.degree
+        if (f.target.known_dim(tn) is None or f.target.known_dim(tn - 1) is None
+                or f.source.known_dim(n - 1) is None):
+            continue
+        lhs = _dense_mul(f.target.diff.block(tn), f.map.block(n))
+        rhs = _dense_mul(f.map.block(n - 1), f.source.diff.block(n))
+        if not _maps_agree(lhs, rhs, f.target.known_dim(tn - 1),
+                           f.source.dim(n), sgn):
+            return False
+    return True
+
+
+def _reference_is_module_map(f):
+    for i, g in enumerate(f.source.generator_degrees()):
+        sgn = -1 if (f.degree % 2 and g % 2) else 1
+        for n in range(f.source.lo, f.source.hi + 1):
+            if f.source.dim(n) == 0:
+                continue
+            tn = n + f.degree
+            if (f.target.known_dim(tn) is None or f.target.known_dim(tn + g) is None
+                    or f.source.known_dim(n + g) is None):
+                continue
+            lhs = _dense_mul(f.target.actions[i].block(tn), f.map.block(n))
+            rhs = _dense_mul(f.map.block(n + g), f.source.actions[i].block(n))
+            if not _maps_agree(lhs, rhs, f.target.known_dim(tn + g),
+                               f.source.dim(n), sgn):
+                return False
+    return True
+
+
+def _verdict(check, *args):
+    try:
+        return ("returned", check(*args))
+    except alg.InvariantViolation as exc:
+        return ("raised", str(exc))
+
+
+def _perturbations(gm, rng, count):
+    """Copies of gm's block dict, each with one entry changed by an integer
+    or a fraction, in a stored block or in one that is absent."""
+    spots = [n for n in gm.source.dims
+             if gm.source.dim(n) and gm.target.dim(n + gm.degree)]
+    out = []
+    for _ in range(count if spots else 0):
+        n = rng.choice(spots)
+        blocks = {k: [row[:] for row in b] for k, b in gm.blocks.items()}
+        blk = blocks.setdefault(
+            n, [[F(0)] * gm.source.dim(n) for _ in range(gm.target.dim(n + gm.degree))])
+        r, c = rng.randrange(len(blk)), rng.randrange(len(blk[0]))
+        blk[r][c] += rng.choice([F(1), F(-2), F(1, 3), F(-5, 2)])
+        out.append((n, blocks))
+    return out
+
+
+def _with_blocks(M, which, blocks):
+    """M with the differential (which = -1) or action `which` replaced by a
+    graded map carrying `blocks`, built without running the checks."""
+    N = copy.copy(M)
+    old = M.diff if which < 0 else M.actions[which]
+    gm = GradedMap(old.source, old.target, old.degree, blocks)
+    if which < 0:
+        N.diff = gm
+    else:
+        N.actions = M.actions[:which] + (gm,) + M.actions[which + 1:]
+    return N
+
+
+def _sample_modules(rng):
+    L1, L2 = alg.ext_algebra(T), alg.ext_algebra(T2)
+    mods = [alg.lambda_as_module(L1), alg.lambda_as_module(L2),
+            alg.basic_injective(R1, Window(0, 6)),
+            alg.to_degreewise(alg.koszul_model(R2), Window(-6, 2))]
+    for _ in range(3):
+        mods.append(sm.random_torsion_dg_module(R1, rng, max_total=6))
+        mods.append(sm.random_torsion_dg_module(R2, rng, max_total=6))
+        mods.append(sm.random_lambda_module(L1, rng, max_total=5))
+        mods.append(sm.random_lambda_module(L2, rng, max_total=6))
+    return mods
+
+
+def test_invariant_checks_match_dense_reference():
+    rng = random.Random(20)
+    seen = {}
+    for M in _sample_modules(rng):
+        assert _verdict(alg.check_dg_invariants, M) == ("returned", None)
+        assert _verdict(_reference_invariants, M) == ("returned", None)
+        for which in range(-1, len(M.actions)):
+            gm = M.diff if which < 0 else M.actions[which]
+            for _, blocks in _perturbations(gm, rng, 4):
+                N = _with_blocks(M, which, blocks)
+                want = _verdict(_reference_invariants, N)
+                assert _verdict(alg.check_dg_invariants, N) == want
+                kind = want[1].split(" at ")[0] if want[0] == "raised" else "ok"
+                seen[kind] = seen.get(kind, 0) + 1
+    # the perturbations reach every identity, and some leave them all intact
+    kinds = " | ".join(sorted(seen))
+    for part in ("d.d != 0", "Leibniz", "square-zero", "graded commutation", "ok"):
+        assert part in kinds, (part, seen)
+
+
+def test_odd_square_zero_perturbation_matches_reference():
+    # a single entry that makes a1.a1 nonzero on Lambda[a1, a2]
+    M = alg.lambda_as_module(alg.ext_algebra(T2))
+    a = M.actions[0]
+    blocks = {n: [row[:] for row in b] for n, b in a.blocks.items()}
+    # basis (one; a, b; ab): a1 . a is 0, make it ab / 2, so a1 . a1 . one != 0
+    blocks[1][0][0] += F(1, 2)
+    N = _with_blocks(M, 0, blocks)
+    want = _verdict(_reference_invariants, N)
+    assert want[0] == "raised" and "square-zero" in want[1]
+    assert _verdict(alg.check_dg_invariants, N) == want
+
+
+def test_chain_map_checks_match_dense_reference():
+    rng = random.Random(21)
+    pairs = []
+    mods = _sample_modules(rng)
+    for A in mods:
+        for B in mods:
+            if A.algebra == B.algebra and A.total_dim() + B.total_dim() <= 10:
+                pairs.append((A, B))
+    rng.shuffle(pairs)
+    verdicts = set()
+    checked = 0
+    for A, B in pairs[:24]:
+        for degree in (0, 1):
+            if not alg.chain_map_space(A, B, degree):
+                continue
+            f = sm.random_chain_map(A, B, rng, degree)
+            assert f.commutes_with_diff() and f.is_module_map()
+            assert _reference_commutes_with_diff(f) and _reference_is_module_map(f)
+            for _, blocks in _perturbations(f.map, rng, 3):
+                g = alg.ChainMap(A, B, degree, blocks, check=False)
+                want = (_reference_commutes_with_diff(g), _reference_is_module_map(g))
+                assert (g.commutes_with_diff(), g.is_module_map()) == want
+                verdicts.add(want)
+                checked += 1
+    assert checked >= 40
+    # every combination of the two verdicts occurs
+    assert verdicts == {(True, True), (False, True), (True, False), (False, False)}
+
+
+def _reference_action_poly_block(M, p, n):
+    """Dense monomial products from an identity matrix, summed per entry."""
+    deg = p.degree()
+    rows, cols = M.dim(n + deg), M.dim(n)
+    out = [[F(0)] * cols for _ in range(rows)]
+    gens = M.generator_degrees()
+    for alpha, c in p.terms.items():
+        m = [[F(int(i == j)) for j in range(cols)] for i in range(cols)]
+        at = n
+        for i, a in enumerate(alpha):
+            for _ in range(a):
+                m = _dense_mul(M.actions[i].block(at), m)
+                at += gens[i]
+        if rows == 0 or not m or not m[0]:
+            continue  # through a zero-dimensional degree
+        for rr in range(rows):
+            for cc in range(cols):
+                out[rr][cc] += c * m[rr][cc]
+    return out
+
+
+def test_action_poly_block_matches_dense_reference():
+    rng = random.Random(22)
+    checked = 0
+    for M in _sample_modules(rng):
+        R = M.algebra
+        if not isinstance(R, alg.PolyAlgebra):
+            continue
+        for codeg in range(0, 7, 2):
+            mons = R.monomials(codeg)
+            if not mons:
+                continue
+            for _ in range(2):
+                p = R.poly({a: rng.choice([F(1), F(-3), F(2, 3), F(0)]) for a in mons})
+                if p.is_zero():
+                    continue
+                for n in M.degrees():
+                    got = M.action_poly_block(p, n)
+                    assert got == _reference_action_poly_block(M, p, n)
+                    checked += 1
+    assert checked >= 100

@@ -1,0 +1,87 @@
+"""The rejection paths of the invariant checks and of the integer product
+under `python -O`, which strips every `assert`: they must still reject."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = r"""
+import json, sys
+from fractions import Fraction as F
+from koszuldg import algebra as alg, grlin
+
+out = {"optimize": sys.flags.optimize}
+try:
+    assert False
+    out["asserts"] = "stripped"
+except AssertionError:
+    out["asserts"] = "kept"
+
+L = alg.ext_algebra(alg.GroupData((2,)))
+R2 = alg.poly_algebra(alg.GroupData((2, 2)))
+R1 = alg.poly_algebra(alg.GroupData((2,)))
+
+
+def odd(s, square=0):
+    return alg.dg_module(L, {0: 1, 1: 2, 2: 1},
+                         {1: [[F(1), F(0)]], 2: [[F(0)], [F(s)]]},
+                         [{0: [[F(0)], [F(1)]], 1: [[F(1), F(square)]]}],
+                         0, 2, complete_below=True, complete_above=True)
+
+
+cases = {
+    "valid": lambda: odd(-1),
+    "leibniz": lambda: odd(1),
+    "square_zero": lambda: odd(-1, square=1),
+    "d_squared": lambda: alg.dg_module(
+        R1, {0: 1, -1: 1, -2: 1}, {0: [[F(1)]], -1: [[F(1, 2)]]}, [{}, ],
+        -2, 0, complete_below=True, complete_above=True),
+    "commutation": lambda: alg.dg_module(
+        R2, {0: 1, -2: 2, -4: 1}, {},
+        [{0: [[F(1)], [F(0)]], -2: [[F(0), F(1)]]},
+         {0: [[F(0)], [F(1)]], -2: [[F(0), F(2)]]}],
+        -4, 0, complete_below=True, complete_above=True),
+    "not_chain_map": lambda: alg.ChainMap(
+        odd(-1), odd(-1), 0, {0: [[F(1)]]}),
+    "not_module_map": lambda: alg.ChainMap(
+        alg.lambda_as_module(L), alg.lambda_as_module(L), 0, {1: [[F(1)]]}),
+    "product_shape": lambda: grlin.mat_mul([[F(1), F(2)]], [[F(1)]]),
+    "homology_d_squared": lambda: grlin.homology_at(*[grlin.GradedMap(
+        grlin.GradedVS({0: 1, 1: 1, 2: 1}), grlin.GradedVS({0: 1, 1: 1, 2: 1}),
+        -1, {1: [[F(1)]], 2: [[F(1)]]})] * 2, 1),
+}
+for name, build in cases.items():
+    try:
+        build()
+        out[name] = None
+    except Exception as exc:
+        out[name] = [type(exc).__name__, isinstance(exc, ValueError), str(exc)]
+print(json.dumps(out))
+"""
+
+
+def test_rejections_hold_without_asserts():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    run = subprocess.run([sys.executable, "-O", "-c", SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    assert out.pop("optimize") == 1 and out.pop("asserts") == "stripped"
+    assert out.pop("valid") is None
+    want = {
+        "leibniz": ("InvariantViolation", "d fails Leibniz against generator 0 at degree 1"),
+        "square_zero": ("InvariantViolation", "odd generator 0 fails square-zero"),
+        "d_squared": ("InvariantViolation", "d.d != 0 at degree 0"),
+        "commutation": ("InvariantViolation",
+                        "generators 0,1 fail graded commutation at degree 0"),
+        "not_chain_map": ("NotChainMap", "map does not commute with differentials"),
+        "not_module_map": ("NotChainMap", "map is not linear over the algebra"),
+        "product_shape": ("ValueError", "matrix dimensions do not compose: 1x2 times 1x1"),
+        "homology_d_squared": ("CompositionNotZero", "d.d != 0 entering degree 1"),
+    }
+    assert {k: (v[0], v[2]) for k, v in out.items()} == want
+    assert all(v[1] for v in out.values()), "every rejection is a ValueError"

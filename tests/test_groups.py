@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from koszuldg.grlin import Window
+from koszuldg.grlin import Window, is_zero_matrix
 from koszuldg import algebra as alg
 from koszuldg import groups as gr
 from koszuldg import samples as sm
@@ -102,6 +102,20 @@ def test_coextend_identity_and_zero():
     out = gr.coextend_scalars(MAPS["id-T"], k)
     assert alg.homology_dims(out) == {0: 1}
     assert gr.coextend_scalars(RM, alg.zero_module(S)).total_dim() == 0
+
+
+def test_coextend_along_a_zero_image():
+    # T < T^2 sends x2 to zero; x2 acts by zero on M, so coextension along
+    # the first-factor inclusion is M again, now over T
+    from koszuldg.modfile import parse_module
+    M = parse_module("algebra poly 2,2\nwindow -2 0\ncomplete both\n"
+                     "component -2 v\ncomponent 0 u\nx1 u = v\n")
+    rm = MAPS["T<T^2-first"]
+    assert rm.images[1].is_zero()
+    out = gr.coextend_scalars(rm, M)
+    assert out.algebra == rm.target
+    assert alg.homology_dims(out) == {-2: 1, 0: 1}
+    assert not is_zero_matrix(out.actions[0].block(0))
 
 
 @pytest.mark.parametrize("name,length,gamma", [

@@ -197,6 +197,22 @@ def test_cli_malformed_file_is_machine_readable(tmp_path, capsys):
     assert out["error"] == "ParseError"
 
 
+def test_cli_composition_not_zero_is_machine_readable(tmp_path, capsys, monkeypatch):
+    # d.d != 0 found while taking homology is a domain error: exit 2, JSON
+    from fractions import Fraction as F
+    from koszuldg import grlin
+    vs = grlin.GradedVS({0: 1, 1: 1, 2: 1})
+    d = grlin.GradedMap(vs, vs, -1, {1: [[F(1)]], 2: [[F(1)]]})
+    monkeypatch.setattr(alg, "homology", lambda M: grlin.homology_at(d, d, 1))
+    f = tmp_path / "k.kdg"
+    f.write_text(K_FILE)
+    code = main(["homology", "--module", str(f)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out == {"error": "CompositionNotZero",
+                   "message": "d.d != 0 entering degree 1"}
+
+
 def test_cli_catalog(capsys):
     code = main(["catalog", "--format", "json"])
     out = json.loads(capsys.readouterr().out)
