@@ -17,14 +17,16 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .grlin import (
     GradedMap,
     GradedVS,
     Matrix,
     Window,
+    _assemble,
+    _dense,
     _int_agree,
-    _int_form,
     _int_product,
     coordinates,
     frac,
@@ -452,43 +454,54 @@ class DGModule:
         Monomials that pass through a zero-dimensional intermediate degree
         act by zero; shapes stay (dim at n+deg) x (dim at n) throughout.
         """
+        f = self._action_poly_form(p, n)
+        if f is not None:
+            return _dense(f[0], f[1], self.dim(n))
+        rows = 0 if p.is_zero() else self.space.dim(n + p.degree())
+        return zeros(rows, self.dim(n))
+
+    def _action_poly_form(self, p: "Poly", n: int) -> tuple | None:
+        """The integer form of action_poly_block(p, n), or None when the
+        action is zero."""
         assert isinstance(self.algebra, PolyAlgebra)
         if p.is_zero():
-            return zeros(0, self.dim(n))
+            return None
         deg = p.degree()
         assert deg is not None, "polynomial action needs homogeneous p"
         rows, cols = self.space.dim(n + deg), self.dim(n)
-        out = zeros(rows, cols)
         if rows == 0 or cols == 0:
-            return out
+            return None
         gens = self.generator_degrees()
-        forms = {}
 
         def monomial(alpha):
             """Integer form of alpha acting on degree n; None when it passes
-            through an absent block and so acts by zero."""
-            m = (1, [{j: 1} for j in range(cols)], cols)
+            through an absent or zero block and so acts by zero."""
+            m = None
             at = n
             for i, a in enumerate(alpha):
                 for _ in range(a):
-                    if (i, at) not in forms:
-                        blk = self.actions[i].blocks.get(at)
-                        forms[i, at] = None if blk is None else _int_form(blk)
-                    if forms[i, at] is None:
+                    f = self.actions[i].form(at)
+                    if f is None:
                         return None
-                    m = _int_product(forms[i, at], m)
+                    m = f if m is None else _int_product(f, m)
                     at += gens[i]
-            return m
+            return m if m is not None else (1, [{j: 1} for j in range(cols)], cols)
 
+        terms = []
         for alpha, c in p.terms.items():
             m = monomial(alpha)
-            if m is None:
-                continue
-            c /= m[0]
-            for out_row, row in zip(out, m[1]):
+            if m is not None:
+                terms.append((c, m))
+        # one common denominator: every term's contribution is an integer
+        den = lcm(*[c.denominator * m[0] for c, m in terms])
+        acc = [{} for _ in range(rows)]
+        for c, (d, mrows, _) in terms:
+            s = c.numerator * (den // (c.denominator * d))
+            for out, row in zip(acc, mrows):
                 for j, v in row.items():
-                    out_row[j] += c * v
-        return out
+                    out[j] = out.get(j, 0) + s * v
+        acc = [{j: x for j, x in row.items() if x} for row in acc]
+        return (den, acc, cols) if any(acc) else None
 
     def shift(self, a: int) -> "DGModule":
         """Suspension by a: degrees move up by a, odd operators pick up signs."""
@@ -532,32 +545,18 @@ def dg_module(algebra, dims: dict, diff_blocks: dict, action_blocks: list,
                     complete_below, complete_above, name=name)
 
 
-def _block_products():
-    """product(f, m, g, n): the integer form of f.block(m) . g.block(n), or
-    None, standing for zero, when either block is absent or zero.
+def _block_product(f: GradedMap, m: int, g: GradedMap, n: int) -> tuple | None:
+    """The integer form of f.block(m) . g.block(n), or None, standing for
+    zero, when either block is absent or zero.
 
-    Each stored block is converted once per returned function.  The cache
-    lives only as long as that function, one check, so a block list edited
-    between checks is always read afresh.
+    The factors are the maps' own forms (GradedMap.form), converted once
+    per map and kept with it, so every check of the same map reads them.
     """
-    forms = {}
-
-    def form(gm, n):
-        key = (id(gm), n)
-        if key not in forms:
-            m = gm.blocks.get(n)
-            f = None if m is None else _int_form(m)
-            forms[key] = f if f is not None and any(f[1]) else None
-        return forms[key]
-
-    def product(f, m, g, n):
-        a = form(f, m)
-        if a is None:
-            return None
-        b = form(g, n)
-        return None if b is None else _int_product(a, b)
-
-    return product
+    a = f.form(m)
+    if a is None:
+        return None
+    b = g.form(n)
+    return None if b is None else _int_product(a, b)
 
 
 def check_dg_invariants(M: DGModule):
@@ -578,18 +577,17 @@ def check_dg_invariants(M: DGModule):
     def known(n):
         return M.known_dim(n) is not None
 
-    product = _block_products()
     d, acts = M.diff, M.actions
     for n in range(M.lo, M.hi + 1):
         if M.dim(n) == 0:
             continue
         if known(n - 1) and known(n - 2):
-            if not _int_agree(product(d, n - 1, d, n), None):
+            if not _int_agree(_block_product(d, n - 1, d, n), None):
                 raise InvariantViolation(f"d.d != 0 at degree {n}")
         for i, gi in enumerate(gens):
             if known(n + gi) and known(n + gi - 1) and known(n - 1):
-                lhs = product(d, n + gi, acts[i], n)
-                rhs = product(acts[i], n - 1, d, n)
+                lhs = _block_product(d, n + gi, acts[i], n)
+                rhs = _block_product(acts[i], n - 1, d, n)
                 sgn = -1 if gi % 2 else 1
                 if not _int_agree(lhs, rhs, sgn):
                     raise InvariantViolation(
@@ -600,12 +598,12 @@ def check_dg_invariants(M: DGModule):
                     continue
                 if i == j:
                     # even generators commute with themselves: nothing to form
-                    if gi % 2 and not _int_agree(product(acts[i], n + gi, acts[i], n),
-                                                 None):
+                    if gi % 2 and not _int_agree(
+                            _block_product(acts[i], n + gi, acts[i], n), None):
                         raise InvariantViolation(f"odd generator {i} fails square-zero")
                     continue
-                ij = product(acts[i], n + gj, acts[j], n)
-                ji = product(acts[j], n + gi, acts[i], n)
+                ij = _block_product(acts[i], n + gj, acts[j], n)
+                ji = _block_product(acts[j], n + gi, acts[i], n)
                 sgn = -1 if (gi % 2 and gj % 2) else 1
                 if not _int_agree(ij, ji, sgn):
                     raise InvariantViolation(
@@ -904,18 +902,10 @@ def direct_sum(A: DGModule, B: DGModule, name: str = "") -> DGModule:
             t = n + deg
             if t not in dims:
                 continue
-            da, db = A.known_dim(n), B.known_dim(n)
-            ta, tb = A.known_dim(t), B.known_dim(t)
-            m = zeros(ta + tb, da + db)
-            ba = gm_a.block(n)
-            for i in range(ta):
-                for j in range(da):
-                    m[i][j] = ba[i][j]
-            bb = gm_b.block(n)
-            for i in range(tb):
-                for j in range(db):
-                    m[ta + i][da + j] = bb[i][j]
-            if not is_zero_matrix(m):
+            ta, da = A.known_dim(t), A.known_dim(n)
+            m = _assemble(dims[t], dims[n], [(gm_a.form(n), 0, 0, 1),
+                                             (gm_b.form(n), ta, da, 1)])
+            if m is not None:
                 store[n] = m
     return dg_module(A.algebra, dims, diff_blocks, act_blocks, lo, hi,
                      complete_below=(klo == _NEG),
@@ -953,7 +943,6 @@ class ChainMap:
 
     def commutes_with_diff(self) -> bool:
         sgn = -1 if self.degree % 2 else 1
-        product = _block_products()
         f, d_src, d_tgt = self.map, self.source.diff, self.target.diff
         for n in range(self.source.lo, self.source.hi + 1):
             if self.source.dim(n) == 0:
@@ -963,14 +952,13 @@ class ChainMap:
                     or self.target.known_dim(tn - 1) is None
                     or self.source.known_dim(n - 1) is None):
                 continue
-            if not _int_agree(product(d_tgt, tn, f, n),
-                              product(f, n - 1, d_src, n), sgn):
+            if not _int_agree(_block_product(d_tgt, tn, f, n),
+                              _block_product(f, n - 1, d_src, n), sgn):
                 return False
         return True
 
     def is_module_map(self) -> bool:
         gens = self.source.generator_degrees()
-        product = _block_products()
         f = self.map
         for i, g in enumerate(gens):
             sgn = -1 if (self.degree % 2 and g % 2) else 1
@@ -983,8 +971,8 @@ class ChainMap:
                         or self.target.known_dim(tn + g) is None
                         or self.source.known_dim(n + g) is None):
                     continue
-                if not _int_agree(product(a_tgt, tn, f, n),
-                                  product(f, n + g, a_src, n), sgn):
+                if not _int_agree(_block_product(a_tgt, tn, f, n),
+                                  _block_product(f, n + g, a_src, n), sgn):
                     return False
         return True
 
@@ -1096,40 +1084,23 @@ def mapping_cone(f: ChainMap, name: str = "") -> DGModule:
     diff_blocks = {}
     act_blocks = [dict() for _ in gens]
     for n in dims:
-        db, da = B.known_dim(n), A.known_dim(n - 1)
+        db = B.known_dim(n)
         if (n - 1) in dims:
-            tb, ta = B.known_dim(n - 1), A.known_dim(n - 2)
-            m = zeros(tb + ta, db + da)
-            bb = B.diff.block(n)
-            for i in range(tb):
-                for j in range(db):
-                    m[i][j] = bb[i][j]
-            fb = f.block(n - 1)
-            for i in range(tb):
-                for j in range(da):
-                    m[i][db + j] = fb[i][j]
-            ab = A.diff.block(n - 1)
-            for i in range(ta):
-                for j in range(da):
-                    m[tb + i][db + j] = -ab[i][j]
-            if not is_zero_matrix(m):
+            tb = B.known_dim(n - 1)
+            m = _assemble(dims[n - 1], dims[n], [
+                (B.diff.form(n), 0, 0, 1), (f.map.form(n - 1), 0, db, 1),
+                (A.diff.form(n - 1), tb, db, -1)])
+            if m is not None:
                 diff_blocks[n] = m
         for t, g in enumerate(gens):
             tgt = n + g
             if tgt not in dims:
                 continue
-            tb, ta = B.known_dim(tgt), A.known_dim(tgt - 1)
-            m = zeros(tb + ta, db + da)
-            bb = B.actions[t].block(n)
-            for i in range(tb):
-                for j in range(db):
-                    m[i][j] = bb[i][j]
-            sgn = -1 if g % 2 else 1
-            ab = A.actions[t].block(n - 1)
-            for i in range(ta):
-                for j in range(da):
-                    m[tb + i][db + j] = sgn * ab[i][j]
-            if not is_zero_matrix(m):
+            tb = B.known_dim(tgt)
+            m = _assemble(dims[tgt], dims[n], [
+                (B.actions[t].form(n), 0, 0, 1),
+                (A.actions[t].form(n - 1), tb, db, -1 if g % 2 else 1)])
+            if m is not None:
                 act_blocks[t][n] = m
     return dg_module(A.algebra, dims, diff_blocks, act_blocks, lo, hi,
                      complete_below=(klo == _NEG),
@@ -1356,32 +1327,19 @@ def hom_from_free(F: FreeDGModule, M: DGModule, name: str = "",
         t = n - 1
         if t not in dims:
             continue
-        m = zeros(dims[t], dims[n])
         sgn = -1 if n % 2 else 1
+        pieces = []
         for j, bj in enumerate(bdegs):
-            src_dim = M.known_dim(n + bj)
-            tgt_rows = M.known_dim(t + bj)
-            if src_dim and tgt_rows:
-                blk = M.diff.block(n + bj)
-                for rr in range(tgt_rows):
-                    for cc in range(src_dim):
-                        if blk[rr][cc]:
-                            m[offsets[t][j] + rr][offsets[n][j] + cc] += blk[rr][cc]
-            if not tgt_rows:
+            if not M.known_dim(t + bj):
                 continue
+            pieces.append((M.diff.form(n + bj), offsets[t][j], offsets[n][j], 1))
             for i, bi in enumerate(bdegs):
                 p = F.diff[i][j]
-                if p.is_zero():
-                    continue
-                src_i = M.known_dim(n + bi)
-                if not src_i:
-                    continue
-                act = M.action_poly_block(p, n + bi)
-                for rr in range(tgt_rows):
-                    for cc in range(src_i):
-                        if act[rr][cc]:
-                            m[offsets[t][j] + rr][offsets[n][i] + cc] -= sgn * act[rr][cc]
-        if not is_zero_matrix(m):
+                if not p.is_zero():
+                    pieces.append((M._action_poly_form(p, n + bi),
+                                   offsets[t][j], offsets[n][i], -sgn))
+        m = _assemble(dims[t], dims[n], pieces)
+        if m is not None:
             diff_blocks[n] = m
 
     if contractions:
@@ -1396,18 +1354,19 @@ def hom_from_free(F: FreeDGModule, M: DGModule, name: str = "",
                 t = n + gens[i]
                 if t not in dims:
                     continue
-                m = zeros(dims[t], dims[n])
+                pieces = []
                 for k, s in enumerate(subs):
                     if i not in s:
                         continue
-                    s2 = tuple(j for j in s if j != i)
-                    k2 = subs.index(s2)
-                    sgn = L.remove_sign(i, s) * sgn_f
+                    k2 = subs.index(tuple(j for j in s if j != i))
                     # (a_i f)(e_S) = (-1)^{|f|} tau f(e_{S-i});
                     # internal degrees match: t + b_S = n + b_{S-i}
-                    for idx in range(M.known_dim(n + bdegs[k2])):
-                        m[offsets[t][k] + idx][offsets[n][k2] + idx] += sgn
-                if not is_zero_matrix(m):
+                    size = M.known_dim(n + bdegs[k2])
+                    pieces.append(((1, [{c: 1} for c in range(size)], size),
+                                   offsets[t][k], offsets[n][k2],
+                                   L.remove_sign(i, s) * sgn_f))
+                m = _assemble(dims[t], dims[n], pieces)
+                if m is not None:
                     act_blocks[i][n] = m
         return dg_module(L, dims, diff_blocks, act_blocks, lo, hi, cb, ca,
                          labels=labels, name=name or f"T({M.name})")
@@ -1418,14 +1377,10 @@ def hom_from_free(F: FreeDGModule, M: DGModule, name: str = "",
             t = n - R.codegrees[i]
             if t not in dims:
                 continue
-            m = zeros(dims[t], dims[n])
-            for j, bj in enumerate(bdegs):
-                blk = M.actions[i].block(n + bj)
-                for rr in range(M.known_dim(t + bj)):
-                    for cc in range(M.known_dim(n + bj)):
-                        if blk[rr][cc]:
-                            m[offsets[t][j] + rr][offsets[n][j] + cc] = blk[rr][cc]
-            if not is_zero_matrix(m):
+            m = _assemble(dims[t], dims[n], [
+                (M.actions[i].form(n + bj), offsets[t][j], offsets[n][j], 1)
+                for j, bj in enumerate(bdegs)])
+            if m is not None:
                 act_blocks[i][n] = m
     return dg_module(R, dims, diff_blocks, act_blocks, lo, hi, cb, ca,
                      labels=labels, name=name or f"Hom({M.name})")

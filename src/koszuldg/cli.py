@@ -9,6 +9,7 @@ the table or JSON rendering of the run report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -415,9 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process: parsing never changes a parser."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ParseError, ValueError, OSError) as exc:

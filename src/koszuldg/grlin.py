@@ -124,25 +124,46 @@ def _int_agree(p: tuple | None, q: tuple | None, sgn: int = 1) -> bool:
     return True
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """rows(a) x cols(b); raises ValueError unless cols(a) == rows(b)."""
-    den, rows, _ = _int_product(_int_form(a), _int_form(b))
-    cols = len(b[0]) if b else 0
+def _entry(v: int, den: int) -> Fraction:
+    """v / den, small integers being the shared ones."""
+    return _INTS[v] if den == 1 and v in _INTS else Fraction(v, den)
+
+
+def _dense(den: int, rows: list, cols: int) -> Matrix:
+    """The dense matrix of {col: int} rows over the denominator den."""
     out = []
     for row in rows:
         dense = [ZERO] * cols
         for j, v in row.items():
-            if den == 1:
-                dense[j] = _INTS[v] if v in _INTS else Fraction(v)
-            else:
-                dense[j] = Fraction(v, den)
+            dense[j] = _entry(v, den)
         out.append(dense)
     return out
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    assert not a or len(a[0]) == len(v)
-    return [sum((c * x for c, x in zip(row, v) if c), Fraction(0)) for row in a]
+def _assemble(rows: int, cols: int, pieces) -> Matrix | None:
+    """A rows x cols block summed from integer forms placed at offsets.
+
+    pieces yields (form, row offset, column offset, integer scale); a None
+    form adds nothing.  The sum is taken in integers over one common
+    denominator and the dense block is built once; None when it is zero.
+    """
+    pieces = [p for p in pieces if p[0] is not None]
+    den = lcm(*[form[0] for form, *_ in pieces])
+    acc = [{} for _ in range(rows)]
+    for (fden, frows, _), r0, c0, scale in pieces:
+        s = scale * (den // fden)
+        for i, row in enumerate(frows, r0):
+            out = acc[i]
+            for j, v in row.items():
+                out[c0 + j] = out.get(c0 + j, 0) + s * v
+    acc = [{j: x for j, x in row.items() if x} for row in acc]
+    return _dense(den, acc, cols) if any(acc) else None
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """rows(a) x cols(b); raises ValueError unless cols(a) == rows(b)."""
+    den, rows, _ = _int_product(_int_form(a), _int_form(b))
+    return _dense(den, rows, len(b[0]) if b else 0)
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -312,13 +333,15 @@ def kernel_basis(m: Matrix, cols: int | None = None) -> list[Vector]:
     """
     if cols is None:
         cols = len(m[0]) if m else 0
-    basis = []
-    for entries in _kernel(_reduced(_sparse_rows(m)), cols):
-        v = [ZERO] * cols
-        for i, x in entries.items():
-            v[i] = x
-        basis.append(v)
-    return basis
+    return [_dense_vector(v, cols) for v in _kernel(_reduced(_sparse_rows(m)), cols)]
+
+
+def _dense_vector(entries: dict, length: int) -> Vector:
+    """The dense vector of a sparse {index: Fraction} one."""
+    v = [ZERO] * length
+    for i, x in entries.items():
+        v[i] = x
+    return v
 
 
 def unit_vector(n: int, j: int) -> Vector:
@@ -472,13 +495,17 @@ class GradedMap:
     """Degree-homogeneous linear map between graded vector spaces.
 
     The block at n sends the source piece in degree n to the target piece in
-    degree n + degree; absent blocks are zero.
+    degree n + degree; absent blocks are zero.  Blocks are read-only once the
+    map exists: `form` converts each stored block once and keeps the result
+    with the map, so a block edited afterwards would not be read again.
     """
 
     source: GradedVS
     target: GradedVS
     degree: int
     blocks: dict = field(default_factory=dict)
+    _forms: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         for n, m in self.blocks.items():
@@ -494,8 +521,29 @@ class GradedMap:
     def block_into(self, n: int) -> Matrix:
         return self.block(n - self.degree)
 
+    def form(self, n: int) -> tuple | None:
+        """The integer form of the stored block at n, or None when that
+        block is absent or zero; computed on first use and kept."""
+        if n not in self._forms:
+            m = self.blocks.get(n)
+            f = None if m is None else _int_form(m)
+            self._forms[n] = f if f is not None and any(f[1]) else None
+        return self._forms[n]
+
     def apply(self, n: int, v: Vector) -> Vector:
-        return mat_vec(self.block(n), v)
+        """The block at n times v; raises ValueError on a length mismatch."""
+        if len(v) != self.source.dim(n):
+            raise ValueError(f"vector of length {len(v)} for a map from "
+                             f"dimension {self.source.dim(n)}")
+        f = self.form(n)
+        if f is None:
+            return [ZERO] * self.target.dim(n + self.degree)
+        den, rows, _ = f
+        vden = lcm(*[x.denominator for x in v if x])
+        w = {j: x.numerator * (vden // x.denominator)
+             for j, x in enumerate(v) if x}
+        dots = [sum(x * w[j] for j, x in row.items() if j in w) for row in rows]
+        return [_entry(x, den * vden) if x else ZERO for x in dots]
 
 
 @dataclass
@@ -554,26 +602,26 @@ def homology_at(d_in: GradedMap, d_out: GradedMap, n: int) -> HomologyPiece:
     the columns of d_in independent of the ones before them; representatives
     are the kernel-basis vectors independent of the boundaries and of the
     ones before them.  Both are the pivot columns of one elimination of
-    [d_in | cycle basis], so the answer is deterministic.
+    [d_in | cycle basis], so the answer is deterministic.  Everything is
+    eliminated from the maps' integer forms; each cycle is scaled to
+    integers first, which moves no pivot column.
     """
-    stored_in = d_in.blocks.get(n - d_in.degree)
-    stored_out = d_out.blocks.get(n)
-    if stored_in is not None and stored_out is not None and any(
-            _int_product(_int_form(stored_out), _int_form(stored_in))[1]):
+    m = n - d_in.degree
+    f_in, f_out = d_in.form(m), d_out.form(n)
+    if f_in is not None and f_out is not None and any(_int_product(f_out, f_in)[1]):
         raise CompositionNotZero(f"d.d != 0 entering degree {n}")
-    into = d_in.block_into(n)
-    out = d_out.block(n)
-    amb = len(out[0]) if out else (len(into) if into else 0)
-    cycles = kernel_basis(out, cols=amb)
-    cols = transpose(into)
-    k = len(cols)
-    rows = []
-    for i in range(amb):
-        row = {j: col[i] for j, col in enumerate(cols) if col[i]}
-        row.update((k + j, z[i]) for j, z in enumerate(cycles) if z[i])
-        rows.append(_primitive(row))
+    amb = d_out.source.dim(n)
+    cycles = _kernel(_reduced([] if f_out is None else f_out[1]), amb)
+    k = d_in.source.dim(m)
+    rows = [{} for _ in range(amb)] if f_in is None else [dict(r) for r in f_in[1]]
+    for j, z in enumerate(cycles):
+        den = lcm(*[x.denominator for x in z.values()])
+        for i, x in z.items():
+            rows[i][k + j] = x.numerator * (den // x.denominator)
     pivots = sorted(_echelon(rows))
-    boundaries = [cols[j] for j in pivots if j < k]
+    into = d_in.blocks.get(m)
+    boundaries = [[row[j] for row in into] for j in pivots if j < k]
+    cycles = [_dense_vector(z, amb) for z in cycles]
     reps = [cycles[j - k][:] for j in pivots if j >= k]
     return HomologyPiece(n, len(reps), reps, cycles, boundaries)
 

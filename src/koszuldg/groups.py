@@ -377,16 +377,19 @@ def coextend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
     labels = {t: [f"h{t}_{i}" for i in range(d)] for t, d in dims.items()}
 
     def express(t, comp):
+        # composites keep entries that cancelled to zero
         basis = solutions.get(t, [])
         if not basis:
-            assert not comp, "composite escaped the solution space"
+            if any(comp.values()):
+                raise InvariantViolation("composite escaped the solution space")
             return []
         keys = sorted({k for h in basis for k in h} | set(comp))
         mat = [[h.get(k, Fraction(0)) for h in basis] for k in keys]
         rhs = [comp.get(k, Fraction(0)) for k in keys]
         from .grlin import solve
         sol = solve(mat, rhs)
-        assert sol is not None, "composite escaped the solution space"
+        if sol is None:
+            raise InvariantViolation("composite escaped the solution space")
         return sol
 
     diff_blocks = {}

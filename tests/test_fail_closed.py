@@ -1,5 +1,6 @@
 """The rejection paths of the invariant checks and of the integer product
-under `python -O`, which strips every `assert`: they must still reject."""
+under `python -O`, which strips every `assert`: they must still reject.  A
+coextension runs there too, since its solution-space test was an assert."""
 import json
 import os
 import subprocess
@@ -11,7 +12,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SCRIPT = r"""
 import json, sys
 from fractions import Fraction as F
-from koszuldg import algebra as alg, grlin
+from koszuldg import algebra as alg, grlin, groups as gr
+from koszuldg.modfile import parse_module
 
 out = {"optimize": sys.flags.optimize}
 try:
@@ -30,6 +32,29 @@ def odd(s, square=0):
                          {1: [[F(1), F(0)]], 2: [[F(0)], [F(s)]]},
                          [{0: [[F(0)], [F(1)]], 1: [[F(1), F(square)]]}],
                          0, 2, complete_below=True, complete_above=True)
+
+# a module whose coextension along id-T has composites that cancel to
+# explicit zeros
+M = parse_module("algebra poly 2\nwindow -2 1\ncomplete both\n"
+                 "component -2 b\ncomponent -1 s0 s1\ncomponent 1 u\n"
+                 "d s0 = -b\nd s1 = -b\nx1 u = -s0 + s1\n")
+ID_T = gr.catalog_ring_maps()["id-T"]
+
+
+def coextend_escaped():
+    # the first system solved is the lowest degree, -2; without its one
+    # solution the differential out of degree -1 has nowhere to land
+    kernel, calls = grlin.LinearSystem.kernel, []
+
+    def dropping(self):
+        calls.append(self)
+        return [] if len(calls) == 1 else kernel(self)
+
+    grlin.LinearSystem.kernel = dropping
+    try:
+        gr.coextend_scalars(ID_T, M)
+    finally:
+        grlin.LinearSystem.kernel = kernel
 
 
 cases = {
@@ -52,6 +77,7 @@ cases = {
     "homology_d_squared": lambda: grlin.homology_at(*[grlin.GradedMap(
         grlin.GradedVS({0: 1, 1: 1, 2: 1}), grlin.GradedVS({0: 1, 1: 1, 2: 1}),
         -1, {1: [[F(1)]], 2: [[F(1)]]})] * 2, 1),
+    "coextend_escaped": coextend_escaped,
 }
 for name, build in cases.items():
     try:
@@ -59,6 +85,10 @@ for name, build in cases.items():
         out[name] = None
     except Exception as exc:
         out[name] = [type(exc).__name__, isinstance(exc, ValueError), str(exc)]
+C = gr.coextend_scalars(ID_T, M)
+out["coextend"] = [sorted(C.space.dims.items()),
+                   sorted(alg.homology_dims(C).items()),
+                   [sorted(a.blocks) for a in C.actions]]
 print(json.dumps(out))
 """
 
@@ -72,6 +102,9 @@ def test_rejections_hold_without_asserts():
     out = json.loads(run.stdout)
     assert out.pop("optimize") == 1 and out.pop("asserts") == "stripped"
     assert out.pop("valid") is None
+    # the coextension of M along id-T is M again
+    assert out.pop("coextend") == [[[-2, 1], [-1, 2], [1, 1]], [[-1, 1], [1, 1]],
+                                   [[1]]]
     want = {
         "leibniz": ("InvariantViolation", "d fails Leibniz against generator 0 at degree 1"),
         "square_zero": ("InvariantViolation", "odd generator 0 fails square-zero"),
@@ -82,6 +115,7 @@ def test_rejections_hold_without_asserts():
         "not_module_map": ("NotChainMap", "map is not linear over the algebra"),
         "product_shape": ("ValueError", "matrix dimensions do not compose: 1x2 times 1x1"),
         "homology_d_squared": ("CompositionNotZero", "d.d != 0 entering degree 1"),
+        "coextend_escaped": ("InvariantViolation", "composite escaped the solution space"),
     }
     assert {k: (v[0], v[2]) for k, v in out.items()} == want
     assert all(v[1] for v in out.values()), "every rejection is a ValueError"

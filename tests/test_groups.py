@@ -118,6 +118,21 @@ def test_coextend_along_a_zero_image():
     assert not is_zero_matrix(out.actions[0].block(0))
 
 
+ID_T_MODULE = ("algebra poly 2\nwindow -2 1\ncomplete both\n"
+               "component -2 b\ncomponent -1 s0 s1\ncomponent 1 u\n"
+               "d s0 = -b\nd s1 = -b\nx1 u = -s0 + s1\n")
+
+
+def test_coextend_identity_with_cancelling_composites():
+    # d(-s0 + s1) = 0: the composite's entries cancel to explicit zeros in a
+    # degree with no solutions, which is not an escape
+    from koszuldg.modfile import parse_module
+    M = parse_module(ID_T_MODULE)
+    out = gr.coextend_scalars(MAPS["id-T"], M)
+    assert out.space.dims == {-2: 1, -1: 2, 1: 1}
+    assert alg.homology_dims(out) == alg.homology_dims(M) == {-1: 1, 1: 1}
+
+
 @pytest.mark.parametrize("name,length,gamma", [
     ("T<SU(2)", 0, 2),
     ("id-T", 0, 0),

@@ -302,3 +302,31 @@ def test_cli_unknown_group_is_error(capsys):
     code = main(["ext", "--group", "E8", "--M", "k", "--N", "k"])
     out = json.loads(capsys.readouterr().out)
     assert code == 2 and "error" in out
+
+
+def test_cli_parser_reused_across_calls(tmp_path, capsys, monkeypatch):
+    # one process, alternating commands and formats: the parser built on
+    # first use gives what a fresh parser gives on every call
+    import koszuldg.cli as cli
+    f = tmp_path / "t.kdg"
+    f.write_text(TORSION_FILE)
+    calls = [["homology", "--module", str(f)], ["catalog"],
+             ["ext", "--group", "2", "--M", "k", "--N", "k"],
+             ["groups", "extend", "--pair", "T<SU(2)", "--module", "k"],
+             ["homology", "--module", "missing.kdg"]] * 2
+    argvs = [argv + ["--format", fmt]
+             for argv, fmt in zip(calls, ["table", "json"] * len(calls))]
+
+    def outputs():
+        got = []
+        for argv in argvs:
+            code = main(argv)
+            got.append((code, re.sub(r'("ms": |ms: )\d+', r"\g<1>0",
+                                     capsys.readouterr().out)))
+        return got
+
+    cached = outputs()
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert cached == outputs()
+    assert [code for code, _ in cached] == [0, 0, 0, 0, 2] * 2
