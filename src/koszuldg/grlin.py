@@ -518,9 +518,6 @@ class GradedMap:
             return self.blocks[n]
         return zeros(self.target.dim(n + self.degree), self.source.dim(n))
 
-    def block_into(self, n: int) -> Matrix:
-        return self.block(n - self.degree)
-
     def form(self, n: int) -> tuple | None:
         """The integer form of the stored block at n, or None when that
         block is absent or zero; computed on first use and kept."""

@@ -45,7 +45,7 @@ def dense_homology_at(d_in, d_out, n):
     if stored_in is not None and stored_out is not None and any(
             _int_product(_int_form(stored_out), _int_form(stored_in))[1]):
         raise CompositionNotZero(f"d.d != 0 entering degree {n}")
-    into = d_in.block_into(n)
+    into = d_in.block(n - d_in.degree)
     out = d_out.block(n)
     amb = len(out[0]) if out else (len(into) if into else 0)
     cycles = kernel_basis(out, cols=amb)

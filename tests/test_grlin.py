@@ -303,7 +303,7 @@ def reference_homology_at(d_in, d_out, n):
     """The greedy Subspace construction: boundaries are the columns of d_in
     that enlarge the span so far, representatives the cycle-basis vectors
     that enlarge span(boundaries) so far."""
-    into, out = d_in.block_into(n), d_out.block(n)
+    into, out = d_in.block(n - d_in.degree), d_out.block(n)
     amb = len(out[0]) if out else (len(into) if into else 0)
     cycles = kernel_basis(out, cols=amb)
     span, boundaries = Subspace(amb), []
