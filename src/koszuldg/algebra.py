@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 from .grlin import (
     GradedMap,
@@ -26,6 +27,7 @@ from .grlin import (
     Window,
     _assemble,
     _dense,
+    _identity_form,
     _int_agree,
     _int_product,
     coordinates,
@@ -703,6 +705,92 @@ def koszul_stage(R: PolyAlgebra, upto: int) -> FreeDGModule:
     return _koszul_on(R, tuple(range(upto)))
 
 
+def free_basis(F: FreeDGModule, n: int) -> list:
+    """Degree-n basis of a realized free module: (j, alpha), (j, lex) order."""
+    R = F.algebra
+    out = []
+    for j, (_, bj) in enumerate(F.basis):
+        for alpha in R.monomials(bj - n):
+            out.append((j, alpha))
+    return out
+
+
+def _vector_to_poly_column(F: FreeDGModule, n: int, v) -> list:
+    """Decode a realized degree-n vector into one Poly per free generator."""
+    R = F.algebra
+    cols = [R.zero() for _ in range(F.rank)]
+    for (j, alpha), c in zip(free_basis(F, n), v):
+        if c:
+            cols[j] = cols[j] + Poly(R, {alpha: c})
+    return cols
+
+
+def _generator_actions(F: FreeDGModule) -> list:
+    """The action of each generator x_i on F, as the polynomial matrix
+    diag(x_i) of degree -d_i."""
+    R = F.algebra
+    zero = R.zero()
+    return [[[R.gen(i) if j == k else zero for k in range(F.rank)]
+             for j in range(F.rank)] for i in range(R.r)]
+
+
+def _realize(polymat, bs: list, ts: list) -> tuple | None:
+    """The integer form of one block of a map of realized free modules, or
+    None when it is zero.
+
+    polymat[j][i] multiplies generator i of the source into generator j of
+    the target; bs and ts are the free bases (free_basis) of the source
+    degree and of the target degree.  A term outside ts is an entry of the
+    wrong degree and raises InvariantViolation.  Distinct terms of a column
+    land in distinct rows, so no entry is a sum.
+    """
+    if not bs or not ts:
+        return None
+    at = {ba: k for k, ba in enumerate(ts)}
+    terms = {i: [(j, beta, c) for j, row in enumerate(polymat)
+                 for beta, c in row[i].terms.items()] for i in {i for i, _ in bs}}
+    den = lcm(*[c.denominator for col in terms.values() for _, _, c in col])
+    terms = {i: [(j, beta, c.numerator * (den // c.denominator)) for j, beta, c in col]
+             for i, col in terms.items()}
+    rows = [{} for _ in ts]
+    for col, (i, alpha) in enumerate(bs):
+        for j, beta, v in terms[i]:
+            k = at.get((j, tuple(map(add, alpha, beta))))
+            if k is None:
+                raise InvariantViolation(
+                    f"entry ({j},{i}) of a polynomial matrix has the wrong degree")
+            rows[k][col] = v
+    return (den, rows, len(bs)) if any(rows) else None
+
+
+def _evaluate(F: FreeDGModule, M: DGModule, images, n: int) -> tuple | None:
+    """The integer form of the degree-n block of the map from realized F to
+    M sending generator j to the vector images[j] (None for zero), or None
+    when that block is zero: column (j, alpha) is x^alpha applied to
+    images[j], the generators acting in order as in action_poly_block."""
+    bs = free_basis(F, n)
+    if not bs or not M.dim(n):
+        return None
+    gens = M.generator_degrees()
+    cols = []
+    for col, (j, alpha) in enumerate(bs):
+        v, deg = images[j], F.basis[j][1]
+        if v is None:
+            continue
+        for i, a in enumerate(alpha):
+            for _ in range(a):
+                v = M.actions[i].apply(deg, v)
+                deg += gens[i]
+        cols.append((col, v))
+    den = lcm(*[x.denominator for _, v in cols for x in v if x])
+    rows = [{} for _ in range(M.dim(n))]
+    for col, v in cols:
+        for k, x in enumerate(v):
+            if x:
+                rows[k][col] = x.numerator * (den // x.denominator)
+    return (den, rows, len(bs)) if any(rows) else None
+
+
 def to_degreewise(F: FreeDGModule, w: Window, name: str = "") -> DGModule:
     """Expand a free DG module into degreewise matrices inside a window.
 
@@ -716,44 +804,25 @@ def to_degreewise(F: FreeDGModule, w: Window, name: str = "") -> DGModule:
     top = max(degs, default=0)
     bottom = min(degs, default=0)
     lo, hi = w.lo, w.hi
-    basis, dims, labels = {}, {}, {}
+    basis, labels = {}, {}
     for n in range(lo, hi + 1):
-        bs = []
-        for j, (lab, bj) in enumerate(F.basis):
-            for alpha in R.monomials(bj - n):
-                bs.append((j, alpha))
+        bs = free_basis(F, n)
         if bs:
             basis[n] = bs
-            dims[n] = len(bs)
             labels[n] = [f"{R.monomial_label(a)}*{F.basis[j][0]}"
                          if a != (0,) * R.r else F.basis[j][0]
                          for j, a in bs]
-    index = {n: {ba: k for k, ba in enumerate(bs)} for n, bs in basis.items()}
+    xs = _generator_actions(F)
     diff_blocks = {}
-    for n in basis:
-        if (n - 1) not in basis:
-            continue
-        m = zeros(len(basis[n - 1]), len(basis[n]))
-        for col, (j, alpha) in enumerate(basis[n]):
-            for i in range(F.rank):
-                p = F.diff[i][j]
-                for beta, c in p.terms.items():
-                    tgt = (i, tuple(x + y for x, y in zip(alpha, beta)))
-                    m[index[n - 1][tgt]][col] += c
-        if not is_zero_matrix(m):
-            diff_blocks[n] = m
     action_blocks = [dict() for _ in range(R.r)]
-    for n in basis:
-        for i in range(R.r):
-            t = n - R.codegrees[i]
-            if t not in basis:
-                continue
-            m = zeros(len(basis[t]), len(basis[n]))
-            for col, (j, alpha) in enumerate(basis[n]):
-                a2 = list(alpha)
-                a2[i] += 1
-                m[index[t][(j, tuple(a2))]][col] = Fraction(1)
-            action_blocks[i][n] = m
+    for n, bs in basis.items():
+        for store, polymat, deg in ([(diff_blocks, F.diff, -1)]
+                                    + [(action_blocks[i], xs[i], -R.codegrees[i])
+                                       for i in range(R.r)]):
+            f = _realize(polymat, bs, basis.get(n + deg))
+            if f is not None:
+                store[n] = _dense(*f)
+    dims = {n: len(bs) for n, bs in basis.items()}
     return dg_module(R, dims, diff_blocks, action_blocks, lo, hi,
                      complete_below=(R.r == 0 and lo <= bottom),
                      complete_above=hi >= top,
@@ -1267,7 +1336,8 @@ def homology_module(M: DGModule, name: str = "") -> DGModule:
             for col, rep in enumerate(H.pieces[n].representatives):
                 img = M.actions[i].apply(n, rep)
                 coords = express_in_homology(M, H, t, img)
-                assert coords is not None, "action image is not a cycle class"
+                if coords is None:
+                    raise InvariantViolation("action image is not a cycle class")
                 for row, c in enumerate(coords):
                     m[row][col] = c
             if not is_zero_matrix(m):
@@ -1361,8 +1431,7 @@ def hom_from_free(F: FreeDGModule, M: DGModule, name: str = "",
                     k2 = subs.index(tuple(j for j in s if j != i))
                     # (a_i f)(e_S) = (-1)^{|f|} tau f(e_{S-i});
                     # internal degrees match: t + b_S = n + b_{S-i}
-                    size = M.known_dim(n + bdegs[k2])
-                    pieces.append(((1, [{c: 1} for c in range(size)], size),
+                    pieces.append((_identity_form(M.known_dim(n + bdegs[k2])),
                                    offsets[t][k], offsets[n][k2],
                                    L.remove_sign(i, s) * sgn_f))
                 m = _assemble(dims[t], dims[n], pieces)
@@ -1457,7 +1526,8 @@ def gamma_m(M: DGModule, name: str = "") -> DGModule:
             for col, v in enumerate(vecs):
                 img = gm.apply(n, v)
                 coords = coordinates(sub_bases[t], img)
-                assert coords is not None, "torsion part is not closed"
+                if coords is None:
+                    raise InvariantViolation("torsion part is not closed")
                 for row, c in enumerate(coords):
                     m[row][col] = c
             if not is_zero_matrix(m):
@@ -1532,62 +1602,53 @@ def tensor_over_ext(N: DGModule, R: PolyAlgebra, w: Window,
         return zero_module(R, name=name or "0")
     nmin, nmax = N.support_min(), N.support_max()
     lo, hi = nmin, max(w.hi, nmin)
-    basis, dims, labels = {}, {}, {}
+    # the degree-n basis is N's basis at md tensor y^alpha, ordered by
+    # (md, alpha, u): contiguous in u, at offsets[n][(md, alpha)]
+    offsets, dims, labels = {}, {}, {}
     for n in range(lo, hi + 1):
-        bs = []
+        offs, labs = {}, []
         for md in range(nmin, min(n, nmax) + 1):
             if N.dim(md) == 0:
                 continue
             for alpha in R.monomials(n - md):
-                for u in range(N.dim(md)):
-                    bs.append((md, u, alpha))
-        if bs:
-            basis[n] = bs
-            dims[n] = len(bs)
-            labels[n] = [f"{N.space.label(md, u)}(x){_y_label(R, alpha)}"
-                         for md, u, alpha in bs]
-    index = {n: {b: k for k, b in enumerate(bs)} for n, bs in basis.items()}
+                offs[(md, alpha)] = len(labs)
+                labs += [f"{N.space.label(md, u)}(x){_y_label(R, alpha)}"
+                         for u in range(N.dim(md))]
+        if labs:
+            offsets[n], dims[n], labels[n] = offs, len(labs), labs
     gens = L.generator_degrees()
     diff_blocks = {}
-    for n in basis:
+    for n in dims:
         t = n - 1
-        if t not in basis:
+        if t not in dims:
             continue
-        m = zeros(dims[t], dims[n])
-        for col, (md, u, alpha) in enumerate(basis[n]):
-            dblk = N.diff.block(md)
-            for rr in range(N.dim(md - 1)):
-                if dblk[rr][u]:
-                    tgt = (md - 1, rr, alpha)
-                    if tgt in index[t]:
-                        m[index[t][tgt]][col] += dblk[rr][u]
+        pieces = []
+        for (md, alpha), c0 in offsets[n].items():
+            f = N.diff.form(md)
+            if f is not None:
+                pieces.append((f, offsets[t][(md - 1, alpha)], c0, 1))
             for i, g in enumerate(gens):
-                if alpha[i] == 0:
-                    continue
-                ablk = N.actions[i].block(md)
-                a2 = list(alpha)
-                a2[i] -= 1
-                for rr in range(N.dim(md + g)):
-                    if ablk[rr][u]:
-                        tgt = (md + g, rr, tuple(a2))
-                        if tgt in index[t]:
-                            m[index[t][tgt]][col] += alpha[i] * ablk[rr][u]
-        if not is_zero_matrix(m):
+                f = N.actions[i].form(md) if alpha[i] else None
+                if f is not None:
+                    a2 = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+                    pieces.append((f, offsets[t][(md + g, a2)], c0, alpha[i]))
+        m = _assemble(dims[t], dims[n], pieces)
+        if m is not None:
             diff_blocks[n] = m
     act_blocks = [dict() for _ in range(R.r)]
-    for n in basis:
+    for n in dims:
         for i in range(R.r):
             t = n - R.codegrees[i]
-            if t not in basis:
+            if t not in dims:
                 continue
-            m = zeros(dims[t], dims[n])
-            for col, (md, u, alpha) in enumerate(basis[n]):
-                if alpha[i] == 0:
-                    continue
-                a2 = list(alpha)
-                a2[i] -= 1
-                m[index[t][(md, u, tuple(a2))]][col] = Fraction(alpha[i])
-            if not is_zero_matrix(m):
+            pieces = []
+            for (md, alpha), c0 in offsets[n].items():
+                if alpha[i]:
+                    a2 = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+                    pieces.append((_identity_form(N.dim(md)), offsets[t][(md, a2)],
+                                   c0, alpha[i]))
+            m = _assemble(dims[t], dims[n], pieces)
+            if m is not None:
                 act_blocks[i][n] = m
     return dg_module(R, dims, diff_blocks, act_blocks, lo, hi,
                      complete_below=True, complete_above=False,

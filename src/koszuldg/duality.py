@@ -17,6 +17,7 @@ from .grlin import (
     LinearSystem,
     Subspace,
     Window,
+    _dense,
     is_zero_matrix,
     is_zero_vector,
     rank,
@@ -30,12 +31,13 @@ from .algebra import (
     GroupData,
     InvariantViolation,
     NotTorsion,
-    Poly,
     PolyAlgebra,
+    _evaluate,
     _subsets,
     basic_injective,
     dg_module,
     ext_algebra,
+    free_basis,
     hom_from_free,
     homology,
     homology_module,
@@ -239,7 +241,6 @@ class EndDGA:
         return self.pairs.index((T, S))
 
     def basis_at(self, n: int) -> list:
-        from .resolve import free_basis
         return free_basis(self.free, n)
 
     def identity_vector(self) -> list:
@@ -663,7 +664,6 @@ def koszul_dga(R: PolyAlgebra, w: Window) -> DegreewiseDGA:
     mod = to_degreewise(kb, w, name="kbar")
     L = ext_algebra(R.group)
     subs = _subsets(R.r)
-    from .resolve import free_basis
 
     def product(d1, v1, d2, v2):
         out_deg = d1 + d2
@@ -988,20 +988,11 @@ def recognize_k(M: DGModule, window_pad: int = 4) -> RecognizeResult:
     hi = max((M.support_max() or 0), 0) + 2
     realized = to_degreewise(kb, Window(lo, hi), name="kbar")
     blocks = {}
-    from .resolve import free_basis
+    vectors = [images[s][1] for s in subs]
     for n in range(lo, hi + 1):
-        bs = free_basis(kb, n)
-        if not bs or M.dim(n) == 0:
-            continue
-        m = zeros(M.dim(n), len(bs))
-        for col, (j, alpha) in enumerate(bs):
-            S = subs[j]
-            dS, vS = images[S]
-            blk = M.action_poly_block(Poly(R, {alpha: Fraction(1)}), dS)
-            for rr in range(M.dim(n)):
-                m[rr][col] = sum(blk[rr][kk] * vS[kk] for kk in range(len(vS)))
-        if not is_zero_matrix(m):
-            blocks[n] = m
+        f = _evaluate(kb, M, vectors, n)
+        if f is not None:
+            blocks[n] = _dense(*f)
     f = ChainMap(realized, M, 0, blocks)
     acyclic = homology(mapping_cone(f)).is_zero()
     h0 = [f.block(0)[rr][col] for rr in range(M.dim(0))

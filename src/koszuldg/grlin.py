@@ -140,6 +140,11 @@ def _dense(den: int, rows: list, cols: int) -> Matrix:
     return out
 
 
+def _identity_form(n: int) -> tuple:
+    """The integer form of the n x n identity."""
+    return 1, [{j: 1} for j in range(n)], n
+
+
 def _assemble(rows: int, cols: int, pieces) -> Matrix | None:
     """A rows x cols block summed from integer forms placed at offsets.
 

@@ -12,6 +12,7 @@ shifted free rank-one target module.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,10 +21,12 @@ from .grlin import (
     LinearSystem,
     Subspace,
     Window,
+    _assemble,
+    _dense,
+    _int_product,
     is_zero_matrix,
     rank,
     unit_vector,
-    zeros,
 )
 from .algebra import (
     DGModule,
@@ -32,8 +35,13 @@ from .algebra import (
     NotTorsion,
     Poly,
     PolyAlgebra,
+    _evaluate,
+    _generator_actions,
+    _realize,
+    _vector_to_poly_column,
     chain_map_space,
     dg_module,
+    free_basis,
     homology,
     poly_as_module,
     to_degreewise,
@@ -42,7 +50,6 @@ from .algebra import (
 from .resolve import (
     ResolutionData,
     WindowTooSmall,
-    free_basis,
     minimal_free_resolution_fg,
 )
 from .duality import LinearSolveFailed
@@ -487,33 +494,18 @@ def total_free_module(res: ResolutionData) -> FreeDGModule:
     return FreeDGModule(R, tuple(basis), tuple(tuple(row) for row in diff))
 
 
-def realize_poly_map(Fsrc: FreeDGModule, Ftgt: FreeDGModule, polymat,
-                     degree: int, w: Window) -> GradedMap:
-    """Realize a matrix over the ring as a degreewise map of realized free
-    modules; entry (j, i) multiplies generator i of the source into
-    generator j of the target, with an overall degree shift."""
-    src = to_degreewise(Fsrc, w)
-    tgt = to_degreewise(Ftgt, w)
+def realize_poly_map(F: FreeDGModule, realized: DGModule, polymat,
+                     degree: int) -> GradedMap:
+    """Realize a matrix over the ring as a degreewise endomorphism of
+    realized = to_degreewise(F, w); entry (j, i) multiplies generator i
+    into generator j, with an overall degree shift."""
     blocks = {}
-    for n in range(w.lo, w.hi + 1):
-        if not (w.lo <= n + degree <= w.hi):
-            continue
-        bs = free_basis(Fsrc, n)
-        ts = free_basis(Ftgt, n + degree)
-        if not bs or not ts:
-            continue
-        idx = {ba: k for k, ba in enumerate(ts)}
-        m = zeros(len(ts), len(bs))
-        for col, (i, alpha) in enumerate(bs):
-            for j in range(Ftgt.rank):
-                p = polymat[j][i]
-                for beta, c in p.terms.items():
-                    key = (j, tuple(x + y for x, y in zip(alpha, beta)))
-                    if key in idx:
-                        m[idx[key]][col] += c
-        if not is_zero_matrix(m):
-            blocks[n] = m
-    return GradedMap(src.space, tgt.space, degree, blocks), src, tgt
+    for n in range(realized.lo, realized.hi + 1):
+        if realized.lo <= n + degree <= realized.hi:
+            f = _realize(polymat, free_basis(F, n), free_basis(F, n + degree))
+            if f is not None:
+                blocks[n] = _dense(*f)
+    return GradedMap(realized.space, realized.space, degree, blocks)
 
 
 @dataclass
@@ -591,140 +583,60 @@ def _commuting_lifts(rm: RingMap, res: ResolutionData, total: FreeDGModule,
     win = res.window
     stage0 = len(res.terms[0])
     restricted = restrict_scalars(rm, Tmod)
-    aug_blocks = {}
-    for n in range(win.lo, win.hi + 1):
-        bs = free_basis(total, n)
-        if not bs or restricted.known_dim(n) is None:
-            continue
-        m = zeros(restricted.dim(n), len(bs))
-        for col, (j, alpha) in enumerate(bs):
-            if j >= stage0:
-                continue
-            gdeg, gvec = res.aug_vectors[j]
-            blk = restricted.action_poly_block(Poly(S, {alpha: Fraction(1)}), gdeg)
-            for rr in range(restricted.dim(n)):
-                m[rr][col] = sum(blk[rr][kk] * gvec[kk] for kk in range(len(gvec)))
-        aug_blocks[n] = m
-    d_blocks = {n: _free_diff_block(total, n) for n in range(win.lo, win.hi + 1)}
+    basis = functools.cache(lambda n: free_basis(total, n))
+    size = functools.cache(lambda n: len(basis(n)))
+    images = [v for _, v in res.aug_vectors] + [None] * (total.rank - stage0)
+    aug = {n: _evaluate(total, restricted, images, n)
+           for n in range(win.lo, win.hi + 1)
+           if size(n) and restricted.known_dim(n) is not None}
+    # the differential is taken on the window only, as zero outside it
+    d = {n: _realize(total.diff, basis(n), basis(n - 1))
+         for n in range(win.lo, win.hi + 1)}
+    xs = _generator_actions(total)
+    x = functools.cache(lambda i, n: _realize(xs[i], basis(n), basis(n - S.codegrees[i])))
     lifts = []
     for jgen in range(T.r):
         e = T.codegrees[jgen]
         sys = LinearSystem()
         for n in range(win.lo, win.hi + 1):
-            src = free_basis(total, n)
-            tgt = free_basis(total, n - e)
-            for rr in range(len(tgt)):
-                for cc in range(len(src)):
+            for rr in range(size(n - e)):
+                for cc in range(size(n)):
                     sys.var((n, rr, cc))
         # chain condition: d_(n-e) . Y_n = Y_(n-1) . d_n
         # (equations whose variable tiers would cross the window floor are
         # dropped; the decoded polynomial matrix is re-verified exactly)
         for n in range(win.lo + 1, win.hi + 1):
-            src = free_basis(total, n)
-            tgt = free_basis(total, n - e - 1)
-            if not src or not tgt:
-                continue
-            mid1 = free_basis(total, n - 1)
-            dn = d_blocks[n]
-            dne = d_blocks.get(n - e, [])
-            for rr in range(len(tgt)):
-                for cc in range(len(src)):
-                    coeffs = {}
-                    for kk in range(len(free_basis(total, n - e))):
-                        if dne and dne[rr][kk]:
-                            key = (n, kk, cc)
-                            coeffs[key] = coeffs.get(key, Fraction(0)) + dne[rr][kk]
-                    for kk in range(len(mid1)):
-                        if dn and dn[kk][cc]:
-                            key = (n - 1, rr, kk)
-                            coeffs[key] = coeffs.get(key, Fraction(0)) - dn[kk][cc]
-                    if coeffs:
-                        sys.add_equation(coeffs)
+            _equate(sys, n, d.get(n - e), n - 1, d[n], size(n - e - 1), size(n))
         # source-linearity: x_i . Y_n = Y_(n-d_i) . x_i
         for n in range(win.lo, win.hi + 1):
-            src = free_basis(total, n)
-            if not src:
-                continue
             for i in range(S.r):
                 di = S.codegrees[i]
-                if n - di < win.lo:
-                    continue
-                tgt = free_basis(total, n - di - e)
-                if not tgt:
-                    continue
-                xn = _free_action_block(total, i, n)
-                xne = _free_action_block(total, i, n - e)
-                for rr in range(len(tgt)):
-                    for cc in range(len(src)):
-                        coeffs = {}
-                        for kk in range(len(free_basis(total, n - e))):
-                            if xne[rr][kk]:
-                                key = (n, kk, cc)
-                                coeffs[key] = coeffs.get(key, Fraction(0)) + xne[rr][kk]
-                        for kk in range(len(free_basis(total, n - di))):
-                            if xn[kk][cc]:
-                                key = (n - di, rr, kk)
-                                coeffs[key] = coeffs.get(key, Fraction(0)) - xn[kk][cc]
-                        if coeffs:
-                            sys.add_equation(coeffs)
+                if n - di >= win.lo:
+                    _equate(sys, n, x(i, n - e), n - di, x(i, n),
+                            size(n - di - e), size(n))
         # augmentation compatibility: aug_(n-e) . Y_n = (mult by y_j) . aug_n
         for n in range(win.lo, win.hi + 1):
-            src = free_basis(total, n)
-            if (not src or restricted.known_dim(n - e) is None
-                    or n not in aug_blocks or (n - e) not in aug_blocks):
-                continue
-            aug_n = aug_blocks[n]
-            aug_ne = aug_blocks[n - e]
-            yblk = Tmod.actions[jgen].block(n)
-            for rr in range(restricted.dim(n - e)):
-                for cc in range(len(src)):
-                    coeffs = {}
-                    for kk in range(len(free_basis(total, n - e))):
-                        if aug_ne and aug_ne[rr][kk]:
-                            key = (n, kk, cc)
-                            coeffs[key] = coeffs.get(key, Fraction(0)) + aug_ne[rr][kk]
-                    rhs = Fraction(0)
-                    for kk in range(restricted.dim(n)):
-                        if yblk[rr][kk] and aug_n[kk][cc]:
-                            rhs += yblk[rr][kk] * aug_n[kk][cc]
-                    if coeffs or rhs:
-                        sys.add_equation(coeffs, rhs=rhs)
+            if n in aug and n - e in aug:
+                y = Tmod.actions[jgen].form(n)
+                _equate(sys, n, aug[n - e], n, None, restricted.dim(n - e), size(n),
+                        rhs=None if y is None or aug[n] is None
+                        else _int_product(y, aug[n]))
         # strict commutation with the lifts already found
         for pidx, prev in enumerate(lifts):
             eprev = T.codegrees[pidx]
             for n in range(win.lo, win.hi + 1):
-                if n - eprev < win.lo:
-                    continue
-                src = free_basis(total, n)
-                tgt = free_basis(total, n - e - eprev)
-                if not src or not tgt:
-                    continue
-                pn = _poly_map_block(total, total, prev, -eprev, n)
-                pne = _poly_map_block(total, total, prev, -eprev, n - e)
-                for rr in range(len(tgt)):
-                    for cc in range(len(src)):
-                        coeffs = {}
-                        for kk in range(len(free_basis(total, n - eprev))):
-                            if pn[kk][cc]:
-                                key = (n - eprev, rr, kk)
-                                coeffs[key] = coeffs.get(key, Fraction(0)) + pn[kk][cc]
-                        for kk in range(len(free_basis(total, n - e))):
-                            if pne[rr][kk]:
-                                key = (n, kk, cc)
-                                coeffs[key] = coeffs.get(key, Fraction(0)) - pne[rr][kk]
-                        if coeffs:
-                            sys.add_equation(coeffs)
+                if n - eprev >= win.lo:
+                    _equate(sys, n, _realize(prev, basis(n - e), basis(n - e - eprev)),
+                            n - eprev, _realize(prev, basis(n), basis(n - eprev)),
+                            size(n - e - eprev), size(n))
         sol = sys.solve()
         if sol is None:
             raise LinearSolveFailed("no chain lift of target multiplication")
         # decode to a polynomial matrix via generator columns
-        from .resolve import _vector_to_poly_column
         Y = [[S.zero() for _ in range(total.rank)] for _ in range(total.rank)]
         for i, (_, b) in enumerate(total.basis):
-            bs = free_basis(total, b)
-            gen_col = bs.index((i, (0,) * S.r))
-            tgt = free_basis(total, b - e)
-            col_vec = [sol.get((b, rr, gen_col), Fraction(0)) for rr in range(len(tgt))]
+            gen_col = basis(b).index((i, (0,) * S.r))
+            col_vec = [sol.get((b, rr, gen_col), Fraction(0)) for rr in range(size(b - e))]
             for jj, p in enumerate(_vector_to_poly_column(total, b - e, col_vec)):
                 Y[jj][i] = p
         # exact verification: the decoded matrix is a chain map over the ring
@@ -767,52 +679,30 @@ def _commuting_lifts(rm: RingMap, res: ResolutionData, total: FreeDGModule,
     return lifts
 
 
-def _free_action_block(F: FreeDGModule, i: int, n: int):
-    """Intrinsic block of the generator action on a free module's basis."""
-    R = F.algebra
-    bs = free_basis(F, n)
-    ts = free_basis(F, n - R.codegrees[i])
-    idx = {ba: k for k, ba in enumerate(ts)}
-    m = zeros(len(ts), len(bs))
-    for col, (j, alpha) in enumerate(bs):
-        a2 = list(alpha)
-        a2[i] += 1
-        m[idx[(j, tuple(a2))]][col] = Fraction(1)
-    return m
+def _equate(sys: LinearSystem, n: int, P, m: int, Q, rows: int, cols: int,
+            rhs=None):
+    """The equations P . Y_n - Y_m . Q = rhs in the unknown blocks Y, entry
+    (rr, cc) for rr < rows and cc < cols, Y_n's entries keyed (n, row, col).
 
-
-def _poly_map_block(Fsrc: FreeDGModule, Ftgt: FreeDGModule, polymat,
-                    degree: int, n: int):
-    """Intrinsic degree-n block of a polynomial matrix map of free modules."""
-    bs = free_basis(Fsrc, n)
-    ts = free_basis(Ftgt, n + degree)
-    idx = {ba: k for k, ba in enumerate(ts)}
-    m = zeros(len(ts), len(bs))
-    for col, (i, alpha) in enumerate(bs):
-        for j in range(Ftgt.rank):
-            p = polymat[j][i]
-            for beta, c in p.terms.items():
-                key = (j, tuple(x + y for x, y in zip(alpha, beta)))
-                if key in idx:
-                    m[idx[key]][col] += c
-    return m
-
-
-def _free_diff_block(F: FreeDGModule, n: int):
-    bs = free_basis(F, n)
-    ts = free_basis(F, n - 1)
-    if not bs or not ts:
-        return []
-    idx = {ba: k for k, ba in enumerate(ts)}
-    m = zeros(len(ts), len(bs))
-    for col, (j, alpha) in enumerate(bs):
-        for i in range(F.rank):
-            p = F.diff[i][j]
-            for beta, c in p.terms.items():
-                key = (i, tuple(x + y for x, y in zip(alpha, beta)))
-                if key in idx:
-                    m[idx[key]][col] += c
-    return m
+    P, Q and rhs are integer forms, None standing for zero; each equation is
+    multiplied by their denominators, which leaves its solutions unchanged.
+    An equation without terms is added only when its right side is nonzero.
+    """
+    pd, qd, rd = (1 if f is None else f[0] for f in (P, Q, rhs))
+    qcols = [{} for _ in range(cols)]
+    for kk, row in enumerate([] if Q is None else Q[1]):
+        for cc, v in row.items():
+            qcols[cc][kk] = v
+    for rr in range(rows):
+        for cc in range(cols):
+            coeffs = {}
+            for kk, v in ({} if P is None else P[1][rr]).items():
+                coeffs[(n, kk, cc)] = v * qd * rd
+            for kk, v in qcols[cc].items():
+                coeffs[(m, rr, kk)] = -v * pd * rd
+            y = 0 if rhs is None else rhs[1][rr].get(cc, 0) * pd * qd
+            if coeffs or y:
+                sys.add_equation(coeffs, rhs=y)
 
 
 def _poly_mat_mul(S: PolyAlgebra, A, B):
@@ -850,13 +740,9 @@ def _freeness_certificate(rm: RingMap, dual: FreeDGModule, realized: DGModule,
     # cyclic generation: monomials in the lifted generators, applied to the
     # top class, span every certified degree
     from .algebra import express_in_homology
-    maps = []
-    for jgen in range(T.r):
-        gm, src, tgt = realize_poly_map(dual, dual, dual_lifts[jgen],
-                                        -T.codegrees[jgen], win)
-        maps.append(gm)
+    maps = [realize_poly_map(dual, realized, dual_lifts[jgen], -T.codegrees[jgen])
+            for jgen in range(T.r)]
     top_rep = H.representatives(gamma)[0]
-    spanned = {gamma: [ [Fraction(1)] ]}
     frontier = [(gamma, top_rep)]
     reach = {gamma: [top_rep]}
     for _ in range(2 * (win.hi - win.lo)):
@@ -897,7 +783,7 @@ def r_shriek_left(rm: RingMap, M: DGModule, name: str = "",
         raise InvariantViolation("r_shriek_left input must live over the source")
     if not M.is_finite():
         raise NotTorsion("r_shriek_left needs a finite-length module")
-    S, T = rm.source, rm.target
+    T = rm.target
     dd = dd or derived_dual(rm)
     F = dd.dual
     if M.total_dim() == 0:
@@ -921,46 +807,27 @@ def r_shriek_left(rm: RingMap, M: DGModule, name: str = "",
     for n in dims:
         if (n - 1) not in dims:
             continue
-        m = zeros(dims[n - 1], dims[n])
+        pieces = []
         for i, bi in enumerate(degs):
             # (-1)^{b_i} e_i (x) dm
-            sgn = -1 if bi % 2 else 1
-            dblk = M.diff.block(n - bi)
-            for rr in range(M.dim(n - 1 - bi)):
-                for cc in range(M.dim(n - bi)):
-                    if dblk[rr][cc]:
-                        m[offsets[n - 1][i] + rr][offsets[n][i] + cc] += sgn * dblk[rr][cc]
+            pieces.append((M.diff.form(n - bi), offsets[n - 1][i], offsets[n][i],
+                           -1 if bi % 2 else 1))
             # de_i (x) m
-            for j, bj in enumerate(degs):
-                p = F.diff[j][i]
-                if p.is_zero():
-                    continue
-                act = M.action_poly_block(p, n - bi)
-                for rr in range(M.dim(n - 1 - bj)):
-                    for cc in range(M.dim(n - bi)):
-                        if act[rr][cc]:
-                            m[offsets[n - 1][j] + rr][offsets[n][i] + cc] += act[rr][cc]
-        if not is_zero_matrix(m):
+            pieces += [(M._action_poly_form(F.diff[j][i], n - bi), offsets[n - 1][j],
+                        offsets[n][i], 1) for j in range(len(degs))]
+        m = _assemble(dims[n - 1], dims[n], pieces)
+        if m is not None:
             diff_blocks[n] = m
     act_blocks = [dict() for _ in range(T.r)]
     for n in dims:
-        for jgen in range(T.r):
+        for jgen, Y in enumerate(dd.dual_lifts):
             t = n - T.codegrees[jgen]
             if t not in dims:
                 continue
-            Y = dd.dual_lifts[jgen]
-            m = zeros(dims[t], dims[n])
-            for i, bi in enumerate(degs):
-                for j, bj in enumerate(degs):
-                    p = Y[j][i]
-                    if p.is_zero():
-                        continue
-                    act = M.action_poly_block(p, n - bi)
-                    for rr in range(M.dim(t - bj)):
-                        for cc in range(M.dim(n - bi)):
-                            if act[rr][cc]:
-                                m[offsets[t][j] + rr][offsets[n][i] + cc] += act[rr][cc]
-            if not is_zero_matrix(m):
+            m = _assemble(dims[t], dims[n], [
+                (M._action_poly_form(Y[j][i], n - bi), offsets[t][j], offsets[n][i], 1)
+                for i, bi in enumerate(degs) for j in range(len(degs))])
+            if m is not None:
                 act_blocks[jgen][n] = m
     return dg_module(T, dims, diff_blocks, act_blocks, lo, hi,
                      complete_below=True, complete_above=True,

@@ -19,6 +19,8 @@ from .grlin import (
     LinearSystem,
     Subspace,
     Window,
+    _assemble,
+    _dense,
     is_zero_matrix,
     kernel_basis,
     mat_mul,
@@ -33,10 +35,13 @@ from .algebra import (
     DGModule,
     FreeDGModule,
     InvariantViolation,
-    Poly,
     PolyAlgebra,
+    _evaluate,
+    _realize,
+    _vector_to_poly_column,
     dg_module,
     double_dual_comparison,
+    free_basis,
     free_module,
     hom_R,
     homology,
@@ -172,26 +177,6 @@ class ResolutionData:
         return free_module(self.ring, self.terms[s])
 
 
-def free_basis(F: FreeDGModule, n: int) -> list:
-    """Degree-n basis of a realized free module: (j, alpha), (j, lex) order."""
-    R = F.algebra
-    out = []
-    for j, (_, bj) in enumerate(F.basis):
-        for alpha in R.monomials(bj - n):
-            out.append((j, alpha))
-    return out
-
-
-def _vector_to_poly_column(F: FreeDGModule, n: int, v) -> list:
-    """Decode a realized degree-n vector into one Poly per free generator."""
-    R = F.algebra
-    cols = [R.zero() for _ in range(F.rank)]
-    for (j, alpha), c in zip(free_basis(F, n), v):
-        if c:
-            cols[j] = cols[j] + Poly(R, {alpha: c})
-    return cols
-
-
 def minimal_free_resolution(M: DGModule, R: PolyAlgebra | None = None,
                             window: Window | None = None) -> ResolutionData:
     """Minimal free resolution of a finite-length zero-differential module.
@@ -222,7 +207,6 @@ def minimal_free_resolution_fg(M: DGModule, R: PolyAlgebra,
     betti = tor_betti(M, R)
     if betti and not M.is_finite():
         b_min = min(t for row in betti.values() for t in row)
-        total = sum(R.codegrees)
         if b_min - margin < M.lo + 1:
             raise WindowTooSmall(
                 f"betti support reaches {b_min}, window floor {M.lo} leaves no margin")
@@ -265,20 +249,11 @@ def _resolve_with_betti(M: DGModule, R: PolyAlgebra, betti: dict,
     F0 = free_module(R, terms[0])
     F0_real = to_degreewise(F0, win, name="F0")
     aug_blocks = {}
+    images = [v for _, _, v in gens0]
     for n in range(win.lo, win.hi + 1):
-        bs = free_basis(F0, n)
-        if not bs or M.known_dim(n) is None:
-            continue
-        m = zeros(M.dim(n), len(bs))
-        for col, (j, alpha) in enumerate(bs):
-            gdeg, gvec = aug_vectors[j]
-            p = Poly(R, {alpha: Fraction(1)})
-            blk = M.action_poly_block(p, gdeg)
-            for rr in range(M.dim(n)):
-                if blk[rr]:
-                    m[rr][col] += sum(blk[rr][kk] * gvec[kk] for kk in range(len(gvec)))
-        if not is_zero_matrix(m):
-            aug_blocks[n] = m
+        f = _evaluate(F0, M, images, n)
+        if f is not None:
+            aug_blocks[n] = _dense(*f)
     realized = [F0_real]
     realized_aug = GradedMap(F0_real.space, M.space, 0, aug_blocks)
 
@@ -320,19 +295,9 @@ def _resolve_with_betti(M: DGModule, R: PolyAlgebra, betti: dict,
         F_s_real = to_degreewise(F_s, win, name=f"F{s}")
         blocks = {}
         for n in range(win.lo, win.hi + 1):
-            bs = free_basis(F_s, n)
-            tb = free_basis(prev_free, n)
-            if not bs or not tb:
-                continue
-            idx = {ba: k for k, ba in enumerate(tb)}
-            m = zeros(len(tb), len(bs))
-            for col, (j, alpha) in enumerate(bs):
-                for i in range(prev_free.rank):
-                    p = poly_matrix[i][j]
-                    for beta, c in p.terms.items():
-                        m[idx[(i, tuple(x + y for x, y in zip(alpha, beta)))]][col] += c
-            if not is_zero_matrix(m):
-                blocks[n] = m
+            f = _realize(poly_matrix, free_basis(F_s, n), free_basis(prev_free, n))
+            if f is not None:
+                blocks[n] = _dense(*f)
         realized.append(F_s_real)
         realized_maps.append(GradedMap(F_s_real.space, prev_real.space, 0, blocks))
         prev_free, prev_real, prev_map = F_s, F_s_real, realized_maps[-1]
@@ -601,30 +566,20 @@ def _ext_via_free(M: DGModule, N: DGModule, window) -> BigradedTable:
 
 
 def _ext_connecting_free(res: ResolutionData, s: int, t: int, N: DGModule):
-    """Matrix of Hom(F_s, N)_t -> Hom(F_(s+1), N)_t, precomposition."""
-    src_gens = res.terms[s]
-    tgt_gens = res.terms[s + 1]
-    src_offs, src_total = [], 0
-    for _, b in src_gens:
-        src_offs.append(src_total)
-        src_total += N.dim(b + t)
-    tgt_offs, tgt_total = [], 0
-    for _, b in tgt_gens:
-        tgt_offs.append(tgt_total)
-        tgt_total += N.dim(b + t)
-    m = zeros(tgt_total, src_total)
+    """Matrix of Hom(F_s, N)_t -> Hom(F_(s+1), N)_t, precomposition, or None
+    when it is zero."""
+    def offsets(gens):
+        offs = [0]
+        for _, b in gens:
+            offs.append(offs[-1] + N.dim(b + t))
+        return offs
+
+    src, tgt = res.terms[s], res.terms[s + 1]
+    src_offs, tgt_offs = offsets(src), offsets(tgt)
     P = res.maps[s]
-    for jj, (_, bj) in enumerate(tgt_gens):
-        for ii, (_, bi) in enumerate(src_gens):
-            p = P[ii][jj]
-            if p.is_zero():
-                continue
-            act = N.action_poly_block(p, bi + t)
-            for rr in range(N.dim(bj + t)):
-                for cc in range(N.dim(bi + t)):
-                    if act[rr][cc]:
-                        m[tgt_offs[jj] + rr][src_offs[ii] + cc] += act[rr][cc]
-    return m
+    return _assemble(tgt_offs[-1], src_offs[-1], [
+        (N._action_poly_form(P[ii][jj], bi + t), tgt_offs[jj], src_offs[ii], 1)
+        for jj in range(len(tgt)) for ii, (_, bi) in enumerate(src)])
 
 
 def module_hom_space(M: DGModule, J: DGModule, t: int) -> list:
@@ -707,7 +662,6 @@ def _ext_connecting_inj(M: DGModule, res: InjectiveResolutionData, s: int,
     src_basis, tgt_basis = bases[s], bases[s + 1]
     if not tgt_basis:
         return zeros(0, len(src_basis))
-    tgt_keys = sorted({k for h in tgt_basis for k in h})
     # coordinates of a raw hom in the target basis, solved per source element
     cols = []
     for h in src_basis:
@@ -719,7 +673,6 @@ def _ext_connecting_inj(M: DGModule, res: InjectiveResolutionData, s: int,
                     key = (n, r2, cc)
                     comp[key] = comp.get(key, Fraction(0)) + blk[r2][rr] * val
         cols.append(comp)
-    sysm = []
     keyset = sorted({k for h in tgt_basis for k in h} |
                     {k for c in cols for k in c})
     basis_mat = [[h.get(k, Fraction(0)) for h in tgt_basis] for k in keyset]
@@ -738,8 +691,6 @@ def _ext_connecting_inj(M: DGModule, res: InjectiveResolutionData, s: int,
 def totalize_injective_resolution(res: InjectiveResolutionData) -> DGModule:
     """The injective resolution as one DG module quasi-isomorphic to its
     module: stage s suspended by -s, resolution maps as the differential."""
-    from .algebra import dg_module
-    from .grlin import zeros as _zeros
     R = res.ring
     stages = [J.shift(-s) for s, J in enumerate(res.stages)]
     lo = min(J.lo for J in stages)
@@ -755,19 +706,17 @@ def totalize_injective_resolution(res: InjectiveResolutionData) -> DGModule:
             dims[n] = total
             labels[n] = [f"s{s}.{lab}" for s, J in enumerate(stages)
                          for lab in J.labels_at(n)]
+    # where a stage's dimension is unknown it is 0 in the offsets, and no
+    # block of the resolution maps or of its actions is stored there
     diff_blocks = {}
     for n in dims:
         if (n - 1) not in dims:
             continue
-        m = _zeros(dims[n - 1], dims[n])
-        for s, psi in enumerate(res.maps):
-            # J^s -> J^(s+1) lands one suspension lower in the total complex
-            blk = psi.block(n + s)
-            for rr in range(stages[s + 1].known_dim(n - 1) or 0):
-                for cc in range(stages[s].known_dim(n) or 0):
-                    if blk[rr][cc]:
-                        m[offsets[n - 1][s + 1] + rr][offsets[n][s] + cc] = blk[rr][cc]
-        if not is_zero_matrix(m):
+        # J^s -> J^(s+1) lands one suspension lower in the total complex
+        m = _assemble(dims[n - 1], dims[n], [
+            (psi.form(n + s), offsets[n - 1][s + 1], offsets[n][s], 1)
+            for s, psi in enumerate(res.maps)])
+        if m is not None:
             diff_blocks[n] = m
     act_blocks = [dict() for _ in range(R.r)]
     for n in dims:
@@ -775,14 +724,10 @@ def totalize_injective_resolution(res: InjectiveResolutionData) -> DGModule:
             t = n - R.codegrees[i]
             if t not in dims:
                 continue
-            m = _zeros(dims[t], dims[n])
-            for s, J in enumerate(stages):
-                blk = J.actions[i].block(n)
-                for rr in range(J.known_dim(t) or 0):
-                    for cc in range(J.known_dim(n) or 0):
-                        if blk[rr][cc]:
-                            m[offsets[t][s] + rr][offsets[n][s] + cc] = blk[rr][cc]
-            if not is_zero_matrix(m):
+            m = _assemble(dims[t], dims[n], [
+                (J.actions[i].form(n), offsets[t][s], offsets[n][s], 1)
+                for s, J in enumerate(stages)])
+            if m is not None:
                 act_blocks[i][n] = m
     return dg_module(R, dims, diff_blocks, act_blocks, lo, hi,
                      complete_below=True, complete_above=False,
@@ -826,19 +771,9 @@ def semifree_replacement(X: DGModule, floor: int,
         realized = to_degreewise(F, win, name="cells")
         blocks = {}
         for m in range(win.lo, win.hi + 1):
-            bs = free_basis(F, m)
-            if not bs or X.known_dim(m) is None or X.dim(m) == 0:
-                continue
-            mat_m = zeros(X.dim(m), len(bs))
-            for col, (j, alpha) in enumerate(bs):
-                gdeg = F.basis[j][1]
-                p = Poly(R, {alpha: Fraction(1)})
-                blk = X.action_poly_block(p, gdeg)
-                vec = to_x[j]
-                for rr in range(X.dim(m)):
-                    mat_m[rr][col] = sum(blk[rr][kk] * vec[kk] for kk in range(len(vec)))
-            if not is_zero_matrix(mat_m):
-                blocks[m] = mat_m
+            f = _evaluate(F, X, to_x, m)
+            if f is not None:
+                blocks[m] = _dense(*f)
         p = ChainMap(realized, X, 0, blocks)
         return F, realized, p
 

@@ -1,6 +1,8 @@
 """The rejection paths of the invariant checks and of the integer product
 under `python -O`, which strips every `assert`: they must still reject.  A
-coextension runs there too, since its solution-space test was an assert."""
+coextension runs there too, since its solution-space test was an assert, and
+so do forced failures of the closure tests of homology_module and gamma_m,
+which were asserts as well."""
 import json
 import os
 import subprocess
@@ -57,6 +59,23 @@ def coextend_escaped():
         grlin.LinearSystem.kernel = kernel
 
 
+# x1 sends degree 0 onto degree -2, zero differential
+X = alg.dg_module(R1, {0: 1, -2: 1}, {}, [{0: [[F(1)]]}], -2, 0,
+                  complete_below=True, complete_above=True)
+
+
+def forced(name, build):
+    # the closure test inside build sees None from alg.<name>
+    def run():
+        kept = getattr(alg, name)
+        setattr(alg, name, lambda *args: None)
+        try:
+            build()
+        finally:
+            setattr(alg, name, kept)
+    return run
+
+
 cases = {
     "valid": lambda: odd(-1),
     "leibniz": lambda: odd(1),
@@ -78,6 +97,9 @@ cases = {
         grlin.GradedVS({0: 1, 1: 1, 2: 1}), grlin.GradedVS({0: 1, 1: 1, 2: 1}),
         -1, {1: [[F(1)]], 2: [[F(1)]]})] * 2, 1),
     "coextend_escaped": coextend_escaped,
+    "homology_not_closed": forced("express_in_homology",
+                                  lambda: alg.homology_module(X)),
+    "gamma_not_closed": forced("coordinates", lambda: alg.gamma_m(X)),
 }
 for name, build in cases.items():
     try:
@@ -116,6 +138,8 @@ def test_rejections_hold_without_asserts():
         "product_shape": ("ValueError", "matrix dimensions do not compose: 1x2 times 1x1"),
         "homology_d_squared": ("CompositionNotZero", "d.d != 0 entering degree 1"),
         "coextend_escaped": ("InvariantViolation", "composite escaped the solution space"),
+        "homology_not_closed": ("InvariantViolation", "action image is not a cycle class"),
+        "gamma_not_closed": ("InvariantViolation", "torsion part is not closed"),
     }
     assert {k: (v[0], v[2]) for k, v in out.items()} == want
     assert all(v[1] for v in out.values()), "every rejection is a ValueError"

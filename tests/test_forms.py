@@ -1,23 +1,32 @@
 """The integer block forms that graded maps keep, against the dense code
 they replaced: degreewise homology from a transposed block and a dense
-kernel basis, the dense matrix-vector product, and Hom from a free complex,
-direct sums and mapping cones assembled entry by entry from dense blocks.
-Pieces, vectors and blocks must be equal, and rejections must carry the
-same message."""
+kernel basis, the dense matrix-vector product, Hom from a free complex,
+direct sums, mapping cones, totalizations, the left shriek, the free Ext
+connecting maps and the twisted tensor assembled entry by entry from dense
+blocks, polynomial matrices realized entry by entry, and free maps
+evaluated on module elements through dense polynomial actions.  Pieces,
+vectors and blocks must be equal, and rejections must carry the same
+message."""
 import copy
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from koszuldg import algebra as alg
+from koszuldg import duality as du
+from koszuldg import groups as gr
+from koszuldg import resolve as rs
 from koszuldg import samples as sm
 from koszuldg.grlin import (
     CompositionNotZero,
     GradedMap,
     GradedVS,
     HomologyPiece,
+    LinearSystem,
     Window,
+    _dense,
     _echelon,
     _int_form,
     _int_product,
@@ -32,6 +41,7 @@ from koszuldg.grlin import (
 T, T2 = alg.GroupData((2,)), alg.GroupData((2, 2))
 R1, R2 = alg.poly_algebra(T), alg.poly_algebra(T2)
 L1, L2 = alg.ext_algebra(T), alg.ext_algebra(T2)
+R3 = alg.poly_algebra(alg.named_group("SU(3)"))
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +248,276 @@ def dense_cone_blocks(f, C):
     return [diff] + acts
 
 
+def dense_realize(src, tgt, polymat, degree, n):
+    """The degree-n block of a polynomial matrix map, filled entry by entry
+    as to_degreewise, the resolution stage maps and the change-of-groups
+    lifts did."""
+    bs = alg.free_basis(src, n)
+    ts = alg.free_basis(tgt, n + degree)
+    idx = {ba: k for k, ba in enumerate(ts)}
+    m = zeros(len(ts), len(bs))
+    for col, (i, alpha) in enumerate(bs):
+        for j in range(tgt.rank):
+            for beta, c in polymat[j][i].terms.items():
+                m[idx[(j, tuple(x + y for x, y in zip(alpha, beta)))]][col] += c
+    return m
+
+
+def dense_to_degreewise_blocks(Fr, w):
+    """The differential and action blocks of to_degreewise(Fr, w), built
+    entry by entry."""
+    R = Fr.algebra
+    basis = {n: alg.free_basis(Fr, n) for n in w.degrees()}
+    basis = {n: bs for n, bs in basis.items() if bs}
+    index = {n: {ba: k for k, ba in enumerate(bs)} for n, bs in basis.items()}
+    diff_blocks = {}
+    for n in basis:
+        if (n - 1) not in basis:
+            continue
+        m = zeros(len(basis[n - 1]), len(basis[n]))
+        for col, (j, alpha) in enumerate(basis[n]):
+            for i in range(Fr.rank):
+                for beta, c in Fr.diff[i][j].terms.items():
+                    tgt = (i, tuple(x + y for x, y in zip(alpha, beta)))
+                    m[index[n - 1][tgt]][col] += c
+        if not is_zero_matrix(m):
+            diff_blocks[n] = m
+    action_blocks = [dict() for _ in range(R.r)]
+    for n in basis:
+        for i in range(R.r):
+            t = n - R.codegrees[i]
+            if t not in basis:
+                continue
+            m = zeros(len(basis[t]), len(basis[n]))
+            for col, (j, alpha) in enumerate(basis[n]):
+                a2 = list(alpha)
+                a2[i] += 1
+                m[index[t][(j, tuple(a2))]][col] = F(1)
+            action_blocks[i][n] = m
+    return diff_blocks, action_blocks
+
+
+def dense_evaluate(Fr, M, images, n):
+    """The augmentation loop: column (j, alpha) is the dense block of
+    x^alpha at generator j's degree times images[j]."""
+    bs = alg.free_basis(Fr, n)
+    m = zeros(M.dim(n), len(bs))
+    for col, (j, alpha) in enumerate(bs):
+        v = images[j]
+        if v is None:
+            continue
+        blk = M.action_poly_block(alg.Poly(Fr.algebra, {alpha: F(1)}), Fr.basis[j][1])
+        for rr in range(M.dim(n)):
+            m[rr][col] = sum(blk[rr][kk] * v[kk] for kk in range(len(v)))
+    return m
+
+
+def same_block(form, dense):
+    """An integer form, None standing for zero, equals a dense block."""
+    return is_zero_matrix(dense) if form is None else _dense(*form) == dense
+
+
+def dense_totalize_blocks(res, Tot):
+    """The blocks of Tot = totalize_injective_resolution(res), copied entry
+    by entry on Tot's degrees."""
+    R = res.ring
+    stages = [J.shift(-s) for s, J in enumerate(res.stages)]
+    dims = Tot.space.dims
+    offsets = {}
+    for n in dims:
+        offs, total = [], 0
+        for J in stages:
+            offs.append(total)
+            total += J.known_dim(n) or 0
+        offsets[n] = offs
+    diff_blocks = {}
+    for n in dims:
+        if (n - 1) not in dims:
+            continue
+        m = zeros(dims[n - 1], dims[n])
+        for s, psi in enumerate(res.maps):
+            blk = psi.block(n + s)
+            for rr in range(stages[s + 1].known_dim(n - 1) or 0):
+                for cc in range(stages[s].known_dim(n) or 0):
+                    if blk[rr][cc]:
+                        m[offsets[n - 1][s + 1] + rr][offsets[n][s] + cc] = blk[rr][cc]
+        if not is_zero_matrix(m):
+            diff_blocks[n] = m
+    act_blocks = [dict() for _ in range(R.r)]
+    for n in dims:
+        for i in range(R.r):
+            t = n - R.codegrees[i]
+            if t not in dims:
+                continue
+            m = zeros(dims[t], dims[n])
+            for s, J in enumerate(stages):
+                blk = J.actions[i].block(n)
+                for rr in range(J.known_dim(t) or 0):
+                    for cc in range(J.known_dim(n) or 0):
+                        if blk[rr][cc]:
+                            m[offsets[t][s] + rr][offsets[n][s] + cc] = blk[rr][cc]
+            if not is_zero_matrix(m):
+                act_blocks[i][n] = m
+    return [diff_blocks] + act_blocks
+
+
+def dense_shriek_blocks(dd, M, Out):
+    """The blocks of Out = r_shriek_left(rm, M, dd=dd), copied entry by
+    entry on Out's degrees."""
+    Fr = dd.dual
+    degs = [b for _, b in Fr.basis]
+    dims = Out.space.dims
+    offsets = {}
+    for n in dims:
+        offs, total = [], 0
+        for b in degs:
+            offs.append(total)
+            total += M.dim(n - b)
+        offsets[n] = offs
+    diff_blocks = {}
+    for n in dims:
+        if (n - 1) not in dims:
+            continue
+        m = zeros(dims[n - 1], dims[n])
+        for i, bi in enumerate(degs):
+            sgn = -1 if bi % 2 else 1
+            dblk = M.diff.block(n - bi)
+            for rr in range(M.dim(n - 1 - bi)):
+                for cc in range(M.dim(n - bi)):
+                    if dblk[rr][cc]:
+                        m[offsets[n - 1][i] + rr][offsets[n][i] + cc] += sgn * dblk[rr][cc]
+            for j, bj in enumerate(degs):
+                p = Fr.diff[j][i]
+                if p.is_zero():
+                    continue
+                act = M.action_poly_block(p, n - bi)
+                for rr in range(M.dim(n - 1 - bj)):
+                    for cc in range(M.dim(n - bi)):
+                        if act[rr][cc]:
+                            m[offsets[n - 1][j] + rr][offsets[n][i] + cc] += act[rr][cc]
+        if not is_zero_matrix(m):
+            diff_blocks[n] = m
+    T = dd.ring_map.target
+    act_blocks = [dict() for _ in range(T.r)]
+    for n in dims:
+        for jgen in range(T.r):
+            t = n - T.codegrees[jgen]
+            if t not in dims:
+                continue
+            Y = dd.dual_lifts[jgen]
+            m = zeros(dims[t], dims[n])
+            for i, bi in enumerate(degs):
+                for j, bj in enumerate(degs):
+                    p = Y[j][i]
+                    if p.is_zero():
+                        continue
+                    act = M.action_poly_block(p, n - bi)
+                    for rr in range(M.dim(t - bj)):
+                        for cc in range(M.dim(n - bi)):
+                            if act[rr][cc]:
+                                m[offsets[t][j] + rr][offsets[n][i] + cc] += act[rr][cc]
+            if not is_zero_matrix(m):
+                act_blocks[jgen][n] = m
+    return [diff_blocks] + act_blocks
+
+
+def dense_ext_connecting_free(res, s, t, N):
+    """Hom(F_s, N)_t -> Hom(F_(s+1), N)_t assembled entry by entry."""
+    src_gens = res.terms[s]
+    tgt_gens = res.terms[s + 1]
+    src_offs, src_total = [], 0
+    for _, b in src_gens:
+        src_offs.append(src_total)
+        src_total += N.dim(b + t)
+    tgt_offs, tgt_total = [], 0
+    for _, b in tgt_gens:
+        tgt_offs.append(tgt_total)
+        tgt_total += N.dim(b + t)
+    m = zeros(tgt_total, src_total)
+    P = res.maps[s]
+    for jj, (_, bj) in enumerate(tgt_gens):
+        for ii, (_, bi) in enumerate(src_gens):
+            p = P[ii][jj]
+            if p.is_zero():
+                continue
+            act = N.action_poly_block(p, bi + t)
+            for rr in range(N.dim(bj + t)):
+                for cc in range(N.dim(bi + t)):
+                    if act[rr][cc]:
+                        m[tgt_offs[jj] + rr][src_offs[ii] + cc] += act[rr][cc]
+    return m
+
+
+def dense_tensor(N, R, w):
+    """dims, labels and blocks of tensor_over_ext(N, R, w), built entry by
+    entry from a basis indexed by (md, u, alpha)."""
+    L = N.algebra
+    nmin, nmax = N.support_min(), N.support_max()
+    lo, hi = nmin, max(w.hi, nmin)
+    basis, dims, labels = {}, {}, {}
+    for n in range(lo, hi + 1):
+        bs = []
+        for md in range(nmin, min(n, nmax) + 1):
+            if N.dim(md) == 0:
+                continue
+            for alpha in R.monomials(n - md):
+                for u in range(N.dim(md)):
+                    bs.append((md, u, alpha))
+        if bs:
+            basis[n] = bs
+            dims[n] = len(bs)
+            labels[n] = [f"{N.space.label(md, u)}(x){alg._y_label(R, alpha)}"
+                         for md, u, alpha in bs]
+    index = {n: {b: k for k, b in enumerate(bs)} for n, bs in basis.items()}
+    gens = L.generator_degrees()
+    diff_blocks = {}
+    for n in basis:
+        t = n - 1
+        if t not in basis:
+            continue
+        m = zeros(dims[t], dims[n])
+        for col, (md, u, alpha) in enumerate(basis[n]):
+            dblk = N.diff.block(md)
+            for rr in range(N.dim(md - 1)):
+                if dblk[rr][u]:
+                    tgt = (md - 1, rr, alpha)
+                    if tgt in index[t]:
+                        m[index[t][tgt]][col] += dblk[rr][u]
+            for i, g in enumerate(gens):
+                if alpha[i] == 0:
+                    continue
+                ablk = N.actions[i].block(md)
+                a2 = list(alpha)
+                a2[i] -= 1
+                for rr in range(N.dim(md + g)):
+                    if ablk[rr][u]:
+                        tgt = (md + g, rr, tuple(a2))
+                        if tgt in index[t]:
+                            m[index[t][tgt]][col] += alpha[i] * ablk[rr][u]
+        if not is_zero_matrix(m):
+            diff_blocks[n] = m
+    act_blocks = [dict() for _ in range(R.r)]
+    for n in basis:
+        for i in range(R.r):
+            t = n - R.codegrees[i]
+            if t not in basis:
+                continue
+            m = zeros(dims[t], dims[n])
+            for col, (md, u, alpha) in enumerate(basis[n]):
+                if alpha[i] == 0:
+                    continue
+                a2 = list(alpha)
+                a2[i] -= 1
+                m[index[t][(md, u, tuple(a2))]][col] = F(alpha[i])
+            if not is_zero_matrix(m):
+                act_blocks[i][n] = m
+    return dims, labels, [diff_blocks] + act_blocks
+
+
+def blocks_of(M):
+    return [M.diff.blocks] + [a.blocks for a in M.actions]
+
+
 # ---------------------------------------------------------------------------
 # inputs
 
@@ -419,3 +699,282 @@ def test_sums_and_cones_match_dense_assembly():
                 dense_cone_blocks(f, C)
             cones += bool(f.blocks)
     assert sums >= 20 and cones >= 10
+
+
+# ---------------------------------------------------------------------------
+# realizing polynomial matrices between free modules
+
+
+def free_modules():
+    out = []
+    for R in (R1, R2, R3):
+        K = alg.koszul_model(R)
+        out += [K, alg.koszul_stage(R, 1).shift(1), gr.dual_free(K)]
+    out.append(alg.free_module(R2, [("a", 0), ("b", -2), ("c", 3), ("d", -2)]))
+    out.append(gr.derived_dual(gr.catalog_ring_maps()["T<SU(2)"]).total)
+    return out
+
+
+def random_poly(rng, R, degree):
+    """A homogeneous polynomial of the given degree with fractional
+    coefficients, zero about half the time."""
+    mons = R.monomials(-degree)
+    if not mons or rng.random() < 0.5:
+        return R.zero()
+    return R.poly({rng.choice(mons): rng.choice([F(1), F(-2), F(3, 4), F(-5, 3)])
+                   for _ in range(rng.randint(1, 2))})
+
+
+def random_polymat(rng, src, tgt, degree):
+    """Entry [j][i] homogeneous of the degree that sends generator i of src
+    to generator j of tgt in a map of the given degree."""
+    return [[random_poly(rng, src.algebra, bi + degree - bj)
+             for _, bi in src.basis] for _, bj in tgt.basis]
+
+
+def realize(src, tgt, polymat, degree, n):
+    return alg._realize(polymat, alg.free_basis(src, n), alg.free_basis(tgt, n + degree))
+
+
+def test_realize_matches_dense_realization():
+    rng = random.Random(46)
+    checked = empty = 0
+    for Fr in free_modules():
+        R = Fr.algebra
+        degs = Fr.basis_degrees()
+        maps = [(Fr.diff, -1)] + [(x, -d) for x, d in
+                                  zip(alg._generator_actions(Fr), R.codegrees)]
+        maps += [(random_polymat(rng, Fr, Fr, d), d) for d in (0, -2, -4)]
+        for polymat, degree in maps:
+            for n in range(min(degs) - 8, max(degs) + 3):
+                want = dense_realize(Fr, Fr, polymat, degree, n)
+                assert same_block(realize(Fr, Fr, polymat, degree, n), want)
+                checked += 1
+                empty += not alg.free_basis(Fr, n)
+    # between two different free modules, as in the resolution stage maps
+    K, G = alg.koszul_model(R2), alg.free_module(R2, [("g", -2), ("h", 1)])
+    for _ in range(5):
+        polymat = random_polymat(rng, G, K, 0)
+        for n in range(-10, 3):
+            assert same_block(realize(G, K, polymat, 0, n),
+                              dense_realize(G, K, polymat, 0, n))
+    assert checked >= 500 and empty >= 20
+
+
+def test_realize_rejects_wrong_degree_entry():
+    Fr = alg.free_module(R1, [("a", 0), ("b", -2)])
+    polymat = [[R1.zero(), R1.zero()], [R1.gen(0), R1.zero()]]
+    with pytest.raises(alg.InvariantViolation):
+        realize(Fr, Fr, polymat, 0, 0)
+
+
+def test_to_degreewise_matches_dense_expansion():
+    for Fr in free_modules():
+        degs = Fr.basis_degrees()
+        for w in (Window(min(degs) - 6, max(degs) + 1), Window(max(degs) + 1, max(degs) + 3),
+                  Window(min(degs) - 3, min(degs))):
+            M = alg.to_degreewise(Fr, w)
+            diff, acts = dense_to_degreewise_blocks(Fr, w)
+            assert blocks_of(M) == [diff] + acts
+
+
+def test_resolution_stage_maps_match_dense_realization():
+    rng = random.Random(47)
+    for R in (R1, R2):
+        for M in [alg.residue_field(R)] + [sm.random_zero_diff_module(R, rng)
+                                           for _ in range(3)]:
+            res = rs.minimal_free_resolution(M, R)
+            for s, phi in enumerate(res.realized_maps, start=1):
+                F_s, prev = res.free_stage(s), res.free_stage(s - 1)
+                for n in res.window.degrees():
+                    want = dense_realize(F_s, prev, res.maps[s - 1], 0, n)
+                    assert same_block(phi.form(n), want)
+
+
+# ---------------------------------------------------------------------------
+# free maps evaluated on module elements
+
+
+def test_evaluate_matches_dense_augmentation_loop():
+    rng = random.Random(48)
+    checked = 0
+    for M in sample_modules(rng, poly_only=True):
+        degs = M.degrees()
+        if not degs:
+            continue
+        # generators in M's degrees, one where M is zero, one sent to zero
+        gdegs = [rng.choice(degs) for _ in range(3)] + [M.hi + 1, rng.choice(degs)]
+        Fr = alg.free_module(M.algebra, [(f"g{j}", b) for j, b in enumerate(gdegs)])
+        images = [random_vector(rng, M.dim(b)) for b in gdegs[:-1]] + [None]
+        for n in range(M.lo - 6, M.hi + 2):
+            want = dense_evaluate(Fr, M, images, n)
+            assert same_block(alg._evaluate(Fr, M, images, n), want)
+            checked += not is_zero_matrix(want)
+    assert checked >= 20
+
+
+def test_evaluation_sites_match_dense_augmentation_loop():
+    rng = random.Random(49)
+    for R in (R1, R2):
+        M = sm.random_zero_diff_module(R, rng)
+        res = rs.minimal_free_resolution(M, R)
+        F0 = res.free_stage(0)
+        for n in res.window.degrees():
+            want = dense_evaluate(F0, M, [v for _, v in res.aug_vectors], n)
+            assert same_block(res.realized_aug.form(n), want)
+        k = alg.residue_field(R)
+        for X in (k, alg.direct_sum(k, alg.mapping_cone(alg.identity_map(M)))):
+            out = du.recognize_k(X)
+            f, kb = out.comparison, alg.koszul_model(R)
+            for n in range(f.source.lo, f.source.hi + 1):
+                want = dense_evaluate(kb, X, [v for _, v in out.images], n)
+                assert same_block(f.map.form(n), want)
+        # the replacement's comparison is read back on its generators
+        rep = rs.semifree_replacement(M, -4)
+        cells, f = rep.cells, rep.comparison
+        images = []
+        for j, (_, b) in enumerate(cells.basis):
+            col = alg.free_basis(cells, b).index((j, (0,) * R.r))
+            images.append([row[col] for row in f.block(b)])
+        for n in range(rep.realized.lo, rep.realized.hi + 1):
+            assert same_block(f.map.form(n), dense_evaluate(cells, M, images, n))
+
+
+# ---------------------------------------------------------------------------
+# totalizations, the left shriek, free Ext maps and the twisted tensor
+
+
+def truncated(M, lo):
+    """M with its stored range cut to start at lo and nothing known below."""
+    def keep(blocks, deg):
+        return {n: b for n, b in blocks.items() if n >= lo and n + deg >= lo}
+    return alg.dg_module(M.algebra, M.space.dims, keep(M.diff.blocks, -1),
+                         [keep(a.blocks, g) for a, g in
+                          zip(M.actions, M.generator_degrees())],
+                         lo, M.hi, complete_below=False,
+                         complete_above=M.complete_above, labels=M.space.labels)
+
+
+def test_totalization_matches_dense_assembly():
+    rng = random.Random(50)
+    unknown = 0
+    mods = [alg.residue_field(R1), alg.residue_field(R2), sm.cyclic_quotient(R2, [2, 3])]
+    mods += [sm.random_zero_diff_module(R, rng) for R in (R1, R2, R2)]
+    for M in mods:
+        res = rs.injective_resolution(M)
+        variants = [res]
+        # every stage cut at one degree, so that the totalization's low
+        # degrees see a stage of unknown dimension
+        cut = max(J.lo for J in res.stages) + 2
+        stages = [truncated(J, cut) for J in res.stages]
+        maps = [GradedMap(a.space, b.space, 0,
+                          {n: blk for n, blk in psi.blocks.items() if n >= cut})
+                for a, b, psi in zip(stages, stages[1:], res.maps)]
+        variants.append(dataclasses.replace(res, stages=stages, maps=maps))
+        for r in variants:
+            Tot = rs.totalize_injective_resolution(r)
+            assert blocks_of(Tot) == dense_totalize_blocks(r, Tot)
+            shifted = [J.shift(-s) for s, J in enumerate(r.stages)]
+            unknown += any(J.known_dim(n) is None
+                           for n in range(Tot.lo, Tot.hi + 1) for J in shifted)
+    assert unknown >= len(mods)
+
+
+def test_left_shriek_matches_dense_assembly():
+    rng = random.Random(51)
+    for name in ("T<SU(2)", "T<T^2-diag"):
+        rm = gr.catalog_ring_maps()[name]
+        dd = gr.derived_dual(rm)
+        S = rm.source
+        cone = alg.mapping_cone(alg.identity_map(sm.cyclic_quotient(S, [2] * S.r)))
+        mods = [alg.residue_field(S), sm.random_zero_diff_module(S, rng),
+                sm.random_torsion_dg_module(S, rng, max_total=5), cone]
+        assert cone.diff.blocks and any(b % 2 for _, b in dd.dual.basis) == (S.r == 2)
+        for M in mods:
+            Out = gr.r_shriek_left(rm, M, dd=dd)
+            assert blocks_of(Out) == dense_shriek_blocks(dd, M, Out)
+
+
+def test_free_ext_connecting_maps_match_dense_assembly():
+    rng = random.Random(52)
+    nonzero = 0
+    for R in (R1, R2):
+        for _ in range(4):
+            M = sm.random_zero_diff_module(R, rng, max_power=3)
+            N = sm.random_zero_diff_module(R, rng, max_pieces=3, max_power=3)
+            res = rs.minimal_free_resolution(M, R)
+            for s in range(len(res.terms) - 1):
+                for t in range(-12, 8):
+                    want = dense_ext_connecting_free(res, s, t, N)
+                    got = rs._ext_connecting_free(res, s, t, N)
+                    assert (is_zero_matrix(want) if got is None else got == want)
+                    nonzero += got is not None
+    assert nonzero >= 10
+
+
+def test_tensor_over_ext_matches_dense_assembly():
+    rng = random.Random(53)
+    mods = [(alg.lambda_as_module(L), R) for L, R in ((L1, R1), (L2, R2))]
+    mods += [(alg.trivial_lambda_module(L2).shift(1), R2)]
+    for _ in range(3):
+        mods.append((sm.random_lambda_module(L1, rng, max_total=5), R1))
+        mods.append((sm.random_lambda_module(L2, rng, max_total=6), R2))
+    for N, R in mods:
+        for w in (Window(0, 9), Window(0, 2)):
+            S = alg.tensor_over_ext(N, R, w)
+            dims, labels, blocks = dense_tensor(N, R, w)
+            assert S.space.dims == dims and S.space.labels == labels
+            assert blocks_of(S) == blocks
+
+
+# ---------------------------------------------------------------------------
+# the equations of the commuting lifts
+
+
+def dense_equations(sys, n, P, m, Q, rows, cols, rhs=None):
+    """The commuting lifts' equation loops on dense blocks:
+    P . Y_n - Y_m . Q = rhs entry by entry, None standing for zero."""
+    for rr in range(rows):
+        for cc in range(cols):
+            coeffs = {}
+            for kk in range(len(P[0]) if P else 0):
+                if P[rr][kk]:
+                    coeffs[(n, kk, cc)] = coeffs.get((n, kk, cc), F(0)) + P[rr][kk]
+            for kk in range(len(Q) if Q else 0):
+                if Q[kk][cc]:
+                    key = (m, rr, kk)
+                    coeffs[key] = coeffs.get(key, F(0)) - Q[kk][cc]
+            y = rhs[rr][cc] if rhs else F(0)
+            if coeffs or y:
+                sys.add_equation(coeffs, rhs=y)
+
+
+def test_lift_equations_match_dense_loops():
+    rng = random.Random(54)
+    solved = 0
+
+    def form(m):
+        f = None if m is None else _int_form(m)
+        return f if f is not None and any(f[1]) else None
+
+    for _ in range(150):
+        rows, a, b, cols = (rng.randint(0, 4) for _ in range(4))
+        P = random_matrix(rng, rows, a, 0.5) if rng.random() < 0.8 else None
+        Q = random_matrix(rng, b, cols, 0.5) if rng.random() < 0.8 else None
+        rhs = random_matrix(rng, rows, cols, 0.3) if rng.random() < 0.5 else None
+        systems = []
+        for build in ("dense", "forms"):
+            sys = LinearSystem()
+            for key in ([(5, kk, cc) for kk in range(a) for cc in range(cols)]
+                        + [(3, rr, kk) for rr in range(rows) for kk in range(b)]):
+                sys.var(key)
+            if build == "dense":
+                dense_equations(sys, 5, P, 3, Q, rows, cols, rhs)
+            else:
+                gr._equate(sys, 5, form(P), 3, form(Q), rows, cols, form(rhs))
+            systems.append(sys)
+        dense, forms = systems
+        assert forms.solve() == dense.solve()
+        assert forms.kernel() == dense.kernel()
+        solved += dense.solve() is not None and any(dense.solve().values())
+    assert solved >= 10
