@@ -16,8 +16,8 @@ from fractions import Fraction
 from .grlin import (
     LinearSystem,
     Window,
+    _form_rank,
     kernel_basis,
-    rank,
     zeros,
 )
 from .algebra import (
@@ -177,7 +177,7 @@ def injective_hull_embedding(N: DGModule, pad: int = 4):
         blocks[n][rr][cc] = v
     emb = ChainMap(N, W, 0, blocks)
     for n in N.degrees():
-        if rank(emb.block(n)) != N.dim(n):
+        if _form_rank(emb.map.form(n)) != N.dim(n):
             raise InvariantViolation(f"hull embedding not injective at degree {n}")
     return W, emb
 
@@ -269,8 +269,9 @@ def lift_through_homology(Y: DGModule, W: DGModule, emb: ChainMap,
         if not known_block(n):
             continue
         reps = hom.representatives(n)
+        blk = emb.block(n)
         for col, rep in enumerate(reps):
-            img_col = [emb.block(n)[rr][col] for rr in range(W.known_dim(n))]
+            img_col = [row[col] for row in blk]
             for rr in range(W.known_dim(n)):
                 coeffs = {}
                 for cc in range(Y.dim(n)):
@@ -489,9 +490,9 @@ def whitehead_detect(M: DGModule) -> WhiteheadReport:
             continue
         ok = True
         for n in Hm.degrees():
-            blk = Hm.actions[i - 1].block(n)
             t = n - R.codegrees[i - 1]
-            if Hm.dim(n) != Hm.dim(t) or rank(blk) != Hm.dim(n):
+            if (Hm.dim(n) != Hm.dim(t)
+                    or _form_rank(Hm.actions[i - 1].form(n)) != Hm.dim(n)):
                 ok = False
         action_iso.append(ok)
     return WhiteheadReport(a, b, stage_dims, action_iso, a == b)

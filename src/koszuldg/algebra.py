@@ -26,19 +26,18 @@ from .grlin import (
     Matrix,
     Window,
     _assemble,
+    _columns_form,
     _dense,
+    _form_rank,
     _identity_form,
     _int_agree,
     _int_product,
+    _scaled,
+    _transposed,
     coordinates,
     frac,
-    identity,
-    is_zero_matrix,
     kernel_basis,
     mat_mul,
-    mat_scale,
-    solve,
-    transpose,
     unit_vector,
     zeros,
 )
@@ -514,14 +513,12 @@ class DGModule:
         if self.space.labels is not None:
             labels = {n + a: list(ls) for n, ls in self.space.labels.items()}
         sp = GradedVS(dims, labels)
-        sgn_d = -1 if a % 2 else 1
-        diff = GradedMap(sp, sp, -1,
-                         {n + a: mat_scale(sgn_d, b) for n, b in self.diff.blocks.items()})
-        acts = []
-        for g, act in zip(self.generator_degrees(), self.actions):
+        maps = []
+        for g, gm in [(-1, self.diff)] + list(zip(self.generator_degrees(), self.actions)):
             sgn = -1 if (a % 2 and g % 2) else 1
-            acts.append(GradedMap(sp, sp, g,
-                                  {n + a: mat_scale(sgn, b) for n, b in act.blocks.items()}))
+            maps.append(GradedMap(sp, sp, g, {n + a: f if sgn == 1 else _scaled(f, sgn)
+                                              for n, f in gm.forms.items()}))
+        diff, *acts = maps
         return DGModule(self.algebra, sp, diff, tuple(acts),
                         self.lo + a, self.hi + a,
                         self.complete_below, self.complete_above,
@@ -531,28 +528,24 @@ class DGModule:
 def dg_module(algebra, dims: dict, diff_blocks: dict, action_blocks: list,
               lo: int, hi: int, complete_below=False, complete_above=False,
               labels: dict | None = None, name: str = "") -> DGModule:
-    """Assemble and validate a DGModule from raw block data."""
+    """Assemble and validate a DGModule from block data: integer forms, or
+    dense matrices at the API edge, as GradedMap takes them; None and zero
+    blocks are dropped there."""
     dims = {n: d for n, d in dims.items() if d and lo <= n <= hi}
     if labels is not None:
         labels = {n: labels[n] for n in dims if n in labels}
     sp = GradedVS(dims, labels)
-    diff = GradedMap(sp, sp, -1, {n: b for n, b in diff_blocks.items()
-                                  if not is_zero_matrix(b)})
-    gens = algebra.generator_degrees()
-    acts = []
-    for g, blocks in zip(gens, action_blocks):
-        acts.append(GradedMap(sp, sp, g, {n: b for n, b in blocks.items()
-                                          if not is_zero_matrix(b)}))
+    diff = GradedMap(sp, sp, -1, diff_blocks)
+    acts = [GradedMap(sp, sp, g, blocks)
+            for g, blocks in zip(algebra.generator_degrees(), action_blocks)]
     return DGModule(algebra, sp, diff, tuple(acts), lo, hi,
                     complete_below, complete_above, name=name)
 
 
 def _block_product(f: GradedMap, m: int, g: GradedMap, n: int) -> tuple | None:
     """The integer form of f.block(m) . g.block(n), or None, standing for
-    zero, when either block is absent or zero.
-
-    The factors are the maps' own forms (GradedMap.form), converted once
-    per map and kept with it, so every check of the same map reads them.
+    zero, when either block is absent or zero.  The factors are the forms
+    the maps store (GradedMap.form); no dense block is built.
     """
     a = f.form(m)
     if a is None:
@@ -576,18 +569,17 @@ def check_dg_invariants(M: DGModule):
         if not (M.lo <= n <= M.hi):
             raise InvariantViolation(f"stored degree {n} outside window")
 
-    def known(n):
-        return M.known_dim(n) is not None
-
+    klo, khi = M.known_lo(), M.known_hi()
     d, acts = M.diff, M.actions
     for n in range(M.lo, M.hi + 1):
         if M.dim(n) == 0:
             continue
-        if known(n - 1) and known(n - 2):
+        if klo <= n - 2 and n - 1 <= khi:
             if not _int_agree(_block_product(d, n - 1, d, n), None):
                 raise InvariantViolation(f"d.d != 0 at degree {n}")
         for i, gi in enumerate(gens):
-            if known(n + gi) and known(n + gi - 1) and known(n - 1):
+            if (klo <= n + gi <= khi and klo <= n + gi - 1 <= khi
+                    and klo <= n - 1 <= khi):
                 lhs = _block_product(d, n + gi, acts[i], n)
                 rhs = _block_product(acts[i], n - 1, d, n)
                 sgn = -1 if gi % 2 else 1
@@ -596,7 +588,8 @@ def check_dg_invariants(M: DGModule):
                         f"d fails Leibniz against generator {i} at degree {n}")
             for j in range(i, len(gens)):
                 gj = gens[j]
-                if not (known(n + gi) and known(n + gj) and known(n + gi + gj)):
+                if not (klo <= n + gi <= khi and klo <= n + gj <= khi
+                        and klo <= n + gi + gj <= khi):
                     continue
                 if i == j:
                     # even generators commute with themselves: nothing to form
@@ -630,21 +623,26 @@ class FreeDGModule:
 
     def __post_init__(self):
         n = len(self.basis)
-        assert len(self.diff) == n and all(len(row) == n for row in self.diff)
-        for i, (_, bi) in enumerate(self.basis):
-            for j, (_, bj) in enumerate(self.basis):
-                p = self.diff[i][j]
-                want = bj - 1 - bi
-                if not p.is_zero() and not p.is_homogeneous(want):
+        if len(self.diff) != n or any(len(row) != n for row in self.diff):
+            raise InvariantViolation(
+                f"free differential is not a {n}x{n} matrix on the basis")
+        nonzero = [[(j, p) for j, p in enumerate(row) if not p.is_zero()]
+                   for row in self.diff]
+        for i, row in enumerate(nonzero):
+            bi = self.basis[i][1]
+            for j, p in row:
+                want = self.basis[j][1] - 1 - bi
+                if not p.is_homogeneous(want):
                     raise InvariantViolation(
                         f"differential entry ({i},{j}) not homogeneous of degree {want}")
-        for i in range(n):
-            for j in range(n):
-                acc = self.algebra.zero()
-                for k in range(n):
-                    acc = acc + self.diff[i][k] * self.diff[k][j]
-                if not acc.is_zero():
-                    raise InvariantViolation("free differential does not square to zero")
+        # d.d = 0 over the ring, forming only the products of nonzero entries
+        for row in nonzero:
+            acc = {}
+            for k, p in row:
+                for j, q in nonzero[k]:
+                    acc[j] = acc[j] + p * q if j in acc else p * q
+            if any(not x.is_zero() for x in acc.values()):
+                raise InvariantViolation("free differential does not square to zero")
 
     @property
     def rank(self) -> int:
@@ -782,13 +780,7 @@ def _evaluate(F: FreeDGModule, M: DGModule, images, n: int) -> tuple | None:
                 v = M.actions[i].apply(deg, v)
                 deg += gens[i]
         cols.append((col, v))
-    den = lcm(*[x.denominator for _, v in cols for x in v if x])
-    rows = [{} for _ in range(M.dim(n))]
-    for col, v in cols:
-        for k, x in enumerate(v):
-            if x:
-                rows[k][col] = x.numerator * (den // x.denominator)
-    return (den, rows, len(bs)) if any(rows) else None
+    return _columns_form(cols, M.dim(n), len(bs))
 
 
 def to_degreewise(F: FreeDGModule, w: Window, name: str = "") -> DGModule:
@@ -819,9 +811,7 @@ def to_degreewise(F: FreeDGModule, w: Window, name: str = "") -> DGModule:
         for store, polymat, deg in ([(diff_blocks, F.diff, -1)]
                                     + [(action_blocks[i], xs[i], -R.codegrees[i])
                                        for i in range(R.r)]):
-            f = _realize(polymat, bs, basis.get(n + deg))
-            if f is not None:
-                store[n] = _dense(*f)
+            store[n] = _realize(polymat, bs, basis.get(n + deg))
     dims = {n: len(bs) for n, bs in basis.items()}
     return dg_module(R, dims, diff_blocks, action_blocks, lo, hi,
                      complete_below=(R.r == 0 and lo <= bottom),
@@ -857,13 +847,11 @@ def basic_injective(R: PolyAlgebra, w: Window, name: str = "I") -> DGModule:
                 continue
             src = R.monomials(n)
             tgt = {a: k for k, a in enumerate(R.monomials(t))}
-            m = zeros(len(tgt), len(src))
+            rows = [{} for _ in tgt]
             for col, a in enumerate(src):
                 if a[i] >= 1:
-                    a2 = list(a)
-                    a2[i] -= 1
-                    m[tgt[tuple(a2)]][col] = Fraction(1)
-            action_blocks[i][n] = m
+                    rows[tgt[a[:i] + (a[i] - 1,) + a[i + 1:]]][col] = 1
+            action_blocks[i][n] = (1, rows, len(src))
     return dg_module(R, dims, {}, action_blocks, lo, hi,
                      complete_below=True, complete_above=False,
                      labels=labels, name=name)
@@ -886,12 +874,10 @@ def poly_as_module(R: PolyAlgebra, w: Window, name: str = "R") -> DGModule:
                 continue
             src = R.monomials(-n)
             tgt = {a: k for k, a in enumerate(R.monomials(-t))}
-            m = zeros(len(tgt), len(src))
+            rows = [{} for _ in tgt]
             for col, a in enumerate(src):
-                a2 = list(a)
-                a2[i] += 1
-                m[tgt[tuple(a2)]][col] = Fraction(1)
-            action_blocks[i][n] = m
+                rows[tgt[a[:i] + (a[i] + 1,) + a[i + 1:]]][col] = 1
+            action_blocks[i][n] = (1, rows, len(src))
     return dg_module(R, dims, {}, action_blocks, lo, hi,
                      complete_below=False, complete_above=True,
                      labels=labels, name=name)
@@ -913,7 +899,7 @@ def lambda_as_module(L: ExtAlgebra, name: str = "L") -> DGModule:
         for n in dims:
             if n + gi not in dims:
                 continue
-            m = zeros(dims[n + gi], dims[n])
+            rows = [{} for _ in range(dims[n + gi])]
             for s in subs:
                 d, k = index[s]
                 if d != n:
@@ -922,9 +908,8 @@ def lambda_as_module(L: ExtAlgebra, name: str = "L") -> DGModule:
                 if sgn:
                     t = tuple(sorted(s + (i,)))
                     _, k2 = index[t]
-                    m[k2][k] = Fraction(sgn)
-            if not is_zero_matrix(m):
-                action_blocks[i][n] = m
+                    rows[k2][k] = sgn
+            action_blocks[i][n] = (1, rows, dims[n])
     top = max(dims)
     return dg_module(L, dims, {}, action_blocks, 0, top,
                      complete_below=True, complete_above=True,
@@ -986,26 +971,27 @@ def direct_sum(A: DGModule, B: DGModule, name: str = "") -> DGModule:
 # chain maps, cones, fibres
 
 
-@dataclass
 class ChainMap:
-    """A degree-homogeneous module map commuting with the differentials."""
+    """A degree-homogeneous module map commuting with the differentials.
 
-    source: DGModule
-    target: DGModule
-    degree: int
-    blocks: dict
-    check: bool = True
+    Its blocks are handed to the GradedMap `map` as GradedMap takes them;
+    `blocks` and `block(n)` are that map's dense views."""
 
-    def __post_init__(self):
-        if self.source.algebra != self.target.algebra:
+    def __init__(self, source: DGModule, target: DGModule, degree: int,
+                 blocks: dict, check: bool = True):
+        if source.algebra != target.algebra:
             raise AlgebraMismatch("chain map needs a common algebra")
-        self.map = GradedMap(self.source.space, self.target.space,
-                             self.degree, self.blocks)
-        if self.check:
+        self.source, self.target, self.degree = source, target, degree
+        self.map = GradedMap(source.space, target.space, degree, blocks)
+        if check:
             if not self.commutes_with_diff():
                 raise NotChainMap("map does not commute with differentials")
             if not self.is_module_map():
                 raise NotChainMap("map is not linear over the algebra")
+
+    @property
+    def blocks(self) -> dict:
+        return self.map.blocks
 
     def block(self, n: int) -> Matrix:
         return self.map.block(n)
@@ -1047,7 +1033,7 @@ class ChainMap:
 
 
 def identity_map(M: DGModule) -> ChainMap:
-    return ChainMap(M, M, 0, {n: identity(M.dim(n)) for n in M.degrees()})
+    return ChainMap(M, M, 0, {n: _identity_form(M.dim(n)) for n in M.degrees()})
 
 
 def chain_map_space(A: DGModule, B: DGModule, degree: int = 0) -> list:
@@ -1307,8 +1293,12 @@ def express_in_homology(M: DGModule, H: Homology, n: int, v) -> list | None:
     piece = H.pieces.get(n)
     if piece is not None:
         return piece.class_coordinates(v)
-    # nothing stored at n: only boundaries have a (zero) class there
-    return [] if solve(M.diff.block(n + 1), v) is not None else None
+    # nothing stored at n: only boundaries have a (zero) class there, and v
+    # is one when appending it to the boundary map leaves the rank as it is
+    f, cols = M.diff.form(n + 1), M.dim(n + 1)
+    aug = _assemble(len(v), cols + 1, [(f, 0, 0, 1),
+                                       (_columns_form([(0, v)], len(v), 1), 0, cols, 1)])
+    return [] if _form_rank(aug) == _form_rank(f) else None
 
 
 def homology_module(M: DGModule, name: str = "") -> DGModule:
@@ -1332,16 +1322,13 @@ def homology_module(M: DGModule, name: str = "") -> DGModule:
             t = n + g
             if t not in dims:
                 continue
-            m = zeros(dims[t], dims[n])
-            for col, rep in enumerate(H.pieces[n].representatives):
-                img = M.actions[i].apply(n, rep)
-                coords = express_in_homology(M, H, t, img)
+            cols = []
+            for rep in H.pieces[n].representatives:
+                coords = express_in_homology(M, H, t, M.actions[i].apply(n, rep))
                 if coords is None:
                     raise InvariantViolation("action image is not a cycle class")
-                for row, c in enumerate(coords):
-                    m[row][col] = c
-            if not is_zero_matrix(m):
-                act_blocks[i][n] = m
+                cols.append(coords)
+            act_blocks[i][n] = _columns_form(enumerate(cols), dims[t], dims[n])
     return dg_module(M.algebra, dims, {}, act_blocks, lo, hi,
                      complete_below=M.complete_below,
                      complete_above=M.complete_above,
@@ -1522,16 +1509,13 @@ def gamma_m(M: DGModule, name: str = "") -> DGModule:
             t = n + deg
             if t not in dims:
                 continue
-            m = zeros(dims[t], dims[n])
-            for col, v in enumerate(vecs):
-                img = gm.apply(n, v)
-                coords = coordinates(sub_bases[t], img)
+            cols = []
+            for v in vecs:
+                coords = coordinates(sub_bases[t], gm.apply(n, v))
                 if coords is None:
                     raise InvariantViolation("torsion part is not closed")
-                for row, c in enumerate(coords):
-                    m[row][col] = c
-            if not is_zero_matrix(m):
-                store[n] = m
+                cols.append(coords)
+            store[n] = _columns_form(enumerate(cols), dims[t], dims[n])
     return dg_module(R, dims, diff_blocks, act_blocks, M.lo, M.hi,
                      M.complete_below, M.complete_above,
                      labels=labels, name=name or f"Gamma({M.name})")
@@ -1549,10 +1533,9 @@ def matlis_dual(M: DGModule, name: str = "") -> DGModule:
         if dims.get(n, 0) == 0 or dims.get(n - 1, 0) == 0:
             continue
         # (df)(m) = -(-1)^{|f|} f(dm)
-        blk = M.diff.block(1 - n)
-        m = mat_scale(-1 if n % 2 == 0 else 1, transpose(blk))
-        if not is_zero_matrix(m):
-            diff_blocks[n] = m
+        f = M.diff.form(1 - n)
+        if f is not None:
+            diff_blocks[n] = _transposed(f, -1 if n % 2 == 0 else 1)
     gens = M.generator_degrees()
     act_blocks = [dict() for _ in gens]
     for n in range(lo, hi + 1):
@@ -1560,11 +1543,9 @@ def matlis_dual(M: DGModule, name: str = "") -> DGModule:
             t = n + g
             if dims.get(n, 0) == 0 or dims.get(t, 0) == 0:
                 continue
-            m = transpose(M.actions[i].block(-t))
-            if g % 2:
-                m = mat_scale(-1 if n % 2 else 1, m)
-            if not is_zero_matrix(m):
-                act_blocks[i][n] = m
+            f = M.actions[i].form(-t)
+            if f is not None:
+                act_blocks[i][n] = _transposed(f, -1 if g % 2 and n % 2 else 1)
     return dg_module(M.algebra, dims, diff_blocks, act_blocks, lo, hi,
                      complete_below=M.complete_above,
                      complete_above=M.complete_below,
@@ -1574,10 +1555,8 @@ def matlis_dual(M: DGModule, name: str = "") -> DGModule:
 def double_dual_comparison(M: DGModule) -> ChainMap:
     """The canonical chain isomorphism M -> D(D(M)) (sign (-1)^n per degree)."""
     dd = matlis_dual(matlis_dual(M))
-    blocks = {}
-    for n in M.degrees():
-        blocks[n] = mat_scale(-1 if n % 2 else 1, identity(M.dim(n)))
-    return ChainMap(M, dd, 0, blocks)
+    return ChainMap(M, dd, 0, {n: _identity_form(M.dim(n), -1 if n % 2 else 1)
+                               for n in M.degrees()})
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from .grlin import (
     LinearSystem,
     Subspace,
     Window,
-    _dense,
-    is_zero_matrix,
+    _form_rank,
+    _transposed,
     is_zero_vector,
     rank,
     zeros,
@@ -125,14 +125,14 @@ def s_of_trivial_iso(R: PolyAlgebra, w: Window) -> ChainMap:
     blocks = {}
     for n in S.degrees():
         mons = R.monomials(n)
-        m = zeros(I.dim(n), S.dim(n))
+        rows = [{} for _ in range(I.dim(n))]
         for col, alpha in enumerate(mons):
             fact = 1
             for a in alpha:
                 for t in range(2, a + 1):
                     fact *= t
-            m[col][col] = Fraction(fact)
-        blocks[n] = m
+            rows[col][col] = fact
+        blocks[n] = (1, rows, S.dim(n))
     return ChainMap(S, I, 0, blocks)
 
 
@@ -157,7 +157,7 @@ def _action_ranks(M: DGModule) -> dict:
     out = {}
     for i, act in enumerate(M.actions):
         for n in M.degrees():
-            r = rank(act.block(n))
+            r = _form_rank(act.form(n))
             if r:
                 out[(i, n)] = r
     return out
@@ -483,12 +483,13 @@ class CartanReport:
 
 def cartan_theta(e: EndDGA, h: HomToK, deg: int, v) -> list:
     """Evaluate the comparison: postcompose with the augmentation of the
-    Koszul model (keep the constant coefficient of the empty-subset row)."""
+    Koszul model (keep the constant coefficient of the empty-subset row).
+    v is a dense vector or a sparse {index: entry} one."""
     bs = e.basis_at(deg)
     outs = h.subsets_at(deg)
     out = [Fraction(0)] * len(outs)
     zero_exp = (0,) * e.ring.r
-    for k, c in enumerate(v):
+    for k, c in (v.items() if isinstance(v, dict) else enumerate(v)):
         if not c:
             continue
         p, alpha = bs[k]
@@ -506,11 +507,10 @@ def cartan_map(e: EndDGA, h: HomToK | None = None) -> CartanReport:
     # chain map: theta kills boundaries (target differential is zero)
     chain_ok = True
     for n in range(e.realized.lo + 1, e.realized.hi + 1):
-        blk = e.realized.diff.block(n)
-        for col in range(e.realized.dim(n)):
-            v = [row[col] for row in blk]
-            img = cartan_theta(e, h, n - 1, v)
-            if not is_zero_vector(img):
+        f = e.realized.diff.form(n)
+        # the columns of the block, scaled to integers: zero or not alike
+        for col in ([] if f is None else _transposed(f)[1]):
+            if not is_zero_vector(cartan_theta(e, h, n - 1, col)):
                 chain_ok = False
     ident = cartan_theta(e, h, 0, e.identity_vector())
     unit_deg, unit_pos = h.unit_vector()
@@ -725,8 +725,7 @@ def acyclic_extension_dga(R: PolyAlgebra, w: Window, cell_degree: int) -> Degree
         off_u2 = len(base2)
         for col, a in enumerate(vs):
             m[off_u2 + us2.index(a)][len(base) + len(us) + col] = Fraction(1)
-        if not is_zero_matrix(m):
-            diff_blocks[n] = m
+        diff_blocks[n] = m
     act_blocks = [dict() for _ in range(R.r)]
     for n in dims:
         for i in range(R.r):
@@ -990,12 +989,8 @@ def recognize_k(M: DGModule, window_pad: int = 4) -> RecognizeResult:
     blocks = {}
     vectors = [images[s][1] for s in subs]
     for n in range(lo, hi + 1):
-        f = _evaluate(kb, M, vectors, n)
-        if f is not None:
-            blocks[n] = _dense(*f)
+        blocks[n] = _evaluate(kb, M, vectors, n)
     f = ChainMap(realized, M, 0, blocks)
     acyclic = homology(mapping_cone(f)).is_zero()
-    h0 = [f.block(0)[rr][col] for rr in range(M.dim(0))
-          for col in range(realized.dim(0))]
-    nz = bool(h0) and not is_zero_vector(h0)
+    nz = f.map.form(0) is not None
     return RecognizeResult(f, [images[s] for s in subs], acyclic, nz)

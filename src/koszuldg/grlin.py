@@ -41,15 +41,6 @@ def identity(n: int) -> Matrix:
     return [[_ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, m: Matrix) -> Matrix:
-    c = frac(c)
-    return [[c * x for x in row] for row in m]
-
-
 def _unshared(row):
     """Indices of the entries that are not the shared ZERO, found without
     arithmetic."""
@@ -140,17 +131,64 @@ def _dense(den: int, rows: list, cols: int) -> Matrix:
     return out
 
 
-def _identity_form(n: int) -> tuple:
-    """The integer form of the n x n identity."""
-    return 1, [{j: 1} for j in range(n)], n
+def _identity_form(n: int, scale: int = 1) -> tuple:
+    """The integer form of scale times the n x n identity."""
+    return 1, [{j: scale} for j in range(n)], n
 
 
-def _assemble(rows: int, cols: int, pieces) -> Matrix | None:
-    """A rows x cols block summed from integer forms placed at offsets.
+def _scaled(f: tuple, scale: int) -> tuple:
+    """The integer form of scale times the form f."""
+    den, rows, cols = f
+    return den, [{j: scale * v for j, v in row.items()} for row in rows], cols
+
+
+def _transposed(f: tuple, scale: int = 1) -> tuple:
+    """The integer form of scale times the transpose of the form f."""
+    den, rows, cols = f
+    out = [{} for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            out[j][i] = scale * v
+    return den, out, len(rows)
+
+
+def _lowest_terms(f: tuple) -> tuple:
+    """The form f over its least denominator, so that equal matrices have
+    equal forms."""
+    den, rows, cols = f
+    if den != 1:
+        g = gcd(den, *[v for row in rows for v in row.values()])
+        if g != 1:
+            return den // g, [{j: v // g for j, v in row.items()} for row in rows], cols
+    return f
+
+
+def _columns_form(cols, rows: int, width: int) -> tuple | None:
+    """The integer form of the rows x width matrix whose column j is the
+    vector v for each (j, v) in cols, the other columns zero; None when it
+    is zero."""
+    cols = list(cols)
+    den = lcm(*[x.denominator for _, v in cols for x in v if x])
+    out = [{} for _ in range(rows)]
+    for j, v in cols:
+        for i, x in enumerate(v):
+            if x:
+                out[i][j] = x.numerator * (den // x.denominator)
+    return (den, out, width) if any(out) else None
+
+
+def _form_rank(f: tuple | None) -> int:
+    """The rank of the matrix of an integer form, None standing for zero."""
+    return 0 if f is None else len(_echelon(f[1]))
+
+
+def _assemble(rows: int, cols: int, pieces) -> tuple | None:
+    """The integer form of a rows x cols block summed from integer forms
+    placed at offsets.
 
     pieces yields (form, row offset, column offset, integer scale); a None
     form adds nothing.  The sum is taken in integers over one common
-    denominator and the dense block is built once; None when it is zero.
+    denominator; None when it is zero.
     """
     pieces = [p for p in pieces if p[0] is not None]
     den = lcm(*[form[0] for form, *_ in pieces])
@@ -162,7 +200,7 @@ def _assemble(rows: int, cols: int, pieces) -> Matrix | None:
             for j, v in row.items():
                 out[c0 + j] = out.get(c0 + j, 0) + s * v
     acc = [{j: x for j, x in row.items() if x} for row in acc]
-    return _dense(den, acc, cols) if any(acc) else None
+    return (den, acc, cols) if any(acc) else None
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -495,42 +533,61 @@ class GradedVS:
         return f"e{n}_{i}"
 
 
-@dataclass
 class GradedMap:
     """Degree-homogeneous linear map between graded vector spaces.
 
     The block at n sends the source piece in degree n to the target piece in
-    degree n + degree; absent blocks are zero.  Blocks are read-only once the
-    map exists: `form` converts each stored block once and keeps the result
-    with the map, so a block edited afterwards would not be read again.
+    degree n + degree; absent blocks are zero.  Each nonzero block is stored
+    as its integer form (den, rows, cols) in `forms`, over its least
+    denominator; zero blocks are not stored.  The blocks handed over are
+    integer forms, stored as they are, or dense matrices (module files,
+    samples, tests), converted once here.  Stored forms are read-only: maps
+    share them, so neither the code that handed a form over nor any reader
+    may change it afterwards.  `block(n)` and `blocks` are dense views for
+    the API edge, built on every call and not kept.
     """
 
-    source: GradedVS
-    target: GradedVS
-    degree: int
-    blocks: dict = field(default_factory=dict)
-    _forms: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    __slots__ = ("source", "target", "degree", "forms")
 
-    def __post_init__(self):
-        for n, m in self.blocks.items():
-            r, c = self.target.dim(n + self.degree), self.source.dim(n)
-            if len(m) != r or (m and len(m[0]) != c) or (not m and r):
+    def __init__(self, source: GradedVS, target: GradedVS, degree: int,
+                 blocks: dict | None = None):
+        self.source, self.target, self.degree = source, target, degree
+        self.forms = {}
+        for n, m in (blocks or {}).items():
+            if m is None:
+                continue
+            r, c = target.dim(n + degree), source.dim(n)
+            if isinstance(m, tuple):
+                if len(m[1]) != r or (r and m[2] != c):
+                    raise ValueError(f"block at {n} is {len(m[1])}x{m[2]} want {r}x{c}")
+            elif len(m) != r or (m and len(m[0]) != c) or (not m and r):
                 raise ValueError(f"block at {n} is {len(m)}x? want {r}x{c}")
+            else:
+                m = _int_form(m)
+            if any(m[1]):
+                self.forms[n] = _lowest_terms(m)
+
+    def __eq__(self, other):
+        return (isinstance(other, GradedMap) and self.degree == other.degree
+                and self.source == other.source and self.target == other.target
+                and self.forms == other.forms)
 
     def block(self, n: int) -> Matrix:
-        if n in self.blocks:
-            return self.blocks[n]
-        return zeros(self.target.dim(n + self.degree), self.source.dim(n))
+        """The dense block at n, built on every call."""
+        cols = self.source.dim(n)
+        f = self.forms.get(n)
+        if f is None:
+            return zeros(self.target.dim(n + self.degree), cols)
+        return _dense(f[0], f[1], cols)
+
+    @property
+    def blocks(self) -> dict:
+        """Dense views of the nonzero blocks, built on every read."""
+        return {n: self.block(n) for n in self.forms}
 
     def form(self, n: int) -> tuple | None:
-        """The integer form of the stored block at n, or None when that
-        block is absent or zero; computed on first use and kept."""
-        if n not in self._forms:
-            m = self.blocks.get(n)
-            f = None if m is None else _int_form(m)
-            self._forms[n] = f if f is not None and any(f[1]) else None
-        return self._forms[n]
+        """The integer form of the block at n, or None when it is zero."""
+        return self.forms.get(n)
 
     def apply(self, n: int, v: Vector) -> Vector:
         """The block at n times v; raises ValueError on a length mismatch."""
@@ -621,8 +678,9 @@ def homology_at(d_in: GradedMap, d_out: GradedMap, n: int) -> HomologyPiece:
         for i, x in z.items():
             rows[i][k + j] = x.numerator * (den // x.denominator)
     pivots = sorted(_echelon(rows))
-    into = d_in.blocks.get(m)
-    boundaries = [[row[j] for row in into] for j in pivots if j < k]
+    columns = [] if f_in is None else _transposed(f_in)[1]
+    boundaries = [_dense_vector({i: _entry(v, f_in[0]) for i, v in columns[j].items()}, amb)
+                  for j in pivots if j < k]
     cycles = [_dense_vector(z, amb) for z in cycles]
     reps = [cycles[j - k][:] for j in pivots if j >= k]
     return HomologyPiece(n, len(reps), reps, cycles, boundaries)

@@ -22,10 +22,9 @@ from .grlin import (
     Subspace,
     Window,
     _assemble,
-    _dense,
+    _columns_form,
+    _entry,
     _int_product,
-    is_zero_matrix,
-    rank,
     unit_vector,
 )
 from .algebra import (
@@ -178,10 +177,8 @@ def restrict_scalars(rm: RingMap, N: DGModule, name: str = "") -> DGModule:
             t = n - S.codegrees[i]
             if N.known_dim(t) is None or p.is_zero():
                 continue
-            blk = N.action_poly_block(p, n)
-            if not is_zero_matrix(blk):
-                act_blocks[i][n] = blk
-    return dg_module(S, dict(N.space.dims), dict(N.diff.blocks), act_blocks,
+            act_blocks[i][n] = N._action_poly_form(p, n)
+    return dg_module(S, dict(N.space.dims), N.diff.forms, act_blocks,
                      N.lo, N.hi, N.complete_below, N.complete_above,
                      labels=None if N.space.labels is None else dict(N.space.labels),
                      name=name or f"res({N.name})")
@@ -224,7 +221,7 @@ def extend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
         for i, p in enumerate(rm.images):
             di = S.codegrees[i]
             for md in M.degrees():
-                blk = M.actions[i].block(md)
+                f = M.actions[i].form(md)
                 tdeg = md - di
                 for mu in T.monomials(md - di - n):
                     prod = Poly(T, {mu: Fraction(1)}) * p
@@ -232,9 +229,9 @@ def extend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
                         vec = [Fraction(0)] * len(bs)
                         for a, c in prod.terms.items():
                             vec[idx[(a, md, u)]] += c
-                        for kk in range(M.dim(tdeg)):
-                            if blk[kk][u]:
-                                vec[idx[(mu, tdeg, kk)]] -= blk[kk][u]
+                        for kk, row in enumerate([] if f is None else f[1]):
+                            if u in row:
+                                vec[idx[(mu, tdeg, kk)]] -= _entry(row[u], f[0])
                         span.add(vec)
         relations[n] = span
         pivots = set(span.pivots)
@@ -260,19 +257,17 @@ def extend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
         # differential 1 (x) d_M
         if (n - 1) in dims:
             cols = []
+            idx2 = {b: k for k, b in enumerate(pair_basis[n - 1])}
             for j in complements[n]:
                 mu, md, u = bs[j]
-                dblk = M.diff.block(md)
+                f = M.diff.form(md)
                 vec = [Fraction(0)] * len(pair_basis[n - 1])
-                idx2 = {b: k for k, b in enumerate(pair_basis[n - 1])}
-                for kk in range(M.dim(md - 1)):
-                    if dblk[kk][u]:
-                        vec[idx2[(mu, md - 1, kk)]] += dblk[kk][u]
+                for kk, row in enumerate([] if f is None else f[1]):
+                    if u in row:
+                        vec[idx2[(mu, md - 1, kk)]] += _entry(row[u], f[0])
                 cols.append(project(n - 1, vec))
-            m = [[cols[j][i] for j in range(len(cols))]
-                 for i in range(len(complements[n - 1]))]
-            if not is_zero_matrix(m):
-                diff_blocks[n] = m
+            diff_blocks[n] = _columns_form(enumerate(cols), len(complements[n - 1]),
+                                           len(cols))
         for jgen in range(T.r):
             t = n - T.codegrees[jgen]
             if t not in dims:
@@ -286,10 +281,8 @@ def extend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
                 vec = [Fraction(0)] * len(pair_basis[t])
                 vec[idx2[(tuple(mu2), md, u)]] = Fraction(1)
                 cols.append(project(t, vec))
-            m = [[cols[j][i] for j in range(len(cols))]
-                 for i in range(len(complements[t]))]
-            if not is_zero_matrix(m):
-                act_blocks[jgen][n] = m
+            act_blocks[jgen][n] = _columns_form(enumerate(cols), len(complements[t]),
+                                                len(cols))
     # completeness at the bottom: the quotient is generated in the degrees
     # of M, so a vanishing run of length max(target codegrees) strictly
     # below the support forces vanishing below the run too
@@ -408,17 +401,14 @@ def coextend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
             for h in solutions[t]:
                 comp = {}
                 for (n, rr, cc), v in h.items():
-                    dblk = M.diff.block(n + t)
-                    for r2 in range(M.known_dim(n + t - 1) or 0):
-                        if dblk[r2][rr]:
+                    f = M.diff.form(n + t)
+                    for r2, row in enumerate([] if f is None else f[1]):
+                        if rr in row:
                             key = (n, r2, cc)
-                            comp[key] = comp.get(key, Fraction(0)) + dblk[r2][rr] * v
+                            comp[key] = comp.get(key, Fraction(0)) + _entry(row[rr], f[0]) * v
                 cols.append(express(t - 1, comp))
             if dims.get(t - 1):
-                m = [[cols[j][i] for j in range(len(cols))]
-                     for i in range(dims[t - 1])]
-                if not is_zero_matrix(m):
-                    diff_blocks[t] = m
+                diff_blocks[t] = _columns_form(enumerate(cols), dims[t - 1], len(cols))
         # target action: precompose with multiplication by y_j
         for jgen in range(T.r):
             e = T.codegrees[jgen]
@@ -433,16 +423,12 @@ def coextend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
                     src = n2 + e
                     if src > 0 or src < Tmod.lo:
                         continue
-                    blk = Tmod.actions[jgen].block(src)
-                    for c2 in range(Tmod.dim(src)):
-                        if blk[cc][c2]:
-                            key = (src, rr, c2)
-                            comp[key] = comp.get(key, Fraction(0)) + blk[cc][c2] * v
+                    f = Tmod.actions[jgen].form(src)
+                    for c2, x in ({} if f is None else f[1][cc]).items():
+                        key = (src, rr, c2)
+                        comp[key] = comp.get(key, Fraction(0)) + _entry(x, f[0]) * v
                 cols.append(express(t - e, comp))
-            m = [[cols[j][i] for j in range(len(cols))]
-                 for i in range(dims[t - e])]
-            if not is_zero_matrix(m):
-                act_blocks[jgen][t] = m
+            act_blocks[jgen][t] = _columns_form(enumerate(cols), dims[t - e], len(cols))
     lo = min(dims, default=0)
     hi = max(dims, default=0)
     lo = min(lo, t_lo)
@@ -502,9 +488,7 @@ def realize_poly_map(F: FreeDGModule, realized: DGModule, polymat,
     blocks = {}
     for n in range(realized.lo, realized.hi + 1):
         if realized.lo <= n + degree <= realized.hi:
-            f = _realize(polymat, free_basis(F, n), free_basis(F, n + degree))
-            if f is not None:
-                blocks[n] = _dense(*f)
+            blocks[n] = _realize(polymat, free_basis(F, n), free_basis(F, n + degree))
     return GradedMap(realized.space, realized.space, degree, blocks)
 
 
@@ -562,7 +546,7 @@ def derived_dual(rm: RingMap, depth_pad: int = 6) -> DerivedDual:
     realized = to_degreewise(dual, win, name="D(T)")
     H = homology(realized)
     hdims = {n: d for n, d in H.dims().items()}
-    gamma, free_one = _freeness_certificate(rm, dual, realized, H, dual_lifts, win)
+    gamma, free_one = _freeness_certificate(rm, dual, realized, H, dual_lifts)
     return DerivedDual(rm, res, total, dual, lifts, dual_lifts, realized,
                        hdims, gamma, free_one)
 
@@ -660,9 +644,7 @@ def _commuting_lifts(rm: RingMap, res: ResolutionData, total: FreeDGModule,
                 blk = restricted.action_poly_block(p, g2deg)
                 for rr in range(len(lhs)):
                     lhs[rr] += sum(blk[rr][kk] * g2vec[kk] for kk in range(len(g2vec)))
-            yblk = Tmod.actions[jgen].block(gdeg)
-            rhs = [sum(yblk[rr][kk] * gvec[kk] for kk in range(len(gvec)))
-                   for rr in range(restricted.dim(gdeg - e))]
+            rhs = Tmod.actions[jgen].apply(gdeg, gvec)
             if lhs != rhs:
                 raise LinearSolveFailed(
                     "decoded target lift fails augmentation compatibility")
@@ -718,7 +700,7 @@ def _poly_mat_mul(S: PolyAlgebra, A, B):
 
 
 def _freeness_certificate(rm: RingMap, dual: FreeDGModule, realized: DGModule,
-                          H, dual_lifts, win: Window):
+                          H, dual_lifts):
     """Certify that the homology of the derived dual is a shifted free
     rank-one target module, returning the generator degree."""
     T = rm.target
@@ -738,39 +720,32 @@ def _freeness_certificate(rm: RingMap, dual: FreeDGModule, realized: DGModule,
         if have != want:
             return gamma, False
     # cyclic generation: monomials in the lifted generators, applied to the
-    # top class, span every certified degree
+    # top class, span every certified degree.  Degrees are visited from the
+    # top down, and only the images that raise the rank of the classes
+    # reached in their degree are followed: the lifts are chain maps, so the
+    # image of a class spanned by those reached is spanned by their images.
     from .algebra import express_in_homology
     maps = [realize_poly_map(dual, realized, dual_lifts[jgen], -T.codegrees[jgen])
             for jgen in range(T.r)]
-    top_rep = H.representatives(gamma)[0]
-    frontier = [(gamma, top_rep)]
-    reach = {gamma: [top_rep]}
-    for _ in range(2 * (win.hi - win.lo)):
-        new_frontier = []
-        for (n, vec) in frontier:
+    floor = min(certified, default=0)
+    kept = {gamma: [H.representatives(gamma)[0]]}
+    spans = {gamma: Subspace(1, [[Fraction(1)]])}
+    for n in range(gamma, floor - 1, -1):
+        for vec in kept.get(n, ()):
             for jgen in range(T.r):
                 t = n - T.codegrees[jgen]
-                if t < min(certified, default=0):
+                if t < floor or not H.dim(t) or (t in spans and spans[t].dim == H.dim(t)):
                     continue
                 img = maps[jgen].apply(n, vec)
-                if not img or all(x == 0 for x in img):
+                if not any(img):
                     continue
-                reach.setdefault(t, []).append(img)
-                new_frontier.append((t, img))
-        if not new_frontier:
-            break
-        frontier = new_frontier
+                coords = express_in_homology(realized, H, t, img)
+                if coords is None:
+                    return gamma, False
+                if spans.setdefault(t, Subspace(len(coords))).add(coords):
+                    kept.setdefault(t, []).append(img)
     for n in certified:
-        want = H.dim(n)
-        if not want:
-            continue
-        vecs = []
-        for v in reach.get(n, []):
-            coords = express_in_homology(realized, H, n, v)
-            if coords is None:
-                return gamma, False
-            vecs.append(coords)
-        if not vecs or rank(vecs) < want:
+        if H.dim(n) and (n not in spans or spans[n].dim < H.dim(n)):
             return gamma, False
     return gamma, True
 

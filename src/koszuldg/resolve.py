@@ -20,10 +20,11 @@ from .grlin import (
     Subspace,
     Window,
     _assemble,
-    _dense,
-    is_zero_matrix,
+    _form_rank,
+    _entry,
+    _int_product,
+    _transposed,
     kernel_basis,
-    mat_mul,
     rank,
     transpose,
     unit_vector,
@@ -107,10 +108,10 @@ def tor_betti(M: DGModule, R: PolyAlgebra) -> dict:
                 for pos, i in enumerate(S):
                     sgn = -1 if pos % 2 else 1
                     S2 = tuple(j for j in S if j != i)
-                    blk = M.actions[i].block(m_deg)
-                    for rr in range(M.dim(m_deg - R.codegrees[i])):
-                        if blk[rr][u]:
-                            m[idx[(S2, rr)]][col] += sgn * blk[rr][u]
+                    f = M.actions[i].form(m_deg)
+                    for rr, row in enumerate([] if f is None else f[1]):
+                        if u in row:
+                            m[idx[(S2, rr)]][col] += sgn * _entry(row[u], f[0])
             mats[s] = m
         for s in range(R.r + 1):
             dim_s = len(bases[s])
@@ -132,7 +133,7 @@ def _subsets_by_size(r: int) -> list:
 
 
 def is_zero_diff(M: DGModule) -> bool:
-    return all(is_zero_matrix(b) for b in M.diff.blocks.values())
+    return not M.diff.forms
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +252,7 @@ def _resolve_with_betti(M: DGModule, R: PolyAlgebra, betti: dict,
     aug_blocks = {}
     images = [v for _, _, v in gens0]
     for n in range(win.lo, win.hi + 1):
-        f = _evaluate(F0, M, images, n)
-        if f is not None:
-            aug_blocks[n] = _dense(*f)
+        aug_blocks[n] = _evaluate(F0, M, images, n)
     realized = [F0_real]
     realized_aug = GradedMap(F0_real.space, M.space, 0, aug_blocks)
 
@@ -272,11 +271,9 @@ def _resolve_with_betti(M: DGModule, R: PolyAlgebra, betti: dict,
             kernels[n] = kernel_basis(blk, cols=dim_n) if dim_n else []
             span = Subspace(dim_n)
             for i in range(R.r):
-                src = kernels.get(n + R.codegrees[i], [])
-                act = prev_real.actions[i].block(n + R.codegrees[i])
-                for v in src:
-                    span.add([sum(row[kk] * v[kk] for kk in range(len(v)))
-                              for row in act])
+                act = prev_real.actions[i]
+                for v in kernels.get(n + R.codegrees[i], []):
+                    span.add(act.apply(n + R.codegrees[i], v))
             new = span.complement_in(kernels[n])
             want = expected.get(n, 0)
             if len(new) != want:
@@ -295,9 +292,7 @@ def _resolve_with_betti(M: DGModule, R: PolyAlgebra, betti: dict,
         F_s_real = to_degreewise(F_s, win, name=f"F{s}")
         blocks = {}
         for n in range(win.lo, win.hi + 1):
-            f = _realize(poly_matrix, free_basis(F_s, n), free_basis(prev_free, n))
-            if f is not None:
-                blocks[n] = _dense(*f)
+            blocks[n] = _realize(poly_matrix, free_basis(F_s, n), free_basis(prev_free, n))
         realized.append(F_s_real)
         realized_maps.append(GradedMap(F_s_real.space, prev_real.space, 0, blocks))
         prev_free, prev_real, prev_map = F_s, F_s_real, realized_maps[-1]
@@ -330,24 +325,23 @@ def _certify_free_resolution(res: ResolutionData):
     for s in range(1, len(chain)):
         out_map, in_map = chain[s - 1], chain[s]
         for n in range(lo, hi + 1):
-            blk_out = out_map.block(n)
             cols = res.realized[s - 1].dim(n)
-            ker = cols - rank(blk_out) if cols else 0
-            img = rank(in_map.block(n))
+            ker = cols - _form_rank(out_map.form(n)) if cols else 0
+            img = _form_rank(in_map.form(n))
             if ker != img:
                 raise InvariantViolation(
                     f"resolution not exact at stage {s - 1}, degree {n}")
     # surjectivity of the augmentation and injectivity of the last map
     for n in range(lo, hi + 1):
         if M.known_dim(n):
-            if rank(res.realized_aug.block(n)) != M.dim(n):
+            if _form_rank(res.realized_aug.form(n)) != M.dim(n):
                 raise InvariantViolation(f"augmentation not onto at degree {n}")
     if res.realized_maps:
         last = res.realized_maps[-1]
         F_last = res.realized[-1]
         for n in range(lo, hi + 1):
             cols = F_last.dim(n)
-            if cols and rank(last.block(n)) != cols:
+            if cols and _form_rank(last.form(n)) != cols:
                 raise InvariantViolation(f"last syzygy map not injective at degree {n}")
 
 
@@ -413,21 +407,17 @@ def injective_resolution(M: DGModule, window: Window | None = None) -> Injective
     # dual of phi_s: F_s -> F_(s-1) gives J_(s-1) -> J_s
     for s in range(1, len(chain)):
         phi = chain[s]
-        blocks = {}
-        for n in range(stages[s - 1].lo, stages[s - 1].hi + 1):
-            blk = phi.block(-n)
-            m = transpose(blk)
-            if not is_zero_matrix(m):
-                blocks[n] = m
+        blocks = {n: _transposed(phi.form(-n))
+                  for n in range(stages[s - 1].lo, stages[s - 1].hi + 1)
+                  if phi.form(-n) is not None}
         maps.append(GradedMap(stages[s - 1].space, stages[s].space, 0, blocks))
     # augmentation M -> J_0 through the double dual
     dd = double_dual_comparison(M)
     aug_blocks = {}
     for n in M.degrees():
-        dual_aug = transpose(res.realized_aug.block(-n))
-        m = mat_mul(dual_aug, dd.block(n))
-        if not is_zero_matrix(m):
-            aug_blocks[n] = m
+        f, g = res.realized_aug.form(-n), dd.map.form(n)
+        if f is not None and g is not None:
+            aug_blocks[n] = _int_product(_transposed(f), g)
     aug = GradedMap(M.space, stages[0].space, 0, aug_blocks)
     out = InjectiveResolutionData("injective", R, M, shifts, stages, maps,
                                   aug, res.window, res)
@@ -448,19 +438,19 @@ def _certify_injective_resolution(res: InjectiveResolutionData):
     for s, mp in enumerate(chain):
         for n in range(lo, hi + 1):
             cols = spaces[s].dim(n)
-            ker = cols - rank(mp.block(n)) if cols else 0
+            ker = cols - _form_rank(mp.form(n)) if cols else 0
             if s == 0:
                 if ker:
                     raise InvariantViolation(f"augmentation not injective at degree {n}")
             else:
-                img = rank(chain[s - 1].block(n))
+                img = _form_rank(chain[s - 1].form(n))
                 if ker != img:
                     raise InvariantViolation(
                         f"injective resolution not exact at stage {s - 1}, degree {n}")
     last = chain[-1]
     J_last = spaces[-1]
     for n in range(lo, hi + 1):
-        if J_last.dim(n) and rank(last.block(n)) != J_last.dim(n):
+        if J_last.dim(n) and _form_rank(last.form(n)) != J_last.dim(n):
             raise InvariantViolation(f"last injective map not onto at degree {n}")
 
 
@@ -557,8 +547,8 @@ def _ext_via_free(M: DGModule, N: DGModule, window) -> BigradedTable:
                 continue
             out = mats[s] if s < stages - 1 else None
             into = mats[s - 1] if s >= 1 else None
-            cyc = dims[s] - rank(out) if out is not None else dims[s]
-            bnd = rank(into) if into is not None else 0
+            cyc = dims[s] - _form_rank(out)
+            bnd = _form_rank(into)
             h = cyc - bnd
             if h:
                 entries[(s, t)] = h
@@ -600,25 +590,21 @@ def module_hom_space(M: DGModule, J: DGModule, t: int) -> list:
     for n in M.degrees():
         for i, g in enumerate(gens):
             src_dim = M.dim(n)
-            mid = M.dim(n + g)
             tgt = J.known_dim(n + g + t)
             if tgt is None:
                 raise WindowTooSmall(f"hom target not certified at degree {n + g + t}")
             if not src_dim or not tgt:
                 continue
-            mblk = M.actions[i].block(n)
-            jblk = J.actions[i].block(n + t)
-            jsrc = J.known_dim(n + t) or 0
-            # phi_{n+g} . x_i = x_i . phi_n
+            mf, jf = M.actions[i].form(n), J.actions[i].form(n + t)
+            if mf is None and jf is None:
+                continue
+            # phi_{n+g} . x_i = x_i . phi_n, times both denominators
+            md, mcols = (1, [{}] * src_dim) if mf is None else (mf[0], _transposed(mf)[1])
+            jd, jrows = (1, [{}] * tgt) if jf is None else jf[:2]
             for rr in range(tgt):
                 for cc in range(src_dim):
-                    coeffs = {}
-                    for kk in range(mid):
-                        if mblk[kk][cc]:
-                            coeffs[(n + g, rr, kk)] = coeffs.get((n + g, rr, kk), 0) + mblk[kk][cc]
-                    for kk in range(jsrc):
-                        if jblk[rr][kk]:
-                            coeffs[(n, kk, cc)] = coeffs.get((n, kk, cc), 0) - jblk[rr][kk]
+                    coeffs = {(n + g, rr, kk): v * jd for kk, v in mcols[cc].items()}
+                    coeffs.update(((n, kk, cc), -v * md) for kk, v in jrows[rr].items())
                     if coeffs:
                         sys.add_equation(coeffs)
     return sys.kernel()
@@ -664,14 +650,17 @@ def _ext_connecting_inj(M: DGModule, res: InjectiveResolutionData, s: int,
         return zeros(0, len(src_basis))
     # coordinates of a raw hom in the target basis, solved per source element
     cols = []
+    columns = {}  # n -> the denominator and the columns of psi's form at n + t
     for h in src_basis:
         comp = {}
         for (n, rr, cc), val in h.items():
-            blk = psi.block(n + t)
-            for r2 in range(len(blk)):
-                if blk[r2][rr]:
-                    key = (n, r2, cc)
-                    comp[key] = comp.get(key, Fraction(0)) + blk[r2][rr] * val
+            if n not in columns:
+                f = psi.form(n + t)
+                columns[n] = (1, None) if f is None else (f[0], _transposed(f)[1])
+            den, fcols = columns[n]
+            for r2, x in ({} if fcols is None else fcols[rr]).items():
+                key = (n, r2, cc)
+                comp[key] = comp.get(key, Fraction(0)) + _entry(x, den) * val
         cols.append(comp)
     keyset = sorted({k for h in tgt_basis for k in h} |
                     {k for c in cols for k in c})
@@ -771,9 +760,7 @@ def semifree_replacement(X: DGModule, floor: int,
         realized = to_degreewise(F, win, name="cells")
         blocks = {}
         for m in range(win.lo, win.hi + 1):
-            f = _evaluate(F, X, to_x, m)
-            if f is not None:
-                blocks[m] = _dense(*f)
+            blocks[m] = _evaluate(F, X, to_x, m)
         p = ChainMap(realized, X, 0, blocks)
         return F, realized, p
 

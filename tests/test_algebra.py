@@ -311,13 +311,18 @@ def test_shift_signs_stay_valid():
     N.shift(-3)
 
 
+def mat_add(a, b):
+    """The entrywise sum of two dense matrices."""
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def test_action_operators_commute_even_anticommute_odd():
     # exercised implicitly by every constructor; spot check the exterior side
     L = alg.ext_algebra(T2)
     lam = alg.lambda_as_module(L)
     a0 = lam.actions[0]
     a1 = lam.actions[1]
-    from koszuldg.grlin import mat_mul, mat_add
+    from koszuldg.grlin import mat_mul
     ij = mat_mul(a0.block(1), a1.block(0))
     ji = mat_mul(a1.block(1), a0.block(0))
     assert is_zero_matrix(mat_add(ij, ji))
@@ -482,6 +487,14 @@ def _sample_modules(rng):
     mods = [alg.lambda_as_module(L1), alg.lambda_as_module(L2),
             alg.basic_injective(R1, Window(0, 6)),
             alg.to_degreewise(alg.koszul_model(R2), Window(-6, 2))]
+    # windowed: incomplete below, incomplete above, and cut on both sides, so
+    # that identities reaching past the known range are skipped alike
+    windowed = [alg.poly_as_module(R2, Window(-6, 0)),
+                alg.basic_injective(R2, Window(0, 5)),
+                alg.to_degreewise(alg.koszul_model(R2), Window(-4, -1))]
+    assert [(W.complete_below, W.complete_above) for W in windowed] == [
+        (False, True), (True, False), (False, False)]
+    mods += windowed
     for _ in range(3):
         mods.append(sm.random_torsion_dg_module(R1, rng, max_total=6))
         mods.append(sm.random_torsion_dg_module(R2, rng, max_total=6))

@@ -2,7 +2,8 @@
 under `python -O`, which strips every `assert`: they must still reject.  A
 coextension runs there too, since its solution-space test was an assert, and
 so do forced failures of the closure tests of homology_module and gamma_m,
-which were asserts as well."""
+and a free DG module whose differential has the wrong shape, which were
+asserts as well."""
 import json
 import os
 import subprocess
@@ -100,6 +101,8 @@ cases = {
     "homology_not_closed": forced("express_in_homology",
                                   lambda: alg.homology_module(X)),
     "gamma_not_closed": forced("coordinates", lambda: alg.gamma_m(X)),
+    "free_shape": lambda: alg.FreeDGModule(
+        R1, (("a", 0), ("b", -1)), ((R1.zero(), R1.zero()),)),
 }
 for name, build in cases.items():
     try:
@@ -140,6 +143,8 @@ def test_rejections_hold_without_asserts():
         "coextend_escaped": ("InvariantViolation", "composite escaped the solution space"),
         "homology_not_closed": ("InvariantViolation", "action image is not a cycle class"),
         "gamma_not_closed": ("InvariantViolation", "torsion part is not closed"),
+        "free_shape": ("InvariantViolation",
+                       "free differential is not a 2x2 matrix on the basis"),
     }
     assert {k: (v[0], v[2]) for k, v in out.items()} == want
     assert all(v[1] for v in out.values()), "every rejection is a ValueError"

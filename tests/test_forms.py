@@ -10,15 +10,19 @@ message."""
 import copy
 import dataclasses
 import random
+import sys
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
 from koszuldg import algebra as alg
 from koszuldg import duality as du
+from koszuldg import grlin
 from koszuldg import groups as gr
 from koszuldg import resolve as rs
 from koszuldg import samples as sm
+from koszuldg.modfile import parse_module
 from koszuldg.grlin import (
     CompositionNotZero,
     GradedMap,
@@ -26,6 +30,7 @@ from koszuldg.grlin import (
     HomologyPiece,
     LinearSystem,
     Window,
+    _assemble,
     _dense,
     _echelon,
     _int_form,
@@ -514,6 +519,79 @@ def dense_tensor(N, R, w):
     return dims, labels, [diff_blocks] + act_blocks
 
 
+def dense_assemble(rows, cols, pieces):
+    """The block assembler as it was before it returned integer forms: the
+    integer sum over one common denominator, made dense once; None when it
+    is zero."""
+    pieces = [p for p in pieces if p[0] is not None]
+    den = lcm(*[form[0] for form, *_ in pieces])
+    acc = [{} for _ in range(rows)]
+    for (fden, frows, _), r0, c0, scale in pieces:
+        for i, row in enumerate(frows, r0):
+            for j, v in row.items():
+                acc[i][c0 + j] = acc[i].get(c0 + j, 0) + scale * (den // fden) * v
+    acc = [{j: x for j, x in row.items() if x} for row in acc]
+    return _dense(den, acc, cols) if any(acc) else None
+
+
+def dense_shift_blocks(M, a):
+    """The blocks of M.shift(a), each stored dense block scaled by its sign."""
+    out = []
+    for g, gm in [(-1, M.diff)] + list(zip(M.generator_degrees(), M.actions)):
+        sgn = -1 if (a % 2 and g % 2) else 1
+        out.append({n + a: [[sgn * x for x in row] for row in b]
+                    for n, b in gm.blocks.items()})
+    return out
+
+
+def dense_matlis_blocks(M):
+    """The blocks of matlis_dual(M): dense transposes, Koszul-signed."""
+    dims = {-n: d for n, d in M.space.dims.items()}
+    diff = {}
+    for n in range(-M.hi, -M.lo + 1):
+        if dims.get(n, 0) == 0 or dims.get(n - 1, 0) == 0:
+            continue
+        sgn = -1 if n % 2 == 0 else 1
+        m = [[sgn * x for x in row] for row in transpose(M.diff.block(1 - n))]
+        if not is_zero_matrix(m):
+            diff[n] = m
+    acts = []
+    for i, g in enumerate(M.generator_degrees()):
+        blocks = {}
+        for n in range(-M.hi, -M.lo + 1):
+            t = n + g
+            if dims.get(n, 0) == 0 or dims.get(t, 0) == 0:
+                continue
+            sgn = -1 if g % 2 and n % 2 else 1
+            m = [[sgn * x for x in row] for row in transpose(M.actions[i].block(-t))]
+            if not is_zero_matrix(m):
+                blocks[n] = m
+        acts.append(blocks)
+    return [diff] + acts
+
+
+def dense_homology_actions(M, HM):
+    """The action blocks of HM = homology_module(M), filled entry by entry
+    into dense zero blocks from the class coordinates of the images."""
+    H = alg.homology(M)
+    acts = []
+    for i, g in enumerate(M.generator_degrees()):
+        blocks = {}
+        for n in HM.space.dims:
+            t = n + g
+            if t not in HM.space.dims:
+                continue
+            m = zeros(HM.dim(t), HM.dim(n))
+            for col, rep in enumerate(H.pieces[n].representatives):
+                coords = alg.express_in_homology(M, H, t, M.actions[i].apply(n, rep))
+                for row, c in enumerate(coords):
+                    m[row][col] = c
+            if not is_zero_matrix(m):
+                blocks[n] = m
+        acts.append(blocks)
+    return acts
+
+
 def blocks_of(M):
     return [M.diff.blocks] + [a.blocks for a in M.actions]
 
@@ -575,8 +653,8 @@ def test_homology_at_matches_dense_version_on_samples():
     rng = random.Random(41)
     checked = 0
     for M in sample_modules(rng):
-        # the module's own check has converted the differential already
-        assert M.total_dim() == 0 or M.diff._forms or not M.diff.blocks
+        # the module stores its differential as integer forms
+        assert M.total_dim() == 0 or M.diff.forms or not M.diff.blocks
         for d in (M.diff, fresh(M.diff)):
             for n in range(M.lo - 1, M.hi + 2):
                 want = dense_homology_at(d, d, n)
@@ -699,6 +777,52 @@ def test_sums_and_cones_match_dense_assembly():
                 dense_cone_blocks(f, C)
             cones += bool(f.blocks)
     assert sums >= 20 and cones >= 10
+
+
+def test_assemble_matches_dense_assembly():
+    rng = random.Random(55)
+    nonzero = 0
+    for _ in range(200):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        pieces = []
+        for _ in range(rng.randint(0, 4)):
+            r, c = rng.randint(0, rows), rng.randint(0, cols)
+            m = random_matrix(rng, rng.randint(0, rows - r), rng.randint(0, cols - c), 0.4)
+            f = _int_form(m) if m and m[0] else None
+            pieces.append((f if f is None or any(f[1]) else None, r, c,
+                           rng.choice((1, -1, 2, -3))))
+        if rng.random() < 0.2 and pieces and pieces[0][0] is not None:
+            f, r, c, k = pieces[0]
+            pieces.append((f, r, c, -k))  # cancels the first piece
+        want = dense_assemble(rows, cols, pieces)
+        got = _assemble(rows, cols, pieces)
+        assert (want is None) if got is None else _dense(*got) == want
+        nonzero += got is not None
+    assert nonzero >= 25
+
+
+def test_shift_and_matlis_dual_match_dense_constructors():
+    rng = random.Random(56)
+    checked = 0
+    for M in sample_modules(rng):
+        for a in (-3, -1, 2):
+            assert blocks_of(M.shift(a)) == dense_shift_blocks(M, a)
+        D = alg.matlis_dual(M)
+        assert blocks_of(D) == dense_matlis_blocks(M)
+        checked += sum(bool(gm.forms) for gm in (D.diff, *D.actions))
+    assert checked >= 20
+
+
+def test_homology_module_matches_dense_constructor():
+    rng = random.Random(57)
+    checked = 0
+    for M in sample_modules(rng):
+        if not M.is_finite():
+            continue
+        HM = alg.homology_module(M)
+        assert [a.blocks for a in HM.actions] == dense_homology_actions(M, HM)
+        checked += sum(bool(a.forms) for a in HM.actions)
+    assert checked >= 5
 
 
 # ---------------------------------------------------------------------------
@@ -907,7 +1031,7 @@ def test_free_ext_connecting_maps_match_dense_assembly():
                 for t in range(-12, 8):
                     want = dense_ext_connecting_free(res, s, t, N)
                     got = rs._ext_connecting_free(res, s, t, N)
-                    assert (is_zero_matrix(want) if got is None else got == want)
+                    assert same_block(got, want)
                     nonzero += got is not None
     assert nonzero >= 10
 
@@ -978,3 +1102,34 @@ def test_lift_equations_match_dense_loops():
         assert forms.kernel() == dense.kernel()
         solved += dense.solve() is not None and any(dense.solve().values())
     assert solved >= 10
+
+
+# ---------------------------------------------------------------------------
+# dense blocks are converted only where they enter: module files
+
+
+# R/(x1^2, x2^2) over T^2
+T2_TORSION = ("algebra poly 2,2\nwindow -4 0\ncomplete both\n"
+              "component 0 u\ncomponent -2 v1 v2\ncomponent -4 z\n"
+              "x1 u = v1\nx2 u = v2\nx2 v1 = z\nx1 v2 = z\n")
+
+
+def test_torsion_round_trip_converts_dense_blocks_only_while_parsing(monkeypatch):
+    callers = []
+    kept = grlin._int_form
+
+    def counted(m):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        callers.append("parse_module" in names)
+        return kept(m)
+
+    monkeypatch.setattr(grlin, "_int_form", counted)
+    X = parse_module(T2_TORSION)
+    parsed = len(callers)
+    out = du.roundtrip_check(X)
+    assert out.side == "torsion" and out.agrees and out.left_dims
+    assert parsed and all(callers), f"{callers.count(False)} conversions outside parsing"
+    assert len(callers) == parsed

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from koszuldg.grlin import Window, is_zero_matrix
+from koszuldg.grlin import Window, is_zero_matrix, rank
 from koszuldg import algebra as alg
 from koszuldg import groups as gr
 from koszuldg import samples as sm
@@ -145,6 +145,80 @@ def test_derived_dual_catalog(name, length, gamma):
     assert dd.resolution.length == length
     assert dd.free_rank_one
     assert dd.generator_degree == gamma == MAPS[name].relative_dimension
+
+
+def exhaustive_certificate(rm, dual, realized, H, dual_lifts, win):
+    """The freeness certificate as it was before pruning: every monomial
+    image of the top class is followed and expressed in homology.  Images
+    reached along several words are followed once each, which leaves the
+    set of images, and so the verdict, as it was."""
+    T = rm.target
+    certified = list(H.certified_range())
+    support = sorted(H.dims())
+    if not support:
+        return None, False
+    gamma = support[-1]
+    if H.dims().get(gamma) != 1:
+        return gamma, False
+    for n in certified:
+        if H.dim(n) is not None and H.dim(n) != T.dim(n - gamma):
+            return gamma, False
+    maps = [gr.realize_poly_map(dual, realized, dual_lifts[j], -T.codegrees[j])
+            for j in range(T.r)]
+    top = H.representatives(gamma)[0]
+    frontier, reach = [(gamma, top)], {gamma: [top]}
+    for _ in range(2 * (win.hi - win.lo)):
+        new_frontier = []
+        for n, vec in frontier:
+            for j in range(T.r):
+                t = n - T.codegrees[j]
+                if t < min(certified, default=0):
+                    continue
+                img = maps[j].apply(n, vec)
+                if any(img) and img not in reach.setdefault(t, []):
+                    reach[t].append(img)
+                    new_frontier.append((t, img))
+        if not new_frontier:
+            break
+        frontier = new_frontier
+    for n in certified:
+        if not H.dim(n):
+            continue
+        vecs = []
+        for v in reach.get(n, []):
+            coords = alg.express_in_homology(realized, H, n, v)
+            if coords is None:
+                return gamma, False
+            vecs.append(coords)
+        if not vecs or rank(vecs) < H.dim(n):
+            return gamma, False
+    return gamma, True
+
+
+def certificate_inputs(rm, lifts=None):
+    dd = gr.derived_dual(rm)
+    lifts = dd.dual_lifts if lifts is None else lifts(dd)
+    H = alg.homology(dd.realized)
+    return (rm, dd.dual, dd.realized, H, lifts,
+            Window(dd.realized.lo, dd.realized.hi)), dd
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_pruned_freeness_certificate_matches_exhaustive(name):
+    args, dd = certificate_inputs(MAPS[name])
+    got = gr._freeness_certificate(*args[:-1])
+    assert got == exhaustive_certificate(*args) == (dd.generator_degree, True)
+
+
+def test_pruned_freeness_certificate_fails_where_exhaustive_fails():
+    rm = MAPS["T<SU(2)"]
+
+    def zero(dd):  # lifts acting by zero reach nothing below the top class
+        return [[[rm.source.zero() for _ in row] for row in Y] for Y in dd.dual_lifts]
+
+    args, dd = certificate_inputs(rm, zero)
+    got = gr._freeness_certificate(*args[:-1])
+    assert got == exhaustive_certificate(*args) == (dd.generator_degree, False)
 
 
 def test_derived_dual_t_in_su2_generator_degrees():

@@ -1,11 +1,11 @@
-"""Blocks are read-only once a graded map exists.
+"""Stored block forms are read-only once a graded map exists.
 
-GradedMap.form converts a stored block once and keeps the result with the
-map, so a block written afterwards would be read stale.  Here every map built
-while an operation runs holds read-only copies of its block dict and of each
-block's rows, and the blocks handed to it are compared with a snapshot
-afterwards, so a write through the map or through any other reference to
-its blocks fails the test.
+A GradedMap stores the integer forms handed to it as they are, and maps
+built from one another share them, so a form row written afterwards would
+change every map holding it.  Here every map built while an operation runs
+holds read-only copies of its forms dict and of each form's rows, and the
+forms it stored are compared with a snapshot afterwards, so a write through
+the map or through any other reference to its rows fails the test.
 """
 import random
 from fractions import Fraction as F
@@ -38,26 +38,26 @@ class ReadOnlyRows(list):
     append = extend = insert = pop = remove = clear = sort = reverse = _refuse
 
 
-class ReadOnlyBlocks(dict):
+class ReadOnlyDict(dict):
     __setitem__ = __delitem__ = __ior__ = _refuse
     update = setdefault = pop = popitem = clear = _refuse
 
 
 def _guard(monkeypatch) -> list:
     """Patch GradedMap to store read-only copies; returns the list of
-    (blocks handed over, their snapshot)."""
+    (forms stored, their snapshot)."""
     handed = []
-    post_init = GradedMap.__post_init__
+    init = GradedMap.__init__
 
-    def frozen(self):
-        post_init(self)
-        handed.append((self.blocks, _snapshot(self.blocks)))
-        self.blocks = ReadOnlyBlocks(
-            {n: ReadOnlyRows(ReadOnlyRows(row) for row in m)
-             for n, m in self.blocks.items()})
+    def frozen(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        handed.append((self.forms, _snapshot(self.forms)))
+        self.forms = ReadOnlyDict(
+            {n: (den, ReadOnlyRows(ReadOnlyDict(row) for row in rows), cols)
+             for n, (den, rows, cols) in self.forms.items()})
 
     WRITES.clear()
-    monkeypatch.setattr(GradedMap, "__post_init__", frozen)
+    monkeypatch.setattr(GradedMap, "__init__", frozen)
     return handed
 
 
@@ -74,8 +74,9 @@ def read_only_blocks(monkeypatch):
     assert _untouched(handed)
 
 
-def _snapshot(blocks):
-    return {n: [list(row) for row in m] for n, m in blocks.items()}
+def _snapshot(forms):
+    return {n: (den, [dict(row) for row in rows], cols)
+            for n, (den, rows, cols) in forms.items()}
 
 
 T_MODULE = ("algebra poly 2\nwindow -2 1\ncomplete both\n"
@@ -118,15 +119,22 @@ def test_operation_writes_no_stored_block(name, read_only_blocks):
 
 def test_guard_sees_writes(monkeypatch):
     handed = _guard(monkeypatch)
-    vs = GradedVS({0: 1, 1: 1})
-    block = [[F(1)]]
-    gm = GradedMap(vs, vs, -1, {1: block})
+    vs = GradedVS({0: 1, 1: 1, 2: 1})
+    rows = [{0: 1}]
+    gm = GradedMap(vs, vs, -1, {1: (1, rows, 1), 2: [[F(1, 2)]]})
     assert _untouched(handed)
+    assert gm.blocks == {1: [[F(1)]], 2: [[F(1, 2)]]}
     with pytest.raises(BlockWritten):
-        gm.blocks[1][0][0] = F(2)
+        gm.forms[1][1][0][0] = 2
     with pytest.raises(BlockWritten):
-        gm.blocks[0] = [[F(1)]]
+        gm.forms[1][1].append({})
+    with pytest.raises(BlockWritten):
+        gm.forms[0] = (1, [{0: 1}], 1)
     assert not _untouched(handed)
     WRITES.clear()
-    block[0][0] = F(2)  # through the reference the caller kept
+    rows[0][0] = 2  # through the reference the caller kept
     assert not _untouched(handed)
+    # a dense view is a copy: writing it leaves the map as it was
+    WRITES.clear()
+    gm.block(2)[0][0] = F(3)
+    assert gm.block(2) == [[F(1, 2)]]
