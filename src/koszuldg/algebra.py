@@ -716,7 +716,7 @@ def free_basis(F: FreeDGModule, n: int) -> list:
 def _vector_to_poly_column(F: FreeDGModule, n: int, v) -> list:
     """Decode a realized degree-n vector into one Poly per free generator."""
     R = F.algebra
-    cols = [R.zero() for _ in range(F.rank)]
+    cols = [R.zero() for _ in F.basis]
     for (j, alpha), c in zip(free_basis(F, n), v):
         if c:
             cols[j] = cols[j] + Poly(R, {alpha: c})

@@ -6,16 +6,21 @@ finite-dimensional.  The generator degrees of each syzygy stage are known in
 advance from an independent finite computation (homology of the module
 tensored with the exterior Koszul complex), which both sizes the windows and
 cross-checks the construction.  Injective resolutions are graded duals of
-free ones; Ext is computed along both routes as mutual oracles; derived Hom
-uses a semifree replacement built by killing cone homology from the top.
+free ones; Ext is computed along both routes as mutual oracles.  Derived Hom
+uses a semifree replacement built by killing cone homology from the top: a
+scan reads the cone one degree at a time from its two differential blocks
+there, and one final gate builds and checks the whole replacement and its
+cone before it is returned.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .grlin import (
     GradedMap,
+    GradedVS,
     LinearSystem,
     Subspace,
     Window,
@@ -24,6 +29,7 @@ from .grlin import (
     _entry,
     _int_product,
     _transposed,
+    homology_at,
     kernel_basis,
     rank,
     transpose,
@@ -735,65 +741,100 @@ class SemifreeReplacement:
     floor: int
 
 
+# the cells of a replacement under construction, read as a FreeDGModule is
+# read but built without its checks
+_Cells = namedtuple("_Cells", "algebra basis diff")
+
+
+def _cone_classes(X: DGModule, F: _Cells, to_x: list, m: int,
+                  bases: dict, blocks: dict) -> list:
+    """Representatives of the homology at m of the cone of the realized
+    cells F -> X (generator j sent to to_x[j]), from the cone's differential
+    blocks at m and m + 1 alone, placed as mapping_cone places them.  bases
+    and blocks keep free bases and blocks by degree."""
+    for k in range(m - 2, m + 1):
+        if k not in bases:
+            bases[k] = free_basis(F, k)
+    dims = {k: X.dim(k) + len(bases[k - 1]) for k in range(m - 1, m + 2)}
+    if not dims[m]:
+        return []
+    for k in (m, m + 1):
+        if k not in blocks:
+            blocks[k] = _assemble(dims[k - 1], dims[k], [
+                (X.diff.form(k), 0, 0, 1),
+                (_evaluate(F, X, to_x, k - 1), 0, X.dim(k), 1),
+                (_realize(F.diff, bases[k - 1], bases[k - 2]), X.dim(k - 1), X.dim(k), -1)])
+    space = GradedVS(dims)
+    d = GradedMap(space, space, -1, {k: blocks[k] for k in (m, m + 1)})
+    return homology_at(d, d, m).representatives
+
+
 def semifree_replacement(X: DGModule, floor: int,
                          max_rounds: int = 200) -> SemifreeReplacement:
     """Free cell approximation of a finite DG module, built top-down.
 
-    Each round kills the top remaining cone homology class by a cell whose
-    differential is the class's shifted-source component and whose comparison
-    value is its target component; the loop re-verifies acyclicity of the
-    whole cone above the floor before stopping.
+    A scan reads the cone of the cells' map to X one degree at a time from
+    the top of the window down (_cone_classes).  At the first degree with
+    homology it adds one cell per class, whose differential is the class's
+    shifted-source component and whose comparison value is its target
+    component; that kills the degree and leaves the homology above it as it
+    was, so the scan goes on one degree lower.  At the floor, a gate builds
+    the cells, their realization, the comparison and its cone once, with
+    every check, and returns only if the whole cone's homology vanishes at
+    and above the floor; otherwise the scan resumes at the top class left.
+    Each scan ending in cells or in the gate is one of max_rounds rounds.
     """
     R = X.algebra
     if not X.is_finite():
         raise UnboundedInput("semifree replacement needs a finite module")
     top = (X.support_max() if X.total_dim() else 0) or 0
     win = Window(floor - 1, top + 2)
-    cells: list = []
-    diff_rows: list = []
-    to_x: list = []
-
-    def assemble():
-        n = len(cells)
-        mat = tuple(tuple(diff_rows[i][j] for j in range(n)) for i in range(n))
-        F = FreeDGModule(R, tuple(cells), mat)
-        realized = to_degreewise(F, win, name="cells")
-        blocks = {}
-        for m in range(win.lo, win.hi + 1):
-            blocks[m] = _evaluate(F, X, to_x, m)
-        p = ChainMap(realized, X, 0, blocks)
-        return F, realized, p
-
+    cells, diff_rows, to_x = [], [], []
+    F, bases, blocks = _Cells(R, (), diff_rows), {}, {}
+    # cone degree m reads cells of degree m - 2, realized from floor + 1 up;
+    # the gate reports degree floor only when R has no generators
+    start, bottom = win.hi + 1, floor + 1
     for _ in range(max_rounds):
-        F, realized, p = assemble()
-        cone = mapping_cone(p)
-        H = homology(cone)
-        bad = [n for n in sorted(H.dims(), reverse=True) if n >= floor]
-        if not bad:
-            return SemifreeReplacement(F, realized, p, floor)
-        n = bad[0]
-        db = X.known_dim(n) or 0
-        for rep in H.representatives(n):
-            x_part = rep[:db]
-            a_part = rep[db:]
-            lab = f"c{len(cells)}"
-            col_polys = _vector_to_poly_column(F, n - 1, a_part) if cells else []
-            cells.append((lab, n))
+        reps = []
+        for n in range(start, bottom - 1, -1):
+            reps = _cone_classes(X, F, to_x, n, bases, blocks)
+            if reps:
+                break
+        if not reps:
+            G = FreeDGModule(R, tuple(cells), tuple(map(tuple, diff_rows)))
+            realized = to_degreewise(G, win, name="cells")
+            p = ChainMap(realized, X, 0, {m: _evaluate(G, X, to_x, m)
+                                          for m in win.degrees()})
+            H = homology(mapping_cone(p))
+            bad = [n for n in sorted(H.dims(), reverse=True) if n >= floor]
+            if not bad:
+                return SemifreeReplacement(G, realized, p, floor)
+            start, bottom = bad[0], min(bottom, bad[0])
+            continue
+        db = X.dim(n)
+        for rep in reps:
+            col_polys = _vector_to_poly_column(F, n - 1, rep[db:])
+            cells.append((f"c{len(cells)}", n))
             for i, row in enumerate(diff_rows):
                 row.append(col_polys[i].scale(-1) if i < len(col_polys) else R.zero())
             diff_rows.append([R.zero()] * len(cells))
-            to_x.append(list(x_part))
+            to_x.append(rep[:db])
+        F, bases, blocks = _Cells(R, tuple(cells), diff_rows), {}, {}
+        start = n - 1
     raise WindowTooSmall("semifree replacement did not stabilize")
 
 
 @dataclass
 class RHomResult:
-    """Derived Hom homology with its certified window."""
+    """Derived Hom homology with its certified window.
+
+    replacement is the source's semifree replacement, or None when the
+    source or the target is zero and no replacement was built."""
 
     dims: dict
     window: Window
     hom_module: DGModule
-    replacement: SemifreeReplacement
+    replacement: SemifreeReplacement | None
 
     def dim(self, n: int) -> int | None:
         if self.window.guaranteed_lo <= n <= self.window.guaranteed_hi:
@@ -818,10 +859,7 @@ def rhom_homology(X: DGModule, Y: DGModule, w: Window) -> RHomResult:
     if not Y.is_torsion():
         raise UnboundedInput("rhom needs a torsion target")
     if Y.total_dim() == 0 or X.total_dim() == 0:
-        return RHomResult({}, w, zero_module(X.algebra),
-                          SemifreeReplacement(free_module(X.algebra, []),
-                                              zero_module(X.algebra),
-                                              None, 0))
+        return RHomResult({}, w, zero_module(X.algebra), None)
     y_lo = Y.support_min()
     floor = y_lo - w.hi - 2
     rep = semifree_replacement(X, floor)

@@ -4,9 +4,9 @@ kernel basis, the dense matrix-vector product, Hom from a free complex,
 direct sums, mapping cones, totalizations, the left shriek, the free Ext
 connecting maps and the twisted tensor assembled entry by entry from dense
 blocks, polynomial matrices realized entry by entry, and free maps
-evaluated on module elements through dense polynomial actions.  Pieces,
-vectors and blocks must be equal, and rejections must carry the same
-message."""
+evaluated on module elements through dense polynomial actions, and the
+semifree replacement rebuilt whole every round.  Pieces, vectors, blocks and
+cells must be equal, and rejections must carry the same message."""
 import copy
 import dataclasses
 import random
@@ -962,6 +962,86 @@ def test_evaluation_sites_match_dense_augmentation_loop():
             images.append([row[col] for row in f.block(b)])
         for n in range(rep.realized.lo, rep.realized.hi + 1):
             assert same_block(f.map.form(n), dense_evaluate(cells, M, images, n))
+
+
+def rebuild_semifree_replacement(X, floor, max_rounds=200):
+    """semifree_replacement as it was before the per-degree scan: every round
+    builds the cells, their realization, the comparison and the whole cone
+    with all their checks, and kills the top class of the cone's homology."""
+    R = X.algebra
+    top = (X.support_max() if X.total_dim() else 0) or 0
+    win = Window(floor - 1, top + 2)
+    cells, diff_rows, to_x = [], [], []
+    for _ in range(max_rounds):
+        Fr = alg.FreeDGModule(R, tuple(cells), tuple(tuple(row) for row in diff_rows))
+        realized = alg.to_degreewise(Fr, win, name="cells")
+        p = alg.ChainMap(realized, X, 0, {m: alg._evaluate(Fr, X, to_x, m)
+                                          for m in win.degrees()})
+        H = alg.homology(alg.mapping_cone(p))
+        bad = [n for n in sorted(H.dims(), reverse=True) if n >= floor]
+        if not bad:
+            return rs.SemifreeReplacement(Fr, realized, p, floor)
+        n = bad[0]
+        db = X.dim(n)
+        for rep in H.representatives(n):
+            col_polys = alg._vector_to_poly_column(Fr, n - 1, rep[db:]) if cells else []
+            cells.append((f"c{len(cells)}", n))
+            for i, row in enumerate(diff_rows):
+                row.append(col_polys[i].scale(-1) if i < len(col_polys) else R.zero())
+            diff_rows.append([R.zero()] * len(cells))
+            to_x.append(list(rep[:db]))
+    raise rs.WindowTooSmall("semifree replacement did not stabilize")
+
+
+def test_semifree_replacement_matches_rebuild_loop():
+    rng = random.Random(52)
+    RSU2 = alg.poly_algebra(alg.named_group("SU(2)"))
+    # k over the trivial group at floor 0: its class sits at the floor,
+    # which only the final whole-cone check reports
+    cases = [(alg.residue_field(R1), -8),
+             (alg.residue_field(alg.poly_algebra(alg.named_group("1"))), 0)]
+    for R in (R1, RSU2, R2):
+        for _ in range(3):
+            M = sm.random_torsion_dg_module(R, rng)
+            cases += [(M, floor) for floor in (-4, -6, -10)]
+    cells = 0
+    for X, floor in cases:
+        got = rs.semifree_replacement(X, floor)
+        want = rebuild_semifree_replacement(X, floor)
+        assert got.cells.basis == want.cells.basis
+        assert got.cells.diff == want.cells.diff
+        assert got.comparison.map.forms == want.comparison.map.forms
+        cells += len(got.cells.basis)
+    assert cells >= 100
+
+
+def test_cone_classes_match_whole_cone_homology_on_partial_cells():
+    # the first j cells of a replacement span a sub-DG-module, and the cone
+    # of its comparison still has homology for the scan to find
+    rng = random.Random(53)
+    found = 0
+    for R in (R1, R2):
+        for _ in range(2):
+            X, floor = sm.random_torsion_dg_module(R, rng), -6
+            rep = rs.semifree_replacement(X, floor)
+            cells, f = rep.cells, rep.comparison
+            images = []
+            for j, (_, b) in enumerate(cells.basis):
+                col = alg.free_basis(cells, b).index((j, (0,) * R.r))
+                images.append([row[col] for row in f.block(b)])
+            win = rep.realized.window()
+            for j in range(cells.rank):
+                Fj = alg.FreeDGModule(R, cells.basis[:j],
+                                      tuple(row[:j] for row in cells.diff[:j]))
+                p = alg.ChainMap(alg.to_degreewise(Fj, win), X, 0,
+                                 {m: alg._evaluate(Fj, X, images, m)
+                                  for m in win.degrees()})
+                H = alg.homology(alg.mapping_cone(p))
+                for m in range(floor + 1, win.hi + 2):
+                    got = rs._cone_classes(X, Fj, images, m, {}, {})
+                    assert got == H.representatives(m)
+                    found += bool(got)
+    assert found >= 20
 
 
 # ---------------------------------------------------------------------------

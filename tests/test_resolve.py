@@ -168,3 +168,62 @@ def test_semifree_replacement_rediscovers_koszul_cells():
     rep = rs.semifree_replacement(k1, -8)
     assert sorted(b for _, b in rep.cells.basis) == [-1, 0]
     assert alg.homology(alg.mapping_cone(rep.comparison)).is_zero()
+
+
+def counted(monkeypatch, *names):
+    """Count the calls resolve makes to each named function or class."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def call(*args, _name=name, _kept=getattr(rs, name), **kwargs):
+            counts[_name] += 1
+            return _kept(*args, **kwargs)
+        monkeypatch.setattr(rs, name, call)
+    return counts
+
+
+def torsion_module_over_T():
+    return sm.random_torsion_dg_module(R1, random.Random(7))
+
+
+def test_semifree_replacement_builds_and_checks_once(monkeypatch):
+    X = torsion_module_over_T()
+    counts = counted(monkeypatch, "FreeDGModule", "to_degreewise", "mapping_cone")
+    rep = rs.semifree_replacement(X, -6)
+    assert len({b for _, b in rep.cells.basis}) >= 3  # several rounds of cells
+    assert counts == {"FreeDGModule": 1, "to_degreewise": 1, "mapping_cone": 1}
+
+
+def test_semifree_gate_catches_a_class_the_scan_missed(monkeypatch):
+    X, floor = torsion_module_over_T(), -6
+    kept, missed = rs._cone_classes, []
+
+    def miss_once(*args):
+        reps = kept(*args)
+        if reps and not missed:
+            missed.append(reps)
+            return []
+        return reps
+
+    monkeypatch.setattr(rs, "_cone_classes", miss_once)
+    counts = counted(monkeypatch, "FreeDGModule")
+    rep = rs.semifree_replacement(X, floor)
+    assert missed and counts["FreeDGModule"] == 2
+    H = alg.homology(alg.mapping_cone(rep.comparison))
+    assert H.certified[0] <= floor + 1
+    assert not [n for n in H.dims() if n >= floor]
+
+
+def test_semifree_replacement_rejects_too_few_rounds():
+    # k over T takes two rounds of cells and the final check
+    assert len(rs.semifree_replacement(k1, -8, max_rounds=3).cells.basis) == 2
+    with pytest.raises(rs.WindowTooSmall):
+        rs.semifree_replacement(k1, -8, max_rounds=2)
+
+
+def test_rhom_with_a_zero_side_builds_no_replacement():
+    zero = alg.zero_module(R1)
+    for X, Y in ((zero, k1), (k1, zero)):
+        out = rs.rhom_homology(X, Y, Window(-3, 4))
+        assert out.replacement is None
+        assert out.dims == {} and out.nonzero() == {}
+        assert out.dim(0) == 0 and out.hom_module.total_dim() == 0
