@@ -11,14 +11,14 @@ route, and degeneration is certified or refuted degree by degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .grlin import (
     LinearSystem,
     Window,
+    _columns_form,
     _form_rank,
     kernel_basis,
-    zeros,
+    unit_vector,
 )
 from .algebra import (
     ChainMap,
@@ -28,6 +28,7 @@ from .algebra import (
     NotTorsion,
     PolyAlgebra,
     basic_injective,
+    chain_map_from_blocks,
     direct_sum,
     fibre,
     hom_R,
@@ -72,15 +73,10 @@ def socle(M: DGModule) -> dict:
         if rows is None:
             continue
         vecs = kernel_basis(rows, cols=M.dim(n)) if rows else [
-            _unit(M.dim(n), j) for j in range(M.dim(n))]
+            unit_vector(M.dim(n), j) for j in range(M.dim(n))]
         if vecs:
             out[n] = vecs
     return out
-
-
-def _unit(n, j):
-    from .grlin import unit_vector
-    return unit_vector(n, j)
 
 
 def injective_hull_embedding(N: DGModule, pad: int = 4):
@@ -106,76 +102,36 @@ def injective_hull_embedding(N: DGModule, pad: int = 4):
     for p in pieces[1:]:
         W = direct_sum(W, p)
     W.name = "hull"
-    # embedding: unknown blocks, prescribed on the socle
+    # embedding: unknown blocks, module maps, prescribed on the socle
     sys = LinearSystem()
     for n in N.degrees():
         tb = W.known_dim(n)
         if tb is None:
             raise WindowTooSmall("hull window too small")
-        for rr in range(tb):
-            for cc in range(N.dim(n)):
-                sys.var((n, rr, cc))
-    gens = N.generator_degrees()
+        sys.unknowns(n, tb, N.dim(n))
     for n in N.degrees():
-        for i, g in enumerate(gens):
+        for i, g in enumerate(N.generator_degrees()):
             tb2 = W.known_dim(n + g)
             if tb2 is None:
                 raise WindowTooSmall("hull window too small")
-            nblk = N.actions[i].block(n)
-            wblk = W.actions[i].block(n)
-            for rr in range(tb2):
-                for cc in range(N.dim(n)):
-                    coeffs = {}
-                    for kk in range(W.known_dim(n) or 0):
-                        if wblk[rr][kk]:
-                            coeffs[(n, kk, cc)] = coeffs.get((n, kk, cc), Fraction(0)) + wblk[rr][kk]
-                    for kk in range(N.dim(n + g)):
-                        if nblk[kk][cc]:
-                            key = (n + g, rr, kk)
-                            coeffs[key] = coeffs.get(key, Fraction(0)) - nblk[kk][cc]
-                    if coeffs:
-                        sys.add_equation(coeffs)
-    # socle pairing: the socle vector for summand p maps to that summand's
-    # bottom class
-    offsets = {}
-    at = 0
-    for p, s in enumerate(shifts):
-        offsets[p] = at
-    # offsets within W at each degree: summand p occupies a block whose
-    # position depends on the direct-sum construction order; recompute:
-    def summand_offset(p, n):
-        off = 0
-        for q in range(p):
-            off += pieces_dim(q, n)
-        return off
-
-    def pieces_dim(q, n):
-        return pieces[q].known_dim(n) or 0
-
+            sys.equate(tb2, N.dim(n), left=[(1, W.actions[i].form(n), n)],
+                       right=[(-1, n + g, N.actions[i].form(n))])
+    # socle pairing: Y_n . v = the bottom class of summand p for the socle
+    # vector v of summand p, the summands sitting in W in order
     p = 0
     for n in sorted(soc):
-        for vec in soc[n]:
-            # socle vector -> bottom of summand p (its only class at degree n)
-            off = summand_offset(p, n)
-            for rr in range(W.known_dim(n) or 0):
-                coeffs = {}
-                target = Fraction(1) if rr == off else Fraction(0)
-                for cc in range(N.dim(n)):
-                    if vec[cc]:
-                        coeffs[(n, rr, cc)] = vec[cc]
-                sys.add_equation(coeffs, rhs=target)
-            p += 1
+        vecs, rows = soc[n], W.known_dim(n) or 0
+        target = [{} for _ in range(rows)]
+        for j in range(len(vecs)):
+            target[sum(pieces[q].known_dim(n) or 0 for q in range(p + j))][j] = 1
+        sys.equate(rows, len(vecs),
+                   right=[(1, n, _columns_form(enumerate(vecs), N.dim(n), len(vecs)))],
+                   rhs=(1, target, len(vecs)))
+        p += len(vecs)
     sol = sys.solve()
     if sol is None:
         raise LinearSolveFailed("no module map extending the socle pairing")
-    blocks = {}
-    for (n, rr, cc), v in sol.items():
-        if not v:
-            continue
-        if n not in blocks:
-            blocks[n] = zeros(W.known_dim(n), N.dim(n))
-        blocks[n][rr][cc] = v
-    emb = ChainMap(N, W, 0, blocks)
+    emb = chain_map_from_blocks(N, W, 0, sol)
     for n in N.degrees():
         if _form_rank(emb.map.form(n)) != N.dim(n):
             raise InvariantViolation(f"hull embedding not injective at degree {n}")
@@ -215,80 +171,36 @@ def lift_through_homology(Y: DGModule, W: DGModule, emb: ChainMap,
     """
     sys = LinearSystem()
     for n in range(Y.lo, Y.hi + 1):
-        tb = W.known_dim(n)
-        if tb is None:
-            continue
-        for rr in range(tb):
-            for cc in range(Y.dim(n)):
-                sys.var((n, rr, cc))
+        if W.known_dim(n) is not None:
+            sys.unknowns(n, W.known_dim(n), Y.dim(n))
 
     def known_block(n):
         return W.known_dim(n) is not None
 
     # chain condition: phi . d = 0
     for n in range(Y.lo, Y.hi + 1):
-        if Y.dim(n) == 0 or not known_block(n - 1):
-            continue
-        dblk = Y.diff.block(n)
-        for rr in range(W.known_dim(n - 1)):
-            for cc in range(Y.dim(n)):
-                coeffs = {}
-                for kk in range(Y.dim(n - 1)):
-                    if dblk[kk][cc]:
-                        coeffs[(n - 1, rr, kk)] = coeffs.get((n - 1, rr, kk), Fraction(0)) + dblk[kk][cc]
-                if coeffs:
-                    sys.add_equation(coeffs)
+        if known_block(n - 1):
+            sys.equate(W.known_dim(n - 1), Y.dim(n), right=[(1, n - 1, Y.diff.form(n))])
     # module linearity
     gens = Y.generator_degrees()
     for n in range(Y.lo, Y.hi + 1):
-        if Y.dim(n) == 0:
-            continue
         for i, g in enumerate(gens):
-            if not (known_block(n) and known_block(n + g)):
-                continue
-            if Y.known_dim(n + g) is None:
-                continue
-            yblk = Y.actions[i].block(n)
-            wblk = W.actions[i].block(n)
-            for rr in range(W.known_dim(n + g)):
-                for cc in range(Y.dim(n)):
-                    coeffs = {}
-                    for kk in range(W.known_dim(n)):
-                        if wblk[rr][kk]:
-                            coeffs[(n, kk, cc)] = coeffs.get((n, kk, cc), Fraction(0)) + wblk[rr][kk]
-                    for kk in range(Y.dim(n + g)):
-                        if yblk[kk][cc]:
-                            key = (n + g, rr, kk)
-                            coeffs[key] = coeffs.get(key, Fraction(0)) - yblk[kk][cc]
-                    if coeffs:
-                        sys.add_equation(coeffs)
-    # prescribed values on homology representatives
+            if known_block(n) and known_block(n + g) and Y.known_dim(n + g) is not None:
+                sys.equate(W.known_dim(n + g), Y.dim(n), left=[(1, W.actions[i].form(n), n)],
+                           right=[(-1, n + g, Y.actions[i].form(n))])
+    # prescribed values on homology representatives: Y_n . rep = emb(class)
     HN = HY["module"]
     hom = HY["homology"]
     for n in HN.degrees():
-        if not known_block(n):
-            continue
-        reps = hom.representatives(n)
-        blk = emb.block(n)
-        for col, rep in enumerate(reps):
-            img_col = [row[col] for row in blk]
-            for rr in range(W.known_dim(n)):
-                coeffs = {}
-                for cc in range(Y.dim(n)):
-                    if rep[cc]:
-                        coeffs[(n, rr, cc)] = rep[cc]
-                sys.add_equation(coeffs, rhs=img_col[rr])
+        if known_block(n):
+            reps = hom.representatives(n)
+            sys.equate(W.known_dim(n), len(reps),
+                       right=[(1, n, _columns_form(enumerate(reps), Y.dim(n), len(reps)))],
+                       rhs=emb.map.form(n))
     sol = sys.solve()
     if sol is None:
         raise LinearSolveFailed("no chain lift of the hull embedding")
-    blocks = {}
-    for (n, rr, cc), v in sol.items():
-        if not v:
-            continue
-        if n not in blocks:
-            blocks[n] = zeros(W.known_dim(n), Y.dim(n))
-        blocks[n][rr][cc] = v
-    return ChainMap(Y, W, 0, blocks)
+    return chain_map_from_blocks(Y, W, 0, sol)
 
 
 def adams_tower(Y: DGModule, pad: int = 4) -> AdamsTower:

@@ -23,6 +23,7 @@ from operator import add
 from .grlin import (
     GradedMap,
     GradedVS,
+    LinearSystem,
     Matrix,
     Window,
     _assemble,
@@ -1039,59 +1040,32 @@ def identity_map(M: DGModule) -> ChainMap:
 def chain_map_space(A: DGModule, B: DGModule, degree: int = 0) -> list:
     """Basis of the space of degree-homogeneous chain module maps A -> B.
 
-    Unknown blocks live wherever both source and target are stored; every
-    Koszul-signed compatibility with the differentials and actions that can
-    be formed inside the windows becomes a linear equation.  Returns a list
-    of {(n, row, col): value} dicts; wrap with chain_map_from_blocks.
+    Unknown blocks f_n live wherever both source and target are stored.
+    Every Koszul-signed compatibility with an operator of degree d (the
+    differentials and the generator actions) that can be formed inside the
+    windows is one block equation B-op . f_n - sgn * f_(n+d) . A-op = 0.
+    LinearSystem.equate writes it entry by entry from the stored integer
+    forms: the left term (1, B-op, n) and the right term (-sgn, n + d, A-op),
+    a zero operator block being a zero term.  Returns a list of
+    {(n, row, col): value} dicts; wrap with chain_map_from_blocks.
     """
-    from .grlin import LinearSystem
     sys = LinearSystem()
     for n in A.degrees():
-        tb = B.known_dim(n + degree)
-        if tb is None:
-            continue
-        for rr in range(tb):
-            for cc in range(A.dim(n)):
-                sys.var((n, rr, cc))
-
-    def blockvar(n):
-        tb = B.known_dim(n + degree)
-        if tb is None or A.known_dim(n) is None:
-            return None
-        return tb, A.known_dim(n)
-
-    sgn_d = -1 if degree % 2 else 1
-    gens = A.generator_degrees()
+        if B.known_dim(n + degree) is not None:
+            sys.unknowns(n, B.known_dim(n + degree), A.dim(n))
+    constraints = [(B.diff, A.diff, -1, -1 if degree % 2 else 1)]
+    for i, g in enumerate(A.generator_degrees()):
+        constraints.append((B.actions[i], A.actions[i], g,
+                            -1 if (degree % 2 and g % 2) else 1))
     for n in A.degrees():
-        here = blockvar(n)
-        if here is None:
+        if B.known_dim(n + degree) is None:
             continue
-        constraints = [(B.diff, A.diff, -1, sgn_d)]
-        for i, g in enumerate(gens):
-            sgn = -1 if (degree % 2 and g % 2) else 1
-            constraints.append((B.actions[i], A.actions[i], g, sgn))
         for gm_b, gm_a, d, sgn in constraints:
-            below = blockvar(n + d)
-            if below is None:
+            rows = B.known_dim(n + d + degree)
+            if rows is None or A.known_dim(n + d) is None:
                 continue
-            tb2 = B.known_dim(n + d + degree)
-            if tb2 is None:
-                continue
-            bblk = gm_b.block(n + degree)
-            ablk = gm_a.block(n)
-            # B-op . f_n - sgn * f_(n+d) . A-op = 0
-            for rr in range(tb2):
-                for cc in range(A.dim(n)):
-                    coeffs = {}
-                    for kk in range(here[0]):
-                        if bblk[rr][kk]:
-                            coeffs[(n, kk, cc)] = coeffs.get((n, kk, cc), Fraction(0)) + bblk[rr][kk]
-                    for kk in range(A.dim(n + d)):
-                        if ablk[kk][cc]:
-                            key = (n + d, rr, kk)
-                            coeffs[key] = coeffs.get(key, Fraction(0)) - sgn * ablk[kk][cc]
-                    if coeffs:
-                        sys.add_equation(coeffs)
+            sys.equate(rows, A.dim(n), left=[(1, gm_b.form(n + degree), n)],
+                       right=[(-sgn, n + d, gm_a.form(n))])
     return sys.kernel()
 
 

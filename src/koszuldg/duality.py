@@ -17,7 +17,10 @@ from .grlin import (
     LinearSystem,
     Subspace,
     Window,
+    _assemble,
+    _columns_form,
     _form_rank,
+    _int_product,
     _transposed,
     is_zero_vector,
     rank,
@@ -944,44 +947,30 @@ def recognize_k(M: DGModule, window_pad: int = 4) -> RecognizeResult:
         news = [tuple(sorted(s + (i,))) for s in olds]
         sys = LinearSystem()
         for T in news:
-            for row in range(M.dim(bdeg[T])):
-                sys.var((T, row))
+            sys.unknowns(T, M.dim(bdeg[T]), 1)
         kidx = {s: k for k, s in enumerate(subs)}
         for T in news:
             n = bdeg[T]
-            # d(f(e_T)) = f(d e_T), unknowns on both sides
-            rhs_known = [Fraction(0)] * M.dim(n - 1)
-            unknown_terms = []
+            # d(f(e_T)) = f(d e_T), unknowns on both sides: the images
+            # already found make the known right side
+            left, known = [(1, M.diff.form(n), T)], []
             for U in subs:
                 p = kb.diff[kidx[U]][kidx[T]]
                 if p.is_zero():
                     continue
                 if U in images:
                     du, vu = images[U]
-                    blk = M.action_poly_block(p, du)
-                    img = [sum(blk[rr][kk] * vu[kk] for kk in range(len(vu)))
-                           for rr in range(M.dim(n - 1))]
-                    rhs_known = [x + y for x, y in zip(rhs_known, img)]
+                    act, v = M._action_poly_form(p, du), _columns_form([(0, vu)], len(vu), 1)
+                    if act is not None and v is not None:
+                        known.append((_int_product(act, v), 0, 0, 1))
                 else:
-                    unknown_terms.append((U, p))
-            dblk = M.diff.block(n)
-            for rr in range(M.dim(n - 1)):
-                coeffs = {}
-                for cc in range(M.dim(n)):
-                    if dblk[rr][cc]:
-                        coeffs[(T, cc)] = coeffs.get((T, cc), Fraction(0)) + dblk[rr][cc]
-                for U, p in unknown_terms:
-                    act = M.action_poly_block(p, bdeg[U])
-                    for cc in range(M.dim(bdeg[U])):
-                        if act[rr][cc]:
-                            coeffs[(U, cc)] = coeffs.get((U, cc), Fraction(0)) - act[rr][cc]
-                sys.add_equation(coeffs, rhs=rhs_known[rr])
+                    left.append((-1, M._action_poly_form(p, bdeg[U]), U))
+            sys.equate(M.dim(n - 1), 1, left=left, rhs=_assemble(M.dim(n - 1), 1, known))
         sol = sys.solve()
         if sol is None:
             raise LinearSolveFailed(f"no extension over the stage-{i+1} cone")
         for T in news:
-            vec = [sol.get((T, row), Fraction(0)) for row in range(M.dim(bdeg[T]))]
-            images[T] = (bdeg[T], vec)
+            images[T] = (bdeg[T], [sol[(T, row, 0)] for row in range(M.dim(bdeg[T]))])
     # realize the comparison and verify
     lo = min((M.support_min() or 0) - 1, min(kb.basis_degrees()) - 1) - window_pad
     hi = max((M.support_max() or 0), 0) + 2

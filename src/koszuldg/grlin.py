@@ -396,7 +396,8 @@ def unit_vector(n: int, j: int) -> Vector:
 def solve(a: Matrix, b: Vector) -> Vector | None:
     """One exact solution of a x = b with free variables set to 0, or None."""
     n_cols = len(a[0]) if a else 0
-    assert len(b) == len(a)
+    if len(b) != len(a):
+        raise ValueError(f"right side of length {len(b)} for {len(a)} equations")
     return _particular(_reduced(_sparse_rows(a, b)), n_cols)
 
 
@@ -416,7 +417,8 @@ class Subspace:
 
     def add(self, v: Vector) -> bool:
         """Insert a vector; return True if the dimension grew."""
-        assert len(v) == self.ambient
+        if len(v) != self.ambient:
+            raise ValueError(f"vector of length {len(v)} in QQ^{self.ambient}")
         v = v[:]
         for row, p in zip(self.rows, self.pivots):
             if v[p] != 0:
@@ -443,7 +445,8 @@ class Subspace:
         return True
 
     def contains(self, v: Vector) -> bool:
-        assert len(v) == self.ambient
+        if len(v) != self.ambient:
+            raise ValueError(f"vector of length {len(v)} in QQ^{self.ambient}")
         v = v[:]
         for row, p in zip(self.rows, self.pivots):
             if v[p] != 0:
@@ -690,14 +693,26 @@ class LinearSystem:
     """Sparse exact linear system over QQ keyed by hashable variable names.
 
     Variables are created on first use; their order is insertion order,
-    which keeps kernel bases deterministic.
+    which keeps kernel bases deterministic.  Each equation is a row
+    {variable index: coefficient} in `rows` with its right side in `rhs`;
+    both may be ints or Fractions, since a row is scaled to primitive
+    integers before it is eliminated.
+
+    Hom and chain-map spaces are the solutions of block equations in
+    unknown blocks Y_key, whose entries are the variables (key, row, col).
+    `unknowns` declares a block, and `equate`, the one place where such
+    equations are written, adds
+
+        sum of the terms  sign * P . Y_key  and  sign * Y_key . Q  =  rhs
+
+    entry by entry, P, Q and rhs being integer forms.
     """
 
     def __init__(self):
         self._vars: dict = {}
         self._names: list = []
         self.rows: list[dict] = []
-        self.rhs: list[Fraction] = []
+        self.rhs: list = []
 
     def var(self, key) -> int:
         if key not in self._vars:
@@ -709,6 +724,13 @@ class LinearSystem:
     def num_vars(self) -> int:
         return len(self._names)
 
+    def unknowns(self, key, rows: int, cols: int):
+        """Declare the entries of the rows x cols unknown block Y_key, row by
+        row."""
+        for r in range(rows):
+            for c in range(cols):
+                self.var((key, r, c))
+
     def add_equation(self, coeffs: dict, rhs=0):
         row = {}
         for key, c in coeffs.items():
@@ -717,6 +739,54 @@ class LinearSystem:
                 row[self.var(key)] = row.get(self.var(key), Fraction(0)) + c
         self.rows.append(row)
         self.rhs.append(frac(rhs))
+
+    def equate(self, rows: int, cols: int, left=(), right=(), rhs=None):
+        """Add the equations sum of terms = rhs, entry by entry over
+        rows x cols.
+
+        A left term (sign, P, key) stands for sign * P . Y_key and a right
+        term (sign, key, Q) for sign * Y_key . Q.  P, Q and rhs are integer
+        forms, None standing for zero: a None term adds nothing.  All are
+        brought to one denominator in integers.  Coefficients of a variable
+        that several terms reach are summed, and an equation without terms
+        is added only when its right side is nonzero.
+        """
+        if not (rows and cols):
+            return
+        left = [t for t in left if t[1] is not None]
+        right = [t for t in right if t[2] is not None]
+        if not (left or right or rhs):
+            return
+        for f in [P for _, P, _ in left] + [rhs]:
+            if f is not None and len(f[1]) != rows:
+                raise ValueError(f"{len(f[1])}-row form in a {rows}-row equation")
+        for _, _, Q in right:
+            if Q[1] and Q[2] != cols:
+                raise ValueError(f"{Q[2]}-column form in a {cols}-column equation")
+        den = lcm(*[P[0] for _, P, _ in left], *[Q[0] for _, _, Q in right],
+                  1 if rhs is None else rhs[0])
+        lt = [(s * (den // P[0]), P[1], key) for s, P, key in left]
+        rt = [(s * (den // Q[0]), _transposed((Q[0], Q[1], cols))[1], key)
+              for s, key, Q in right]
+        rscale = 0 if rhs is None else den // rhs[0]
+        var = self.var
+        for rr in range(rows):
+            y_row = {} if rhs is None else rhs[1][rr]
+            for cc in range(cols):
+                acc = {}
+                for s, prows, key in lt:
+                    for kk, v in prows[rr].items():
+                        k = (key, kk, cc)
+                        acc[k] = acc.get(k, 0) + s * v
+                for s, columns, key in rt:
+                    for kk, v in columns[cc].items():
+                        k = (key, rr, kk)
+                        acc[k] = acc.get(k, 0) + s * v
+                row = {var(k): x for k, x in acc.items() if x}
+                y = rscale * y_row.get(cc, 0)
+                if row or y:
+                    self.rows.append(row)
+                    self.rhs.append(y)
 
     def solve(self) -> dict | None:
         """A particular solution as {key: value}, or None."""

@@ -25,6 +25,7 @@ from .grlin import (
     _columns_form,
     _entry,
     _int_product,
+    solve,
     unit_vector,
 )
 from .algebra import (
@@ -345,9 +346,7 @@ def coextend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
             md = M.known_dim(n + t)
             if md is None:
                 raise WindowTooSmall(f"coextension target unknown at {n + t}")
-            for rr in range(md):
-                for cc in range(Tmod.dim(n)):
-                    sys.var((n, rr, cc))
+            sys.unknowns(n, md, Tmod.dim(n))
         for n in Tmod.degrees():
             for i, p in enumerate(rm.images):
                 di = S.codegrees[i]
@@ -355,23 +354,11 @@ def coextend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
                     # constraints below the window floor are dropped; the
                     # depth choice makes the dropped ones vacuous
                     continue
-                # a zero image contributes no T-side term
-                tblk = None if p.is_zero() else Tmod.action_poly_block(p, n)
-                mblk = M.actions[i].block(n + t)
-                md2 = M.known_dim(n + t - di) or 0
-                for rr in range(md2):
-                    for cc in range(Tmod.dim(n)):
-                        coeffs = {}
-                        for kk in range(Tmod.dim(n - di) if tblk is not None else 0):
-                            if tblk[kk][cc]:
-                                key = (n - di, rr, kk)
-                                coeffs[key] = coeffs.get(key, Fraction(0)) + tblk[kk][cc]
-                        for kk in range(M.known_dim(n + t) or 0):
-                            if mblk[rr][kk]:
-                                key = (n, kk, cc)
-                                coeffs[key] = coeffs.get(key, Fraction(0)) - mblk[rr][kk]
-                        if coeffs:
-                            sys.add_equation(coeffs)
+                # f(p . tau) - x_i . f(tau) = 0, a zero image giving no
+                # T-side term
+                sys.equate(M.known_dim(n + t - di) or 0, Tmod.dim(n),
+                           left=[(-1, M.actions[i].form(n + t), n)],
+                           right=[(1, n - di, Tmod._action_poly_form(p, n))])
         solutions[t] = sys.kernel()
     dims = {t: len(sols) for t, sols in solutions.items() if sols}
     labels = {t: [f"h{t}_{i}" for i in range(d)] for t, d in dims.items()}
@@ -386,7 +373,6 @@ def coextend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
         keys = sorted({k for h in basis for k in h} | set(comp))
         mat = [[h.get(k, Fraction(0)) for h in basis] for k in keys]
         rhs = [comp.get(k, Fraction(0)) for k in keys]
-        from .grlin import solve
         sol = solve(mat, rhs)
         if sol is None:
             raise InvariantViolation("composite escaped the solution space")
@@ -396,19 +382,18 @@ def coextend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
     act_blocks = [dict() for _ in range(T.r)]
     for t in dims:
         # differential: postcompose with d_M
-        if (t - 1) in dims or True:
-            cols = []
-            for h in solutions[t]:
-                comp = {}
-                for (n, rr, cc), v in h.items():
-                    f = M.diff.form(n + t)
-                    for r2, row in enumerate([] if f is None else f[1]):
-                        if rr in row:
-                            key = (n, r2, cc)
-                            comp[key] = comp.get(key, Fraction(0)) + _entry(row[rr], f[0]) * v
-                cols.append(express(t - 1, comp))
-            if dims.get(t - 1):
-                diff_blocks[t] = _columns_form(enumerate(cols), dims[t - 1], len(cols))
+        cols = []
+        for h in solutions[t]:
+            comp = {}
+            for (n, rr, cc), v in h.items():
+                f = M.diff.form(n + t)
+                for r2, row in enumerate([] if f is None else f[1]):
+                    if rr in row:
+                        key = (n, r2, cc)
+                        comp[key] = comp.get(key, Fraction(0)) + _entry(row[rr], f[0]) * v
+            cols.append(express(t - 1, comp))
+        if dims.get(t - 1):
+            diff_blocks[t] = _columns_form(enumerate(cols), dims[t - 1], len(cols))
         # target action: precompose with multiplication by y_j
         for jgen in range(T.r):
             e = T.codegrees[jgen]
@@ -583,36 +568,35 @@ def _commuting_lifts(rm: RingMap, res: ResolutionData, total: FreeDGModule,
         e = T.codegrees[jgen]
         sys = LinearSystem()
         for n in range(win.lo, win.hi + 1):
-            for rr in range(size(n - e)):
-                for cc in range(size(n)):
-                    sys.var((n, rr, cc))
+            sys.unknowns(n, size(n - e), size(n))
         # chain condition: d_(n-e) . Y_n = Y_(n-1) . d_n
         # (equations whose variable tiers would cross the window floor are
         # dropped; the decoded polynomial matrix is re-verified exactly)
         for n in range(win.lo + 1, win.hi + 1):
-            _equate(sys, n, d.get(n - e), n - 1, d[n], size(n - e - 1), size(n))
+            sys.equate(size(n - e - 1), size(n), left=[(1, d.get(n - e), n)],
+                       right=[(-1, n - 1, d[n])])
         # source-linearity: x_i . Y_n = Y_(n-d_i) . x_i
         for n in range(win.lo, win.hi + 1):
             for i in range(S.r):
                 di = S.codegrees[i]
                 if n - di >= win.lo:
-                    _equate(sys, n, x(i, n - e), n - di, x(i, n),
-                            size(n - di - e), size(n))
+                    sys.equate(size(n - di - e), size(n), left=[(1, x(i, n - e), n)],
+                               right=[(-1, n - di, x(i, n))])
         # augmentation compatibility: aug_(n-e) . Y_n = (mult by y_j) . aug_n
         for n in range(win.lo, win.hi + 1):
             if n in aug and n - e in aug:
                 y = Tmod.actions[jgen].form(n)
-                _equate(sys, n, aug[n - e], n, None, restricted.dim(n - e), size(n),
-                        rhs=None if y is None or aug[n] is None
-                        else _int_product(y, aug[n]))
+                sys.equate(restricted.dim(n - e), size(n), left=[(1, aug[n - e], n)],
+                           rhs=None if y is None or aug[n] is None
+                           else _int_product(y, aug[n]))
         # strict commutation with the lifts already found
         for pidx, prev in enumerate(lifts):
             eprev = T.codegrees[pidx]
             for n in range(win.lo, win.hi + 1):
                 if n - eprev >= win.lo:
-                    _equate(sys, n, _realize(prev, basis(n - e), basis(n - e - eprev)),
-                            n - eprev, _realize(prev, basis(n), basis(n - eprev)),
-                            size(n - e - eprev), size(n))
+                    sys.equate(size(n - e - eprev), size(n),
+                               left=[(1, _realize(prev, basis(n - e), basis(n - e - eprev)), n)],
+                               right=[(-1, n - eprev, _realize(prev, basis(n), basis(n - eprev)))])
         sol = sys.solve()
         if sol is None:
             raise LinearSolveFailed("no chain lift of target multiplication")
@@ -659,32 +643,6 @@ def _commuting_lifts(rm: RingMap, res: ResolutionData, total: FreeDGModule,
                         raise LinearSolveFailed(
                             "target generator lifts do not strictly commute")
     return lifts
-
-
-def _equate(sys: LinearSystem, n: int, P, m: int, Q, rows: int, cols: int,
-            rhs=None):
-    """The equations P . Y_n - Y_m . Q = rhs in the unknown blocks Y, entry
-    (rr, cc) for rr < rows and cc < cols, Y_n's entries keyed (n, row, col).
-
-    P, Q and rhs are integer forms, None standing for zero; each equation is
-    multiplied by their denominators, which leaves its solutions unchanged.
-    An equation without terms is added only when its right side is nonzero.
-    """
-    pd, qd, rd = (1 if f is None else f[0] for f in (P, Q, rhs))
-    qcols = [{} for _ in range(cols)]
-    for kk, row in enumerate([] if Q is None else Q[1]):
-        for cc, v in row.items():
-            qcols[cc][kk] = v
-    for rr in range(rows):
-        for cc in range(cols):
-            coeffs = {}
-            for kk, v in ({} if P is None else P[1][rr]).items():
-                coeffs[(n, kk, cc)] = v * qd * rd
-            for kk, v in qcols[cc].items():
-                coeffs[(m, rr, kk)] = -v * pd * rd
-            y = 0 if rhs is None else rhs[1][rr].get(cc, 0) * pd * qd
-            if coeffs or y:
-                sys.add_equation(coeffs, rhs=y)
 
 
 def _poly_mat_mul(S: PolyAlgebra, A, B):

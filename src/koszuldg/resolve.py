@@ -589,30 +589,16 @@ def module_hom_space(M: DGModule, J: DGModule, t: int) -> list:
         jd = J.known_dim(n + t)
         if jd is None:
             raise WindowTooSmall(f"hom target not certified at degree {n + t}")
-        for rr in range(jd):
-            for cc in range(M.dim(n)):
-                sys.var((n, rr, cc))
+        sys.unknowns(n, jd, M.dim(n))
     gens = M.generator_degrees()
     for n in M.degrees():
         for i, g in enumerate(gens):
-            src_dim = M.dim(n)
             tgt = J.known_dim(n + g + t)
             if tgt is None:
                 raise WindowTooSmall(f"hom target not certified at degree {n + g + t}")
-            if not src_dim or not tgt:
-                continue
-            mf, jf = M.actions[i].form(n), J.actions[i].form(n + t)
-            if mf is None and jf is None:
-                continue
-            # phi_{n+g} . x_i = x_i . phi_n, times both denominators
-            md, mcols = (1, [{}] * src_dim) if mf is None else (mf[0], _transposed(mf)[1])
-            jd, jrows = (1, [{}] * tgt) if jf is None else jf[:2]
-            for rr in range(tgt):
-                for cc in range(src_dim):
-                    coeffs = {(n + g, rr, kk): v * jd for kk, v in mcols[cc].items()}
-                    coeffs.update(((n, kk, cc), -v * md) for kk, v in jrows[rr].items())
-                    if coeffs:
-                        sys.add_equation(coeffs)
+            # phi_(n+g) . x_i - x_i . phi_n = 0
+            sys.equate(tgt, M.dim(n), left=[(-1, J.actions[i].form(n + t), n)],
+                       right=[(1, n + g, M.actions[i].form(n))])
     return sys.kernel()
 
 
@@ -783,12 +769,14 @@ def semifree_replacement(X: DGModule, floor: int,
     every check, and returns only if the whole cone's homology vanishes at
     and above the floor; otherwise the scan resumes at the top class left.
     Each scan ending in cells or in the gate is one of max_rounds rounds.
+    A floor far above the top of X leaves a window of one degree below the
+    floor, and no cells: the cone is X, without homology from the floor up.
     """
     R = X.algebra
     if not X.is_finite():
         raise UnboundedInput("semifree replacement needs a finite module")
     top = (X.support_max() if X.total_dim() else 0) or 0
-    win = Window(floor - 1, top + 2)
+    win = Window(floor - 1, max(floor - 1, top + 2))
     cells, diff_rows, to_x = [], [], []
     F, bases, blocks = _Cells(R, (), diff_rows), {}, {}
     # cone degree m reads cells of degree m - 2, realized from floor + 1 up;

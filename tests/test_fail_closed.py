@@ -2,8 +2,9 @@
 under `python -O`, which strips every `assert`: they must still reject.  A
 coextension runs there too, since its solution-space test was an assert, and
 so do forced failures of the closure tests of homology_module and gamma_m,
-and a free DG module whose differential has the wrong shape, which were
-asserts as well."""
+a free DG module whose differential has the wrong shape, and the shape
+checks of solve and of Subspace.add and .contains, which were asserts as
+well."""
 import json
 import os
 import subprocess
@@ -94,6 +95,9 @@ cases = {
     "not_module_map": lambda: alg.ChainMap(
         alg.lambda_as_module(L), alg.lambda_as_module(L), 0, {1: [[F(1)]]}),
     "product_shape": lambda: grlin.mat_mul([[F(1), F(2)]], [[F(1)]]),
+    "solve_shape": lambda: grlin.solve([[F(1)]], [F(1), F(5)]),
+    "subspace_add_shape": lambda: grlin.Subspace(2).add([F(1), F(0), F(0)]),
+    "subspace_contains_shape": lambda: grlin.Subspace(2).contains([F(1)]),
     "homology_d_squared": lambda: grlin.homology_at(*[grlin.GradedMap(
         grlin.GradedVS({0: 1, 1: 1, 2: 1}), grlin.GradedVS({0: 1, 1: 1, 2: 1}),
         -1, {1: [[F(1)]], 2: [[F(1)]]})] * 2, 1),
@@ -139,6 +143,9 @@ def test_rejections_hold_without_asserts():
         "not_chain_map": ("NotChainMap", "map does not commute with differentials"),
         "not_module_map": ("NotChainMap", "map is not linear over the algebra"),
         "product_shape": ("ValueError", "matrix dimensions do not compose: 1x2 times 1x1"),
+        "solve_shape": ("ValueError", "right side of length 2 for 1 equations"),
+        "subspace_add_shape": ("ValueError", "vector of length 3 in QQ^2"),
+        "subspace_contains_shape": ("ValueError", "vector of length 1 in QQ^2"),
         "homology_d_squared": ("CompositionNotZero", "d.d != 0 entering degree 1"),
         "coextend_escaped": ("InvariantViolation", "composite escaped the solution space"),
         "homology_not_closed": ("InvariantViolation", "action image is not a cycle class"),

@@ -4,9 +4,11 @@ kernel basis, the dense matrix-vector product, Hom from a free complex,
 direct sums, mapping cones, totalizations, the left shriek, the free Ext
 connecting maps and the twisted tensor assembled entry by entry from dense
 blocks, polynomial matrices realized entry by entry, and free maps
-evaluated on module elements through dense polynomial actions, and the
-semifree replacement rebuilt whole every round.  Pieces, vectors, blocks and
-cells must be equal, and rejections must carry the same message."""
+evaluated on module elements through dense polynomial actions, the
+semifree replacement rebuilt whole every round, and the equations of the
+commuting lifts, of chain_map_space and of module_hom_space written entry by
+entry from dense blocks.  Pieces, vectors, blocks, cells and solution-space
+bases must be equal, and rejections must carry the same message."""
 import copy
 import dataclasses
 import random
@@ -1132,7 +1134,7 @@ def test_tensor_over_ext_matches_dense_assembly():
 
 
 # ---------------------------------------------------------------------------
-# the equations of the commuting lifts
+# the equation builder: LinearSystem.equate against dense equation loops
 
 
 def dense_equations(sys, n, P, m, Q, rows, cols, rhs=None):
@@ -1155,33 +1157,178 @@ def dense_equations(sys, n, P, m, Q, rows, cols, rhs=None):
 
 def test_lift_equations_match_dense_loops():
     rng = random.Random(54)
-    solved = 0
+    solved = commutators = 0
 
     def form(m):
         f = None if m is None else _int_form(m)
         return f if f is not None and any(f[1]) else None
 
-    for _ in range(150):
+    for _ in range(200):
         rows, a, b, cols = (rng.randint(0, 4) for _ in range(4))
+        # one unknown on both sides: the commutator P . Y - Y . Q
+        m = 5 if rng.random() < 0.3 else 3
+        if m == 5:
+            a, b = rows, cols
         P = random_matrix(rng, rows, a, 0.5) if rng.random() < 0.8 else None
         Q = random_matrix(rng, b, cols, 0.5) if rng.random() < 0.8 else None
         rhs = random_matrix(rng, rows, cols, 0.3) if rng.random() < 0.5 else None
-        systems = []
-        for build in ("dense", "forms"):
-            sys = LinearSystem()
-            for key in ([(5, kk, cc) for kk in range(a) for cc in range(cols)]
-                        + [(3, rr, kk) for rr in range(rows) for kk in range(b)]):
-                sys.var(key)
-            if build == "dense":
-                dense_equations(sys, 5, P, 3, Q, rows, cols, rhs)
-            else:
-                gr._equate(sys, 5, form(P), 3, form(Q), rows, cols, form(rhs))
-            systems.append(sys)
-        dense, forms = systems
+        dense, forms = LinearSystem(), LinearSystem()
+        for key in ([(5, kk, cc) for kk in range(a) for cc in range(cols)]
+                    + [(m, rr, kk) for rr in range(rows) for kk in range(b)]):
+            dense.var(key)
+        dense_equations(dense, 5, P, m, Q, rows, cols, rhs)
+        forms.unknowns(5, a, cols)
+        forms.unknowns(m, rows, b)
+        forms.equate(rows, cols, left=[(1, form(P), 5)], right=[(-1, m, form(Q))],
+                     rhs=form(rhs))
+        assert forms._names == dense._names
         assert forms.solve() == dense.solve()
         assert forms.kernel() == dense.kernel()
         solved += dense.solve() is not None and any(dense.solve().values())
-    assert solved >= 10
+        commutators += m == 5 and P is not None and Q is not None and rows * cols > 0
+    assert solved >= 10 and commutators >= 10
+
+
+def test_equate_sums_a_key_on_both_sides():
+    # [[1]] . Y - Y . [[1]] = 0 holds for every Y
+    sys = LinearSystem()
+    sys.unknowns(0, 1, 1)
+    one = (1, [{0: 1}], 1)
+    sys.equate(1, 1, left=[(1, one, 0)], right=[(-1, 0, one)])
+    assert sys.rows == [] and sys.kernel() == [{(0, 0, 0): 1}]
+    # an equation without terms is kept only for a nonzero right side
+    sys.equate(1, 1, rhs=(2, [{0: 1}], 1))
+    assert sys.rows == [{}] and sys.solve() is None
+
+
+def test_equate_rejects_misshapen_forms():
+    sys = LinearSystem()
+    with pytest.raises(ValueError):
+        sys.equate(2, 1, left=[(1, (1, [{0: 1}], 1), 0)])
+    with pytest.raises(ValueError):
+        sys.equate(1, 2, right=[(1, 0, (1, [{0: 1}], 1))])
+
+
+def dense_chain_map_space(A, B, degree=0):
+    """chain_map_space's equation loops on dense blocks, entry by entry."""
+    sys = LinearSystem()
+    for n in A.degrees():
+        tb = B.known_dim(n + degree)
+        if tb is None:
+            continue
+        for rr in range(tb):
+            for cc in range(A.dim(n)):
+                sys.var((n, rr, cc))
+
+    def blockvar(n):
+        tb = B.known_dim(n + degree)
+        if tb is None or A.known_dim(n) is None:
+            return None
+        return tb, A.known_dim(n)
+
+    sgn_d = -1 if degree % 2 else 1
+    gens = A.generator_degrees()
+    for n in A.degrees():
+        here = blockvar(n)
+        if here is None:
+            continue
+        constraints = [(B.diff, A.diff, -1, sgn_d)]
+        for i, g in enumerate(gens):
+            sgn = -1 if (degree % 2 and g % 2) else 1
+            constraints.append((B.actions[i], A.actions[i], g, sgn))
+        for gm_b, gm_a, d, sgn in constraints:
+            below = blockvar(n + d)
+            if below is None:
+                continue
+            tb2 = B.known_dim(n + d + degree)
+            bblk = gm_b.block(n + degree)
+            ablk = gm_a.block(n)
+            # B-op . f_n - sgn * f_(n+d) . A-op = 0
+            for rr in range(tb2):
+                for cc in range(A.dim(n)):
+                    coeffs = {}
+                    for kk in range(here[0]):
+                        if bblk[rr][kk]:
+                            key = (n, kk, cc)
+                            coeffs[key] = coeffs.get(key, F(0)) + bblk[rr][kk]
+                    for kk in range(A.dim(n + d)):
+                        if ablk[kk][cc]:
+                            key = (n + d, rr, kk)
+                            coeffs[key] = coeffs.get(key, F(0)) - sgn * ablk[kk][cc]
+                    if coeffs:
+                        sys.add_equation(coeffs)
+    return sys.kernel()
+
+
+def dense_module_hom_space(M, J, t):
+    """module_hom_space's equation loops on dense blocks, entry by entry."""
+    sys = LinearSystem()
+    for n in M.degrees():
+        jd = J.known_dim(n + t)
+        if jd is None:
+            raise rs.WindowTooSmall(f"hom target not certified at degree {n + t}")
+        for rr in range(jd):
+            for cc in range(M.dim(n)):
+                sys.var((n, rr, cc))
+    for n in M.degrees():
+        for i, g in enumerate(M.generator_degrees()):
+            tgt = J.known_dim(n + g + t)
+            if tgt is None:
+                raise rs.WindowTooSmall(f"hom target not certified at degree {n + g + t}")
+            mblk, jblk = M.actions[i].block(n), J.actions[i].block(n + t)
+            # phi_(n+g) . x_i = x_i . phi_n
+            for rr in range(tgt):
+                for cc in range(M.dim(n)):
+                    coeffs = {}
+                    for kk in range(M.dim(n + g)):
+                        if mblk[kk][cc]:
+                            coeffs[(n + g, rr, kk)] = mblk[kk][cc]
+                    for kk in range(J.dim(n + t)):
+                        if jblk[rr][kk]:
+                            key = (n, kk, cc)
+                            coeffs[key] = coeffs.get(key, F(0)) - jblk[rr][kk]
+                    if coeffs:
+                        sys.add_equation(coeffs)
+    return sys.kernel()
+
+
+def test_chain_map_space_matches_dense_loops():
+    rng = random.Random(63)
+    mods = sample_modules(rng)
+    found = odd = 0
+    for A in mods:
+        for B in mods:
+            if A.algebra != B.algebra:
+                continue
+            for degree in (-1, 0, 1, 2):
+                want = dense_chain_map_space(A, B, degree)
+                assert alg.chain_map_space(A, B, degree) == want
+                found += len(want)
+                odd += len(want) if degree % 2 and isinstance(A.algebra, alg.ExtAlgebra) else 0
+    assert found >= 200 and odd >= 20
+
+
+def test_module_hom_space_matches_dense_loops():
+    rng = random.Random(64)
+    found = 0
+    for M in sample_modules(rng):
+        targets = [alg.basic_injective(R1, Window(0, 8)), alg.basic_injective(R2, Window(0, 8))]
+        targets += [alg.lambda_as_module(L1), alg.lambda_as_module(L2), M]
+        for J in targets:
+            if J.algebra != M.algebra:
+                continue
+            for t in range(-4, 5):
+                want = outcome_hom(dense_module_hom_space, M, J, t)
+                assert outcome_hom(rs.module_hom_space, M, J, t) == want
+                found += len(want) if isinstance(want, list) else 0
+    assert found >= 100
+
+
+def outcome_hom(fn, *args):
+    try:
+        return fn(*args)
+    except rs.WindowTooSmall as exc:
+        return ("WindowTooSmall", str(exc))
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,14 @@ def test_cli_rhom(capsys):
     assert out["tables"]["derived_maps"]["1"] == 1
 
 
+def test_cli_rhom_window_below_the_support(capsys):
+    code = main(["rhom", "--group", "2", "--M", "k", "--N", "k",
+                 "--window=-9:-6", "--format", "json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["tables"]["derived_maps"] == {"-9": 0, "-8": 0, "-7": 0, "-6": 0}
+
+
 def test_cli_koszul_s_and_t(tmp_path, capsys):
     f = tmp_path / "ext.kdg"
     f.write_text(EXT_FILE)

@@ -131,6 +131,24 @@ def test_rhom_k_k_circle():
     assert out.nonzero() == {0: 1, 1: 1}
 
 
+def test_rhom_windows_restrict_the_whole_table():
+    # -9..-6 over k, k puts the replacement's floor above the top of k: no
+    # cells are needed, and the table is the whole one's restriction, zero
+    whole = rs.rhom_homology(k1, k1, Window(-12, 2))
+    low = rs.rhom_homology(k1, k1, Window(-9, -6))
+    assert list(low.window.guaranteed()) == [-9, -8, -7, -6]
+    assert [low.dim(n) for n in range(-9, -5)] == [whole.dim(n) for n in range(-9, -5)]
+    assert [low.dim(n) for n in range(-9, -5)] == [0] * 4
+    assert low.replacement.cells.rank == 0
+    for X, Y in ((k1, k1), (sm.cyclic_quotient(R1, [3]), k1), (k1, sm.cyclic_quotient(R1, [2]))):
+        whole = rs.rhom_homology(X, Y, Window(-12, 4))
+        for lo in range(-12, 5):
+            for hi in range(lo, min(lo + 3, 4) + 1):
+                out = rs.rhom_homology(X, Y, Window(lo, hi))
+                for n in out.window.guaranteed():
+                    assert out.dim(n) == whole.dim(n), (lo, hi, n)
+
+
 def test_rhom_free_rank_one_gives_homology():
     # a replacement of an honest free cell reproduces the target's homology
     rng = random.Random(31)
