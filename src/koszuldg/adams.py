@@ -16,9 +16,10 @@ from .grlin import (
     LinearSystem,
     Window,
     _columns_form,
+    _dense_vector,
     _form_rank,
-    kernel_basis,
-    unit_vector,
+    _kernel,
+    _reduced,
 )
 from .algebra import (
     ChainMap,
@@ -39,9 +40,11 @@ from .algebra import (
 )
 from .resolve import (
     BigradedTable,
+    NotFiniteLength,
     WindowTooSmall,
     ext_bigraded,
     injective_resolution,
+    is_zero_diff,
     module_hom_space,
     rhom_homology,
 )
@@ -62,25 +65,21 @@ def socle(M: DGModule) -> dict:
     R = M.algebra
     out = {}
     for n in M.degrees():
-        rows = []
-        for i in range(R.r):
-            t = n - R.codegrees[i]
-            if M.known_dim(t) is None:
-                rows = None
-                break
-            for row in M.actions[i].block(n):
-                rows.append(row)
-        if rows is None:
+        if any(M.known_dim(n - d) is None for d in R.codegrees):
             continue
-        vecs = kernel_basis(rows, cols=M.dim(n)) if rows else [
-            unit_vector(M.dim(n), j) for j in range(M.dim(n))]
+        rows = []
+        for a in M.actions:
+            f = a.form(n)
+            rows += [] if f is None else f[1]
+        vecs = [_dense_vector(v, M.dim(n)) for v in _kernel(_reduced(rows), M.dim(n))]
         if vecs:
             out[n] = vecs
     return out
 
 
 def injective_hull_embedding(N: DGModule, pad: int = 4):
-    """The hull of a torsion module and a verified embedding into it.
+    """The hull of a zero-differential torsion module, such as a homology
+    module, and a verified embedding into it.
 
     The hull is one shifted copy of the basic injective per socle basis
     vector; the embedding is any module map restricting to the socle
@@ -90,6 +89,8 @@ def injective_hull_embedding(N: DGModule, pad: int = 4):
     R = N.algebra
     if not N.is_torsion():
         raise NotTorsion("injective hulls here are for torsion modules")
+    if not is_zero_diff(N):
+        raise NotFiniteLength("injective hulls here need a zero-differential module")
     soc = socle(N)
     shifts = sorted((n for n in soc for _ in soc[n]), reverse=False)
     if not shifts:

@@ -28,18 +28,21 @@ from .grlin import (
     Window,
     _assemble,
     _columns_form,
+    _coordinates_form,
     _dense,
+    _dense_vector,
     _form_rank,
     _identity_form,
     _int_agree,
     _int_product,
+    _kernel,
+    _primitive,
+    _reduced,
     _scaled,
     _transposed,
-    coordinates,
     frac,
-    kernel_basis,
-    mat_mul,
-    unit_vector,
+    homology_at,
+    rank,
     zeros,
 )
 
@@ -1072,13 +1075,17 @@ def chain_map_space(A: DGModule, B: DGModule, degree: int = 0) -> list:
 def chain_map_from_blocks(A: DGModule, B: DGModule, degree: int,
                           entries: dict, check: bool = True) -> ChainMap:
     """Assemble a ChainMap from {(n, row, col): value} entries."""
-    blocks = {}
+    values = {}
     for (n, rr, cc), v in entries.items():
-        if not v:
-            continue
-        if n not in blocks:
-            blocks[n] = zeros(B.known_dim(n + degree), A.dim(n))
-        blocks[n][rr][cc] = frac(v)
+        if v:
+            values.setdefault(n, []).append((rr, cc, frac(v)))
+    blocks = {}
+    for n, vals in values.items():
+        den = lcm(*[x.denominator for _, _, x in vals])
+        rows = [{} for _ in range(B.known_dim(n + degree))]
+        for rr, cc, x in vals:
+            rows[rr][cc] = x.numerator * (den // x.denominator)
+        blocks[n] = (den, rows, A.dim(n))
     return ChainMap(A, B, degree, blocks, check=check)
 
 
@@ -1182,8 +1189,7 @@ def homology_map_rank(f: ChainMap, HA, HB, n) -> int | None:
         vecs.append(coords)
     if not vecs or not vecs[0]:
         return 0
-    from .grlin import rank as _rank
-    return _rank(vecs)
+    return rank(vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -1235,7 +1241,6 @@ class Homology:
 
 def homology(M: DGModule) -> Homology:
     """Homology on every degree where degrees n-1, n, n+1 are all known."""
-    from .grlin import homology_at
     pieces = {}
     certified = []
     for n in range(M.lo, M.hi + 1):
@@ -1437,7 +1442,7 @@ def gamma_m(M: DGModule, name: str = "") -> DGModule:
     """
     R = M.algebra
     assert isinstance(R, PolyAlgebra)
-    sub_bases = {}
+    sub_bases = {}  # degree -> basis of the torsion part, as sparse vectors
     for n in range(M.lo, M.hi + 1):
         dn = M.dim(n)
         if dn == 0:
@@ -1452,21 +1457,18 @@ def gamma_m(M: DGModule, name: str = "") -> DGModule:
                     continue
                 escaped = True
                 break
-            blk = M.actions[i].block(n)
             tb = sub_bases.get(t, [])
-            if len(tb) == M.dim(t):
+            f = M.actions[i].form(n)
+            if len(tb) == M.dim(t) or f is None:
                 continue
-            # rows whose kernel is exactly the span of tb
-            proj = kernel_basis(tb, cols=M.dim(t))
-            for row in mat_mul(proj, blk):
-                rows.append(row)
+            # rows whose kernel is exactly the span of tb, times the action
+            proj = [_primitive(v) for v in _kernel(_reduced([_primitive(v) for v in tb]),
+                                                   M.dim(t))]
+            rows += _int_product((1, proj, M.dim(t)), f)[1]
         if escaped:
             sub_bases[n] = []
             continue
-        if rows:
-            sub_bases[n] = kernel_basis(rows, cols=dn)
-        else:
-            sub_bases[n] = [unit_vector(dn, j) for j in range(dn)]
+        sub_bases[n] = _kernel(_reduced(rows), dn)
     dims, labels = {}, {}
     for n, vecs in sub_bases.items():
         if vecs:
@@ -1483,13 +1485,11 @@ def gamma_m(M: DGModule, name: str = "") -> DGModule:
             t = n + deg
             if t not in dims:
                 continue
-            cols = []
-            for v in vecs:
-                coords = coordinates(sub_bases[t], gm.apply(n, v))
-                if coords is None:
-                    raise InvariantViolation("torsion part is not closed")
-                cols.append(coords)
-            store[n] = _columns_form(enumerate(cols), dims[t], dims[n])
+            images = [dict(enumerate(gm.apply(n, _dense_vector(v, M.dim(n))))) for v in vecs]
+            coords = _coordinates_form(sub_bases[t], images)
+            if coords is None:
+                raise InvariantViolation("torsion part is not closed")
+            store[n] = coords
     return dg_module(R, dims, diff_blocks, act_blocks, M.lo, M.hi,
                      M.complete_below, M.complete_above,
                      labels=labels, name=name or f"Gamma({M.name})")

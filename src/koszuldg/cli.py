@@ -294,13 +294,12 @@ def cmd_groups(args) -> int:
     rep.tables["module"] = print_module(out).splitlines()
     rep.tables["homology"] = dict(sorted(alg.homology_dims(out).items()))
     if action == "shriek":
-        from koszuldg.resolve import is_zero_diff
         dd = gr.derived_dual(rm)
         if dd.resolution.length == 0:
             co_dims = alg.homology_dims(gr.coextend_scalars(rm, M))
             rep.add_check("matches_coextension_homology",
                           alg.homology_dims(out) == co_dims)
-        elif is_zero_diff(M) and M.is_finite():
+        elif rs.is_zero_diff(M) and M.is_finite():
             rep.add_check("matches_derived_coextension_homology",
                           alg.homology_dims(out) ==
                           gr.derived_coextension_dims(rm, M))

@@ -15,16 +15,16 @@ from fractions import Fraction
 
 from .grlin import (
     LinearSystem,
-    Subspace,
     Window,
     _assemble,
     _columns_form,
     _form_rank,
+    _insert,
     _int_product,
+    _sparse_rows,
     _transposed,
     is_zero_vector,
     rank,
-    zeros,
 )
 from .algebra import (
     ChainMap,
@@ -39,15 +39,19 @@ from .algebra import (
     _subsets,
     basic_injective,
     dg_module,
+    express_in_homology,
     ext_algebra,
     free_basis,
     hom_from_free,
     homology,
     homology_module,
     koszul_model,
+    lambda_as_module,
     mapping_cone,
+    poly_as_module,
     tensor_over_ext,
     to_degreewise,
+    trivial_lambda_module,
 )
 
 
@@ -110,7 +114,6 @@ class KLambda:
 
 
 def k_lambda(L: ExtAlgebra, R: PolyAlgebra, w: Window) -> KLambda:
-    from .algebra import lambda_as_module
     mod = tensor_over_ext(lambda_as_module(L), R, w, name="k_lambda")
     out = KLambda(L, R, w, mod)
     if not out.check():
@@ -121,7 +124,6 @@ def k_lambda(L: ExtAlgebra, R: PolyAlgebra, w: Window) -> KLambda:
 def s_of_trivial_iso(R: PolyAlgebra, w: Window) -> ChainMap:
     """The explicit isomorphism from S(trivial module) to the basic
     injective: y^alpha -> alpha! (x^alpha)^dual, degreewise diagonal."""
-    from .algebra import trivial_lambda_module
     L = ext_algebra(R.group)
     S = tensor_over_ext(trivial_lambda_module(L), R, w, name="S(Q)")
     I = basic_injective(R, Window(0, S.hi))
@@ -592,7 +594,6 @@ def double_centralizer_check(g: GroupData, window: Window | None = None) -> Doub
     dims_match = hdims == ldims
     relations_ok = True  # asserted at construction; re-derive cheaply
     # products of contraction classes: all 2^r of them, graded-independent
-    from .algebra import express_in_homology
     prods = {}
     for S in L.subsets():
         deg, vec = 0, e.identity_vector()
@@ -637,7 +638,6 @@ class DegreewiseDGA:
 
 def poly_dga(R: PolyAlgebra, w: Window) -> DegreewiseDGA:
     """R itself as a degreewise DGA (monomial basis, zero differential)."""
-    from .algebra import poly_as_module
     mod = poly_as_module(R, w)
 
     def product(d1, v1, d2, v2):
@@ -724,11 +724,11 @@ def acyclic_extension_dga(R: PolyAlgebra, w: Window, cell_degree: int) -> Degree
             continue
         base, us, vs = block_split(n)
         base2, us2, vs2 = block_split(n - 1)
-        m = zeros(dims[n - 1], dims[n])
+        rows = [{} for _ in range(dims[n - 1])]
         off_u2 = len(base2)
         for col, a in enumerate(vs):
-            m[off_u2 + us2.index(a)][len(base) + len(us) + col] = Fraction(1)
-        diff_blocks[n] = m
+            rows[off_u2 + us2.index(a)][len(base) + len(us) + col] = 1
+        diff_blocks[n] = (1, rows, dims[n])
     act_blocks = [dict() for _ in range(R.r)]
     for n in dims:
         for i in range(R.r):
@@ -737,17 +737,17 @@ def acyclic_extension_dga(R: PolyAlgebra, w: Window, cell_degree: int) -> Degree
                 continue
             base, us, vs = block_split(n)
             base2, us2, vs2 = block_split(t)
-            m = zeros(dims[t], dims[n])
+            rows = [{} for _ in range(dims[t])]
             for col, a in enumerate(base):
                 a2 = list(a); a2[i] += 1
-                m[base2.index(tuple(a2))][col] = Fraction(1)
+                rows[base2.index(tuple(a2))][col] = 1
             for col, a in enumerate(us):
                 a2 = list(a); a2[i] += 1
-                m[len(base2) + us2.index(tuple(a2))][len(base) + col] = Fraction(1)
+                rows[len(base2) + us2.index(tuple(a2))][len(base) + col] = 1
             for col, a in enumerate(vs):
                 a2 = list(a); a2[i] += 1
-                m[len(base2) + len(us2) + vs2.index(tuple(a2))][len(base) + len(us) + col] = Fraction(1)
-            act_blocks[i][n] = m
+                rows[len(base2) + len(us2) + vs2.index(tuple(a2))][len(base) + len(us) + col] = 1
+            act_blocks[i][n] = (1, rows, dims[n])
     mod = dg_module(R, dims, diff_blocks, act_blocks, w.lo, w.hi,
                     complete_below=False, complete_above=w.hi >= max(0, cell_degree + 1),
                     labels=labels, name="R+acyclic")
@@ -843,17 +843,15 @@ def formality_map(A: DegreewiseDGA, R: PolyAlgebra, w: Window | None = None) -> 
         if n not in check_range:
             raise NotPolynomialHomology(f"window misses generator degree {n}")
         reps = H.representatives(n)
-        span = Subspace(M.dim(n))
-        for alpha in R.monomials(d):
-            if sum(alpha) < 2:
-                continue
-            vec = _monomial_image(A, R, chosen, alpha)
-            span.add(vec)
+        span = {}
+        for row in _sparse_rows([_monomial_image(A, R, chosen, alpha)
+                                 for alpha in R.monomials(d) if sum(alpha) >= 2]):
+            _insert(span, row)
         # also boundaries: classes live modulo boundaries
-        blk = M.diff.block(n + 1)
-        for col in range(M.dim(n + 1)):
-            span.add([row[col] for row in blk])
-        new = span.complement_in(reps)
+        f = M.diff.form(n + 1)
+        for col in [] if f is None else _transposed(f)[1]:
+            _insert(span, col)
+        new = [v[:] for v, row in zip(reps, _sparse_rows(reps)) if _insert(span, row)]
         if len(new) != len(by_codeg[d]):
             raise NotPolynomialHomology(
                 f"found {len(new)} new generator classes at degree {n}, "
@@ -872,7 +870,6 @@ def formality_map(A: DegreewiseDGA, R: PolyAlgebra, w: Window | None = None) -> 
     # assemble the map and verify the homology isomorphism
     blocks = {}
     iso = True
-    from .algebra import express_in_homology
     for n in check_range:
         mons = R.monomials(-n)
         if not mons:

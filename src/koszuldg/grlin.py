@@ -1,12 +1,16 @@
 """Exact graded linear algebra over the rationals.
 
-Everything downstream computes through this module: matrices of
-`fractions.Fraction` at the API edge, one fraction-free elimination on
-sparse integer rows behind every echelon form, graded vector spaces keyed by
-integer degree, graded maps, and degreewise homology.  No floats, no
-rounding, ever.  All echelon choices (pivot columns, free-variable order,
-normalisation) are those of the canonical reduced row echelon form, so every
-derived basis is reproducible bit-for-bit across runs.
+Everything downstream computes through this module: one fraction-free
+elimination on sparse integer rows behind every echelon form, every span
+and every solution (`Subspace` included), graded vector spaces keyed by
+integer degree, graded maps that store integer block forms, and degreewise
+homology.  Dense matrices of `fractions.Fraction` exist only at the API
+edge: `rank`, `rref`, `kernel_basis`, `solve` and `coordinates`, the dense
+vectors `Subspace` takes, and the dense views `GradedMap.block` and
+`blocks`.  No floats, no rounding, ever.  All echelon choices (pivot
+columns, free-variable order, normalisation) are those of the canonical
+reduced row echelon form, so every derived basis is reproducible
+bit-for-bit across runs.
 """
 from __future__ import annotations
 
@@ -35,10 +39,6 @@ def frac(x) -> Fraction:
 
 def zeros(rows: int, cols: int) -> Matrix:
     return [[ZERO] * cols for _ in range(rows)]
-
-
-def identity(n: int) -> Matrix:
-    return [[_ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def _unshared(row):
@@ -203,20 +203,6 @@ def _assemble(rows: int, cols: int, pieces) -> tuple | None:
     return (den, acc, cols) if any(acc) else None
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """rows(a) x cols(b); raises ValueError unless cols(a) == rows(b)."""
-    den, rows, _ = _int_product(_int_form(a), _int_form(b))
-    return _dense(den, rows, len(b[0]) if b else 0)
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return not any(row[j] for row in a for j in _unshared(row))
-
-
 def is_zero_vector(v: Vector) -> bool:
     return not any(v)
 
@@ -277,6 +263,27 @@ def _eliminate(row: dict, prow: dict, c: int) -> dict:
     return out
 
 
+def _reduce(pivots: dict, row: dict) -> dict:
+    """row, cleared by the pivot rows until it leads at a column without
+    one; empty exactly when row lies in their span."""
+    while row:
+        c = min(row)
+        prow = pivots.get(c)
+        if prow is None:
+            break
+        row = _eliminate(row, prow, c)
+    return row
+
+
+def _insert(pivots: dict, row: dict) -> bool:
+    """Reduce row against {pivot column: row leading there} and insert what
+    is left, if nonzero, at its leading column; True when it was inserted."""
+    row = _reduce(pivots, row)
+    if row:
+        pivots[min(row)] = row
+    return bool(row)
+
+
 def _echelon(rows: list) -> dict:
     """Forward pass: {pivot column: row leading there}.
 
@@ -285,13 +292,7 @@ def _echelon(rows: list) -> dict:
     """
     pivots = {}
     for row in sorted(rows, key=len):
-        while row:
-            c = min(row)
-            prow = pivots.get(c)
-            if prow is None:
-                pivots[c] = row
-                break
-            row = _eliminate(row, prow, c)
+        _insert(pivots, row)
     return pivots
 
 
@@ -402,73 +403,88 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
 
 
 class Subspace:
-    """A subspace of QQ^n kept in reduced row-echelon form.
+    """A subspace of QQ^n, kept as primitive integer rows in echelon form by
+    the one elimination (_insert).
 
-    Insertion order does not affect the stored basis (RREF is canonical),
-    which is what makes downstream complement choices reproducible.
+    Its pivot columns are those of the canonical RREF whatever the insertion
+    order, which is what makes downstream complement choices reproducible.
+    Vectors come and go as dense lists of length n.
     """
 
     def __init__(self, ambient: int, vectors=()):
         self.ambient = ambient
-        self.rows: list[Vector] = []
-        self.pivots: list[int] = []
+        self._rows: dict = {}  # pivot column -> the row leading there
         for v in vectors:
             self.add(v)
 
+    def _row(self, v: Vector, extra=None) -> dict:
+        """v as a primitive integer row; extra, when given, is one more
+        entry at column ambient."""
+        if len(v) != self.ambient:
+            raise ValueError(f"vector of length {len(v)} in QQ^{self.ambient}")
+        return _sparse_rows([v], None if extra is None else [extra])[0]
+
     def add(self, v: Vector) -> bool:
         """Insert a vector; return True if the dimension grew."""
-        if len(v) != self.ambient:
-            raise ValueError(f"vector of length {len(v)} in QQ^{self.ambient}")
-        v = v[:]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        piv = None
-        for j, x in enumerate(v):
-            if x != 0:
-                piv = j
-                break
-        if piv is None:
-            return False
-        inv = 1 / v[piv]
-        v = [x * inv for x in v]
-        for row in self.rows:
-            if row[piv] != 0:
-                f = row[piv]
-                row[:] = [x - f * y for x, y in zip(row, v)]
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < piv:
-            at += 1
-        self.rows.insert(at, v)
-        self.pivots.insert(at, piv)
-        return True
+        return _insert(self._rows, self._row(v))
 
     def contains(self, v: Vector) -> bool:
-        if len(v) != self.ambient:
-            raise ValueError(f"vector of length {len(v)} in QQ^{self.ambient}")
-        v = v[:]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return is_zero_vector(v)
+        return not _reduce(self._rows, self._row(v))
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
-    def basis(self) -> list[Vector]:
-        return [row[:] for row in self.rows]
+    @property
+    def pivots(self) -> list[int]:
+        """The pivot columns, increasing."""
+        return sorted(self._rows)
+
+    def residue(self, v: Vector) -> Vector:
+        """The vector congruent to v modulo the subspace that vanishes at
+        every pivot column: v cleared at the pivots in increasing order,
+        which is the same whatever echelon rows span the subspace.  The
+        entry 1 appended at column ambient, outside every row, records the
+        scale that the integer elimination puts on v."""
+        row = self._row(v, _ONE)
+        for c in sorted(self._rows):
+            if c in row:
+                row = _eliminate(row, self._rows[c], c)
+        scale = row.pop(self.ambient)
+        return _dense_vector({j: Fraction(x, scale) for j, x in row.items()}, self.ambient)
 
     def complement_in(self, vectors: list[Vector]) -> list[Vector]:
         """Vectors from the list extending this subspace, greedily in order."""
-        probe = Subspace(self.ambient, self.basis())
-        out = []
-        for v in vectors:
-            if probe.add(v):
-                out.append(v[:])
-        return out
+        probe = dict(self._rows)
+        return [v[:] for v in vectors if _insert(probe, self._row(v))]
+
+
+def _coordinates_form(basis: list, vectors: list) -> tuple | None:
+    """The integer form of the len(basis) x len(vectors) matrix whose column
+    j holds the coordinates of vectors[j] in basis, or None when a vector
+    lies outside the span of basis.
+
+    The basis is independent, and all vectors are sparse {key: rational}
+    dicts over the same keys.  One elimination of [basis | vectors], a row
+    per key, answers for every vector at once: a pivot in the vector part
+    is a vector outside the span, and pivot row p holds the coordinates on
+    basis vector p.
+    """
+    k = len(basis)
+    rows = {}
+    for j, v in enumerate(basis + vectors):
+        for key, x in v.items():
+            if x:
+                rows.setdefault(key, {})[j] = x
+    reduced = _reduced([_primitive(row) for row in rows.values()])
+    if reduced and reduced[-1][0] >= k:
+        return None
+    den = lcm(*[row[p] for p, row in reduced])
+    out = [{} for _ in range(k)]
+    for p, row in reduced:
+        s = den // row[p]
+        out[p] = {j - k: s * x for j, x in row.items() if j >= k}
+    return den, out, len(vectors)
 
 
 def coordinates(basis: list[Vector], v: Vector) -> Vector | None:
@@ -544,7 +560,7 @@ class GradedMap:
     as its integer form (den, rows, cols) in `forms`, over its least
     denominator; zero blocks are not stored.  The blocks handed over are
     integer forms, stored as they are, or dense matrices (module files,
-    samples, tests), converted once here.  Stored forms are read-only: maps
+    tests), converted once here.  Stored forms are read-only: maps
     share them, so neither the code that handed a form over nor any reader
     may change it afterwards.  `block(n)` and `blocks` are dense views for
     the API edge, built on every call and not kept.

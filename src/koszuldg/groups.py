@@ -23,9 +23,10 @@ from .grlin import (
     Window,
     _assemble,
     _columns_form,
+    _coordinates_form,
     _entry,
+    _int_agree,
     _int_product,
-    solve,
     unit_vector,
 )
 from .algebra import (
@@ -41,8 +42,11 @@ from .algebra import (
     _vector_to_poly_column,
     chain_map_space,
     dg_module,
+    express_in_homology,
     free_basis,
     homology,
+    homology_dims,
+    named_group,
     poly_as_module,
     to_degreewise,
     zero_module,
@@ -50,7 +54,10 @@ from .algebra import (
 from .resolve import (
     ResolutionData,
     WindowTooSmall,
+    injective_resolution,
+    is_zero_diff,
     minimal_free_resolution_fg,
+    totalize_injective_resolution,
 )
 from .duality import LinearSolveFailed
 
@@ -239,12 +246,7 @@ def extend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
         complements[n] = [j for j in range(len(bs)) if j not in pivots]
 
     def project(n, vec):
-        span = relations[n]
-        v = vec[:]
-        for row, piv in zip(span.rows, span.pivots):
-            if v[piv]:
-                f = v[piv]
-                v = [x - f * y for x, y in zip(v, row)]
+        v = relations[n].residue(vec)
         return [v[j] for j in complements[n]]
 
     dims = {n: len(complements[n]) for n in complements if complements[n]}
@@ -363,20 +365,13 @@ def coextend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
     dims = {t: len(sols) for t, sols in solutions.items() if sols}
     labels = {t: [f"h{t}_{i}" for i in range(d)] for t, d in dims.items()}
 
-    def express(t, comp):
-        # composites keep entries that cancelled to zero
-        basis = solutions.get(t, [])
-        if not basis:
-            if any(comp.values()):
-                raise InvariantViolation("composite escaped the solution space")
-            return []
-        keys = sorted({k for h in basis for k in h} | set(comp))
-        mat = [[h.get(k, Fraction(0)) for h in basis] for k in keys]
-        rhs = [comp.get(k, Fraction(0)) for k in keys]
-        sol = solve(mat, rhs)
-        if sol is None:
+    def express(t, comps):
+        """The coordinates of the composites in the solutions at t, as the
+        columns of an integer form."""
+        out = _coordinates_form(solutions.get(t, []), comps)
+        if out is None:
             raise InvariantViolation("composite escaped the solution space")
-        return sol
+        return out
 
     diff_blocks = {}
     act_blocks = [dict() for _ in range(T.r)]
@@ -391,9 +386,10 @@ def coextend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
                     if rr in row:
                         key = (n, r2, cc)
                         comp[key] = comp.get(key, Fraction(0)) + _entry(row[rr], f[0]) * v
-            cols.append(express(t - 1, comp))
+            cols.append(comp)
+        coords = express(t - 1, cols)
         if dims.get(t - 1):
-            diff_blocks[t] = _columns_form(enumerate(cols), dims[t - 1], len(cols))
+            diff_blocks[t] = coords
         # target action: precompose with multiplication by y_j
         for jgen in range(T.r):
             e = T.codegrees[jgen]
@@ -412,8 +408,8 @@ def coextend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
                     for c2, x in ({} if f is None else f[1][cc]).items():
                         key = (src, rr, c2)
                         comp[key] = comp.get(key, Fraction(0)) + _entry(x, f[0]) * v
-                cols.append(express(t - e, comp))
-            act_blocks[jgen][t] = _columns_form(enumerate(cols), dims[t - e], len(cols))
+                cols.append(comp)
+            act_blocks[jgen][t] = express(t - e, cols)
     lo = min(dims, default=0)
     hi = max(dims, default=0)
     lo = min(lo, t_lo)
@@ -555,6 +551,7 @@ def _commuting_lifts(rm: RingMap, res: ResolutionData, total: FreeDGModule,
     basis = functools.cache(lambda n: free_basis(total, n))
     size = functools.cache(lambda n: len(basis(n)))
     images = [v for _, v in res.aug_vectors] + [None] * (total.rank - stage0)
+    aug_columns = [(n, _columns_form([(0, v)], len(v), 1)) for n, v in res.aug_vectors]
     aug = {n: _evaluate(total, restricted, images, n)
            for n in range(win.lo, win.hi + 1)
            if size(n) and restricted.known_dim(n) is not None}
@@ -619,17 +616,15 @@ def _commuting_lifts(rm: RingMap, res: ResolutionData, total: FreeDGModule,
         # exact verification on the augmentation: on each stage-0 generator
         for i in range(stage0):
             gdeg, gvec = res.aug_vectors[i]
-            lhs = [Fraction(0)] * restricted.dim(gdeg - e)
-            for jj in range(stage0):
-                p = Y[jj][i]
-                if p.is_zero():
-                    continue
-                g2deg, g2vec = res.aug_vectors[jj]
-                blk = restricted.action_poly_block(p, g2deg)
-                for rr in range(len(lhs)):
-                    lhs[rr] += sum(blk[rr][kk] * g2vec[kk] for kk in range(len(g2vec)))
-            rhs = Tmod.actions[jgen].apply(gdeg, gvec)
-            if lhs != rhs:
+            terms = []
+            for jj, (g2deg, v) in enumerate(aug_columns):
+                act = restricted._action_poly_form(Y[jj][i], g2deg)
+                if act is not None and v is not None:
+                    terms.append((_int_product(act, v), 0, 0, 1))
+            rows = restricted.dim(gdeg - e)
+            lhs = _assemble(rows, 1, terms)
+            rhs = _columns_form([(0, Tmod.actions[jgen].apply(gdeg, gvec))], rows, 1)
+            if not _int_agree(lhs, rhs):
                 raise LinearSolveFailed(
                     "decoded target lift fails augmentation compatibility")
         lifts.append(Y)
@@ -682,7 +677,6 @@ def _freeness_certificate(rm: RingMap, dual: FreeDGModule, realized: DGModule,
     # top down, and only the images that raise the rank of the classes
     # reached in their degree are followed: the lifts are chain maps, so the
     # image of a class spanned by those reached is spanned by their images.
-    from .algebra import express_in_homology
     maps = [realize_poly_map(dual, realized, dual_lifts[jgen], -T.codegrees[jgen])
             for jgen in range(T.r)]
     floor = min(certified, default=0)
@@ -776,7 +770,6 @@ def derived_coextension_dims(rm: RingMap, M: DGModule, pad: int = 4) -> dict:
     terms only appear on the resolved side, which is the form in which the
     left and right models of coextension agree.
     """
-    from .resolve import injective_resolution, is_zero_diff, totalize_injective_resolution
     if M.total_dim() == 0:
         return {}
     if not (M.is_finite() and is_zero_diff(M)):
@@ -789,7 +782,6 @@ def derived_coextension_dims(rm: RingMap, M: DGModule, pad: int = 4) -> dict:
     t_hi = (M.support_max() + rm.certificate.top_codegree
             + rm.relative_dimension + stages + 2)
     out = coextend_scalars(rm, total, w=Window(M.support_min() - stages - 1, t_hi))
-    from .algebra import homology_dims
     return homology_dims(out)
 
 
@@ -899,7 +891,6 @@ def adjunction_check(rm: RingMap, M: DGModule, N: DGModule,
 
 def catalog_ring_maps() -> dict:
     """Named ring maps for the shipped subgroup pairs."""
-    from .algebra import named_group
     out = {}
     su2 = PolyAlgebra(named_group("SU(2)"))
     t1 = PolyAlgebra(named_group("T"), varnames=("y1",))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .grlin import Window
 
@@ -70,7 +71,6 @@ class RunReport:
 
 
 def _jsonable(x):
-    from fractions import Fraction
     if isinstance(x, dict):
         return {_key(k): _jsonable(v) for k, v in sorted(x.items(), key=lambda kv: _key(kv[0]))}
     if isinstance(x, (list, tuple)):

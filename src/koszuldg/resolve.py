@@ -22,19 +22,20 @@ from .grlin import (
     GradedMap,
     GradedVS,
     LinearSystem,
-    Subspace,
     Window,
     _assemble,
-    _form_rank,
+    _coordinates_form,
+    _dense_vector,
     _entry,
+    _form_rank,
+    _insert,
     _int_product,
+    _kernel,
+    _primitive,
+    _reduced,
     _transposed,
     homology_at,
-    kernel_basis,
-    rank,
-    transpose,
     unit_vector,
-    zeros,
 )
 from .algebra import (
     ChainMap,
@@ -45,6 +46,7 @@ from .algebra import (
     PolyAlgebra,
     _evaluate,
     _realize,
+    _subsets,
     _vector_to_poly_column,
     dg_module,
     double_dual_comparison,
@@ -85,7 +87,7 @@ def tor_betti(M: DGModule, R: PolyAlgebra) -> dict:
     degs = M.degrees()
     if not degs:
         return {}
-    subs = _subsets_by_size(R.r)
+    subs = _subsets(R.r)
     total = sum(R.codegrees)
     if M.is_finite():
         t_lo, t_hi = degs[0] - total, degs[-1]
@@ -96,46 +98,25 @@ def tor_betti(M: DGModule, R: PolyAlgebra) -> dict:
             raise WindowTooSmall("window too shallow for betti computation")
     betti = {}
     for t in range(t_lo, t_hi + 1):
-        bases = {}
-        for s, subsets in enumerate(subs):
-            bs = []
-            for S in subsets:
-                m_deg = t + sum(R.codegrees[i] for i in S)
-                for u in range(M.dim(m_deg)):
-                    bs.append((S, u))
-            bases[s] = bs
-        mats = {}
-        for s in range(1, R.r + 1):
-            src, tgt = bases[s], bases[s - 1]
-            idx = {b: k for k, b in enumerate(tgt)}
-            m = zeros(len(tgt), len(src))
-            for col, (S, u) in enumerate(src):
-                m_deg = t + sum(R.codegrees[i] for i in S)
-                for pos, i in enumerate(S):
-                    sgn = -1 if pos % 2 else 1
-                    S2 = tuple(j for j in S if j != i)
-                    f = M.actions[i].form(m_deg)
-                    for rr, row in enumerate([] if f is None else f[1]):
-                        if u in row:
-                            m[idx[(S2, rr)]][col] += sgn * _entry(row[u], f[0])
-            mats[s] = m
+        # m (x) e_S sits at offsets[S] + m in the basis of word length |S|;
+        # the block from e_S to e_(S - i) is the action of x_i, signed by the
+        # position of i in S.  Sizes increase along subs, so S - i is placed
+        # before S.
+        offsets, dims, pieces = {}, [0] * (R.r + 1), [[] for _ in range(R.r + 1)]
+        for S in subs:
+            m_deg = t + sum(R.codegrees[i] for i in S)
+            offsets[S] = dims[len(S)]
+            dims[len(S)] += M.dim(m_deg)
+            for pos, i in enumerate(S):
+                pieces[len(S)].append((M.actions[i].form(m_deg), offsets[S[:pos] + S[pos + 1:]],
+                                       offsets[S], -1 if pos % 2 else 1))
+        ranks = ([0] + [_form_rank(_assemble(dims[s - 1], dims[s], pieces[s]))
+                        for s in range(1, R.r + 1)] + [0])
         for s in range(R.r + 1):
-            dim_s = len(bases[s])
-            if dim_s == 0:
-                continue
-            out = mats.get(s)
-            into = mats.get(s + 1)
-            cyc = dim_s - rank(out) if out is not None else dim_s
-            bnd = rank(into) if into is not None else 0
-            h = cyc - bnd
+            h = dims[s] - ranks[s] - ranks[s + 1]
             if h:
                 betti.setdefault(s, {})[t] = h
     return betti
-
-
-def _subsets_by_size(r: int) -> list:
-    import itertools
-    return [list(itertools.combinations(range(r), k)) for k in range(r + 1)]
 
 
 def is_zero_diff(M: DGModule) -> bool:
@@ -240,12 +221,12 @@ def _resolve_with_betti(M: DGModule, R: PolyAlgebra, betti: dict,
     gens0 = []
     for n in sorted(betti.get(0, {}), reverse=True):
         want = betti[0][n]
-        span = Subspace(M.dim(n))
+        span = {}
         for i in range(R.r):
-            blk = M.actions[i].block(n + R.codegrees[i])
-            for col in transpose(blk):
-                span.add(col)
-        new = span.complement_in([unit_vector(M.dim(n), j) for j in range(M.dim(n))])
+            f = M.actions[i].form(n + R.codegrees[i])
+            for col in [] if f is None else _transposed(f)[1]:
+                _insert(span, col)
+        new = [unit_vector(M.dim(n), j) for j in range(M.dim(n)) if _insert(span, {j: 1})]
         if len(new) != want:
             raise WindowTooSmall(
                 f"stage 0 found {len(new)} generators at degree {n}, oracle says {want}")
@@ -269,24 +250,29 @@ def _resolve_with_betti(M: DGModule, R: PolyAlgebra, betti: dict,
         expected = betti[s]
         top = max(b for _, b in prev_free.basis)
         sweep_lo = min(expected)
-        kernels = {}
+        kernels = {}  # degree -> the kernel basis there, as integer rows
         new_gens = []
         for n in range(top, sweep_lo - 1, -1):
-            blk = prev_map.block(n)
+            f = prev_map.form(n)
             dim_n = len(free_basis(prev_free, n))
-            kernels[n] = kernel_basis(blk, cols=dim_n) if dim_n else []
-            span = Subspace(dim_n)
+            ker = _kernel(_reduced([] if f is None else f[1]), dim_n)
+            kernels[n] = [_primitive(v) for v in ker]
+            # the m-multiples: x_i applied to the kernel one generator up,
+            # the rows of (kernel rows) . (action block)^T
+            span = {}
             for i in range(R.r):
-                act = prev_real.actions[i]
-                for v in kernels.get(n + R.codegrees[i], []):
-                    span.add(act.apply(n + R.codegrees[i], v))
-            new = span.complement_in(kernels[n])
+                t = n + R.codegrees[i]
+                act = prev_real.actions[i].form(t)
+                if act is not None and kernels.get(t):
+                    for row in _int_product((1, kernels[t], act[2]), _transposed(act))[1]:
+                        _insert(span, row)
+            new = [v for v, row in zip(ker, kernels[n]) if _insert(span, row)]
             want = expected.get(n, 0)
             if len(new) != want:
                 raise WindowTooSmall(
                     f"stage {s} found {len(new)} generators at degree {n}, oracle says {want}")
             for v in new:
-                new_gens.append((n, v))
+                new_gens.append((n, _dense_vector(v, dim_n)))
         gen_list = [(f"g{s}_{i}", n) for i, (n, _) in enumerate(new_gens)]
         poly_matrix = [[R.zero() for _ in new_gens] for _ in range(prev_free.rank)]
         for col, (n, v) in enumerate(new_gens):
@@ -625,9 +611,7 @@ def _ext_via_injective(M: DGModule, N: DGModule, window) -> BigradedTable:
                 continue
             out = mats[s] if s < len(stages) - 1 else None
             into = mats[s - 1] if s >= 1 else None
-            cyc = dim_s - rank(out) if out is not None else dim_s
-            bnd = rank(into) if into is not None else 0
-            h = cyc - bnd
+            h = dim_s - _form_rank(out) - _form_rank(into)
             if h:
                 entries[(s, t)] = h
     return BigradedTable(entries)
@@ -635,12 +619,12 @@ def _ext_via_injective(M: DGModule, N: DGModule, window) -> BigradedTable:
 
 def _ext_connecting_inj(M: DGModule, res: InjectiveResolutionData, s: int,
                         t: int, bases: list):
-    """Matrix of Hom(M, J_s)_t -> Hom(M, J_(s+1))_t, postcomposition."""
+    """Matrix of Hom(M, J_s)_t -> Hom(M, J_(s+1))_t, postcomposition, as an
+    integer form; None when the target space is zero."""
     psi = res.maps[s]
     src_basis, tgt_basis = bases[s], bases[s + 1]
     if not tgt_basis:
-        return zeros(0, len(src_basis))
-    # coordinates of a raw hom in the target basis, solved per source element
+        return None
     cols = []
     columns = {}  # n -> the denominator and the columns of psi's form at n + t
     for h in src_basis:
@@ -654,18 +638,9 @@ def _ext_connecting_inj(M: DGModule, res: InjectiveResolutionData, s: int,
                 key = (n, r2, cc)
                 comp[key] = comp.get(key, Fraction(0)) + _entry(x, den) * val
         cols.append(comp)
-    keyset = sorted({k for h in tgt_basis for k in h} |
-                    {k for c in cols for k in c})
-    basis_mat = [[h.get(k, Fraction(0)) for h in tgt_basis] for k in keyset]
-    from .grlin import solve
-    out = zeros(len(tgt_basis), len(src_basis))
-    for j, comp in enumerate(cols):
-        rhs = [comp.get(k, Fraction(0)) for k in keyset]
-        sol = solve(basis_mat, rhs)
-        if sol is None:
-            raise InvariantViolation("postcomposition left the hom space")
-        for i, x in enumerate(sol):
-            out[i][j] = x
+    out = _coordinates_form(tgt_basis, cols)
+    if out is None:
+        raise InvariantViolation("postcomposition left the hom space")
     return out
 
 

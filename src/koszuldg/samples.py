@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .grlin import mat_mul, rank, rref, zeros
+from .grlin import _int_form, _int_product, rank, rref
 from .algebra import (
     ChainMap,
     DGModule,
@@ -57,13 +57,13 @@ def cyclic_quotient(R: PolyAlgebra, powers, name: str = "") -> DGModule:
             if t not in by_degree:
                 continue
             idx = {m: k for k, m in enumerate(by_degree[t])}
-            m_blk = zeros(len(by_degree[t]), len(ms))
+            rows = [{} for _ in by_degree[t]]
             for col, m in enumerate(ms):
                 m2 = list(m)
                 m2[i] += 1
                 if tuple(m2) in idx:
-                    m_blk[idx[tuple(m2)]][col] = Fraction(1)
-            act_blocks[i][d] = m_blk
+                    rows[idx[tuple(m2)]][col] = 1
+            act_blocks[i][d] = (1, rows, len(ms))
     lo, hi = min(dims), max(dims)
     return dg_module(R, dims, {}, act_blocks, lo, hi,
                      complete_below=True, complete_above=True,
@@ -89,17 +89,12 @@ def mat_inverse(m):
 def conjugate(M: DGModule, rng: random.Random, name: str = "") -> DGModule:
     """Change basis degreewise by random invertible matrices."""
     ps = {n: random_invertible(M.dim(n), rng) for n in M.degrees()}
-    inv = {n: mat_inverse(p) for n, p in ps.items()}
+    inv = {n: _int_form(mat_inverse(p)) for n, p in ps.items()}
+    ps = {n: _int_form(p) for n, p in ps.items()}
 
     def transform(gm, deg):
-        out = {}
-        for n in M.degrees():
-            t = n + deg
-            if M.dim(t) == 0:
-                continue
-            b = mat_mul(ps[t], mat_mul(gm.block(n), inv[n]))
-            out[n] = b
-        return out
+        return {n: _int_product(ps[n + deg], _int_product(f, inv[n]))
+                for n, f in sorted(gm.forms.items())}
 
     dims = dict(M.space.dims)
     return dg_module(M.algebra, dims, transform(M.diff, -1),

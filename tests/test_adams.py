@@ -152,3 +152,13 @@ def test_socle_and_hull():
     for n in M.degrees():
         from koszuldg.grlin import rank
         assert rank(emb.block(n)) == M.dim(n)
+
+
+def test_hull_rejects_a_nonzero_differential_before_solving(monkeypatch):
+    M = sm.random_torsion_dg_module(R1, random.Random(7), max_total=6)
+    assert M.diff.forms and M.is_torsion()
+    calls = []
+    monkeypatch.setattr(ad, "socle", lambda N: calls.append(N))
+    with pytest.raises(rs.NotFiniteLength, match="zero-differential") as exc:
+        ad.injective_hull_embedding(M)
+    assert isinstance(exc.value, ValueError) and not calls

@@ -1,0 +1,63 @@
+"""Dense Fraction matrices stay at the API edges.
+
+The package computes on integer block forms.  This test parses every module
+of the package and fails on a call to `.block(`, `mat_mul`, `transpose`,
+`zeros(` or `action_poly_block` outside the edges listed in ALLOWED: module
+files parsed and printed, the dense views of GradedMap and ChainMap, and the
+dense polynomial action.  A new dense read is then a visible edit of this
+list, not a second representation growing back unnoticed."""
+import ast
+from pathlib import Path
+
+from koszuldg import grlin
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "koszuldg"
+GUARDED = {"block", "mat_mul", "transpose", "zeros", "action_poly_block"}
+# (module, enclosing function, name called)
+ALLOWED = {
+    ("grlin", "GradedMap.block", "zeros"),
+    ("grlin", "GradedMap.blocks", "block"),
+    ("algebra", "DGModule.action_poly_block", "zeros"),
+    ("algebra", "ChainMap.block", "block"),
+    ("modfile", "parse_module", "zeros"),
+    ("modfile", "print_module", "block"),
+}
+
+
+def dense_calls(node, module, scope, found):
+    """Append (module, enclosing function, name, line) for every guarded
+    call under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = scope + [child.name]
+        elif isinstance(child, ast.Call):
+            f = child.func
+            name = (f.attr if isinstance(f, ast.Attribute)
+                    else f.id if isinstance(f, ast.Name) else None)
+            if name in GUARDED:
+                found.append((module, ".".join(scope), name, child.lineno))
+        dense_calls(child, module, inner, found)
+    return found
+
+
+def test_dense_blocks_only_at_the_api_edges():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        dense_calls(ast.parse(path.read_text(), filename=str(path)), path.stem, [], found)
+    outside = [c for c in found if c[:3] not in ALLOWED]
+    assert not outside, f"dense calls outside the API edges: {outside}"
+    # every edge listed is still one, so the list shrinks with the code
+    assert {c[:3] for c in found} == ALLOWED
+
+
+def test_guard_sees_calls_in_nested_scopes():
+    src = ("def f(M):\n    def g():\n        return M.diff.block(0)\n"
+           "    return zeros(1, 1), transpose([])\n")
+    found = dense_calls(ast.parse(src), "m", [], [])
+    assert [c[1:3] for c in found] == [("f.g", "block"), ("f", "zeros"), ("f", "transpose")]
+
+
+def test_dense_helpers_left_the_package():
+    for name in ("mat_mul", "transpose", "identity", "is_zero_matrix"):
+        assert not hasattr(grlin, name), name

@@ -94,7 +94,8 @@ cases = {
         odd(-1), odd(-1), 0, {0: [[F(1)]]}),
     "not_module_map": lambda: alg.ChainMap(
         alg.lambda_as_module(L), alg.lambda_as_module(L), 0, {1: [[F(1)]]}),
-    "product_shape": lambda: grlin.mat_mul([[F(1), F(2)]], [[F(1)]]),
+    "product_shape": lambda: grlin._int_product(grlin._int_form([[F(1), F(2)]]),
+                                                grlin._int_form([[F(1)]])),
     "solve_shape": lambda: grlin.solve([[F(1)]], [F(1), F(5)]),
     "subspace_add_shape": lambda: grlin.Subspace(2).add([F(1), F(0), F(0)]),
     "subspace_contains_shape": lambda: grlin.Subspace(2).contains([F(1)]),
@@ -104,7 +105,7 @@ cases = {
     "coextend_escaped": coextend_escaped,
     "homology_not_closed": forced("express_in_homology",
                                   lambda: alg.homology_module(X)),
-    "gamma_not_closed": forced("coordinates", lambda: alg.gamma_m(X)),
+    "gamma_not_closed": forced("_coordinates_form", lambda: alg.gamma_m(X)),
     "free_shape": lambda: alg.FreeDGModule(
         R1, (("a", 0), ("b", -1)), ((R1.zero(), R1.zero()),)),
 }

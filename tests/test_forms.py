@@ -5,12 +5,17 @@ direct sums, mapping cones, totalizations, the left shriek, the free Ext
 connecting maps and the twisted tensor assembled entry by entry from dense
 blocks, polynomial matrices realized entry by entry, and free maps
 evaluated on module elements through dense polynomial actions, the
-semifree replacement rebuilt whole every round, and the equations of the
+semifree replacement rebuilt whole every round, the equations of the
 commuting lifts, of chain_map_space and of module_hom_space written entry by
-entry from dense blocks.  Pieces, vectors, blocks, cells and solution-space
-bases must be equal, and rejections must carry the same message."""
+entry from dense blocks, and the last dense reads: Betti numbers from dense
+Koszul matrices, resolution sweeps and formality generators as greedy rank
+tests on dense blocks, coordinates by one dense solve per vector, socles and
+torsion parts from dense kernels, dense chain-map, DGA and sample blocks.
+Pieces, vectors, blocks, cells and solution-space bases must be equal, and
+rejections must carry the same message."""
 import copy
 import dataclasses
+import itertools
 import random
 import sys
 from fractions import Fraction as F
@@ -18,6 +23,7 @@ from math import lcm
 
 import pytest
 
+from koszuldg import adams as ad
 from koszuldg import algebra as alg
 from koszuldg import duality as du
 from koszuldg import grlin
@@ -38,10 +44,12 @@ from koszuldg.grlin import (
     _int_form,
     _int_product,
     _primitive,
+    coordinates,
     homology_at,
-    is_zero_matrix,
     kernel_basis,
-    transpose,
+    rank,
+    solve,
+    unit_vector,
     zeros,
 )
 
@@ -53,6 +61,14 @@ R3 = alg.poly_algebra(alg.named_group("SU(3)"))
 
 # ---------------------------------------------------------------------------
 # the dense versions
+
+
+def is_zero_matrix(a):
+    return not any(x for row in a for x in row)
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
 
 
 def dense_homology_at(d_in, d_out, n):
@@ -1329,6 +1345,528 @@ def outcome_hom(fn, *args):
         return fn(*args)
     except rs.WindowTooSmall as exc:
         return ("WindowTooSmall", str(exc))
+
+
+# ---------------------------------------------------------------------------
+# the last dense block reads: sweeps, Betti numbers, coordinates, socles,
+# torsion parts, formality, samples
+
+
+def dense_tor_betti(M, R):
+    """tor_betti with dense Koszul matrices summed entry by entry."""
+    degs = M.degrees()
+    if not degs:
+        return {}
+    subs = [list(itertools.combinations(range(R.r), k)) for k in range(R.r + 1)]
+    total = sum(R.codegrees)
+    t_lo, t_hi = degs[0] - total, degs[-1]
+    betti = {}
+    for t in range(t_lo, t_hi + 1):
+        bases = {s: [(S, u) for S in subsets
+                     for u in range(M.dim(t + sum(R.codegrees[i] for i in S)))]
+                 for s, subsets in enumerate(subs)}
+        mats = {}
+        for s in range(1, R.r + 1):
+            src, tgt = bases[s], bases[s - 1]
+            idx = {b: k for k, b in enumerate(tgt)}
+            m = zeros(len(tgt), len(src))
+            for col, (S, u) in enumerate(src):
+                m_deg = t + sum(R.codegrees[i] for i in S)
+                for pos, i in enumerate(S):
+                    S2 = tuple(j for j in S if j != i)
+                    blk = M.actions[i].block(m_deg)
+                    for rr in range(len(blk)):
+                        m[idx[(S2, rr)]][col] += (-1 if pos % 2 else 1) * blk[rr][u]
+            mats[s] = m
+        for s in range(R.r + 1):
+            if not bases[s]:
+                continue
+            out, into = mats.get(s), mats.get(s + 1)
+            h = (len(bases[s]) - (rank(out) if out is not None else 0)
+                 - (rank(into) if into is not None else 0))
+            if h:
+                betti.setdefault(s, {})[t] = h
+    return betti
+
+
+def zero_diff_samples(rng):
+    mods = [sm.cyclic_quotient(R2, [2, 3]), sm.cyclic_quotient(R3, [1, 2]),
+            alg.residue_field(R2)]
+    for R in (R1, R2, R2, R3):
+        for _ in range(3):
+            mods.append(sm.random_zero_diff_module(R, rng))
+    return mods
+
+
+def test_tor_betti_matches_dense_koszul_matrices():
+    rng = random.Random(71)
+    # three generators: the Koszul signs change ranks, not only row signs
+    R_3 = alg.poly_algebra(alg.GroupData((2, 2, 2)))
+    mods = [sm.cyclic_quotient(R_3, [2, 2, 2]), sm.random_zero_diff_module(R_3, rng)]
+    found = 0
+    for M in zero_diff_samples(rng) + mods:
+        want = dense_tor_betti(M, M.algebra)
+        assert rs.tor_betti(M, M.algebra) == want
+        found += sum(sum(row.values()) for row in want.values())
+    assert found >= 60
+
+
+def dense_sweep(stage, R, M, prev_map, prev_free, prev_real, expected):
+    """The generators a resolution stage adds, degree by degree from the top:
+    the complement, greedy in order, of the m-multiples (columns of dense
+    action blocks at stage 0, actions applied to the kernel of the previous
+    map above it) in the unit vectors (stage 0) or the kernel basis."""
+    gens = []
+    degrees = (sorted(expected, reverse=True) if stage == 0 else
+               range(max(b for _, b in prev_free.basis), min(expected) - 1, -1))
+    kernels = {}
+    for n in degrees:
+        if stage == 0:
+            span = [col for i in range(R.r)
+                    for col in transpose(M.actions[i].block(n + R.codegrees[i]))]
+            candidates = [unit_vector(M.dim(n), j) for j in range(M.dim(n))]
+        else:
+            dim_n = len(alg.free_basis(prev_free, n))
+            kernels[n] = kernel_basis(prev_map.block(n), cols=dim_n) if dim_n else []
+            span = [prev_real.actions[i].apply(n + R.codegrees[i], v)
+                    for i in range(R.r) for v in kernels.get(n + R.codegrees[i], [])]
+            candidates = kernels[n]
+        for v in candidates:
+            if rank(span + [v]) > rank(span):
+                span.append(v)
+                gens.append((n, v))
+    return gens
+
+
+def test_resolution_sweeps_match_dense_greedy_complements():
+    rng = random.Random(72)
+    stages = 0
+    for M in zero_diff_samples(rng):
+        if not M.total_dim():
+            continue
+        res = rs.minimal_free_resolution(M)
+        R = res.ring
+        assert dense_sweep(0, R, M, None, None, None, res.betti_oracle[0]) == res.aug_vectors
+        maps = [res.realized_aug] + res.realized_maps
+        for s in range(1, len(res.terms)):
+            prev_free = res.free_stage(s - 1)
+            want = dense_sweep(s, R, M, maps[s - 1], prev_free, res.realized[s - 1],
+                               res.betti_oracle[s])
+            # the generator columns of the stage's realized map
+            F_s = res.free_stage(s)
+            got = []
+            for j, (_, b) in enumerate(F_s.basis):
+                col = alg.free_basis(F_s, b).index((j, (0,) * R.r))
+                got.append((b, [row[col] for row in maps[s].block(b)]))
+            assert got == want
+            stages += 1
+    assert stages >= 20
+
+
+def dense_ext_connecting_inj(M, res, s, t, bases):
+    """Postcomposition in the bases, solved one source element at a time
+    over the union of the keys, into a dense matrix."""
+    psi = res.maps[s]
+    src_basis, tgt_basis = bases[s], bases[s + 1]
+    if not tgt_basis:
+        return zeros(0, len(src_basis))
+    cols = []
+    for h in src_basis:
+        comp = {}
+        for (n, rr, cc), val in h.items():
+            blk = psi.block(n + t)
+            for r2 in range(len(blk)):
+                if blk[r2][rr]:
+                    comp[(n, r2, cc)] = comp.get((n, r2, cc), F(0)) + blk[r2][rr] * val
+        cols.append(comp)
+    keyset = sorted({k for h in tgt_basis for k in h} | {k for c in cols for k in c})
+    basis_mat = [[h.get(k, F(0)) for h in tgt_basis] for k in keyset]
+    out = zeros(len(tgt_basis), len(src_basis))
+    for j, comp in enumerate(cols):
+        sol = solve(basis_mat, [comp.get(k, F(0)) for k in keyset])
+        assert sol is not None
+        for i, x in enumerate(sol):
+            out[i][j] = x
+    return out
+
+
+def test_injective_ext_connecting_maps_match_dense_solves():
+    rng = random.Random(73)
+    mods = [M for M in zero_diff_samples(rng) if M.algebra != R3][:8]
+    nonzero = 0
+    for M in mods[:4]:
+        for N in mods:
+            if M.algebra != N.algebra or not (M.total_dim() and N.total_dim()):
+                continue
+            res = rs.injective_resolution(N, window=Window(-12, 0))
+            for t in range(-4, 5):
+                bases = [rs.module_hom_space(M, J, t) for J in res.stages]
+                for s in range(len(res.stages) - 1):
+                    want = dense_ext_connecting_inj(M, res, s, t, bases)
+                    got = rs._ext_connecting_inj(M, res, s, t, bases)
+                    assert same_block(got, want) if want else got is None
+                    nonzero += not is_zero_matrix(want)
+    assert nonzero >= 20
+
+
+def dense_coordinates_form(basis, vectors):
+    """The coordinate loop coextend_scalars ran: one dense solve per vector
+    over the union of the keys, the columns placed by _columns_form."""
+    if not basis:
+        return None if any(any(v.values()) for v in vectors) else (1, [], len(vectors))
+    cols = []
+    for comp in vectors:
+        keys = sorted({k for h in basis for k in h} | set(comp))
+        sol = solve([[h.get(k, F(0)) for h in basis] for k in keys],
+                    [comp.get(k, F(0)) for k in keys])
+        if sol is None:
+            return None
+        cols.append(sol)
+    out = grlin._columns_form(enumerate(cols), len(basis), len(vectors))
+    return (1, [{} for _ in basis], len(vectors)) if out is None else out
+
+
+class DenseRelations(grlin.Subspace):
+    """extend_scalars' relation span with the projection it ran before: v
+    reduced against the dense RREF rows of the vectors added, in increasing
+    pivot order."""
+
+    def __init__(self, ambient, vectors=()):
+        self.added = []
+        super().__init__(ambient, vectors)
+
+    def add(self, v):
+        self.added.append(v)
+        return super().add(v)
+
+    def residue(self, v):
+        red, pivots = grlin.rref(self.added) if self.added else ([], [])
+        v = v[:]
+        for row, p in zip(red, pivots):
+            if v[p]:
+                f = v[p]
+                v = [x - f * y for x, y in zip(v, row)]
+        return v
+
+
+def module_data(M):
+    return (M.space.dims, M.space.labels, M.lo, M.hi, M.complete_below,
+            M.complete_above, [M.diff.forms] + [a.forms for a in M.actions])
+
+
+def test_scalar_extensions_match_dense_projections_and_solves(monkeypatch):
+    rng = random.Random(74)
+    maps = gr.catalog_ring_maps()
+    mods = [sm.random_torsion_dg_module(R, rng, max_total=5) for R in (R1, R2) for _ in range(3)]
+    mods += zero_diff_samples(rng)[:6]
+    pairs = [(rm, M) for rm in maps.values() for M in mods if M.algebra == rm.source]
+    built = []
+    for rm, M in pairs:
+        built.append((outcome_mod(gr.extend_scalars, rm, M),
+                      outcome_mod(gr.coextend_scalars, rm, M)))
+    monkeypatch.setattr(gr, "Subspace", DenseRelations)
+    monkeypatch.setattr(gr, "_coordinates_form", dense_coordinates_form)
+    total = 0
+    for (rm, M), (ext, coext) in zip(pairs, built):
+        assert outcome_mod(gr.extend_scalars, rm, M) == ext
+        assert outcome_mod(gr.coextend_scalars, rm, M) == coext
+        total += sum(ext[0].values()) if isinstance(ext[0], dict) else 0
+        total += sum(coext[0].values()) if isinstance(coext[0], dict) else 0
+    assert len(pairs) >= 20 and total >= 100
+
+
+def outcome_mod(fn, *args):
+    try:
+        out = fn(*args)
+    except ValueError as exc:
+        return (type(exc).__name__, str(exc))
+    return module_data(out)
+
+
+def test_lift_augmentation_sums_match_dense_action_blocks(monkeypatch):
+    compared = []
+    kept = gr._int_agree
+
+    def recorded(lhs, rhs):
+        compared.append((lhs, rhs))
+        return kept(lhs, rhs)
+
+    monkeypatch.setattr(gr, "_int_agree", recorded)
+    checked = 0
+    for name, rm in gr.catalog_ring_maps().items():
+        if name == "T^2<SU(3)":
+            continue
+        del compared[:]
+        dd = gr.derived_dual(rm)
+        res, restricted = dd.resolution, dd.resolution.module
+        stage0 = len(res.terms[0])
+        assert len(compared) == len(dd.lifts) * stage0
+        for (lhs, rhs), (Y, i) in zip(compared, [(Y, i) for Y in dd.lifts
+                                                 for i in range(stage0)]):
+            rows = len(lhs[1]) if lhs else len(rhs[1]) if rhs else 0
+            want = [F(0)] * rows
+            for jj in range(stage0):
+                if Y[jj][i].is_zero():
+                    continue
+                g2deg, g2vec = res.aug_vectors[jj]
+                blk = restricted.action_poly_block(Y[jj][i], g2deg)
+                for rr in range(rows):
+                    want[rr] += sum(blk[rr][kk] * g2vec[kk] for kk in range(len(g2vec)))
+            assert same_block(lhs, [[x] for x in want])
+            assert same_block(rhs, [[x] for x in want])
+            checked += any(want)
+    assert checked >= 3
+
+
+def dense_chain_map_blocks(A, B, degree, entries):
+    blocks = {}
+    for (n, rr, cc), v in entries.items():
+        if not v:
+            continue
+        if n not in blocks:
+            blocks[n] = zeros(B.known_dim(n + degree), A.dim(n))
+        blocks[n][rr][cc] = grlin.frac(v)
+    return blocks
+
+
+def test_chain_map_from_blocks_matches_dense_blocks():
+    rng = random.Random(75)
+    mods = sample_modules(rng)
+    checked = 0
+    for A in mods:
+        for B in mods:
+            if A.algebra != B.algebra:
+                continue
+            keys = [(n, rr, cc) for n in A.degrees()
+                    if B.known_dim(n) is not None
+                    for rr in range(B.known_dim(n)) for cc in range(A.dim(n))]
+            entries = {k: rng.choice([0, F(0), 1, -2, F(3, 4), F(-5, 6)])
+                       for k in rng.sample(keys, min(len(keys), 6))}
+            got = alg.chain_map_from_blocks(A, B, 0, entries, check=False)
+            want = GradedMap(A.space, B.space, 0, dense_chain_map_blocks(A, B, 0, entries))
+            assert got.map == want
+            checked += bool(want.forms)
+    assert checked >= 30
+
+
+def dense_socle(M):
+    R = M.algebra
+    out = {}
+    for n in M.degrees():
+        rows = []
+        for i in range(R.r):
+            if M.known_dim(n - R.codegrees[i]) is None:
+                rows = None
+                break
+            rows += M.actions[i].block(n)
+        if rows is None:
+            continue
+        vecs = kernel_basis(rows, cols=M.dim(n)) if rows else [
+            unit_vector(M.dim(n), j) for j in range(M.dim(n))]
+        if vecs:
+            out[n] = vecs
+    return out
+
+
+def dense_gamma_m(M):
+    """The torsion part from dense kernels and products, and dense
+    coordinates of the images."""
+    R = M.algebra
+    sub_bases = {}
+    for n in range(M.lo, M.hi + 1):
+        dn = M.dim(n)
+        if dn == 0:
+            sub_bases[n] = []
+            continue
+        escaped, rows = False, []
+        for i in range(R.r):
+            t = n - R.codegrees[i]
+            if t < M.lo:
+                if M.complete_below:
+                    continue
+                escaped = True
+                break
+            tb = sub_bases.get(t, [])
+            if len(tb) == M.dim(t):
+                continue
+            rows += dense_mul(kernel_basis(tb, cols=M.dim(t)), M.actions[i].block(n))
+        if escaped:
+            sub_bases[n] = []
+        else:
+            sub_bases[n] = (kernel_basis(rows, cols=dn) if rows
+                            else [unit_vector(dn, j) for j in range(dn)])
+    dims = {n: len(v) for n, v in sub_bases.items() if v}
+    blocks = [{} for _ in range(R.r + 1)]
+    for n, vecs in sub_bases.items():
+        for k, (gm, deg) in enumerate([(M.diff, -1)] + [(a, -d) for a, d in
+                                                        zip(M.actions, R.codegrees)]):
+            if vecs and n + deg in dims:
+                cols = [coordinates(sub_bases[n + deg], gm.apply(n, v)) for v in vecs]
+                blocks[k][n] = transpose(cols)
+    return dims, blocks
+
+
+def test_socle_and_torsion_part_match_dense_kernels():
+    rng = random.Random(76)
+    mods = sample_modules(rng, poly_only=True) + zero_diff_samples(rng)
+    mods += [alg.basic_injective(R2, Window(-2, 6)), alg.poly_as_module(R2, Window(-8, 0)),
+             du.functor_S(alg.trivial_lambda_module(L2), R2, Window(-10, 2))]
+    found = 0
+    for M in mods:
+        assert ad.socle(M) == dense_socle(M)
+        G = alg.gamma_m(M)
+        dims, blocks = dense_gamma_m(M)
+        assert G.space.dims == dims
+        assert [G.diff] + list(G.actions) == [
+            GradedMap(G.space, G.space, gm.degree, b)
+            for gm, b in zip([G.diff] + list(G.actions), blocks)]
+        found += G.total_dim()
+    assert found >= 60
+
+
+def dense_formality_generators(A, R, chosen, n, d):
+    """The new generator classes at degree n: homology representatives
+    raising the rank of the decomposable images and the columns of the
+    dense differential block, greedily in order."""
+    M = A.module
+    span = [du._monomial_image(A, R, chosen, alpha) for alpha in R.monomials(d)
+            if sum(alpha) >= 2]
+    span += transpose(M.diff.block(n + 1))
+    new = []
+    for v in alg.homology(M).representatives(n):
+        if rank(span + [v]) > rank(span):
+            span.append(v)
+            new.append(v)
+    return new
+
+
+def twisted_square(R):
+    """acyclic_extension_dga on generators of codegrees 2 and 4, with the
+    square of the degree -2 class moved off the monomial x1^2 by the
+    boundary u = d(v): the degree -4 generator is found only modulo
+    boundaries."""
+    A = du.acyclic_extension_dga(R, Window(-14, 2), -4)
+    u = len(R.monomials(4))
+
+    def product(d1, v1, d2, v2):
+        deg, out = A.product(d1, v1, d2, v2)
+        if d1 == d2 == -2:
+            out = out[:]
+            out[u] += v1[0] * v2[0]
+        return deg, out
+
+    return du.DegreewiseDGA(A.module, product, A.unit, name="twisted")
+
+
+def test_formality_generators_match_dense_rank_tests():
+    R0 = alg.poly_algebra(alg.GroupData(()))
+    R24 = alg.poly_algebra(alg.GroupData((2, 4)))
+    cases = [(du.poly_dga(R2, Window(-8, 0)), R2), (du.koszul_dga(R1, Window(-9, 1)), R0),
+             (du.acyclic_extension_dga(R1, Window(-10, 2), -3), R1),
+             (du.acyclic_extension_dga(R2, Window(-8, 2), -3), R2),
+             (du.acyclic_extension_dga(R3, Window(-12, 2), -5), R3),
+             (du.poly_dga(R3, Window(-14, 0)), R3), (twisted_square(R24), R24)]
+    found = 0
+    for A, R in cases:
+        out = du.formality_map(A, R)
+        assert out.homology_iso
+        chosen = [None] * R.r
+        for d in sorted(set(R.codegrees)):
+            idx = [i for i, c in enumerate(R.codegrees) if c == d]
+            new = dense_formality_generators(A, R, chosen, -d, d)
+            assert [(i, -d, v) for i, v in zip(idx, new)] == [
+                c for c in out.generator_cycles if c[0] in idx]
+            for i, v in zip(idx, new):
+                chosen[i] = v
+            found += len(new)
+    assert found >= 6
+
+
+def dense_acyclic_blocks(R, w, cell_degree):
+    """The differential and action blocks of acyclic_extension_dga as dense
+    matrices written entry by entry."""
+    def split(n):
+        return (R.monomials(-n), R.monomials(cell_degree - n), R.monomials(cell_degree + 1 - n))
+    dims = {n: sum(map(len, split(n))) for n in range(w.lo, w.hi + 1) if sum(map(len, split(n)))}
+    diff = {}
+    for n in dims:
+        if n - 1 in dims:
+            (base, us, vs), (base2, us2, _) = split(n), split(n - 1)
+            m = zeros(dims[n - 1], dims[n])
+            for col, a in enumerate(vs):
+                m[len(base2) + us2.index(a)][len(base) + len(us) + col] = F(1)
+            diff[n] = m
+    acts = [{} for _ in range(R.r)]
+    for n in dims:
+        for i in range(R.r):
+            t = n - R.codegrees[i]
+            if t not in dims:
+                continue
+            parts, parts2 = split(n), split(t)
+            m = zeros(dims[t], dims[n])
+            off, off2 = 0, 0
+            for mons, mons2 in zip(parts, parts2):
+                for col, a in enumerate(mons):
+                    a2 = list(a)
+                    a2[i] += 1
+                    m[off2 + mons2.index(tuple(a2))][off + col] = F(1)
+                off, off2 = off + len(mons), off2 + len(mons2)
+            acts[i][n] = m
+    return dims, [diff] + acts
+
+
+def dense_conjugate(M, rng):
+    """conjugate with dense products of dense blocks."""
+    ps = {n: sm.random_invertible(M.dim(n), rng) for n in M.degrees()}
+    inv = {n: sm.mat_inverse(p) for n, p in ps.items()}
+    return [{n: dense_mul(ps[n + gm.degree], dense_mul(gm.block(n), inv[n]))
+             for n in M.degrees() if M.dim(n + gm.degree)}
+            for gm in [M.diff] + list(M.actions)]
+
+
+def dense_cyclic_blocks(R, powers):
+    mons = [a for d in range(0, 40) for a in R.monomials(d)
+            if all(x < p for x, p in zip(a, powers))]
+    by_degree = {}
+    for a in mons:
+        by_degree.setdefault(R.monomial_degree(a), []).append(a)
+    acts = [{} for _ in range(R.r)]
+    for d, ms in by_degree.items():
+        for i in range(R.r):
+            t = d - R.codegrees[i]
+            if t in by_degree:
+                m = zeros(len(by_degree[t]), len(ms))
+                for col, a in enumerate(ms):
+                    a2 = list(a)
+                    a2[i] += 1
+                    if tuple(a2) in by_degree[t]:
+                        m[by_degree[t].index(tuple(a2))][col] = F(1)
+                acts[i][d] = m
+    return acts
+
+
+def test_dga_and_sample_blocks_match_dense_constructions():
+    for R, w, c in [(R1, Window(-10, 2), -3), (R2, Window(-8, 2), -3),
+                    (R3, Window(-12, 2), -5)]:
+        M = du.acyclic_extension_dga(R, w, c).module
+        dims, blocks = dense_acyclic_blocks(R, w, c)
+        assert M.space.dims == dims
+        assert [M.diff] + list(M.actions) == [GradedMap(M.space, M.space, gm.degree, b)
+                                               for gm, b in zip([M.diff] + list(M.actions), blocks)]
+    for R, powers in [(R1, [3]), (R2, [2, 3]), (R3, [2, 2])]:
+        M = sm.cyclic_quotient(R, powers)
+        assert list(M.actions) == [GradedMap(M.space, M.space, a.degree, b)
+                                   for a, b in zip(M.actions, dense_cyclic_blocks(R, powers))]
+    rng = random.Random(77)
+    conjugated = 0
+    for M in sample_modules(rng):
+        seed = rng.randrange(10 ** 6)
+        C = sm.conjugate(M, random.Random(seed))
+        maps = [C.diff] + list(C.actions)
+        assert maps == [GradedMap(C.space, C.space, gm.degree, b)
+                        for gm, b in zip(maps, dense_conjugate(M, random.Random(seed)))]
+        conjugated += C.total_dim()
+    assert conjugated >= 60
 
 
 # ---------------------------------------------------------------------------

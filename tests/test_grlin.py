@@ -10,9 +10,10 @@ from koszuldg.grlin import (
     LinearSystem,
     Subspace,
     Window,
+    _coordinates_form,
+    _dense,
     homology_at,
     kernel_basis,
-    mat_mul,
     rank,
     rref,
     solve,
@@ -299,6 +300,130 @@ def test_rank_kernel_solve_match_dense_reference():
         assert solve(m, image) is not None
 
 
+def mat_mul(a, b):
+    """The dense product of two dense matrices."""
+    return [[sum((x * b[k][j] for k, x in enumerate(row)), F(0))
+             for j in range(len(b[0]) if b else 0)] for row in a]
+
+
+class DenseSubspace:
+    """Subspace as it was: dense Fraction rows kept in reduced row echelon
+    form by Gauss-Jordan steps, each new pivot cleared from the rows before."""
+
+    def __init__(self, ambient, vectors=()):
+        self.ambient = ambient
+        self.rows = []
+        self.pivots = []
+        for v in vectors:
+            self.add(v)
+
+    def reduce(self, v):
+        """v cleared at every pivot, in increasing pivot order."""
+        v = v[:]
+        for row, p in zip(self.rows, self.pivots):
+            if v[p] != 0:
+                f = v[p]
+                v = [x - f * y for x, y in zip(v, row)]
+        return v
+
+    def add(self, v):
+        assert len(v) == self.ambient
+        v = self.reduce(v)
+        piv = next((j for j, x in enumerate(v) if x != 0), None)
+        if piv is None:
+            return False
+        inv = 1 / v[piv]
+        v = [x * inv for x in v]
+        for row in self.rows:
+            if row[piv] != 0:
+                f = row[piv]
+                row[:] = [x - f * y for x, y in zip(row, v)]
+        at = 0
+        while at < len(self.pivots) and self.pivots[at] < piv:
+            at += 1
+        self.rows.insert(at, v)
+        self.pivots.insert(at, piv)
+        return True
+
+    def contains(self, v):
+        assert len(v) == self.ambient
+        return not any(self.reduce(v))
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def complement_in(self, vectors):
+        probe = DenseSubspace(self.ambient, [row[:] for row in self.rows])
+        return [v[:] for v in vectors if probe.add(v)]
+
+
+def random_vectors(rng, n, count):
+    """Integer, fractional and zero vectors, and combinations of the ones
+    drawn before them."""
+    out = []
+    for _ in range(count):
+        kind = rng.choice(("int", "frac", "zero", "dependent", "dependent"))
+        if kind == "zero" or n == 0:
+            v = [F(0)] * n
+        elif kind == "dependent" and out:
+            v = [F(0)] * n
+            for w in rng.sample(out, min(len(out), rng.randint(1, 3))):
+                c = F(rng.randint(-3, 3), rng.choice((1, 2, 7)))
+                v = [x + c * y for x, y in zip(v, w)]
+        else:
+            den = (1,) if kind == "int" else (1, 2, 3, 10)
+            v = [F(rng.randint(-4, 4), rng.choice(den)) if rng.random() < 0.4 else F(0)
+                 for _ in range(n)]
+        out.append(v)
+    return out
+
+
+def test_subspace_matches_dense_gauss_jordan():
+    rng = random.Random(15)
+    grew = kept = 0
+    for _ in range(150):
+        n = rng.randint(0, 12)
+        vectors = random_vectors(rng, n, rng.randint(0, 2 * n + 2))
+        probes = random_vectors(rng, n, 6) + vectors[:3]
+        sparse, dense = Subspace(n), DenseSubspace(n)
+        for v in vectors:
+            assert sparse.add(v) == dense.add(v)
+            assert sparse.dim == dense.dim and sparse.pivots == dense.pivots
+            grew += dense.dim
+        for v in probes:
+            assert sparse.contains(v) == dense.contains(v)
+            kept += dense.contains(v)
+            assert sparse.residue(v) == dense.reduce(v)
+        assert sparse.complement_in(probes) == dense.complement_in(probes)
+        assert Subspace(n, vectors).pivots == dense.pivots
+    assert grew >= 500 and kept >= 100
+
+
+def test_coordinates_form_matches_dense_solve():
+    rng = random.Random(16)
+    outside = found = 0
+    for _ in range(150):
+        n = rng.randint(0, 9)
+        span = DenseSubspace(n)
+        basis = [v for v in random_vectors(rng, n, rng.randint(0, n)) if span.add(v)]
+        vectors = random_vectors(rng, n, 4)
+        for _ in range(3):
+            c = [F(rng.randint(-3, 3), rng.choice((1, 4))) for _ in basis]
+            vectors.append([sum((x * b[i] for x, b in zip(c, basis)), F(0)) for i in range(n)])
+        cols = [solve([[b[i] for b in basis] for i in range(n)], v) if basis
+                else ([] if not any(v) else None) for v in vectors]
+        got = _coordinates_form([dict(enumerate(b)) for b in basis],
+                                [dict(enumerate(v)) for v in vectors])
+        if any(c is None for c in cols):
+            assert got is None
+            outside += 1
+        else:
+            assert _dense(*got) == [list(row) for row in zip(*cols)]
+            found += 1
+    assert outside >= 30 and found >= 30
+
+
 def reference_homology_at(d_in, d_out, n):
     """The greedy Subspace construction: boundaries are the columns of d_in
     that enlarge the span so far, representatives the cycle-basis vectors
@@ -306,7 +431,7 @@ def reference_homology_at(d_in, d_out, n):
     into, out = d_in.block(n - d_in.degree), d_out.block(n)
     amb = len(out[0]) if out else (len(into) if into else 0)
     cycles = kernel_basis(out, cols=amb)
-    span, boundaries = Subspace(amb), []
+    span, boundaries = DenseSubspace(amb), []
     for col in ([into[i][j] for i in range(len(into))]
                 for j in range(len(into[0]) if into else 0)):
         if span.add(col):

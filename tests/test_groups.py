@@ -2,10 +2,14 @@ import random
 
 import pytest
 
-from koszuldg.grlin import Window, is_zero_matrix, rank
+from koszuldg.grlin import Window, rank
 from koszuldg import algebra as alg
 from koszuldg import groups as gr
 from koszuldg import samples as sm
+
+
+def is_zero_matrix(a):
+    return not any(x for row in a for x in row)
 
 
 MAPS = gr.catalog_ring_maps()
@@ -60,7 +64,6 @@ def test_restrict_squares_the_action():
     I_T = alg.basic_injective(T, Window(0, 8))
     out = gr.restrict_scalars(RM, I_T)
     # x acts as y^2: shifts four degrees down, kills the bottom two classes
-    from koszuldg.grlin import is_zero_matrix
     assert is_zero_matrix(out.actions[0].block(0))
     assert is_zero_matrix(out.actions[0].block(2))
     assert not is_zero_matrix(out.actions[0].block(4))
