@@ -10,6 +10,11 @@ tensor against an exterior module.
 
 Degree conventions: homological lower degrees everywhere, differentials of
 degree -1, codegree n <-> degree -n.
+
+Sums, cones, Hom, twisted tensors, totalizations and r'_! are built by one
+assembler, `_summed`: each degree is a sum of keyed summands, and each block
+of operator k (`DGModule.op`) is a sum of integer forms placed from one
+summand onto another.
 """
 from __future__ import annotations
 
@@ -453,6 +458,10 @@ class DGModule:
     def labels_at(self, n: int) -> list:
         return [self.space.label(n, i) for i in range(self.dim(n))]
 
+    def op(self, k: int) -> GradedMap:
+        """The differential for k = -1, the action of generator k otherwise."""
+        return self.diff if k == -1 else self.actions[k]
+
     def action_poly_block(self, p: "Poly", n: int) -> Matrix:
         """Matrix of the action of a homogeneous polynomial on degree n.
 
@@ -544,6 +553,36 @@ def dg_module(algebra, dims: dict, diff_blocks: dict, action_blocks: list,
             for g, blocks in zip(algebra.generator_degrees(), action_blocks)]
     return DGModule(algebra, sp, diff, tuple(acts), lo, hi,
                     complete_below, complete_above, name=name)
+
+
+def _summed(algebra, lo: int, hi: int, summands, pieces,
+            complete_below: bool, complete_above: bool, name: str) -> DGModule:
+    """Assemble and validate a DG module whose every degree is a direct sum
+    of keyed summands.
+
+    summands(n) yields (key, labels) in order: the degree-n basis is the
+    concatenation of the label lists, and a key with no labels is an empty
+    summand.  pieces(k, g, n) yields (form, target key, source key, scale)
+    for the block of operator k (DGModule.op), of degree g, out of degree n:
+    the integer form, times scale, maps that source summand at n into that
+    target summand at n + g.  A None form adds nothing, and its keys are not
+    looked up.
+    """
+    offsets, dims, labels = {}, {}, {}
+    for n in range(lo, hi + 1):
+        offs, labs = {}, []
+        for key, ls in summands(n):
+            offs[key] = len(labs)
+            labs += ls
+        if labs:
+            offsets[n], dims[n], labels[n] = offs, len(labs), labs
+    ops = [(-1, -1)] + list(enumerate(algebra.generator_degrees()))
+    blocks = [{n: _assemble(dims[n + g], dims[n],
+                            [(f, offsets[n + g][tk], offsets[n][sk], c)
+                             for f, tk, sk, c in pieces(k, g, n) if f is not None])
+               for n in dims if n + g in dims} for k, g in ops]
+    return dg_module(algebra, dims, blocks[0], blocks[1:], lo, hi,
+                     complete_below, complete_above, labels=labels, name=name)
 
 
 def _block_product(f: GradedMap, m: int, g: GradedMap, n: int) -> tuple | None:
@@ -943,32 +982,10 @@ def direct_sum(A: DGModule, B: DGModule, name: str = "") -> DGModule:
     hi = min(khi, max(A.hi, B.hi))
     if lo > hi:
         return zero_module(A.algebra, name=name)
-    dims, labels = {}, {}
-    for n in range(lo, hi + 1):
-        da, db = A.known_dim(n), B.known_dim(n)
-        if da + db:
-            dims[n] = da + db
-            labels[n] = (list(A.labels_at(n)) + list(B.labels_at(n)))
-    gens = A.generator_degrees()
-    diff_blocks = {}
-    act_blocks = [dict() for _ in gens]
-    for n in dims:
-        for store, gm_a, gm_b, deg in (
-                [(diff_blocks, A.diff, B.diff, -1)]
-                + [(act_blocks[i], A.actions[i], B.actions[i], g)
-                   for i, g in enumerate(gens)]):
-            t = n + deg
-            if t not in dims:
-                continue
-            ta, da = A.known_dim(t), A.known_dim(n)
-            m = _assemble(dims[t], dims[n], [(gm_a.form(n), 0, 0, 1),
-                                             (gm_b.form(n), ta, da, 1)])
-            if m is not None:
-                store[n] = m
-    return dg_module(A.algebra, dims, diff_blocks, act_blocks, lo, hi,
-                     complete_below=(klo == _NEG),
-                     complete_above=(khi == _POS),
-                     labels=labels, name=name or f"{A.name}+{B.name}")
+    return _summed(A.algebra, lo, hi,
+                   lambda n: ((0, A.labels_at(n)), (1, B.labels_at(n))),
+                   lambda k, g, n: ((A.op(k).form(n), 0, 0, 1), (B.op(k).form(n), 1, 1, 1)),
+                   klo == _NEG, khi == _POS, name or f"{A.name}+{B.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -1001,38 +1018,29 @@ class ChainMap:
         return self.map.block(n)
 
     def commutes_with_diff(self) -> bool:
-        sgn = -1 if self.degree % 2 else 1
-        f, d_src, d_tgt = self.map, self.source.diff, self.target.diff
+        return self._commutes(-1)
+
+    def is_module_map(self) -> bool:
+        return all(self._commutes(k) for k in range(len(self.source.actions)))
+
+    def _commutes(self, k: int) -> bool:
+        """Operator k (DGModule.op) of degree g on both sides: the target's
+        after the map equals the map after the source's, Koszul-signed,
+        wherever every degree involved is known."""
+        f, a_src, a_tgt = self.map, self.source.op(k), self.target.op(k)
+        g = a_src.degree
+        sgn = -1 if (self.degree % 2 and g % 2) else 1
         for n in range(self.source.lo, self.source.hi + 1):
             if self.source.dim(n) == 0:
                 continue
             tn = n + self.degree
             if (self.target.known_dim(tn) is None
-                    or self.target.known_dim(tn - 1) is None
-                    or self.source.known_dim(n - 1) is None):
+                    or self.target.known_dim(tn + g) is None
+                    or self.source.known_dim(n + g) is None):
                 continue
-            if not _int_agree(_block_product(d_tgt, tn, f, n),
-                              _block_product(f, n - 1, d_src, n), sgn):
+            if not _int_agree(_block_product(a_tgt, tn, f, n),
+                              _block_product(f, n + g, a_src, n), sgn):
                 return False
-        return True
-
-    def is_module_map(self) -> bool:
-        gens = self.source.generator_degrees()
-        f = self.map
-        for i, g in enumerate(gens):
-            sgn = -1 if (self.degree % 2 and g % 2) else 1
-            a_src, a_tgt = self.source.actions[i], self.target.actions[i]
-            for n in range(self.source.lo, self.source.hi + 1):
-                if self.source.dim(n) == 0:
-                    continue
-                tn = n + self.degree
-                if (self.target.known_dim(tn) is None
-                        or self.target.known_dim(tn + g) is None
-                        or self.source.known_dim(n + g) is None):
-                    continue
-                if not _int_agree(_block_product(a_tgt, tn, f, n),
-                                  _block_product(f, n + g, a_src, n), sgn):
-                    return False
         return True
 
 
@@ -1109,40 +1117,17 @@ def mapping_cone(f: ChainMap, name: str = "") -> DGModule:
     hi = min(khi, max(B.hi, A.hi + 1))
     if lo > hi:
         return zero_module(A.algebra, name=name)
-    dims, labels = {}, {}
-    for n in range(lo, hi + 1):
-        db, da = B.known_dim(n), A.known_dim(n - 1)
-        if db + da:
-            dims[n] = db + da
-            labels[n] = ([f"b.{l}" for l in B.labels_at(n)]
-                         + [f"sa.{l}" for l in A.labels_at(n - 1)])
-    gens = A.generator_degrees()
-    diff_blocks = {}
-    act_blocks = [dict() for _ in gens]
-    for n in dims:
-        db = B.known_dim(n)
-        if (n - 1) in dims:
-            tb = B.known_dim(n - 1)
-            m = _assemble(dims[n - 1], dims[n], [
-                (B.diff.form(n), 0, 0, 1), (f.map.form(n - 1), 0, db, 1),
-                (A.diff.form(n - 1), tb, db, -1)])
-            if m is not None:
-                diff_blocks[n] = m
-        for t, g in enumerate(gens):
-            tgt = n + g
-            if tgt not in dims:
-                continue
-            tb = B.known_dim(tgt)
-            m = _assemble(dims[tgt], dims[n], [
-                (B.actions[t].form(n), 0, 0, 1),
-                (A.actions[t].form(n - 1), tb, db, -1 if g % 2 else 1)])
-            if m is not None:
-                act_blocks[t][n] = m
-    return dg_module(A.algebra, dims, diff_blocks, act_blocks, lo, hi,
-                     complete_below=(klo == _NEG),
-                     complete_above=(khi == _POS),
-                     labels=labels,
-                     name=name or f"cone({f.source.name}->{f.target.name})")
+
+    def pieces(k, g, n):
+        fa = f.map.form(n - 1) if k == -1 else None
+        return ((B.op(k).form(n), 0, 0, 1), (fa, 0, 1, 1),
+                (A.op(k).form(n - 1), 1, 1, -1 if g % 2 else 1))
+
+    return _summed(A.algebra, lo, hi,
+                   lambda n: ((0, [f"b.{l}" for l in B.labels_at(n)]),
+                              (1, [f"sa.{l}" for l in A.labels_at(n - 1)])),
+                   pieces, klo == _NEG, khi == _POS,
+                   name or f"cone({f.source.name}->{f.target.name})")
 
 
 def fibre(f: ChainMap, name: str = "") -> DGModule:
@@ -1331,7 +1316,11 @@ def hom_from_free(F: FreeDGModule, M: DGModule, name: str = "",
     R = F.algebra
     if not isinstance(M.algebra, PolyAlgebra) or M.algebra != R:
         raise AlgebraMismatch("hom_from_free needs matching polynomial algebras")
-    out_algebra = ExtAlgebra(R.group) if contractions else R
+    L = ExtAlgebra(R.group)
+    out_algebra = L if contractions else R
+    subs = _subsets(R.r)
+    if contractions and F.rank != len(subs):
+        raise InvariantViolation("contraction actions need the Koszul basis")
     bdegs = F.basis_degrees()
     if not bdegs or M.total_dim() == 0:
         return zero_module(out_algebra, name=name)
@@ -1342,83 +1331,32 @@ def hom_from_free(F: FreeDGModule, M: DGModule, name: str = "",
     hi = min(khi, M.hi - bmin)
     if lo > hi:
         return zero_module(out_algebra, name=name)
-    cb = klo == _NEG
-    ca = khi == _POS
+    # the nonzero entries F.diff[i][j] of each column j
+    columns = [[(i, p) for i, p in enumerate(col) if not p.is_zero()] for col in zip(*F.diff)]
+    # (a_i f)(e_S) = (-1)^{|f|} tau f(e_{S-i}): the summand of e_(S-i) goes
+    # to that of e_S, whose internal degrees match: t + b_S = n + b_{S-i}
+    contract = [[(k, subs.index(tuple(j for j in s if j != i)), L.remove_sign(i, s))
+                 for k, s in enumerate(subs) if i in s] for i in range(R.r)]
 
-    dims, labels, offsets = {}, {}, {}
-    for n in range(lo, hi + 1):
-        offs = []
-        total = 0
-        for j, b in enumerate(bdegs):
-            offs.append(total)
-            total += M.known_dim(n + b)
-        offsets[n] = offs
-        if total:
-            dims[n] = total
-            labels[n] = [f"{F.basis[j][0]}->{lab}"
-                         for j, b in enumerate(bdegs)
-                         for lab in M.labels_at(n + b)]
-    diff_blocks = {}
-    for n in dims:
-        t = n - 1
-        if t not in dims:
-            continue
+    def pieces(k, g, n):
         sgn = -1 if n % 2 else 1
-        pieces = []
-        for j, bj in enumerate(bdegs):
-            if not M.known_dim(t + bj):
-                continue
-            pieces.append((M.diff.form(n + bj), offsets[t][j], offsets[n][j], 1))
-            for i, bi in enumerate(bdegs):
-                p = F.diff[i][j]
-                if not p.is_zero():
-                    pieces.append((M._action_poly_form(p, n + bi),
-                                   offsets[t][j], offsets[n][i], -sgn))
-        m = _assemble(dims[t], dims[n], pieces)
-        if m is not None:
-            diff_blocks[n] = m
+        if k == -1:
+            for j, bj in enumerate(bdegs):
+                yield M.diff.form(n + bj), j, j, 1
+                for i, p in columns[j]:
+                    yield M._action_poly_form(p, n + bdegs[i]), j, i, -sgn
+        elif contractions:
+            for s, s2, c in contract[k]:
+                yield _identity_form(M.known_dim(n + bdegs[s2])), s, s2, c * sgn
+        else:
+            for j, bj in enumerate(bdegs):
+                yield M.actions[k].form(n + bj), j, j, 1
 
-    if contractions:
-        L = out_algebra
-        subs = _subsets(R.r)
-        assert F.rank == len(subs), "contraction actions need the Koszul basis"
-        gens = L.generator_degrees()
-        act_blocks = [dict() for _ in range(L.r)]
-        for n in dims:
-            sgn_f = -1 if n % 2 else 1
-            for i in range(L.r):
-                t = n + gens[i]
-                if t not in dims:
-                    continue
-                pieces = []
-                for k, s in enumerate(subs):
-                    if i not in s:
-                        continue
-                    k2 = subs.index(tuple(j for j in s if j != i))
-                    # (a_i f)(e_S) = (-1)^{|f|} tau f(e_{S-i});
-                    # internal degrees match: t + b_S = n + b_{S-i}
-                    pieces.append((_identity_form(M.known_dim(n + bdegs[k2])),
-                                   offsets[t][k], offsets[n][k2],
-                                   L.remove_sign(i, s) * sgn_f))
-                m = _assemble(dims[t], dims[n], pieces)
-                if m is not None:
-                    act_blocks[i][n] = m
-        return dg_module(L, dims, diff_blocks, act_blocks, lo, hi, cb, ca,
-                         labels=labels, name=name or f"T({M.name})")
-
-    act_blocks = [dict() for _ in range(R.r)]
-    for n in dims:
-        for i in range(R.r):
-            t = n - R.codegrees[i]
-            if t not in dims:
-                continue
-            m = _assemble(dims[t], dims[n], [
-                (M.actions[i].form(n + bj), offsets[t][j], offsets[n][j], 1)
-                for j, bj in enumerate(bdegs)])
-            if m is not None:
-                act_blocks[i][n] = m
-    return dg_module(R, dims, diff_blocks, act_blocks, lo, hi, cb, ca,
-                     labels=labels, name=name or f"Hom({M.name})")
+    return _summed(out_algebra, lo, hi,
+                   lambda n: [(j, [f"{F.basis[j][0]}->{lab}" for lab in M.labels_at(n + b)])
+                              for j, b in enumerate(bdegs)],
+                   pieces, klo == _NEG, khi == _POS,
+                   name or (f"T({M.name})" if contractions else f"Hom({M.name})"))
 
 
 def hom_R(F: FreeDGModule, M: DGModule, name: str = "") -> DGModule:
@@ -1474,23 +1412,20 @@ def gamma_m(M: DGModule, name: str = "") -> DGModule:
         if vecs:
             dims[n] = len(vecs)
             labels[n] = [f"g{n}_{i}" for i in range(len(vecs))]
-    diff_blocks = {}
-    act_blocks = [dict() for _ in range(R.r)]
-    for n, vecs in sub_bases.items():
-        if not vecs:
-            continue
-        for store, gm, deg in ([(diff_blocks, M.diff, -1)]
-                               + [(act_blocks[i], M.actions[i], -R.codegrees[i])
-                                  for i in range(R.r)]):
-            t = n + deg
+    blocks = [{} for _ in range(R.r + 1)]
+    for n in dims:
+        for k in range(-1, R.r):
+            gm = M.op(k)
+            t = n + gm.degree
             if t not in dims:
                 continue
-            images = [dict(enumerate(gm.apply(n, _dense_vector(v, M.dim(n))))) for v in vecs]
+            images = [dict(enumerate(gm.apply(n, _dense_vector(v, M.dim(n)))))
+                      for v in sub_bases[n]]
             coords = _coordinates_form(sub_bases[t], images)
             if coords is None:
                 raise InvariantViolation("torsion part is not closed")
-            store[n] = coords
-    return dg_module(R, dims, diff_blocks, act_blocks, M.lo, M.hi,
+            blocks[k + 1][n] = coords
+    return dg_module(R, dims, blocks[0], blocks[1:], M.lo, M.hi,
                      M.complete_below, M.complete_above,
                      labels=labels, name=name or f"Gamma({M.name})")
 
@@ -1555,57 +1490,30 @@ def tensor_over_ext(N: DGModule, R: PolyAlgebra, w: Window,
         return zero_module(R, name=name or "0")
     nmin, nmax = N.support_min(), N.support_max()
     lo, hi = nmin, max(w.hi, nmin)
-    # the degree-n basis is N's basis at md tensor y^alpha, ordered by
-    # (md, alpha, u): contiguous in u, at offsets[n][(md, alpha)]
-    offsets, dims, labels = {}, {}, {}
-    for n in range(lo, hi + 1):
-        offs, labs = {}, []
-        for md in range(nmin, min(n, nmax) + 1):
-            if N.dim(md) == 0:
-                continue
-            for alpha in R.monomials(n - md):
-                offs[(md, alpha)] = len(labs)
-                labs += [f"{N.space.label(md, u)}(x){_y_label(R, alpha)}"
-                         for u in range(N.dim(md))]
-        if labs:
-            offsets[n], dims[n], labels[n] = offs, len(labs), labs
     gens = L.generator_degrees()
-    diff_blocks = {}
-    for n in dims:
-        t = n - 1
-        if t not in dims:
-            continue
-        pieces = []
-        for (md, alpha), c0 in offsets[n].items():
-            f = N.diff.form(md)
-            if f is not None:
-                pieces.append((f, offsets[t][(md - 1, alpha)], c0, 1))
-            for i, g in enumerate(gens):
-                f = N.actions[i].form(md) if alpha[i] else None
-                if f is not None:
-                    a2 = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-                    pieces.append((f, offsets[t][(md + g, a2)], c0, alpha[i]))
-        m = _assemble(dims[t], dims[n], pieces)
-        if m is not None:
-            diff_blocks[n] = m
-    act_blocks = [dict() for _ in range(R.r)]
-    for n in dims:
-        for i in range(R.r):
-            t = n - R.codegrees[i]
-            if t not in dims:
-                continue
-            pieces = []
-            for (md, alpha), c0 in offsets[n].items():
-                if alpha[i]:
-                    a2 = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-                    pieces.append((_identity_form(N.dim(md)), offsets[t][(md, a2)],
-                                   c0, alpha[i]))
-            m = _assemble(dims[t], dims[n], pieces)
-            if m is not None:
-                act_blocks[i][n] = m
-    return dg_module(R, dims, diff_blocks, act_blocks, lo, hi,
-                     complete_below=True, complete_above=False,
-                     labels=labels, name=name or f"S({N.name})")
+    # the degree-n summands: N's basis at md tensor y^alpha, by (md, alpha)
+    keys = {n: [(md, alpha) for md in range(nmin, min(n, nmax) + 1) if N.dim(md)
+                for alpha in R.monomials(n - md)] for n in range(lo, hi + 1)}
+
+    def lower(alpha, i):
+        return alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+
+    def pieces(k, g, n):
+        for md, alpha in keys[n]:
+            if k == -1:
+                yield N.diff.form(md), (md - 1, alpha), (md, alpha), 1
+                for i in range(R.r):
+                    if alpha[i]:
+                        yield (N.actions[i].form(md), (md + gens[i], lower(alpha, i)),
+                               (md, alpha), alpha[i])
+            elif alpha[k]:
+                yield _identity_form(N.dim(md)), (md, lower(alpha, k)), (md, alpha), alpha[k]
+
+    return _summed(R, lo, hi,
+                   lambda n: [((md, alpha), [f"{N.space.label(md, u)}(x){_y_label(R, alpha)}"
+                                             for u in range(N.dim(md))])
+                              for md, alpha in keys[n]],
+                   pieces, True, False, name or f"S({N.name})")
 
 
 def _y_label(R: PolyAlgebra, alpha) -> str:

@@ -185,8 +185,7 @@ def cmd_endcheck(args) -> int:
     rep.tables["exterior_dims"] = dict(sorted(dc.exterior_dims.items()))
     rep.add_check("double_centralizer_dims", dc.dims_match)
     rep.add_check("contraction_products_independent", dc.products_independent)
-    e = du.end_dga(alg.PolyAlgebra(g), _window(args))
-    cr = du.cartan_map(e)
+    cr = du.cartan_map(dc.dga)
     rep.add_check("cartan_chain_map", cr.chain_map_ok)
     rep.add_check("cartan_homology_iso", cr.homology_iso)
     rep.add_check("cartan_multiplicative", cr.multiplicative_on_homology)
@@ -218,12 +217,19 @@ def _ring_map_from_args(args, rep) -> gr.RingMap:
     tgt_group = parse_group(args.target)
     T = alg.PolyAlgebra(tgt_group,
                         varnames=tuple(f"y{i+1}" for i in range(tgt_group.rank)))
-    images = []
+    images = {}
     for piece in args.map.split(";"):
-        lhs, rhs = piece.split("->")
-        images.append((lhs.strip(), parse_poly(T, rhs.strip())))
-    by_name = dict(images)
-    ordered = tuple(by_name[x] for x in S.varnames)
+        lhs, rhs = (part.strip() for part in piece.split("->"))
+        if lhs not in S.varnames:
+            raise ValueError(f"--map: {lhs!r} is not a source variable "
+                             f"({', '.join(S.varnames)})")
+        if lhs in images:
+            raise ValueError(f"--map: {lhs!r} is given twice")
+        images[lhs] = parse_poly(T, rhs)
+    missing = [x for x in S.varnames if x not in images]
+    if missing:
+        raise ValueError(f"--map: no image for {', '.join(missing)}")
+    ordered = tuple(images[x] for x in S.varnames)
     rep.inputs["map"] = args.map
     return gr.RingMap(S, T, ordered)
 

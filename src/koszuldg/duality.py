@@ -10,7 +10,7 @@ the recognition algorithm for modules with one-dimensional homology.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .grlin import (
@@ -570,6 +570,8 @@ class DoubleCentralizerReport:
     dims_match: bool
     relations_ok: bool
     products_independent: bool
+    relations_checked: int
+    dga: EndDGA = field(repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -592,7 +594,17 @@ def double_centralizer_check(g: GroupData, window: Window | None = None) -> Doub
     ldims = L.dims()
     ldims = {n: d for n, d in ldims.items() if d}
     dims_match = hdims == ldims
-    relations_ok = True  # asserted at construction; re-derive cheaply
+    # the exterior relations in homology: the classes of i.i and, for i < j,
+    # of i.j + j.i are zero; a vector with no class fails
+    iotas = [e.iota_vector(i) for i in range(R.r)]
+    relations = []
+    for i, (di, vi) in enumerate(iotas):
+        for j, (dj, vj) in enumerate(iotas[i:], i):
+            n, v = e.compose(di, vi, dj, vj)
+            if j > i:
+                v = [x + y for x, y in zip(v, e.compose(dj, vj, di, vi)[1])]
+            relations.append(express_in_homology(e.realized, H, n, v))
+    relations_ok = all(c is not None and not any(c) for c in relations)
     # products of contraction classes: all 2^r of them, graded-independent
     prods = {}
     for S in L.subsets():
@@ -614,8 +626,8 @@ def double_centralizer_check(g: GroupData, window: Window | None = None) -> Doub
             classes.append(coords)
         if classes and rank(classes) != len(classes):
             independent = False
-    return DoubleCentralizerReport(hdims, ldims, dims_match,
-                                   relations_ok, independent)
+    return DoubleCentralizerReport(hdims, ldims, dims_match, relations_ok,
+                                   independent, len(relations), e)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .algebra import (
     _evaluate,
     _generator_actions,
     _realize,
+    _summed,
     _vector_to_poly_column,
     chain_map_space,
     dg_module,
@@ -98,7 +99,9 @@ class RingMap:
     name: str = ""
 
     def __post_init__(self):
-        assert len(self.images) == self.source.r
+        if len(self.images) != self.source.r:
+            raise InvariantViolation(f"{len(self.images)} images for "
+                                     f"{self.source.r} source generators")
         for i, p in enumerate(self.images):
             want = -self.source.codegrees[i]
             if not p.is_zero() and not p.is_homogeneous(want):
@@ -716,49 +719,24 @@ def r_shriek_left(rm: RingMap, M: DGModule, name: str = "",
     if M.total_dim() == 0:
         return zero_module(T, name=name)
     degs = [b for _, b in F.basis]
-    lo = M.support_min() + min(degs)
-    hi = M.support_max() + max(degs)
-    dims, labels, offsets = {}, {}, {}
-    for n in range(lo, hi + 1):
-        offs, total = [], 0
-        for i, b in enumerate(degs):
-            offs.append(total)
-            total += M.dim(n - b)
-        offsets[n] = offs
-        if total:
-            dims[n] = total
-            labels[n] = [f"{F.basis[i][0]}(x){lab}"
-                         for i, b in enumerate(degs)
-                         for lab in M.labels_at(n - b)]
-    diff_blocks = {}
-    for n in dims:
-        if (n - 1) not in dims:
-            continue
-        pieces = []
+
+    def pieces(k, g, n):
+        if k != -1:
+            # the lift Y_k acts on F (x) M through its entries on M
+            return [(M._action_poly_form(dd.dual_lifts[k][j][i], n - bi), j, i, 1)
+                    for i, bi in enumerate(degs) for j in range(len(degs))]
+        out = []
         for i, bi in enumerate(degs):
-            # (-1)^{b_i} e_i (x) dm
-            pieces.append((M.diff.form(n - bi), offsets[n - 1][i], offsets[n][i],
-                           -1 if bi % 2 else 1))
-            # de_i (x) m
-            pieces += [(M._action_poly_form(F.diff[j][i], n - bi), offsets[n - 1][j],
-                        offsets[n][i], 1) for j in range(len(degs))]
-        m = _assemble(dims[n - 1], dims[n], pieces)
-        if m is not None:
-            diff_blocks[n] = m
-    act_blocks = [dict() for _ in range(T.r)]
-    for n in dims:
-        for jgen, Y in enumerate(dd.dual_lifts):
-            t = n - T.codegrees[jgen]
-            if t not in dims:
-                continue
-            m = _assemble(dims[t], dims[n], [
-                (M._action_poly_form(Y[j][i], n - bi), offsets[t][j], offsets[n][i], 1)
-                for i, bi in enumerate(degs) for j in range(len(degs))])
-            if m is not None:
-                act_blocks[jgen][n] = m
-    return dg_module(T, dims, diff_blocks, act_blocks, lo, hi,
-                     complete_below=True, complete_above=True,
-                     labels=labels, name=name or f"r'_!({M.name})")
+            # (-1)^{b_i} e_i (x) dm, then de_i (x) m
+            out.append((M.diff.form(n - bi), i, i, -1 if bi % 2 else 1))
+            out += [(M._action_poly_form(F.diff[j][i], n - bi), j, i, 1)
+                    for j in range(len(degs))]
+        return out
+
+    return _summed(T, M.support_min() + min(degs), M.support_max() + max(degs),
+                   lambda n: [(i, [f"{F.basis[i][0]}(x){lab}" for lab in M.labels_at(n - b)])
+                              for i, b in enumerate(degs)],
+                   pieces, True, True, name or f"r'_!({M.name})")
 
 
 def derived_coextension_dims(rm: RingMap, M: DGModule, pad: int = 4) -> dict:

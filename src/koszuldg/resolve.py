@@ -47,8 +47,8 @@ from .algebra import (
     _evaluate,
     _realize,
     _subsets,
+    _summed,
     _vector_to_poly_column,
-    dg_module,
     double_dual_comparison,
     free_basis,
     free_module,
@@ -647,47 +647,19 @@ def _ext_connecting_inj(M: DGModule, res: InjectiveResolutionData, s: int,
 def totalize_injective_resolution(res: InjectiveResolutionData) -> DGModule:
     """The injective resolution as one DG module quasi-isomorphic to its
     module: stage s suspended by -s, resolution maps as the differential."""
-    R = res.ring
     stages = [J.shift(-s) for s, J in enumerate(res.stages)]
-    lo = min(J.lo for J in stages)
-    hi = min(J.hi for J in stages)
-    dims, labels, offsets = {}, {}, {}
-    for n in range(lo, hi + 1):
-        offs, total = [], 0
-        for J in stages:
-            offs.append(total)
-            total += J.known_dim(n) or 0
-        offsets[n] = offs
-        if total:
-            dims[n] = total
-            labels[n] = [f"s{s}.{lab}" for s, J in enumerate(stages)
-                         for lab in J.labels_at(n)]
-    # where a stage's dimension is unknown it is 0 in the offsets, and no
-    # block of the resolution maps or of its actions is stored there
-    diff_blocks = {}
-    for n in dims:
-        if (n - 1) not in dims:
-            continue
-        # J^s -> J^(s+1) lands one suspension lower in the total complex
-        m = _assemble(dims[n - 1], dims[n], [
-            (psi.form(n + s), offsets[n - 1][s + 1], offsets[n][s], 1)
-            for s, psi in enumerate(res.maps)])
-        if m is not None:
-            diff_blocks[n] = m
-    act_blocks = [dict() for _ in range(R.r)]
-    for n in dims:
-        for i in range(R.r):
-            t = n - R.codegrees[i]
-            if t not in dims:
-                continue
-            m = _assemble(dims[t], dims[n], [
-                (J.actions[i].form(n), offsets[t][s], offsets[n][s], 1)
-                for s, J in enumerate(stages)])
-            if m is not None:
-                act_blocks[i][n] = m
-    return dg_module(R, dims, diff_blocks, act_blocks, lo, hi,
-                     complete_below=True, complete_above=False,
-                     labels=labels, name=f"J({res.module.name})")
+    # where a stage's dimension is unknown its summand is empty, and no block
+    # of the resolution maps or of its actions is stored there; J^s ->
+    # J^(s+1) lands one suspension lower in the total complex
+    def pieces(k, g, n):
+        if k == -1:
+            return [(psi.form(n + s), s + 1, s, 1) for s, psi in enumerate(res.maps)]
+        return [(J.actions[k].form(n), s, s, 1) for s, J in enumerate(stages)]
+
+    return _summed(res.ring, min(J.lo for J in stages), min(J.hi for J in stages),
+                   lambda n: [(s, [f"s{s}.{lab}" for lab in J.labels_at(n)])
+                              for s, J in enumerate(stages)],
+                   pieces, True, False, f"J({res.module.name})")
 
 
 # ---------------------------------------------------------------------------

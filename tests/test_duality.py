@@ -155,6 +155,21 @@ def test_double_centralizer(g, expected):
     rep = du.double_centralizer_check(g)
     assert rep.passed
     assert rep.homology_dims == expected
+    # one relation per square and per pair of contractions, all in homology
+    r = g.rank
+    assert rep.relations_ok and rep.relations_checked == r * (r + 1) // 2
+
+
+@pytest.mark.parametrize("forced", [[F(1)], None])
+def test_double_centralizer_relations_fail_closed(monkeypatch, forced):
+    # over T the only relation is iota.iota, in degree 2; a nonzero class
+    # there, or no class at all, fails the report
+    real = du.express_in_homology
+    monkeypatch.setattr(du, "express_in_homology",
+                        lambda M, H, n, v: forced if n == 2 else real(M, H, n, v))
+    rep = du.double_centralizer_check(T)
+    assert rep.dims_match and rep.products_independent
+    assert not rep.relations_ok and rep.relations_checked == 1 and not rep.passed
 
 
 def test_hom_to_k_algebra_structure():

@@ -3,8 +3,9 @@ under `python -O`, which strips every `assert`: they must still reject.  A
 coextension runs there too, since its solution-space test was an assert, and
 so do forced failures of the closure tests of homology_module and gamma_m,
 a free DG module whose differential has the wrong shape, and the shape
-checks of solve and of Subspace.add and .contains, which were asserts as
-well."""
+checks of solve and of Subspace.add and .contains, of the contraction basis
+of hom_from_free and of the image count of a ring map, which were asserts
+as well."""
 import json
 import os
 import subprocess
@@ -108,6 +109,10 @@ cases = {
     "gamma_not_closed": forced("_coordinates_form", lambda: alg.gamma_m(X)),
     "free_shape": lambda: alg.FreeDGModule(
         R1, (("a", 0), ("b", -1)), ((R1.zero(), R1.zero()),)),
+    "contraction_basis": lambda: alg.hom_from_free(
+        alg.free_module(R1, [("a", 0), ("b", 0), ("c", 0)]), alg.residue_field(R1),
+        contractions=True),
+    "ring_map_images": lambda: gr.ring_map(R2, R1, [R1.gen(0)]),
 }
 for name, build in cases.items():
     try:
@@ -153,6 +158,9 @@ def test_rejections_hold_without_asserts():
         "gamma_not_closed": ("InvariantViolation", "torsion part is not closed"),
         "free_shape": ("InvariantViolation",
                        "free differential is not a 2x2 matrix on the basis"),
+        "contraction_basis": ("InvariantViolation",
+                              "contraction actions need the Koszul basis"),
+        "ring_map_images": ("InvariantViolation", "1 images for 2 source generators"),
     }
     assert {k: (v[0], v[2]) for k, v in out.items()} == want
     assert all(v[1] for v in out.values()), "every rejection is a ValueError"

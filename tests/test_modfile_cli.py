@@ -269,10 +269,17 @@ def test_cli_roundtrip(tmp_path, capsys):
     assert code == 0 and all(c["passed"] for c in out["checks"])
 
 
-def test_cli_endcheck(capsys):
+def test_cli_endcheck(capsys, monkeypatch):
+    # End(kbar) is built once, by the double centralizer check, and its DGA
+    # is reused for the Cartan map
+    from koszuldg import duality as du
+    built = []
+    real = du.end_dga
+    monkeypatch.setattr(du, "end_dga", lambda *args: built.append(args) or real(*args))
     code = main(["endcheck", "--group", "2", "--format", "json"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and all(c["passed"] for c in out["checks"])
+    assert len(built) == 1
 
 
 def test_cli_recognize_k(tmp_path, capsys):
@@ -304,6 +311,18 @@ def test_cli_groups_explicit_map(capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["tables"]["homology"] == {"-2": 1, "0": 1}
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("x1->y1", "--map: no image for x2"),
+    ("x1->y1;x2->y1;x3->y1", "--map: 'x3' is not a source variable (x1, x2)"),
+    ("x1->y1;x1->y1;x2->y1", "--map: 'x1' is given twice"),
+])
+def test_cli_groups_bad_map_is_error(capsys, spec, message):
+    code = main(["groups", "extend", "--source", "2,2", "--target", "2",
+                 "--map", spec, "--module", "k", "--format", "json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out == {"error": "ValueError", "message": message}
 
 
 def test_cli_unknown_group_is_error(capsys):
