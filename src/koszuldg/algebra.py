@@ -830,23 +830,24 @@ def to_degreewise(F: FreeDGModule, w: Window, name: str = "") -> DGModule:
     """Expand a free DG module into degreewise matrices inside a window.
 
     The degree-n basis is pairs (generator j, monomial alpha) ordered by
-    (j, lex alpha).  Dimensions and blocks are intrinsic per degree, so the
-    stored range is exact; the module is complete above once the window
-    clears the top generator.
+    (j, lex alpha), labelled "monomial*generator": the generator alone for
+    alpha = 0, the monomial alone for a generator labelled "1".  Dimensions
+    and blocks are intrinsic per degree, so the stored range is exact; the
+    module is complete above once the window clears the top generator.
     """
     R = F.algebra
     degs = F.basis_degrees()
     top = max(degs, default=0)
     bottom = min(degs, default=0)
     lo, hi = w.lo, w.hi
+    gens = [lab for lab, _ in F.basis]
     basis, labels = {}, {}
     for n in range(lo, hi + 1):
         bs = free_basis(F, n)
         if bs:
             basis[n] = bs
-            labels[n] = [f"{R.monomial_label(a)}*{F.basis[j][0]}"
-                         if a != (0,) * R.r else F.basis[j][0]
-                         for j, a in bs]
+            labels[n] = [gens[j] if not any(a) else R.monomial_label(a) if gens[j] == "1"
+                         else f"{R.monomial_label(a)}*{gens[j]}" for j, a in bs]
     xs = _generator_actions(F)
     diff_blocks = {}
     action_blocks = [dict() for _ in range(R.r)]
@@ -875,55 +876,12 @@ def basic_injective(R: PolyAlgebra, w: Window, name: str = "I") -> DGModule:
     Degree-n piece (n >= 0) is dual to the codegree-n monomials; each x_i
     acts by deleting itself from a dual monomial and kills the socle.
     """
-    lo, hi = max(w.lo, 0), w.hi
-    dims, labels = {}, {}
-    for n in range(lo, hi + 1):
-        ms = R.monomials(n)
-        if ms:
-            dims[n] = len(ms)
-            labels[n] = [f"({R.monomial_label(a)})^" for a in ms]
-    action_blocks = [dict() for _ in range(R.r)]
-    for n in dims:
-        for i in range(R.r):
-            t = n - R.codegrees[i]
-            if t < 0 or t not in dims:
-                continue
-            src = R.monomials(n)
-            tgt = {a: k for k, a in enumerate(R.monomials(t))}
-            rows = [{} for _ in tgt]
-            for col, a in enumerate(src):
-                if a[i] >= 1:
-                    rows[tgt[a[:i] + (a[i] - 1,) + a[i + 1:]]][col] = 1
-            action_blocks[i][n] = (1, rows, len(src))
-    return dg_module(R, dims, {}, action_blocks, lo, hi,
-                     complete_below=True, complete_above=False,
-                     labels=labels, name=name)
+    return matlis_dual(poly_as_module(R, Window(-w.hi, -max(w.lo, 0))), name=name)
 
 
 def poly_as_module(R: PolyAlgebra, w: Window, name: str = "R") -> DGModule:
     """R as a module over itself, windowed (support in degrees <= 0)."""
-    lo, hi = w.lo, min(w.hi, 0)
-    dims, labels = {}, {}
-    for n in range(lo, hi + 1):
-        ms = R.monomials(-n)
-        if ms:
-            dims[n] = len(ms)
-            labels[n] = [R.monomial_label(a) for a in ms]
-    action_blocks = [dict() for _ in range(R.r)]
-    for n in dims:
-        for i in range(R.r):
-            t = n - R.codegrees[i]
-            if t not in dims:
-                continue
-            src = R.monomials(-n)
-            tgt = {a: k for k, a in enumerate(R.monomials(-t))}
-            rows = [{} for _ in tgt]
-            for col, a in enumerate(src):
-                rows[tgt[a[:i] + (a[i] + 1,) + a[i + 1:]]][col] = 1
-            action_blocks[i][n] = (1, rows, len(src))
-    return dg_module(R, dims, {}, action_blocks, lo, hi,
-                     complete_below=False, complete_above=True,
-                     labels=labels, name=name)
+    return to_degreewise(free_module(R, [("1", 0)]), Window(w.lo, min(w.hi, 0)), name=name)
 
 
 def lambda_as_module(L: ExtAlgebra, name: str = "L") -> DGModule:

@@ -6,12 +6,15 @@ polynomial action through differentiation.  On top of them sit the
 endomorphism DGA of the Koszul model, the commutative model Hom(kbar, k)
 with its coalgebra product, the evaluation comparison between the two, the
 double-centralizer check, intrinsic formality of polynomial homology, and
-the recognition algorithm for modules with one-dimensional homology.
+the recognition algorithm for modules with one-dimensional homology.  Every
+DGA here is a DegreewiseDGA, multiplied by one product read off a rule on
+basis keys.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .grlin import (
     LinearSystem,
@@ -42,6 +45,7 @@ from .algebra import (
     express_in_homology,
     ext_algebra,
     free_basis,
+    free_module,
     hom_from_free,
     homology,
     homology_module,
@@ -228,83 +232,88 @@ def dict_dims(M: DGModule) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the endomorphism DGA of the Koszul model
+# degreewise DGAs: one product, read off a rule on basis keys
+
+
+def _entries(v):
+    """(index, entry) pairs of a dense vector or a sparse {index: entry} one."""
+    return v.items() if isinstance(v, dict) else enumerate(v)
+
+
+def _vector(keys: list, coeff) -> list:
+    """The vector with entry coeff(key) at each basis key, in order."""
+    return [Fraction(coeff(key)) for key in keys]
 
 
 @dataclass
-class EndDGA:
-    """Endomorphisms of the Koszul model: a rank-4^r free DG module over R
-    together with the composition product on its degreewise realization."""
+class DegreewiseDGA:
+    """A DGA presented degreewise: a windowed complex whose basis elements
+    carry keys, with the product of two basis elements given by a rule.
 
-    ring: PolyAlgebra
-    pairs: list          # list of (T, S) subset pairs, fixed order
-    free: FreeDGModule
-    realized: DGModule
-    window: Window
+    keys(n) lists the degree-n basis keys in the module's basis order; it is
+    read only at degrees the module stores, where its length is
+    module.dim(n).  rule(a, b) is the product of the basis elements keyed a
+    and b: (key, sign) with sign +1 or -1 and key a basis key of the sum
+    degree, or None for zero.  unit is the unit vector in degree zero.
+    """
 
-    def pair_index(self, T, S) -> int:
-        return self.pairs.index((T, S))
+    module: DGModule
+    keys: object         # callable n -> list of basis keys
+    rule: object         # callable (key, key) -> (key, sign) | None
+    unit: list
+    name: str = ""
 
-    def basis_at(self, n: int) -> list:
-        return free_basis(self.free, n)
-
-    def identity_vector(self) -> list:
-        bs = self.basis_at(0)
-        zero_exp = (0,) * self.ring.r
-        v = [Fraction(0)] * len(bs)
-        for k, (p, alpha) in enumerate(bs):
-            T, S = self.pairs[p]
-            if T == S and alpha == zero_exp:
-                v[k] = Fraction(1)
-        return v
-
-    def iota_vector(self, i: int) -> tuple:
-        """The contraction cycle along generator i, with its degree."""
-        L = ext_algebra(self.ring.group)
-        deg = self.ring.codegrees[i] - 1
-        bs = self.basis_at(deg)
-        zero_exp = (0,) * self.ring.r
-        v = [Fraction(0)] * len(bs)
-        for k, (p, alpha) in enumerate(bs):
-            if alpha != zero_exp:
-                continue
-            T, S = self.pairs[p]
-            if i in S and T == tuple(j for j in S if j != i):
-                v[k] = Fraction(L.remove_sign(i, S))
-        return deg, v
-
-    def compose(self, d1: int, v1, d2: int, v2) -> tuple:
-        """Composition (first argument after second), degreewise vectors."""
-        out_deg = d1 + d2
-        bs_out = self.basis_at(out_deg)
-        idx = {ba: k for k, ba in enumerate(bs_out)}
-        out = [Fraction(0)] * len(bs_out)
-        bs1, bs2 = self.basis_at(d1), self.basis_at(d2)
-        for k1, c1 in enumerate(v1):
+    def product(self, d1: int, v1, d2: int, v2) -> tuple:
+        """(d1 + d2, v1.v2), the rule extended bilinearly; each factor is a
+        dense vector or a sparse {index: entry} one.  The result has length
+        module.dim(d1 + d2): a product landing outside the stored window is
+        the empty vector."""
+        n = d1 + d2
+        out = [Fraction(0)] * self.module.dim(n)
+        if not out:
+            return n, out
+        at = {key: k for k, key in enumerate(self.keys(n))}
+        keys1, keys2 = self.keys(d1), self.keys(d2)
+        right = [(keys2[k], c) for k, c in _entries(v2) if c]
+        for k1, c1 in _entries(v1):
             if not c1:
                 continue
-            p1, alpha = bs1[k1]
-            T1, S1 = self.pairs[p1]
-            for k2, c2 in enumerate(v2):
-                if not c2:
-                    continue
-                p2, beta = bs2[k2]
-                T2, S2 = self.pairs[p2]
-                if S1 != T2:
-                    continue
-                key = (self.pair_index(T1, S2),
-                       tuple(x + y for x, y in zip(alpha, beta)))
-                if key in idx:
-                    out[idx[key]] += c1 * c2
-        return out_deg, out
-
-    def is_cycle(self, deg: int, v) -> bool:
-        return is_zero_vector(self.realized.diff.apply(deg, v))
+            for b, c2 in right:
+                hit = self.rule(keys1[k1], b)
+                if hit is not None:
+                    out[at[hit[0]]] += hit[1] * c1 * c2
+        return n, out
 
 
-def end_dga(R: PolyAlgebra, window: Window | None = None) -> EndDGA:
-    """Build End(kbar) with composition; asserts the contraction operators
-    are cycles satisfying the exterior relations."""
+def _free_dga(F: FreeDGModule, module: DGModule, gens: list, gen_rule,
+              unit_gens, name: str) -> DegreewiseDGA:
+    """An R-bilinear DGA on the realization `module` of the free module F.
+
+    The key of x^alpha times generator j is (gens[j], alpha); gen_rule
+    multiplies two generator keys to (key, sign) or None, and monomials
+    multiply by adding exponents.  The unit is the sum of the generators in
+    unit_gens.
+    """
+    def keys(n):
+        return [(gens[j], alpha) for j, alpha in free_basis(F, n)]
+
+    def rule(a, b):
+        hit = gen_rule(a[0], b[0])
+        return None if hit is None else ((hit[0], tuple(map(add, a[1], b[1]))), hit[1])
+
+    unit = _vector(keys(0), lambda key: key[0] in unit_gens and not any(key[1]))
+    return DegreewiseDGA(module, keys, rule, unit, name)
+
+
+# ---------------------------------------------------------------------------
+# the endomorphism DGA of the Koszul model
+
+
+def end_dga(R: PolyAlgebra, window: Window | None = None) -> DegreewiseDGA:
+    """End(kbar) with composition (first factor after second): a rank-4^r
+    free DG module over R on the maps f[T<-S] between Koszul generators, keyed
+    by the subset pair (T, S).  Asserts the contraction operators are cycles
+    satisfying the exterior relations."""
     kb = koszul_model(R)
     subs = _subsets(R.r)
     bdeg = {s: sum(1 - R.codegrees[i] for i in s) for s in subs}
@@ -335,8 +344,9 @@ def end_dga(R: PolyAlgebra, window: Window | None = None) -> EndDGA:
     maxd = max(R.codegrees) if R.r else 1
     if window is None:
         window = Window(-(2 * dim_g + maxd + 3), dim_g + 2)
-    realized = to_degreewise(free, window, name="End(kbar)")
-    out = EndDGA(R, pairs, free, realized, window)
+    out = _free_dga(free, to_degreewise(free, window, name="End(kbar)"), pairs,
+                    lambda a, b: ((a[0], b[1]), 1) if a[1] == b[0] else None,
+                    {(S, S) for S in subs}, "End(kbar)")
     _assert_contractions(out)
     return out
 
@@ -345,23 +355,37 @@ def _sub_lab(s) -> str:
     return "".join(str(i + 1) for i in s) if s else "0"
 
 
-def _assert_contractions(e: EndDGA):
+def _contraction(e: DegreewiseDGA, i: int) -> tuple:
+    """The contraction cycle e_S -> +/- e_(S-i) of End(kbar), with its degree."""
+    R = e.module.algebra
+    L = ext_algebra(R.group)
+    deg = R.codegrees[i] - 1
+
+    def coeff(key):
+        (T, S), alpha = key
+        hit = not any(alpha) and i in S and T == tuple(j for j in S if j != i)
+        return L.remove_sign(i, S) if hit else 0
+
+    return deg, _vector(e.keys(deg), coeff)
+
+
+def _assert_contractions(e: DegreewiseDGA):
     """Contractions are cycles; squares vanish; they anticommute; the
-    identity is a cycle; composition satisfies the Leibniz rule on them."""
-    R = e.ring
-    if not e.is_cycle(0, e.identity_vector()):
+    identity is a cycle."""
+    R = e.module.algebra
+    if not is_zero_vector(e.module.diff.apply(0, e.unit)):
         raise InvariantViolation("identity of End(kbar) is not a cycle")
-    iotas = [e.iota_vector(i) for i in range(R.r)]
+    iotas = [_contraction(e, i) for i in range(R.r)]
     for i, (di, vi) in enumerate(iotas):
-        if not e.is_cycle(di, vi):
+        if not is_zero_vector(e.module.diff.apply(di, vi)):
             raise InvariantViolation(f"contraction {i} is not a cycle")
-        dsq, sq = e.compose(di, vi, di, vi)
+        dsq, sq = e.product(di, vi, di, vi)
         if not is_zero_vector(sq):
             raise InvariantViolation(f"contraction {i} fails square-zero")
         for j in range(i + 1, R.r):
             dj, vj = iotas[j]
-            _, ij = e.compose(di, vi, dj, vj)
-            _, ji = e.compose(dj, vj, di, vi)
+            _, ij = e.product(di, vi, dj, vj)
+            _, ji = e.product(dj, vj, di, vi)
             if not is_zero_vector([x + y for x, y in zip(ij, ji)]):
                 raise InvariantViolation(f"contractions {i},{j} fail anticommutation")
 
@@ -370,95 +394,52 @@ def _assert_contractions(e: EndDGA):
 # the commutative model Hom(kbar, k) with the coalgebra product
 
 
-@dataclass
-class HomToK:
-    """Hom from the Koszul model into the residue field: zero differential,
-    one basis element per subset, product from the coalgebra diagonal."""
-
-    ring: PolyAlgebra
-    subsets: list
-    degrees: list
-    module: DGModule
-
-    def basis_index(self, S) -> tuple:
-        """(degree, position) of the dual basis element of S."""
-        deg = self.degrees[self.subsets.index(S)]
-        pos = [T for T in self.subsets if self.degrees[self.subsets.index(T)] == deg].index(S)
-        return deg, pos
-
-    def unit_vector(self) -> tuple:
-        return self.basis_index(())
-
-    def subsets_at(self, n: int) -> list:
-        return [S for S, d in zip(self.subsets, self.degrees) if d == n]
-
-    def product(self, d1: int, v1, d2: int, v2) -> tuple:
-        """Convolution product through the diagonal of the Koszul model."""
-        L = ext_algebra(self.ring.group)
-        out_deg = d1 + d2
-        outs = self.subsets_at(out_deg)
-        out = [Fraction(0)] * len(outs)
-        s1s, s2s = self.subsets_at(d1), self.subsets_at(d2)
-        for k1, c1 in enumerate(v1):
-            if not c1:
-                continue
-            A = s1s[k1]
-            for k2, c2 in enumerate(v2):
-                if not c2:
-                    continue
-                B = s2s[k2]
-                sgn = L.merge_sign(A, B)
-                if not sgn:
-                    continue
-                # Koszul sign from moving the degree-d2 factor past e_A
-                if d2 % 2 and len(A) % 2:
-                    sgn = -sgn
-                U = tuple(sorted(A + B))
-                out[outs.index(U)] += sgn * c1 * c2
-        return out_deg, out
-
-
-def hom_to_k(R: PolyAlgebra) -> HomToK:
+def hom_to_k(R: PolyAlgebra) -> DegreewiseDGA:
     """The commutative DGA Hom(kbar, k): exterior-pattern dimensions in
-    non-negative degrees, zero differential."""
+    non-negative degrees, zero differential, one basis element per subset
+    (keyed by it), product from the coalgebra diagonal."""
+    L = ext_algebra(R.group)
     subs = list(_subsets(R.r))
-    degrees = [sum(R.codegrees[i] - 1 for i in s) for s in subs]
+    degree = {s: sum(R.codegrees[i] - 1 for i in s) for s in subs}
     dims, labels = {}, {}
-    for s, d in zip(subs, degrees):
-        dims[d] = dims.get(d, 0) + 1
-        labels.setdefault(d, []).append(f"(e{_sub_lab(s)})^")
-    top = max(degrees)
-    mod = dg_module(R, dims, {}, [dict() for _ in range(R.r)], 0, top,
+    for s in subs:
+        dims[degree[s]] = dims.get(degree[s], 0) + 1
+        labels.setdefault(degree[s], []).append(f"(e{_sub_lab(s)})^")
+    mod = dg_module(R, dims, {}, [dict() for _ in range(R.r)], 0, max(dims),
                     complete_below=True, complete_above=True,
                     labels=labels, name="Hom(kbar,k)")
-    out = HomToK(R, subs, degrees, mod)
+
+    def keys(n):
+        return [s for s in subs if degree[s] == n]
+
+    def rule(A, B):
+        sgn = L.merge_sign(A, B)
+        # Koszul sign from moving the factor of B's degree past e_A
+        if degree[B] % 2 and len(A) % 2:
+            sgn = -sgn
+        return (tuple(sorted(A + B)), sgn) if sgn else None
+
+    out = DegreewiseDGA(mod, keys, rule, _vector(keys(0), lambda s: s == ()),
+                        name="Hom(kbar,k)")
     _assert_homk_algebra(out)
     return out
 
 
-def _assert_homk_algebra(h: HomToK):
+def _assert_homk_algebra(h: DegreewiseDGA):
     """Unit, associativity, graded commutativity on the subset basis."""
-    R = h.ring
-    L = ext_algebra(R.group)
-    basis = []
-    for S in h.subsets:
-        deg = h.degrees[h.subsets.index(S)]
-        vec = [Fraction(0)] * len(h.subsets_at(deg))
-        vec[h.subsets_at(deg).index(S)] = Fraction(1)
-        basis.append((S, deg, vec))
-    _, unit_deg, unit_vec = basis[0]
-    for S, d, v in basis:
-        du, u = h.product(unit_deg, unit_vec, d, v)
-        if u != v:
+    basis = [(n, _vector(h.keys(n), lambda t, s=s: t == s))
+             for n in h.module.degrees() for s in h.keys(n)]
+    for d, v in basis:
+        if h.product(0, h.unit, d, v)[1] != v:
             raise InvariantViolation("unit fails in Hom(kbar,k)")
-    for S1, d1, v1 in basis:
-        for S2, d2, v2 in basis:
+    for d1, v1 in basis:
+        for d2, v2 in basis:
             da, va = h.product(d1, v1, d2, v2)
             db, vb = h.product(d2, v2, d1, v1)
             sgn = -1 if (d1 % 2 and d2 % 2) else 1
             if va != [sgn * x for x in vb]:
                 raise InvariantViolation("Hom(kbar,k) fails graded commutativity")
-            for S3, d3, v3 in basis:
+            for d3, v3 in basis:
                 dl, vl = h.product(da, va, d3, v3)
                 dr_inner, vr_inner = h.product(d2, v2, d3, v3)
                 dr, vr = h.product(d1, v1, dr_inner, vr_inner)
@@ -486,50 +467,41 @@ class CartanReport:
                 and self.multiplicative_on_homology)
 
 
-def cartan_theta(e: EndDGA, h: HomToK, deg: int, v) -> list:
-    """Evaluate the comparison: postcompose with the augmentation of the
-    Koszul model (keep the constant coefficient of the empty-subset row).
-    v is a dense vector or a sparse {index: entry} one."""
-    bs = e.basis_at(deg)
-    outs = h.subsets_at(deg)
+def cartan_theta(e: DegreewiseDGA, h: DegreewiseDGA, deg: int, v) -> list:
+    """Evaluate the comparison from End(kbar) to Hom(kbar, k): postcompose
+    with the augmentation of the Koszul model (keep the constant coefficient
+    of the empty-subset row).  v is a dense vector or a sparse
+    {index: entry} one."""
+    keys = e.keys(deg)
+    outs = h.keys(deg)
     out = [Fraction(0)] * len(outs)
-    zero_exp = (0,) * e.ring.r
-    for k, c in (v.items() if isinstance(v, dict) else enumerate(v)):
-        if not c:
-            continue
-        p, alpha = bs[k]
-        T, S = e.pairs[p]
-        if T == () and alpha == zero_exp:
+    for k, c in _entries(v):
+        (T, S), alpha = keys[k]
+        if c and T == () and not any(alpha):
             out[outs.index(S)] += c
     return out
 
 
-def cartan_map(e: EndDGA, h: HomToK | None = None) -> CartanReport:
+def cartan_map(e: DegreewiseDGA, h: DegreewiseDGA | None = None) -> CartanReport:
     """The evaluation comparison from End(kbar) to Hom(kbar, k): a chain
     map, multiplicative and bijective on homology."""
-    R = e.ring
+    R = e.module.algebra
     h = h or hom_to_k(R)
     # chain map: theta kills boundaries (target differential is zero)
     chain_ok = True
-    for n in range(e.realized.lo + 1, e.realized.hi + 1):
-        f = e.realized.diff.form(n)
+    for n in range(e.module.lo + 1, e.module.hi + 1):
+        f = e.module.diff.form(n)
         # the columns of the block, scaled to integers: zero or not alike
         for col in ([] if f is None else _transposed(f)[1]):
             if not is_zero_vector(cartan_theta(e, h, n - 1, col)):
                 chain_ok = False
-    ident = cartan_theta(e, h, 0, e.identity_vector())
-    unit_deg, unit_pos = h.unit_vector()
-    id_ok = (ident == [Fraction(1) if i == unit_pos else Fraction(0)
-                       for i in range(len(h.subsets_at(0)))])
+    id_ok = cartan_theta(e, h, 0, e.unit) == h.unit
     iota_ok = True
     for i in range(R.r):
-        di, vi = e.iota_vector(i)
-        img = cartan_theta(e, h, di, vi)
-        want = [Fraction(0)] * len(h.subsets_at(di))
-        want[h.subsets_at(di).index((i,))] = Fraction(1)
-        if img != want:
+        di, vi = _contraction(e, i)
+        if cartan_theta(e, h, di, vi) != _vector(h.keys(di), lambda s: s == (i,)):
             iota_ok = False
-    H = homology(e.realized)
+    H = homology(e.module)
     # bijectivity on homology within the certified window
     iso = True
     hdims = {}
@@ -548,13 +520,16 @@ def cartan_map(e: EndDGA, h: HomToK | None = None) -> CartanReport:
         imgs = [cartan_theta(e, h, n, rep) for rep in H.representatives(n)]
         if rank(imgs) != hd:
             iso = False
-    # multiplicativity on homology class representatives
+    # multiplicativity on homology class representatives, for the products
+    # that land in the stored window
     mult = True
     reps = [(n, rep) for n in H.certified_range() if H.dim(n)
             for rep in H.representatives(n)]
     for (n1, u) in reps:
         for (n2, v) in reps:
-            dc, uv = e.compose(n1, u, n2, v)
+            if not e.module.lo <= n1 + n2 <= e.module.hi:
+                continue
+            dc, uv = e.product(n1, u, n2, v)
             left = cartan_theta(e, h, dc, uv)
             _, right = h.product(n1, cartan_theta(e, h, n1, u),
                                  n2, cartan_theta(e, h, n2, v))
@@ -571,7 +546,7 @@ class DoubleCentralizerReport:
     relations_ok: bool
     products_independent: bool
     relations_checked: int
-    dga: EndDGA = field(repr=False, compare=False)
+    dga: DegreewiseDGA = field(repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -585,7 +560,7 @@ def double_centralizer_check(g: GroupData, window: Window | None = None) -> Doub
     R = PolyAlgebra(g)
     L = ext_algebra(g)
     e = end_dga(R, window)
-    H = homology(e.realized)
+    H = homology(e.module)
     hdims = {}
     for n in H.certified_range():
         d = H.dim(n)
@@ -596,22 +571,21 @@ def double_centralizer_check(g: GroupData, window: Window | None = None) -> Doub
     dims_match = hdims == ldims
     # the exterior relations in homology: the classes of i.i and, for i < j,
     # of i.j + j.i are zero; a vector with no class fails
-    iotas = [e.iota_vector(i) for i in range(R.r)]
+    iotas = [_contraction(e, i) for i in range(R.r)]
     relations = []
     for i, (di, vi) in enumerate(iotas):
         for j, (dj, vj) in enumerate(iotas[i:], i):
-            n, v = e.compose(di, vi, dj, vj)
+            n, v = e.product(di, vi, dj, vj)
             if j > i:
-                v = [x + y for x, y in zip(v, e.compose(dj, vj, di, vi)[1])]
-            relations.append(express_in_homology(e.realized, H, n, v))
+                v = [x + y for x, y in zip(v, e.product(dj, vj, di, vi)[1])]
+            relations.append(express_in_homology(e.module, H, n, v))
     relations_ok = all(c is not None and not any(c) for c in relations)
     # products of contraction classes: all 2^r of them, graded-independent
     prods = {}
     for S in L.subsets():
-        deg, vec = 0, e.identity_vector()
+        deg, vec = 0, e.unit
         for i in S:
-            di, vi = e.iota_vector(i)
-            deg, vec = e.compose(di, vi, deg, vec)
+            deg, vec = e.product(*iotas[i], deg, vec)
         prods[S] = (deg, vec)
     independent = True
     for n in sorted({d for d, _ in prods.values()}):
@@ -619,7 +593,7 @@ def double_centralizer_check(g: GroupData, window: Window | None = None) -> Doub
         for S, (d, v) in prods.items():
             if d != n:
                 continue
-            coords = express_in_homology(e.realized, H, n, v)
+            coords = express_in_homology(e.module, H, n, v)
             if coords is None:
                 independent = False
                 continue
@@ -631,185 +605,38 @@ def double_centralizer_check(g: GroupData, window: Window | None = None) -> Doub
 
 
 # ---------------------------------------------------------------------------
-# degreewise DGAs and intrinsic formality
-
-
-@dataclass
-class DegreewiseDGA:
-    """A DGA presented degreewise: a windowed complex with a bilinear
-    product callable and a unit vector in degree zero."""
-
-    module: DGModule
-    product: object      # callable (deg1, vec1, deg2, vec2) -> (deg, vec)
-    unit: list
-    name: str = ""
-
-    def dim(self, n):
-        return self.module.dim(n)
+# intrinsic formality
 
 
 def poly_dga(R: PolyAlgebra, w: Window) -> DegreewiseDGA:
     """R itself as a degreewise DGA (monomial basis, zero differential)."""
-    mod = poly_as_module(R, w)
-
-    def product(d1, v1, d2, v2):
-        out_deg = d1 + d2
-        mons_out = {a: k for k, a in enumerate(R.monomials(-out_deg))}
-        mons1 = R.monomials(-d1)
-        mons2 = R.monomials(-d2)
-        out = [Fraction(0)] * len(mons_out)
-        for k1, c1 in enumerate(v1):
-            if not c1:
-                continue
-            for k2, c2 in enumerate(v2):
-                if not c2:
-                    continue
-                key = tuple(x + y for x, y in zip(mons1[k1], mons2[k2]))
-                if key in mons_out:
-                    out[mons_out[key]] += c1 * c2
-        return out_deg, out
-
-    return DegreewiseDGA(mod, product, [Fraction(1)], name="R")
+    return _free_dga(free_module(R, [("1", 0)]), poly_as_module(R, w), ["1"],
+                     lambda a, b: ("1", 1), {"1"}, "R")
 
 
 def koszul_dga(R: PolyAlgebra, w: Window) -> DegreewiseDGA:
     """The Koszul model as a DGA: exterior product over R, with the
     contraction differential acting as a derivation."""
     kb = koszul_model(R)
-    mod = to_degreewise(kb, w, name="kbar")
     L = ext_algebra(R.group)
-    subs = _subsets(R.r)
 
-    def product(d1, v1, d2, v2):
-        out_deg = d1 + d2
-        bs_out = {ba: k for k, ba in enumerate(free_basis(kb, out_deg))}
-        bs1 = free_basis(kb, d1)
-        bs2 = free_basis(kb, d2)
-        out = [Fraction(0)] * len(bs_out)
-        for k1, c1 in enumerate(v1):
-            if not c1:
-                continue
-            j1, a1 = bs1[k1]
-            S1 = subs[j1]
-            for k2, c2 in enumerate(v2):
-                if not c2:
-                    continue
-                j2, a2 = bs2[k2]
-                S2 = subs[j2]
-                sgn = L.merge_sign(S1, S2)
-                if not sgn:
-                    continue
-                U = tuple(sorted(S1 + S2))
-                key = (subs.index(U), tuple(x + y for x, y in zip(a1, a2)))
-                if key in bs_out:
-                    out[bs_out[key]] += sgn * c1 * c2
-        return out_deg, out
+    def gen_rule(S1, S2):
+        sgn = L.merge_sign(S1, S2)
+        return (tuple(sorted(S1 + S2)), sgn) if sgn else None
 
-    unit = [Fraction(0)] * mod.dim(0)
-    for k, (j, a) in enumerate(free_basis(kb, 0)):
-        if subs[j] == () and a == (0,) * R.r:
-            unit[k] = Fraction(1)
-    return DegreewiseDGA(mod, product, unit, name="kbar-dga")
+    return _free_dga(kb, to_degreewise(kb, w, name="kbar"), _subsets(R.r),
+                     gen_rule, {()}, "kbar-dga")
 
 
 def acyclic_extension_dga(R: PolyAlgebra, w: Window, cell_degree: int) -> DegreewiseDGA:
-    """R with an adjoined acyclic square-zero ideal on one exterior cell:
-    basis monomials x^a, x^a u, x^a v with du = 0 pattern d(v) = u shifted."""
-    # ideal spanned by u (degree cell_degree) and v (degree cell_degree+1),
-    # with d v = u, d u = 0, u*u = u*v = v*v = 0, R acting freely.
-    dims, labels = {}, {}
-    for n in range(w.lo, w.hi + 1):
-        labs = [f"{R.monomial_label(a)}" for a in R.monomials(-n)]
-        labs += [f"{R.monomial_label(a)}*u" for a in R.monomials(cell_degree - n)]
-        labs += [f"{R.monomial_label(a)}*v" for a in R.monomials(cell_degree + 1 - n)]
-        if labs:
-            dims[n] = len(labs)
-            labels[n] = labs
-    def block_split(n):
-        base = R.monomials(-n)
-        us = R.monomials(cell_degree - n)
-        vs = R.monomials(cell_degree + 1 - n)
-        return base, us, vs
-    diff_blocks = {}
-    for n in dims:
-        if (n - 1) not in dims:
-            continue
-        base, us, vs = block_split(n)
-        base2, us2, vs2 = block_split(n - 1)
-        rows = [{} for _ in range(dims[n - 1])]
-        off_u2 = len(base2)
-        for col, a in enumerate(vs):
-            rows[off_u2 + us2.index(a)][len(base) + len(us) + col] = 1
-        diff_blocks[n] = (1, rows, dims[n])
-    act_blocks = [dict() for _ in range(R.r)]
-    for n in dims:
-        for i in range(R.r):
-            t = n - R.codegrees[i]
-            if t not in dims:
-                continue
-            base, us, vs = block_split(n)
-            base2, us2, vs2 = block_split(t)
-            rows = [{} for _ in range(dims[t])]
-            for col, a in enumerate(base):
-                a2 = list(a); a2[i] += 1
-                rows[base2.index(tuple(a2))][col] = 1
-            for col, a in enumerate(us):
-                a2 = list(a); a2[i] += 1
-                rows[len(base2) + us2.index(tuple(a2))][len(base) + col] = 1
-            for col, a in enumerate(vs):
-                a2 = list(a); a2[i] += 1
-                rows[len(base2) + len(us2) + vs2.index(tuple(a2))][len(base) + len(us) + col] = 1
-            act_blocks[i][n] = (1, rows, dims[n])
-    mod = dg_module(R, dims, diff_blocks, act_blocks, w.lo, w.hi,
-                    complete_below=False, complete_above=w.hi >= max(0, cell_degree + 1),
-                    labels=labels, name="R+acyclic")
-
-    def product(d1, v1, d2, v2):
-        out_deg = d1 + d2
-        if out_deg not in dims:
-            return out_deg, []
-        base_o, us_o, vs_o = block_split(out_deg)
-        out = [Fraction(0)] * dims[out_deg]
-        base1, us1, vs1 = block_split(d1)
-        base2, us2, vs2 = block_split(d2)
-
-        def add_term(kind, a, c):
-            if kind == "b":
-                if a in base_o:
-                    out[base_o.index(a)] += c
-            elif kind == "u":
-                if a in us_o:
-                    out[len(base_o) + us_o.index(a)] += c
-            else:
-                if a in vs_o:
-                    out[len(base_o) + len(us_o) + vs_o.index(a)] += c
-
-        for k1, c1 in enumerate(v1):
-            if not c1:
-                continue
-            kind1, a1 = _split_index(k1, base1, us1, vs1)
-            for k2, c2 in enumerate(v2):
-                if not c2:
-                    continue
-                kind2, a2 = _split_index(k2, base2, us2, vs2)
-                if kind1 != "b" and kind2 != "b":
-                    continue  # square-zero ideal
-                a = tuple(x + y for x, y in zip(a1, a2))
-                kind = kind1 if kind1 != "b" else kind2
-                add_term(kind, a, c1 * c2)
-        return out_deg, out
-
-    unit = [Fraction(0)] * mod.dim(0)
-    unit[list(R.monomials(0)).index((0,) * R.r)] = Fraction(1)
-    return DegreewiseDGA(mod, product, unit, name="R+acyclic")
-
-
-def _split_index(k, base, us, vs):
-    if k < len(base):
-        return "b", base[k]
-    if k < len(base) + len(us):
-        return "u", us[k - len(base)]
-    return "v", vs[k - len(base) - len(us)]
+    """R with an adjoined acyclic square-zero ideal: R-free on u in degree
+    cell_degree and v one above, with d v = u and u, v multiplying to zero."""
+    z = R.zero()
+    F = FreeDGModule(R, (("1", 0), ("u", cell_degree), ("v", cell_degree + 1)),
+                     ((z, z, z), (z, z, R.one()), (z, z, z)))
+    return _free_dga(F, to_degreewise(F, w, name="R+acyclic"), ["1", "u", "v"],
+                     lambda a, b: (b, 1) if a == "1" else (a, 1) if b == "1" else None,
+                     {"1"}, "R+acyclic")
 
 
 @dataclass

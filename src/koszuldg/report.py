@@ -33,8 +33,14 @@ class RunReport:
     def add_check(self, name: str, passed: bool, detail: str = ""):
         self.checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
+    def skip_check(self, name: str, reason: str):
+        """A check that was not computed: it is reported, and never passes."""
+        self.checks.append({"name": name, "passed": False, "skipped": True,
+                            "detail": reason})
+
     def all_passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
+        """Every computed check passed; skipped checks count neither way."""
+        return all(c["passed"] for c in self.checks if not c.get("skipped"))
 
     def window_dict(self):
         if self.window is None:
@@ -63,7 +69,7 @@ class RunReport:
             lines.append(f"table {name}:")
             lines.extend("  " + row for row in _table_lines(self.tables[name]))
         for c in self.checks:
-            mark = "ok" if c["passed"] else "FAIL"
+            mark = "skip" if c.get("skipped") else "ok" if c["passed"] else "FAIL"
             detail = f"  {c['detail']}" if c["detail"] else ""
             lines.append(f"check [{mark}] {c['name']}{detail}")
         lines.append(f"ms: {self.ms}")

@@ -115,32 +115,33 @@ def test_roundtrip_random_exterior_modules():
 
 def test_end_dga_circle_structure():
     e = du.end_dga(R1)
-    degs = sorted(b for _, b in e.free.basis)
+    # the generators f[T<-S] are the keys with a constant coefficient
+    degs = sorted(n for n in range(-3, 4) for _, alpha in e.keys(n) if not any(alpha))
     assert degs == [-1, 0, 0, 1]
-    H = alg.homology(e.realized)
+    H = alg.homology(e.module)
     assert H.dims() == {0: 1, 1: 1}
 
 
 def test_end_dga_composition_unit_and_leibniz():
     e = du.end_dga(R1)
-    ident = e.identity_vector()
-    d, sq = e.compose(0, ident, 0, ident)
+    ident = e.unit
+    d, sq = e.product(0, ident, 0, ident)
     assert sq == ident
     # differential is a derivation for composition on sampled elements
     rng = random.Random(3)
-    real = e.realized
+    real = e.module
     for n1 in range(-2, 2):
         for n2 in range(-2, 2):
             if real.dim(n1) == 0 or real.dim(n2) == 0:
                 continue
             u = [F(rng.randint(-2, 2)) for _ in range(real.dim(n1))]
             v = [F(rng.randint(-2, 2)) for _ in range(real.dim(n2))]
-            _, uv = e.compose(n1, u, n2, v)
+            _, uv = e.product(n1, u, n2, v)
             duv = real.diff.apply(n1 + n2, uv)
             du_ = real.diff.apply(n1, u)
             dv = real.diff.apply(n2, v)
-            _, t1 = e.compose(n1 - 1, du_, n2, v)
-            _, t2 = e.compose(n1, u, n2 - 1, dv)
+            _, t1 = e.product(n1 - 1, du_, n2, v)
+            _, t2 = e.product(n1, u, n2 - 1, dv)
             sgn = -1 if n1 % 2 else 1
             want = [a + sgn * b for a, b in zip(t1, t2)]
             assert duv == want
@@ -182,6 +183,14 @@ def test_cartan_map(g):
     R = alg.poly_algebra(g)
     rep = du.cartan_map(du.end_dga(R))
     assert rep.passed
+
+
+def test_cartan_map_in_a_window_below_the_top_products():
+    # over SU(3) the classes of degrees 3 and 5 multiply into degree 8, above
+    # the stored window: that product is not compared, the others are
+    SU3 = alg.poly_algebra(alg.named_group("SU(3)"))
+    rep = du.cartan_map(du.end_dga(SU3, Window(-25, 6)))
+    assert rep.passed and rep.homology_dims == {0: 1, 3: 1, 5: 1}
 
 
 def test_formality_on_polynomial_ring_itself():

@@ -11,12 +11,15 @@ entry from dense blocks, and the last dense reads: Betti numbers from dense
 Koszul matrices, resolution sweeps and formality generators as greedy rank
 tests on dense blocks, coordinates by one dense solve per vector, socles and
 torsion parts from dense kernels, dense chain-map, DGA and sample blocks,
-and the hand-written layouts of the six constructors now built by
-`algebra._summed`, with ChainMap's two check loops, kept as they were.
+the hand-written layouts of the six constructors now built by
+`algebra._summed`, with ChainMap's two check loops, and the five DGA
+product loops and the hand-built R and I now read off one rule-driven
+product, `to_degreewise` and `matlis_dual`, kept as they were.
 Pieces, vectors, blocks, cells, modules and solution-space bases must be
 equal, and rejections must carry the same message."""
 import copy
 import dataclasses
+import functools
 import itertools
 import random
 import sys
@@ -1750,14 +1753,14 @@ def twisted_square(R):
     A = du.acyclic_extension_dga(R, Window(-14, 2), -4)
     u = len(R.monomials(4))
 
-    def product(d1, v1, d2, v2):
-        deg, out = A.product(d1, v1, d2, v2)
-        if d1 == d2 == -2:
-            out = out[:]
-            out[u] += v1[0] * v2[0]
-        return deg, out
+    class Twisted(du.DegreewiseDGA):
+        def product(self, d1, v1, d2, v2):
+            deg, out = super().product(d1, v1, d2, v2)
+            if d1 == d2 == -2:
+                out[u] += v1[0] * v2[0]
+            return deg, out
 
-    return du.DegreewiseDGA(A.module, product, A.unit, name="twisted")
+    return Twisted(A.module, A.keys, A.rule, A.unit, name="twisted")
 
 
 def test_formality_generators_match_dense_rank_tests():
@@ -1869,6 +1872,353 @@ def test_dga_and_sample_blocks_match_dense_constructions():
                         for gm, b in zip(maps, dense_conjugate(M, random.Random(seed)))]
         conjugated += C.total_dim()
     assert conjugated >= 60
+
+
+# ---------------------------------------------------------------------------
+# the five DGA products and the realizations of R and I as they were written
+# before the rule-driven DegreewiseDGA.product, to_degreewise and matlis_dual
+
+
+def old_free_basis(R, degs, n):
+    return [(j, alpha) for j, d in enumerate(degs) for alpha in R.monomials(d - n)]
+
+
+def old_end_compose(R, d1, v1, d2, v2):
+    """Composition in End(kbar) (first argument after second)."""
+    subs = alg._subsets(R.r)
+    bdeg = {s: sum(1 - R.codegrees[i] for i in s) for s in subs}
+    pairs = [(T, S) for T in subs for S in subs]
+    degs = [bdeg[T] - bdeg[S] for T, S in pairs]
+    out_deg = d1 + d2
+    bs_out = old_free_basis(R, degs, out_deg)
+    idx = {ba: k for k, ba in enumerate(bs_out)}
+    out = [F(0)] * len(bs_out)
+    bs1, bs2 = old_free_basis(R, degs, d1), old_free_basis(R, degs, d2)
+    for k1, c1 in enumerate(v1):
+        if not c1:
+            continue
+        p1, alpha = bs1[k1]
+        T1, S1 = pairs[p1]
+        for k2, c2 in enumerate(v2):
+            if not c2:
+                continue
+            p2, beta = bs2[k2]
+            T2, S2 = pairs[p2]
+            if S1 != T2:
+                continue
+            key = (pairs.index((T1, S2)), tuple(x + y for x, y in zip(alpha, beta)))
+            if key in idx:
+                out[idx[key]] += c1 * c2
+    return out_deg, out
+
+
+def old_homk_product(R, d1, v1, d2, v2):
+    """Convolution product of Hom(kbar, k) through the Koszul diagonal."""
+    L = alg.ext_algebra(R.group)
+    subsets = list(alg._subsets(R.r))
+    degrees = [sum(R.codegrees[i] - 1 for i in s) for s in subsets]
+
+    def subsets_at(n):
+        return [S for S, d in zip(subsets, degrees) if d == n]
+
+    out_deg = d1 + d2
+    outs = subsets_at(out_deg)
+    out = [F(0)] * len(outs)
+    s1s, s2s = subsets_at(d1), subsets_at(d2)
+    for k1, c1 in enumerate(v1):
+        if not c1:
+            continue
+        A = s1s[k1]
+        for k2, c2 in enumerate(v2):
+            if not c2:
+                continue
+            B = s2s[k2]
+            sgn = L.merge_sign(A, B)
+            if not sgn:
+                continue
+            # Koszul sign from moving the degree-d2 factor past e_A
+            if d2 % 2 and len(A) % 2:
+                sgn = -sgn
+            U = tuple(sorted(A + B))
+            out[outs.index(U)] += sgn * c1 * c2
+    return out_deg, out
+
+
+def old_poly_product(R, d1, v1, d2, v2):
+    out_deg = d1 + d2
+    mons_out = {a: k for k, a in enumerate(R.monomials(-out_deg))}
+    mons1 = R.monomials(-d1)
+    mons2 = R.monomials(-d2)
+    out = [F(0)] * len(mons_out)
+    for k1, c1 in enumerate(v1):
+        if not c1:
+            continue
+        for k2, c2 in enumerate(v2):
+            if not c2:
+                continue
+            key = tuple(x + y for x, y in zip(mons1[k1], mons2[k2]))
+            if key in mons_out:
+                out[mons_out[key]] += c1 * c2
+    return out_deg, out
+
+
+def old_koszul_product(R, d1, v1, d2, v2):
+    kb = alg.koszul_model(R)
+    L = alg.ext_algebra(R.group)
+    subs = alg._subsets(R.r)
+    out_deg = d1 + d2
+    bs_out = {ba: k for k, ba in enumerate(alg.free_basis(kb, out_deg))}
+    bs1 = alg.free_basis(kb, d1)
+    bs2 = alg.free_basis(kb, d2)
+    out = [F(0)] * len(bs_out)
+    for k1, c1 in enumerate(v1):
+        if not c1:
+            continue
+        j1, a1 = bs1[k1]
+        S1 = subs[j1]
+        for k2, c2 in enumerate(v2):
+            if not c2:
+                continue
+            j2, a2 = bs2[k2]
+            S2 = subs[j2]
+            sgn = L.merge_sign(S1, S2)
+            if not sgn:
+                continue
+            U = tuple(sorted(S1 + S2))
+            key = (subs.index(U), tuple(x + y for x, y in zip(a1, a2)))
+            if key in bs_out:
+                out[bs_out[key]] += sgn * c1 * c2
+    return out_deg, out
+
+
+def old_acyclic_product(R, w, cell_degree, d1, v1, d2, v2):
+    def block_split(n):
+        return (R.monomials(-n), R.monomials(cell_degree - n),
+                R.monomials(cell_degree + 1 - n))
+
+    dims = {n: sum(map(len, block_split(n))) for n in range(w.lo, w.hi + 1)}
+    dims = {n: d for n, d in dims.items() if d}
+
+    def split_index(k, base, us, vs):
+        if k < len(base):
+            return "b", base[k]
+        if k < len(base) + len(us):
+            return "u", us[k - len(base)]
+        return "v", vs[k - len(base) - len(us)]
+
+    out_deg = d1 + d2
+    if out_deg not in dims:
+        return out_deg, []
+    base_o, us_o, vs_o = block_split(out_deg)
+    out = [F(0)] * dims[out_deg]
+    base1, us1, vs1 = block_split(d1)
+    base2, us2, vs2 = block_split(d2)
+
+    def add_term(kind, a, c):
+        if kind == "b":
+            if a in base_o:
+                out[base_o.index(a)] += c
+        elif kind == "u":
+            if a in us_o:
+                out[len(base_o) + us_o.index(a)] += c
+        else:
+            if a in vs_o:
+                out[len(base_o) + len(us_o) + vs_o.index(a)] += c
+
+    for k1, c1 in enumerate(v1):
+        if not c1:
+            continue
+        kind1, a1 = split_index(k1, base1, us1, vs1)
+        for k2, c2 in enumerate(v2):
+            if not c2:
+                continue
+            kind2, a2 = split_index(k2, base2, us2, vs2)
+            if kind1 != "b" and kind2 != "b":
+                continue  # square-zero ideal
+            a = tuple(x + y for x, y in zip(a1, a2))
+            kind = kind1 if kind1 != "b" else kind2
+            add_term(kind, a, c1 * c2)
+    return out_deg, out
+
+
+def old_basic_injective(R, w, name="I"):
+    lo, hi = max(w.lo, 0), w.hi
+    dims, labels = {}, {}
+    for n in range(lo, hi + 1):
+        ms = R.monomials(n)
+        if ms:
+            dims[n] = len(ms)
+            labels[n] = [f"({R.monomial_label(a)})^" for a in ms]
+    action_blocks = [dict() for _ in range(R.r)]
+    for n in dims:
+        for i in range(R.r):
+            t = n - R.codegrees[i]
+            if t < 0 or t not in dims:
+                continue
+            src = R.monomials(n)
+            tgt = {a: k for k, a in enumerate(R.monomials(t))}
+            rows = [{} for _ in tgt]
+            for col, a in enumerate(src):
+                if a[i] >= 1:
+                    rows[tgt[a[:i] + (a[i] - 1,) + a[i + 1:]]][col] = 1
+            action_blocks[i][n] = (1, rows, len(src))
+    return alg.dg_module(R, dims, {}, action_blocks, lo, hi,
+                         complete_below=True, complete_above=False,
+                         labels=labels, name=name)
+
+
+def old_poly_as_module(R, w, name="R"):
+    lo, hi = w.lo, min(w.hi, 0)
+    dims, labels = {}, {}
+    for n in range(lo, hi + 1):
+        ms = R.monomials(-n)
+        if ms:
+            dims[n] = len(ms)
+            labels[n] = [R.monomial_label(a) for a in ms]
+    action_blocks = [dict() for _ in range(R.r)]
+    for n in dims:
+        for i in range(R.r):
+            t = n - R.codegrees[i]
+            if t not in dims:
+                continue
+            src = R.monomials(-n)
+            tgt = {a: k for k, a in enumerate(R.monomials(-t))}
+            rows = [{} for _ in tgt]
+            for col, a in enumerate(src):
+                rows[tgt[a[:i] + (a[i] + 1,) + a[i + 1:]]][col] = 1
+            action_blocks[i][n] = (1, rows, len(src))
+    return alg.dg_module(R, dims, {}, action_blocks, lo, hi,
+                         complete_below=False, complete_above=True,
+                         labels=labels, name=name)
+
+
+T3 = alg.poly_algebra(alg.GroupData((2, 2, 2)))
+SU4 = alg.poly_algebra(alg.named_group("SU(4)"))
+
+
+@functools.cache
+def five_dgas():
+    """One or more instances of each degreewise DGA, with its old product:
+    End(kbar) over T, T^2 and SU(3), Hom(kbar, k) over T^3 and SU(4), and
+    the poly_dga, koszul_dga and acyclic_extension_dga windows of
+    test_formality_generators_match_dense_rank_tests."""
+    out = [(du.end_dga(R), functools.partial(old_end_compose, R)) for R in (R1, R2, R3)]
+    out += [(du.hom_to_k(R), functools.partial(old_homk_product, R)) for R in (T3, SU4)]
+    out += [(du.poly_dga(R, w), functools.partial(old_poly_product, R))
+            for R, w in ((R2, Window(-8, 0)), (R3, Window(-14, 0)))]
+    out += [(du.koszul_dga(R1, Window(-9, 1)), functools.partial(old_koszul_product, R1))]
+    out += [(du.acyclic_extension_dga(R, w, c), functools.partial(old_acyclic_product, R, w, c))
+            for R, w, c in ((R1, Window(-10, 2), -3), (R2, Window(-8, 2), -3),
+                            (R3, Window(-12, 2), -5))]
+    return tuple(out)
+
+
+def seeded_vector(rng, dim):
+    return [rng.choice((F(0), F(0), F(1), F(-1), F(2), F(-1, 2))) for _ in range(dim)]
+
+
+def degree_pairs(rng, M, count):
+    degs = [n for n in range(M.lo, M.hi + 1) if M.dim(n)]
+    pairs = [(a, b) for a in degs for b in degs]
+    return pairs if len(pairs) <= count else rng.sample(pairs, count)
+
+
+def test_products_match_the_five_old_bodies():
+    rng = random.Random(81)
+    compared = outside = 0
+    for A, old in five_dgas():
+        M = A.module
+        for d1, d2 in degree_pairs(rng, M, 100):
+            v1, v2 = seeded_vector(rng, M.dim(d1)), seeded_vector(rng, M.dim(d2))
+            got = A.product(d1, v1, d2, v2)
+            assert A.product(d1, dict(enumerate(v1)), d2,
+                             {k: c for k, c in enumerate(v2) if c}) == got
+            if M.lo <= d1 + d2 <= M.hi:
+                assert got == old(d1, v1, d2, v2)
+                compared += 1
+            else:
+                assert got == (d1 + d2, [])
+                outside += 1
+    assert compared >= 400 and outside >= 100
+
+
+def test_every_product_has_the_length_of_its_degree():
+    e = du.end_dga(R1)
+    u = [F(1)] * e.module.dim(-7)
+    assert u and e.module.dim(-14) == 0
+    assert e.product(-7, u, -7, u) == (-14, [])
+    assert du.poly_dga(R1, Window(-8, 0)).product(-8, [F(1)], -8, [F(1)]) == (-16, [])
+    rng = random.Random(82)
+    for A, _ in five_dgas():
+        M = A.module
+        for d1, d2 in degree_pairs(rng, M, 40):
+            _, out = A.product(d1, seeded_vector(rng, M.dim(d1)),
+                               d2, seeded_vector(rng, M.dim(d2)))
+            assert len(out) == M.dim(d1 + d2)
+
+
+def test_dga_laws_hold_on_every_degreewise_dga():
+    """Unit on both sides, associativity, and Leibniz
+    d(ab) = da.b + (-1)^|a| a.db, wherever every degree involved is stored."""
+    rng = random.Random(83)
+    checks = 0
+    for A, _ in five_dgas():
+        M = A.module
+        degs = [n for n in range(M.lo, M.hi + 1) if M.dim(n)]
+
+        def inside(*ns):
+            return all(M.lo <= n <= M.hi for n in ns)
+
+        for n in degs:
+            a = seeded_vector(rng, M.dim(n))
+            assert A.product(0, A.unit, n, a) == (n, a) == A.product(n, a, 0, A.unit)
+            checks += 2
+        for _ in range(300):
+            d1, d2, d3 = (rng.choice(degs) for _ in range(3))
+            a, b, c = (seeded_vector(rng, M.dim(d)) for d in (d1, d2, d3))
+            if inside(d1 + d2, d2 + d3, d1 + d2 + d3):
+                assert (A.product(*A.product(d1, a, d2, b), d3, c)
+                        == A.product(d1, a, *A.product(d2, b, d3, c)))
+                checks += 1
+            if inside(d1 - 1, d2 - 1, d1 + d2, d1 + d2 - 1):
+                left = M.diff.apply(d1 + d2, A.product(d1, a, d2, b)[1])
+                _, t1 = A.product(d1 - 1, M.diff.apply(d1, a), d2, b)
+                _, t2 = A.product(d1, a, d2 - 1, M.diff.apply(d2, b))
+                sgn = -1 if d1 % 2 else 1
+                assert left == [x + sgn * y for x, y in zip(t1, t2)]
+                checks += 1
+    assert checks >= 1500
+
+
+@pytest.mark.parametrize("R", [R1, R2, R3, T3, alg.poly_algebra(alg.GroupData((2, 4))),
+                               alg.poly_algebra(alg.named_group("SU(2)"))],
+                         ids=lambda R: str(R.group))
+def test_r_and_i_match_the_hand_built_loops(R):
+    for w in (Window(0, 8), Window(-3, 12), Window(-6, 0)):
+        I = alg.basic_injective(R, w)
+        assert I == old_basic_injective(R, w)
+        assert I == alg.matlis_dual(alg.poly_as_module(R, Window(-w.hi, -max(w.lo, 0))),
+                                    name="I")
+        assert alg.poly_as_module(R, Window(-w.hi, 0)) == old_poly_as_module(R, Window(-w.hi, 0))
+        assert alg.poly_as_module(R, Window(-w.hi, 3)) == old_poly_as_module(R, Window(-w.hi, 3))
+
+
+def test_realized_labels_and_trivial_group_flags():
+    # R keeps its monomial labels; R+acyclic's cells drop the factor 1
+    Rm = alg.poly_as_module(R2, Window(-4, 0))
+    assert [Rm.labels_at(n) for n in (0, -2, -4)] == [
+        ["1"], ["x2", "x1"], ["x2^2", "x1*x2", "x1^2"]]
+    A = du.acyclic_extension_dga(R1, Window(-10, 2), -3).module
+    assert [A.labels_at(n) for n in (-2, -3, -5)] == [["x1", "v"], ["u"], ["x1*u"]]
+    # over the trivial group R is Q in degree 0, so R and R+acyclic are
+    # complete below once the window reaches their lowest generator
+    R0 = alg.poly_algebra(alg.GroupData(()))
+    for M in (alg.poly_as_module(R0, Window(-3, 2)),
+              du.acyclic_extension_dga(R0, Window(-4, 2), -2).module):
+        assert M.complete_below and M.complete_above
+    assert not alg.poly_as_module(R1, Window(-3, 2)).complete_below
+    I0 = alg.basic_injective(R0, Window(0, 5))
+    assert I0.space.dims == {0: 1} and I0.is_finite()
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,33 @@ def test_cli_groups_commands(tmp_path, capsys):
     assert code == 0 and all(c["passed"] for c in out["checks"])
 
 
+def test_cli_shriek_reports_a_skipped_comparison_as_skipped(tmp_path, capsys):
+    # d s = b: not zero-differential, and T<T^2-diag has projective
+    # dimension one, so the coextension comparison is not computed
+    f = tmp_path / "ds.kdg"
+    f.write_text("algebra poly 2,2\nwindow -1 0\ncomplete both\n"
+                 "component 0 s\ncomponent -1 b\nd s = b\n")
+    args = ["groups", "shriek", "--pair", "T<T^2-diag", "--module", str(f)]
+    assert main(args + ["--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [c for c in out["checks"] if c["name"] == "coextension_comparison"] == [
+        {"name": "coextension_comparison", "passed": False, "skipped": True,
+         "detail": "needs a zero-differential module in positive projective dimension"}]
+    assert main(args) == 0
+    text = capsys.readouterr().out
+    assert "check [skip] coextension_comparison" in text and "[ok]" not in text
+
+
+def test_report_skips_count_neither_way():
+    from koszuldg.report import RunReport
+    rep = RunReport("x")
+    rep.skip_check("a", "not computed")
+    assert rep.all_passed()
+    rep.add_check("b", False)
+    assert not rep.all_passed()
+    assert [c.get("skipped", False) for c in rep.checks] == [True, False]
+
+
 def test_cli_groups_explicit_map(capsys):
     code = main(["groups", "extend", "--source", "4", "--target", "2",
                  "--map", "x1->y1^2", "--module", "k", "--format", "json"])
