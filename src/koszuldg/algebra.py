@@ -846,7 +846,8 @@ def to_degreewise(F: FreeDGModule, w: Window, name: str = "") -> DGModule:
         bs = free_basis(F, n)
         if bs:
             basis[n] = bs
-            labels[n] = [gens[j] if not any(a) else R.monomial_label(a) if gens[j] == "1"
+            labels[n] = [gens[j] if not any(a)
+                         else R.monomial_label(a) if gens[j] == "1"
                          else f"{R.monomial_label(a)}*{gens[j]}" for j, a in bs]
     xs = _generator_actions(F)
     diff_blocks = {}
@@ -871,7 +872,8 @@ def residue_field(R: PolyAlgebra, name: str = "k") -> DGModule:
 
 
 def basic_injective(R: PolyAlgebra, w: Window, name: str = "I") -> DGModule:
-    """The graded dual of R: the injective hull of the residue field.
+    """The graded dual of R: the injective hull of the residue field, as the
+    Matlis dual of R windowed to the mirror image of w.
 
     Degree-n piece (n >= 0) is dual to the codegree-n monomials; each x_i
     acts by deleting itself from a dual monomial and kills the socle.

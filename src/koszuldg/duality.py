@@ -366,7 +366,7 @@ def _contraction(e: DegreewiseDGA, i: int) -> tuple:
         hit = not any(alpha) and i in S and T == tuple(j for j in S if j != i)
         return L.remove_sign(i, S) if hit else 0
 
-    return deg, _vector(e.keys(deg), coeff)
+    return deg, _vector(e.keys(deg) if e.module.dim(deg) else [], coeff)
 
 
 def _assert_contractions(e: DegreewiseDGA):
@@ -427,7 +427,7 @@ def hom_to_k(R: PolyAlgebra) -> DegreewiseDGA:
 
 def _assert_homk_algebra(h: DegreewiseDGA):
     """Unit, associativity, graded commutativity on the subset basis."""
-    basis = [(n, _vector(h.keys(n), lambda t, s=s: t == s))
+    basis = [(n, _vector(h.keys(n), lambda t: t == s))
              for n in h.module.degrees() for s in h.keys(n)]
     for d, v in basis:
         if h.product(0, h.unit, d, v)[1] != v:

@@ -193,6 +193,13 @@ def test_cartan_map_in_a_window_below_the_top_products():
     assert rep.passed and rep.homology_dims == {0: 1, 3: 1, 5: 1}
 
 
+def test_double_centralizer_fails_closed_on_a_window_below_the_contractions():
+    # the contraction over T has degree 1, above the window: its vector is
+    # empty, as every vector outside the window is, and nothing matches
+    rep = du.double_centralizer_check(T, Window(-3, 0))
+    assert not rep.dims_match and not rep.products_independent and not rep.passed
+
+
 def test_formality_on_polynomial_ring_itself():
     out = du.formality_map(du.poly_dga(R2, Window(-8, 0)), R2)
     assert out.passed

@@ -2101,12 +2101,14 @@ def five_dgas():
     """One or more instances of each degreewise DGA, with its old product:
     End(kbar) over T, T^2 and SU(3), Hom(kbar, k) over T^3 and SU(4), and
     the poly_dga, koszul_dga and acyclic_extension_dga windows of
-    test_formality_generators_match_dense_rank_tests."""
+    test_formality_generators_match_dense_rank_tests, and the Koszul model
+    over T^2, where exterior signs first show."""
     out = [(du.end_dga(R), functools.partial(old_end_compose, R)) for R in (R1, R2, R3)]
     out += [(du.hom_to_k(R), functools.partial(old_homk_product, R)) for R in (T3, SU4)]
     out += [(du.poly_dga(R, w), functools.partial(old_poly_product, R))
             for R, w in ((R2, Window(-8, 0)), (R3, Window(-14, 0)))]
-    out += [(du.koszul_dga(R1, Window(-9, 1)), functools.partial(old_koszul_product, R1))]
+    out += [(du.koszul_dga(R, w), functools.partial(old_koszul_product, R))
+            for R, w in ((R1, Window(-9, 1)), (R2, Window(-8, 2)))]
     out += [(du.acyclic_extension_dga(R, w, c), functools.partial(old_acyclic_product, R, w, c))
             for R, w, c in ((R1, Window(-10, 2), -3), (R2, Window(-8, 2), -3),
                             (R3, Window(-12, 2), -5))]
