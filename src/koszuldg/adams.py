@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grlin import (
-    LinearSystem,
     Window,
     _columns_form,
     _dense_vector,
@@ -25,6 +24,7 @@ from .algebra import (
     ChainMap,
     DGModule,
     GroupData,
+    Homology,
     InvariantViolation,
     NotTorsion,
     PolyAlgebra,
@@ -36,6 +36,7 @@ from .algebra import (
     homology,
     homology_module,
     koszul_stage,
+    map_system,
     zero_module,
 )
 from .resolve import (
@@ -103,20 +104,10 @@ def injective_hull_embedding(N: DGModule, pad: int = 4):
     for p in pieces[1:]:
         W = direct_sum(W, p)
     W.name = "hull"
-    # embedding: unknown blocks, module maps, prescribed on the socle
-    sys = LinearSystem()
-    for n in N.degrees():
-        tb = W.known_dim(n)
-        if tb is None:
-            raise WindowTooSmall("hull window too small")
-        sys.unknowns(n, tb, N.dim(n))
-    for n in N.degrees():
-        for i, g in enumerate(N.generator_degrees()):
-            tb2 = W.known_dim(n + g)
-            if tb2 is None:
-                raise WindowTooSmall("hull window too small")
-            sys.equate(tb2, N.dim(n), left=[(1, W.actions[i].form(n), n)],
-                       right=[(-1, n + g, N.actions[i].form(n))])
+    # embedding: module maps, prescribed on the socle
+    sys, missing = map_system(N, W, 0, range(len(N.actions)))
+    if missing:
+        raise WindowTooSmall("hull window too small")
     # socle pairing: Y_n . v = the bottom class of summand p for the socle
     # vector v of summand p, the summands sitting in W in order
     p = 0
@@ -163,38 +154,18 @@ class AdamsTower:
 
 
 def lift_through_homology(Y: DGModule, W: DGModule, emb: ChainMap,
-                          HY) -> ChainMap:
-    """Chain module map Y -> W inducing the given embedding on homology.
+                          H: Homology) -> ChainMap:
+    """Chain module map Y -> W inducing the embedding emb of the homology H.
 
     W has zero differential, so inducing the embedding means agreeing with
     it exactly on homology representatives; existence is the injectivity of
     the hull, and failure raises instead of degrading.
     """
-    sys = LinearSystem()
-    for n in range(Y.lo, Y.hi + 1):
-        if W.known_dim(n) is not None:
-            sys.unknowns(n, W.known_dim(n), Y.dim(n))
-
-    def known_block(n):
-        return W.known_dim(n) is not None
-
-    # chain condition: phi . d = 0
-    for n in range(Y.lo, Y.hi + 1):
-        if known_block(n - 1):
-            sys.equate(W.known_dim(n - 1), Y.dim(n), right=[(1, n - 1, Y.diff.form(n))])
-    # module linearity
-    gens = Y.generator_degrees()
-    for n in range(Y.lo, Y.hi + 1):
-        for i, g in enumerate(gens):
-            if known_block(n) and known_block(n + g) and Y.known_dim(n + g) is not None:
-                sys.equate(W.known_dim(n + g), Y.dim(n), left=[(1, W.actions[i].form(n), n)],
-                           right=[(-1, n + g, Y.actions[i].form(n))])
+    sys, _ = map_system(Y, W, 0, range(-1, len(Y.actions)))
     # prescribed values on homology representatives: Y_n . rep = emb(class)
-    HN = HY["module"]
-    hom = HY["homology"]
-    for n in HN.degrees():
-        if known_block(n):
-            reps = hom.representatives(n)
+    for n in sorted(H.dims()):
+        if W.known_dim(n) is not None:
+            reps = H.representatives(n)
             sys.equate(W.known_dim(n), len(reps),
                        right=[(1, n, _columns_form(enumerate(reps), Y.dim(n), len(reps)))],
                        rhs=emb.map.form(n))
@@ -234,13 +205,13 @@ def adams_tower(Y: DGModule, pad: int = 4) -> AdamsTower:
         if j > R.r:
             raise InvariantViolation("tower exceeded the rank bound")
         W, emb = injective_hull_embedding(HN, pad=pad)
-        shifts = sorted(n for n in socle(HN) for _ in socle(HN)[n])
+        soc = socle(HN)
+        shifts = sorted(n for n in soc for _ in soc[n])
         if expected is not None and j < len(expected):
             want = sorted(s - j for s in expected[j])
             if shifts != want:
                 syzygy_ok = False
-        phi = lift_through_homology(current, W, emb,
-                                    {"module": HN, "homology": H})
+        phi = lift_through_homology(current, W, emb, H)
         stages.append(TowerStage(j, current, hdims, shifts, phi))
         current = fibre(phi, name=f"Y{j+1}")
         j += 1

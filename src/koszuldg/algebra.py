@@ -31,11 +31,13 @@ from .grlin import (
     LinearSystem,
     Matrix,
     Window,
+    ZERO,
     _assemble,
     _columns_form,
     _coordinates_form,
     _dense,
     _dense_vector,
+    _entry,
     _form_rank,
     _identity_form,
     _int_agree,
@@ -1008,36 +1010,81 @@ def identity_map(M: DGModule) -> ChainMap:
     return ChainMap(M, M, 0, {n: _identity_form(M.dim(n)) for n in M.degrees()})
 
 
-def chain_map_space(A: DGModule, B: DGModule, degree: int = 0) -> list:
-    """Basis of the space of degree-homogeneous chain module maps A -> B.
+def map_system(A: DGModule, B: DGModule, degree: int, ops) -> tuple:
+    """The equations of the degree-homogeneous maps A -> B commuting with
+    the operators k in ops (DGModule.op): range(-1, r) for chain module
+    maps, range(r) for module maps.
 
     Unknown blocks f_n live wherever both source and target are stored.
-    Every Koszul-signed compatibility with an operator of degree d (the
-    differentials and the generator actions) that can be formed inside the
-    windows is one block equation B-op . f_n - sgn * f_(n+d) . A-op = 0.
-    LinearSystem.equate writes it entry by entry from the stored integer
-    forms: the left term (1, B-op, n) and the right term (-sgn, n + d, A-op),
-    a zero operator block being a zero term.  Returns a list of
-    {(n, row, col): value} dicts; wrap with chain_map_from_blocks.
+    Each operator of degree g gives the block equation
+    B-op . f_n - sgn * f_(n+g) . A-op = 0, sgn = -1 when degree and g are
+    both odd, written by LinearSystem.equate from the stored integer forms
+    wherever both windows certify every degree it reaches.  Returns the
+    LinearSystem, whose solutions are {(n, row, col): value} dicts for
+    chain_map_from_blocks, and the degrees of B, in the order met, where an
+    unknown block or an equation was left out for want of B's window.
     """
-    sys = LinearSystem()
+    sys, missing, cols = LinearSystem(), [], {}
     for n in A.degrees():
-        if B.known_dim(n + degree) is not None:
-            sys.unknowns(n, B.known_dim(n + degree), A.dim(n))
-    constraints = [(B.diff, A.diff, -1, -1 if degree % 2 else 1)]
-    for i, g in enumerate(A.generator_degrees()):
-        constraints.append((B.actions[i], A.actions[i], g,
-                            -1 if (degree % 2 and g % 2) else 1))
-    for n in A.degrees():
-        if B.known_dim(n + degree) is None:
-            continue
-        for gm_b, gm_a, d, sgn in constraints:
-            rows = B.known_dim(n + d + degree)
-            if rows is None or A.known_dim(n + d) is None:
+        rows = B.known_dim(n + degree)
+        if rows is None:
+            missing.append(n + degree)
+        else:
+            cols[n] = A.dim(n)
+            sys.unknowns(n, rows, cols[n])
+    ops = [(A.op(k), B.op(k)) for k in ops]
+    lo, hi = A.known_lo(), A.known_hi()
+    for n, c in cols.items():
+        for a, b in ops:
+            g = a.degree
+            if not lo <= n + g <= hi:
                 continue
-            sys.equate(rows, A.dim(n), left=[(1, gm_b.form(n + degree), n)],
-                       right=[(-sgn, n + d, gm_a.form(n))])
-    return sys.kernel()
+            rows = B.known_dim(n + g + degree)
+            if rows is None:
+                missing.append(n + g + degree)
+                continue
+            sgn = -1 if (degree % 2 and g % 2) else 1
+            sys.equate(rows, c, left=[(1, b.form(n + degree), n)],
+                       right=[(-sgn, n + g, a.form(n))])
+    return sys, missing
+
+
+def chain_map_space(A: DGModule, B: DGModule, degree: int = 0) -> list:
+    """Basis of the space of degree-homogeneous chain module maps A -> B,
+    as {(n, row, col): value} dicts (map_system)."""
+    return map_system(A, B, degree, range(-1, len(A.actions)))[0].kernel()
+
+
+def _express_composites(basis: list, form, shift: int, target: list,
+                         after: bool = True) -> tuple:
+    """The coordinates in target of every map of basis composed with the
+    blocks of one graded map, as the columns of an integer form.
+
+    A map of basis is {(n, row, col): value}, with block h_n at n.  The
+    block form(n + shift), an integer form or None for zero, comes after
+    h_n when after is set, and the composite sits at n; otherwise it comes
+    before h_n, and the composite sits at n + shift.  A composite outside
+    the span of target raises InvariantViolation.
+    """
+    lines = {}  # degree -> the denominator and the columns or rows of a block
+    cols = []
+    for h in basis:
+        comp = {}
+        for (n, rr, cc), v in h.items():
+            m = n + shift
+            if m not in lines:
+                f = form(m)
+                lines[m] = f and (f[0], _transposed(f)[1] if after else f[1])
+            if lines[m]:
+                den, fl = lines[m]
+                for i, x in fl[rr if after else cc].items():
+                    key = (n, i, cc) if after else (m, rr, i)
+                    comp[key] = comp.get(key, ZERO) + _entry(x, den) * v
+        cols.append(comp)
+    out = _coordinates_form(target, cols)
+    if out is None:
+        raise InvariantViolation("composite escaped the solution space")
+    return out
 
 
 def chain_map_from_blocks(A: DGModule, B: DGModule, degree: int,

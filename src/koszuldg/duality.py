@@ -522,20 +522,23 @@ def cartan_map(e: DegreewiseDGA, h: DegreewiseDGA | None = None) -> CartanReport
             iso = False
     # multiplicativity on homology class representatives, for the products
     # that land in the stored window
-    mult = True
+    mult, products = True, 0
     reps = [(n, rep) for n in H.certified_range() if H.dim(n)
             for rep in H.representatives(n)]
     for (n1, u) in reps:
         for (n2, v) in reps:
             if not e.module.lo <= n1 + n2 <= e.module.hi:
                 continue
+            products += 1
             dc, uv = e.product(n1, u, n2, v)
             left = cartan_theta(e, h, dc, uv)
             _, right = h.product(n1, cartan_theta(e, h, n1, u),
                                  n2, cartan_theta(e, h, n2, v))
             if left != right:
                 mult = False
-    return CartanReport(chain_ok, id_ok, iota_ok, iso, mult, hdims)
+    # both homology verdicts fail closed when no class was compared
+    return CartanReport(chain_ok, id_ok, iota_ok, iso and bool(hdims),
+                        mult and products > 0, hdims)
 
 
 @dataclass

@@ -5,7 +5,8 @@ homogeneous image per source generator, validated by the finiteness
 condition (the target must be a finitely generated module over the image
 subring; the certificate records the cokernel of the image ideal
 degreewise).  Restriction, extension and coextension of scalars are
-degreewise exact linear algebra; the derived dual is the dualized minimal
+degreewise exact linear algebra, coextension being the module maps from the
+restricted target ring (resolve.module_hom_space); the derived dual is the dualized minimal
 free resolution of the target over the source, and the upper shriek and
 shift law ride on the computed certificate that the derived dual is a
 shifted free rank-one target module.
@@ -23,7 +24,6 @@ from .grlin import (
     Window,
     _assemble,
     _columns_form,
-    _coordinates_form,
     _entry,
     _int_agree,
     _int_product,
@@ -37,6 +37,7 @@ from .algebra import (
     Poly,
     PolyAlgebra,
     _evaluate,
+    _express_composites,
     _generator_actions,
     _realize,
     _summed,
@@ -54,10 +55,10 @@ from .algebra import (
 )
 from .resolve import (
     ResolutionData,
-    WindowTooSmall,
     injective_resolution,
     is_zero_diff,
     minimal_free_resolution_fg,
+    module_hom_space,
     totalize_injective_resolution,
 )
 from .duality import LinearSolveFailed
@@ -317,10 +318,12 @@ def coextend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
                      name: str = "") -> DGModule:
     """Module maps from the target ring into M, degreewise.
 
-    Solved per internal degree as a linear system over a windowed copy of
-    the target ring; degrees whose constraints would cross the window floor
-    are never reported, and the support bounds from the finiteness
-    certificate make the result complete on both sides for finite M.
+    Degree t is module_hom_space(restrict_scalars(rm, Tmod), M, t) for a
+    windowed copy Tmod of the target ring, whose depth makes the equations
+    left out below its floor vacuous.  The differential postcomposes with
+    d_M and the target generators precompose, both expressed by
+    _express_composites; the support bounds from the finiteness certificate
+    make the result complete on both sides for finite M.
     """
     if M.algebra != rm.source:
         raise InvariantViolation("coextend_scalars input must live over the source")
@@ -333,10 +336,8 @@ def coextend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
     m_lo = M.support_min()
     if M.complete_above:
         t_hi = M.support_max() + n_top
-        complete_above = True
     else:
         t_hi = (w.hi if w else M.hi + n_top)
-        complete_above = False
     t_lo = m_lo
     if w:
         t_lo = min(t_lo, w.lo)
@@ -344,81 +345,28 @@ def coextend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
     maxd = max(S.codegrees) if S.r else 1
     depth = m_lo - t_hi - maxd - n_top - 4
     Tmod = poly_as_module(T, Window(depth, 0))
-    solutions = {}
-    for t in range(t_lo, t_hi + 1):
-        sys = LinearSystem()
-        for n in Tmod.degrees():
-            md = M.known_dim(n + t)
-            if md is None:
-                raise WindowTooSmall(f"coextension target unknown at {n + t}")
-            sys.unknowns(n, md, Tmod.dim(n))
-        for n in Tmod.degrees():
-            for i, p in enumerate(rm.images):
-                di = S.codegrees[i]
-                if n - di < Tmod.lo:
-                    # constraints below the window floor are dropped; the
-                    # depth choice makes the dropped ones vacuous
-                    continue
-                # f(p . tau) - x_i . f(tau) = 0, a zero image giving no
-                # T-side term
-                sys.equate(M.known_dim(n + t - di) or 0, Tmod.dim(n),
-                           left=[(-1, M.actions[i].form(n + t), n)],
-                           right=[(1, n - di, Tmod._action_poly_form(p, n))])
-        solutions[t] = sys.kernel()
+    res = restrict_scalars(rm, Tmod)
+    solutions = {t: module_hom_space(res, M, t) for t in range(t_lo, t_hi + 1)}
     dims = {t: len(sols) for t, sols in solutions.items() if sols}
     labels = {t: [f"h{t}_{i}" for i in range(d)] for t, d in dims.items()}
-
-    def express(t, comps):
-        """The coordinates of the composites in the solutions at t, as the
-        columns of an integer form."""
-        out = _coordinates_form(solutions.get(t, []), comps)
-        if out is None:
-            raise InvariantViolation("composite escaped the solution space")
-        return out
-
     diff_blocks = {}
     act_blocks = [dict() for _ in range(T.r)]
     for t in dims:
         # differential: postcompose with d_M
-        cols = []
-        for h in solutions[t]:
-            comp = {}
-            for (n, rr, cc), v in h.items():
-                f = M.diff.form(n + t)
-                for r2, row in enumerate([] if f is None else f[1]):
-                    if rr in row:
-                        key = (n, r2, cc)
-                        comp[key] = comp.get(key, Fraction(0)) + _entry(row[rr], f[0]) * v
-            cols.append(comp)
-        coords = express(t - 1, cols)
+        coords = _express_composites(solutions[t], M.diff.form, t, solutions.get(t - 1, []))
         if dims.get(t - 1):
             diff_blocks[t] = coords
-        # target action: precompose with multiplication by y_j
-        for jgen in range(T.r):
-            e = T.codegrees[jgen]
-            if (t - e) not in dims:
-                continue
-            cols = []
-            for h in solutions[t]:
-                comp = {}
-                # (y f)(tau') = f(y tau'): sum over arguments one generator up
-                for (n2, rr, cc), v in h.items():
-                    # n2 is the T-degree of f's argument; y*tau' lands there
-                    src = n2 + e
-                    if src > 0 or src < Tmod.lo:
-                        continue
-                    f = Tmod.actions[jgen].form(src)
-                    for c2, x in ({} if f is None else f[1][cc]).items():
-                        key = (src, rr, c2)
-                        comp[key] = comp.get(key, Fraction(0)) + _entry(x, f[0]) * v
-                cols.append(comp)
-            act_blocks[jgen][t] = express(t - e, cols)
+        # target action: (y f)(tau) = f(y tau), precomposition with y_j
+        for j, e in enumerate(T.codegrees):
+            if t - e in dims:
+                act_blocks[j][t] = _express_composites(
+                    solutions[t], Tmod.actions[j].form, e, solutions[t - e], after=False)
     lo = min(dims, default=0)
     hi = max(dims, default=0)
     lo = min(lo, t_lo)
     hi = max(hi, t_hi)
     return dg_module(T, dims, diff_blocks, act_blocks, lo, hi,
-                     complete_below=True, complete_above=complete_above,
+                     complete_below=True, complete_above=M.complete_above,
                      labels=labels, name=name or f"coext({M.name})")
 
 

@@ -6,7 +6,9 @@ finite-dimensional.  The generator degrees of each syzygy stage are known in
 advance from an independent finite computation (homology of the module
 tensored with the exterior Koszul complex), which both sizes the windows and
 cross-checks the construction.  Injective resolutions are graded duals of
-free ones; Ext is computed along both routes as mutual oracles.  Derived Hom
+free ones; Ext is computed along both routes as mutual oracles, the
+injective route from module_hom_space (algebra.map_system's equations) and
+postcomposition (algebra._express_composites).  Derived Hom
 uses a semifree replacement built by killing cone homology from the top: a
 scan reads the cone one degree at a time from its two differential blocks
 there, and one final gate builds and checks the whole replacement and its
@@ -16,17 +18,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .grlin import (
     GradedMap,
     GradedVS,
-    LinearSystem,
     Window,
     _assemble,
-    _coordinates_form,
     _dense_vector,
-    _entry,
     _form_rank,
     _insert,
     _int_product,
@@ -45,6 +43,7 @@ from .algebra import (
     InvariantViolation,
     PolyAlgebra,
     _evaluate,
+    _express_composites,
     _realize,
     _subsets,
     _summed,
@@ -56,6 +55,7 @@ from .algebra import (
     homology,
     matlis_dual,
     mapping_cone,
+    map_system,
     to_degreewise,
     zero_module,
 )
@@ -565,26 +565,15 @@ def _ext_connecting_free(res: ResolutionData, s: int, t: int, N: DGModule):
 
 
 def module_hom_space(M: DGModule, J: DGModule, t: int) -> list:
-    """Basis of degree-t module homomorphisms M -> J (zero differentials).
-
-    Unknown blocks per degree, constrained to commute with every generator
-    action; returns a list of {(n, row, col): value} dicts.
+    """Basis of degree-t module homomorphisms M -> J, differentials left
+    aside: map_system's solutions for the generator actions, so with a
+    Koszul sign for odd t and odd generators, and no equation reaching a
+    degree of M outside its known range.  WindowTooSmall unless J's window
+    certifies every degree that an unknown block or an equation reaches.
     """
-    sys = LinearSystem()
-    for n in M.degrees():
-        jd = J.known_dim(n + t)
-        if jd is None:
-            raise WindowTooSmall(f"hom target not certified at degree {n + t}")
-        sys.unknowns(n, jd, M.dim(n))
-    gens = M.generator_degrees()
-    for n in M.degrees():
-        for i, g in enumerate(gens):
-            tgt = J.known_dim(n + g + t)
-            if tgt is None:
-                raise WindowTooSmall(f"hom target not certified at degree {n + g + t}")
-            # phi_(n+g) . x_i - x_i . phi_n = 0
-            sys.equate(tgt, M.dim(n), left=[(-1, J.actions[i].form(n + t), n)],
-                       right=[(1, n + g, M.actions[i].form(n))])
+    sys, missing = map_system(M, J, t, range(len(M.actions)))
+    if missing:
+        raise WindowTooSmall(f"hom target not certified at degree {missing[0]}")
     return sys.kernel()
 
 
@@ -621,27 +610,9 @@ def _ext_connecting_inj(M: DGModule, res: InjectiveResolutionData, s: int,
                         t: int, bases: list):
     """Matrix of Hom(M, J_s)_t -> Hom(M, J_(s+1))_t, postcomposition, as an
     integer form; None when the target space is zero."""
-    psi = res.maps[s]
-    src_basis, tgt_basis = bases[s], bases[s + 1]
-    if not tgt_basis:
+    if not bases[s + 1]:
         return None
-    cols = []
-    columns = {}  # n -> the denominator and the columns of psi's form at n + t
-    for h in src_basis:
-        comp = {}
-        for (n, rr, cc), val in h.items():
-            if n not in columns:
-                f = psi.form(n + t)
-                columns[n] = (1, None) if f is None else (f[0], _transposed(f)[1])
-            den, fcols = columns[n]
-            for r2, x in ({} if fcols is None else fcols[rr]).items():
-                key = (n, r2, cc)
-                comp[key] = comp.get(key, Fraction(0)) + _entry(x, den) * val
-        cols.append(comp)
-    out = _coordinates_form(tgt_basis, cols)
-    if out is None:
-        raise InvariantViolation("postcomposition left the hom space")
-    return out
+    return _express_composites(bases[s], res.maps[s].form, t, bases[s + 1])
 
 
 def totalize_injective_resolution(res: InjectiveResolutionData) -> DGModule:

@@ -7,7 +7,9 @@ files parsed and printed, the dense views of GradedMap and ChainMap, and the
 dense polynomial action.  A new dense read is then a visible edit of this
 list, not a second representation growing back unnoticed.  A second test
 keeps the summing of placed integer forms (`_assemble`) in the summed-module
-builder and a listed few readers."""
+builder and a listed few readers, and a third keeps the construction of
+linear systems in the one writer of the equations of module maps and the
+two systems of another shape."""
 import ast
 from pathlib import Path
 
@@ -88,3 +90,25 @@ def test_modules_are_summed_by_one_builder():
     assert not outside, f"blocks assembled outside the summed-module builder: {outside}"
     # every site listed still assembles, so the list shrinks with the code
     assert {c[:2] for c in found} == SUMMED
+
+
+# The equations of every space of module maps (chain maps, module maps, the
+# injective hull, the Adams lift, coextension) are written by
+# algebra.map_system; the commuting lifts, whose unknowns reach below the
+# window, and recognize_k build systems of another shape.
+SYSTEMS = {
+    ("algebra", "map_system"),
+    ("groups", "_commuting_lifts"),
+    ("duality", "recognize_k"),
+}
+
+
+def test_module_map_equations_have_one_writer():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        dense_calls(ast.parse(path.read_text(), filename=str(path)), path.stem, [], found,
+                    {"LinearSystem"})
+    outside = [c for c in found if c[:2] not in SYSTEMS]
+    assert not outside, f"linear systems built outside map_system: {outside}"
+    # one construction per listed site, and every site listed still builds one
+    assert sorted(c[:2] for c in found) == sorted(SYSTEMS)

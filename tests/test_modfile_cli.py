@@ -282,6 +282,16 @@ def test_cli_endcheck(capsys, monkeypatch):
     assert len(built) == 1
 
 
+def test_cli_endcheck_fails_closed_on_an_empty_homology_window(capsys):
+    # no degree of End(kbar) homology is certified in this window, so the
+    # Cartan map's homology verdicts compared nothing and cannot pass
+    code = main(["endcheck", "--group", "2", "--window=-3:0", "--format", "json"])
+    out = json.loads(capsys.readouterr().out)
+    checks = {c["name"]: c["passed"] for c in out["checks"]}
+    assert code == 1 and out["tables"]["endomorphism_homology"] == {}
+    assert not checks["cartan_homology_iso"] and not checks["cartan_multiplicative"]
+
+
 def test_cli_recognize_k(tmp_path, capsys):
     f = tmp_path / "k.kdg"
     f.write_text(K_FILE)
