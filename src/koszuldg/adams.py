@@ -78,22 +78,23 @@ def socle(M: DGModule) -> dict:
     return out
 
 
-def injective_hull_embedding(N: DGModule, pad: int = 4):
+def injective_hull_embedding(N: DGModule, pad: int = 4, soc: dict | None = None):
     """The hull of a zero-differential torsion module, such as a homology
     module, and a verified embedding into it.
 
     The hull is one shifted copy of the basic injective per socle basis
     vector; the embedding is any module map restricting to the socle
     pairing, which is automatically injective because every nonzero
-    submodule of a torsion module meets the socle.
+    submodule of a torsion module meets the socle; soc is socle(N) when
+    already computed.
     """
     R = N.algebra
     if not N.is_torsion():
         raise NotTorsion("injective hulls here are for torsion modules")
     if not is_zero_diff(N):
         raise NotFiniteLength("injective hulls here need a zero-differential module")
-    soc = socle(N)
-    shifts = sorted((n for n in soc for _ in soc[n]), reverse=False)
+    soc = socle(N) if soc is None else soc
+    shifts = sorted(n for n in soc for _ in soc[n])
     if not shifts:
         return zero_module(R), ChainMap(N, zero_module(R), 0, {})
     hi = max(N.hi + 1, max(shifts)) + pad
@@ -186,26 +187,25 @@ def adams_tower(Y: DGModule, pad: int = 4) -> AdamsTower:
     R = Y.algebra
     if not Y.is_torsion():
         raise NotTorsion("adams tower needs a torsion module")
-    HY0 = homology_module(Y)
     expected = None
-    if HY0.total_dim() and HY0.is_finite():
-        res0 = injective_resolution(HY0)
-        expected = [sorted(sh) for sh in res0.shifts]
     stages = []
     current = Y
     syzygy_ok = True
     j = 0
     while True:
+        # each stage's homology and socle are computed once
         H = homology(current)
-        HN = homology_module(current)
+        HN = homology_module(current, H=H)
+        if j == 0 and HN.total_dim() and HN.is_finite():
+            expected = [sorted(sh) for sh in injective_resolution(HN).shifts]
         hdims = {n: HN.dim(n) for n in HN.degrees()}
         if not hdims:
             stages.append(TowerStage(j, current, {}, [], None))
             break
         if j > R.r:
             raise InvariantViolation("tower exceeded the rank bound")
-        W, emb = injective_hull_embedding(HN, pad=pad)
         soc = socle(HN)
+        W, emb = injective_hull_embedding(HN, pad=pad, soc=soc)
         shifts = sorted(n for n in soc for _ in soc[n])
         if expected is not None and j < len(expected):
             want = sorted(s - j for s in expected[j])

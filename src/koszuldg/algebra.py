@@ -22,7 +22,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from .grlin import (
@@ -806,26 +806,62 @@ def _realize(polymat, bs: list, ts: list) -> tuple | None:
     return (den, rows, len(bs)) if any(rows) else None
 
 
-def _evaluate(F: FreeDGModule, M: DGModule, images, n: int) -> tuple | None:
+def _evaluate(F: FreeDGModule, M: DGModule, images, n: int,
+              table: dict | None = None) -> tuple | None:
     """The integer form of the degree-n block of the map from realized F to
     M sending generator j to the vector images[j] (None for zero), or None
-    when that block is zero: column (j, alpha) is x^alpha applied to
-    images[j], the generators acting in order as in action_poly_block."""
+    when that block is zero.
+
+    Column (j, alpha) is x^alpha applied to images[j], the generators acting
+    in index order as in action_poly_block: x_l applied to column
+    (j, alpha - e_l), l the last index with alpha_l > 0, computed once as a
+    sparse {row: int} vector over its least denominator from the rows of the
+    action's integer form.  table keeps the columns across the degrees one
+    caller evaluates for one F, M and images.  An image whose length is not
+    M's dimension at its degree raises ValueError."""
     bs = free_basis(F, n)
     if not bs or not M.dim(n):
         return None
-    gens = M.generator_degrees()
-    cols = []
-    for col, (j, alpha) in enumerate(bs):
-        v, deg = images[j], F.basis[j][1]
-        if v is None:
-            continue
-        for i, a in enumerate(alpha):
-            for _ in range(a):
-                v = M.actions[i].apply(deg, v)
-                deg += gens[i]
-        cols.append((col, v))
-    return _columns_form(cols, M.dim(n), len(bs))
+    table = {} if table is None else table
+    cols = [(k, c) for k, (j, alpha) in enumerate(bs)
+            if (c := _column(M, images, j, alpha, n, table)) is not None]
+    den = lcm(*[d for _, (d, _) in cols])
+    rows = [{} for _ in range(M.dim(n))]
+    for k, (d, vec) in cols:
+        for r, v in vec.items():
+            rows[r][k] = v * (den // d)
+    return (den, rows, len(bs)) if cols else None
+
+
+def _column(M: DGModule, images, j: int, alpha: tuple, n: int, table: dict):
+    """Column (j, alpha), of degree n, of _evaluate: (den, {row: int}) in
+    lowest terms, or None when it is zero."""
+    if (j, alpha) in table:
+        return table[j, alpha]
+    if not any(alpha):
+        v = images[j]
+        if v is not None and len(v) != M.dim(n):
+            raise ValueError(f"vector of length {len(v)} for a map from dimension {M.dim(n)}")
+        den = lcm(*[x.denominator for x in v or () if x])
+        vec = {r: x.numerator * (den // x.denominator) for r, x in enumerate(v or ()) if x}
+    else:
+        last = max(i for i, a in enumerate(alpha) if a)
+        deg = n + M.algebra.codegrees[last]  # x_last has degree -codegree
+        prev = _column(M, images, j, alpha[:last] + (alpha[last] - 1,) + alpha[last + 1:],
+                       deg, table)
+        f = None if prev is None else M.actions[last].form(deg)
+        vec, pv = {}, prev and prev[1]
+        for r, row in enumerate(() if f is None else f[1]):
+            s = 0
+            for c, x in row.items():
+                if c in pv:
+                    s += x * pv[c]
+            if s:
+                vec[r] = s
+        if vec and (den := prev[0] * f[0]) != 1 and (g := gcd(den, *vec.values())) != 1:
+            den, vec = den // g, {r: v // g for r, v in vec.items()}
+    table[j, alpha] = col = (den, vec) if vec else None
+    return col
 
 
 def to_degreewise(F: FreeDGModule, w: Window, name: str = "") -> DGModule:
@@ -1272,10 +1308,10 @@ def express_in_homology(M: DGModule, H: Homology, n: int, v) -> list | None:
     return [] if _form_rank(aug) == _form_rank(f) else None
 
 
-def homology_module(M: DGModule, name: str = "") -> DGModule:
+def homology_module(M: DGModule, name: str = "", H: Homology | None = None) -> DGModule:
     """Homology as a module with zero differential and induced actions,
-    on the certified homology range."""
-    H = homology(M)
+    on the certified homology range; H is homology(M) when already computed."""
+    H = H or homology(M)
     if H.certified is None:
         raise InvariantViolation("window too small to certify any homology")
     lo = max(H.certified[0], M.lo)

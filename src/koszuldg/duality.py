@@ -814,11 +814,9 @@ def recognize_k(M: DGModule, window_pad: int = 4) -> RecognizeResult:
     lo = min((M.support_min() or 0) - 1, min(kb.basis_degrees()) - 1) - window_pad
     hi = max((M.support_max() or 0), 0) + 2
     realized = to_degreewise(kb, Window(lo, hi), name="kbar")
-    blocks = {}
-    vectors = [images[s][1] for s in subs]
-    for n in range(lo, hi + 1):
-        blocks[n] = _evaluate(kb, M, vectors, n)
-    f = ChainMap(realized, M, 0, blocks)
+    vectors, table = [images[s][1] for s in subs], {}
+    f = ChainMap(realized, M, 0, {n: _evaluate(kb, M, vectors, n, table)
+                                  for n in range(lo, hi + 1)})
     acyclic = homology(mapping_cone(f)).is_zero()
     nz = f.map.form(0) is not None
     return RecognizeResult(f, [images[s] for s in subs], acyclic, nz)

@@ -559,8 +559,8 @@ class GradedMap:
     degree n + degree; absent blocks are zero.  Each nonzero block is stored
     as its integer form (den, rows, cols) in `forms`, over its least
     denominator; zero blocks are not stored.  The blocks handed over are
-    integer forms, stored as they are, or dense matrices (module files,
-    tests), converted once here.  Stored forms are read-only: maps
+    integer forms, stored as they are, or dense matrices (tests and other
+    callers at the API edge), converted once here.  Stored forms are read-only: maps
     share them, so neither the code that handed a form over nor any reader
     may change it afterwards.  `block(n)` and `blocks` are dense views for
     the API edge, built on every call and not kept.

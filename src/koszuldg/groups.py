@@ -91,7 +91,9 @@ class RingMap:
 
     images[i] is a homogeneous target polynomial of the source generator's
     codegree; the relative dimension c = dim G - dim H must be non-negative
-    and the finiteness certificate is computed on construction.
+    and the finiteness certificate is computed on construction.  A map is
+    read-only after construction: catalog_ring_maps shares its maps across
+    every caller in a process.
     """
 
     source: PolyAlgebra
@@ -501,9 +503,9 @@ def _commuting_lifts(rm: RingMap, res: ResolutionData, total: FreeDGModule,
     restricted = restrict_scalars(rm, Tmod)
     basis = functools.cache(lambda n: free_basis(total, n))
     size = functools.cache(lambda n: len(basis(n)))
-    images = [v for _, v in res.aug_vectors] + [None] * (total.rank - stage0)
+    images, table = [v for _, v in res.aug_vectors] + [None] * (total.rank - stage0), {}
     aug_columns = [(n, _columns_form([(0, v)], len(v), 1)) for n, v in res.aug_vectors]
-    aug = {n: _evaluate(total, restricted, images, n)
+    aug = {n: _evaluate(total, restricted, images, n, table)
            for n in range(win.lo, win.hi + 1)
            if size(n) and restricted.known_dim(n) is not None}
     # the differential is taken on the window only, as zero outside it
@@ -816,7 +818,13 @@ def adjunction_check(rm: RingMap, M: DGModule, N: DGModule,
 
 
 def catalog_ring_maps() -> dict:
-    """Named ring maps for the shipped subgroup pairs."""
+    """Named ring maps for the shipped subgroup pairs: a fresh dict over
+    maps built once per process."""
+    return dict(_catalog())
+
+
+@functools.cache
+def _catalog() -> dict:
     out = {}
     su2 = PolyAlgebra(named_group("SU(2)"))
     t1 = PolyAlgebra(named_group("T"), varnames=("y1",))

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
-from .grlin import zeros
+from .grlin import _transposed
 from .algebra import (
     DGModule,
     ExtAlgebra,
     GroupData,
-    InvariantViolation,
     PolyAlgebra,
     dg_module,
     named_group,
@@ -31,7 +31,7 @@ class ParseError(ValueError):
 
 
 _TERM = re.compile(r"""^\s*(?P<sign>[+-])?\s*
-                        (?:(?P<coef>\d+(?:/\d+)?)\s*\*?\s*)?
+                        (?:(?P<coef>\d+(?:/0*[1-9]\d*)?)\s*\*?\s*)?
                         (?P<label>[A-Za-z_][A-Za-z_0-9.^]*)?\s*$""", re.X)
 
 
@@ -48,13 +48,13 @@ def parse_combination(text: str, line_no: int) -> dict:
         m = _TERM.match(chunk)
         if not m or (m.group("coef") is None and m.group("label") is None):
             raise ParseError(line_no, f"cannot parse term {chunk!r}")
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        coef = Fraction(*map(int, (m.group("coef") or "1").split("/")))
         if m.group("sign") == "-":
             coef = -coef
         label = m.group("label")
         if label is None:
             raise ParseError(line_no, f"term {chunk!r} has no basis label")
-        out[label] = out.get(label, Fraction(0)) + coef
+        out[label] = out[label] + coef if label in out else coef
     return {l: c for l, c in out.items() if c}
 
 
@@ -76,15 +76,15 @@ def _parse_algebra(tokens, line_no):
 
 
 def parse_module(text: str, name: str = "") -> DGModule:
-    """Parse the text format into a validated DG module."""
+    """Parse the text format into a validated DG module, reading its blocks
+    straight into integer forms."""
     algebra = None
     window = None
     complete_below = False
     complete_above = False
     components = {}      # degree -> list of labels
     label_degree = {}
-    label_index = {}
-    d_lines = []         # (line_no, label, combination-text)
+    d_lines = []         # (line_no, "d", label, combination-text)
     act_lines = []       # (line_no, genname, label, combination-text)
     mod_name = name
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -106,14 +106,10 @@ def parse_module(text: str, name: str = "") -> DGModule:
                 raise ParseError(line_no, "window bounds must be integers")
         elif head == "complete":
             for t in tokens[1:]:
-                if t == "below":
-                    complete_below = True
-                elif t == "above":
-                    complete_above = True
-                elif t == "both":
-                    complete_below = complete_above = True
-                else:
+                if t not in ("below", "above", "both"):
                     raise ParseError(line_no, f"unknown completeness flag {t!r}")
+                complete_below |= t != "above"
+                complete_above |= t != "below"
         elif head == "component":
             if len(tokens) < 2:
                 raise ParseError(line_no, "component needs a degree")
@@ -132,7 +128,7 @@ def parse_module(text: str, name: str = "") -> DGModule:
         elif head == "d":
             if len(tokens) < 3 or tokens[2] != "=":
                 raise ParseError(line_no, "differential line is 'd LABEL = expr'")
-            d_lines.append((line_no, tokens[1], line.split("=", 1)[1]))
+            d_lines.append((line_no, "d", tokens[1], line.split("=", 1)[1]))
         else:
             if len(tokens) < 3 or tokens[2] != "=":
                 raise ParseError(line_no, f"unknown directive {head!r}")
@@ -142,9 +138,7 @@ def parse_module(text: str, name: str = "") -> DGModule:
     if window is None:
         degs = sorted(components) or [0]
         window = (degs[0], degs[-1])
-    for deg, labs in components.items():
-        for i, lab in enumerate(labs):
-            label_index[lab] = i
+    label_index = {lab: i for labs in components.values() for i, lab in enumerate(labs)}
     dims = {deg: len(labs) for deg, labs in components.items()}
     labels = {deg: list(labs) for deg, labs in components.items()}
 
@@ -153,45 +147,34 @@ def parse_module(text: str, name: str = "") -> DGModule:
             raise ParseError(line_no, f"unknown label {lab!r}")
         return label_degree[lab], label_index[lab]
 
-    diff_blocks = {}
-    for line_no, src, expr in d_lines:
+    # entries[k + 1][source degree][(target index, source index)]: the differential
+    # (k = -1) and generator k's action, d lines first; form() makes a block's form
+    gen_names, gens = list(algebra.varnames), (-1,) + algebra.generator_degrees()
+    entries = [dict() for _ in gens]
+    for line_no, head, src, expr in d_lines + act_lines:
+        if head != "d" and head not in gen_names:
+            raise ParseError(line_no, f"unknown generator {head!r}")
+        k = gen_names.index(head) + 1 if head != "d" else 0
         sdeg, sidx = resolve(line_no, src)
-        combo = parse_combination(expr, line_no)
-        for tgt, coef in combo.items():
+        for tgt, coef in parse_combination(expr, line_no).items():
             tdeg, tidx = resolve(line_no, tgt)
-            if tdeg != sdeg - 1:
+            if tdeg != sdeg + gens[k]:
                 raise ParseError(
-                    line_no, f"d({src}) hits {tgt} of degree {tdeg}, want {sdeg - 1}")
-            blk = diff_blocks.setdefault(
-                sdeg, zeros(dims.get(sdeg - 1, 0), dims[sdeg]))
-            blk[tidx][sidx] += coef
-    gen_names = (list(algebra.varnames) if isinstance(algebra, (PolyAlgebra, ExtAlgebra))
-                 else [])
-    gen_degrees = algebra.generator_degrees()
-    act_blocks = [dict() for _ in gen_names]
-    for line_no, gen, src, expr in act_lines:
-        if gen not in gen_names:
-            raise ParseError(line_no, f"unknown generator {gen!r}")
-        gi = gen_names.index(gen)
-        sdeg, sidx = resolve(line_no, src)
-        combo = parse_combination(expr, line_no)
-        for tgt, coef in combo.items():
-            tdeg, tidx = resolve(line_no, tgt)
-            if tdeg != sdeg + gen_degrees[gi]:
-                raise ParseError(
-                    line_no,
-                    f"{gen}({src}) hits {tgt} of degree {tdeg}, "
-                    f"want {sdeg + gen_degrees[gi]}")
-            blk = act_blocks[gi].setdefault(
-                sdeg, zeros(dims.get(tdeg, 0), dims[sdeg]))
-            blk[tidx][sidx] += coef
-    lo, hi = window
-    try:
-        return dg_module(algebra, dims, diff_blocks, act_blocks, lo, hi,
-                         complete_below, complete_above,
-                         labels=labels, name=mod_name or "module")
-    except InvariantViolation:
-        raise
+                    line_no, f"{head}({src}) hits {tgt} of degree {tdeg}, want {sdeg + gens[k]}")
+            blk = entries[k].setdefault(sdeg, {})
+            blk[tidx, sidx] = blk[tidx, sidx] + coef if (tidx, sidx) in blk else coef
+
+    def form(blk, sdeg, g):
+        den = lcm(*[c.denominator for c in blk.values()])
+        rows = [{} for _ in range(dims.get(sdeg + g, 0))]
+        for (i, j), c in sorted(blk.items()):
+            if c:
+                rows[i][j] = c.numerator * (den // c.denominator)
+        return den, rows, dims[sdeg]
+
+    diff, *acts = [{s: form(blk, s, g) for s, blk in e.items()} for e, g in zip(entries, gens)]
+    return dg_module(algebra, dims, diff, acts, *window, complete_below, complete_above,
+                     labels=labels, name=mod_name or "module")
 
 
 def parse_module_file(path, name: str = "") -> DGModule:
@@ -226,61 +209,38 @@ def _safe_labels(M: DGModule) -> dict:
 
 
 def print_module(M: DGModule) -> str:
-    """Canonical serialization: sorted degrees, grammar-safe labels."""
+    """Canonical serialization: sorted degrees, grammar-safe labels, one line
+    per nonzero column of each stored integer form, no dense block built."""
     safe = _safe_labels(M)
     lines = []
     if M.name and re.match(r"\S+$", M.name):
         lines.append(f"module {M.name}")
-    if isinstance(M.algebra, PolyAlgebra):
-        kind = "poly"
-    else:
-        kind = "ext"
+    kind = "poly" if isinstance(M.algebra, PolyAlgebra) else "ext"
     co = ",".join(str(d) for d in M.algebra.group.codegrees)
     lines.append(f"algebra {kind} {co}".rstrip())
     lines.append(f"window {M.lo} {M.hi}")
-    if M.complete_below and M.complete_above:
-        lines.append("complete both")
-    elif M.complete_below:
-        lines.append("complete below")
-    elif M.complete_above:
-        lines.append("complete above")
+    flags = {(True, True): "both", (True, False): "below", (False, True): "above"}
+    if (M.complete_below, M.complete_above) in flags:
+        lines.append(f"complete {flags[M.complete_below, M.complete_above]}")
     for deg in sorted(M.space.dims):
         lines.append("component " + str(deg) + " " + " ".join(safe[deg]))
 
-    def combo(vec, deg):
+    def combo(col: dict, den: int, deg: int) -> str:
+        """'a - 2*b + 1/2*c' for the entries col[i] / den on the labels at deg."""
         terms = []
-        for i, c in enumerate(vec):
-            if not c:
-                continue
-            lab = safe[deg][i]
-            if c == 1:
-                terms.append(f"+ {lab}")
-            elif c == -1:
-                terms.append(f"- {lab}")
-            elif c > 0:
-                terms.append(f"+ {c}*{lab}")
-            else:
-                terms.append(f"- {-c}*{lab}")
-        if not terms:
-            return "0"
-        first = terms[0]
-        out = first[2:] if first.startswith("+ ") else "-" + first[2:]
-        return out + (" " + " ".join(terms[1:]) if len(terms) > 1 else "")
+        for i, v in col.items():
+            g = gcd(v, den)
+            c = str(abs(v) // g) + (f"/{den // g}" if den != g else "")
+            terms.append(("- " if v < 0 else "+ ") + ("" if c == "1" else c + "*")
+                         + safe[deg][i])
+        text = " ".join(terms)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
-    for deg in sorted(M.space.dims):
-        blk = M.diff.block(deg)
-        for col in range(M.dim(deg)):
-            vec = [blk[row][col] for row in range(M.dim(deg - 1))]
-            if any(vec):
-                lines.append(f"d {safe[deg][col]} = {combo(vec, deg - 1)}")
-    gen_names = M.algebra.varnames
-    gen_degrees = M.generator_degrees()
-    for gi, gen in enumerate(gen_names):
-        for deg in sorted(M.space.dims):
-            blk = M.actions[gi].block(deg)
-            tdeg = deg + gen_degrees[gi]
-            for col in range(M.dim(deg)):
-                vec = [blk[row][col] for row in range(M.dim(tdeg))]
-                if any(vec):
-                    lines.append(f"{gen} {safe[deg][col]} = {combo(vec, tdeg)}")
+    ops = zip(("d", *M.algebra.varnames), (-1, *M.generator_degrees()), (M.diff, *M.actions))
+    for name, g, gm in ops:
+        for deg in sorted(gm.forms):
+            den, cols, _ = _transposed(gm.forms[deg])
+            for col, entries in enumerate(cols):
+                if entries:
+                    lines.append(f"{name} {safe[deg][col]} = {combo(entries, den, deg + g)}")
     return "\n".join(lines) + "\n"

@@ -236,10 +236,8 @@ def _resolve_with_betti(M: DGModule, R: PolyAlgebra, betti: dict,
     aug_vectors = [(n, v) for _, n, v in gens0]
     F0 = free_module(R, terms[0])
     F0_real = to_degreewise(F0, win, name="F0")
-    aug_blocks = {}
-    images = [v for _, _, v in gens0]
-    for n in range(win.lo, win.hi + 1):
-        aug_blocks[n] = _evaluate(F0, M, images, n)
+    images, table = [v for _, _, v in gens0], {}
+    aug_blocks = {n: _evaluate(F0, M, images, n, table) for n in range(win.lo, win.hi + 1)}
     realized = [F0_real]
     realized_aug = GradedMap(F0_real.space, M.space, 0, aug_blocks)
 
@@ -651,11 +649,11 @@ _Cells = namedtuple("_Cells", "algebra basis diff")
 
 
 def _cone_classes(X: DGModule, F: _Cells, to_x: list, m: int,
-                  bases: dict, blocks: dict) -> list:
+                  bases: dict, blocks: dict, columns: dict) -> list:
     """Representatives of the homology at m of the cone of the realized
     cells F -> X (generator j sent to to_x[j]), from the cone's differential
-    blocks at m and m + 1 alone, placed as mapping_cone places them.  bases
-    and blocks keep free bases and blocks by degree."""
+    blocks at m and m + 1 alone, placed as mapping_cone places them.  bases,
+    blocks and columns keep free bases, blocks and _evaluate's columns."""
     for k in range(m - 2, m + 1):
         if k not in bases:
             bases[k] = free_basis(F, k)
@@ -666,7 +664,7 @@ def _cone_classes(X: DGModule, F: _Cells, to_x: list, m: int,
         if k not in blocks:
             blocks[k] = _assemble(dims[k - 1], dims[k], [
                 (X.diff.form(k), 0, 0, 1),
-                (_evaluate(F, X, to_x, k - 1), 0, X.dim(k), 1),
+                (_evaluate(F, X, to_x, k - 1, columns), 0, X.dim(k), 1),
                 (_realize(F.diff, bases[k - 1], bases[k - 2]), X.dim(k - 1), X.dim(k), -1)])
     space = GradedVS(dims)
     d = GradedMap(space, space, -1, {k: blocks[k] for k in (m, m + 1)})
@@ -696,20 +694,20 @@ def semifree_replacement(X: DGModule, floor: int,
     top = (X.support_max() if X.total_dim() else 0) or 0
     win = Window(floor - 1, max(floor - 1, top + 2))
     cells, diff_rows, to_x = [], [], []
-    F, bases, blocks = _Cells(R, (), diff_rows), {}, {}
+    F, bases, blocks, columns = _Cells(R, (), diff_rows), {}, {}, {}
     # cone degree m reads cells of degree m - 2, realized from floor + 1 up;
     # the gate reports degree floor only when R has no generators
     start, bottom = win.hi + 1, floor + 1
     for _ in range(max_rounds):
         reps = []
         for n in range(start, bottom - 1, -1):
-            reps = _cone_classes(X, F, to_x, n, bases, blocks)
+            reps = _cone_classes(X, F, to_x, n, bases, blocks, columns)
             if reps:
                 break
         if not reps:
             G = FreeDGModule(R, tuple(cells), tuple(map(tuple, diff_rows)))
             realized = to_degreewise(G, win, name="cells")
-            p = ChainMap(realized, X, 0, {m: _evaluate(G, X, to_x, m)
+            p = ChainMap(realized, X, 0, {m: _evaluate(G, X, to_x, m, columns)
                                           for m in win.degrees()})
             H = homology(mapping_cone(p))
             bad = [n for n in sorted(H.dims(), reverse=True) if n >= floor]
@@ -725,7 +723,7 @@ def semifree_replacement(X: DGModule, floor: int,
                 row.append(col_polys[i].scale(-1) if i < len(col_polys) else R.zero())
             diff_rows.append([R.zero()] * len(cells))
             to_x.append(rep[:db])
-        F, bases, blocks = _Cells(R, tuple(cells), diff_rows), {}, {}
+        F, bases, blocks, columns = _Cells(R, tuple(cells), diff_rows), {}, {}, {}
         start = n - 1
     raise WindowTooSmall("semifree replacement did not stabilize")
 

@@ -162,3 +162,27 @@ def test_hull_rejects_a_nonzero_differential_before_solving(monkeypatch):
     with pytest.raises(rs.NotFiniteLength, match="zero-differential") as exc:
         ad.injective_hull_embedding(M)
     assert isinstance(exc.value, ValueError) and not calls
+
+
+def test_adams_tower_computes_homology_and_socle_once_per_stage(monkeypatch):
+    calls = {"homology": 0, "socle": 0}
+
+    def counted(module, name):
+        kept = getattr(module, name)
+
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return kept(*args, **kwargs)
+        monkeypatch.setattr(module, name, run)
+
+    # homology_module computes its own homology through algebra.homology
+    for module, name in ((ad, "homology"), (alg, "homology"), (ad, "socle")):
+        counted(module, name)
+    rng = random.Random(3)
+    stages = hulls = 0
+    for _ in range(5):
+        tower = ad.adams_tower(sm.random_torsion_dg_module(R1, rng, max_total=6))
+        stages += len(tower.stages)
+        hulls += sum(st.map_to_injective is not None for st in tower.stages)
+    assert stages == 15 and hulls == 10
+    assert calls == {"homology": stages, "socle": hulls}

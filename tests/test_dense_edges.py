@@ -2,10 +2,11 @@
 
 The package computes on integer block forms.  This test parses every module
 of the package and fails on a call to `.block(`, `mat_mul`, `transpose`,
-`zeros(` or `action_poly_block` outside the edges listed in ALLOWED: module
-files parsed and printed, the dense views of GradedMap and ChainMap, and the
-dense polynomial action.  A new dense read is then a visible edit of this
-list, not a second representation growing back unnoticed.  A second test
+`zeros(` or `action_poly_block` outside the edges listed in ALLOWED: the
+dense views of GradedMap and ChainMap, and the dense polynomial action.
+Module files are parsed into and printed from integer forms.  A new dense
+read is then a visible edit of this list, not a second representation
+growing back unnoticed.  A second test
 keeps the summing of placed integer forms (`_assemble`) in the summed-module
 builder and a listed few readers, and a third keeps the construction of
 linear systems in the one writer of the equations of module maps and the
@@ -23,8 +24,6 @@ ALLOWED = {
     ("grlin", "GradedMap.blocks", "block"),
     ("algebra", "DGModule.action_poly_block", "zeros"),
     ("algebra", "ChainMap.block", "block"),
-    ("modfile", "parse_module", "zeros"),
-    ("modfile", "print_module", "block"),
 }
 
 

@@ -5,7 +5,7 @@ so do forced failures of the closure tests of homology_module and gamma_m,
 a free DG module whose differential has the wrong shape, and the shape
 checks of solve and of Subspace.add and .contains, of the contraction basis
 of hom_from_free and of the image count of a ring map, which were asserts
-as well."""
+as well, and the length check of the images a free map is evaluated on."""
 import json
 import os
 import subprocess
@@ -113,6 +113,12 @@ cases = {
         alg.free_module(R1, [("a", 0), ("b", 0), ("c", 0)]), alg.residue_field(R1),
         contractions=True),
     "ring_map_images": lambda: gr.ring_map(R2, R1, [R1.gen(0)]),
+    # generator of degree 0 on X, image of length 2 where X has dimension
+    # 1: read as it is (degree 0) and acted on (degree -2)
+    "evaluate_length": lambda: alg._evaluate(
+        alg.free_module(R1, [("g", 0)]), X, [[F(1), F(2)]], 0),
+    "evaluate_length_acted": lambda: alg._evaluate(
+        alg.free_module(R1, [("g", 0)]), X, [[F(1), F(2)]], -2),
 }
 for name, build in cases.items():
     try:
@@ -161,6 +167,9 @@ def test_rejections_hold_without_asserts():
         "contraction_basis": ("InvariantViolation",
                               "contraction actions need the Koszul basis"),
         "ring_map_images": ("InvariantViolation", "1 images for 2 source generators"),
+        "evaluate_length": ("ValueError", "vector of length 2 for a map from dimension 1"),
+        "evaluate_length_acted": ("ValueError",
+                                  "vector of length 2 for a map from dimension 1"),
     }
     assert {k: (v[0], v[2]) for k, v in out.items()} == want
     assert all(v[1] for v in out.values()), "every rejection is a ValueError"

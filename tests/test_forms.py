@@ -17,7 +17,9 @@ product loops and the hand-built R and I now read off one rule-driven
 product, `to_degreewise` and `matlis_dual`, and the equation loops of the
 injective hull and the Adams lift and the coextension's per-degree solve
 and compose loops, now `algebra.map_system` and
-`algebra._express_composites`, kept as they were.
+`algebra._express_composites`, and the per-monomial evaluation of free
+maps and the Adams tower that computed each stage's homology and socle
+twice, kept as they were.
 Pieces, vectors, blocks, cells, modules and solution-space bases must be
 equal, and rejections must carry the same message."""
 import copy
@@ -990,6 +992,135 @@ def test_evaluation_sites_match_dense_augmentation_loop():
             assert same_block(f.map.form(n), dense_evaluate(cells, M, images, n))
 
 
+def old_evaluate(Fr, M, images, n):
+    """_evaluate as it was: each column (j, alpha) applies the generators of
+    alpha to images[j] one at a time, in index order, by GradedMap.apply."""
+    bs = alg.free_basis(Fr, n)
+    if not bs or not M.dim(n):
+        return None
+    gens = M.generator_degrees()
+    cols = []
+    for col, (j, alpha) in enumerate(bs):
+        v, deg = images[j], Fr.basis[j][1]
+        if v is None:
+            continue
+        for i, a in enumerate(alpha):
+            for _ in range(a):
+                v = M.actions[i].apply(deg, v)
+                deg += gens[i]
+        cols.append((col, v))
+    return grlin._columns_form(cols, M.dim(n), len(bs))
+
+
+def test_evaluate_matches_old_body_at_its_five_callers(monkeypatch):
+    kept, seen = alg._evaluate, {}
+
+    def checked(Fr, M, images, n, table=None):
+        got = kept(Fr, M, images, n, table)
+        assert got == old_evaluate(Fr, M, images, n)
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # comprehensions
+            frame = frame.f_back
+        name = frame.f_code.co_name
+        seen[name] = seen.get(name, 0) + (got is not None)
+        return got
+
+    for module in (du, rs, gr):
+        monkeypatch.setattr(module, "_evaluate", checked)
+    rng = random.Random(54)
+    for R in (R1, R2, R3):
+        M = sm.random_zero_diff_module(R, rng)
+        rs.minimal_free_resolution(M, R)
+        rs.semifree_replacement(sm.random_torsion_dg_module(R, rng), -6)
+        k = alg.residue_field(R)
+        du.recognize_k(alg.direct_sum(k, alg.mapping_cone(alg.identity_map(M))))
+    du.recognize_k(alg.to_degreewise(alg.koszul_model(R2), Window(-6, 2)))
+    gr.derived_dual(gr.catalog_ring_maps()["T<SU(2)"])
+    assert set(seen) == {"recognize_k", "_resolve_with_betti", "_cone_classes",
+                         "semifree_replacement", "_commuting_lifts"}
+    assert all(seen.values()), seen
+
+
+def test_evaluate_matches_old_body_through_degrees_outside_the_window():
+    # SU(3)'s generators act in degrees -4 and -6; on a window cutting its
+    # Koszul model, generator 2 sits above the window with an empty image,
+    # and monomials run into the window from above it and out of it below
+    rng = random.Random(55)
+    M = alg.to_degreewise(alg.koszul_model(R3), Window(-14, -4))
+    gdegs = [-4, -9, 0, -5, -10]
+    Fr = alg.free_module(R3, [(f"g{j}", b) for j, b in enumerate(gdegs)])
+    images = [random_vector(rng, M.dim(b)) for b in gdegs]
+    gens = R3.generator_degrees()
+    table, crossing, nonzero = {}, 0, 0
+    for n in range(-40, 2):
+        got = alg._evaluate(Fr, M, images, n, table)
+        assert got == old_evaluate(Fr, M, images, n)
+        nonzero += got is not None
+        for j, alpha in alg.free_basis(Fr, n):
+            # the degrees the old body passes through, in index order
+            path = [gdegs[j] + sum(gens[i] for i in steps)
+                    for steps in itertools.accumulate(
+                        [()] + [(i,) for i, a in enumerate(alpha) for _ in range(a)])]
+            inside = [M.lo <= deg <= M.hi for deg in path]
+            crossing += any(inside) and not all(inside)
+    assert nonzero >= 5 and crossing >= 20
+    # an image of the wrong length is rejected, by the old body too where a
+    # generator acts on it
+    bad = images[:1] + [images[1] + [F(1)]] + images[2:]
+    with pytest.raises(ValueError, match="vector of length"):
+        old_evaluate(Fr, M, bad, -13)
+    for n in (-9, -13):
+        with pytest.raises(ValueError, match="vector of length"):
+            alg._evaluate(Fr, M, bad, n)
+
+
+def old_adams_tower(Y, pad=4):
+    """adams_tower as it was: each stage's homology computed twice, its
+    socle twice, and the starting homology a third time."""
+    HY0 = alg.homology_module(Y)
+    expected = None
+    if HY0.total_dim() and HY0.is_finite():
+        expected = [sorted(sh) for sh in rs.injective_resolution(HY0).shifts]
+    stages, current, syzygy_ok, j = [], Y, True, 0
+    while True:
+        H = alg.homology(current)
+        HN = alg.homology_module(current)
+        hdims = {n: HN.dim(n) for n in HN.degrees()}
+        if not hdims:
+            stages.append(ad.TowerStage(j, current, {}, [], None))
+            break
+        W, emb = ad.injective_hull_embedding(HN, pad=pad)
+        soc = ad.socle(HN)
+        shifts = sorted(n for n in soc for _ in soc[n])
+        if expected is not None and j < len(expected):
+            syzygy_ok &= shifts == sorted(s - j for s in expected[j])
+        phi = ad.lift_through_homology(current, W, emb, H)
+        stages.append(ad.TowerStage(j, current, hdims, shifts, phi))
+        current = alg.fibre(phi, name=f"Y{j+1}")
+        j += 1
+    return ad.AdamsTower(Y, stages, syzygy_ok)
+
+
+def test_adams_tower_matches_old_body():
+    rng = random.Random(56)
+    stages = 0
+    for R, count in ((R1, 8), (R2, 5), (R3, 3)):
+        for _ in range(count):
+            Y = sm.random_torsion_dg_module(R, rng, max_total=6)
+            got, want = ad.adams_tower(Y), old_adams_tower(Y)
+            assert got.syzygy_check == want.syzygy_check
+            assert len(got.stages) == len(want.stages)
+            for a, b in zip(got.stages, want.stages):
+                assert (a.index, a.homology_dims, a.hull_shifts) == \
+                    (b.index, b.homology_dims, b.hull_shifts)
+                same_module(a.module, b.module)
+                assert (a.map_to_injective is None) == (b.map_to_injective is None)
+                if a.map_to_injective is not None:
+                    same_map(a.map_to_injective, b.map_to_injective)
+            stages += len(got.stages)
+    assert stages >= 30
+
+
 def rebuild_semifree_replacement(X, floor, max_rounds=200):
     """semifree_replacement as it was before the per-degree scan: every round
     builds the cells, their realization, the comparison and the whole cone
@@ -1064,7 +1195,7 @@ def test_cone_classes_match_whole_cone_homology_on_partial_cells():
                                   for m in win.degrees()})
                 H = alg.homology(alg.mapping_cone(p))
                 for m in range(floor + 1, win.hi + 2):
-                    got = rs._cone_classes(X, Fj, images, m, {}, {})
+                    got = rs._cone_classes(X, Fj, images, m, {}, {}, {})
                     assert got == H.representatives(m)
                     found += bool(got)
     assert found >= 20
@@ -2271,24 +2402,20 @@ T2_TORSION = ("algebra poly 2,2\nwindow -4 0\ncomplete both\n"
 
 
 def test_torsion_round_trip_converts_dense_blocks_only_while_parsing(monkeypatch):
-    callers = []
+    # module files are parsed into integer forms: parsing converts no dense
+    # block any more, and neither does the round trip
+    converted = []
     kept = grlin._int_form
 
     def counted(m):
-        frame, names = sys._getframe(1), set()
-        while frame is not None:
-            names.add(frame.f_code.co_name)
-            frame = frame.f_back
-        callers.append("parse_module" in names)
+        converted.append(m)
         return kept(m)
 
     monkeypatch.setattr(grlin, "_int_form", counted)
     X = parse_module(T2_TORSION)
-    parsed = len(callers)
     out = du.roundtrip_check(X)
     assert out.side == "torsion" and out.agrees and out.left_dims
-    assert parsed and all(callers), f"{callers.count(False)} conversions outside parsing"
-    assert len(callers) == parsed
+    assert not converted, f"{len(converted)} dense blocks converted"
 
 
 # ---------------------------------------------------------------------------
@@ -3019,8 +3146,8 @@ def test_adams_lifts_and_hulls_match_old_bodies(monkeypatch):
         lifts.append(got)
         return got
 
-    def hull(N, pad=4):
-        W, emb = kept_hull(N, pad)
+    def hull(N, pad=4, soc=None):
+        W, emb = kept_hull(N, pad, soc)
         W0, emb0 = old_injective_hull_embedding(N, pad)
         same_module(W, W0)
         same_map(emb, emb0)

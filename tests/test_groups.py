@@ -306,3 +306,19 @@ def test_adjunction_zero_modules():
     rep = gr.adjunction_check(RM, alg.zero_module(S), alg.zero_module(T))
     assert rep.passed
     assert all(v == (0, 0) for v in rep.extension_pair.values())
+
+
+def test_catalog_is_built_once_and_read_only(capsys):
+    from koszuldg.cli import main
+    maps = gr.catalog_ring_maps()
+    assert maps is not gr.catalog_ring_maps()  # a fresh dict every call
+    for name in maps:
+        for action in ("dual", "shift-check", "restrict", "extend", "coextend", "shriek"):
+            argv = ["groups", action, "--pair", name, "--format", "json"]
+            argv += [] if action == "dual" else ["--module", "k"]
+            assert main(argv) == 0, (name, action, capsys.readouterr().out)
+    capsys.readouterr()
+    again, fresh = gr.catalog_ring_maps(), gr._catalog.__wrapped__()
+    assert all(again[name] is rm for name, rm in maps.items())
+    assert list(again) == list(fresh)
+    assert all(vars(again[name]) == vars(fresh[name]) for name in fresh)

@@ -1,11 +1,13 @@
 import json
+import random
 import re
 
 import pytest
 
 from koszuldg.grlin import Window
 from koszuldg import algebra as alg
-from koszuldg.modfile import ParseError, parse_module, print_module
+from koszuldg import samples as sm
+from koszuldg.modfile import ParseError, _safe_labels, parse_module, print_module
 from koszuldg.cli import main, parse_group, parse_poly, parse_window
 
 
@@ -195,6 +197,75 @@ def test_cli_malformed_file_is_machine_readable(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 2
     assert out["error"] == "ParseError"
+
+
+_HEAD = ("algebra poly 2\nwindow -4 0\ncomplete both\n"
+         "component 0 u\ncomponent -1 w\ncomponent -2 v\n")
+# every rejection of the parser: (text, line, message)
+MALFORMED = [
+    ("algebra poly 2\ncomponent zero u\n", 2, "bad degree 'zero'"),
+    ("algebra poly 2\ncomponent 0 u\nd u = ghost\n", 3, "unknown label 'ghost'"),
+    ("algebra poly 2\ncomponent 0 u\ncomponent -1 w\nx1 u = w\n", 4,
+     "x1(u) hits w of degree -1, want -2"),
+    ("component 0 u\n", 0, "missing algebra line"),
+    (_HEAD + "y7 u = v\n", 7, "unknown generator 'y7'"),
+    (_HEAD + "d u = v\n", 7, "d(u) hits v of degree -2, want -1"),
+    ("algebra poly 2\nwindow 0\n", 2, "window needs two integers"),
+    ("algebra poly 2\nwindow a b\n", 2, "window bounds must be integers"),
+    ("algebra poly 2\ncomplete sideways\n", 2, "unknown completeness flag 'sideways'"),
+    ("algebra poly 2\ncomponent\n", 2, "component needs a degree"),
+    ("algebra poly 2\ncomponent 0\n", 2, "component needs at least one label"),
+    ("algebra poly 2\ncomponent 0 u\ncomponent -2 u\n", 3, "duplicate label 'u'"),
+    (_HEAD + "d u w\n", 7, "differential line is 'd LABEL = expr'"),
+    (_HEAD + "foo bar\n", 7, "unknown directive 'foo'"),
+    (_HEAD + "d w = 2*\n", 7, "term '2*' has no basis label"),
+    (_HEAD + "d w = 3\n", 7, "term '3' has no basis label"),
+    ("algebra tensor 2\n", 1, "unknown algebra kind 'tensor'"),
+    (_HEAD + "x1 ghost = v\n", 7, "unknown label 'ghost'"),
+    # differential lines are read before action lines
+    (_HEAD + "y7 u = v\nd u = ghost\n", 8, "unknown label 'ghost'"),
+    # a zero denominator, once a ZeroDivisionError traceback
+    (_HEAD + "d w = 1/0*v\n", 7, "cannot parse term '1/0*v'"),
+]
+
+
+@pytest.mark.parametrize("text,line,message", MALFORMED)
+def test_malformed_files_keep_their_line_and_message(text, line, message, tmp_path, capsys):
+    with pytest.raises(ParseError) as err:
+        parse_module(text)
+    assert (err.value.line_no, str(err.value)) == (line, f"line {line}: {message}")
+    f = tmp_path / "bad.kdg"
+    f.write_text(text)
+    assert main(["homology", "--module", str(f), "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": "ParseError",
+                                                   "message": f"line {line}: {message}"}
+
+
+def test_print_parse_round_trip_on_random_samples():
+    # conjugated samples carry fractional entries; labels come back as the
+    # printer's grammar-safe ones
+    rng = random.Random(61)
+    fractional = 0
+    for g in ("T", "T^2", "SU(2)", "SU(3)"):
+        R, L = alg.poly_algebra(alg.named_group(g)), alg.ext_algebra(alg.named_group(g))
+        for _ in range(2):
+            for M in (sm.random_torsion_dg_module(R, rng, max_total=6),
+                      sm.random_zero_diff_module(R, rng),
+                      sm.random_lambda_module(L, rng, max_total=6)):
+                for Y in (M, sm.conjugate(M, rng, name="conj")):
+                    text = print_module(Y)
+                    X = parse_module(text)
+                    assert type(X.algebra) is type(Y.algebra) and X.algebra == Y.algebra
+                    assert (X.lo, X.hi, X.complete_below, X.complete_above) == \
+                        (Y.lo, Y.hi, Y.complete_below, Y.complete_above)
+                    assert X.space.dims == {n: d for n, d in Y.space.dims.items() if d}
+                    assert X.space.labels == _safe_labels(Y)
+                    assert X.diff.forms == Y.diff.forms
+                    assert [a.forms for a in X.actions] == [a.forms for a in Y.actions]
+                    assert print_module(X) == text
+                    fractional += any(f[0] > 1 for gm in (Y.diff, *Y.actions)
+                                      for f in gm.forms.values())
+    assert fractional >= 5
 
 
 def test_cli_composition_not_zero_is_machine_readable(tmp_path, capsys, monkeypatch):
