@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .grlin import (
     Window,
+    _column_vector,
     _columns_form,
-    _dense_vector,
     _form_rank,
     _kernel,
     _reduced,
@@ -72,7 +72,8 @@ def socle(M: DGModule) -> dict:
         for a in M.actions:
             f = a.form(n)
             rows += [] if f is None else f[1]
-        vecs = [_dense_vector(v, M.dim(n)) for v in _kernel(_reduced(rows), M.dim(n))]
+        vecs = [_column_vector(lead, col, M.dim(n))
+                for lead, col in _kernel(_reduced(rows), M.dim(n))]
         if vecs:
             out[n] = vecs
     return out

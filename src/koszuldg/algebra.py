@@ -33,17 +33,17 @@ from .grlin import (
     Window,
     ZERO,
     _assemble,
+    _column_vector,
     _columns_form,
     _coordinates_form,
     _dense,
-    _dense_vector,
     _entry,
     _form_rank,
     _identity_form,
+    _int_column,
     _int_agree,
     _int_product,
     _kernel,
-    _primitive,
     _reduced,
     _scaled,
     _transposed,
@@ -816,13 +816,20 @@ def _evaluate(F: FreeDGModule, M: DGModule, images, n: int,
     in index order as in action_poly_block: x_l applied to column
     (j, alpha - e_l), l the last index with alpha_l > 0, computed once as a
     sparse {row: int} vector over its least denominator from the rows of the
-    action's integer form.  table keeps the columns across the degrees one
-    caller evaluates for one F, M and images.  An image whose length is not
-    M's dimension at its degree raises ValueError."""
-    bs = free_basis(F, n)
-    if not bs or not M.dim(n):
+    action's integer form.  table keeps, across the degrees one caller
+    evaluates for one F, M and images, the columns under their keys
+    (j, alpha) and the free basis of each degree under the degree; a caller
+    holding a basis already may put it there.  The block is None at once
+    where M is zero, before any basis is built.  An image whose length is
+    not M's dimension at its degree raises ValueError."""
+    if not M.dim(n):
         return None
     table = {} if table is None else table
+    bs = table.get(n)
+    if bs is None:
+        bs = table[n] = free_basis(F, n)
+    if not bs:
+        return None
     cols = [(k, c) for k, (j, alpha) in enumerate(bs)
             if (c := _column(M, images, j, alpha, n, table)) is not None]
     den = lcm(*[d for _, (d, _) in cols])
@@ -1294,17 +1301,24 @@ def homology_dims(M: DGModule) -> dict:
 def express_in_homology(M: DGModule, H: Homology, n: int, v) -> list | None:
     """Coordinates of a cycle's class in the homology basis at degree n.
 
-    Returns None when v is not a cycle class at n (up to boundaries).  H is
-    the homology of M; each piece factors its basis once for all queries.
+    Returns None when v is not a cycle class at n (up to boundaries).  v is
+    a dense vector or an integer column (den, {index: int}).  H is the
+    homology of M; each piece factors its basis once for all queries.
     """
     piece = H.pieces.get(n)
     if piece is not None:
         return piece.class_coordinates(v)
+    dim = M.dim(n)
+    if not isinstance(v, tuple):
+        if len(v) != dim:
+            raise ValueError(f"vector of length {len(v)} in degree {n} of dimension {dim}")
+        v = _int_column(v)
     # nothing stored at n: only boundaries have a (zero) class there, and v
     # is one when appending it to the boundary map leaves the rank as it is
+    den, col = v
     f, cols = M.diff.form(n + 1), M.dim(n + 1)
-    aug = _assemble(len(v), cols + 1, [(f, 0, 0, 1),
-                                       (_columns_form([(0, v)], len(v), 1), 0, cols, 1)])
+    column = (den, [{0: col[i]} if i in col else {} for i in range(dim)], 1) if col else None
+    aug = _assemble(dim, cols + 1, [(f, 0, 0, 1), (column, 0, cols, 1)])
     return [] if _form_rank(aug) == _form_rank(f) else None
 
 
@@ -1325,13 +1339,22 @@ def homology_module(M: DGModule, name: str = "", H: Homology | None = None) -> D
             labels[n] = [f"h{n}_{i}" for i in range(d)]
     act_blocks = [dict() for _ in gens]
     for n in dims:
+        classes = H.pieces[n].classes
+        # the integer columns of the representatives side by side, as a form
+        rows = [{} for _ in range(M.dim(n))]
+        for j, (_, col) in enumerate(classes):
+            for r, x in col.items():
+                rows[r][j] = x
         for i, g in enumerate(gens):
             t = n + g
-            if t not in dims:
+            f = M.actions[i].form(n)
+            if t not in dims or f is None:
                 continue
+            # column j of the product is the image of class j times its den
+            fden, images, _ = _transposed(_int_product(f, (1, rows, dims[n])))
             cols = []
-            for rep in H.pieces[n].representatives:
-                coords = express_in_homology(M, H, t, M.actions[i].apply(n, rep))
+            for (s, _), image in zip(classes, images):
+                coords = express_in_homology(M, H, t, (fden * s, image))
                 if coords is None:
                     raise InvariantViolation("action image is not a cycle class")
                 cols.append(coords)
@@ -1423,7 +1446,7 @@ def gamma_m(M: DGModule, name: str = "") -> DGModule:
     """
     R = M.algebra
     assert isinstance(R, PolyAlgebra)
-    sub_bases = {}  # degree -> basis of the torsion part, as sparse vectors
+    sub_bases = {}  # degree -> basis of the torsion part, as _kernel's columns
     for n in range(M.lo, M.hi + 1):
         dn = M.dim(n)
         if dn == 0:
@@ -1443,8 +1466,7 @@ def gamma_m(M: DGModule, name: str = "") -> DGModule:
             if len(tb) == M.dim(t) or f is None:
                 continue
             # rows whose kernel is exactly the span of tb, times the action
-            proj = [_primitive(v) for v in _kernel(_reduced([_primitive(v) for v in tb]),
-                                                   M.dim(t))]
+            proj = [col for _, col in _kernel(_reduced([col for _, col in tb]), M.dim(t))]
             rows += _int_product((1, proj, M.dim(t)), f)[1]
         if escaped:
             sub_bases[n] = []
@@ -1462,9 +1484,10 @@ def gamma_m(M: DGModule, name: str = "") -> DGModule:
             t = n + gm.degree
             if t not in dims:
                 continue
-            images = [dict(enumerate(gm.apply(n, _dense_vector(v, M.dim(n)))))
-                      for v in sub_bases[n]]
-            coords = _coordinates_form(sub_bases[t], images)
+            images = [dict(enumerate(gm.apply(n, _column_vector(lead, col, M.dim(n)))))
+                      for lead, col in sub_bases[n]]
+            coords = _coordinates_form([{i: Fraction(x, lead) for i, x in col.items()}
+                                        for lead, col in sub_bases[t]], images)
             if coords is None:
                 raise InvariantViolation("torsion part is not closed")
             blocks[k + 1][n] = coords

@@ -4,13 +4,14 @@ Everything downstream computes through this module: one fraction-free
 elimination on sparse integer rows behind every echelon form, every span
 and every solution (`Subspace` included), graded vector spaces keyed by
 integer degree, graded maps that store integer block forms, and degreewise
-homology.  Dense matrices of `fractions.Fraction` exist only at the API
-edge: `rank`, `rref`, `kernel_basis`, `solve` and `coordinates`, the dense
-vectors `Subspace` takes, and the dense views `GradedMap.block` and
-`blocks`.  No floats, no rounding, ever.  All echelon choices (pivot
-columns, free-variable order, normalisation) are those of the canonical
-reduced row echelon form, so every derived basis is reproducible
-bit-for-bit across runs.
+homology kept in integer columns.  Dense matrices of `fractions.Fraction`
+exist only at the API edge: `rank`, `rref`, `kernel_basis`, `solve` and
+`coordinates`, the dense vectors `Subspace` takes, the dense views
+`GradedMap.block` and `blocks`, and a homology piece's representatives and
+its `cycle_basis` and `boundary_basis` views.  No floats, no rounding,
+ever.  All echelon choices (pivot columns, free-variable order,
+normalisation) are those of the canonical reduced row echelon form, so
+every derived basis is reproducible bit-for-bit across runs.
 """
 from __future__ import annotations
 
@@ -310,8 +311,16 @@ def _reduced(rows: list) -> list:
 
 
 def _kernel(reduced: list, cols: int) -> list:
-    """Right null space of a reduced form as sparse {col: value} vectors:
-    one per free column, in increasing order, first nonzero entry 1."""
+    """Right null space of a reduced form, one vector per free column in
+    increasing order, as integer columns (lead, {index: int}).
+
+    The column is primitive and its first nonzero entry, lead, is positive,
+    so column / lead is the null vector with first nonzero entry 1 (the
+    normalisation of kernel_basis) and lead is its least denominator.  The
+    first nonzero entry sits at the first pivot row touching the free
+    column, or at the free column itself, since a pivot row has no entries
+    left of its pivot.
+    """
     above = {}  # free column -> [(pivot column, pivot row)] touching it
     for p, row in reduced:
         for j in row:
@@ -322,12 +331,19 @@ def _kernel(reduced: list, cols: int) -> list:
     for j in range(cols):
         if j in pivot_set:
             continue
-        v = {p: Fraction(-row[j], row[p]) for p, row in above.get(j, ())}
-        v[j] = _ONE
-        lead = v[min(v)]
-        if lead != 1:
-            v = {i: x / lead for i, x in v.items()}
-        basis.append(v)
+        touching = above.get(j)
+        if not touching:
+            basis.append((1, {j: 1}))
+            continue
+        scale = lcm(*[row[p] for p, row in touching])
+        col = {p: -row[j] * (scale // row[p]) for p, row in touching}
+        col[j] = scale
+        g = gcd(*col.values())
+        if col[touching[0][0]] < 0:
+            g = -g
+        if g != 1:
+            col = {i: x // g for i, x in col.items()}
+        basis.append((col[touching[0][0]], col))
     return basis
 
 
@@ -377,7 +393,8 @@ def kernel_basis(m: Matrix, cols: int | None = None) -> list[Vector]:
     """
     if cols is None:
         cols = len(m[0]) if m else 0
-    return [_dense_vector(v, cols) for v in _kernel(_reduced(_sparse_rows(m)), cols)]
+    return [_column_vector(lead, col, cols)
+            for lead, col in _kernel(_reduced(_sparse_rows(m)), cols)]
 
 
 def _dense_vector(entries: dict, length: int) -> Vector:
@@ -386,6 +403,21 @@ def _dense_vector(entries: dict, length: int) -> Vector:
     for i, x in entries.items():
         v[i] = x
     return v
+
+
+def _column_vector(den: int, col: dict, length: int) -> Vector:
+    """The dense vector col / den of an integer column."""
+    v = [ZERO] * length
+    for i, x in col.items():
+        v[i] = _entry(x, den)
+    return v
+
+
+def _int_column(v: Vector) -> tuple:
+    """A dense vector as the integer column (den, {index: int}) over its
+    least denominator."""
+    den = lcm(*[x.denominator for x in v if x])
+    return den, {i: x.numerator * (den // x.denominator) for i, x in enumerate(v) if x}
 
 
 def unit_vector(n: int, j: int) -> Vector:
@@ -617,60 +649,90 @@ class GradedMap:
         if f is None:
             return [ZERO] * self.target.dim(n + self.degree)
         den, rows, _ = f
-        vden = lcm(*[x.denominator for x in v if x])
-        w = {j: x.numerator * (vden // x.denominator)
-             for j, x in enumerate(v) if x}
+        vden, w = _int_column(v)
         dots = [sum(x * w[j] for j, x in row.items() if j in w) for row in rows]
         return [_entry(x, den * vden) if x else ZERO for x in dots]
 
 
 @dataclass
 class HomologyPiece:
-    """Homology at one degree: dimension plus representative cycles."""
+    """Homology at one degree, kept as integer columns (den, {index: int}),
+    each the vector column / den over its least denominator.
+
+    cycles is the kernel basis of the outgoing differential, boundaries the
+    independent columns of the incoming one, and classes the cycles chosen
+    as representatives; ambient is the dimension of the chain space.
+    `representatives` is the dense list of the classes, made once; the dense
+    `cycle_basis` and `boundary_basis` are views built on every read, the
+    way `GradedMap.block` is.  A vector has one such column, so pieces are
+    equal exactly when their dense lists are.
+    """
 
     degree: int
-    dim: int
-    representatives: list
-    cycle_basis: list
-    boundary_basis: list
+    ambient: int
+    cycles: list
+    boundaries: list
+    classes: list
+    dim: int = field(init=False)
+    representatives: list = field(init=False)
     _solver: tuple | None = field(default=None, repr=False, compare=False)
 
-    def class_coordinates(self, v: Vector) -> Vector | None:
+    def __post_init__(self):
+        self.dim = len(self.classes)
+        self.representatives = [_column_vector(den, col, self.ambient)
+                                for den, col in self.classes]
+
+    @property
+    def cycle_basis(self) -> list:
+        return [_column_vector(den, col, self.ambient) for den, col in self.cycles]
+
+    @property
+    def boundary_basis(self) -> list:
+        return [_column_vector(den, col, self.ambient) for den, col in self.boundaries]
+
+    def class_coordinates(self, v) -> Vector | None:
         """Coordinates of v's class on the representatives, or None when v
         is not in the span of cycles (representatives plus boundaries).
 
-        [representatives | boundaries] has independent columns; one
-        reduction of [that | identity] gives rows that read off each
-        coordinate and rows that span its left null space.  It is made on
-        the first call and kept with the piece.
+        v is a dense vector or an integer column (den, {index: int}).  The
+        integer columns [classes | boundaries] are independent; one reduction
+        of [those | identity] gives rows that read off each coordinate and
+        rows that span its left null space.  It is made on the first call
+        and kept with the piece.  A class column scaled by s has the
+        coordinate on its vector times s; the boundary columns' scales do
+        not matter.
         """
+        if not isinstance(v, tuple):
+            if len(v) != self.ambient:
+                raise ValueError(f"vector of length {len(v)} in degree {self.degree}"
+                                 f" of dimension {self.ambient}")
+            v = _int_column(v)
         if self._solver is None:
-            vecs = self.representatives + self.boundary_basis
-            k, length = len(vecs), len(v)
-            rows = []
-            for i in range(length):
-                row = {j: z[i] for j, z in enumerate(vecs) if z[i]}
-                row[k + i] = 1
-                rows.append(_primitive(row))
+            cols = self.classes + self.boundaries
+            k = len(cols)
+            rows = [{} for _ in range(self.ambient)]
+            for j, (_, col) in enumerate(cols):
+                for i, x in col.items():
+                    rows[i][j] = x
+            for i, row in enumerate(rows):
+                row[k + i] = 1  # the row stays primitive
             coord, null = [], []
             for p, row in _reduced(rows):
                 tail = {j - k: x for j, x in row.items() if j >= k}
                 if p < self.dim:
-                    coord.append((row[p], tail))
+                    coord.append((self.classes[p][0], row[p], tail))
                 elif p >= k:
                     null.append(tail)
             self._solver = (coord, null)
         coord, null = self._solver
-        den = lcm(*[x.denominator for x in v])
-        w = {i: x.numerator * (den // x.denominator)
-             for i, x in enumerate(v) if x}
+        den, w = v
 
         def dot(tail):
             return sum(x * w[i] for i, x in tail.items() if i in w)
 
         if any(dot(tail) for tail in null):
             return None
-        return [Fraction(dot(tail), d * den) for d, tail in coord]
+        return [Fraction(s * dot(tail), d * den) for s, d, tail in coord]
 
 
 def homology_at(d_in: GradedMap, d_out: GradedMap, n: int) -> HomologyPiece:
@@ -680,9 +742,10 @@ def homology_at(d_in: GradedMap, d_out: GradedMap, n: int) -> HomologyPiece:
     the columns of d_in independent of the ones before them; representatives
     are the kernel-basis vectors independent of the boundaries and of the
     ones before them.  Both are the pivot columns of one elimination of
-    [d_in | cycle basis], so the answer is deterministic.  Everything is
-    eliminated from the maps' integer forms; each cycle is scaled to
-    integers first, which moves no pivot column.
+    [d_in | cycle basis], so the answer is deterministic.  Everything stays
+    in integer columns, from the maps' integer forms through _kernel's
+    primitive cycles (scaling a column moves no pivot column) to the piece;
+    only the representatives are made dense.
     """
     m = n - d_in.degree
     f_in, f_out = d_in.form(m), d_out.form(n)
@@ -692,17 +755,20 @@ def homology_at(d_in: GradedMap, d_out: GradedMap, n: int) -> HomologyPiece:
     cycles = _kernel(_reduced([] if f_out is None else f_out[1]), amb)
     k = d_in.source.dim(m)
     rows = [{} for _ in range(amb)] if f_in is None else [dict(r) for r in f_in[1]]
-    for j, z in enumerate(cycles):
-        den = lcm(*[x.denominator for x in z.values()])
-        for i, x in z.items():
-            rows[i][k + j] = x.numerator * (den // x.denominator)
+    for j, (_, col) in enumerate(cycles):
+        for i, x in col.items():
+            rows[i][k + j] = x
     pivots = sorted(_echelon(rows))
-    columns = [] if f_in is None else _transposed(f_in)[1]
-    boundaries = [_dense_vector({i: _entry(v, f_in[0]) for i, v in columns[j].items()}, amb)
-                  for j in pivots if j < k]
-    cycles = [_dense_vector(z, amb) for z in cycles]
-    reps = [cycles[j - k][:] for j in pivots if j >= k]
-    return HomologyPiece(n, len(reps), reps, cycles, boundaries)
+    boundaries = []
+    if f_in is not None:
+        den, columns, _ = _transposed(f_in)
+        for j in pivots:
+            if j >= k:
+                break
+            col = columns[j]
+            g = gcd(den, *col.values())
+            boundaries.append((den // g, {i: x // g for i, x in col.items()} if g != 1 else col))
+    return HomologyPiece(n, amb, cycles, boundaries, [cycles[j - k] for j in pivots if j >= k])
 
 
 class LinearSystem:
@@ -819,6 +885,6 @@ class LinearSystem:
     def kernel(self) -> list[dict]:
         """Basis of the homogeneous solution space as dicts."""
         names = self._names
-        return [{names[i]: x for i, x in sorted(v.items())}
-                for v in _kernel(_reduced([_primitive(row) for row in self.rows]),
-                                 self.num_vars)]
+        return [{names[i]: _entry(x, lead) for i, x in sorted(col.items())}
+                for lead, col in _kernel(_reduced([_primitive(row) for row in self.rows]),
+                                         self.num_vars)]

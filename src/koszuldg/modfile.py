@@ -10,6 +10,7 @@ canonical files.
 from __future__ import annotations
 
 import re
+import string
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -83,6 +84,7 @@ def parse_module(text: str, name: str = "") -> DGModule:
     complete_below = False
     complete_above = False
     components = {}      # degree -> list of labels
+    component_lines = []  # (line_no, degree)
     label_degree = {}
     d_lines = []         # (line_no, "d", label, combination-text)
     act_lines = []       # (line_no, genname, label, combination-text)
@@ -125,6 +127,7 @@ def parse_module(text: str, name: str = "") -> DGModule:
                     raise ParseError(line_no, f"duplicate label {lab!r}")
                 label_degree[lab] = deg
             components.setdefault(deg, []).extend(labels)
+            component_lines.append((line_no, deg))
         elif head == "d":
             if len(tokens) < 3 or tokens[2] != "=":
                 raise ParseError(line_no, "differential line is 'd LABEL = expr'")
@@ -138,6 +141,10 @@ def parse_module(text: str, name: str = "") -> DGModule:
     if window is None:
         degs = sorted(components) or [0]
         window = (degs[0], degs[-1])
+    for line_no, deg in component_lines:
+        if not window[0] <= deg <= window[1]:
+            raise ParseError(line_no, f"component degree {deg} is outside the window "
+                                      f"{window[0]} {window[1]}")
     label_index = {lab: i for labs in components.values() for i, lab in enumerate(labs)}
     dims = {deg: len(labs) for deg, labs in components.items()}
     labels = {deg: list(labs) for deg, labs in components.items()}
@@ -183,6 +190,32 @@ def parse_module_file(path, name: str = "") -> DGModule:
 
 
 _SAFE_LABEL = re.compile(r"[A-Za-z_][A-Za-z_0-9.^]*$")
+_LEAD = frozenset(string.ascii_letters + "_")
+_LABEL_CHARS = _LEAD | frozenset(string.digits + ".^")
+
+
+class _Dotted(dict):
+    """A str.translate table sending each character outside the label
+    grammar to '.' and every other one to itself; the grammar is ASCII."""
+
+    def __missing__(self, c: int) -> str:
+        return "."
+
+
+_DOTTED = _Dotted({c: c if chr(c) in _LABEL_CHARS else "." for c in range(128)})
+
+
+def _safe_label(lab: str) -> str:
+    """lab if it is grammar-safe, else its characters outside the grammar
+    made '.', stripped of dots at both ends ('e' if nothing is left), with
+    'e' put before a leading digit or '^'."""
+    cand = lab.translate(_DOTTED)
+    if cand == lab and lab[:1] in _LEAD:
+        return lab
+    if lab.endswith("\n") and _SAFE_LABEL.match(lab):
+        return lab  # the pattern's $ also matches before a final newline
+    cand = cand.strip(".") or "e"
+    return cand if cand[0] in _LEAD else "e" + cand
 
 
 def _safe_labels(M: DGModule) -> dict:
@@ -191,12 +224,8 @@ def _safe_labels(M: DGModule) -> dict:
     seen = set()
     for deg in sorted(M.space.dims):
         labs = []
-        for i in range(M.dim(deg)):
-            lab = M.space.label(deg, i)
-            cand = lab if _SAFE_LABEL.match(lab) else re.sub(
-                r"[^A-Za-z_0-9.^]", ".", lab).strip(".") or "e"
-            if not _SAFE_LABEL.match(cand):
-                cand = "e" + cand
+        for lab in M.labels_at(deg):
+            cand = _safe_label(lab)
             base = cand
             k = 2
             while cand in seen:

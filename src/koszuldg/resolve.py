@@ -24,12 +24,11 @@ from .grlin import (
     GradedVS,
     Window,
     _assemble,
-    _dense_vector,
+    _column_vector,
     _form_rank,
     _insert,
     _int_product,
     _kernel,
-    _primitive,
     _reduced,
     _transposed,
     homology_at,
@@ -248,13 +247,13 @@ def _resolve_with_betti(M: DGModule, R: PolyAlgebra, betti: dict,
         expected = betti[s]
         top = max(b for _, b in prev_free.basis)
         sweep_lo = min(expected)
-        kernels = {}  # degree -> the kernel basis there, as integer rows
+        kernels = {}  # degree -> the kernel basis there, as primitive integer rows
         new_gens = []
         for n in range(top, sweep_lo - 1, -1):
             f = prev_map.form(n)
             dim_n = len(free_basis(prev_free, n))
             ker = _kernel(_reduced([] if f is None else f[1]), dim_n)
-            kernels[n] = [_primitive(v) for v in ker]
+            kernels[n] = [col for _, col in ker]
             # the m-multiples: x_i applied to the kernel one generator up,
             # the rows of (kernel rows) . (action block)^T
             span = {}
@@ -269,8 +268,8 @@ def _resolve_with_betti(M: DGModule, R: PolyAlgebra, betti: dict,
             if len(new) != want:
                 raise WindowTooSmall(
                     f"stage {s} found {len(new)} generators at degree {n}, oracle says {want}")
-            for v in new:
-                new_gens.append((n, _dense_vector(v, dim_n)))
+            for lead, col in new:
+                new_gens.append((n, _column_vector(lead, col, dim_n)))
         gen_list = [(f"g{s}_{i}", n) for i, (n, _) in enumerate(new_gens)]
         poly_matrix = [[R.zero() for _ in new_gens] for _ in range(prev_free.rank)]
         for col, (n, v) in enumerate(new_gens):
@@ -653,7 +652,8 @@ def _cone_classes(X: DGModule, F: _Cells, to_x: list, m: int,
     """Representatives of the homology at m of the cone of the realized
     cells F -> X (generator j sent to to_x[j]), from the cone's differential
     blocks at m and m + 1 alone, placed as mapping_cone places them.  bases,
-    blocks and columns keep free bases, blocks and _evaluate's columns."""
+    blocks and columns keep free bases, blocks and _evaluate's table, which
+    is handed the bases held here."""
     for k in range(m - 2, m + 1):
         if k not in bases:
             bases[k] = free_basis(F, k)
@@ -662,6 +662,7 @@ def _cone_classes(X: DGModule, F: _Cells, to_x: list, m: int,
         return []
     for k in (m, m + 1):
         if k not in blocks:
+            columns.setdefault(k - 1, bases[k - 1])
             blocks[k] = _assemble(dims[k - 1], dims[k], [
                 (X.diff.form(k), 0, 0, 1),
                 (_evaluate(F, X, to_x, k - 1, columns), 0, X.dim(k), 1),

@@ -1,5 +1,10 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +164,34 @@ def test_double_centralizer(g, expected):
     # one relation per square and per pair of contractions, all in homology
     r = g.rank
     assert rep.relations_ok and rep.relations_checked == r * (r + 1) // 2
+
+
+# the child caps its own address space at 1 GiB before importing anything
+RANK_FOUR = r"""
+import json, resource
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from koszuldg import algebra as alg, duality as du
+rep = du.double_centralizer_check(alg.named_group("T^4"))
+print(json.dumps({"passed": rep.passed, "dims": sorted(rep.homology_dims.items())}))
+"""
+
+
+def test_double_centralizer_for_rank_four_fits_in_one_gib():
+    # End(kbar) over T^4 is realized on the window -13..6, 63,241 dimensions
+    # with 13,192 in one degree; its homology is the exterior algebra on four
+    # classes of degree 1.  Kept as dense Fraction cycles, its homology ran
+    # out of the 1 GiB cap
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    run = subprocess.run([sys.executable, "-c", RANK_FOUR], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr[-2000:]
+    out = json.loads(run.stdout)
+    assert out["passed"]
+    assert out["dims"] == [[0, 1], [1, 4], [2, 6], [3, 4], [4, 1]]
 
 
 @pytest.mark.parametrize("forced", [[F(1)], None])

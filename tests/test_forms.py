@@ -1,7 +1,8 @@
 """The integer block forms that graded maps keep, against the dense code
 they replaced: degreewise homology from a transposed block and a dense
-kernel basis, the dense matrix-vector product, Hom from a free complex,
-direct sums, mapping cones, totalizations, the left shriek, the free Ext
+kernel basis, and from Fraction null vectors kept as dense cycles and
+boundaries with their class coordinates, the dense matrix-vector product,
+Hom from a free complex, direct sums, mapping cones, totalizations, the left shriek, the free Ext
 connecting maps and the twisted tensor assembled entry by entry from dense
 blocks, polynomial matrices realized entry by entry, and free maps
 evaluated on module elements through dense polynomial actions, the
@@ -29,7 +30,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -102,7 +103,90 @@ def dense_homology_at(d_in, d_out, n):
     pivots = sorted(_echelon(rows))
     boundaries = [cols[j] for j in pivots if j < k]
     reps = [cycles[j - k][:] for j in pivots if j >= k]
-    return HomologyPiece(n, len(reps), reps, cycles, boundaries)
+    return piece_from_dense(n, amb, reps, cycles, boundaries)
+
+
+def piece_from_dense(n, amb, reps, cycles, boundaries):
+    """The HomologyPiece of dense representatives, cycles and boundaries."""
+    return HomologyPiece(n, amb, [grlin._int_column(v) for v in cycles],
+                         [grlin._int_column(v) for v in boundaries],
+                         [grlin._int_column(v) for v in reps])
+
+
+def fraction_kernel(reduced, cols):
+    """_kernel as it was: the null vectors as sparse {col: Fraction} dicts,
+    first nonzero entry 1."""
+    above = {}
+    for p, row in reduced:
+        for j in row:
+            if j != p:
+                above.setdefault(j, []).append((p, row))
+    pivot_set = {p for p, _ in reduced}
+    basis = []
+    for j in range(cols):
+        if j in pivot_set:
+            continue
+        v = {p: F(-row[j], row[p]) for p, row in above.get(j, ())}
+        v[j] = F(1)
+        lead = v[min(v)]
+        if lead != 1:
+            v = {i: x / lead for i, x in v.items()}
+        basis.append(v)
+    return basis
+
+
+def fraction_homology_at(d_in, d_out, n):
+    """homology_at as it was before its pieces kept integer columns:
+    (representatives, cycle basis, boundary basis), every cycle and boundary
+    a dense Fraction list."""
+    m = n - d_in.degree
+    f_in, f_out = d_in.form(m), d_out.form(n)
+    if f_in is not None and f_out is not None and any(_int_product(f_out, f_in)[1]):
+        raise CompositionNotZero(f"d.d != 0 entering degree {n}")
+    amb = d_out.source.dim(n)
+    cycles = fraction_kernel(grlin._reduced([] if f_out is None else f_out[1]), amb)
+    k = d_in.source.dim(m)
+    rows = [{} for _ in range(amb)] if f_in is None else [dict(r) for r in f_in[1]]
+    for j, z in enumerate(cycles):
+        den = lcm(*[x.denominator for x in z.values()])
+        for i, x in z.items():
+            rows[i][k + j] = x.numerator * (den // x.denominator)
+    pivots = sorted(_echelon(rows))
+    columns = [] if f_in is None else grlin._transposed(f_in)[1]
+    boundaries = [grlin._dense_vector({i: grlin._entry(v, f_in[0])
+                                       for i, v in columns[j].items()}, amb)
+                  for j in pivots if j < k]
+    cycles = [grlin._dense_vector(z, amb) for z in cycles]
+    reps = [cycles[j - k][:] for j in pivots if j >= k]
+    return reps, cycles, boundaries
+
+
+def fraction_class_coordinates(reps, boundaries, v):
+    """HomologyPiece.class_coordinates as it was, from the dense
+    representatives and boundaries, without keeping its solver."""
+    vecs = reps + boundaries
+    k, length = len(vecs), len(v)
+    rows = []
+    for i in range(length):
+        row = {j: z[i] for j, z in enumerate(vecs) if z[i]}
+        row[k + i] = 1
+        rows.append(_primitive(row))
+    coord, null = [], []
+    for p, row in grlin._reduced(rows):
+        tail = {j - k: x for j, x in row.items() if j >= k}
+        if p < len(reps):
+            coord.append((row[p], tail))
+        elif p >= k:
+            null.append(tail)
+    den = lcm(*[x.denominator for x in v])
+    w = {i: x.numerator * (den // x.denominator) for i, x in enumerate(v) if x}
+
+    def dot(tail):
+        return sum(x * w[i] for i, x in tail.items() if i in w)
+
+    if any(dot(tail) for tail in null):
+        return None
+    return [F(dot(tail), d * den) for d, tail in coord]
 
 
 def dense_mat_vec(a, v):
@@ -733,6 +817,120 @@ def test_homology_at_matches_dense_version_on_edge_cases():
     assert ("d.d != 0", True) in labels
     assert {label for label, _ in labels} == {
         "stored", "in absent", "out absent", "in zero", "out zero", "d.d != 0"}
+
+
+def kernel_inputs(rng):
+    """Reduced forms of seeded integer and fractional matrices, with their
+    widths: empty, zero, square, wide, tall and low-rank."""
+    shapes = [(0, 0), (0, 4), (3, 0), (1, 1), (1, 9), (9, 1), (4, 4), (6, 25),
+              (25, 6), (30, 40)]
+    mats = [(rows, cols, random_matrix(rng, rows, cols, density))
+            for rows, cols in shapes for density in (0.0, 0.05, 0.2, 0.6)]
+    for _ in range(6):
+        k = rng.randint(1, 4)
+        left, right = random_matrix(rng, 12, k, 0.6), random_matrix(rng, k, 15, 0.6)
+        mats.append((12, 15, dense_mul(left, right)))
+    for rows, cols, m in mats:
+        yield grlin._reduced(grlin._sparse_rows(m)), cols
+
+
+def test_kernel_columns_match_fraction_kernel():
+    rng = random.Random(141)
+    vectors = fractional = 0
+    for reduced, cols in kernel_inputs(rng):
+        got = grlin._kernel(reduced, cols)
+        assert [{i: F(x, lead) for i, x in col.items()} for lead, col in got] \
+            == fraction_kernel(reduced, cols)
+        for lead, col in got:
+            # primitive, first nonzero entry positive and equal to lead
+            assert lead == col[min(col)] > 0 and gcd(*col.values()) == 1
+            fractional += lead > 1
+        vectors += len(got)
+    assert vectors >= 300 and fractional >= 20
+
+
+def homology_cases(rng):
+    """(d_in, d_out, n) over the sample modules, their conjugates with
+    fractional entries, the same maps before any block is converted, and
+    the edge cases of complexes() that compose to zero."""
+    for M in sample_modules(rng):
+        for N in (M, sm.conjugate(M, rng, name="conj")):
+            for d in (N.diff, fresh(N.diff)):
+                for n in range(N.lo - 1, N.hi + 2):
+                    yield d, d, n
+    for label, d_in, d_out in complexes(rng):
+        if label != "d.d != 0":
+            yield d_in, d_out, 1
+
+
+def test_homology_pieces_and_coordinates_match_fraction_reference():
+    rng = random.Random(142)
+    seen = {"fractional cycle": 0, "boundary": 0, "non-cycle": 0}
+    for d_in, d_out, n in homology_cases(rng):
+        piece = homology_at(d_in, d_out, n)
+        reps, cycles, boundaries = fraction_homology_at(d_in, d_out, n)
+        assert piece.representatives == reps
+        assert piece.cycle_basis == cycles
+        assert piece.boundary_basis == boundaries
+        assert piece.dim == len(reps)
+        assert piece == piece_from_dense(n, piece.ambient, reps, cycles, boundaries)
+        amb = piece.ambient
+        probes = []
+        for _ in range(2):
+            cs = [F(rng.randint(-3, 3), rng.choice((1, 2, 7))) for _ in cycles]
+            v = [sum((c * z[i] for c, z in zip(cs, cycles)), F(0)) for i in range(amb)]
+            probes.append(("fractional cycle", v))
+        if boundaries:
+            cs = [F(rng.randint(-3, 3), rng.choice((1, 3))) for _ in boundaries]
+            probes.append(("boundary", [sum((c * z[i] for c, z in zip(cs, boundaries)), F(0))
+                                        for i in range(amb)]))
+        out = d_out.block(n)
+        for j in range(amb):
+            if any(row[j] for row in out):
+                probes.append(("non-cycle", [F(int(i == j), 3) for i in range(amb)]))
+                break
+        for kind, v in probes:
+            want = fraction_class_coordinates(reps, boundaries, v)
+            if kind == "boundary":
+                assert want == [F(0)] * len(reps)
+            elif kind == "non-cycle":
+                assert want is None
+            if kind != "fractional cycle" or any(x.denominator > 1 for x in v):
+                seen[kind] += 1
+            den, col = grlin._int_column(v)
+            assert piece.class_coordinates(v) == want
+            # the same vector as an integer column, in lowest terms or not
+            assert piece.class_coordinates((den, col)) == want
+            assert piece.class_coordinates((3 * den, {i: 3 * x for i, x in col.items()})) == want
+    assert all(count >= 100 for count in seen.values()), seen
+
+
+def test_homology_module_images_match_dense_route():
+    # homology_module hands express_in_homology integer images; the dense
+    # route applied each action to each dense representative
+    rng = random.Random(143)
+    checked = 0
+    for M in sample_modules(rng):
+        for N in (M, sm.conjugate(M, rng, name="conj")):
+            if not N.is_finite():
+                continue
+            HM = alg.homology_module(N)
+            assert [a.blocks for a in HM.actions] == dense_homology_actions(N, HM)
+            checked += sum(len(a.forms) for a in HM.actions)
+    assert checked >= 10
+
+
+def test_class_coordinates_reject_a_vector_of_the_wrong_length():
+    d = GradedMap(GradedVS({0: 2}), GradedVS({0: 2}), -1, {})
+    piece = homology_at(d, d, 0)
+    assert piece.class_coordinates([F(1), F(2)]) == [F(1), F(2)]
+    with pytest.raises(ValueError, match="vector of length 3 in degree 0 of dimension 2"):
+        piece.class_coordinates([F(1), F(2), F(3)])
+    M = alg.to_degreewise(alg.koszul_model(R1), Window(-4, 2))
+    H = alg.homology(M)
+    n = next(n for n in range(M.lo, M.hi + 1) if M.dim(n) and n not in H.pieces)
+    with pytest.raises(ValueError, match="vector of length"):
+        alg.express_in_homology(M, H, n, [F(0)] * (M.dim(n) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from koszuldg.grlin import Window
 from koszuldg import algebra as alg
+from koszuldg import duality as du
 from koszuldg import samples as sm
 from koszuldg.modfile import ParseError, _safe_labels, parse_module, print_module
 from koszuldg.cli import main, parse_group, parse_poly, parse_window
@@ -226,6 +227,12 @@ MALFORMED = [
     (_HEAD + "y7 u = v\nd u = ghost\n", 8, "unknown label 'ghost'"),
     # a zero denominator, once a ZeroDivisionError traceback
     (_HEAD + "d w = 1/0*v\n", 7, "cannot parse term '1/0*v'"),
+    # a component outside the window, once a ValueError without a line
+    # where a d line reaches it, and silently dropped where none does
+    ("algebra poly 2\nwindow 0 0\ncomponent 0 u\ncomponent -1 w\nd u = w\n", 4,
+     "component degree -1 is outside the window 0 0"),
+    ("algebra poly 2\ncomponent 3 z\nwindow -2 1\ncomponent 0 u\n", 2,
+     "component degree 3 is outside the window -2 1"),
 ]
 
 
@@ -239,6 +246,51 @@ def test_malformed_files_keep_their_line_and_message(text, line, message, tmp_pa
     assert main(["homology", "--module", str(f), "--format", "json"]) == 2
     assert json.loads(capsys.readouterr().out) == {"error": "ParseError",
                                                    "message": f"line {line}: {message}"}
+
+
+def old_safe_labels(M):
+    """_safe_labels as it was: each label matched, and renamed by re.sub."""
+    safe = re.compile(r"[A-Za-z_][A-Za-z_0-9.^]*$")
+    out, seen = {}, set()
+    for deg in sorted(M.space.dims):
+        labs = []
+        for i in range(M.dim(deg)):
+            lab = M.space.label(deg, i)
+            cand = lab if safe.match(lab) else re.sub(
+                r"[^A-Za-z_0-9.^]", ".", lab).strip(".") or "e"
+            if not safe.match(cand):
+                cand = "e" + cand
+            base, k = cand, 2
+            while cand in seen:
+                cand = f"{base}.{k}"
+                k += 1
+            seen.add(cand)
+            labs.append(cand)
+        out[deg] = labs
+    return out
+
+
+def test_safe_labels_match_the_regex_renaming():
+    # edge labels, unlabeled degrees, and random strings over an alphabet
+    # with grammar characters, others, non-ASCII and newlines
+    edge = ["a", "_", "A.b^2", "", ".", "..", "^", "^a", "1", "1a", "a b", "a-b",
+            "-1", "e-1_0", "a\n", "a\nb", "\n", "1\n", ".a.", "é", "aé", "x(y)z",
+            "a..", "a\t", "\U0001f600", "a.2", "a.2", "e"]
+    rng = random.Random(62)
+    alphabet = "aZ_09.^-() \n\té/"
+    randoms = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+               for _ in range(3000)]
+    for labels in (edge, randoms):
+        M = alg.dg_module(alg.poly_algebra(alg.GroupData((2,))), {0: len(labels), -2: 2},
+                          {}, [{}], -2, 0, labels={0: labels})
+        assert _safe_labels(M) == old_safe_labels(M)
+    rng = random.Random(63)
+    for g in ("T", "T^2", "SU(3)"):
+        L = alg.ext_algebra(alg.named_group(g))
+        for _ in range(3):
+            M = sm.random_lambda_module(L, rng, max_total=6)
+            for X in (M, du.functor_S(M, alg.poly_algebra(L.group), Window(0, 12))):
+                assert _safe_labels(X) == old_safe_labels(X)
 
 
 def test_print_parse_round_trip_on_random_samples():
