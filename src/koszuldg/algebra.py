@@ -478,7 +478,9 @@ class DGModule:
 
     def _action_poly_form(self, p: "Poly", n: int) -> tuple | None:
         """The integer form of action_poly_block(p, n), or None when the
-        action is zero."""
+        action is zero.  For p a single monomial with coefficient 1 this is
+        the product of the action forms, whose rows may be the stored
+        blocks' rows (read-only, as GradedMap's forms are)."""
         assert isinstance(self.algebra, PolyAlgebra)
         if p.is_zero():
             return None
@@ -491,18 +493,26 @@ class DGModule:
 
         def monomial(alpha):
             """Integer form of alpha acting on degree n; None when it passes
-            through an absent or zero block and so acts by zero."""
-            m = None
+            through an absent or zero block and so acts by zero.  mono says
+            that every factor so far, and so m, is a monomial matrix."""
+            m, mono = None, True
             at = n
             for i, a in enumerate(alpha):
                 for _ in range(a):
                     f = self.actions[i].form(at)
                     if f is None:
                         return None
-                    m = f if m is None else _int_product(f, m)
+                    m = f if m is None else _int_product(f, m, mono)
+                    mono = mono and self.actions[i].monomial(at)
                     at += gens[i]
             return m if m is not None else (1, [{j: 1} for j in range(cols)], cols)
 
+        if len(p.terms) == 1:
+            (alpha, c), = p.terms.items()
+            if c == 1:
+                # one unit term: the monomial's form, its rows shared
+                m = monomial(alpha)
+                return m if m is not None and any(m[1]) else None
         terms = []
         for alpha, c in p.terms.items():
             m = monomial(alpha)
@@ -590,23 +600,28 @@ def _summed(algebra, lo: int, hi: int, summands, pieces,
 def _block_product(f: GradedMap, m: int, g: GradedMap, n: int) -> tuple | None:
     """The integer form of f.block(m) . g.block(n), or None, standing for
     zero, when either block is absent or zero.  The factors are the forms
-    the maps store (GradedMap.form); no dense block is built.
+    the maps store (GradedMap.form); no dense block is built, and a right
+    factor that is a monomial matrix (GradedMap.monomial) is multiplied by
+    reindexing.  Rows of the product may be rows of g's block.
     """
     a = f.form(m)
     if a is None:
         return None
     b = g.form(n)
-    return None if b is None else _int_product(a, b)
+    return None if b is None else _int_product(a, b, g.monomial(n))
 
 
-def check_dg_invariants(M: DGModule):
+def check_dg_invariants(M: DGModule) -> dict:
     """d.d = 0, Koszul-signed Leibniz, and operator (anti)commutation.
 
     Compositions are checked wherever every degree involved is known, which
     is every place they are meaningful for a windowed module.  They are
     formed as sparse integer products, and a composite through an absent
-    block is zero without being formed.
+    block is zero without being formed.  Returns how many identities of
+    each kind were verified: {"d.d", "Leibniz", "commutation",
+    "square-zero"}, the last counting odd generators only.
     """
+    counts = {"d.d": 0, "Leibniz": 0, "commutation": 0, "square-zero": 0}
     gens = M.generator_degrees()
     if len(M.actions) != len(gens):
         raise InvariantViolation("one action operator per generator required")
@@ -622,6 +637,7 @@ def check_dg_invariants(M: DGModule):
         if klo <= n - 2 and n - 1 <= khi:
             if not _int_agree(_block_product(d, n - 1, d, n), None):
                 raise InvariantViolation(f"d.d != 0 at degree {n}")
+            counts["d.d"] += 1
         for i, gi in enumerate(gens):
             if (klo <= n + gi <= khi and klo <= n + gi - 1 <= khi
                     and klo <= n - 1 <= khi):
@@ -631,6 +647,7 @@ def check_dg_invariants(M: DGModule):
                 if not _int_agree(lhs, rhs, sgn):
                     raise InvariantViolation(
                         f"d fails Leibniz against generator {i} at degree {n}")
+                counts["Leibniz"] += 1
             for j in range(i, len(gens)):
                 gj = gens[j]
                 if not (klo <= n + gi <= khi and klo <= n + gj <= khi
@@ -638,9 +655,10 @@ def check_dg_invariants(M: DGModule):
                     continue
                 if i == j:
                     # even generators commute with themselves: nothing to form
-                    if gi % 2 and not _int_agree(
-                            _block_product(acts[i], n + gi, acts[i], n), None):
-                        raise InvariantViolation(f"odd generator {i} fails square-zero")
+                    if gi % 2:
+                        if not _int_agree(_block_product(acts[i], n + gi, acts[i], n), None):
+                            raise InvariantViolation(f"odd generator {i} fails square-zero")
+                        counts["square-zero"] += 1
                     continue
                 ij = _block_product(acts[i], n + gj, acts[j], n)
                 ji = _block_product(acts[j], n + gi, acts[i], n)
@@ -648,6 +666,8 @@ def check_dg_invariants(M: DGModule):
                 if not _int_agree(ij, ji, sgn):
                     raise InvariantViolation(
                         f"generators {i},{j} fail graded commutation at degree {n}")
+                counts["commutation"] += 1
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -737,8 +757,15 @@ def koszul_model(R: PolyAlgebra) -> FreeDGModule:
 
     d(e_S) = sum over i in S of (-1)^(number of earlier indices) x_i e_(S-i).
     The sign convention is fixed here once; d^2 = 0 is asserted by the
-    FreeDGModule constructor.
+    FreeDGModule constructor.  One model is built per ring and variable
+    names, and shared: ring equality ignores the names, but labels print
+    them.  The model is read-only.
     """
+    return _koszul_model(R, R.varnames)
+
+
+@functools.cache
+def _koszul_model(R: PolyAlgebra, varnames: tuple) -> FreeDGModule:
     return _koszul_on(R, tuple(range(R.r)))
 
 
@@ -777,32 +804,71 @@ def _generator_actions(F: FreeDGModule) -> list:
              for j in range(F.rank)] for i in range(R.r)]
 
 
-def _realize(polymat, bs: list, ts: list) -> tuple | None:
+class _Terms(tuple):
+    """The terms of a polynomial matrix grouped by column: entry i is
+    (den, [(j, beta, v)]), each term c x^beta of entry [j][i] written as the
+    integer v = c * den over the least common denominator den of column i."""
+
+
+def _poly_terms(polymat) -> _Terms:
+    """The _Terms of a polynomial matrix, read in one pass over it."""
+    cols = [[] for _ in (polymat[0] if polymat else ())]
+    for j, row in enumerate(polymat):
+        for col, p in zip(cols, row):
+            if p.terms:
+                col.extend((j, beta, c) for beta, c in p.terms.items())
+    out = []
+    for col in cols:
+        den = lcm(*[c.denominator for _, _, c in col])
+        out.append((den, [(j, beta, c.numerator * (den // c.denominator))
+                          for j, beta, c in col]))
+    return _Terms(out)
+
+
+def _generator_terms(F: FreeDGModule) -> list:
+    """The _poly_terms of each of _generator_actions(F), written down
+    without the matrices: column j of diag(x_i) is the one term x_i e_j."""
+    R = F.algebra
+    units = [tuple(int(k == i) for k in range(R.r)) for i in range(R.r)]
+    return [_Terms((1, [(j, e, 1)]) for j in range(F.rank)) for e in units]
+
+
+def _positions(basis: list) -> dict:
+    """The index of a free basis: {(j, alpha): position}."""
+    return {ba: k for k, ba in enumerate(basis)}
+
+
+def _realize(polymat, bs: list, ts: list, at: dict | None = None) -> tuple | None:
     """The integer form of one block of a map of realized free modules, or
     None when it is zero.
 
     polymat[j][i] multiplies generator i of the source into generator j of
     the target; bs and ts are the free bases (free_basis) of the source
-    degree and of the target degree.  A term outside ts is an entry of the
-    wrong degree and raises InvariantViolation.  Distinct terms of a column
-    land in distinct rows, so no entry is a sum.
+    degree and of the target degree.  A caller realizing one matrix in many
+    degrees hands over its _poly_terms in place of polymat, and may hand
+    over the _positions of ts as at; both are made here otherwise.  The
+    denominator is the least common one of the columns of the generators in
+    bs.  A term outside ts is an entry of the wrong degree and raises
+    InvariantViolation.  Distinct terms of a column land in distinct rows,
+    so no entry is a sum.
     """
     if not bs or not ts:
         return None
-    at = {ba: k for k, ba in enumerate(ts)}
-    terms = {i: [(j, beta, c) for j, row in enumerate(polymat)
-                 for beta, c in row[i].terms.items()] for i in {i for i, _ in bs}}
-    den = lcm(*[c.denominator for col in terms.values() for _, _, c in col])
-    terms = {i: [(j, beta, c.numerator * (den // c.denominator)) for j, beta, c in col]
-             for i, col in terms.items()}
+    terms = polymat if isinstance(polymat, _Terms) else _poly_terms(polymat)
+    if at is None:
+        at = _positions(ts)
+    gens = {i for i, _ in bs}
+    den = lcm(*[terms[i][0] for i in gens])
     rows = [{} for _ in ts]
     for col, (i, alpha) in enumerate(bs):
-        for j, beta, v in terms[i]:
+        d, column = terms[i]
+        s = den // d
+        for j, beta, v in column:
             k = at.get((j, tuple(map(add, alpha, beta))))
             if k is None:
                 raise InvariantViolation(
                     f"entry ({j},{i}) of a polynomial matrix has the wrong degree")
-            rows[k][col] = v
+            rows[k][col] = v * s
     return (den, rows, len(bs)) if any(rows) else None
 
 
@@ -871,7 +937,8 @@ def _column(M: DGModule, images, j: int, alpha: tuple, n: int, table: dict):
     return col
 
 
-def to_degreewise(F: FreeDGModule, w: Window, name: str = "") -> DGModule:
+def to_degreewise(F: FreeDGModule, w: Window, name: str = "",
+                  bases: dict | None = None) -> DGModule:
     """Expand a free DG module into degreewise matrices inside a window.
 
     The degree-n basis is pairs (generator j, monomial alpha) ordered by
@@ -879,6 +946,10 @@ def to_degreewise(F: FreeDGModule, w: Window, name: str = "") -> DGModule:
     alpha = 0, the monomial alone for a generator labelled "1".  Dimensions
     and blocks are intrinsic per degree, so the stored range is exact; the
     module is complete above once the window clears the top generator.
+    bases, from a caller that holds them, are the free bases free_basis(F, n)
+    of every degree of the window.  The differential and each x_i are
+    realized from terms read once per matrix (_poly_terms) and one index per
+    target degree.
     """
     R = F.algebra
     degs = F.basis_degrees()
@@ -888,20 +959,20 @@ def to_degreewise(F: FreeDGModule, w: Window, name: str = "") -> DGModule:
     gens = [lab for lab, _ in F.basis]
     basis, labels = {}, {}
     for n in range(lo, hi + 1):
-        bs = free_basis(F, n)
+        bs = free_basis(F, n) if bases is None else bases[n]
         if bs:
             basis[n] = bs
             labels[n] = [gens[j] if not any(a)
                          else R.monomial_label(a) if gens[j] == "1"
                          else f"{R.monomial_label(a)}*{gens[j]}" for j, a in bs]
-    xs = _generator_actions(F)
     diff_blocks = {}
     action_blocks = [dict() for _ in range(R.r)]
+    maps = [(diff_blocks, _poly_terms(F.diff), -1)] + [
+        (action_blocks[i], x, -R.codegrees[i]) for i, x in enumerate(_generator_terms(F))]
+    index = {n: _positions(bs) for n, bs in basis.items()}
     for n, bs in basis.items():
-        for store, polymat, deg in ([(diff_blocks, F.diff, -1)]
-                                    + [(action_blocks[i], xs[i], -R.codegrees[i])
-                                       for i in range(R.r)]):
-            store[n] = _realize(polymat, bs, basis.get(n + deg))
+        for store, terms, deg in maps:
+            store[n] = _realize(terms, bs, basis.get(n + deg), index.get(n + deg))
     dims = {n: len(bs) for n, bs in basis.items()}
     return dg_module(R, dims, diff_blocks, action_blocks, lo, hi,
                      complete_below=(R.r == 0 and lo <= bottom),

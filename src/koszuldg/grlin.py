@@ -70,8 +70,27 @@ def _int_form(m: Matrix) -> tuple:
     return den, rows, (len(m[0]) if m else None)
 
 
-def _int_product(a: tuple, b: tuple) -> tuple:
-    """The integer form of the product of two integer forms."""
+def _is_monomial(rows: list) -> bool:
+    """Whether every row has at most one entry and no two rows share a
+    column: a monomial matrix, such as a generator's action on a realized
+    free module."""
+    if any(len(row) > 1 for row in rows):
+        return False
+    cols = [j for row in rows for j in row]
+    return len(set(cols)) == len(cols)
+
+
+def _int_product(a: tuple, b: tuple, monomial: bool = False) -> tuple:
+    """The integer form of the product of two integer forms.
+
+    Gustavson's row-wise product: row i of the product is the sum of the
+    rows k of b scaled by the entries (k, c) of row i of a.  A row of a with
+    one entry gives row k of b itself when c is 1, scaled otherwise; an
+    empty row gives {}.  monomial says that b is a monomial matrix
+    (_is_monomial): its rows have disjoint columns, so the scaled rows are
+    merged without a sum and nothing cancels.  Rows of the product may be
+    rows of b, so they are read-only, as the forms a GradedMap stores are.
+    """
     da, ra, ca = a
     db, rb, cb = b
     if ca is not None and ca != len(rb):
@@ -79,18 +98,29 @@ def _int_product(a: tuple, b: tuple) -> tuple:
                          f"{len(ra)}x{ca} times {len(rb)}x{cb}")
     out = []
     for row in ra:
-        acc = {}
-        for k, c in row.items():
-            for j, x in rb[k].items():
-                acc[j] = acc.get(j, 0) + c * x
-        out.append({j: v for j, v in acc.items() if v})
+        if len(row) == 1:
+            (k, c), = row.items()
+            r = rb[k]
+            out.append(r if c == 1 else {j: c * x for j, x in r.items()})
+        elif not row:
+            out.append({})
+        elif monomial:
+            out.append({j: c * x for k, c in row.items() for j, x in rb[k].items()})
+        else:
+            acc = {}
+            for k, c in row.items():
+                for j, x in rb[k].items():
+                    acc[j] = acc.get(j, 0) + c * x
+            out.append({j: v for j, v in acc.items() if v})
     return da * db, out, (cb if ra else None)
 
 
 def _int_agree(p: tuple | None, q: tuple | None, sgn: int = 1) -> bool:
     """p == sgn * q exactly, None standing for a zero matrix of the right
-    shape: rows are compared over the longer of the two, and the entries by
-    cross-multiplying the denominators."""
+    shape: rows are compared over the longer of the two, the rows past the
+    shorter one's being zero there.  Over equal denominators the rows are
+    compared as they are, or entry by entry against the negated ones for
+    sgn = -1; over different ones by cross-multiplying the denominators."""
     if p is None:
         p, q = q, p  # sgn is +-1, so the relation is symmetric
     if p is None:
@@ -99,20 +129,27 @@ def _int_agree(p: tuple | None, q: tuple | None, sgn: int = 1) -> bool:
     if q is None:
         return not any(rp)
     dq, rq, _ = q
-    empty = {}
-    for i in range(max(len(rp), len(rq))):
-        x = rp[i] if i < len(rp) else empty
-        y = rq[i] if i < len(rq) else empty
+    if len(rp) < len(rq):
+        (dp, rp), (dq, rq) = (dq, rq), (dp, rp)
+    if len(rp) > len(rq):
+        # the rows past the shorter form's are zero there
+        if any(rp[len(rq):]):
+            return False
+        rp = rp[:len(rq)]
+    if dp == dq and sgn == 1:
+        return rp == rq
+    sp, sq = sgn * dp, dq
+    for x, y in zip(rp, rq):
         if len(x) != len(y):
             return False
-        if sgn == 1 and dp == dq:
-            if x != y:
-                return False
-            continue
-        sp, sq = sgn * dp, dq
-        for j, v in x.items():
-            if v * sq != sp * y.get(j, 0):
-                return False
+        if dp != dq:
+            for j, v in x.items():
+                if v * sq != sp * y.get(j, 0):
+                    return False
+        else:
+            for j, v in x.items():
+                if y.get(j) != -v:
+                    return False
     return True
 
 
@@ -189,18 +226,28 @@ def _assemble(rows: int, cols: int, pieces) -> tuple | None:
 
     pieces yields (form, row offset, column offset, integer scale); a None
     form adds nothing.  The sum is taken in integers over one common
-    denominator; None when it is zero.
+    denominator; None when it is zero.  A piece's row written into an empty
+    row is copied there whole; zero entries can only come from a sum into
+    a row already written, so only then are they filtered out.
     """
     pieces = [p for p in pieces if p[0] is not None]
     den = lcm(*[form[0] for form, *_ in pieces])
     acc = [{} for _ in range(rows)]
+    summed = False
     for (fden, frows, _), r0, c0, scale in pieces:
         s = scale * (den // fden)
-        for i, row in enumerate(frows, r0):
+        for i, row in enumerate(frows if s else (), r0):
+            if not row:
+                continue
             out = acc[i]
+            if not out:
+                acc[i] = {c0 + j: s * v for j, v in row.items()}
+                continue
+            summed = True
             for j, v in row.items():
                 out[c0 + j] = out.get(c0 + j, 0) + s * v
-    acc = [{j: x for j, x in row.items() if x} for row in acc]
+    if summed:
+        acc = [{j: x for j, x in row.items() if x} for row in acc]
     return (den, acc, cols) if any(acc) else None
 
 
@@ -595,15 +642,19 @@ class GradedMap:
     callers at the API edge), converted once here.  Stored forms are read-only: maps
     share them, so neither the code that handed a form over nor any reader
     may change it afterwards.  `block(n)` and `blocks` are dense views for
-    the API edge, built on every call and not kept.
+    the API edge, built on every call and not kept.  `monomial(n)` says
+    whether the block at n is a monomial matrix (_is_monomial), worked out
+    on its first use and kept as one flag per block, so that products with
+    it as the right factor reindex its rows (_int_product).
     """
 
-    __slots__ = ("source", "target", "degree", "forms")
+    __slots__ = ("source", "target", "degree", "forms", "_monomial")
 
     def __init__(self, source: GradedVS, target: GradedVS, degree: int,
                  blocks: dict | None = None):
         self.source, self.target, self.degree = source, target, degree
         self.forms = {}
+        self._monomial = {}
         for n, m in (blocks or {}).items():
             if m is None:
                 continue
@@ -639,6 +690,13 @@ class GradedMap:
     def form(self, n: int) -> tuple | None:
         """The integer form of the block at n, or None when it is zero."""
         return self.forms.get(n)
+
+    def monomial(self, n: int) -> bool:
+        """Whether the stored block at n is a monomial matrix."""
+        flag = self._monomial.get(n)
+        if flag is None:
+            flag = self._monomial[n] = _is_monomial(self.forms[n][1])
+        return flag
 
     def apply(self, n: int, v: Vector) -> Vector:
         """The block at n times v; raises ValueError on a length mismatch."""

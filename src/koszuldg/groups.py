@@ -38,7 +38,9 @@ from .algebra import (
     PolyAlgebra,
     _evaluate,
     _express_composites,
-    _generator_actions,
+    _generator_terms,
+    _poly_terms,
+    _positions,
     _realize,
     _summed,
     _vector_to_poly_column,
@@ -419,10 +421,11 @@ def realize_poly_map(F: FreeDGModule, realized: DGModule, polymat,
     """Realize a matrix over the ring as a degreewise endomorphism of
     realized = to_degreewise(F, w); entry (j, i) multiplies generator i
     into generator j, with an overall degree shift."""
+    terms = _poly_terms(polymat)
     blocks = {}
     for n in range(realized.lo, realized.hi + 1):
         if realized.lo <= n + degree <= realized.hi:
-            blocks[n] = _realize(polymat, free_basis(F, n), free_basis(F, n + degree))
+            blocks[n] = _realize(terms, free_basis(F, n), free_basis(F, n + degree))
     return GradedMap(realized.space, realized.space, degree, blocks)
 
 
@@ -508,12 +511,19 @@ def _commuting_lifts(rm: RingMap, res: ResolutionData, total: FreeDGModule,
     aug = {n: _evaluate(total, restricted, images, n, table)
            for n in range(win.lo, win.hi + 1)
            if size(n) and restricted.known_dim(n) is not None}
+    # matrices over the ring realized in many degrees: their terms are read
+    # once, and each degree's basis is indexed once
+    at = functools.cache(lambda n: _positions(basis(n)))
+
+    def realize_at(terms, n, degree):
+        return _realize(terms, basis(n), basis(n + degree), at(n + degree))
+
     # the differential is taken on the window only, as zero outside it
-    d = {n: _realize(total.diff, basis(n), basis(n - 1))
-         for n in range(win.lo, win.hi + 1)}
-    xs = _generator_actions(total)
-    x = functools.cache(lambda i, n: _realize(xs[i], basis(n), basis(n - S.codegrees[i])))
-    lifts = []
+    dterms = _poly_terms(total.diff)
+    d = {n: realize_at(dterms, n, -1) for n in range(win.lo, win.hi + 1)}
+    xs = _generator_terms(total)
+    x = functools.cache(lambda i, n: realize_at(xs[i], n, -S.codegrees[i]))
+    lifts, lift_terms = [], []
     for jgen in range(T.r):
         e = T.codegrees[jgen]
         sys = LinearSystem()
@@ -540,13 +550,13 @@ def _commuting_lifts(rm: RingMap, res: ResolutionData, total: FreeDGModule,
                            rhs=None if y is None or aug[n] is None
                            else _int_product(y, aug[n]))
         # strict commutation with the lifts already found
-        for pidx, prev in enumerate(lifts):
+        for pidx, prev in enumerate(lift_terms):
             eprev = T.codegrees[pidx]
             for n in range(win.lo, win.hi + 1):
                 if n - eprev >= win.lo:
                     sys.equate(size(n - e - eprev), size(n),
-                               left=[(1, _realize(prev, basis(n - e), basis(n - e - eprev)), n)],
-                               right=[(-1, n - eprev, _realize(prev, basis(n), basis(n - eprev)))])
+                               left=[(1, realize_at(prev, n - e, -eprev), n)],
+                               right=[(-1, n - eprev, realize_at(prev, n, -eprev))])
         sol = sys.solve()
         if sol is None:
             raise LinearSolveFailed("no chain lift of target multiplication")
@@ -581,6 +591,7 @@ def _commuting_lifts(rm: RingMap, res: ResolutionData, total: FreeDGModule,
                 raise LinearSolveFailed(
                     "decoded target lift fails augmentation compatibility")
         lifts.append(Y)
+        lift_terms.append(_poly_terms(Y))
     for a in range(len(lifts)):
         for b in range(a + 1, len(lifts)):
             ab = _poly_mat_mul(S, lifts[a], lifts[b])

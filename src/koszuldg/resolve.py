@@ -43,6 +43,7 @@ from .algebra import (
     PolyAlgebra,
     _evaluate,
     _express_composites,
+    _poly_terms,
     _realize,
     _subsets,
     _summed,
@@ -234,8 +235,11 @@ def _resolve_with_betti(M: DGModule, R: PolyAlgebra, betti: dict,
     terms = [[(lab, n) for lab, n, _ in gens0]]
     aug_vectors = [(n, v) for _, n, v in gens0]
     F0 = free_module(R, terms[0])
-    F0_real = to_degreewise(F0, win, name="F0")
-    images, table = [v for _, _, v in gens0], {}
+    # each stage's free bases over the window, built once: for its
+    # realization, its augmentation or stage map, and the next sweep
+    bases = {n: free_basis(F0, n) for n in win.degrees()}
+    F0_real = to_degreewise(F0, win, name="F0", bases=bases)
+    images, table = [v for _, _, v in gens0], dict(bases)
     aug_blocks = {n: _evaluate(F0, M, images, n, table) for n in range(win.lo, win.hi + 1)}
     realized = [F0_real]
     realized_aug = GradedMap(F0_real.space, M.space, 0, aug_blocks)
@@ -251,7 +255,7 @@ def _resolve_with_betti(M: DGModule, R: PolyAlgebra, betti: dict,
         new_gens = []
         for n in range(top, sweep_lo - 1, -1):
             f = prev_map.form(n)
-            dim_n = len(free_basis(prev_free, n))
+            dim_n = prev_real.dim(n)  # the sweep stays inside the window
             ker = _kernel(_reduced([] if f is None else f[1]), dim_n)
             kernels[n] = [col for _, col in ker]
             # the m-multiples: x_i applied to the kernel one generator up,
@@ -278,10 +282,10 @@ def _resolve_with_betti(M: DGModule, R: PolyAlgebra, betti: dict,
         terms.append(gen_list)
         maps.append(poly_matrix)
         F_s = free_module(R, gen_list)
-        F_s_real = to_degreewise(F_s, win, name=f"F{s}")
-        blocks = {}
-        for n in range(win.lo, win.hi + 1):
-            blocks[n] = _realize(poly_matrix, free_basis(F_s, n), free_basis(prev_free, n))
+        prev_bases, bases = bases, {n: free_basis(F_s, n) for n in win.degrees()}
+        F_s_real = to_degreewise(F_s, win, name=f"F{s}", bases=bases)
+        stage = _poly_terms(poly_matrix)
+        blocks = {n: _realize(stage, bases[n], prev_bases[n]) for n in win.degrees()}
         realized.append(F_s_real)
         realized_maps.append(GradedMap(F_s_real.space, prev_real.space, 0, blocks))
         prev_free, prev_real, prev_map = F_s, F_s_real, realized_maps[-1]

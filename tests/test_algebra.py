@@ -79,6 +79,21 @@ def test_koszul_model_rank_and_signs():
     assert str(kb.diff[i1][i12]) == "-x2"
 
 
+def test_koszul_model_is_built_once_per_ring_and_names():
+    kb = alg.koszul_model(R2)
+    assert alg.koszul_model(alg.poly_algebra(T2)) is kb
+    # equal rings whose variables print differently get their own model
+    Y2 = alg.PolyAlgebra(T2, varnames=("y1", "y2"))
+    assert Y2 == R2
+    ky = alg.koszul_model(Y2)
+    assert ky is not kb and alg.koszul_model(Y2) is ky
+    w = Window(-4, 0)
+    x_labels = alg.to_degreewise(kb, w).labels_at(-2)
+    y_labels = alg.to_degreewise(ky, w).labels_at(-2)
+    assert x_labels != y_labels
+    assert "x1*e0" in x_labels and "y1*e0" in y_labels
+
+
 def test_koszul_model_trivial_group():
     kb = alg.koszul_model(alg.poly_algebra(alg.GroupData(())))
     assert kb.rank == 1 and kb.diff[0][0].is_zero()
@@ -512,24 +527,150 @@ def _sample_modules(rng):
     return mods
 
 
+def _checks(M):
+    """check_dg_invariants with its identity counts dropped, so that its
+    verdict reads as the reference's does."""
+    alg.check_dg_invariants(M)
+
+
+def _monomial_breaks(gm, rng, count):
+    """Copies of gm's block dict, each with one monomial block made not
+    monomial: a second entry put in a row, or a row's entry moved to a
+    column another row has."""
+    spots = [n for n in gm.forms if gm.monomial(n)
+             and len([r for r in gm.forms[n][1] if r]) >= 2]
+    out = []
+    for k in range(count if spots else 0):
+        n = rng.choice(spots)
+        blocks = {m: [row[:] for row in b] for m, b in gm.blocks.items()}
+        blk = blocks[n]
+        full = [i for i, row in enumerate(blk) if any(row)]
+        r1, r2 = rng.sample(full, 2)
+        c1 = next(j for j, x in enumerate(blk[r1]) if x)
+        c2 = next(j for j, x in enumerate(blk[r2]) if x)
+        value = rng.choice([F(1), F(-1), F(-2), F(1, 3)])
+        if k % 2:
+            blk[r2][c2] = F(0)  # one entry per row, but a column shared
+        else:
+            r2 = r1  # a second entry in one row
+        blk[r2][c1 if r2 != r1 else c2] = value
+        out.append((n, blocks))
+    return out
+
+
 def test_invariant_checks_match_dense_reference():
     rng = random.Random(20)
-    seen = {}
+    seen, broken = {}, {}
     for M in _sample_modules(rng):
-        assert _verdict(alg.check_dg_invariants, M) == ("returned", None)
+        assert _verdict(_checks, M) == ("returned", None)
         assert _verdict(_reference_invariants, M) == ("returned", None)
+        assert alg.check_dg_invariants(M) == _parent_invariant_counts(M)
         for which in range(-1, len(M.actions)):
             gm = M.diff if which < 0 else M.actions[which]
             for _, blocks in _perturbations(gm, rng, 4):
                 N = _with_blocks(M, which, blocks)
                 want = _verdict(_reference_invariants, N)
-                assert _verdict(alg.check_dg_invariants, N) == want
+                assert _verdict(_checks, N) == want
                 kind = want[1].split(" at ")[0] if want[0] == "raised" else "ok"
                 seen[kind] = seen.get(kind, 0) + 1
+            if which < 0:
+                continue
+            for _, blocks in _monomial_breaks(gm, rng, 4):
+                N = _with_blocks(M, which, blocks)
+                assert not all(N.actions[which].monomial(n) for n in N.actions[which].forms)
+                want = _verdict(_reference_invariants, N)
+                assert _verdict(_checks, N) == want
+                broken[want[0]] = broken.get(want[0], 0) + 1
     # the perturbations reach every identity, and some leave them all intact
     kinds = " | ".join(sorted(seen))
     for part in ("d.d != 0", "Leibniz", "square-zero", "graded commutation", "ok"):
         assert part in kinds, (part, seen)
+    # action blocks that stop being monomial are caught, or pass, as the
+    # dense reference says
+    assert broken.get("raised", 0) >= 20, broken
+
+
+# reference: the loop of check_dg_invariants before it counted, with a
+# counter after each identity it verifies
+
+
+def _parent_block_product(f, m, g, n):
+    a = f.form(m)
+    if a is None:
+        return None
+    b = g.form(n)
+    return None if b is None else alg._int_product(a, b)
+
+
+def _parent_invariant_counts(M):
+    counts = {"d.d": 0, "Leibniz": 0, "commutation": 0, "square-zero": 0}
+    gens = M.generator_degrees()
+    klo, khi = M.known_lo(), M.known_hi()
+    d, acts = M.diff, M.actions
+    for n in range(M.lo, M.hi + 1):
+        if M.dim(n) == 0:
+            continue
+        if klo <= n - 2 and n - 1 <= khi:
+            assert alg._int_agree(_parent_block_product(d, n - 1, d, n), None)
+            counts["d.d"] += 1
+        for i, gi in enumerate(gens):
+            if (klo <= n + gi <= khi and klo <= n + gi - 1 <= khi
+                    and klo <= n - 1 <= khi):
+                lhs = _parent_block_product(d, n + gi, acts[i], n)
+                rhs = _parent_block_product(acts[i], n - 1, d, n)
+                sgn = -1 if gi % 2 else 1
+                assert alg._int_agree(lhs, rhs, sgn)
+                counts["Leibniz"] += 1
+            for j in range(i, len(gens)):
+                gj = gens[j]
+                if not (klo <= n + gi <= khi and klo <= n + gj <= khi
+                        and klo <= n + gi + gj <= khi):
+                    continue
+                if i == j:
+                    if gi % 2:
+                        assert alg._int_agree(
+                            _parent_block_product(acts[i], n + gi, acts[i], n), None)
+                        counts["square-zero"] += 1
+                    continue
+                ij = _parent_block_product(acts[i], n + gj, acts[j], n)
+                ji = _parent_block_product(acts[j], n + gi, acts[i], n)
+                sgn = -1 if (gi % 2 and gj % 2) else 1
+                assert alg._int_agree(ij, ji, sgn)
+                counts["commutation"] += 1
+    return counts
+
+
+def _counted_modules():
+    """The fixed set: sample modules over T, T^2 and SU(3), the windowed
+    Koszul model over T^2, T(M), S(T(M)) and T(S(T(M))) of one T^2 torsion
+    module, and End(kbar) for T^2."""
+    from koszuldg import duality as du
+    rng = random.Random(24)
+    R3 = alg.poly_algebra(alg.named_group("SU(3)"))
+    mods = []
+    for R in (R1, R2, R3):
+        L = alg.ext_algebra(R.group)
+        mods += [sm.random_torsion_dg_module(R, rng, max_total=5),
+                 sm.random_zero_diff_module(R, rng),
+                 sm.random_lambda_module(L, rng, max_total=5),
+                 alg.lambda_as_module(L)]
+    mods.append(alg.to_degreewise(alg.koszul_model(R2), Window(-16, 2)))
+    M = sm.random_torsion_dg_module(R2, random.Random(5), max_total=5)
+    TM = du.functor_T(M)
+    STM = du.functor_S(TM, R2, Window(0, (TM.support_max() or 0) + 3))
+    mods += [TM, STM, du.functor_T(STM), du.end_dga(R2).module]
+    return mods
+
+
+def test_identity_counts_match_parent_loop():
+    total = {}
+    for M in _counted_modules():
+        got = alg.check_dg_invariants(M)
+        assert got == _parent_invariant_counts(M), M.name
+        for kind, c in got.items():
+            total[kind] = total.get(kind, 0) + c
+    # every kind of identity is verified somewhere in the set
+    assert all(total.values()), total
 
 
 def test_odd_square_zero_perturbation_matches_reference():
@@ -542,7 +683,7 @@ def test_odd_square_zero_perturbation_matches_reference():
     N = _with_blocks(M, 0, blocks)
     want = _verdict(_reference_invariants, N)
     assert want[0] == "raised" and "square-zero" in want[1]
-    assert _verdict(alg.check_dg_invariants, N) == want
+    assert _verdict(_checks, N) == want
 
 
 def test_chain_map_checks_match_dense_reference():

@@ -1111,6 +1111,12 @@ def test_realize_matches_dense_realization():
     assert checked >= 500 and empty >= 20
 
 
+def test_generator_terms_are_the_terms_of_the_generator_actions():
+    for Fr in free_modules():
+        assert alg._generator_terms(Fr) == [alg._poly_terms(x)
+                                            for x in alg._generator_actions(Fr)]
+
+
 def test_realize_rejects_wrong_degree_entry():
     Fr = alg.free_module(R1, [("a", 0), ("b", -2)])
     polymat = [[R1.zero(), R1.zero()], [R1.gen(0), R1.zero()]]
@@ -1139,6 +1145,179 @@ def test_resolution_stage_maps_match_dense_realization():
                 for n in res.window.degrees():
                     want = dense_realize(F_s, prev, res.maps[s - 1], 0, n)
                     assert same_block(phi.form(n), want)
+
+
+# ---------------------------------------------------------------------------
+# products and agreement of integer forms, against the bodies they had
+# before monomial right factors and single-entry left rows
+
+
+def old_int_product(a, b):
+    da, ra, ca = a
+    db, rb, cb = b
+    if ca is not None and ca != len(rb):
+        raise ValueError(f"matrix dimensions do not compose: "
+                         f"{len(ra)}x{ca} times {len(rb)}x{cb}")
+    out = []
+    for row in ra:
+        acc = {}
+        for k, c in row.items():
+            for j, x in rb[k].items():
+                acc[j] = acc.get(j, 0) + c * x
+        out.append({j: v for j, v in acc.items() if v})
+    return da * db, out, (cb if ra else None)
+
+
+def old_int_agree(p, q, sgn=1):
+    if p is None:
+        p, q = q, p
+    if p is None:
+        return True
+    dp, rp, _ = p
+    if q is None:
+        return not any(rp)
+    dq, rq, _ = q
+    empty = {}
+    for i in range(max(len(rp), len(rq))):
+        x = rp[i] if i < len(rp) else empty
+        y = rq[i] if i < len(rq) else empty
+        if len(x) != len(y):
+            return False
+        if sgn == 1 and dp == dq:
+            if x != y:
+                return False
+            continue
+        sp, sq = sgn * dp, dq
+        for j, v in x.items():
+            if v * sq != sp * y.get(j, 0):
+                return False
+    return True
+
+
+def nonzero(rng, unit):
+    return rng.choice((1, -1)) if unit else rng.choice((1, -1, 2, -3, 5))
+
+
+def random_rows(rng, rows, cols, shape):
+    """rows x cols integer rows of the given shape: "monomial" (one entry
+    in some rows, columns distinct), "single" (at most one entry a row,
+    columns may repeat), "sparse" or "dense" (any number)."""
+    unit = rng.random() < 0.5
+    if shape == "monomial":
+        out = [{} for _ in range(rows)]
+        free = rng.sample(range(cols), min(rows, cols))
+        for i, j in zip(rng.sample(range(rows), len(free)), free):
+            if rng.random() < 0.8:
+                out[i][j] = nonzero(rng, unit)
+        return out
+    if shape == "single":
+        return [{rng.randrange(cols): nonzero(rng, unit)}
+                if cols and rng.random() < 0.7 else {} for _ in range(rows)]
+    density = 0.3 if shape == "sparse" else 0.8
+    return [{j: nonzero(rng, unit) for j in range(cols) if rng.random() < density}
+            for _ in range(rows)]
+
+
+def form_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_int_product_matches_old_body():
+    rng = random.Random(81)
+    paths = {"monomial": 0, "one entry": 0, "empty": 0, "den": 0}
+    for _ in range(800):
+        m, k, n = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        a = (rng.choice((1, 1, 2, 6)),
+             random_rows(rng, m, k, rng.choice(("single", "sparse", "dense"))), k)
+        b = (rng.choice((1, 1, 3)),
+             random_rows(rng, k, n, rng.choice(("monomial", "single", "sparse"))), n)
+        mono = grlin._is_monomial(b[1])
+        want = old_int_product(a, b)
+        assert _int_product(a, b, mono) == want
+        assert _int_product(a, b) == want
+        paths["monomial"] += mono and any(len(r) > 1 for r in a[1])
+        paths["one entry"] += any(len(r) == 1 for r in a[1])
+        paths["empty"] += any(not r for r in a[1])
+        paths["den"] += a[0] * b[0] != 1
+    assert min(paths.values()) >= 100, paths
+    # a left row of two entries whose right rows share a column and cancel
+    # there: those rows are not monomial, and the sum drops the zero
+    b = (1, [{0: 2, 1: 1}, {0: -2}, {2: 3}], 3)
+    assert not grlin._is_monomial(b[1])
+    a = (1, [{0: 1, 1: 1}, {1: 1}, {}, {0: 3}], 3)
+    want = old_int_product(a, b)
+    assert want == (1, [{1: 1}, {0: -2}, {}, {0: 6, 1: 3}], 3)
+    assert _int_product(a, b, grlin._is_monomial(b[1])) == want
+    # a shape mismatch raises as before, monomial or not
+    bad = (1, [{0: 1}, {1: 1}], 2)
+    for mono in (False, True):
+        got = form_outcome(_int_product, (1, [{0: 1}], 3), bad, mono)
+        assert got == form_outcome(old_int_product, (1, [{0: 1}], 3), bad)
+        assert got == ("ValueError", "matrix dimensions do not compose: 1x3 times 2x2")
+
+
+def test_is_monomial_reads_rows_and_columns():
+    assert grlin._is_monomial([{1: 1}, {}, {0: -3}])
+    assert grlin._is_monomial([])
+    assert not grlin._is_monomial([{0: 1, 1: 1}])
+    assert not grlin._is_monomial([{1: 1}, {1: 2}])
+    vs = GradedVS({0: 2, 1: 2})
+    gm = GradedMap(vs, vs, 1, {0: (1, [{1: 1}, {0: -1}], 2)})
+    assert gm.monomial(0) and gm.monomial(0)
+
+
+def test_int_agree_matches_old_body():
+    rng = random.Random(82)
+    seen = set()
+    for _ in range(1500):
+        m, n = rng.randint(0, 5), rng.randint(1, 5)
+        rows = random_rows(rng, m, n, rng.choice(("monomial", "sparse")))
+        dp = rng.choice((1, 2, 3))
+        p = (dp, rows, n)
+        sgn = rng.choice((1, -1))
+        # q is sgn * p over its own denominator, then maybe perturbed
+        dq = rng.choice((dp, dp, 2 * dp, 1))
+        scale = sgn * dq
+        if all(v * scale % dp == 0 for r in rows for v in r.values()):
+            qrows = [{j: v * scale // dp for j, v in r.items()} for r in rows]
+        else:
+            dq, qrows = dp, [{j: sgn * v for j, v in r.items()} for r in rows]
+        change = rng.random()
+        if change < 0.3 and qrows:
+            r = rng.randrange(len(qrows))
+            qrows[r] = dict(qrows[r])
+            j = rng.randrange(n)
+            qrows[r][j] = qrows[r].get(j, 0) + rng.choice((1, -1))
+            qrows[r] = {c: v for c, v in qrows[r].items() if v}
+        elif change < 0.4:
+            qrows = qrows[:rng.randint(0, len(qrows))]  # fewer rows: the rest zero
+        q = (dq, qrows, n)
+        for args in ((p, q, sgn), (q, p, sgn), (p, None, sgn), (None, q, sgn)):
+            want = old_int_agree(*args)
+            assert grlin._int_agree(*args) == want
+            seen.add((args[2], args[0] is not None and args[1] is not None
+                      and args[0][0] == args[1][0], want))
+    assert grlin._int_agree(None, None, -1) and old_int_agree(None, None, -1)
+    # sgn -1 over equal denominators and over unequal ones, agreeing and not
+    assert {(-1, True, True), (-1, True, False), (-1, False, True),
+            (-1, False, False), (1, True, True), (1, True, False)} <= seen
+
+
+def test_unit_monomial_action_matches_dense_action():
+    rng = random.Random(83)
+    checked = 0
+    for M in sample_modules(rng, poly_only=True):
+        R = M.algebra
+        for codeg in range(0, 7, 2):
+            for alpha in R.monomials(codeg):
+                p = R.poly({alpha: 1})
+                for n in M.degrees():
+                    assert same_block(M._action_poly_form(p, n), dense_action(M, p, n))
+                    checked += 1
+    assert checked >= 200
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from koszuldg import duality as du
 from koszuldg import groups as gr
 from koszuldg import resolve as rs
 from koszuldg import samples as sm
-from koszuldg.grlin import GradedMap, GradedVS
+from koszuldg.grlin import GradedMap, GradedVS, Window
 from koszuldg.modfile import parse_module
 
 WRITES = []
@@ -103,6 +103,13 @@ OPERATIONS = {
         sm.cyclic_quotient(_ring("T^2"), [1, 2]), alg.residue_field(_ring("T^2")),
         "via_injective"),
     "recognize_k": lambda: du.recognize_k(alg.residue_field(_ring("T^2"))),
+    # products whose rows are rows of a factor, through monomial action
+    # blocks and single-entry rows
+    "recognize_k windowed kbar": lambda: du.recognize_k(
+        alg.to_degreewise(alg.koszul_model(_ring("T^2")), Window(-16, 2))),
+    "roundtrip T^2 seeded torsion": lambda: du.roundtrip_check(
+        sm.random_torsion_dg_module(_ring("T^2"), random.Random(5), max_total=5)),
+    "double centralizer T^2": lambda: du.double_centralizer_check(alg.named_group("T^2")),
     "groups extend": lambda: gr.extend_scalars(
         gr.catalog_ring_maps()["T<SU(2)"], alg.residue_field(_ring("SU(2)"))),
     "groups restrict": lambda: gr.restrict_scalars(
