@@ -173,7 +173,8 @@ class PolyAlgebra:
             object.__setattr__(
                 self, "varnames",
                 tuple(f"x{i+1}" for i in range(self.group.rank)))
-        assert len(self.varnames) == self.group.rank
+        if len(self.varnames) != self.group.rank:
+            raise ValueError(f"{len(self.varnames)} variable names for rank {self.r}")
 
     @property
     def r(self) -> int:
@@ -369,7 +370,8 @@ class ExtAlgebra:
 
     def remove_sign(self, i: int, s) -> int:
         """Sign picked up extracting a_i from e_S (count of earlier indices)."""
-        assert i in s
+        if i not in s:
+            raise ValueError(f"generator {i} is not a factor of {s}")
         return -1 if sum(1 for j in s if j < i) % 2 else 1
 
     def __str__(self):
@@ -481,11 +483,13 @@ class DGModule:
         action is zero.  For p a single monomial with coefficient 1 this is
         the product of the action forms, whose rows may be the stored
         blocks' rows (read-only, as GradedMap's forms are)."""
-        assert isinstance(self.algebra, PolyAlgebra)
+        if not isinstance(self.algebra, PolyAlgebra):
+            raise AlgebraMismatch("polynomial action needs a polynomial algebra")
         if p.is_zero():
             return None
         deg = p.degree()
-        assert deg is not None, "polynomial action needs homogeneous p"
+        if deg is None:
+            raise ValueError("polynomial action needs homogeneous p")
         rows, cols = self.space.dim(n + deg), self.dim(n)
         if rows == 0 or cols == 0:
             return None
@@ -734,10 +738,30 @@ def free_module(R: PolyAlgebra, gens: list) -> FreeDGModule:
                         tuple(tuple(z for _ in range(n)) for _ in range(n)))
 
 
-def _koszul_on(R: PolyAlgebra, indices: tuple) -> FreeDGModule:
+def koszul_model(R: PolyAlgebra) -> FreeDGModule:
+    """The Koszul model of the residue field: free on the 2^r subset basis.
+
+    d(e_S) = sum over i in S of (-1)^(number of earlier indices) x_i e_(S-i).
+    The sign convention is fixed here once; d^2 = 0 is asserted by the
+    FreeDGModule constructor.  It is the last stage of koszul_stage.
+    """
+    return koszul_stage(R, R.r)
+
+
+def koszul_stage(R: PolyAlgebra, upto: int) -> FreeDGModule:
+    """Partial Koszul complex on the first `upto` generators (over all of R),
+    built once per ring, variable names and upto, and shared read-only: ring
+    equality ignores the names, but labels print them."""
+    if not 0 <= upto <= R.r:
+        raise ValueError(f"Koszul stage {upto} of a rank-{R.r} ring")
+    return _koszul_on(R, R.varnames, upto)
+
+
+@functools.cache
+def _koszul_on(R: PolyAlgebra, varnames: tuple, upto: int) -> FreeDGModule:
     subs = []
-    for k in range(len(indices) + 1):
-        subs.extend(itertools.combinations(indices, k))
+    for k in range(upto + 1):
+        subs.extend(itertools.combinations(range(upto), k))
     subs.sort(key=lambda s: (len(s), s))
     index = {s: k for k, s in enumerate(subs)}
     n = len(subs)
@@ -750,29 +774,6 @@ def _koszul_on(R: PolyAlgebra, indices: tuple) -> FreeDGModule:
     basis = tuple(("e" + "".join(str(i + 1) for i in s) if s else "e0",
                    sum(1 - R.codegrees[i] for i in s)) for s in subs)
     return FreeDGModule(R, basis, tuple(tuple(row) for row in diff))
-
-
-def koszul_model(R: PolyAlgebra) -> FreeDGModule:
-    """The Koszul model of the residue field: free on the 2^r subset basis.
-
-    d(e_S) = sum over i in S of (-1)^(number of earlier indices) x_i e_(S-i).
-    The sign convention is fixed here once; d^2 = 0 is asserted by the
-    FreeDGModule constructor.  One model is built per ring and variable
-    names, and shared: ring equality ignores the names, but labels print
-    them.  The model is read-only.
-    """
-    return _koszul_model(R, R.varnames)
-
-
-@functools.cache
-def _koszul_model(R: PolyAlgebra, varnames: tuple) -> FreeDGModule:
-    return _koszul_on(R, tuple(range(R.r)))
-
-
-def koszul_stage(R: PolyAlgebra, upto: int) -> FreeDGModule:
-    """Partial Koszul complex on the first `upto` generators (over all of R)."""
-    assert 0 <= upto <= R.r
-    return _koszul_on(R, tuple(range(upto)))
 
 
 def free_basis(F: FreeDGModule, n: int) -> list:
@@ -1261,11 +1262,12 @@ def fibre(f: ChainMap, name: str = "") -> DGModule:
 
 def cone_les_dimension_check(f: ChainMap) -> bool:
     """Long-exact-sequence check: dim H_n(cone) = dim coker(H_n f) +
-    dim ker(H_(n-1) f) wherever all three are certified."""
+    dim ker(H_(n-1) f) wherever all three are certified.  False when no
+    degree could be compared."""
     cone = mapping_cone(f)
     HA, HB = homology(f.source), homology(f.target)
     HC = homology(cone)
-    ok = True
+    compared = 0
     for n in HC.certified_range():
         da, db = HA.dim(n - 1), HB.dim(n)
         if None in (da, db, HA.dim(n), HC.dim(n)):
@@ -1274,10 +1276,10 @@ def cone_les_dimension_check(f: ChainMap) -> bool:
         r_below = homology_map_rank(f, HA, HB, n - 1)
         if r_below is None or r_here is None:
             continue
-        want = (db - r_here) + (da - r_below)
-        if HC.dim(n) != want:
-            ok = False
-    return ok
+        if HC.dim(n) != (db - r_here) + (da - r_below):
+            return False
+        compared += 1
+    return compared > 0
 
 
 def homology_map_rank(f: ChainMap, HA, HB, n) -> int | None:
@@ -1516,7 +1518,8 @@ def gamma_m(M: DGModule, name: str = "") -> DGModule:
     of M.
     """
     R = M.algebra
-    assert isinstance(R, PolyAlgebra)
+    if not isinstance(R, PolyAlgebra):
+        raise AlgebraMismatch("the torsion part needs a polynomial algebra")
     sub_bases = {}  # degree -> basis of the torsion part, as _kernel's columns
     for n in range(M.lo, M.hi + 1):
         dn = M.dim(n)

@@ -16,17 +16,18 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .grlin import (
     GradedMap,
-    LinearSystem,
     Subspace,
     Window,
     _assemble,
     _columns_form,
-    _entry,
     _int_agree,
     _int_product,
+    _primitive,
+    _reduced,
     unit_vector,
 )
 from .algebra import (
@@ -38,9 +39,7 @@ from .algebra import (
     PolyAlgebra,
     _evaluate,
     _express_composites,
-    _generator_terms,
     _poly_terms,
-    _positions,
     _realize,
     _summed,
     _vector_to_poly_column,
@@ -50,6 +49,7 @@ from .algebra import (
     free_basis,
     homology,
     homology_dims,
+    map_system,
     named_group,
     poly_as_module,
     to_degreewise,
@@ -220,7 +220,7 @@ def extend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
     max_e = max(T.codegrees) if T.r else 1
     lo = w.lo if w else M.support_min() - sum(S.codegrees) - 2 * max_e - 2
     hi = top
-    pair_basis = {}
+    pair_basis, index = {}, {}
     for n in range(lo, hi + 1):
         bs = []
         for md in M.degrees():
@@ -228,34 +228,37 @@ def extend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
                 for u in range(M.dim(md)):
                     bs.append((mu, md, u))
         pair_basis[n] = bs
-    relations = {}
-    complements = {}
+        index[n] = {b: k for k, b in enumerate(bs)}
+    # degree n of the quotient: the pairs outside the pivot columns of the
+    # reduced relations, and the form P_n projecting every pair onto them
+    projections, complements = {}, {}
     for n in range(lo, hi + 1):
-        bs = pair_basis[n]
-        idx = {b: k for k, b in enumerate(bs)}
-        span = Subspace(len(bs))
+        idx = index[n]
+        rows = []
         for i, p in enumerate(rm.images):
             di = S.codegrees[i]
             for md in M.degrees():
                 f = M.actions[i].form(md)
-                tdeg = md - di
                 for mu in T.monomials(md - di - n):
-                    prod = Poly(T, {mu: Fraction(1)}) * p
+                    prod = (Poly(T, {mu: Fraction(1)}) * p).terms
                     for u in range(M.dim(md)):
-                        vec = [Fraction(0)] * len(bs)
-                        for a, c in prod.terms.items():
-                            vec[idx[(a, md, u)]] += c
-                        for kk, row in enumerate([] if f is None else f[1]):
-                            if u in row:
-                                vec[idx[(mu, tdeg, kk)]] -= _entry(row[u], f[0])
-                        span.add(vec)
-        relations[n] = span
-        pivots = set(span.pivots)
-        complements[n] = [j for j in range(len(bs)) if j not in pivots]
-
-    def project(n, vec):
-        v = relations[n].residue(vec)
-        return [v[j] for j in complements[n]]
+                        # (mu p) (x) m - mu (x) (x_i m)
+                        row = {idx[(a, md, u)]: c for a, c in prod.items()}
+                        for kk, frow in enumerate(f[1] if f else ()):
+                            if u in frow:
+                                row[idx[(mu, md - di, kk)]] = -Fraction(frow[u], f[0])
+                        rows.append(_primitive(row))
+        reduced = _reduced(rows)
+        pivots = {c for c, _ in reduced}
+        complements[n] = [j for j in range(len(idx)) if j not in pivots]
+        # P_n: identity on the free pairs, -row_c[j] / row_c[c] at pivot c
+        den = lcm(*[row[c] for c, row in reduced])
+        prows = {j: {j: den} for j in complements[n]}
+        for c, row in reduced:
+            for j, v in row.items():
+                if j != c:
+                    prows[j][c] = -v * (den // row[c])
+        projections[n] = (den, list(prows.values()), len(idx))
 
     dims = {n: len(complements[n]) for n in complements if complements[n]}
     labels = {n: [f"{T.monomial_label(pair_basis[n][j][0])}(x)"
@@ -263,37 +266,28 @@ def extend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
                   for j in complements[n]] for n in dims}
     diff_blocks = {}
     act_blocks = [dict() for _ in range(T.r)]
+    dden = lcm(*[f[0] for f in M.diff.forms.values()])
     for n in dims:
-        bs = pair_basis[n]
-        # differential 1 (x) d_M
+        free = [pair_basis[n][j] for j in complements[n]]
+        # differential 1 (x) d_M, over the one denominator of d_M
         if (n - 1) in dims:
-            cols = []
-            idx2 = {b: k for k, b in enumerate(pair_basis[n - 1])}
-            for j in complements[n]:
-                mu, md, u = bs[j]
-                f = M.diff.form(md)
-                vec = [Fraction(0)] * len(pair_basis[n - 1])
-                for kk, row in enumerate([] if f is None else f[1]):
-                    if u in row:
-                        vec[idx2[(mu, md - 1, kk)]] += _entry(row[u], f[0])
-                cols.append(project(n - 1, vec))
-            diff_blocks[n] = _columns_form(enumerate(cols), len(complements[n - 1]),
-                                           len(cols))
+            rows = [{} for _ in index[n - 1]]
+            for col, (mu, md, u) in enumerate(free):
+                fden, frows, _ = M.diff.form(md) or (1, (), 0)
+                for kk, frow in enumerate(frows):
+                    if u in frow:
+                        rows[index[n - 1][(mu, md - 1, kk)]][col] = frow[u] * (dden // fden)
+            diff_blocks[n] = _int_product(projections[n - 1], (dden, rows, len(free)))
+        # y_j: the monomial shift, then the projection
         for jgen in range(T.r):
             t = n - T.codegrees[jgen]
             if t not in dims:
                 continue
-            cols = []
-            idx2 = {b: k for k, b in enumerate(pair_basis[t])}
-            for j in complements[n]:
-                mu, md, u = bs[j]
-                mu2 = list(mu)
-                mu2[jgen] += 1
-                vec = [Fraction(0)] * len(pair_basis[t])
-                vec[idx2[(tuple(mu2), md, u)]] = Fraction(1)
-                cols.append(project(t, vec))
-            act_blocks[jgen][n] = _columns_form(enumerate(cols), len(complements[t]),
-                                                len(cols))
+            rows = [{} for _ in index[t]]
+            for col, (mu, md, u) in enumerate(free):
+                shifted = tuple(a + (k == jgen) for k, a in enumerate(mu))
+                rows[index[t][(shifted, md, u)]][col] = 1
+            act_blocks[jgen][n] = _int_product(projections[t], (1, rows, len(free)), True)
     # completeness at the bottom: the quotient is generated in the degrees
     # of M, so a vanishing run of length max(target codegrees) strictly
     # below the support forces vanishing below the run too
@@ -493,10 +487,12 @@ def _commuting_lifts(rm: RingMap, res: ResolutionData, total: FreeDGModule,
     """Chain lifts of multiplication by each target generator.
 
     Solved one generator at a time as a linear system on the realized
-    resolution (chain condition, source-linearity, compatibility with the
-    augmentation, and strict commutation with the lifts already found); the
-    polynomial matrices are then read off the generator columns and their
-    pairwise commutation re-verified exactly.
+    resolution: the chain and source-linearity equations of map_system,
+    whose unknown blocks stop at the window floor, plus compatibility with
+    the augmentation and strict commutation with the lifts already found.
+    The polynomial matrices are then read off the generator columns, and
+    the chain identity, the augmentation and their pairwise commutation are
+    re-verified exactly.
     """
     S, T = rm.source, rm.target
     if T.r == 0:
@@ -504,78 +500,45 @@ def _commuting_lifts(rm: RingMap, res: ResolutionData, total: FreeDGModule,
     win = res.window
     stage0 = len(res.terms[0])
     restricted = restrict_scalars(rm, Tmod)
-    basis = functools.cache(lambda n: free_basis(total, n))
-    size = functools.cache(lambda n: len(basis(n)))
-    images, table = [v for _, v in res.aug_vectors] + [None] * (total.rank - stage0), {}
+    bases = {n: free_basis(total, n) for n in win.degrees()}
+    realized = to_degreewise(total, win, bases=bases)
+    images, table = [v for _, v in res.aug_vectors] + [None] * (total.rank - stage0), dict(bases)
     aug_columns = [(n, _columns_form([(0, v)], len(v), 1)) for n, v in res.aug_vectors]
     aug = {n: _evaluate(total, restricted, images, n, table)
-           for n in range(win.lo, win.hi + 1)
-           if size(n) and restricted.known_dim(n) is not None}
-    # matrices over the ring realized in many degrees: their terms are read
-    # once, and each degree's basis is indexed once
-    at = functools.cache(lambda n: _positions(basis(n)))
-
-    def realize_at(terms, n, degree):
-        return _realize(terms, basis(n), basis(n + degree), at(n + degree))
-
-    # the differential is taken on the window only, as zero outside it
-    dterms = _poly_terms(total.diff)
-    d = {n: realize_at(dterms, n, -1) for n in range(win.lo, win.hi + 1)}
-    xs = _generator_terms(total)
-    x = functools.cache(lambda i, n: realize_at(xs[i], n, -S.codegrees[i]))
-    lifts, lift_terms = [], []
+           for n in win.degrees() if bases[n] and restricted.known_dim(n) is not None}
+    lifts, realized_lifts = [], []
     for jgen in range(T.r):
         e = T.codegrees[jgen]
-        sys = LinearSystem()
-        for n in range(win.lo, win.hi + 1):
-            sys.unknowns(n, size(n - e), size(n))
-        # chain condition: d_(n-e) . Y_n = Y_(n-1) . d_n
-        # (equations whose variable tiers would cross the window floor are
-        # dropped; the decoded polynomial matrix is re-verified exactly)
-        for n in range(win.lo + 1, win.hi + 1):
-            sys.equate(size(n - e - 1), size(n), left=[(1, d.get(n - e), n)],
-                       right=[(-1, n - 1, d[n])])
-        # source-linearity: x_i . Y_n = Y_(n-d_i) . x_i
-        for n in range(win.lo, win.hi + 1):
-            for i in range(S.r):
-                di = S.codegrees[i]
-                if n - di >= win.lo:
-                    sys.equate(size(n - di - e), size(n), left=[(1, x(i, n - e), n)],
-                               right=[(-1, n - di, x(i, n))])
+        sys, _ = map_system(realized, realized, -e, range(-1, S.r))
         # augmentation compatibility: aug_(n-e) . Y_n = (mult by y_j) . aug_n
-        for n in range(win.lo, win.hi + 1):
+        for n in win.degrees():
             if n in aug and n - e in aug:
                 y = Tmod.actions[jgen].form(n)
-                sys.equate(restricted.dim(n - e), size(n), left=[(1, aug[n - e], n)],
+                sys.equate(restricted.dim(n - e), realized.dim(n), left=[(1, aug[n - e], n)],
                            rhs=None if y is None or aug[n] is None
                            else _int_product(y, aug[n]))
-        # strict commutation with the lifts already found
-        for pidx, prev in enumerate(lift_terms):
-            eprev = T.codegrees[pidx]
-            for n in range(win.lo, win.hi + 1):
-                if n - eprev >= win.lo:
-                    sys.equate(size(n - e - eprev), size(n),
-                               left=[(1, realize_at(prev, n - e, -eprev), n)],
-                               right=[(-1, n - eprev, realize_at(prev, n, -eprev))])
+        # strict commutation with the lifts already found, as map_system
+        # writes its equations: where both unknown blocks are in the window
+        for Z in realized_lifts:
+            for n in win.degrees():
+                if n - e + Z.degree >= win.lo:
+                    sys.equate(realized.dim(n - e + Z.degree), realized.dim(n),
+                               left=[(1, Z.form(n - e), n)],
+                               right=[(-1, n + Z.degree, Z.form(n))])
         sol = sys.solve()
         if sol is None:
             raise LinearSolveFailed("no chain lift of target multiplication")
         # decode to a polynomial matrix via generator columns
         Y = [[S.zero() for _ in range(total.rank)] for _ in range(total.rank)]
         for i, (_, b) in enumerate(total.basis):
-            gen_col = basis(b).index((i, (0,) * S.r))
-            col_vec = [sol.get((b, rr, gen_col), Fraction(0)) for rr in range(size(b - e))]
+            gen_col = free_basis(total, b).index((i, (0,) * S.r))
+            col_vec = [sol.get((b, rr, gen_col), Fraction(0))
+                       for rr in range(realized.dim(b - e))]
             for jj, p in enumerate(_vector_to_poly_column(total, b - e, col_vec)):
                 Y[jj][i] = p
         # exact verification: the decoded matrix is a chain map over the ring
-        D = [list(row) for row in total.diff]
-        DY = _poly_mat_mul(S, D, Y)
-        YD = _poly_mat_mul(S, Y, D)
-        for ii in range(total.rank):
-            for jj in range(total.rank):
-                if not (DY[ii][jj] - YD[ii][jj]).is_zero():
-                    raise LinearSolveFailed(
-                        "decoded target lift fails the chain identity")
+        if not _poly_commute(S, total.diff, Y):
+            raise LinearSolveFailed("decoded target lift fails the chain identity")
         # exact verification on the augmentation: on each stage-0 generator
         for i in range(stage0):
             gdeg, gvec = res.aug_vectors[i]
@@ -591,29 +554,19 @@ def _commuting_lifts(rm: RingMap, res: ResolutionData, total: FreeDGModule,
                 raise LinearSolveFailed(
                     "decoded target lift fails augmentation compatibility")
         lifts.append(Y)
-        lift_terms.append(_poly_terms(Y))
+        realized_lifts.append(realize_poly_map(total, realized, Y, -e))
     for a in range(len(lifts)):
         for b in range(a + 1, len(lifts)):
-            ab = _poly_mat_mul(S, lifts[a], lifts[b])
-            ba = _poly_mat_mul(S, lifts[b], lifts[a])
-            for i in range(total.rank):
-                for j in range(total.rank):
-                    if not (ab[i][j] - ba[i][j]).is_zero():
-                        raise LinearSolveFailed(
-                            "target generator lifts do not strictly commute")
+            if not _poly_commute(S, lifts[a], lifts[b]):
+                raise LinearSolveFailed("target generator lifts do not strictly commute")
     return lifts
 
 
-def _poly_mat_mul(S: PolyAlgebra, A, B):
-    n = len(A)
-    out = [[S.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = S.zero()
-            for k in range(n):
-                acc = acc + A[i][k] * B[k][j]
-            out[i][j] = acc
-    return out
+def _poly_commute(S: PolyAlgebra, A, B) -> bool:
+    """Whether the square polynomial matrices A and B commute, exactly."""
+    n = range(len(A))
+    return all(sum((A[i][k] * B[k][j] - B[i][k] * A[k][j] for k in n), S.zero()).is_zero()
+               for i in n for j in n)
 
 
 def _freeness_certificate(rm: RingMap, dual: FreeDGModule, realized: DGModule,

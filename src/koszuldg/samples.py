@@ -31,7 +31,8 @@ from .algebra import (
 def cyclic_quotient(R: PolyAlgebra, powers, name: str = "") -> DGModule:
     """R modulo the monomial ideal (x_i^powers[i]): finite length, zero
     differential, monomial basis."""
-    assert len(powers) == R.r and all(p >= 1 for p in powers)
+    if len(powers) != R.r or any(p < 1 for p in powers):
+        raise ValueError(f"cyclic_quotient needs {R.r} powers >= 1, not {list(powers)}")
     mons = [()]
     if R.r:
         mons = []
@@ -82,7 +83,8 @@ def mat_inverse(m):
     aug = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
            for i, row in enumerate(m)]
     red, pivots = rref(aug)
-    assert pivots == list(range(n)), "matrix not invertible"
+    if pivots != list(range(n)):
+        raise ValueError("matrix not invertible")
     return [row[n:] for row in red]
 
 

@@ -137,6 +137,18 @@ def test_whitehead_random_agreement():
             assert ad.whitehead_detect(M).agrees
 
 
+def test_whitehead_stages_are_built_once(monkeypatch):
+    stages = []
+    kept = ad.hom_R
+    monkeypatch.setattr(ad, "hom_R", lambda K, M: stages.append(K) or kept(K, M))
+    M = sm.cyclic_quotient(R2, [2, 1])
+    assert ad.whitehead_detect(M).agrees and ad.whitehead_detect(M).agrees
+    first, second = stages[:3], stages[3:]
+    assert [K.rank for K in first] == [1, 2, 4] and len(second) == 3
+    assert all(a is b for a, b in zip(first, second))
+    assert first[-1] is alg.koszul_model(R2) and first[1] is alg.koszul_stage(R2, 1)
+
+
 def test_whitehead_rejects_untorsion():
     Rm = alg.poly_as_module(R1, Window(-6, 0))
     with pytest.raises(alg.NotTorsion):

@@ -121,6 +121,12 @@ def test_intermediate_koszul_stages():
             assert H.dim(n) == len(mons)
 
 
+def test_koszul_stage_range_is_checked():
+    for upto in (-1, 3):
+        with pytest.raises(ValueError, match="Koszul stage"):
+            alg.koszul_stage(R2, upto)
+
+
 def test_basic_injective_circle():
     I = alg.basic_injective(R1, Window(0, 8))
     assert [I.dim(n) for n in range(0, 9)] == [1, 0, 1, 0, 1, 0, 1, 0, 1]
@@ -203,6 +209,17 @@ def test_cone_les_dimension_check():
         B = sm.random_zero_diff_module(R1, rng)
         f = sm.random_chain_map(A, B, rng)
         assert alg.cone_les_dimension_check(f)
+
+
+def test_cone_les_dimension_check_fails_closed_when_nothing_compares():
+    # no certified degree: a window of R without its bottom, and one class
+    # without completeness on either side
+    one = alg.dg_module(R1, {0: 1}, {}, [{}], 0, 0)
+    for M in (alg.poly_as_module(R1, Window(0, 0)), one):
+        assert not alg.cone_les_dimension_check(alg.identity_map(M))
+    # the same class, complete on both sides, compares and agrees
+    k = alg.residue_field(R1)
+    assert alg.cone_les_dimension_check(alg.identity_map(k))
 
 
 def test_gamma_of_injective_is_everything():

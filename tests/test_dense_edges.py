@@ -10,7 +10,7 @@ growing back unnoticed.  A second test
 keeps the summing of placed integer forms (`_assemble`) in the summed-module
 builder and a listed few readers, and a third keeps the construction of
 linear systems in the one writer of the equations of module maps and the
-two systems of another shape."""
+one system of another shape."""
 import ast
 from pathlib import Path
 
@@ -92,12 +92,11 @@ def test_modules_are_summed_by_one_builder():
 
 
 # The equations of every space of module maps (chain maps, module maps, the
-# injective hull, the Adams lift, coextension) are written by
-# algebra.map_system; the commuting lifts, whose unknowns reach below the
-# window, and recognize_k build systems of another shape.
+# injective hull, the Adams lift, coextension, the commuting lifts of the
+# derived dual) are written by algebra.map_system; recognize_k builds a
+# system of another shape.
 SYSTEMS = {
     ("algebra", "map_system"),
-    ("groups", "_commuting_lifts"),
     ("duality", "recognize_k"),
 }
 

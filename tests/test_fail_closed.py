@@ -5,7 +5,11 @@ so do forced failures of the closure tests of homology_module and gamma_m,
 a free DG module whose differential has the wrong shape, and the shape
 checks of solve and of Subspace.add and .contains, of the contraction basis
 of hom_from_free and of the image count of a ring map, which were asserts
-as well, and the length check of the images a free map is evaluated on."""
+as well, and the length check of the images a free map is evaluated on.  So
+do the last checks that were asserts: variable names against the rank, the
+factor removed from an exterior monomial, the algebra and homogeneity of a
+polynomial action, the algebra of the torsion part, the Koszul stage index,
+and the exponents and invertibility checks of the sample modules."""
 import json
 import os
 import subprocess
@@ -17,7 +21,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SCRIPT = r"""
 import json, sys
 from fractions import Fraction as F
-from koszuldg import algebra as alg, grlin, groups as gr
+from koszuldg import algebra as alg, grlin, groups as gr, samples as sm
 from koszuldg.modfile import parse_module
 
 out = {"optimize": sys.flags.optimize}
@@ -119,6 +123,14 @@ cases = {
         alg.free_module(R1, [("g", 0)]), X, [[F(1), F(2)]], 0),
     "evaluate_length_acted": lambda: alg._evaluate(
         alg.free_module(R1, [("g", 0)]), X, [[F(1), F(2)]], -2),
+    "poly_varnames": lambda: alg.PolyAlgebra(alg.GroupData((2,)), varnames=("a", "b")),
+    "remove_sign": lambda: L.remove_sign(0, ()),
+    "action_not_poly": lambda: alg.lambda_as_module(L)._action_poly_form(R1.gen(0), 0),
+    "action_inhomogeneous": lambda: X._action_poly_form(R1.gen(0) + R1.one(), 0),
+    "gamma_not_poly": lambda: alg.gamma_m(alg.lambda_as_module(L)),
+    "koszul_stage_range": lambda: alg.koszul_stage(R1, 2),
+    "cyclic_powers": lambda: sm.cyclic_quotient(R1, [0]),
+    "inverse_singular": lambda: sm.mat_inverse([[F(1), F(2)], [F(2), F(4)]]),
 }
 for name, build in cases.items():
     try:
@@ -170,6 +182,15 @@ def test_rejections_hold_without_asserts():
         "evaluate_length": ("ValueError", "vector of length 2 for a map from dimension 1"),
         "evaluate_length_acted": ("ValueError",
                                   "vector of length 2 for a map from dimension 1"),
+        "poly_varnames": ("ValueError", "2 variable names for rank 1"),
+        "remove_sign": ("ValueError", "generator 0 is not a factor of ()"),
+        "action_not_poly": ("AlgebraMismatch",
+                            "polynomial action needs a polynomial algebra"),
+        "action_inhomogeneous": ("ValueError", "polynomial action needs homogeneous p"),
+        "gamma_not_poly": ("AlgebraMismatch", "the torsion part needs a polynomial algebra"),
+        "koszul_stage_range": ("ValueError", "Koszul stage 2 of a rank-1 ring"),
+        "cyclic_powers": ("ValueError", "cyclic_quotient needs 1 powers >= 1, not [0]"),
+        "inverse_singular": ("ValueError", "matrix not invertible"),
     }
     assert {k: (v[0], v[2]) for k, v in out.items()} == want
     assert all(v[1] for v in out.values()), "every rejection is a ValueError"

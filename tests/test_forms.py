@@ -20,7 +20,9 @@ injective hull and the Adams lift and the coextension's per-degree solve
 and compose loops, now `algebra.map_system` and
 `algebra._express_composites`, and the per-monomial evaluation of free
 maps and the Adams tower that computed each stage's homology and socle
-twice, kept as they were.
+twice, and the bodies of extend_scalars, whose relations were dense vectors
+projected through a Subspace, and of the commuting lifts, which wrote their
+own linear system, kept as they were.
 Pieces, vectors, blocks, cells, modules and solution-space bases must be
 equal, and rejections must carry the same message."""
 import copy
@@ -41,7 +43,7 @@ from koszuldg import grlin
 from koszuldg import groups as gr
 from koszuldg import resolve as rs
 from koszuldg import samples as sm
-from koszuldg.modfile import parse_module
+from koszuldg.modfile import parse_module, print_module
 from koszuldg.grlin import (
     CompositionNotZero,
     GradedMap,
@@ -2076,27 +2078,108 @@ def dense_coordinates_form(basis, vectors):
     return (1, [{} for _ in basis], len(vectors)) if out is None else out
 
 
-class DenseRelations(grlin.Subspace):
-    """extend_scalars' relation span with the projection it ran before: v
-    reduced against the dense RREF rows of the vectors added, in increasing
-    pivot order."""
+def old_extend_scalars(rm, M, w=None, name=""):
+    """extend_scalars as it was: the quotient by the mixed relations, every
+    relation a dense vector added to a Subspace, and every column of the
+    differential and the actions a dense vector projected through its
+    residue."""
+    if M.algebra != rm.source:
+        raise alg.InvariantViolation("extend_scalars input must live over the source")
+    if not M.is_finite():
+        raise alg.NotTorsion("extend_scalars needs a finite-length module")
+    S, T = rm.source, rm.target
+    if M.total_dim() == 0:
+        return alg.zero_module(T, name=name)
+    top = M.support_max()
+    max_e = max(T.codegrees) if T.r else 1
+    lo = w.lo if w else M.support_min() - sum(S.codegrees) - 2 * max_e - 2
+    hi = top
+    pair_basis = {}
+    for n in range(lo, hi + 1):
+        pair_basis[n] = [(mu, md, u) for md in M.degrees()
+                         for mu in T.monomials(md - n) for u in range(M.dim(md))]
+    relations, complements = {}, {}
+    for n in range(lo, hi + 1):
+        bs = pair_basis[n]
+        idx = {b: k for k, b in enumerate(bs)}
+        span = grlin.Subspace(len(bs))
+        for i, p in enumerate(rm.images):
+            di = S.codegrees[i]
+            for md in M.degrees():
+                f = M.actions[i].form(md)
+                for mu in T.monomials(md - di - n):
+                    prod = alg.Poly(T, {mu: F(1)}) * p
+                    for u in range(M.dim(md)):
+                        vec = [F(0)] * len(bs)
+                        for a, c in prod.terms.items():
+                            vec[idx[(a, md, u)]] += c
+                        for kk, row in enumerate([] if f is None else f[1]):
+                            if u in row:
+                                vec[idx[(mu, md - di, kk)]] -= grlin._entry(row[u], f[0])
+                        span.add(vec)
+        relations[n] = span
+        pivots = set(span.pivots)
+        complements[n] = [j for j in range(len(bs)) if j not in pivots]
 
-    def __init__(self, ambient, vectors=()):
-        self.added = []
-        super().__init__(ambient, vectors)
+    def project(n, vec):
+        v = relations[n].residue(vec)
+        return [v[j] for j in complements[n]]
 
-    def add(self, v):
-        self.added.append(v)
-        return super().add(v)
-
-    def residue(self, v):
-        red, pivots = grlin.rref(self.added) if self.added else ([], [])
-        v = v[:]
-        for row, p in zip(red, pivots):
-            if v[p]:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return v
+    dims = {n: len(complements[n]) for n in complements if complements[n]}
+    labels = {n: [f"{T.monomial_label(pair_basis[n][j][0])}(x)"
+                  f"{M.space.label(pair_basis[n][j][1], pair_basis[n][j][2])}"
+                  for j in complements[n]] for n in dims}
+    diff_blocks = {}
+    act_blocks = [dict() for _ in range(T.r)]
+    for n in dims:
+        bs = pair_basis[n]
+        if (n - 1) in dims:
+            cols = []
+            idx2 = {b: k for k, b in enumerate(pair_basis[n - 1])}
+            for j in complements[n]:
+                mu, md, u = bs[j]
+                f = M.diff.form(md)
+                vec = [F(0)] * len(pair_basis[n - 1])
+                for kk, row in enumerate([] if f is None else f[1]):
+                    if u in row:
+                        vec[idx2[(mu, md - 1, kk)]] += grlin._entry(row[u], f[0])
+                cols.append(project(n - 1, vec))
+            diff_blocks[n] = grlin._columns_form(enumerate(cols), len(complements[n - 1]),
+                                                 len(cols))
+        for jgen in range(T.r):
+            t = n - T.codegrees[jgen]
+            if t not in dims:
+                continue
+            cols = []
+            idx2 = {b: k for k, b in enumerate(pair_basis[t])}
+            for j in complements[n]:
+                mu, md, u = bs[j]
+                mu2 = list(mu)
+                mu2[jgen] += 1
+                vec = [F(0)] * len(pair_basis[t])
+                vec[idx2[(tuple(mu2), md, u)]] = F(1)
+                cols.append(project(t, vec))
+            act_blocks[jgen][n] = grlin._columns_form(enumerate(cols), len(complements[t]),
+                                                      len(cols))
+    run = 0
+    complete_below = False
+    floor = lo
+    for n in range(lo, hi + 1):
+        if dims.get(n, 0) == 0:
+            run += 1
+            if run >= max_e and n < (M.support_min() or 0):
+                complete_below = True
+                floor = n + 1
+        else:
+            run = 0
+    if complete_below:
+        for m in range(lo, floor):
+            if dims.get(m, 0):
+                raise alg.InvariantViolation(
+                    "extension has support below a certified vanishing run")
+    return alg.dg_module(T, dims, diff_blocks, act_blocks, lo, hi,
+                         complete_below=complete_below, complete_above=True,
+                         labels=labels, name=name or f"ext({M.name})")
 
 
 def module_data(M):
@@ -2107,22 +2190,28 @@ def module_data(M):
 def test_scalar_extensions_match_dense_projections_and_solves(monkeypatch):
     rng = random.Random(74)
     maps = gr.catalog_ring_maps()
-    mods = [sm.random_torsion_dg_module(R, rng, max_total=5) for R in (R1, R2) for _ in range(3)]
+    sources = {rm.source.group: rm.source for rm in maps.values()}
+    mods = [sm.random_torsion_dg_module(R, rng, max_total=5)
+            for R in sources.values() for _ in range(3)]
     mods += zero_diff_samples(rng)[:6]
+    mods += [sm.random_zero_diff_module(R, rng) for R in sources.values() for _ in range(3)]
     pairs = [(rm, M) for rm in maps.values() for M in mods if M.algebra == rm.source]
-    built = []
-    for rm, M in pairs:
-        built.append((outcome_mod(gr.extend_scalars, rm, M),
-                      outcome_mod(gr.coextend_scalars, rm, M)))
-    monkeypatch.setattr(gr, "Subspace", DenseRelations)
-    monkeypatch.setattr(alg, "_coordinates_form", dense_coordinates_form)
+    assert {rm.name for rm, _ in pairs} == set(maps)
     total = 0
-    for (rm, M), (ext, coext) in zip(pairs, built):
-        assert outcome_mod(gr.extend_scalars, rm, M) == ext
+    for rm, M in pairs:
+        ext = outcome_mod(gr.extend_scalars, rm, M)
+        assert ext == outcome_mod(old_extend_scalars, rm, M)
+        if isinstance(ext[0], dict):
+            assert print_module(gr.extend_scalars(rm, M)) == \
+                print_module(old_extend_scalars(rm, M))
+            total += sum(ext[0].values())
+    # coextension against one dense solve per composite
+    built = [outcome_mod(gr.coextend_scalars, rm, M) for rm, M in pairs]
+    monkeypatch.setattr(alg, "_coordinates_form", dense_coordinates_form)
+    for (rm, M), coext in zip(pairs, built):
         assert outcome_mod(gr.coextend_scalars, rm, M) == coext
-        total += sum(ext[0].values()) if isinstance(ext[0], dict) else 0
         total += sum(coext[0].values()) if isinstance(coext[0], dict) else 0
-    assert len(pairs) >= 20 and total >= 100
+    assert len(pairs) >= 40 and total >= 300
 
 
 def outcome_mod(fn, *args):
@@ -2131,6 +2220,103 @@ def outcome_mod(fn, *args):
     except ValueError as exc:
         return (type(exc).__name__, str(exc))
     return module_data(out)
+
+
+def old_poly_mat_mul(S, A, B):
+    n = len(A)
+    return [[functools.reduce(lambda acc, k: acc + A[i][k] * B[k][j], range(n), S.zero())
+             for j in range(n)] for i in range(n)]
+
+
+def old_commuting_lifts(rm, res, total, Tmod):
+    """_commuting_lifts as it was: its own LinearSystem, with unknown blocks
+    below the window, the chain, source-linearity and commutation equations
+    written from matrices realized degree by degree, and the products of
+    polynomial matrices formed whole for the chain identity.  The exact
+    augmentation check, unchanged, is left out."""
+    S, T = rm.source, rm.target
+    if T.r == 0:
+        return []
+    win = res.window
+    stage0 = len(res.terms[0])
+    restricted = gr.restrict_scalars(rm, Tmod)
+    basis = functools.cache(lambda n: alg.free_basis(total, n))
+    size = functools.cache(lambda n: len(basis(n)))
+    images, table = [v for _, v in res.aug_vectors] + [None] * (total.rank - stage0), {}
+    aug = {n: alg._evaluate(total, restricted, images, n, table)
+           for n in range(win.lo, win.hi + 1)
+           if size(n) and restricted.known_dim(n) is not None}
+    at = functools.cache(lambda n: alg._positions(basis(n)))
+
+    def realize_at(terms, n, degree):
+        return alg._realize(terms, basis(n), basis(n + degree), at(n + degree))
+
+    dterms = alg._poly_terms(total.diff)
+    d = {n: realize_at(dterms, n, -1) for n in range(win.lo, win.hi + 1)}
+    xs = alg._generator_terms(total)
+    x = functools.cache(lambda i, n: realize_at(xs[i], n, -S.codegrees[i]))
+    lifts, lift_terms = [], []
+    for jgen in range(T.r):
+        e = T.codegrees[jgen]
+        sys = LinearSystem()
+        for n in range(win.lo, win.hi + 1):
+            sys.unknowns(n, size(n - e), size(n))
+        for n in range(win.lo + 1, win.hi + 1):
+            sys.equate(size(n - e - 1), size(n), left=[(1, d.get(n - e), n)],
+                       right=[(-1, n - 1, d[n])])
+        for n in range(win.lo, win.hi + 1):
+            for i in range(S.r):
+                di = S.codegrees[i]
+                if n - di >= win.lo:
+                    sys.equate(size(n - di - e), size(n), left=[(1, x(i, n - e), n)],
+                               right=[(-1, n - di, x(i, n))])
+        for n in range(win.lo, win.hi + 1):
+            if n in aug and n - e in aug:
+                y = Tmod.actions[jgen].form(n)
+                sys.equate(restricted.dim(n - e), size(n), left=[(1, aug[n - e], n)],
+                           rhs=None if y is None or aug[n] is None
+                           else _int_product(y, aug[n]))
+        for pidx, prev in enumerate(lift_terms):
+            eprev = T.codegrees[pidx]
+            for n in range(win.lo, win.hi + 1):
+                if n - eprev >= win.lo:
+                    sys.equate(size(n - e - eprev), size(n),
+                               left=[(1, realize_at(prev, n - e, -eprev), n)],
+                               right=[(-1, n - eprev, realize_at(prev, n, -eprev))])
+        sol = sys.solve()
+        assert sol is not None
+        Y = [[S.zero() for _ in range(total.rank)] for _ in range(total.rank)]
+        for i, (_, b) in enumerate(total.basis):
+            gen_col = basis(b).index((i, (0,) * S.r))
+            col_vec = [sol.get((b, rr, gen_col), F(0)) for rr in range(size(b - e))]
+            for jj, p in enumerate(alg._vector_to_poly_column(total, b - e, col_vec)):
+                Y[jj][i] = p
+        D = [list(row) for row in total.diff]
+        DY, YD = old_poly_mat_mul(S, D, Y), old_poly_mat_mul(S, Y, D)
+        assert all((DY[i][j] - YD[i][j]).is_zero()
+                   for i in range(total.rank) for j in range(total.rank))
+        lifts.append(Y)
+        lift_terms.append(alg._poly_terms(Y))
+    return lifts
+
+
+def test_commuting_lifts_match_the_old_body(monkeypatch):
+    calls = []
+    kept = gr._commuting_lifts
+
+    def recorded(*args):
+        calls.append((args, kept(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(gr, "_commuting_lifts", recorded)
+    entries = 0
+    for rm in gr.catalog_ring_maps().values():
+        gr.derived_dual(rm)
+    assert len(calls) == 6
+    for args, lifts in calls:
+        assert lifts == old_commuting_lifts(*args)
+        entries += sum(not p.is_zero() for Y in lifts for row in Y for p in row)
+    assert entries >= 20
 
 
 def test_lift_augmentation_sums_match_dense_action_blocks(monkeypatch):
