@@ -240,8 +240,7 @@ class Page:
         return self.euler_ok and self.row_bound_ok
 
 
-def e2_page(X: DGModule, Y: DGModule, w: Window | None = None,
-            cross_check_routes: bool = False) -> Page:
+def e2_page(X: DGModule, Y: DGModule, w: Window | None = None) -> Page:
     """Ext of the homologies, converging to derived-category maps.
 
     The abutment is computed by the independent derived-Hom oracle; the
@@ -256,10 +255,6 @@ def e2_page(X: DGModule, Y: DGModule, w: Window | None = None,
         win = w or Window(-1, 1)
         return Page(BigradedTable({}), {}, win, {}, True, True, True)
     e2 = ext_bigraded(HX, HY, "via_free")
-    if cross_check_routes:
-        other = ext_bigraded(HX, HY, "via_injective")
-        if e2 != other:
-            raise InvariantViolation("Ext routes disagree")
     contrib = e2.abutment_dims()
     if w is None:
         ns = sorted(contrib) or [0]
@@ -354,13 +349,9 @@ def whitehead_detect(M: DGModule) -> WhiteheadReport:
     if not M.is_torsion():
         raise NotTorsion("whitehead detection applies to torsion modules")
     a = not homology(M).is_zero()
-    stage_dims = []
-    stage_mods = []
-    for i in range(R.r + 1):
-        K = koszul_stage(R, i)
-        hom = hom_R(K, M)
-        stage_mods.append(hom)
-        stage_dims.append(homology(hom).dims())
+    stage_mods = [hom_R(koszul_stage(R, i), M) for i in range(R.r + 1)]
+    stage_homs = [homology(hom) for hom in stage_mods]
+    stage_dims = [H.dims() for H in stage_homs]
     b = bool(stage_dims[-1])
     # staged certificate: x_i invertible on H(Hom(K_(i-1), M)) when the
     # stage above is acyclic
@@ -369,10 +360,10 @@ def whitehead_detect(M: DGModule) -> WhiteheadReport:
         if stage_dims[i]:
             action_iso.append(None)
             continue
-        Hm = homology_module(stage_mods[i - 1]) if stage_dims[i - 1] else None
-        if Hm is None:
+        if not stage_dims[i - 1]:
             action_iso.append(True)
             continue
+        Hm = homology_module(stage_mods[i - 1], H=stage_homs[i - 1])
         ok = True
         for n in Hm.degrees():
             t = n - R.codegrees[i - 1]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -130,6 +131,13 @@ def named_group(name: str) -> GroupData:
             raise ValueError("Sp(n) needs n >= 1")
         return GroupData(tuple(range(4, 4 * n + 1, 4)))
     raise ValueError(f"unknown group name: {name!r}")
+
+
+def parse_group(spec: str) -> GroupData:
+    """A codegree list (``2`` or ``4,6``) or a catalog name (``SU(3)``)."""
+    if re.fullmatch(r"[0-9][0-9,]*", spec):
+        return GroupData(tuple(int(x) for x in spec.split(",") if x))
+    return named_group(spec)
 
 
 def catalog() -> list:
@@ -759,10 +767,7 @@ def koszul_stage(R: PolyAlgebra, upto: int) -> FreeDGModule:
 
 @functools.cache
 def _koszul_on(R: PolyAlgebra, varnames: tuple, upto: int) -> FreeDGModule:
-    subs = []
-    for k in range(upto + 1):
-        subs.extend(itertools.combinations(range(upto), k))
-    subs.sort(key=lambda s: (len(s), s))
+    subs = _subsets(upto)
     index = {s: k for k, s in enumerate(subs)}
     n = len(subs)
     diff = [[R.zero() for _ in range(n)] for _ in range(n)]

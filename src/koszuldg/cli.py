@@ -18,18 +18,13 @@ from fractions import Fraction
 
 from .grlin import Window
 from . import algebra as alg
+from .algebra import parse_group
 from . import resolve as rs
 from . import duality as du
 from . import adams as ad
 from . import groups as gr
 from .modfile import ParseError, parse_module_file, print_module
 from .report import RunReport, content_hash
-
-
-def parse_group(spec: str) -> alg.GroupData:
-    if re.fullmatch(r"[0-9][0-9,]*", spec):
-        return alg.GroupData(tuple(int(x) for x in spec.split(",") if x))
-    return alg.named_group(spec)
 
 
 def parse_window(spec: str) -> Window:

@@ -184,47 +184,33 @@ def _dims_agree(left: DGModule, right: DGModule, lo: int, hi: int) -> bool:
                                   for n in compared)
 
 
-def roundtrip_check(X: DGModule, R: PolyAlgebra | None = None,
-                    window_pad: int = 3) -> RoundTripReport:
+def roundtrip_check(X: DGModule) -> RoundTripReport:
     """Round-trip homology comparison through the duality functors.
 
     Exterior input N: compare homology of T(S(N)) with homology of N.
-    Torsion input M: compare homology of T(M) with that of T(S(T(M))),
-    both as graded spaces with exterior action ranks.
+    Torsion input M: the same comparison for N = T(M), that is homology of
+    T(S(T(M))) with that of T(M), both as graded spaces with exterior action
+    ranks.
 
     The twisted-tensor window only needs to clear the homology support by
     the certification margin: Hom from the Koszul model reads degrees at or
-    below its argument, so nothing above the support plus the pad can
+    below its argument, so nothing above the support plus a pad of 3 can
     contribute to a certified comparison degree.
     """
+    side = "exterior"
     if isinstance(X.algebra, ExtAlgebra):
-        L = X.algebra
-        R = R or PolyAlgebra(L.group)
-        top = (X.support_max() or 0) + window_pad
-        S = functor_S(X, R, Window(0, top))
-        TS = functor_T(S)
-        left = homology_module(TS)
-        right = homology_module(X)
-        agree = _dims_agree(left, right, min(X.lo, left.lo), max(X.hi, left.hi))
-        la, ra = _action_ranks(left), _action_ranks(right)
-        agree = agree and la == ra
-        return RoundTripReport("exterior", dict_dims(left), dict_dims(right),
-                               la, ra, agree)
-    M = X
-    if not M.is_finite():
+        R = PolyAlgebra(X.algebra.group)
+    elif not X.is_finite():
         raise NotTorsion("torsion-side roundtrip needs a finite-length module")
-    R = M.algebra
-    T1 = functor_T(M)
-    top = (T1.support_max() or 0) + window_pad
-    STM = functor_S(T1, R, Window(0, top))
-    TST = functor_T(STM)
-    left = homology_module(TST)
-    right = homology_module(T1)
-    agree = _dims_agree(left, right, min(right.lo, left.lo), max(right.hi, left.hi))
+    else:
+        side, R, X = "torsion", X.algebra, functor_T(X)
+    S = functor_S(X, R, Window(0, (X.support_max() or 0) + 3))
+    left = homology_module(functor_T(S))
+    right = homology_module(X)
+    agree = _dims_agree(left, right, min(X.lo, left.lo), max(X.hi, left.hi))
     la, ra = _action_ranks(left), _action_ranks(right)
     agree = agree and la == ra
-    return RoundTripReport("torsion", dict_dims(left), dict_dims(right),
-                           la, ra, agree)
+    return RoundTripReport(side, dict_dims(left), dict_dims(right), la, ra, agree)
 
 
 def dict_dims(M: DGModule) -> dict:
@@ -763,7 +749,7 @@ class RecognizeResult:
         return self.cone_acyclic and self.nonzero_in_degree_zero
 
 
-def recognize_k(M: DGModule, window_pad: int = 4) -> RecognizeResult:
+def recognize_k(M: DGModule) -> RecognizeResult:
     """A verified quasi-isomorphism from the Koszul model onto any module
     with one-dimensional homology in degree zero.
 
@@ -810,8 +796,8 @@ def recognize_k(M: DGModule, window_pad: int = 4) -> RecognizeResult:
             raise LinearSolveFailed(f"no extension over the stage-{i+1} cone")
         for T in news:
             images[T] = (bdeg[T], [sol[(T, row, 0)] for row in range(M.dim(bdeg[T]))])
-    # realize the comparison and verify
-    lo = min((M.support_min() or 0) - 1, min(kb.basis_degrees()) - 1) - window_pad
+    # realize the comparison, 4 degrees below both supports, and verify
+    lo = min((M.support_min() or 0) - 1, min(kb.basis_degrees()) - 1) - 4
     hi = max((M.support_max() or 0), 0) + 2
     realized = to_degreewise(kb, Window(lo, hi), name="kbar")
     vectors, table = [images[s][1] for s in subs], {}

@@ -446,7 +446,7 @@ class DerivedDual:
         return self.generator_degree
 
 
-def derived_dual(rm: RingMap, depth_pad: int = 6) -> DerivedDual:
+def derived_dual(rm: RingMap) -> DerivedDual:
     """Dualized minimal free resolution of the target over the source.
 
     Returns the dual as a free DG module over the source whose homology is
@@ -457,12 +457,12 @@ def derived_dual(rm: RingMap, depth_pad: int = 6) -> DerivedDual:
     """
     S, T = rm.source, rm.target
     cert = rm.certificate
+    depth_pad = 6  # degrees of slack below the resolution and the dual's homology
     depth = -(cert.top_codegree + sum(S.codegrees) + (max(S.codegrees) if S.r else 1)
               + depth_pad)
     Tmod = poly_as_module(T, Window(depth, 0), name="T")
     restricted = restrict_scalars(rm, Tmod, name="res(T)")
-    res = minimal_free_resolution_fg(restricted, S,
-                                     margin=(max(S.codegrees) if S.r else 1))
+    res = minimal_free_resolution_fg(restricted, S)
     total = total_free_module(res)
     dual = dual_free(total)
     lifts = _commuting_lifts(rm, res, total, Tmod)
@@ -653,7 +653,7 @@ def r_shriek_left(rm: RingMap, M: DGModule, name: str = "",
                    pieces, True, True, name or f"r'_!({M.name})")
 
 
-def derived_coextension_dims(rm: RingMap, M: DGModule, pad: int = 4) -> dict:
+def derived_coextension_dims(rm: RingMap, M: DGModule) -> dict:
     """Homology of the derived coextension: coextend the totalized injective
     resolution of a zero-differential finite-length module.
 
@@ -666,6 +666,7 @@ def derived_coextension_dims(rm: RingMap, M: DGModule, pad: int = 4) -> dict:
         return {}
     if not (M.is_finite() and is_zero_diff(M)):
         raise NotTorsion("derived coextension needs finite length, zero differential")
+    pad = 4  # degrees of slack below the resolution window
     span = rm.certificate.top_codegree + sum(rm.source.codegrees) + pad
     ires = injective_resolution(M, window=Window(-(M.support_max() - M.support_min()
                                                   + span + pad), 0))

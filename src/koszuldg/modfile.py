@@ -21,7 +21,7 @@ from .algebra import (
     GroupData,
     PolyAlgebra,
     dg_module,
-    named_group,
+    parse_group,
 )
 
 
@@ -65,14 +65,7 @@ def _parse_algebra(tokens, line_no):
     kind = tokens[0]
     if kind not in ("poly", "ext"):
         raise ParseError(line_no, f"unknown algebra kind {kind!r}")
-    if len(tokens) == 1:
-        group = GroupData(())
-    else:
-        spec = tokens[1]
-        if re.fullmatch(r"[0-9][0-9,]*", spec):
-            group = GroupData(tuple(int(x) for x in spec.split(",") if x))
-        else:
-            group = named_group(spec)
+    group = GroupData(()) if len(tokens) == 1 else parse_group(tokens[1])
     return PolyAlgebra(group) if kind == "poly" else ExtAlgebra(group)
 
 

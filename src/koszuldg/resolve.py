@@ -2,17 +2,19 @@
 
 Minimal free resolutions are found syzygy-by-syzygy with plain kernel
 computations; no Groebner machinery is needed because every graded piece is
-finite-dimensional.  The generator degrees of each syzygy stage are known in
-advance from an independent finite computation (homology of the module
-tensored with the exterior Koszul complex), which both sizes the windows and
-cross-checks the construction.  Injective resolutions are graded duals of
-free ones; Ext is computed along both routes as mutual oracles, the
-injective route from module_hom_space (algebra.map_system's equations) and
-postcomposition (algebra._express_composites).  Derived Hom
-uses a semifree replacement built by killing cone homology from the top: a
-scan reads the cone one degree at a time from its two differential blocks
-there, and one final gate builds and checks the whole replacement and its
-cone before it is returned.
+finite-dimensional.  One sweep finds every stage, stage 0 included: there
+the map before it is the zero map on the module, whose kernel is all of it.
+The generator degrees of each syzygy stage are known in advance from an
+independent finite computation (homology of the module tensored with the
+exterior Koszul complex), which both sizes the windows and cross-checks the
+construction.  Injective resolutions are graded duals of free ones; both
+kinds are certified exact by one check on the realized complex.  Ext is
+computed along both routes as mutual oracles, the injective route from
+module_hom_space (algebra.map_system's equations) and postcomposition
+(algebra._express_composites).  Derived Hom uses a semifree replacement
+built by killing cone homology from the top: a scan reads the cone one
+degree at a time from its two differential blocks there, and one final gate
+builds and checks the whole replacement and its cone before it is returned.
 """
 from __future__ import annotations
 
@@ -32,7 +34,6 @@ from .grlin import (
     _reduced,
     _transposed,
     homology_at,
-    unit_vector,
 )
 from .algebra import (
     ChainMap,
@@ -181,24 +182,23 @@ def minimal_free_resolution(M: DGModule, R: PolyAlgebra | None = None,
     return _resolve_with_betti(M, R, betti, window)
 
 
-def minimal_free_resolution_fg(M: DGModule, R: PolyAlgebra,
-                               window: Window | None = None,
-                               margin: int = 0) -> ResolutionData:
+def minimal_free_resolution_fg(M: DGModule, R: PolyAlgebra) -> ResolutionData:
     """Resolution engine for finitely generated windowed modules.
 
     The caller is responsible for a window deep enough that the Betti
     support sits inside the certified range; a margin of vanishing internal
-    degrees below the observed support is required as a loud certificate.
+    degrees below the observed support, the top codegree of R, is required
+    as a loud certificate.
     """
     if not is_zero_diff(M):
         raise NotFiniteLength("resolution needs a zero-differential module")
     betti = tor_betti(M, R)
     if betti and not M.is_finite():
         b_min = min(t for row in betti.values() for t in row)
-        if b_min - margin < M.lo + 1:
+        if b_min - (max(R.codegrees) if R.r else 1) < M.lo + 1:
             raise WindowTooSmall(
                 f"betti support reaches {b_min}, window floor {M.lo} leaves no margin")
-    return _resolve_with_betti(M, R, betti, window)
+    return _resolve_with_betti(M, R, betti, None)
 
 
 def _resolve_with_betti(M: DGModule, R: PolyAlgebra, betti: dict,
@@ -217,39 +217,18 @@ def _resolve_with_betti(M: DGModule, R: PolyAlgebra, betti: dict,
         lo, hi = min(lo, window.lo), max(hi, window.hi)
     win = Window(lo, hi)
 
-    # stage 0: generators of M / m M
-    gens0 = []
-    for n in sorted(betti.get(0, {}), reverse=True):
-        want = betti[0][n]
-        span = {}
-        for i in range(R.r):
-            f = M.actions[i].form(n + R.codegrees[i])
-            for col in [] if f is None else _transposed(f)[1]:
-                _insert(span, col)
-        new = [unit_vector(M.dim(n), j) for j in range(M.dim(n)) if _insert(span, {j: 1})]
-        if len(new) != want:
-            raise WindowTooSmall(
-                f"stage 0 found {len(new)} generators at degree {n}, oracle says {want}")
-        for v in new:
-            gens0.append((f"g0_{len(gens0)}", n, v))
-    terms = [[(lab, n) for lab, n, _ in gens0]]
-    aug_vectors = [(n, v) for _, n, v in gens0]
-    F0 = free_module(R, terms[0])
-    # each stage's free bases over the window, built once: for its
-    # realization, its augmentation or stage map, and the next sweep
-    bases = {n: free_basis(F0, n) for n in win.degrees()}
-    F0_real = to_degreewise(F0, win, name="F0", bases=bases)
-    images, table = [v for _, _, v in gens0], dict(bases)
-    aug_blocks = {n: _evaluate(F0, M, images, n, table) for n in range(win.lo, win.hi + 1)}
-    realized = [F0_real]
-    realized_aug = GradedMap(F0_real.space, M.space, 0, aug_blocks)
-
-    maps, realized_maps = [], []
-    prev_free, prev_real, prev_map = F0, F0_real, realized_aug
-    s = 1
+    # Each stage s sweeps the kernel of the map before it from the top down
+    # and keeps its complement to the m-multiples.  Before stage 0 that map
+    # is the zero map on M, whose kernel is all of M, so stage 0 keeps unit
+    # vectors spanning M / m M; its images are then evaluated into M, while
+    # a later stage's are decoded into a polynomial matrix and realized.
+    terms, maps, realized, realized_maps = [], [], [], []
+    prev_free, prev_real, prev_map = None, M, GradedMap(M.space, M.space, 0, {})
+    bases = None
+    s = 0
     while betti.get(s):
         expected = betti[s]
-        top = max(b for _, b in prev_free.basis)
+        top = M.hi if s == 0 else max(b for _, b in prev_free.basis)
         sweep_lo = min(expected)
         kernels = {}  # degree -> the kernel basis there, as primitive integer rows
         new_gens = []
@@ -275,23 +254,31 @@ def _resolve_with_betti(M: DGModule, R: PolyAlgebra, betti: dict,
             for lead, col in new:
                 new_gens.append((n, _column_vector(lead, col, dim_n)))
         gen_list = [(f"g{s}_{i}", n) for i, (n, _) in enumerate(new_gens)]
-        poly_matrix = [[R.zero() for _ in new_gens] for _ in range(prev_free.rank)]
-        for col, (n, v) in enumerate(new_gens):
-            for row, p in enumerate(_vector_to_poly_column(prev_free, n, v)):
-                poly_matrix[row][col] = p
         terms.append(gen_list)
-        maps.append(poly_matrix)
         F_s = free_module(R, gen_list)
+        # each stage's free bases over the window, built once: for its
+        # realization, its augmentation or stage map, and the next sweep
         prev_bases, bases = bases, {n: free_basis(F_s, n) for n in win.degrees()}
         F_s_real = to_degreewise(F_s, win, name=f"F{s}", bases=bases)
-        stage = _poly_terms(poly_matrix)
-        blocks = {n: _realize(stage, bases[n], prev_bases[n]) for n in win.degrees()}
+        if s == 0:
+            aug_vectors = new_gens
+            images, table = [v for _, v in new_gens], dict(bases)
+            blocks = {n: _evaluate(F_s, M, images, n, table) for n in win.degrees()}
+        else:
+            poly_matrix = [[R.zero() for _ in new_gens] for _ in range(prev_free.rank)]
+            for col, (n, v) in enumerate(new_gens):
+                for row, p in enumerate(_vector_to_poly_column(prev_free, n, v)):
+                    poly_matrix[row][col] = p
+            maps.append(poly_matrix)
+            stage = _poly_terms(poly_matrix)
+            blocks = {n: _realize(stage, bases[n], prev_bases[n]) for n in win.degrees()}
         realized.append(F_s_real)
         realized_maps.append(GradedMap(F_s_real.space, prev_real.space, 0, blocks))
         prev_free, prev_real, prev_map = F_s, F_s_real, realized_maps[-1]
         s += 1
         if s > R.r + 1:
             raise InvariantViolation("resolution exceeded the rank bound")
+    realized_aug = realized_maps.pop(0)
 
     res = ResolutionData("free", R, M, terms, maps, aug_vectors, win,
                          realized, realized_maps, realized_aug, betti)
@@ -313,29 +300,22 @@ def _certify_free_resolution(res: ResolutionData):
     lo = res.window.lo + (max(R.codegrees) if R.r else 1)
     if not M.complete_below:
         lo = max(lo, M.lo + 1)
-    hi = res.window.hi - 1
-    chain = [res.realized_aug] + res.realized_maps
-    for s in range(1, len(chain)):
-        out_map, in_map = chain[s - 1], chain[s]
-        for n in range(lo, hi + 1):
-            cols = res.realized[s - 1].dim(n)
-            ker = cols - _form_rank(out_map.form(n)) if cols else 0
-            img = _form_rank(in_map.form(n))
-            if ker != img:
+    _certify_exact("free", res.realized[::-1] + [M],
+                   res.realized_maps[::-1] + [res.realized_aug], range(lo, res.window.hi))
+
+
+def _certify_exact(kind: str, spaces: list, maps: list, degrees):
+    """Exactness of 0 -> V_0 -> ... -> V_k -> 0, maps[i] sending spaces[i]
+    to spaces[i + 1], in each of degrees: the first map injective, the last
+    onto, and kernel equal to image in between.  Each block's rank is
+    computed once; the error names the resolution, the term and the degree.
+    """
+    for n in degrees:
+        ranks = [0] + [_form_rank(f.form(n)) for f in maps] + [0]
+        for i, V in enumerate(spaces):
+            if V.dim(n) - ranks[i + 1] != ranks[i]:
                 raise InvariantViolation(
-                    f"resolution not exact at stage {s - 1}, degree {n}")
-    # surjectivity of the augmentation and injectivity of the last map
-    for n in range(lo, hi + 1):
-        if M.known_dim(n):
-            if _form_rank(res.realized_aug.form(n)) != M.dim(n):
-                raise InvariantViolation(f"augmentation not onto at degree {n}")
-    if res.realized_maps:
-        last = res.realized_maps[-1]
-        F_last = res.realized[-1]
-        for n in range(lo, hi + 1):
-            cols = F_last.dim(n)
-            if cols and _form_rank(last.form(n)) != cols:
-                raise InvariantViolation(f"last syzygy map not injective at degree {n}")
+                    f"{kind} resolution not exact at {V.name}, degree {n}")
 
 
 def hilbert_function(M: DGModule, degrees) -> dict:
@@ -426,25 +406,8 @@ def _certify_injective_resolution(res: InjectiveResolutionData):
         raise InvariantViolation("injective resolution longer than the rank")
     lo = -(res.window.hi - 1)
     hi = -(res.window.lo + (max(R.codegrees) if R.r else 1))
-    chain = [res.aug] + res.maps  # chain[s]: spaces[s] -> spaces[s+1]
-    spaces = [res.module] + res.stages
-    for s, mp in enumerate(chain):
-        for n in range(lo, hi + 1):
-            cols = spaces[s].dim(n)
-            ker = cols - _form_rank(mp.form(n)) if cols else 0
-            if s == 0:
-                if ker:
-                    raise InvariantViolation(f"augmentation not injective at degree {n}")
-            else:
-                img = _form_rank(chain[s - 1].form(n))
-                if ker != img:
-                    raise InvariantViolation(
-                        f"injective resolution not exact at stage {s - 1}, degree {n}")
-    last = chain[-1]
-    J_last = spaces[-1]
-    for n in range(lo, hi + 1):
-        if J_last.dim(n) and _form_rank(last.form(n)) != J_last.dim(n):
-            raise InvariantViolation(f"last injective map not onto at degree {n}")
+    _certify_exact("injective", [res.module] + res.stages, [res.aug] + res.maps,
+                   range(lo, hi + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +427,6 @@ class BigradedTable:
     def max_row(self) -> int:
         return max((s for (s, _), d in self.entries.items() if d), default=-1)
 
-    def rows(self) -> dict:
-        out = {}
-        for (s, t), d in self.entries.items():
-            if d:
-                out.setdefault(s, {})[t] = d
-        return out
-
     def abutment_dims(self) -> dict:
         """Total dimension contributed to each degree n = t - s."""
         out = {}
@@ -478,14 +434,6 @@ class BigradedTable:
             if d:
                 n = t - s
                 out[n] = out.get(n, 0) + d
-        return out
-
-    def euler_characteristic(self) -> dict:
-        out = {}
-        for (s, t), d in self.entries.items():
-            if d:
-                n = t - s
-                out[n] = out.get(n, 0) + (-1) ** s * d
         return out
 
     def total_dim(self) -> int:

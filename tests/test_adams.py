@@ -149,6 +149,27 @@ def test_whitehead_stages_are_built_once(monkeypatch):
     assert first[-1] is alg.koszul_model(R2) and first[1] is alg.koszul_stage(R2, 1)
 
 
+def test_whitehead_computes_each_stage_homology_once(monkeypatch):
+    # the certificate reads a stage's homology module only under an acyclic
+    # stage, which no torsion module gives; stand-in stages reach it
+    k = alg.residue_field(R2)
+    stages = iter([k, k, alg.zero_module(R2)])
+    monkeypatch.setattr(ad, "hom_R", lambda K, M: next(stages))
+    calls = []
+    kept = alg.homology
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return kept(*args, **kwargs)
+    # homology_module computes its own homology through algebra.homology
+    monkeypatch.setattr(ad, "homology", counted)
+    monkeypatch.setattr(alg, "homology", counted)
+    rep = ad.whitehead_detect(k)
+    assert rep.stage_dims == [{0: 1}, {0: 1}, {}] and rep.stage_action_iso == [None, False]
+    # once for the input, once per stage
+    assert len(calls) == 4
+
+
 def test_whitehead_rejects_untorsion():
     Rm = alg.poly_as_module(R1, Window(-6, 0))
     with pytest.raises(alg.NotTorsion):

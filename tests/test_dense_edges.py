@@ -8,9 +8,10 @@ Module files are parsed into and printed from integer forms.  A new dense
 read is then a visible edit of this list, not a second representation
 growing back unnoticed.  A second test
 keeps the summing of placed integer forms (`_assemble`) in the summed-module
-builder and a listed few readers, and a third keeps the construction of
+builder and a listed few readers, a third keeps the construction of
 linear systems in the one writer of the equations of module maps and the
-one system of another shape."""
+one system of another shape, and a fourth lists the rank takers of
+`resolve`, so both resolutions keep one exactness certificate."""
 import ast
 from pathlib import Path
 
@@ -110,3 +111,23 @@ def test_module_map_equations_have_one_writer():
     assert not outside, f"linear systems built outside map_system: {outside}"
     # one construction per listed site, and every site listed still builds one
     assert sorted(c[:2] for c in found) == sorted(SYSTEMS)
+
+
+# Ranks in resolve are taken by the Betti oracle, by the one exactness
+# certificate of the free and the injective resolution, and by the two Ext
+# routes; a certifier counting ranks of its own shows up here.
+RANKED = [
+    ("resolve", "_certify_exact"),
+    ("resolve", "_ext_via_free"),
+    ("resolve", "_ext_via_free"),
+    ("resolve", "_ext_via_injective"),
+    ("resolve", "_ext_via_injective"),
+    ("resolve", "tor_betti"),
+]
+
+
+def test_resolutions_share_one_exactness_certificate():
+    path = SRC / "resolve.py"
+    found = dense_calls(ast.parse(path.read_text(), filename=str(path)), "resolve", [], [],
+                        {"_form_rank"})
+    assert sorted(c[:2] for c in found) == RANKED

@@ -22,7 +22,8 @@ and compose loops, now `algebra.map_system` and
 maps and the Adams tower that computed each stage's homology and socle
 twice, and the bodies of extend_scalars, whose relations were dense vectors
 projected through a Subspace, and of the commuting lifts, which wrote their
-own linear system, kept as they were.
+own linear system, and the free resolution's hand-written stage 0 and the
+two certifiers of the free and the injective resolution, kept as they were.
 Pieces, vectors, blocks, cells, modules and solution-space bases must be
 equal, and rejections must carry the same message."""
 import copy
@@ -3765,3 +3766,176 @@ def test_coextension_solves_and_composites_match_old_loops():
     # both compose loops produced blocks: postcomposition with d_M and
     # precomposition with the target generators
     assert diffs >= 20 and actions >= 100
+
+
+# ---------------------------------------------------------------------------
+# the resolution's hand-written stage 0 and its two certifiers, which did
+# the same rank bookkeeping, kept as they were
+
+
+def old_stage0(M, R, betti):
+    """The generators of M / m M as (label, degree, unit vector): at each
+    degree of the oracle's stage 0, from the top, the unit vectors outside
+    the span of the columns of the action blocks landing there."""
+    gens0 = []
+    for n in sorted(betti.get(0, {}), reverse=True):
+        want = betti[0][n]
+        span = {}
+        for i in range(R.r):
+            f = M.actions[i].form(n + R.codegrees[i])
+            for col in [] if f is None else grlin._transposed(f)[1]:
+                grlin._insert(span, col)
+        new = [unit_vector(M.dim(n), j) for j in range(M.dim(n))
+               if grlin._insert(span, {j: 1})]
+        if len(new) != want:
+            raise rs.WindowTooSmall(
+                f"stage 0 found {len(new)} generators at degree {n}, oracle says {want}")
+        for v in new:
+            gens0.append((f"g0_{len(gens0)}", n, v))
+    return gens0
+
+
+def old_certify_free_resolution(res):
+    """Minimality, exactness in the window, and the rank bound."""
+    R = res.ring
+    if res.length > R.r:
+        raise alg.InvariantViolation("resolution longer than the number of generators")
+    for mat in res.maps:
+        for row in mat:
+            for p in row:
+                if p.constant_term():
+                    raise alg.InvariantViolation("resolution is not minimal (unit entry)")
+    M = res.module
+    lo = res.window.lo + (max(R.codegrees) if R.r else 1)
+    if not M.complete_below:
+        lo = max(lo, M.lo + 1)
+    hi = res.window.hi - 1
+    chain = [res.realized_aug] + res.realized_maps
+    for s in range(1, len(chain)):
+        out_map, in_map = chain[s - 1], chain[s]
+        for n in range(lo, hi + 1):
+            cols = res.realized[s - 1].dim(n)
+            ker = cols - grlin._form_rank(out_map.form(n)) if cols else 0
+            img = grlin._form_rank(in_map.form(n))
+            if ker != img:
+                raise alg.InvariantViolation(
+                    f"resolution not exact at stage {s - 1}, degree {n}")
+    # surjectivity of the augmentation and injectivity of the last map
+    for n in range(lo, hi + 1):
+        if M.known_dim(n):
+            if grlin._form_rank(res.realized_aug.form(n)) != M.dim(n):
+                raise alg.InvariantViolation(f"augmentation not onto at degree {n}")
+    if res.realized_maps:
+        last = res.realized_maps[-1]
+        F_last = res.realized[-1]
+        for n in range(lo, hi + 1):
+            cols = F_last.dim(n)
+            if cols and grlin._form_rank(last.form(n)) != cols:
+                raise alg.InvariantViolation(
+                    f"last syzygy map not injective at degree {n}")
+
+
+def old_certify_injective_resolution(res):
+    """Exactness of 0 -> N -> J_0 -> ... -> J_len -> 0 on the dual of the
+    free resolution's certified range."""
+    R = res.ring
+    if res.length > R.r:
+        raise alg.InvariantViolation("injective resolution longer than the rank")
+    lo = -(res.window.hi - 1)
+    hi = -(res.window.lo + (max(R.codegrees) if R.r else 1))
+    chain = [res.aug] + res.maps  # chain[s]: spaces[s] -> spaces[s+1]
+    spaces = [res.module] + res.stages
+    for s, mp in enumerate(chain):
+        for n in range(lo, hi + 1):
+            cols = spaces[s].dim(n)
+            ker = cols - grlin._form_rank(mp.form(n)) if cols else 0
+            if s == 0:
+                if ker:
+                    raise alg.InvariantViolation(
+                        f"augmentation not injective at degree {n}")
+            else:
+                img = grlin._form_rank(chain[s - 1].form(n))
+                if ker != img:
+                    raise alg.InvariantViolation(
+                        f"injective resolution not exact at stage {s - 1}, degree {n}")
+    last = chain[-1]
+    J_last = spaces[-1]
+    for n in range(lo, hi + 1):
+        if J_last.dim(n) and grlin._form_rank(last.form(n)) != J_last.dim(n):
+            raise alg.InvariantViolation(f"last injective map not onto at degree {n}")
+
+
+def resolution_samples(rng):
+    mods = []
+    for R in (R1, R2, R3, T3):
+        mods += [alg.residue_field(R)] + [sm.random_zero_diff_module(R, rng) for _ in range(3)]
+    return [M for M in mods if M.total_dim()]
+
+
+def test_one_sweep_finds_the_old_stage_zero():
+    rng = random.Random(77)
+    resolutions = [rs.minimal_free_resolution(M) for M in resolution_samples(rng)]
+    # the finitely generated resolutions of the derived duals: windowed
+    # modules, complete above and cut below
+    resolutions += [gr.derived_dual(rm).resolution for rm in gr.catalog_ring_maps().values()]
+    gens = 0
+    for res in resolutions:
+        want = old_stage0(res.module, res.ring, res.betti_oracle)
+        assert [(lab, n) for lab, n, _ in want] == res.terms[0]
+        assert [(n, v) for _, n, v in want] == res.aug_vectors
+        gens += len(want)
+    assert len(resolutions) >= 20 and gens >= 30
+
+
+def tampered(f, n, row, double):
+    """f with row `row` of its block at n doubled or zeroed."""
+    den, rows, cols = f.form(n)
+    rows = list(rows)
+    rows[row] = {j: 2 * x for j, x in rows[row].items()} if double else {}
+    return GradedMap(f.source, f.target, f.degree, {**f.forms, n: (den, rows, cols)})
+
+
+def certify_outcome(certify, res):
+    try:
+        certify(res)
+    except alg.InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+CERTIFIERS = {
+    "free": (rs._certify_free_resolution, old_certify_free_resolution),
+    "injective": (rs._certify_injective_resolution, old_certify_injective_resolution),
+}
+
+
+def test_one_exactness_certificate_raises_where_the_old_certifiers_did():
+    rng = random.Random(78)
+    cases = raised = 0
+    for M in resolution_samples(rng):
+        free, inj = rs.minimal_free_resolution(M), rs.injective_resolution(M)
+        for res, aug, chain in ((free, "realized_aug", "realized_maps"), (inj, "aug", "maps")):
+            new, old = CERTIFIERS[res.kind]
+            assert certify_outcome(new, res) is None and certify_outcome(old, res) is None
+            # each realized map: the augmentation, then the chain's maps
+            for s in [None] + list(range(len(getattr(res, chain)))):
+                f = getattr(res, aug) if s is None else getattr(res, chain)[s]
+                n = rng.choice(sorted(f.forms))
+                row = rng.choice([r for r, entries in enumerate(f.form(n)[1]) if entries])
+                for double in (False, True):
+                    g = tampered(f, n, row, double)
+                    if s is None:
+                        bad = dataclasses.replace(res, **{aug: g})
+                    else:
+                        maps = list(getattr(res, chain))
+                        maps[s] = g
+                        bad = dataclasses.replace(res, **{chain: maps})
+                    got, want = certify_outcome(new, bad), certify_outcome(old, bad)
+                    assert (got is None) == (want is None), (res.kind, s, n, row, double, got, want)
+                    if got is not None:
+                        assert got.startswith(f"{res.kind} resolution not exact at ")
+                        assert got.endswith(f", degree {n}")
+                    cases += 1
+                    raised += got is not None
+    # doubling a row keeps every rank; zeroing one mostly breaks exactness
+    assert cases >= 150 and raised >= 40 and cases - raised >= 75

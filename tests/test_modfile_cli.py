@@ -115,6 +115,9 @@ d v = t
 def test_cli_flag_parsers():
     assert parse_group("4,6").codegrees == (4, 6)
     assert parse_group("SU(3)").codegrees == (4, 6)
+    # one group parser, shared by the CLI flags and the module files
+    assert parse_group is alg.parse_group
+    assert parse_module("algebra poly 4,6\n").algebra == alg.PolyAlgebra(parse_group("SU(3)"))
     assert parse_window("-4:9").lo == -4
     with pytest.raises(ValueError):
         parse_window("oops")
