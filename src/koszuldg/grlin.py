@@ -723,7 +723,9 @@ class HomologyPiece:
     `representatives` is the dense list of the classes, made once; the dense
     `cycle_basis` and `boundary_basis` are views built on every read, the
     way `GradedMap.block` is.  A vector has one such column, so pieces are
-    equal exactly when their dense lists are.
+    equal exactly when their dense lists are.  d_out is the integer form of
+    the outgoing differential, shared with its map and None when it is
+    zero; like the solver, it takes no part in equality.
     """
 
     degree: int
@@ -733,7 +735,8 @@ class HomologyPiece:
     classes: list
     dim: int = field(init=False)
     representatives: list = field(init=False)
-    _solver: tuple | None = field(default=None, repr=False, compare=False)
+    d_out: tuple | None = field(default=None, repr=False, compare=False)
+    _solver: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.dim = len(self.classes)
@@ -753,12 +756,15 @@ class HomologyPiece:
         is not in the span of cycles (representatives plus boundaries).
 
         v is a dense vector or an integer column (den, {index: int}).  The
-        integer columns [classes | boundaries] are independent; one reduction
-        of [those | identity] gives rows that read off each coordinate and
-        rows that span its left null space.  It is made on the first call
-        and kept with the piece.  A class column scaled by s has the
-        coordinate on its vector times s; the boundary columns' scales do
-        not matter.
+        span of the cycles is ker d_out, so v lies in it exactly when
+        d_out . v = 0.  A vector of that kernel is fixed by its entries at
+        the free columns, where the cycle for the j-th free column has its
+        one nonzero; so [classes | boundaries] restricted to them is square
+        and invertible, and one reduction of [that | identity] gives a row
+        that reads off each coordinate from v's free entries.  It is made
+        on the first call and kept with the piece.  A class column scaled
+        by s has the coordinate on its vector times s; the boundary
+        columns' scales do not matter.
         """
         if not isinstance(v, tuple):
             if len(v) != self.ambient:
@@ -768,29 +774,25 @@ class HomologyPiece:
         if self._solver is None:
             cols = self.classes + self.boundaries
             k = len(cols)
-            rows = [{} for _ in range(self.ambient)]
+            # a cycle's other entries sit at pivot columns left of its free one
+            free = [max(col) for _, col in self.cycles]
+            at = {i: r for r, i in enumerate(free)}
+            rows = [{k + r: 1} for r in range(len(free))]  # primitive rows
             for j, (_, col) in enumerate(cols):
                 for i, x in col.items():
-                    rows[i][j] = x
-            for i, row in enumerate(rows):
-                row[k + i] = 1  # the row stays primitive
-            coord, null = [], []
-            for p, row in _reduced(rows):
-                tail = {j - k: x for j, x in row.items() if j >= k}
-                if p < self.dim:
-                    coord.append((self.classes[p][0], row[p], tail))
-                elif p >= k:
-                    null.append(tail)
-            self._solver = (coord, null)
-        coord, null = self._solver
+                    if i in at:
+                        rows[at[i]][j] = x
+            self._solver = [(self.classes[p][0], row[p],
+                             {free[j - k]: x for j, x in row.items() if j >= k})
+                            for p, row in _reduced(rows) if p < self.dim]
         den, w = v
 
         def dot(tail):
             return sum(x * w[i] for i, x in tail.items() if i in w)
 
-        if any(dot(tail) for tail in null):
+        if self.d_out is not None and any(map(dot, self.d_out[1])):
             return None
-        return [Fraction(s * dot(tail), d * den) for s, d, tail in coord]
+        return [Fraction(s * dot(tail), d * den) for s, d, tail in self._solver]
 
 
 def homology_at(d_in: GradedMap, d_out: GradedMap, n: int) -> HomologyPiece:
@@ -800,10 +802,13 @@ def homology_at(d_in: GradedMap, d_out: GradedMap, n: int) -> HomologyPiece:
     the columns of d_in independent of the ones before them; representatives
     are the kernel-basis vectors independent of the boundaries and of the
     ones before them.  Both are the pivot columns of one elimination of
-    [d_in | cycle basis], so the answer is deterministic.  Everything stays
-    in integer columns, from the maps' integer forms through _kernel's
-    primitive cycles (scaling a column moves no pivot column) to the piece;
-    only the representatives are made dense.
+    [d_in | cycle basis], so the answer is deterministic.  Every column lies
+    in ker d_out, which restriction to the free columns of d_out's echelon
+    form maps injectively, so the elimination runs on those rows alone: the
+    row of d_in at the j-th free column, with 1 for the j-th cycle, its only
+    nonzero there.  Everything stays in integer columns, from the maps'
+    integer forms through _kernel's primitive cycles to the piece; only the
+    representatives are made dense.
     """
     m = n - d_in.degree
     f_in, f_out = d_in.form(m), d_out.form(n)
@@ -812,10 +817,10 @@ def homology_at(d_in: GradedMap, d_out: GradedMap, n: int) -> HomologyPiece:
     amb = d_out.source.dim(n)
     cycles = _kernel(_reduced([] if f_out is None else f_out[1]), amb)
     k = d_in.source.dim(m)
-    rows = [{} for _ in range(amb)] if f_in is None else [dict(r) for r in f_in[1]]
-    for j, (_, col) in enumerate(cycles):
-        for i, x in col.items():
-            rows[i][k + j] = x
+    rows = [{k + j: 1} for j in range(len(cycles))]
+    if f_in is not None:
+        for row, (_, col) in zip(rows, cycles):
+            row.update(f_in[1][max(col)])
     pivots = sorted(_echelon(rows))
     boundaries = []
     if f_in is not None:
@@ -826,7 +831,8 @@ def homology_at(d_in: GradedMap, d_out: GradedMap, n: int) -> HomologyPiece:
             col = columns[j]
             g = gcd(den, *col.values())
             boundaries.append((den // g, {i: x // g for i, x in col.items()} if g != 1 else col))
-    return HomologyPiece(n, amb, cycles, boundaries, [cycles[j - k] for j in pivots if j >= k])
+    return HomologyPiece(n, amb, cycles, boundaries, [cycles[j - k] for j in pivots if j >= k],
+                         f_out)
 
 
 class LinearSystem:

@@ -65,7 +65,10 @@ def _parse_algebra(tokens, line_no):
     kind = tokens[0]
     if kind not in ("poly", "ext"):
         raise ParseError(line_no, f"unknown algebra kind {kind!r}")
-    group = GroupData(()) if len(tokens) == 1 else parse_group(tokens[1])
+    try:
+        group = GroupData(()) if len(tokens) == 1 else parse_group(tokens[1])
+    except ValueError as exc:  # a bad group spec; OddCodegree is one
+        raise ParseError(line_no, str(exc)) from None
     return PolyAlgebra(group) if kind == "poly" else ExtAlgebra(group)
 
 

@@ -307,15 +307,21 @@ def _certify_free_resolution(res: ResolutionData):
 def _certify_exact(kind: str, spaces: list, maps: list, degrees):
     """Exactness of 0 -> V_0 -> ... -> V_k -> 0, maps[i] sending spaces[i]
     to spaces[i + 1], in each of degrees: the first map injective, the last
-    onto, and kernel equal to image in between.  Each block's rank is
-    computed once; the error names the resolution, the term and the degree.
+    onto, and kernel equal to image in between, as a complex whose ranks
+    add up.  Each block's rank is computed once; the error names the
+    resolution, the term and the degree.
     """
     for n in degrees:
-        ranks = [0] + [_form_rank(f.form(n)) for f in maps] + [0]
+        forms = [f.form(n) for f in maps]
+        ranks = [0] + [_form_rank(f) for f in forms] + [0]
         for i, V in enumerate(spaces):
             if V.dim(n) - ranks[i + 1] != ranks[i]:
                 raise InvariantViolation(
                     f"{kind} resolution not exact at {V.name}, degree {n}")
+        for i, (f, g) in enumerate(zip(forms, forms[1:]), start=1):
+            if f is not None and g is not None and any(_int_product(g, f)[1]):
+                raise InvariantViolation(
+                    f"{kind} resolution not a complex at {spaces[i].name}, degree {n}")
 
 
 def hilbert_function(M: DGModule, degrees) -> dict:

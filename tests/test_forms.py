@@ -23,7 +23,9 @@ maps and the Adams tower that computed each stage's homology and socle
 twice, and the bodies of extend_scalars, whose relations were dense vectors
 projected through a Subspace, and of the commuting lifts, which wrote their
 own linear system, and the free resolution's hand-written stage 0 and the
-two certifiers of the free and the injective resolution, kept as they were.
+two certifiers of the free and the injective resolution, and homology_at
+and the class coordinates as they were before they read the kernel's free
+coordinates, kept as they were.
 Pieces, vectors, blocks, cells, modules and solution-space bases must be
 equal, and rejections must carry the same message."""
 import copy
@@ -934,6 +936,116 @@ def test_class_coordinates_reject_a_vector_of_the_wrong_length():
     n = next(n for n in range(M.lo, M.hi + 1) if M.dim(n) and n not in H.pieces)
     with pytest.raises(ValueError, match="vector of length"):
         alg.express_in_homology(M, H, n, [F(0)] * (M.dim(n) + 1))
+
+
+def old_homology_at(d_in, d_out, n):
+    """homology_at as it was before its greedy step read the free
+    coordinates: [d_in | cycles] eliminated over every ambient row."""
+    m = n - d_in.degree
+    f_in, f_out = d_in.form(m), d_out.form(n)
+    if f_in is not None and f_out is not None and any(_int_product(f_out, f_in)[1]):
+        raise CompositionNotZero(f"d.d != 0 entering degree {n}")
+    amb = d_out.source.dim(n)
+    cycles = grlin._kernel(grlin._reduced([] if f_out is None else f_out[1]), amb)
+    k = d_in.source.dim(m)
+    rows = [{} for _ in range(amb)] if f_in is None else [dict(r) for r in f_in[1]]
+    for j, (_, col) in enumerate(cycles):
+        for i, x in col.items():
+            rows[i][k + j] = x
+    pivots = sorted(_echelon(rows))
+    boundaries = []
+    if f_in is not None:
+        den, columns, _ = grlin._transposed(f_in)
+        for j in pivots:
+            if j >= k:
+                break
+            col = columns[j]
+            g = gcd(den, *col.values())
+            boundaries.append((den // g, {i: x // g for i, x in col.items()} if g != 1 else col))
+    return HomologyPiece(n, amb, cycles, boundaries, [cycles[j - k] for j in pivots if j >= k])
+
+
+def old_class_coordinates(piece):
+    """HomologyPiece.class_coordinates as it was, as a function of v: one
+    reduction of [classes | boundaries | identity] over every ambient row,
+    membership read off the rows of its left null space."""
+    cols = piece.classes + piece.boundaries
+    k = len(cols)
+    rows = [{} for _ in range(piece.ambient)]
+    for j, (_, col) in enumerate(cols):
+        for i, x in col.items():
+            rows[i][j] = x
+    for i, row in enumerate(rows):
+        row[k + i] = 1  # the row stays primitive
+    coord, null = [], []
+    for p, row in grlin._reduced(rows):
+        tail = {j - k: x for j, x in row.items() if j >= k}
+        if p < piece.dim:
+            coord.append((piece.classes[p][0], row[p], tail))
+        elif p >= k:
+            null.append(tail)
+
+    def class_coordinates(v):
+        if not isinstance(v, tuple):
+            v = grlin._int_column(v)
+        den, w = v
+
+        def dot(tail):
+            return sum(x * w[i] for i, x in tail.items() if i in w)
+
+        if any(dot(tail) for tail in null):
+            return None
+        return [F(s * dot(tail), d * den) for s, d, tail in coord]
+
+    return class_coordinates
+
+
+def test_free_coordinate_homology_matches_the_old_bodies():
+    rng = random.Random(144)
+    E = du.end_dga(T3).module
+    cases = list(homology_cases(rng))
+    cases += [(E.diff, E.diff, n) for n in range(E.lo - 1, E.hi + 2)]
+    # the edge-case complexes that do not compose to zero raise alike
+    cases += [(d_in, d_out, 1) for label, d_in, d_out in complexes(rng) if label == "d.d != 0"]
+    seen = dict.fromkeys(("cycle", "boundary", "non-cycle", "raised", "End(kbar)"), 0)
+    for d_in, d_out, n in cases:
+        got, want = outcome(homology_at, d_in, d_out, n), outcome(old_homology_at, d_in, d_out, n)
+        assert got == want
+        if isinstance(want, tuple):
+            seen["raised"] += 1
+            continue
+        seen["End(kbar)"] += want.dim if d_out is E.diff else 0
+        old = old_class_coordinates(want)
+
+        def combination(columns, dens):
+            v = [F(0)] * want.ambient
+            for den, col in columns:
+                c = F(rng.randint(-3, 3), den * rng.choice(dens))
+                for i, x in col.items():
+                    v[i] += c * x
+            return v
+
+        probes = [("cycle", combination(want.cycles, (1, 2, 7))) for _ in range(2)]
+        if want.boundaries:
+            probes.append(("boundary", combination(want.boundaries, (1, 3))))
+        f_out = d_out.form(n)
+        hit = sorted({j for row in f_out[1] for j in row}) if f_out else []
+        if hit:
+            # a cycle plus a unit vector that d_out does not kill
+            v = probes[0][1][:]
+            v[rng.choice(hit)] += F(rng.choice((1, -2)), rng.choice((1, 5)))
+            probes.append(("non-cycle", v))
+        for kind, v in probes:
+            coords = old(v)
+            assert (coords is None) == (kind == "non-cycle")
+            assert kind != "boundary" or coords == [F(0)] * want.dim
+            seen[kind] += 1
+            den, col = grlin._int_column(v)
+            assert got.class_coordinates(v) == coords
+            # the same vector as an integer column, in lowest terms or not
+            assert got.class_coordinates((den, col)) == coords
+            assert got.class_coordinates((5 * den, {i: 5 * x for i, x in col.items()})) == coords
+    assert min(seen.values()) >= 8 and seen["non-cycle"] >= 100, seen
 
 
 # ---------------------------------------------------------------------------
@@ -3909,9 +4021,24 @@ CERTIFIERS = {
 }
 
 
+def certified_degrees(res):
+    """The degrees at which each resolution is certified exact: the free
+    one's window less its top degree and the codegree pad at the bottom,
+    and the dual range for the injective one."""
+    R = res.ring
+    pad = max(R.codegrees) if R.r else 1
+    if res.kind == "injective":
+        return range(-(res.window.hi - 1), -(res.window.lo + pad) + 1)
+    lo = res.window.lo + pad
+    if not res.module.complete_below:
+        lo = max(lo, res.module.lo + 1)
+    return range(lo, res.window.hi)
+
+
 def test_one_exactness_certificate_raises_where_the_old_certifiers_did():
     rng = random.Random(78)
-    cases = raised = 0
+    cases = raised = zeroed_in_range = 0
+    not_complex = [0, 0]  # zeroed, doubled rows that only the composites catch
     for M in resolution_samples(rng):
         free, inj = rs.minimal_free_resolution(M), rs.injective_resolution(M)
         for res, aug, chain in ((free, "realized_aug", "realized_maps"), (inj, "aug", "maps")):
@@ -3931,11 +4058,27 @@ def test_one_exactness_certificate_raises_where_the_old_certifiers_did():
                         maps[s] = g
                         bad = dataclasses.replace(res, **{chain: maps})
                     got, want = certify_outcome(new, bad), certify_outcome(old, bad)
-                    assert (got is None) == (want is None), (res.kind, s, n, row, double, got, want)
+                    # the old certifiers checked ranks only; the composites
+                    # through each term must vanish as well
+                    chained = [getattr(bad, aug)] + list(getattr(bad, chain))
+                    if res.kind == "free":
+                        chained = chained[::-1]
+                    blocks = [h.block(n) for h in chained]
+                    certified = n in certified_degrees(res)
+                    complex_ = not certified or all(is_zero_matrix(dense_mul(b, a))
+                                                    for a, b in zip(blocks, blocks[1:]) if a and b)
+                    assert (got is None) == (want is None and complex_), \
+                        (res.kind, s, n, row, double, got, want)
                     if got is not None:
-                        assert got.startswith(f"{res.kind} resolution not exact at ")
+                        what = "not exact" if want is not None else "not a complex"
+                        assert got.startswith(f"{res.kind} resolution {what} at ")
                         assert got.endswith(f", degree {n}")
+                        not_complex[double] += want is None
+                    # zeroing a nonzero row breaks a rank or a composite
+                    assert double or got is not None or not certified
+                    zeroed_in_range += not double and certified
                     cases += 1
                     raised += got is not None
-    # doubling a row keeps every rank; zeroing one mostly breaks exactness
-    assert cases >= 150 and raised >= 40 and cases - raised >= 75
+    # doubling a row keeps every rank, and mostly the composites
+    assert cases >= 150 and raised >= 80 and cases - raised >= 75
+    assert zeroed_in_range >= 60 and min(not_complex) >= 15

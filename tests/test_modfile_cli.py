@@ -225,6 +225,10 @@ MALFORMED = [
     (_HEAD + "d w = 2*\n", 7, "term '2*' has no basis label"),
     (_HEAD + "d w = 3\n", 7, "term '3' has no basis label"),
     ("algebra tensor 2\n", 1, "unknown algebra kind 'tensor'"),
+    # the group's errors, once a bare ValueError or OddCodegree without a line
+    ("module m\nalgebra poly U(3)\n", 2, "unknown group name: 'U(3)'"),
+    ("algebra ext 2,3\nwindow 0 0\n", 1, "codegree 3 is not an even integer >= 2"),
+    ("algebra poly SU(1)\n", 1, "SU(n) needs n >= 2"),
     (_HEAD + "x1 ghost = v\n", 7, "unknown label 'ghost'"),
     # differential lines are read before action lines
     (_HEAD + "y7 u = v\nd u = ghost\n", 8, "unknown label 'ghost'"),
