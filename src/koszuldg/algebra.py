@@ -118,19 +118,19 @@ def named_group(name: str) -> GroupData:
         return GroupData(())
     if s == "T":
         return GroupData((2,))
-    if s.startswith("T^"):
-        return GroupData(tuple([2] * int(s[2:])))
-    if s.startswith("SU(") and s.endswith(")"):
-        n = int(s[3:-1])
+    m = re.fullmatch(r"T\^([0-9]+)|(SU|Sp)\(([0-9]+)\)", s)
+    if m is None:
+        raise ValueError(f"unknown group name: {name!r}")
+    if m.group(1) is not None:
+        return GroupData((2,) * int(m.group(1)))
+    n = int(m.group(3))
+    if m.group(2) == "SU":
         if n < 2:
             raise ValueError("SU(n) needs n >= 2")
         return GroupData(tuple(range(4, 2 * n + 1, 2)))
-    if s.startswith("Sp(") and s.endswith(")"):
-        n = int(s[3:-1])
-        if n < 1:
-            raise ValueError("Sp(n) needs n >= 1")
-        return GroupData(tuple(range(4, 4 * n + 1, 4)))
-    raise ValueError(f"unknown group name: {name!r}")
+    if n < 1:
+        raise ValueError("Sp(n) needs n >= 1")
+    return GroupData(tuple(range(4, 4 * n + 1, 4)))
 
 
 def parse_group(spec: str) -> GroupData:

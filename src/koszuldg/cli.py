@@ -52,35 +52,21 @@ def load_module(spec: str, R: alg.PolyAlgebra | None, w: Window | None,
     return parse_module_file(spec, name=slot)
 
 
-def _finish(report: RunReport, started: float, fmt: str) -> int:
-    report.ms = int((time.time() - started) * 1000)
-    out = report.to_json() if fmt == "json" else report.to_text()
-    sys.stdout.write(out if out.endswith("\n") else out + "\n")
-    return 0 if report.all_passed() else 1
-
-
-def cmd_homology(args) -> int:
-    started = time.time()
-    rep = RunReport("homology")
+def cmd_homology(args, rep: RunReport) -> None:
     M = load_module(args.module, _group_ring(args), _window(args), rep.inputs, "module")
     H = alg.homology(M)
     rep.window = H.window() or M.window()
     rep.tables["homology"] = {n: d for n, d in sorted(H.dims().items())}
     rep.add_check("d.d=0", True, "validated on construction")
-    return _finish(rep, started, args.format)
 
 
-def cmd_ext(args) -> int:
-    started = time.time()
-    rep = RunReport("ext")
+def cmd_ext(args, rep: RunReport) -> None:
     R = _group_ring(args, required=True)
     M = load_module(args.M, R, _window(args), rep.inputs, "M")
     N = load_module(args.N, R, _window(args), rep.inputs, "N")
     routes = (["via_free", "via_injective"] if args.route == "both"
               else [args.route])
-    tables = {}
-    for route in routes:
-        tables[route] = rs.ext_bigraded(M, N, route)
+    tables = {route: rs.ext_bigraded(M, N, route) for route in routes}
     first = tables[routes[0]]
     rep.tables["ext"] = {f"s={s},t={t}": d for (s, t), d in sorted(first.entries.items())}
     rep.tables["by_total_degree"] = dict(sorted(first.abutment_dims().items()))
@@ -91,12 +77,9 @@ def cmd_ext(args) -> int:
     ts = [t for _, t in first.entries] or [0]
     # internal degrees from 0 up, or the classes' own range when all are below 0
     rep.window = Window(0 if max(ts) >= 0 else min(ts), max(ts))
-    return _finish(rep, started, args.format)
 
 
-def cmd_rhom(args) -> int:
-    started = time.time()
-    rep = RunReport("rhom")
+def cmd_rhom(args, rep: RunReport) -> None:
     R = _group_ring(args, required=True)
     w = _window(args) or Window(-6, 6)
     X = load_module(args.M, R, w, rep.inputs, "M")
@@ -105,12 +88,9 @@ def cmd_rhom(args) -> int:
     rep.window = out.window
     rep.tables["derived_maps"] = {n: out.dims.get(n, 0) for n in out.window.guaranteed()}
     rep.add_check("window_certified", True, str(out.window))
-    return _finish(rep, started, args.format)
 
 
-def cmd_adams(args) -> int:
-    started = time.time()
-    rep = RunReport("adams")
+def cmd_adams(args, rep: RunReport) -> None:
     R = _group_ring(args, required=True)
     w = _window(args)
     X = load_module(args.M, R, w, rep.inputs, "M")
@@ -126,12 +106,9 @@ def cmd_adams(args) -> int:
     rep.add_check("degenerates_at_e2", page.degenerate,
                   "abutment equals the page everywhere" if page.degenerate
                   else "higher differentials present")
-    return _finish(rep, started, args.format)
 
 
-def cmd_koszul_t(args) -> int:
-    started = time.time()
-    rep = RunReport("koszul-t")
+def cmd_koszul_t(args, rep: RunReport) -> None:
     M = load_module(args.module, _group_ring(args), _window(args), rep.inputs, "module")
     T = du.functor_T(M)
     H = alg.homology(T)
@@ -139,12 +116,9 @@ def cmd_koszul_t(args) -> int:
     rep.tables["module"] = print_module(T).splitlines()
     rep.tables["homology"] = dict(sorted(H.dims().items()))
     rep.add_check("exterior_relations", True, "contraction cycles validated")
-    return _finish(rep, started, args.format)
 
 
-def cmd_koszul_s(args) -> int:
-    started = time.time()
-    rep = RunReport("koszul-s")
+def cmd_koszul_s(args, rep: RunReport) -> None:
     N = load_module(args.module, None, None, rep.inputs, "module")
     if not isinstance(N.algebra, alg.ExtAlgebra):
         raise ValueError("koszul-s expects a module over the exterior algebra")
@@ -156,23 +130,17 @@ def cmd_koszul_s(args) -> int:
     rep.tables["module"] = print_module(S).splitlines()
     rep.tables["homology"] = dict(sorted(H.dims().items()))
     rep.add_check("torsion", S.is_torsion())
-    return _finish(rep, started, args.format)
 
 
-def cmd_roundtrip(args) -> int:
-    started = time.time()
-    rep = RunReport("roundtrip")
+def cmd_roundtrip(args, rep: RunReport) -> None:
     M = load_module(args.module, _group_ring(args), _window(args), rep.inputs, "module")
     out = du.roundtrip_check(M)
     rep.tables["left_homology"] = dict(sorted(out.left_dims.items()))
     rep.tables["right_homology"] = dict(sorted(out.right_dims.items()))
     rep.add_check("roundtrip_homology", out.agrees, out.side)
-    return _finish(rep, started, args.format)
 
 
-def cmd_endcheck(args) -> int:
-    started = time.time()
-    rep = RunReport("endcheck")
+def cmd_endcheck(args, rep: RunReport) -> None:
     g = parse_group(args.group)
     rep.inputs["group"] = f"builtin:{g}"
     dc = du.double_centralizer_check(g, _window(args))
@@ -184,18 +152,14 @@ def cmd_endcheck(args) -> int:
     rep.add_check("cartan_chain_map", cr.chain_map_ok)
     rep.add_check("cartan_homology_iso", cr.homology_iso)
     rep.add_check("cartan_multiplicative", cr.multiplicative_on_homology)
-    return _finish(rep, started, args.format)
 
 
-def cmd_recognize_k(args) -> int:
-    started = time.time()
-    rep = RunReport("recognize-k")
+def cmd_recognize_k(args, rep: RunReport) -> None:
     M = load_module(args.module, _group_ring(args), _window(args), rep.inputs, "module")
     out = du.recognize_k(M)
     rep.tables["images"] = {i: f"degree {d}" for i, (d, _) in enumerate(out.images)}
     rep.add_check("cone_acyclic", out.cone_acyclic)
     rep.add_check("hits_homology_generator", out.nonzero_in_degree_zero)
-    return _finish(rep, started, args.format)
 
 
 def _ring_map_from_args(args, rep) -> gr.RingMap:
@@ -214,7 +178,10 @@ def _ring_map_from_args(args, rep) -> gr.RingMap:
                         varnames=tuple(f"y{i+1}" for i in range(tgt_group.rank)))
     images = {}
     for piece in args.map.split(";"):
-        lhs, rhs = (part.strip() for part in piece.split("->"))
+        parts = [part.strip() for part in piece.split("->")]
+        if len(parts) != 2:
+            raise ValueError(f"--map: {piece!r} is not one 'x->image' piece")
+        lhs, rhs = parts
         if lhs not in S.varnames:
             raise ValueError(f"--map: {lhs!r} is not a source variable "
                              f"({', '.join(S.varnames)})")
@@ -249,7 +216,7 @@ def parse_poly(T: alg.PolyAlgebra, text: str) -> alg.Poly:
         for factor in chunk.split("*"):
             if not factor:
                 continue
-            m = re.fullmatch(r"(\d+(?:/\d+)?)", factor)
+            m = re.fullmatch(r"(\d+(?:/0*[1-9]\d*)?)", factor)
             if m:
                 coef *= Fraction(m.group(1))
                 continue
@@ -261,9 +228,7 @@ def parse_poly(T: alg.PolyAlgebra, text: str) -> alg.Poly:
     return out
 
 
-def cmd_groups(args) -> int:
-    started = time.time()
-    rep = RunReport(f"groups {args.action}")
+def cmd_groups(args, rep: RunReport) -> None:
     rm = _ring_map_from_args(args, rep)
     rep.inputs["ring_map"] = str(rm)
     rep.tables["relative_dimension"] = rm.relative_dimension
@@ -274,7 +239,7 @@ def cmd_groups(args) -> int:
         rep.tables["dual_homology"] = dict(sorted(dd.homology_dims.items()))
         rep.add_check("free_rank_one", dd.free_rank_one,
                       f"generator degree {dd.generator_degree}")
-        return _finish(rep, started, args.format)
+        return
     if action == "shift-check":
         N = load_module(args.module, rm.target, _window(args), rep.inputs, "module")
         out = gr.shift_law_check(rm, N)
@@ -282,13 +247,11 @@ def cmd_groups(args) -> int:
         rep.tables["shifted_restriction_homology"] = dict(sorted(out.dims_right.items()))
         rep.add_check("shift_law", out.passed,
                       f"computed shift {out.computed_shift}, expected {out.expected_shift}")
-        return _finish(rep, started, args.format)
+        return
     which = {"restrict": (gr.restrict_scalars, rm.target),
              "extend": (gr.extend_scalars, rm.source),
              "coextend": (gr.coextend_scalars, rm.source),
              "shriek": (gr.r_shriek_left, rm.source)}
-    if action not in which:
-        raise ValueError(f"unknown groups action {action!r}")
     fn, ring = which[action]
     M = load_module(args.module, ring, _window(args), rep.inputs, "module")
     out = fn(rm, M)
@@ -309,12 +272,9 @@ def cmd_groups(args) -> int:
                            "module in positive projective dimension")
     else:
         rep.add_check("constructed", True)
-    return _finish(rep, started, args.format)
 
 
-def cmd_catalog(args) -> int:
-    started = time.time()
-    rep = RunReport("catalog")
+def cmd_catalog(args, rep: RunReport) -> None:
     rep.tables["groups"] = {
         name: {"codegrees": list(g.codegrees), "rank": g.rank, "dim": g.dim_g}
         for name, g in alg.catalog()}
@@ -323,7 +283,6 @@ def cmd_catalog(args) -> int:
                "images": [str(p) for p in rm.images]}
         for name, rm in gr.catalog_ring_maps().items()}
     rep.add_check("catalog", True)
-    return _finish(rep, started, args.format)
 
 
 def _group_ring(args, required: bool = False):
@@ -340,78 +299,61 @@ def _window(args):
     return parse_window(spec) if spec else None
 
 
+# a subcommand's flags, by the keys its table row names
+_FLAGS = {
+    "action": ("action", {"choices": ["restrict", "extend", "coextend",
+                                      "dual", "shriek", "shift-check"]}),
+    "pair": ("--pair", {"help": "catalog pair name, e.g. T<SU(2)"}),
+    "source": ("--source", {"help": "source group when giving an explicit map"}),
+    "target": ("--target", {"help": "target group when giving an explicit map"}),
+    "map": ("--map", {"help": "explicit images, e.g. 'x1->y1^2'"}),
+    "group": ("--group", {"help": "codegree list like 4,6 or a catalog name"}),
+    "window": ("--window", {"help": "degree window lo:hi"}),
+    "format": ("--format", {"choices": ["table", "json"], "default": "table"}),
+    "module": ("--module", {"required": True, "help": "module file, or builtin k / I"}),
+    "groups_module": ("--module", {"help": "module file or builtin k / I"}),
+    "M": ("--M", {"required": True, "help": "module file or builtin k / I"}),
+    "N": ("--N", {"required": True, "help": "module file or builtin k / I"}),
+    "route": ("--route", {"choices": ["via_free", "via_injective", "both"],
+                          "default": "both"}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="koszuldg",
         description="exact computations with torsion modules over polynomial "
                     "cohomology rings")
     sub = top.add_subparsers(dest="cmd", required=True)
-
-    def common(p, module=False, pair_mn=False, group=True):
-        if group:
-            p.add_argument("--group", help="codegree list like 4,6 or a catalog name")
-        p.add_argument("--window", help="degree window lo:hi")
-        p.add_argument("--format", choices=["table", "json"], default="table")
-        if module:
-            p.add_argument("--module", required=True,
-                           help="module file, or builtin k / I")
-        if pair_mn:
-            p.add_argument("--M", required=True, help="module file or builtin k / I")
-            p.add_argument("--N", required=True, help="module file or builtin k / I")
-
-    p = sub.add_parser("homology", help="homology table of a module file")
-    common(p, module=True)
-    p.set_defaults(fn=cmd_homology)
-
-    p = sub.add_parser("ext", help="bigraded Ext of two finite modules")
-    common(p, pair_mn=True)
-    p.add_argument("--route", choices=["via_free", "via_injective", "both"],
-                   default="both")
-    p.set_defaults(fn=cmd_ext)
-
-    p = sub.add_parser("rhom", help="derived-category maps, degreewise")
-    common(p, pair_mn=True)
-    p.set_defaults(fn=cmd_rhom)
-
-    p = sub.add_parser("adams", help="second page, abutment, degeneration")
-    common(p, pair_mn=True)
-    p.set_defaults(fn=cmd_adams)
-
-    p = sub.add_parser("koszul-t", help="duality functor into exterior modules")
-    common(p, module=True)
-    p.set_defaults(fn=cmd_koszul_t)
-
-    p = sub.add_parser("koszul-s", help="duality functor into torsion modules")
-    common(p, module=True, group=False)
-    p.set_defaults(fn=cmd_koszul_s)
-
-    p = sub.add_parser("roundtrip", help="duality round-trip homology report")
-    common(p, module=True)
-    p.set_defaults(fn=cmd_roundtrip)
-
-    p = sub.add_parser("endcheck", help="double centralizer and the comparison map")
-    common(p)
-    p.set_defaults(fn=cmd_endcheck)
-
-    p = sub.add_parser("recognize-k", help="comparison map from the Koszul model")
-    common(p, module=True)
-    p.set_defaults(fn=cmd_recognize_k)
-
-    p = sub.add_parser("groups", help="change-of-groups functors")
-    p.add_argument("action", choices=["restrict", "extend", "coextend",
-                                      "dual", "shriek", "shift-check"])
-    p.add_argument("--pair", help="catalog pair name, e.g. T<SU(2)")
-    p.add_argument("--source", help="source group when giving an explicit map")
-    p.add_argument("--target", help="target group when giving an explicit map")
-    p.add_argument("--map", help="explicit images, e.g. 'x1->y1^2'")
-    p.add_argument("--module", help="module file or builtin k / I")
-    p.add_argument("--window", help="degree window lo:hi")
-    p.add_argument("--format", choices=["table", "json"], default="table")
-    p.set_defaults(fn=cmd_groups)
-
-    p = sub.add_parser("catalog", help="groups and subgroup pairs shipped")
-    p.add_argument("--format", choices=["table", "json"], default="table")
-    p.set_defaults(fn=cmd_catalog)
+    # one row per subcommand: name, body, help, flags.  The bodies are read
+    # here, when the parser is built, so a wrapped cmd_* is the one called.
+    for name, body, text, flags in (
+            ("homology", cmd_homology, "homology table of a module file",
+             "group window format module"),
+            ("ext", cmd_ext, "bigraded Ext of two finite modules",
+             "group window format M N route"),
+            ("rhom", cmd_rhom, "derived-category maps, degreewise",
+             "group window format M N"),
+            ("adams", cmd_adams, "second page, abutment, degeneration",
+             "group window format M N"),
+            ("koszul-t", cmd_koszul_t, "duality functor into exterior modules",
+             "group window format module"),
+            ("koszul-s", cmd_koszul_s, "duality functor into torsion modules",
+             "window format module"),
+            ("roundtrip", cmd_roundtrip, "duality round-trip homology report",
+             "group window format module"),
+            ("endcheck", cmd_endcheck, "double centralizer and the comparison map",
+             "group window format"),
+            ("recognize-k", cmd_recognize_k, "comparison map from the Koszul model",
+             "group window format module"),
+            ("groups", cmd_groups, "change-of-groups functors",
+             "action pair source target map groups_module window format"),
+            ("catalog", cmd_catalog, "groups and subgroup pairs shipped", "format")):
+        p = sub.add_parser(name, help=text)
+        for key in flags.split():
+            flag, kwargs = _FLAGS[key]
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=body)
     return top
 
 
@@ -422,13 +364,21 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: its body fills the report; main times the run,
+    prints the report and exits 0 when every computed check passes, 1 when
+    one fails, and 2 with a JSON error on refused input."""
     args = _parser().parse_args(argv)
+    started = time.time()
+    rep = RunReport(f"groups {args.action}" if args.cmd == "groups" else args.cmd)
     try:
-        return args.fn(args)
+        args.fn(args, rep)
     except (ParseError, ValueError, OSError) as exc:
         sys.stdout.write(json.dumps({"error": type(exc).__name__,
                                      "message": str(exc)}) + "\n")
         return 2
+    rep.ms = int((time.time() - started) * 1000)
+    sys.stdout.write(rep.to_json() + "\n" if args.format == "json" else rep.to_text())
+    return 0 if rep.all_passed() else 1
 
 
 if __name__ == "__main__":

@@ -595,10 +595,6 @@ class Window:
         if not (self.lo <= glo <= ghi <= self.hi):
             raise ValueError(f"bad window {self.lo}..{self.hi} guaranteed {glo}..{ghi}")
 
-    def shift(self, a: int) -> "Window":
-        return Window(self.lo + a, self.hi + a,
-                      self.guaranteed_lo + a, self.guaranteed_hi + a)
-
     def degrees(self):
         return range(self.lo, self.hi + 1)
 

@@ -129,7 +129,7 @@ def ring_map(source: PolyAlgebra, target: PolyAlgebra, images, name="") -> RingM
     return RingMap(source, target, tuple(images), name=name)
 
 
-def finiteness_check(rm: RingMap, probe: int | None = None) -> FinitenessCertificate:
+def finiteness_check(rm: RingMap) -> FinitenessCertificate:
     """Degreewise quotient by the image ideal, with a vanishing-run bound.
 
     The quotient algebra is generated by the target generators, so once it
@@ -141,8 +141,7 @@ def finiteness_check(rm: RingMap, probe: int | None = None) -> FinitenessCertifi
     if T.r == 0:
         return FinitenessCertificate(0, {0: 1}, [(0, [Fraction(1)])])
     max_e = max(T.codegrees)
-    if probe is None:
-        probe = sum(S.codegrees) + sum(T.codegrees) + max_e + 2
+    probe = sum(S.codegrees) + sum(T.codegrees) + max_e + 2
     coker_dims = {}
     gens = []
     run = 0
@@ -749,14 +748,14 @@ class AdjunctionReport:
         return self.agrees
 
 
-def adjunction_check(rm: RingMap, M: DGModule, N: DGModule,
-                     degrees=range(-2, 3)) -> AdjunctionReport:
-    """Chain-map-set dimensions for the two adjunctions, degree by degree.
+def adjunction_check(rm: RingMap, M: DGModule, N: DGModule) -> AdjunctionReport:
+    """Chain-map-set dimensions for the two adjunctions, in degrees -2..2.
 
     M lives over the source and N over the target; the first pair compares
     maps out of the extension with maps into the restriction, the second
     compares maps out of the restriction with maps into the coextension.
     """
+    degrees = range(-2, 3)
     ext = extend_scalars(rm, M)
     resN = restrict_scalars(rm, N)
     first = {}

@@ -15,10 +15,8 @@ from fractions import Fraction
 from .grlin import Window
 
 
-def content_hash(data) -> str:
-    if isinstance(data, bytes):
-        return hashlib.sha256(data).hexdigest()[:16]
-    return hashlib.sha256(str(data).encode()).hexdigest()[:16]
+def content_hash(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 @dataclass

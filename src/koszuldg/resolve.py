@@ -329,12 +329,10 @@ def hilbert_function(M: DGModule, degrees) -> dict:
     return {n: M.dim(n) for n in degrees}
 
 
-def hilbert_identity_check(res: ResolutionData, degrees=None) -> bool:
+def hilbert_identity_check(res: ResolutionData) -> bool:
     """Alternating sum of stage Hilbert functions equals the module's."""
-    if degrees is None:
-        pad = max(res.ring.codegrees) if res.ring.r else 1
-        degrees = range(res.window.lo + pad, res.window.hi)
-    for n in degrees:
+    pad = max(res.ring.codegrees) if res.ring.r else 1
+    for n in range(res.window.lo + pad, res.window.hi):
         if res.module.known_dim(n) is None:
             continue
         total = sum((-1) ** s * stage.dim(n)
@@ -427,9 +425,6 @@ class BigradedTable:
 
     entries: dict
 
-    def dim(self, s: int, t: int) -> int:
-        return self.entries.get((s, t), 0)
-
     def max_row(self) -> int:
         return max((s for (s, _), d in self.entries.items() if d), default=-1)
 
@@ -451,8 +446,7 @@ class BigradedTable:
         return a == b
 
 
-def ext_bigraded(M: DGModule, N: DGModule, route: str = "via_free",
-                 window: Window | None = None) -> BigradedTable:
+def ext_bigraded(M: DGModule, N: DGModule, route: str = "via_free") -> BigradedTable:
     """Bigraded Ext of finite-length zero-differential modules.
 
     via_free resolves M and applies Hom(-, N); via_injective resolves N
@@ -465,15 +459,14 @@ def ext_bigraded(M: DGModule, N: DGModule, route: str = "via_free",
     if M.total_dim() == 0 or N.total_dim() == 0:
         return BigradedTable({})
     if route == "via_free":
-        return _ext_via_free(M, N, window)
+        return _ext_via_free(M, N)
     if route == "via_injective":
-        return _ext_via_injective(M, N, window)
+        return _ext_via_injective(M, N)
     raise ValueError(f"unknown route {route!r}")
 
 
-def _ext_via_free(M: DGModule, N: DGModule, window) -> BigradedTable:
-    R = M.algebra
-    res = minimal_free_resolution(M, R, window=window)
+def _ext_via_free(M: DGModule, N: DGModule) -> BigradedTable:
+    res = minimal_free_resolution(M, M.algebra)
     stages = len(res.terms)
     # candidate internal degrees
     ts = set()
@@ -532,7 +525,7 @@ def module_hom_space(M: DGModule, J: DGModule, t: int) -> list:
     return sys.kernel()
 
 
-def _ext_via_injective(M: DGModule, N: DGModule, window) -> BigradedTable:
+def _ext_via_injective(M: DGModule, N: DGModule) -> BigradedTable:
     R = M.algebra
     # a-priori internal-degree bound: syzygy generators of either module sit
     # within the total codegree of a full Koszul word of its support

@@ -122,7 +122,7 @@ def random_chain_map(A: DGModule, B: DGModule, rng: random.Random,
 
 def random_zero_diff_module(R: PolyAlgebra, rng: random.Random,
                             max_pieces: int = 2, max_power: int = 2,
-                            max_shift: int = 2, conjugated: bool = True) -> DGModule:
+                            max_shift: int = 2) -> DGModule:
     """Random finite-length module with zero differential: a conjugated sum
     of shifted monomial-quotient cyclics."""
     pieces = rng.randint(1, max_pieces)
@@ -132,8 +132,7 @@ def random_zero_diff_module(R: PolyAlgebra, rng: random.Random,
         shift = -rng.randint(0, max_shift)
         piece = cyclic_quotient(R, powers).shift(2 * shift)
         out = piece if out is None else direct_sum(out, piece)
-    if conjugated:
-        out = conjugate(out, rng)
+    out = conjugate(out, rng)
     out.name = "random"
     return out
 

@@ -147,6 +147,17 @@ def test_homology_conjugation_invariance():
         assert homology_at(din2, dout2, 1).dim == base
 
 
+def test_graded_map_rejects_blocks_of_the_wrong_shape():
+    # degree 0 -> degree 1 wants a 2x1 block
+    vs = GradedVS({0: 1, 1: 2})
+    with pytest.raises(ValueError) as err:
+        GradedMap(vs, vs, 1, {0: (1, [{0: 1}], 1)})
+    assert str(err.value) == "block at 0 is 1x1 want 2x1"
+    with pytest.raises(ValueError) as err:
+        GradedMap(vs, vs, 1, {0: M([[1, 0], [0, 1]])})
+    assert str(err.value) == "block at 0 is 2x? want 2x1"
+
+
 def test_window_validation():
     w = Window(-3, 5)
     assert w.guaranteed_lo == -3 and w.guaranteed_hi == 5

@@ -229,6 +229,11 @@ MALFORMED = [
     ("module m\nalgebra poly U(3)\n", 2, "unknown group name: 'U(3)'"),
     ("algebra ext 2,3\nwindow 0 0\n", 1, "codegree 3 is not an even integer >= 2"),
     ("algebra poly SU(1)\n", 1, "SU(n) needs n >= 2"),
+    # a malformed catalog name, once int()'s "invalid literal" message
+    ("algebra poly T^x\n", 1, "unknown group name: 'T^x'"),
+    ("algebra ext SU(x)\nwindow 0 0\n", 1, "unknown group name: 'SU(x)'"),
+    ("algebra poly Sp()\n", 1, "unknown group name: 'Sp()'"),
+    ("algebra poly T^-1\n", 1, "unknown group name: 'T^-1'"),
     (_HEAD + "x1 ghost = v\n", 7, "unknown label 'ghost'"),
     # differential lines are read before action lines
     (_HEAD + "y7 u = v\nd u = ghost\n", 8, "unknown label 'ghost'"),
@@ -484,6 +489,11 @@ def test_cli_groups_explicit_map(capsys):
     ("x1->y1", "--map: no image for x2"),
     ("x1->y1;x2->y1;x3->y1", "--map: 'x3' is not a source variable (x1, x2)"),
     ("x1->y1;x1->y1;x2->y1", "--map: 'x1' is given twice"),
+    # a zero denominator, once a ZeroDivisionError traceback
+    ("x1->1/0*y1;x2->y1", "cannot parse factor '1/0'"),
+    # a piece without exactly one arrow, once "not enough values to unpack"
+    ("x1;x2->y1", "--map: 'x1' is not one 'x->image' piece"),
+    ("x1->y1->y1;x2->y1", "--map: 'x1->y1->y1' is not one 'x->image' piece"),
 ])
 def test_cli_groups_bad_map_is_error(capsys, spec, message):
     code = main(["groups", "extend", "--source", "2,2", "--target", "2",
@@ -492,10 +502,52 @@ def test_cli_groups_bad_map_is_error(capsys, spec, message):
     assert code == 2 and out == {"error": "ValueError", "message": message}
 
 
-def test_cli_unknown_group_is_error(capsys):
-    code = main(["ext", "--group", "E8", "--M", "k", "--N", "k"])
+# refused input: (argv, message); each exits 2 with exactly this ValueError as JSON
+REFUSED = [
+    (["ext", "--group", "E8", "--M", "k", "--N", "k"], "unknown group name: 'E8'"),
+    # a malformed catalog name, once int()'s "invalid literal" message
+    (["ext", "--group", "T^x", "--M", "k", "--N", "k"], "unknown group name: 'T^x'"),
+    (["ext", "--group", "SU(x)", "--M", "k", "--N", "k"], "unknown group name: 'SU(x)'"),
+    (["ext", "--group", "Sp()", "--M", "k", "--N", "k"], "unknown group name: 'Sp()'"),
+    (["homology", "--module", "I"], "builtin 'I' needs --group and --window"),
+    (["homology", "--module", "I", "--group", "2"], "builtin 'I' needs --group and --window"),
+    (["homology", "--module", "I", "--window=-4:0"], "builtin 'I' needs --group and --window"),
+    (["homology", "--module", "k"], "builtin 'k' needs --group"),
+    (["ext", "--M", "k", "--N", "k"], "this command needs --group"),
+    (["rhom", "--M", "k", "--N", "k"], "this command needs --group"),
+    (["adams", "--M", "k", "--N", "k"], "this command needs --group"),
+    (["groups", "dual"], "groups commands need --pair or --source/--target/--map"),
+    (["groups", "dual", "--source", "2", "--target", "2"],
+     "groups commands need --pair or --source/--target/--map"),
+    (["groups", "dual", "--pair", "T<E8"], "unknown pair 'T<E8'; catalog: T<SU(2), "
+     "T<T^2-diag, T<T^2-first, T^2<SU(3), id-T, id-T^2"),
+    (["koszul-s", "--module", "{k_file}"], "koszul-s expects a module over the exterior algebra"),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSED, ids=[" ".join(a) for a, _ in REFUSED])
+def test_cli_refused_input_is_json(tmp_path, capsys, argv, message):
+    f = tmp_path / "k.kdg"
+    f.write_text(K_FILE)
+    code = main([a.format(k_file=f) for a in argv] + ["--format", "json"])
+    assert (code, json.loads(capsys.readouterr().out)) == (
+        2, {"error": "ValueError", "message": message})
+
+
+def test_cli_builtin_injective_with_group_and_window(capsys):
+    code = main(["homology", "--module", "I", "--group", "2", "--window=-4:0",
+                 "--format", "json"])
     out = json.loads(capsys.readouterr().out)
-    assert code == 2 and "error" in out
+    assert code == 0 and out["inputs"] == {"module": "builtin:I[[2]]-4:0"}
+
+
+def test_cli_ext_one_route(capsys):
+    code = main(["ext", "--group", "2", "--M", "k", "--N", "k", "--route", "via_free",
+                 "--format", "json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["tables"]["ext"] == {"s=0,t=0": 1, "s=1,t=2": 1}
+    assert out["checks"] == [{"name": "row_bound", "passed": True,
+                              "detail": "max row 1 <= rank 1"}]
 
 
 def test_cli_parser_reused_across_calls(tmp_path, capsys, monkeypatch):
