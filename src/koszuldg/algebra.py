@@ -650,6 +650,7 @@ def check_dg_invariants(M: DGModule) -> dict:
             if not _int_agree(_block_product(d, n - 1, d, n), None):
                 raise InvariantViolation(f"d.d != 0 at degree {n}")
             counts["d.d"] += 1
+            d._zero_products.add((n - 1, n))  # homology_at need not form it again
         for i, gi in enumerate(gens):
             if (klo <= n + gi <= khi and klo <= n + gi - 1 <= khi
                     and klo <= n - 1 <= khi):

@@ -36,7 +36,9 @@ def parse_window(spec: str) -> Window:
 
 def load_module(spec: str, R: alg.PolyAlgebra | None, w: Window | None,
                 inputs: dict, slot: str):
-    """A builtin name or a module file path."""
+    """A builtin name or a module file path, given by the flag --slot."""
+    if spec is None:
+        raise ValueError(f"this command needs --{slot}")
     if spec == "k":
         if R is None:
             raise ValueError("builtin 'k' needs --group")

@@ -15,7 +15,7 @@ every derived basis is reproducible bit-for-bit across runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, lcm
@@ -394,6 +394,26 @@ def _kernel(reduced: list, cols: int) -> list:
     return basis
 
 
+def _cycle(pivots: dict, j: int) -> tuple:
+    """The null vector of a forward echelon {pivot column: row} that is 1 at
+    its free column j and 0 at the other free ones, normalised as _kernel's
+    columns are: (lead, primitive integer column).  Rows have no entries left
+    of their pivots, so only pivots p < j are nonzero; they are solved from
+    the last one down, the column scaled in integers to keep entries whole."""
+    col = {j: 1}
+    for p in sorted((p for p in pivots if p < j), reverse=True):
+        row = pivots[p]
+        t = -sum(x * col[i] for i, x in row.items() if i in col)
+        if t:
+            g = gcd(row[p], t)
+            if row[p] != g:
+                col = {i: x * (row[p] // g) for i, x in col.items()}
+            col[p] = t // g
+    lead = col[min(col)]
+    g = gcd(*col.values()) if lead > 0 else -gcd(*col.values())
+    return (lead // g, {i: x // g for i, x in col.items()} if g != 1 else col)
+
+
 def _particular(reduced: list, n_cols: int) -> Vector | None:
     """The solution with free variables 0 of a reduced augmented system
     whose right-hand side is column n_cols, or None."""
@@ -641,16 +661,18 @@ class GradedMap:
     the API edge, built on every call and not kept.  `monomial(n)` says
     whether the block at n is a monomial matrix (_is_monomial), worked out
     on its first use and kept as one flag per block, so that products with
-    it as the right factor reindex its rows (_int_product).
+    it as the right factor reindex its rows (_int_product).  `_zero_products`
+    holds the pairs (a, b) at which a check (algebra.check_dg_invariants)
+    found form(a) . form(b) zero, so that homology_at need not form it again.
     """
 
-    __slots__ = ("source", "target", "degree", "forms", "_monomial")
+    __slots__ = ("source", "target", "degree", "forms", "_monomial", "_zero_products")
 
     def __init__(self, source: GradedVS, target: GradedVS, degree: int,
                  blocks: dict | None = None):
         self.source, self.target, self.degree = source, target, degree
         self.forms = {}
-        self._monomial = {}
+        self._monomial, self._zero_products = {}, set()
         for n, m in (blocks or {}).items():
             if m is None:
                 continue
@@ -708,36 +730,44 @@ class GradedMap:
         return [_entry(x, den * vden) if x else ZERO for x in dots]
 
 
-@dataclass
 class HomologyPiece:
     """Homology at one degree, kept as integer columns (den, {index: int}),
     each the vector column / den over its least denominator.
 
-    cycles is the kernel basis of the outgoing differential, boundaries the
+    cycles is the kernel basis of the outgoing differential, one canonical
+    cycle per free column of its echelon form (free), boundaries the
     independent columns of the incoming one, and classes the cycles chosen
-    as representatives; ambient is the dimension of the chain space.
-    `representatives` is the dense list of the classes, made once; the dense
-    `cycle_basis` and `boundary_basis` are views built on every read, the
-    way `GradedMap.block` is.  A vector has one such column, so pieces are
-    equal exactly when their dense lists are.  d_out is the integer form of
-    the outgoing differential, shared with its map and None when it is
-    zero; like the solver, it takes no part in equality.
+    as representatives; ambient is the dimension of the chain space.  cycles
+    is handed over as a list, free then defaulting to each cycle's last
+    entry, or as d_out's forward echelon {pivot column: row}, from which
+    it is back-solved (_cycle) when first read.  `representatives` is the
+    dense list of the classes, made once; the dense `cycle_basis` and
+    `boundary_basis` are views built on every read, the way `GradedMap.block`
+    is.  A vector has one such column, so pieces are equal exactly when
+    their dense lists are.  d_out is the integer form of the outgoing
+    differential, shared with its map and None when it is zero; like the
+    solver, it takes no part in equality.
     """
 
-    degree: int
-    ambient: int
-    cycles: list
-    boundaries: list
-    classes: list
-    dim: int = field(init=False)
-    representatives: list = field(init=False)
-    d_out: tuple | None = field(default=None, repr=False, compare=False)
-    _solver: list | None = field(default=None, repr=False, compare=False)
+    def __init__(self, degree: int, ambient: int, cycles: list | dict, boundaries: list,
+                 classes: list, d_out: tuple | None = None, free: list | None = None):
+        self.degree, self.ambient, self.d_out = degree, ambient, d_out
+        self.boundaries, self.classes, self.dim = boundaries, classes, len(classes)
+        self.representatives = [_column_vector(den, col, ambient) for den, col in classes]
+        # a cycle's other entries sit at pivot columns left of its free one
+        self.free = [max(col) for _, col in cycles] if free is None else free
+        self._cycles, self._solver = cycles, None
 
-    def __post_init__(self):
-        self.dim = len(self.classes)
-        self.representatives = [_column_vector(den, col, self.ambient)
-                                for den, col in self.classes]
+    @property
+    def cycles(self) -> list:
+        if isinstance(self._cycles, dict):
+            self._cycles = [_cycle(self._cycles, j) for j in self.free]
+        return self._cycles
+
+    def __eq__(self, other):
+        return isinstance(other, HomologyPiece) and all(
+            getattr(self, a) == getattr(other, a)
+            for a in ("degree", "ambient", "classes", "boundaries", "cycles"))
 
     @property
     def cycle_basis(self) -> list:
@@ -769,9 +799,7 @@ class HomologyPiece:
             v = _int_column(v)
         if self._solver is None:
             cols = self.classes + self.boundaries
-            k = len(cols)
-            # a cycle's other entries sit at pivot columns left of its free one
-            free = [max(col) for _, col in self.cycles]
+            k, free = len(cols), self.free
             at = {i: r for r, i in enumerate(free)}
             rows = [{k + r: 1} for r in range(len(free))]  # primitive rows
             for j, (_, col) in enumerate(cols):
@@ -794,41 +822,47 @@ class HomologyPiece:
 def homology_at(d_in: GradedMap, d_out: GradedMap, n: int) -> HomologyPiece:
     """Homology of (d_in into degree n, d_out out of degree n).
 
-    Raises CompositionNotZero unless d_out . d_in = 0 at n.  Boundaries are
-    the columns of d_in independent of the ones before them; representatives
-    are the kernel-basis vectors independent of the boundaries and of the
-    ones before them.  Both are the pivot columns of one elimination of
+    Raises CompositionNotZero unless d_out . d_in = 0 at n, a product not
+    formed again when d_in is d_out and a check found it zero on that map
+    (GradedMap._zero_products).  Boundaries are the columns of d_in
+    independent of the ones before them; representatives are the
+    kernel-basis vectors independent of the boundaries and of the ones
+    before them.  Both are the pivot columns of one elimination of
     [d_in | cycle basis], so the answer is deterministic.  Every column lies
     in ker d_out, which restriction to the free columns of d_out's echelon
     form maps injectively, so the elimination runs on those rows alone: the
     row of d_in at the j-th free column, with 1 for the j-th cycle, its only
-    nonzero there.  Everything stays in integer columns, from the maps'
-    integer forms through _kernel's primitive cycles to the piece; only the
-    representatives are made dense.
+    nonzero there.  d_out's forward echelon has the free columns of its
+    canonical RREF, so it is not back-substituted; only the chosen classes'
+    cycles are back-solved (_cycle).  Everything stays in integer columns;
+    only the representatives are made dense.
     """
     m = n - d_in.degree
     f_in, f_out = d_in.form(m), d_out.form(n)
-    if f_in is not None and f_out is not None and any(_int_product(f_out, f_in)[1]):
+    if (f_in is not None and f_out is not None
+            and not (d_in is d_out and (n, m) in d_out._zero_products)
+            and any(_int_product(f_out, f_in)[1])):
         raise CompositionNotZero(f"d.d != 0 entering degree {n}")
     amb = d_out.source.dim(n)
-    cycles = _kernel(_reduced([] if f_out is None else f_out[1]), amb)
+    pivots = _echelon([] if f_out is None else f_out[1])
+    free = [j for j in range(amb) if j not in pivots]
     k = d_in.source.dim(m)
-    rows = [{k + j: 1} for j in range(len(cycles))]
+    rows = [{k + r: 1} for r in range(len(free))]
     if f_in is not None:
-        for row, (_, col) in zip(rows, cycles):
-            row.update(f_in[1][max(col)])
-    pivots = sorted(_echelon(rows))
+        for row, j in zip(rows, free):
+            row.update(f_in[1][j])
+    chosen = sorted(_echelon(rows))
     boundaries = []
     if f_in is not None:
         den, columns, _ = _transposed(f_in)
-        for j in pivots:
+        for j in chosen:
             if j >= k:
                 break
             col = columns[j]
             g = gcd(den, *col.values())
             boundaries.append((den // g, {i: x // g for i, x in col.items()} if g != 1 else col))
-    return HomologyPiece(n, amb, cycles, boundaries, [cycles[j - k] for j in pivots if j >= k],
-                         f_out)
+    return HomologyPiece(n, amb, pivots, boundaries,
+                         [_cycle(pivots, free[j - k]) for j in chosen if j >= k], f_out, free)
 
 
 class LinearSystem:

@@ -388,6 +388,45 @@ def test_invariant_checks_see_odd_signs():
         build(-1, square=1)
 
 
+def test_invariant_checks_reach_the_lowest_degree_of_an_open_window():
+    # not complete below: degrees 0..2 are known, so d.d out of degree 2
+    # lands in the lowest one and is checked there
+    def build(s):
+        return alg.dg_module(R1, {0: 1, 1: 1, 2: 1}, {1: [[F(1)]], 2: [[F(s)]]},
+                             [{}], 0, 2, complete_above=True)
+
+    with pytest.raises(alg.InvariantViolation, match="d.d != 0 at degree 2"):
+        build(1)
+    M = build(0)
+    assert alg.check_dg_invariants(M)["d.d"] == 1
+    assert M.diff._zero_products == {(1, 2)}
+
+
+def test_invariant_checks_refuse_a_wrong_action_count_and_stray_degrees():
+    M = alg.dg_module(R1, {0: 1, 1: 1}, {1: [[F(1)]]}, [{}], 0, 1)
+    for actions in ((), M.actions * 2):
+        with pytest.raises(alg.InvariantViolation,
+                           match="one action operator per generator required"):
+            alg.DGModule(R1, M.space, M.diff, actions, 0, 1)
+    for lo, hi, stray in ((0, 0, 1), (1, 1, 0)):
+        with pytest.raises(alg.InvariantViolation,
+                           match=f"stored degree {stray} outside window"):
+            alg.DGModule(R1, M.space, M.diff, M.actions, lo, hi)
+
+
+def test_express_in_homology_at_an_uncertified_edge_degree():
+    # degree 0 is the lowest of a window open below: no piece is stored
+    # there, and a vector has a (zero) class exactly when it is a boundary
+    M = alg.dg_module(R1, {0: 2, 1: 1, 2: 1}, {1: [[F(2)], [F(0)]]}, [{}], 0, 2)
+    H = alg.homology(M)
+    assert 0 not in H.pieces and 1 in H.pieces
+    assert alg.express_in_homology(M, H, 0, [F(1), F(0)]) == []
+    assert alg.express_in_homology(M, H, 0, (3, {0: 5})) == []
+    assert alg.express_in_homology(M, H, 0, [F(0), F(0)]) == []
+    assert alg.express_in_homology(M, H, 0, [F(0), F(1)]) is None
+    assert alg.express_in_homology(M, H, 0, [F(1, 2), F(-3)]) is None
+
+
 # ---------------------------------------------------------------------------
 # reference: the dense checkers the sparse integer ones replaced.  Products
 # are plain Fraction triple loops over GradedMap.block, whose absent blocks

@@ -23,9 +23,10 @@ maps and the Adams tower that computed each stage's homology and socle
 twice, and the bodies of extend_scalars, whose relations were dense vectors
 projected through a Subspace, and of the commuting lifts, which wrote their
 own linear system, and the free resolution's hand-written stage 0 and the
-two certifiers of the free and the injective resolution, and homology_at
+two certifiers of the free and the injective resolution, homology_at
 and the class coordinates as they were before they read the kernel's free
-coordinates, kept as they were.
+coordinates, and homology_at as it was before it read the outgoing
+differential's forward echelon, kept as they were.
 Pieces, vectors, blocks, cells, modules and solution-space bases must be
 equal, and rejections must carry the same message."""
 import copy
@@ -1046,6 +1047,145 @@ def test_free_coordinate_homology_matches_the_old_bodies():
             assert got.class_coordinates((den, col)) == coords
             assert got.class_coordinates((5 * den, {i: 5 * x for i, x in col.items()})) == coords
     assert min(seen.values()) >= 8 and seen["non-cycle"] >= 100, seen
+
+
+def reduced_homology_at(d_in, d_out, n):
+    """homology_at as it was before it read d_out's forward echelon: d.d
+    formed on every call, d_out back-substituted (_reduced) and every
+    canonical cycle built (_kernel) before the greedy step."""
+    m = n - d_in.degree
+    f_in, f_out = d_in.form(m), d_out.form(n)
+    if f_in is not None and f_out is not None and any(_int_product(f_out, f_in)[1]):
+        raise CompositionNotZero(f"d.d != 0 entering degree {n}")
+    amb = d_out.source.dim(n)
+    cycles = grlin._kernel(grlin._reduced([] if f_out is None else f_out[1]), amb)
+    k = d_in.source.dim(m)
+    rows = [{k + j: 1} for j in range(len(cycles))]
+    if f_in is not None:
+        for row, (_, col) in zip(rows, cycles):
+            row.update(f_in[1][max(col)])
+    pivots = sorted(_echelon(rows))
+    boundaries = []
+    if f_in is not None:
+        den, columns, _ = grlin._transposed(f_in)
+        for j in pivots:
+            if j >= k:
+                break
+            col = columns[j]
+            g = gcd(den, *col.values())
+            boundaries.append((den // g, {i: x // g for i, x in col.items()} if g != 1 else col))
+    return HomologyPiece(n, amb, cycles, boundaries, [cycles[j - k] for j in pivots if j >= k],
+                         f_out)
+
+
+def later_pivot_complexes(rng):
+    """(d_in, d_out, n) on dims c -> b -> a over degrees 2, 1, 0 with
+    fractional entries, d_out dense enough that the rows of its forward
+    echelon reach later pivot columns; each complex also as one map holding
+    both blocks, and with one entry of d_in moved so that d.d != 0."""
+    for _ in range(40):
+        a, b, c = rng.randint(3, 8), rng.randint(6, 14), rng.randint(1, 6)
+        d_out = random_matrix(rng, a, b, rng.choice((0.3, 0.5, 0.8)))
+        ker = kernel_basis(d_out, cols=b)
+        d_in = zeros(b, c)
+        for j in range(c):
+            for v in ker[:rng.randint(0, len(ker))]:
+                s = F(rng.randint(-2, 2), rng.choice((1, 3)))
+                for i in range(b):
+                    d_in[i][j] += s * v[i]
+        vs = GradedVS({0: a, 1: b, 2: c})
+        yield GradedMap(vs, vs, -1, {2: d_in}), GradedMap(vs, vs, -1, {1: d_out}), 1
+        d = GradedMap(vs, vs, -1, {2: d_in, 1: d_out})
+        yield d, d, 1
+        bad = [row[:] for row in d_in]
+        hit = [j for j in range(b) if any(row[j] for row in d_out)]
+        bad[rng.choice(hit)][rng.randrange(c)] += 1
+        d = GradedMap(vs, vs, -1, {2: bad, 1: d_out})
+        yield d, d, 1
+
+
+def reaches_later_pivots(f):
+    pivots = _echelon([] if f is None else f[1])
+    return any(j != p and j in pivots for p, row in pivots.items() for j in row)
+
+
+def test_forward_echelon_homology_matches_the_reduced_body():
+    rng = random.Random(145)
+    E = du.end_dga(T3).module
+    cases = list(homology_cases(rng))
+    cases += [(E.diff, E.diff, n) for n in range(E.lo - 1, E.hi + 2)]
+    cases += [(d_in, d_out, 1) for label, d_in, d_out in complexes(rng) if label == "d.d != 0"]
+    cases += list(later_pivot_complexes(rng))
+    seen = dict.fromkeys(("later pivots", "raised", "End(kbar)", "probes"), 0)
+    for d_in, d_out, n in cases:
+        got, want = outcome(homology_at, d_in, d_out, n), outcome(reduced_homology_at,
+                                                                  d_in, d_out, n)
+        if isinstance(want, tuple):
+            # the same exception and message, the map's own pair included
+            assert got == want
+            seen["raised"] += 1
+            continue
+        # only the classes' cycles are built until the cycles are read
+        assert isinstance(got._cycles, dict) and got.free == want.free
+        assert (got.classes, got.boundaries, got.representatives, got.dim) \
+            == (want.classes, want.boundaries, want.representatives, want.dim)
+        assert got.cycles == want.cycles and got.cycle_basis == want.cycle_basis
+        assert got == want
+        seen["later pivots"] += reaches_later_pivots(d_out.form(n)) and want.dim > 0
+        seen["End(kbar)"] += want.dim if d_out is E.diff else 0
+        old = old_class_coordinates(want)
+        vectors = []
+        for columns in (want.cycles, want.boundaries, want.cycles[:1]):
+            v = [F(0)] * want.ambient
+            for den, col in columns:
+                c = F(rng.randint(-3, 3), den * rng.choice((1, 2, 7)))
+                for i, x in col.items():
+                    v[i] += c * x
+            vectors.append(v)
+        f_out = d_out.form(n)
+        if f_out is not None:
+            # a cycle plus a unit vector that d_out does not kill
+            vectors[2][min(j for row in f_out[1] for j in row)] += F(1, 3)
+        for v in vectors:
+            assert got.class_coordinates(v) == want.class_coordinates(v) == old(v)
+            seen["probes"] += 1
+    assert seen["later pivots"] >= 20 and seen["raised"] >= 40, seen
+    assert seen["End(kbar)"] >= 8 and seen["probes"] >= 1000, seen
+
+
+def test_homology_forms_no_product_that_the_invariant_check_recorded(monkeypatch):
+    rng = random.Random(146)
+    modules = sample_modules(rng) + [du.end_dga(T3).module]
+    # T(S(T(X))) of torsion modules X, whose homology the round trips compute
+    for _ in range(4):
+        N = du.functor_T(sm.random_torsion_dg_module(R2, rng, max_total=4))
+        modules.append(du.functor_T(du.functor_S(N, R2, Window(0, N.support_max() + 3))))
+    products = []
+    real = grlin._int_product
+
+    def counted(a, b, monomial=False):
+        products.append(a)
+        return real(a, b, monomial)
+
+    monkeypatch.setattr(grlin, "_int_product", counted)
+    composites = 0
+    for M in modules:
+        products.clear()
+        H = alg.homology(M)
+        assert products == []
+        # the same blocks in maps that no check has seen: every composite
+        # homology passes through is formed, once per degree
+        both = [n for n in H.pieces if M.diff.form(n) and M.diff.form(n + 1)]
+        assert all((n, n + 1) in M.diff._zero_products for n in both)
+        N = with_fresh_maps(M)
+        assert alg.homology(N).pieces == H.pieces and len(products) == len(both)
+        # a pair of two maps forms it even when one of them was checked
+        products.clear()
+        for n in both:
+            homology_at(N.diff, M.diff, n)
+        assert len(products) == len(both)
+        composites += len(both)
+    assert composites >= 30
 
 
 # ---------------------------------------------------------------------------

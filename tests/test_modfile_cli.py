@@ -522,6 +522,9 @@ REFUSED = [
     (["groups", "dual", "--pair", "T<E8"], "unknown pair 'T<E8'; catalog: T<SU(2), "
      "T<T^2-diag, T<T^2-first, T^2<SU(3), id-T, id-T^2"),
     (["koszul-s", "--module", "{k_file}"], "koszul-s expects a module over the exterior algebra"),
+    # groups actions that take a module, once a TypeError traceback without one
+    *[(["groups", action, "--pair", "T<SU(2)"], "this command needs --module")
+      for action in ("restrict", "extend", "coextend", "shriek", "shift-check")],
 ]
 
 
