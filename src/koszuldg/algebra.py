@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -30,15 +31,13 @@ from .grlin import (
     GradedMap,
     GradedVS,
     LinearSystem,
+    MapBasis,
     Matrix,
     Window,
-    ZERO,
     _assemble,
-    _column_vector,
     _columns_form,
     _coordinates_form,
     _dense,
-    _entry,
     _form_rank,
     _identity_form,
     _int_column,
@@ -1136,73 +1135,88 @@ def map_system(A: DGModule, B: DGModule, degree: int, ops) -> tuple:
     the operators k in ops (DGModule.op): range(-1, r) for chain module
     maps, range(r) for module maps.
 
-    Unknown blocks f_n live wherever both source and target are stored.
-    Each operator of degree g gives the block equation
-    B-op . f_n - sgn * f_(n+g) . A-op = 0, sgn = -1 when degree and g are
-    both odd, written by LinearSystem.equate from the stored integer forms
-    wherever both windows certify every degree it reaches.  Returns the
-    LinearSystem, whose solutions are {(n, row, col): value} dicts for
-    chain_map_from_blocks, and the degrees of B, in the order met, where an
-    unknown block or an equation was left out for want of B's window.
+    Unknown blocks f_n live wherever both source and target are stored,
+    each a range of variable indices in the order of A's degrees
+    (LinearSystem.unknowns).  Each operator of degree g gives the block
+    equation B-op . f_n - sgn * f_(n+g) . A-op = 0, sgn = -1 when degree and
+    g are both odd, written by LinearSystem.equate from the stored integer
+    forms wherever both windows certify every degree it reaches; without an
+    unknown entry only the windows are read.  Returns the LinearSystem and
+    the degrees of B, in the order met, where an unknown block or an
+    equation was left out for want of B's window.
     """
-    sys, missing, cols = LinearSystem(), [], {}
+    # B.known_dim(n + degree) is None exactly when n lies outside [klo, khi]
+    sys, missing, cols = LinearSystem(), [], []
+    klo, khi = B.known_lo() - degree, B.known_hi() - degree
     for n in A.degrees():
-        rows = B.known_dim(n + degree)
-        if rows is None:
-            missing.append(n + degree)
+        if klo <= n <= khi:
+            c = A.dim(n)
+            sys.unknowns(n, B.dim(n + degree), c)
+            cols.append((n, c))
         else:
-            cols[n] = A.dim(n)
-            sys.unknowns(n, rows, cols[n])
+            missing.append(n + degree)
     ops = [(A.op(k), B.op(k)) for k in ops]
     lo, hi = A.known_lo(), A.known_hi()
-    for n, c in cols.items():
+    for n, c in cols:
         for a, b in ops:
-            g = a.degree
-            if not lo <= n + g <= hi:
+            m = n + a.degree
+            if not lo <= m <= hi:
                 continue
-            rows = B.known_dim(n + g + degree)
-            if rows is None:
-                missing.append(n + g + degree)
-                continue
-            sgn = -1 if (degree % 2 and g % 2) else 1
-            sys.equate(rows, c, left=[(1, b.form(n + degree), n)],
-                       right=[(-sgn, n + g, a.form(n))])
+            if not klo <= m <= khi:
+                missing.append(m + degree)
+            elif sys.num_vars and B.dim(m + degree):
+                sgn = -1 if (degree % 2 and a.degree % 2) else 1
+                sys.equate(B.dim(m + degree), c, left=[(1, b.form(n + degree), n)],
+                           right=[(-sgn, m, a.form(n))])
     return sys, missing
 
 
-def chain_map_space(A: DGModule, B: DGModule, degree: int = 0) -> list:
+def chain_map_space(A: DGModule, B: DGModule, degree: int = 0) -> MapBasis:
     """Basis of the space of degree-homogeneous chain module maps A -> B,
-    as {(n, row, col): value} dicts (map_system)."""
-    return map_system(A, B, degree, range(-1, len(A.actions)))[0].kernel()
+    as integer columns over map_system's layout."""
+    sys, _ = map_system(A, B, degree, range(-1, len(A.actions)))
+    return MapBasis(sys.kernel(), sys.blocks)
 
 
-def _express_composites(basis: list, form, shift: int, target: list,
+def _express_composites(basis: MapBasis, form, shift: int, target: MapBasis,
                          after: bool = True) -> tuple:
     """The coordinates in target of every map of basis composed with the
     blocks of one graded map, as the columns of an integer form.
 
-    A map of basis is {(n, row, col): value}, with block h_n at n.  The
-    block form(n + shift), an integer form or None for zero, comes after
-    h_n when after is set, and the composite sits at n; otherwise it comes
-    before h_n, and the composite sits at n + shift.  A composite outside
-    the span of target raises InvariantViolation.
+    A map of basis is an integer column over basis.blocks, with block h_n
+    at key n.  The block form(n + shift), an integer form or None for zero,
+    comes after h_n when after is set, and the composite sits at n;
+    otherwise it comes before h_n, and the composite sits at n + shift.
+    Composites are integer columns over target's indices, all forms over
+    one denominator; an entry in a block that target lacks keeps its name
+    (key, row, col).  One outside the span of target raises
+    InvariantViolation.
     """
-    lines = {}  # degree -> the denominator and the columns or rows of a block
-    cols = []
-    for h in basis:
+    offs, lines = [], []  # where each nonempty block of basis starts, what meets it
+    for n, (off, rows, cols) in basis.blocks.items():
+        if rows * cols:
+            f, m = form(n + shift), n if after else n + shift
+            offs.append(off)
+            lines.append(f and (off, cols, f[0], _transposed(f)[1] if after else f[1],
+                                m, target.blocks.get(m)))
+    den = lcm(*[line[2] for line in lines if line])
+    comps = []
+    for lead, col in basis:
         comp = {}
-        for (n, rr, cc), v in h.items():
-            m = n + shift
-            if m not in lines:
-                f = form(m)
-                lines[m] = f and (f[0], _transposed(f)[1] if after else f[1])
-            if lines[m]:
-                den, fl = lines[m]
-                for i, x in fl[rr if after else cc].items():
-                    key = (n, i, cc) if after else (m, rr, i)
-                    comp[key] = comp.get(key, ZERO) + _entry(x, den) * v
-        cols.append(comp)
-    out = _coordinates_form(target, cols)
+        for i, v in col.items():
+            line = lines[bisect_right(offs, i) - 1]
+            if line:
+                off, w, fden, fl, m, at = line
+                rr, cc = divmod(i - off, w)
+                v *= den // fden
+                # F[r][rr] h[rr][cc] is entry (r, cc) of F . h, h[rr][cc] F[cc][r]
+                # entry (rr, r) of h . F
+                for r, x in fl[rr if after else cc].items():
+                    a, b = (r, cc) if after else (rr, r)
+                    key = at[0] + a * at[2] + b if at else (m, a, b)
+                    comp[key] = comp.get(key, 0) + x * v
+        comps.append((lead * den, comp))
+    out = _coordinates_form(target, comps)
     if out is None:
         raise InvariantViolation("composite escaped the solution space")
     return out
@@ -1564,10 +1578,11 @@ def gamma_m(M: DGModule, name: str = "") -> DGModule:
             t = n + gm.degree
             if t not in dims:
                 continue
-            images = [dict(enumerate(gm.apply(n, _column_vector(lead, col, M.dim(n)))))
+            f = gm.form(n)
+            images = [(lead * f[0], {i: sum(x * col[j] for j, x in row.items() if j in col)
+                                     for i, row in enumerate(f[1])}) if f else (1, {})
                       for lead, col in sub_bases[n]]
-            coords = _coordinates_form([{i: Fraction(x, lead) for i, x in col.items()}
-                                        for lead, col in sub_bases[t]], images)
+            coords = _coordinates_form(sub_bases[t], images)
             if coords is None:
                 raise InvariantViolation("torsion part is not closed")
             blocks[k + 1][n] = coords

@@ -23,7 +23,7 @@ from . import resolve as rs
 from . import duality as du
 from . import adams as ad
 from . import groups as gr
-from .modfile import ParseError, parse_module_file, print_module
+from .modfile import ParseError, parse_module_file, print_module, window_error
 from .report import RunReport, content_hash
 
 
@@ -31,7 +31,10 @@ def parse_window(spec: str) -> Window:
     m = re.fullmatch(r"(-?\d+):(-?\d+)", spec)
     if not m:
         raise ValueError(f"window must be lo:hi, got {spec!r}")
-    return Window(int(m.group(1)), int(m.group(2)))
+    lo, hi = int(m.group(1)), int(m.group(2))
+    if err := window_error(lo, hi):
+        raise ValueError(err)
+    return Window(lo, hi)
 
 
 def load_module(spec: str, R: alg.PolyAlgebra | None, w: Window | None,

@@ -563,27 +563,28 @@ def _coordinates_form(basis: list, vectors: list) -> tuple | None:
     j holds the coordinates of vectors[j] in basis, or None when a vector
     lies outside the span of basis.
 
-    The basis is independent, and all vectors are sparse {key: rational}
-    dicts over the same keys.  One elimination of [basis | vectors], a row
-    per key, answers for every vector at once: a pivot in the vector part
-    is a vector outside the span, and pivot row p holds the coordinates on
-    basis vector p.
+    The basis is independent; all are integer columns (den, {key: int}),
+    each the vector column / den, over the same hashable keys.  One
+    elimination of [basis | vectors], a row per key, answers for every
+    vector at once: a pivot in the vector part is a vector outside the span,
+    and pivot row p holds the coordinates on basis column p, up to the dens.
     """
     k = len(basis)
     rows = {}
-    for j, v in enumerate(basis + vectors):
+    for j, (_, v) in enumerate(basis + vectors):
         for key, x in v.items():
             if x:
                 rows.setdefault(key, {})[j] = x
     reduced = _reduced([_primitive(row) for row in rows.values()])
     if reduced and reduced[-1][0] >= k:
         return None
-    den = lcm(*[row[p] for p, row in reduced])
+    pden, vden = lcm(*[row[p] for p, row in reduced]), lcm(*[d for d, _ in vectors])
+    scale = [vden // d for d, _ in vectors]
     out = [{} for _ in range(k)]
     for p, row in reduced:
-        s = den // row[p]
-        out[p] = {j - k: s * x for j, x in row.items() if j >= k}
-    return den, out, len(vectors)
+        s = pden // row[p] * basis[p][0]
+        out[p] = {j - k: s * x * scale[j - k] for j, x in row.items() if j >= k}
+    return pden * vden, out, len(vectors)
 
 
 def coordinates(basis: list[Vector], v: Vector) -> Vector | None:
@@ -865,120 +866,110 @@ def homology_at(d_in: GradedMap, d_out: GradedMap, n: int) -> HomologyPiece:
                          [_cycle(pivots, free[j - k]) for j in chosen if j >= k], f_out, free)
 
 
+class MapBasis(list):
+    """A basis of a space of block maps: _kernel's integer columns (lead,
+    {index: int}), each the map column / lead, over the variables of a
+    LinearSystem, whose layout it keeps as `blocks`.  `entries()` is the
+    dict view for the API edge (samples and tests), one {(key, row, col):
+    Fraction} per map, built on every call, the way GradedMap.block is."""
+
+    def __init__(self, columns, blocks: dict):
+        super().__init__(columns)
+        self.blocks = blocks
+
+    def entries(self) -> list:
+        names = _block_names(self.blocks)
+        return [{names[i]: _entry(x, lead) for i, x in col.items()} for lead, col in self]
+
+
+def _block_names(blocks: dict) -> dict:
+    """{index: (key, row, col)} over the entries of a layout's blocks."""
+    return {off + r * cols + c: (key, r, c) for key, (off, rows, cols) in blocks.items()
+            for r in range(rows) for c in range(cols)}
+
+
 class LinearSystem:
-    """Sparse exact linear system over QQ keyed by hashable variable names.
+    """Sparse exact linear system over QQ in unknown blocks Y_key.
 
-    Variables are created on first use; their order is insertion order,
-    which keeps kernel bases deterministic.  Each equation is a row
-    {variable index: coefficient} in `rows` with its right side in `rhs`;
-    both may be ints or Fractions, since a row is scaled to primitive
-    integers before it is eliminated.
-
-    Hom and chain-map spaces are the solutions of block equations in
-    unknown blocks Y_key, whose entries are the variables (key, row, col).
-    `unknowns` declares a block, and `equate`, the one place where such
-    equations are written, adds
+    `unknowns` declares a block as one contiguous range of variable
+    indices, row-major from its offset, so that `blocks`, the layout {key:
+    (offset, rows, cols)}, follows the order of declaration, which keeps
+    kernel bases deterministic.  `equate`, the one place where equations
+    are written, adds
 
         sum of the terms  sign * P . Y_key  and  sign * Y_key . Q  =  rhs
 
-    entry by entry, P, Q and rhs being integer forms.
+    entry by entry, P, Q and rhs being integer forms: each equation is an
+    integer row {variable index: coefficient} in `rows`, its right side in
+    `rhs`.  `kernel` gives integer columns over the indices; `solve` names
+    the entries of its solution (key, row, col).
     """
 
     def __init__(self):
-        self._vars: dict = {}
-        self._names: list = []
-        self.rows: list[dict] = []
-        self.rhs: list = []
-
-    def var(self, key) -> int:
-        if key not in self._vars:
-            self._vars[key] = len(self._names)
-            self._names.append(key)
-        return self._vars[key]
-
-    @property
-    def num_vars(self) -> int:
-        return len(self._names)
+        self.blocks, self.num_vars, self.rows, self.rhs = {}, 0, [], []
 
     def unknowns(self, key, rows: int, cols: int):
-        """Declare the entries of the rows x cols unknown block Y_key, row by
-        row."""
-        for r in range(rows):
-            for c in range(cols):
-                self.var((key, r, c))
-
-    def add_equation(self, coeffs: dict, rhs=0):
-        row = {}
-        for key, c in coeffs.items():
-            c = frac(c)
-            if c:
-                row[self.var(key)] = row.get(self.var(key), Fraction(0)) + c
-        self.rows.append(row)
-        self.rhs.append(frac(rhs))
+        """Declare the rows x cols unknown block Y_key."""
+        if key not in self.blocks:
+            self.blocks[key] = (self.num_vars, rows, cols)
+            self.num_vars += rows * cols
 
     def equate(self, rows: int, cols: int, left=(), right=(), rhs=None):
         """Add the equations sum of terms = rhs, entry by entry over
         rows x cols.
 
         A left term (sign, P, key) stands for sign * P . Y_key and a right
-        term (sign, key, Q) for sign * Y_key . Q.  P, Q and rhs are integer
-        forms, None standing for zero: a None term adds nothing.  All are
-        brought to one denominator in integers.  Coefficients of a variable
-        that several terms reach are summed, and an equation without terms
-        is added only when its right side is nonzero.
+        term (sign, key, Q) for sign * Y_key . Q, Y_key a declared block.
+        P, Q and rhs are integer forms, None standing for zero: a None term
+        adds nothing.  All are brought to one denominator in integers.
+        Coefficients of a variable that several terms reach are summed, and
+        an equation without terms is added only when its right side is
+        nonzero.
         """
         if not (rows and cols):
             return
-        left = [t for t in left if t[1] is not None]
-        right = [t for t in right if t[2] is not None]
-        if not (left or right or rhs):
+        terms = [(P, s, key, True) for s, P, key in left if P is not None]
+        terms += [(Q, s, key, False) for s, key, Q in right if Q is not None]
+        if not (terms or rhs):
             return
-        for f in [P for _, P, _ in left] + [rhs]:
-            if f is not None and len(f[1]) != rows:
+        for f, _, _, is_left in terms + [(rhs, 1, None, True)]:
+            if f is not None and is_left and len(f[1]) != rows:
                 raise ValueError(f"{len(f[1])}-row form in a {rows}-row equation")
-        for _, _, Q in right:
-            if Q[1] and Q[2] != cols:
-                raise ValueError(f"{Q[2]}-column form in a {cols}-column equation")
-        den = lcm(*[P[0] for _, P, _ in left], *[Q[0] for _, _, Q in right],
-                  1 if rhs is None else rhs[0])
-        lt = [(s * (den // P[0]), P[1], key) for s, P, key in left]
-        rt = [(s * (den // Q[0]), _transposed((Q[0], Q[1], cols))[1], key)
-              for s, key, Q in right]
+            if not is_left and f[1] and f[2] != cols:
+                raise ValueError(f"{f[2]}-column form in a {cols}-column equation")
+        den = lcm(*[f[0] for f, *_ in terms], 1 if rhs is None else rhs[0])
+        # only terms in one block reach a variable twice, and may cancel
+        shared = len({key for _, _, key, _ in terms}) < len(terms)
+        eqs = [[{} for _ in range(cols)] for _ in range(rows)]
+        for (fden, frows, _), s, key, is_left in terms:
+            off, _, w = self.blocks[key]  # entry (k, c) of Y_key: variable off + k * w + c
+            s *= den // fden
+            for k, frow in enumerate(frows):
+                for j, v in frow.items():
+                    # P[k][j] Y[j][c] is in the equations (k, c), Y[r][k] Q[k][j] in (r, j)
+                    x, i, step = (s * v, off + j * w, 1) if is_left else (s * v, off + k, w)
+                    for eq in eqs[k] if is_left else [eq_row[j] for eq_row in eqs]:
+                        eq[i] = eq.get(i, 0) + x if shared else x
+                        i += step
         rscale = 0 if rhs is None else den // rhs[0]
-        var = self.var
-        for rr in range(rows):
+        for rr, eq_row in enumerate(eqs):
             y_row = {} if rhs is None else rhs[1][rr]
-            for cc in range(cols):
-                acc = {}
-                for s, prows, key in lt:
-                    for kk, v in prows[rr].items():
-                        k = (key, kk, cc)
-                        acc[k] = acc.get(k, 0) + s * v
-                for s, columns, key in rt:
-                    for kk, v in columns[cc].items():
-                        k = (key, rr, kk)
-                        acc[k] = acc.get(k, 0) + s * v
-                row = {var(k): x for k, x in acc.items() if x}
+            for cc, row in enumerate(eq_row):
+                if shared:
+                    row = {i: x for i, x in row.items() if x}
                 y = rscale * y_row.get(cc, 0)
                 if row or y:
                     self.rows.append(row)
                     self.rhs.append(y)
 
     def solve(self) -> dict | None:
-        """A particular solution as {key: value}, or None."""
-        if not self.rows:
-            return {name: Fraction(0) for name in self._names}
-        n = self.num_vars
-        rows = [_primitive({**row, n: y} if y else row)
-                for row, y in zip(self.rows, self.rhs)]
+        """A particular solution as {(key, row, col): value}, or None."""
+        n, names = self.num_vars, _block_names(self.blocks)
+        rows = [_primitive({**row, n: y} if y else row) for row, y in zip(self.rows, self.rhs)]
         sol = _particular(_reduced(rows), n)
-        if sol is None:
-            return None
-        return {name: sol[i] for i, name in enumerate(self._names)}
+        return None if sol is None else {names[i]: x for i, x in enumerate(sol)}
 
-    def kernel(self) -> list[dict]:
-        """Basis of the homogeneous solution space as dicts."""
-        names = self._names
-        return [{names[i]: _entry(x, lead) for i, x in sorted(col.items())}
-                for lead, col in _kernel(_reduced([_primitive(row) for row in self.rows]),
-                                         self.num_vars)]
+    def kernel(self) -> list:
+        """The homogeneous solutions as _kernel's integer columns over the
+        variable indices, primitive whatever the scale of the rows."""
+        return _kernel(_reduced(self.rows), self.num_vars)

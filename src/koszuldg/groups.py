@@ -20,6 +20,7 @@ from math import lcm
 
 from .grlin import (
     GradedMap,
+    MapBasis,
     Subspace,
     Window,
     _assemble,
@@ -350,7 +351,8 @@ def coextend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
     act_blocks = [dict() for _ in range(T.r)]
     for t in dims:
         # differential: postcompose with d_M
-        coords = _express_composites(solutions[t], M.diff.form, t, solutions.get(t - 1, []))
+        coords = _express_composites(solutions[t], M.diff.form, t,
+                                      solutions.get(t - 1, MapBasis([], {})))
         if dims.get(t - 1):
             diff_blocks[t] = coords
         # target action: (y f)(tau) = f(y tau), precomposition with y_j

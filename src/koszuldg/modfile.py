@@ -25,6 +25,20 @@ from .algebra import (
 )
 
 
+# Windows and components lie inside the degrees -WINDOW_BOUND..WINDOW_BOUND:
+# far wider than any module here, yet a loop over a window stays short, and
+# degrees stay far from the sentinels that stand for a complete side.
+WINDOW_BOUND = 1000
+
+
+def window_error(lo: int, hi: int, what: str = "window") -> str | None:
+    """Why the window lo..hi, or the degree lo = hi, is refused, or None."""
+    if not (-WINDOW_BOUND <= lo and hi <= WINDOW_BOUND):
+        where = f"{lo} {hi}" if what == "window" else f"{lo}"
+        return f"{what} {where} leaves the degrees {-WINDOW_BOUND}..{WINDOW_BOUND}"
+    return None
+
+
 class ParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
@@ -102,6 +116,8 @@ def parse_module(text: str, name: str = "") -> DGModule:
                 window = (int(tokens[1]), int(tokens[2]))
             except ValueError:
                 raise ParseError(line_no, "window bounds must be integers")
+            if err := window_error(*window):
+                raise ParseError(line_no, err)
         elif head == "complete":
             for t in tokens[1:]:
                 if t not in ("below", "above", "both"):
@@ -115,6 +131,8 @@ def parse_module(text: str, name: str = "") -> DGModule:
                 deg = int(tokens[1])
             except ValueError:
                 raise ParseError(line_no, f"bad degree {tokens[1]!r}")
+            if err := window_error(deg, deg, "degree"):
+                raise ParseError(line_no, err)
             labels = tokens[2:]
             if not labels:
                 raise ParseError(line_no, "component needs at least one label")

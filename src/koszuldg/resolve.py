@@ -9,12 +9,12 @@ independent finite computation (homology of the module tensored with the
 exterior Koszul complex), which both sizes the windows and cross-checks the
 construction.  Injective resolutions are graded duals of free ones; both
 kinds are certified exact by one check on the realized complex.  Ext is
-computed along both routes as mutual oracles, the injective route from
-module_hom_space (algebra.map_system's equations) and postcomposition
-(algebra._express_composites).  Derived Hom uses a semifree replacement
-built by killing cone homology from the top: a scan reads the cone one
-degree at a time from its two differential blocks there, and one final gate
-builds and checks the whole replacement and its cone before it is returned.
+computed along both routes as mutual oracles, the injective one on the
+integer columns of module_hom_space, composed with the resolution maps in
+integers (algebra._express_composites).  Derived Hom uses a semifree
+replacement built by killing cone homology from the top: a scan reads the
+cone one degree at a time from its two differential blocks, and one final
+gate builds and checks the replacement and its cone before it is returned.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from .grlin import (
     GradedMap,
     GradedVS,
+    MapBasis,
     Window,
     _assemble,
     _column_vector,
@@ -512,17 +513,17 @@ def _ext_connecting_free(res: ResolutionData, s: int, t: int, N: DGModule):
         for jj in range(len(tgt)) for ii, (_, bi) in enumerate(src)])
 
 
-def module_hom_space(M: DGModule, J: DGModule, t: int) -> list:
+def module_hom_space(M: DGModule, J: DGModule, t: int) -> MapBasis:
     """Basis of degree-t module homomorphisms M -> J, differentials left
-    aside: map_system's solutions for the generator actions, so with a
-    Koszul sign for odd t and odd generators, and no equation reaching a
-    degree of M outside its known range.  WindowTooSmall unless J's window
-    certifies every degree that an unknown block or an equation reaches.
-    """
+    aside, as integer columns over map_system's layout: its solutions for
+    the generator actions, so with a Koszul sign for odd t and odd
+    generators, and no equation reaching a degree of M outside its known
+    range.  WindowTooSmall, at the first degree met, unless J's window
+    certifies every degree that an unknown block or an equation reaches."""
     sys, missing = map_system(M, J, t, range(len(M.actions)))
     if missing:
         raise WindowTooSmall(f"hom target not certified at degree {missing[0]}")
-    return sys.kernel()
+    return MapBasis(sys.kernel() if sys.num_vars else [], sys.blocks)
 
 
 def _ext_via_injective(M: DGModule, N: DGModule) -> BigradedTable:

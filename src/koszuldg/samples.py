@@ -111,7 +111,7 @@ def random_chain_map(A: DGModule, B: DGModule, rng: random.Random,
     """A random small-integer combination of a chain-map-space basis."""
     basis = chain_map_space(A, B, degree)
     entries = {}
-    for h in basis:
+    for h in basis.entries():
         c = rng.randint(-2, 2)
         if not c:
             continue

@@ -11,10 +11,14 @@ keeps the summing of placed integer forms (`_assemble`) in the summed-module
 builder and a listed few readers, a third keeps the construction of
 linear systems in the one writer of the equations of module maps and the
 one system of another shape, and a fourth lists the rank takers of
-`resolve`, so both resolutions keep one exactness certificate."""
+`resolve`, so both resolutions keep one exactness certificate.  Two more
+keep the writing of equations in map_system and the sites that add their
+side conditions to its system, and keep the Hom spaces of the injective Ext
+route on integer columns: no Fraction is made on that path."""
 import ast
 from pathlib import Path
 
+from koszuldg import algebra as alg
 from koszuldg import grlin
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "koszuldg"
@@ -131,3 +135,60 @@ def test_resolutions_share_one_exactness_certificate():
     found = dense_calls(ast.parse(path.read_text(), filename=str(path)), "resolve", [], [],
                         {"_form_rank"})
     assert sorted(c[:2] for c in found) == RANKED
+
+
+# Equations are written into a LinearSystem (LinearSystem.equate) by
+# map_system, which writes those of every space of module maps, by the sites
+# that add a side condition to map_system's system (the injective hull's
+# socle pairing, the Adams lift's representatives, the commuting lifts'
+# augmentation and commutation), and by recognize_k; nothing in the package
+# writes equations one coefficient at a time (add_equation).
+EQUATIONS = [
+    ("adams", "injective_hull_embedding"),
+    ("adams", "lift_through_homology"),
+    ("algebra", "map_system"),
+    ("duality", "recognize_k"),
+    ("groups", "_commuting_lifts"),
+    ("groups", "_commuting_lifts"),
+]
+
+
+def test_map_system_writes_the_equations_of_module_maps():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        dense_calls(ast.parse(path.read_text(), filename=str(path)), path.stem, [], found,
+                    {"equate", "add_equation"})
+    assert sorted(c[:2] for c in found) == EQUATIONS
+    assert {c[2] for c in found} == {"equate"}
+
+
+# The Hom spaces of the injective Ext route, their equations and their
+# composites stay on integer columns and forms.
+INTEGER_ONLY = [
+    ("algebra", "map_system"),
+    ("resolve", "module_hom_space"),
+    ("algebra", "_express_composites"),
+    ("resolve", "_ext_via_injective"),
+    ("resolve", "_ext_connecting_inj"),
+]
+
+
+def test_the_injective_route_makes_no_fraction():
+    trees = {m: ast.parse((SRC / f"{m}.py").read_text()) for m in ("algebra", "resolve")}
+    for module, name in INTEGER_ONLY:
+        fn = next(node for node in ast.walk(trees[module])
+                  if isinstance(node, ast.FunctionDef) and node.name == name)
+        found = dense_calls(fn, module, [name], [], {"Fraction", "_entry", "frac"})
+        assert not found, f"rational entries made in {module}.{name}: {found}"
+
+
+def test_linear_systems_keep_what_the_benchmark_tracer_reads():
+    # benchmark/tracer.py counts the entries of each system it sees solved
+    # from rows, rhs and num_vars
+    R = alg.poly_algebra(alg.GroupData((2,)))
+    M = alg.direct_sum(alg.residue_field(R), alg.basic_injective(R, grlin.Window(0, 2)))
+    sys, missing = alg.map_system(M, M, 0, range(1))
+    assert not missing and sys.num_vars == 5 and len(sys.rows) == len(sys.rhs) == 2
+    assert all(0 <= i < sys.num_vars for row in sys.rows for i in row)
+    for name in ("kernel", "solve"):
+        assert name in vars(grlin.LinearSystem)

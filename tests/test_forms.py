@@ -1924,6 +1924,126 @@ def test_tensor_over_ext_matches_dense_assembly():
 # the equation builder: LinearSystem.equate against dense equation loops
 
 
+class TupleLinearSystem:
+    """LinearSystem as it was, kept as the reference: sparse exact linear
+    system over QQ keyed by hashable variable names.
+
+    Variables are created on first use; their order is insertion order,
+    which keeps kernel bases deterministic.  Each equation is a row
+    {variable index: coefficient} in `rows` with its right side in `rhs`;
+    both may be ints or Fractions, since a row is scaled to primitive
+    integers before it is eliminated.
+
+    Hom and chain-map spaces are the solutions of block equations in
+    unknown blocks Y_key, whose entries are the variables (key, row, col).
+    `unknowns` declares a block, and `equate`, the one place where such
+    equations are written, adds
+
+        sum of the terms  sign * P . Y_key  and  sign * Y_key . Q  =  rhs
+
+    entry by entry, P, Q and rhs being integer forms.
+    """
+
+    def __init__(self):
+        self._vars: dict = {}
+        self._names: list = []
+        self.rows: list[dict] = []
+        self.rhs: list = []
+
+    def var(self, key) -> int:
+        if key not in self._vars:
+            self._vars[key] = len(self._names)
+            self._names.append(key)
+        return self._vars[key]
+
+    @property
+    def num_vars(self) -> int:
+        return len(self._names)
+
+    def unknowns(self, key, rows: int, cols: int):
+        """Declare the entries of the rows x cols unknown block Y_key, row by
+        row."""
+        for r in range(rows):
+            for c in range(cols):
+                self.var((key, r, c))
+
+    def add_equation(self, coeffs: dict, rhs=0):
+        row = {}
+        for key, c in coeffs.items():
+            c = grlin.frac(c)
+            if c:
+                row[self.var(key)] = row.get(self.var(key), F(0)) + c
+        self.rows.append(row)
+        self.rhs.append(grlin.frac(rhs))
+
+    def equate(self, rows: int, cols: int, left=(), right=(), rhs=None):
+        """Add the equations sum of terms = rhs, entry by entry over
+        rows x cols.
+
+        A left term (sign, P, key) stands for sign * P . Y_key and a right
+        term (sign, key, Q) for sign * Y_key . Q.  P, Q and rhs are integer
+        forms, None standing for zero: a None term adds nothing.  All are
+        brought to one denominator in integers.  Coefficients of a variable
+        that several terms reach are summed, and an equation without terms
+        is added only when its right side is nonzero.
+        """
+        if not (rows and cols):
+            return
+        left = [t for t in left if t[1] is not None]
+        right = [t for t in right if t[2] is not None]
+        if not (left or right or rhs):
+            return
+        for f in [P for _, P, _ in left] + [rhs]:
+            if f is not None and len(f[1]) != rows:
+                raise ValueError(f"{len(f[1])}-row form in a {rows}-row equation")
+        for _, _, Q in right:
+            if Q[1] and Q[2] != cols:
+                raise ValueError(f"{Q[2]}-column form in a {cols}-column equation")
+        den = lcm(*[P[0] for _, P, _ in left], *[Q[0] for _, _, Q in right],
+                  1 if rhs is None else rhs[0])
+        lt = [(s * (den // P[0]), P[1], key) for s, P, key in left]
+        rt = [(s * (den // Q[0]), grlin._transposed((Q[0], Q[1], cols))[1], key)
+              for s, key, Q in right]
+        rscale = 0 if rhs is None else den // rhs[0]
+        var = self.var
+        for rr in range(rows):
+            y_row = {} if rhs is None else rhs[1][rr]
+            for cc in range(cols):
+                acc = {}
+                for s, prows, key in lt:
+                    for kk, v in prows[rr].items():
+                        k = (key, kk, cc)
+                        acc[k] = acc.get(k, 0) + s * v
+                for s, columns, key in rt:
+                    for kk, v in columns[cc].items():
+                        k = (key, rr, kk)
+                        acc[k] = acc.get(k, 0) + s * v
+                row = {var(k): x for k, x in acc.items() if x}
+                y = rscale * y_row.get(cc, 0)
+                if row or y:
+                    self.rows.append(row)
+                    self.rhs.append(y)
+
+    def solve(self) -> dict | None:
+        """A particular solution as {key: value}, or None."""
+        if not self.rows:
+            return {name: F(0) for name in self._names}
+        n = self.num_vars
+        rows = [_primitive({**row, n: y} if y else row)
+                for row, y in zip(self.rows, self.rhs)]
+        sol = grlin._particular(grlin._reduced(rows), n)
+        if sol is None:
+            return None
+        return {name: sol[i] for i, name in enumerate(self._names)}
+
+    def kernel(self) -> list[dict]:
+        """Basis of the homogeneous solution space as dicts."""
+        names = self._names
+        return [{names[i]: grlin._entry(x, lead) for i, x in sorted(col.items())}
+                for lead, col in grlin._kernel(grlin._reduced([_primitive(row) for row in self.rows]),
+                                         self.num_vars)]
+
+
 def dense_equations(sys, n, P, m, Q, rows, cols, rhs=None):
     """The commuting lifts' equation loops on dense blocks:
     P . Y_n - Y_m . Q = rhs entry by entry, None standing for zero."""
@@ -1959,7 +2079,7 @@ def test_lift_equations_match_dense_loops():
         P = random_matrix(rng, rows, a, 0.5) if rng.random() < 0.8 else None
         Q = random_matrix(rng, b, cols, 0.5) if rng.random() < 0.8 else None
         rhs = random_matrix(rng, rows, cols, 0.3) if rng.random() < 0.5 else None
-        dense, forms = LinearSystem(), LinearSystem()
+        dense, forms = TupleLinearSystem(), LinearSystem()
         for key in ([(5, kk, cc) for kk in range(a) for cc in range(cols)]
                     + [(m, rr, kk) for rr in range(rows) for kk in range(b)]):
             dense.var(key)
@@ -1968,9 +2088,9 @@ def test_lift_equations_match_dense_loops():
         forms.unknowns(m, rows, b)
         forms.equate(rows, cols, left=[(1, form(P), 5)], right=[(-1, m, form(Q))],
                      rhs=form(rhs))
-        assert forms._names == dense._names
+        assert list(grlin._block_names(forms.blocks).values()) == dense._names
         assert forms.solve() == dense.solve()
-        assert forms.kernel() == dense.kernel()
+        assert grlin.MapBasis(forms.kernel(), forms.blocks).entries() == dense.kernel()
         solved += dense.solve() is not None and any(dense.solve().values())
         commutators += m == 5 and P is not None and Q is not None and rows * cols > 0
     assert solved >= 10 and commutators >= 10
@@ -1982,7 +2102,7 @@ def test_equate_sums_a_key_on_both_sides():
     sys.unknowns(0, 1, 1)
     one = (1, [{0: 1}], 1)
     sys.equate(1, 1, left=[(1, one, 0)], right=[(-1, 0, one)])
-    assert sys.rows == [] and sys.kernel() == [{(0, 0, 0): 1}]
+    assert sys.rows == [] and sys.kernel() == [(1, {0: 1})]
     # an equation without terms is kept only for a nonzero right side
     sys.equate(1, 1, rhs=(2, [{0: 1}], 1))
     assert sys.rows == [{}] and sys.solve() is None
@@ -1999,7 +2119,7 @@ def test_equate_rejects_misshapen_forms():
 def dense_chain_map_space(A, B, degree=0, actions_only=False):
     """chain_map_space's equation loops on dense blocks, entry by entry;
     with actions_only, the differentials are left aside."""
-    sys = LinearSystem()
+    sys = TupleLinearSystem()
     for n in A.degrees():
         tb = B.known_dim(n + degree)
         if tb is None:
@@ -2050,7 +2170,7 @@ def dense_chain_map_space(A, B, degree=0, actions_only=False):
 
 def dense_module_hom_space(M, J, t):
     """module_hom_space's equation loops on dense blocks, entry by entry."""
-    sys = LinearSystem()
+    sys = TupleLinearSystem()
     for n in M.degrees():
         jd = J.known_dim(n + t)
         if jd is None:
@@ -2090,7 +2210,7 @@ def test_chain_map_space_matches_dense_loops():
                 continue
             for degree in (-1, 0, 1, 2):
                 want = dense_chain_map_space(A, B, degree)
-                assert alg.chain_map_space(A, B, degree) == want
+                assert alg.chain_map_space(A, B, degree).entries() == want
                 found += len(want)
                 odd += len(want) if degree % 2 and isinstance(A.algebra, alg.ExtAlgebra) else 0
     assert found >= 200 and odd >= 20
@@ -2141,15 +2261,18 @@ def test_module_hom_space_is_the_actions_only_chain_map_space():
     assert len(rs.module_hom_space(Fw, Fw, 2)) == 1
     # exterior modules at odd t: a Koszul sign, the same dimension
     L = alg.lambda_as_module(L2)
-    got, old = rs.module_hom_space(L, L, 1), dense_module_hom_space(L, L, 1)
+    got, old = rs.module_hom_space(L, L, 1).entries(), dense_module_hom_space(L, L, 1)
     assert got != old and len(got) == len(old) == 2
 
 
 def outcome_hom(fn, *args):
+    """A basis as {(key, row, col): Fraction} dicts, in order, or the
+    WindowTooSmall message."""
     try:
-        return fn(*args)
+        out = fn(*args)
     except rs.WindowTooSmall as exc:
         return ("WindowTooSmall", str(exc))
+    return out.entries() if isinstance(out, grlin.MapBasis) else out
 
 
 # ---------------------------------------------------------------------------
@@ -2272,7 +2395,7 @@ def dense_ext_connecting_inj(M, res, s, t, bases):
     """Postcomposition in the bases, solved one source element at a time
     over the union of the keys, into a dense matrix."""
     psi = res.maps[s]
-    src_basis, tgt_basis = bases[s], bases[s + 1]
+    src_basis, tgt_basis = bases[s].entries(), bases[s + 1].entries()
     if not tgt_basis:
         return zeros(0, len(src_basis))
     cols = []
@@ -2316,12 +2439,15 @@ def test_injective_ext_connecting_maps_match_dense_solves():
 
 def dense_coordinates_form(basis, vectors):
     """The coordinate loop coextend_scalars ran: one dense solve per vector
-    over the union of the keys, the columns placed by _columns_form."""
+    over the union of the keys, the columns placed by _columns_form.  The
+    integer columns (den, {key: int}) are read as {key: Fraction} dicts."""
+    basis, vectors = ([{k: F(x, den) for k, x in col.items()} for den, col in vs]
+                      for vs in (basis, vectors))
     if not basis:
         return None if any(any(v.values()) for v in vectors) else (1, [], len(vectors))
     cols = []
     for comp in vectors:
-        keys = sorted({k for h in basis for k in h} | set(comp))
+        keys = list({k: None for h in basis + [comp] for k in h})
         sol = solve([[h.get(k, F(0)) for h in basis] for k in keys],
                     [comp.get(k, F(0)) for k in keys])
         if sol is None:
@@ -3840,6 +3966,86 @@ def old_lift_through_homology(Y, W, emb, HY):
     return alg.chain_map_from_blocks(Y, W, 0, sol)
 
 
+def tuple_map_system(A, B, degree, ops):
+    """algebra.map_system as it was, on the tuple-keyed system."""
+    sys, missing, cols = TupleLinearSystem(), [], {}
+    for n in A.degrees():
+        rows = B.known_dim(n + degree)
+        if rows is None:
+            missing.append(n + degree)
+        else:
+            cols[n] = A.dim(n)
+            sys.unknowns(n, rows, cols[n])
+    ops = [(A.op(k), B.op(k)) for k in ops]
+    lo, hi = A.known_lo(), A.known_hi()
+    for n, c in cols.items():
+        for a, b in ops:
+            g = a.degree
+            if not lo <= n + g <= hi:
+                continue
+            rows = B.known_dim(n + g + degree)
+            if rows is None:
+                missing.append(n + g + degree)
+                continue
+            sgn = -1 if (degree % 2 and g % 2) else 1
+            sys.equate(rows, c, left=[(1, b.form(n + degree), n)],
+                       right=[(-sgn, n + g, a.form(n))])
+    return sys, missing
+
+
+def tuple_chain_map_space(A, B, degree=0):
+    return tuple_map_system(A, B, degree, range(-1, len(A.actions)))[0].kernel()
+
+
+def tuple_module_hom_space(M, J, t):
+    sys, missing = tuple_map_system(M, J, t, range(len(M.actions)))
+    if missing:
+        raise rs.WindowTooSmall(f"hom target not certified at degree {missing[0]}")
+    return sys.kernel()
+
+
+def fraction_coordinates_form(basis, vectors):
+    """grlin._coordinates_form as it was, on {key: Fraction} dicts."""
+    k = len(basis)
+    rows = {}
+    for j, v in enumerate(basis + vectors):
+        for key, x in v.items():
+            if x:
+                rows.setdefault(key, {})[j] = x
+    reduced = grlin._reduced([_primitive(row) for row in rows.values()])
+    if reduced and reduced[-1][0] >= k:
+        return None
+    den = lcm(*[row[p] for p, row in reduced])
+    out = [{} for _ in range(k)]
+    for p, row in reduced:
+        s = den // row[p]
+        out[p] = {j - k: s * x for j, x in row.items() if j >= k}
+    return den, out, len(vectors)
+
+
+def fraction_express_composites(basis, form, shift, target, after=True):
+    """algebra._express_composites as it was: composites as {(n, row, col):
+    Fraction} dicts, entries read through grlin._entry."""
+    lines, cols = {}, []
+    for h in basis:
+        comp = {}
+        for (n, rr, cc), v in h.items():
+            m = n + shift
+            if m not in lines:
+                f = form(m)
+                lines[m] = f and (f[0], grlin._transposed(f)[1] if after else f[1])
+            if lines[m]:
+                den, fl = lines[m]
+                for i, x in fl[rr if after else cc].items():
+                    key = (n, i, cc) if after else (m, rr, i)
+                    comp[key] = comp.get(key, F(0)) + grlin._entry(x, den) * v
+        cols.append(comp)
+    out = fraction_coordinates_form(target, cols)
+    if out is None:
+        raise alg.InvariantViolation("composite escaped the solution space")
+    return out
+
+
 def old_coextension_solutions(rm, M, w=None):
     """coextend_scalars' prologue and per-degree solve: the windowed copy
     of the target ring, the degree range and the solutions by degree."""
@@ -3859,7 +4065,7 @@ def old_coextension_solutions(rm, M, w=None):
     Tmod = alg.poly_as_module(T, Window(depth, 0))
     solutions = {}
     for t in range(t_lo, t_hi + 1):
-        sys = LinearSystem()
+        sys = TupleLinearSystem()
         for n in Tmod.degrees():
             md = M.known_dim(n + t)
             if md is None:
@@ -3884,7 +4090,7 @@ def old_coextension_blocks(M, Tmod, solutions):
     dims = {t: len(sols) for t, sols in solutions.items() if sols}
 
     def express(t, comps):
-        out = grlin._coordinates_form(solutions.get(t, []), comps)
+        out = fraction_coordinates_form(solutions.get(t, []), comps)
         if out is None:
             raise alg.InvariantViolation("composite escaped the solution space")
         return out
@@ -4011,13 +4217,106 @@ def test_coextension_solves_and_composites_match_old_loops():
             Tmod, t_lo, t_hi, solutions = old_coextension_solutions(rm, M)
             res = gr.restrict_scalars(rm, Tmod)
             for t in range(t_lo, t_hi + 1):
-                assert rs.module_hom_space(res, M, t) == solutions[t]
+                assert rs.module_hom_space(res, M, t).entries() == solutions[t]
                 degrees += 1
                 nonzero += bool(solutions[t])
     assert degrees >= 300 and nonzero >= 100
     # both compose loops produced blocks: postcomposition with d_M and
     # precomposition with the target generators
     assert diffs >= 20 and actions >= 100
+
+
+def coordinates_or_escape(fn, *args):
+    """The dense coordinate matrix, or the InvariantViolation message."""
+    try:
+        out = fn(*args)
+    except alg.InvariantViolation as exc:
+        return ("InvariantViolation", str(exc))
+    return _dense(*out)
+
+
+def rescaled(form):
+    """The same blocks as form, each over a denominator that depends on its
+    degree."""
+    def at(m):
+        f, k = form(m), m % 3 + 1
+        return f and (f[0] * k, [{j: x * k for j, x in row.items()} for row in f[1]], f[2])
+    return at
+
+
+def test_index_ranges_match_the_tuple_keyed_systems():
+    """Hom and chain-map spaces on index ranges against the tuple-keyed
+    system, as vectors in the same order, with the same window verdicts; and
+    the integer composites against the Fraction ones, postcomposition with
+    the injective resolutions' maps and precomposition with the generator
+    actions, escapes included."""
+    rng = random.Random(82)
+    zd = zero_diff_samples(rng)
+    su3 = [M for M in zd if M.algebra == R3] + [alg.residue_field(R3)]
+    inputs = list(hom_inputs(rng))
+    inputs += [(M, J, t) for M in su3
+               for J in su3 + [alg.basic_injective(R3, Window(0, w)) for w in (4, 10)]
+               for t in range(-7, 8)]
+    # narrow windows, so that WindowTooSmall is reached from both loops: the
+    # windowed Koszul models are unknown below, where the equations reach
+    inputs += [(M, J, t) for M in zd + sample_modules(rng, poly_only=True)[:5]
+               for J in (alg.basic_injective(M.algebra, Window(0, 2)),
+                         alg.to_degreewise(alg.koszul_model(M.algebra), Window(-4, 2)))
+               for t in range(-6, 4)]
+    spaces = odd = verdicts = from_equations = 0
+    for M, J, t in inputs:
+        want = outcome_hom(tuple_module_hom_space, M, J, t)
+        assert outcome_hom(rs.module_hom_space, M, J, t) == want
+        if isinstance(want, tuple):
+            verdicts += 1
+            # a degree no unknown block reaches: found by the equation loop
+            from_equations += int(want[1].split()[-1]) - t not in M.degrees()
+        else:
+            spaces += len(want)
+            odd += len(want) if t % 2 else 0
+    assert spaces >= 300 and odd >= 50 and verdicts >= 150 and from_equations >= 20
+    # as windows fail, WindowTooSmall names the same first missing degree;
+    # chain maps in odd and even degrees
+    mods = sample_modules(rng)
+    chains = 0
+    for A in mods:
+        for B in mods:
+            if A.algebra == B.algebra:
+                for degree in (-1, 0, 1):
+                    want = tuple_chain_map_space(A, B, degree)
+                    assert alg.chain_map_space(A, B, degree).entries() == want
+                    chains += len(want)
+    assert chains >= 200
+    # the composites, on the same bases
+    forms = 0
+    for M in zd[:6] + su3[:2]:
+        for N in zd[:6] + su3[:2]:
+            if M.algebra != N.algebra or not (M.total_dim() and N.total_dim()):
+                continue
+            res = rs.injective_resolution(N, window=Window(-14, 0))
+            for t in range(-5, 6):
+                new = [rs.module_hom_space(M, J, t) for J in res.stages]
+                old = [tuple_module_hom_space(M, J, t) for J in res.stages]
+                for s in range(len(res.stages) - 1):
+                    if old[s + 1]:
+                        want = coordinates_or_escape(fraction_express_composites, old[s],
+                                                     res.maps[s].form, t, old[s + 1])
+                        for form in (res.maps[s].form, rescaled(res.maps[s].form)):
+                            assert coordinates_or_escape(alg._express_composites, new[s],
+                                                         form, t, new[s + 1]) == want
+                        forms += 1
+            for J in res.stages[:2]:
+                for t in range(-3, 4):
+                    for j, e in enumerate(M.algebra.codegrees):
+                        new = [rs.module_hom_space(M, J, u) for u in (t, t - e)]
+                        old = [tuple_module_hom_space(M, J, u) for u in (t, t - e)]
+                        want = coordinates_or_escape(fraction_express_composites, old[0],
+                                                     M.actions[j].form, e, old[1], False)
+                        assert coordinates_or_escape(alg._express_composites, new[0],
+                                                     M.actions[j].form, e, new[1],
+                                                     False) == want
+                        forms += 1
+    assert forms >= 500
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,7 @@ def chain_maps_payload() -> dict:
         out.append({
             "degree": degree,
             "basis": [sorted([list(k), v] for k, v in h.items())
-                      for h in basis],
+                      for h in basis.entries()],
         })
     return {"spaces": out}
 

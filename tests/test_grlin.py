@@ -12,6 +12,7 @@ from koszuldg.grlin import (
     Window,
     _coordinates_form,
     _dense,
+    _int_column,
     homology_at,
     kernel_basis,
     rank,
@@ -168,27 +169,28 @@ def test_window_validation():
 
 
 def test_linear_system_roundtrip():
+    # a + b = 3, a - b = 1 on the unknown column (a, b)
     sys = LinearSystem()
-    sys.add_equation({"a": 1, "b": 1}, rhs=3)
-    sys.add_equation({"a": 1, "b": -1}, rhs=1)
-    sol = sys.solve()
-    assert sol == {"a": F(2), "b": F(1)}
+    sys.unknowns("v", 2, 1)
+    sys.equate(2, 1, left=[(1, (1, [{0: 1, 1: 1}, {0: 1, 1: -1}], 2), "v")],
+               rhs=(1, [{0: 3}, {0: 1}], 1))
+    assert sys.rows == [{0: 1, 1: 1}, {0: 1, 1: -1}] and sys.rhs == [3, 1]
+    assert sys.solve() == {("v", 0, 0): F(2), ("v", 1, 0): F(1)}
 
 
 def test_linear_system_kernel_deterministic():
-    sys = LinearSystem()
-    sys.var("x")
-    sys.var("y")
-    sys.var("z")
-    sys.add_equation({"x": 1, "y": 1, "z": 1})
-    k1 = sys.kernel()
-    sys2 = LinearSystem()
-    sys2.var("x")
-    sys2.var("y")
-    sys2.var("z")
-    sys2.add_equation({"x": 1, "y": 1, "z": 1})
-    assert k1 == sys2.kernel()
-    assert len(k1) == 2
+    # x + y + z = 0, the unknown row (x, y, z) declared after an empty block
+    def kernel():
+        sys = LinearSystem()
+        sys.unknowns("e", 0, 4)
+        sys.unknowns("v", 1, 3)
+        sys.equate(1, 1, left=[(1, None, "v")])  # a zero term adds nothing
+        sys.equate(1, 1, right=[(1, "v", (1, [{0: 1}, {0: 1}, {0: 1}], 1))])
+        assert sys.rows == [{0: 1, 1: 1, 2: 1}]
+        return sys.kernel()
+
+    # one column per free variable, its first entry 1
+    assert kernel() == kernel() == [(1, {0: 1, 1: -1}), (1, {0: 1, 2: -1})]
 
 
 def test_rref_canonical():
@@ -424,8 +426,8 @@ def test_coordinates_form_matches_dense_solve():
             vectors.append([sum((x * b[i] for x, b in zip(c, basis)), F(0)) for i in range(n)])
         cols = [solve([[b[i] for b in basis] for i in range(n)], v) if basis
                 else ([] if not any(v) else None) for v in vectors]
-        got = _coordinates_form([dict(enumerate(b)) for b in basis],
-                                [dict(enumerate(v)) for v in vectors])
+        got = _coordinates_form([_int_column(b) for b in basis],
+                                [_int_column(v) for v in vectors])
         if any(c is None for c in cols):
             assert got is None
             outside += 1
@@ -478,22 +480,14 @@ def test_homology_at_matches_greedy_subspace():
 
 
 def reference_express(M, H, n, v):
-    """One LinearSystem per vector: v = sum c_k rep_k + d(w)."""
+    """One dense solve per vector: v = sum c_k rep_k + d(w)."""
     piece = H.pieces.get(n)
     reps = piece.representatives if piece else []
     dim_up = M.known_dim(n + 1) or 0
-    sys = LinearSystem()
-    for k in range(len(reps)):
-        sys.var(("c", k))
     dn1 = M.diff.block(n + 1)
-    for row in range(M.dim(n)):
-        coeffs = {("c", k): rep[row] for k, rep in enumerate(reps)}
-        coeffs.update((("w", j), dn1[row][j]) for j in range(dim_up))
-        sys.add_equation(coeffs, rhs=v[row])
-    sol = sys.solve()
-    if sol is None:
-        return None
-    return [sol.get(("c", k), F(0)) for k in range(len(reps))]
+    sol = solve([[rep[row] for rep in reps] + [dn1[row][j] for j in range(dim_up)]
+                 for row in range(M.dim(n))], v)
+    return None if sol is None else sol[:len(reps)]
 
 
 def test_express_in_homology_matches_linear_system():

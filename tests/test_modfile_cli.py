@@ -1,6 +1,8 @@
 import json
 import random
 import re
+import signal
+import time
 
 import pytest
 
@@ -513,6 +515,10 @@ REFUSED = [
     (["homology", "--module", "I", "--group", "2"], "builtin 'I' needs --group and --window"),
     (["homology", "--module", "I", "--window=-4:0"], "builtin 'I' needs --group and --window"),
     (["homology", "--module", "k"], "builtin 'k' needs --group"),
+    (["homology", "--module", "I", "--group", "2", "--window=-4:999999999"],
+     "window -4 999999999 leaves the degrees -1000..1000"),
+    (["homology", "--module", "I", "--group", "2", "--window=-1001:0"],
+     "window -1001 0 leaves the degrees -1000..1000"),
     (["ext", "--M", "k", "--N", "k"], "this command needs --group"),
     (["rhom", "--M", "k", "--N", "k"], "this command needs --group"),
     (["adams", "--M", "k", "--N", "k"], "this command needs --group"),
@@ -535,6 +541,47 @@ def test_cli_refused_input_is_json(tmp_path, capsys, argv, message):
     code = main([a.format(k_file=f) for a in argv] + ["--format", "json"])
     assert (code, json.loads(capsys.readouterr().out)) == (
         2, {"error": "ValueError", "message": message})
+
+
+def test_cli_huge_window_file_exits_2_at_once(tmp_path, capsys):
+    # a valid module but for its window, which once kept homology walking
+    # its degrees, and growing, until it was killed; the alarm stops such a
+    # walk after 2 s
+    f = tmp_path / "huge.kdg"
+    f.write_text("algebra poly 2\nwindow -4 999999999\ncomplete both\n"
+                 "component 0 a\ncomponent -2 b\nx1 a = b\n")
+
+    def stop(*_):
+        raise TimeoutError("homology still walking the window after 2 s")
+
+    kept = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        start = time.perf_counter()
+        code = main(["homology", "--module", str(f), "--format", "json"])
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, kept)
+    assert (code, json.loads(capsys.readouterr().out)) == (2, {
+        "error": "ParseError",
+        "message": "line 2: window -4 999999999 leaves the degrees -1000..1000"})
+    assert elapsed < 1
+
+
+def test_window_bound_is_inclusive_and_covers_components():
+    head = "algebra poly 2\ncomplete both\n"
+    M = parse_module(head + "window -1000 1000\ncomponent -1000 a\ncomponent 1000 b\n")
+    assert (M.lo, M.hi) == (-1000, 1000)
+    assert parse_window("-1000:1000") == Window(-1000, 1000)
+    for text, line, message in (
+            ("window -1001 0\n", 3, "window -1001 0 leaves the degrees -1000..1000"),
+            ("window 0 1001\n", 3, "window 0 1001 leaves the degrees -1000..1000"),
+            # without a window line the components set it
+            ("component 1001 a\n", 3, "degree 1001 leaves the degrees -1000..1000")):
+        with pytest.raises(ParseError) as exc:
+            parse_module(head + text)
+        assert exc.value.line_no == line and str(exc.value) == f"line {line}: {message}"
 
 
 def test_cli_builtin_injective_with_group_and_window(capsys):

@@ -1,9 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from koszuldg.grlin import Window
+from koszuldg.grlin import GradedMap, Window, _scaled
 from koszuldg import algebra as alg
 from koszuldg import resolve as rs
 from koszuldg import samples as sm
@@ -245,3 +246,69 @@ def test_rhom_with_a_zero_side_builds_no_replacement():
         assert out.replacement is None
         assert out.dims == {} and out.nonzero() == {}
         assert out.dim(0) == 0 and out.hom_module.total_dim() == 0
+
+
+# ---------------------------------------------------------------------------
+# the certifiers on tampered resolutions: each rejection is reached and says
+# what failed
+
+
+def rejection(check, res):
+    with pytest.raises(alg.InvariantViolation) as exc:
+        check(res)
+    return str(exc.value)
+
+
+def test_free_certifier_rejects_a_long_or_non_minimal_resolution():
+    res = rs.minimal_free_resolution(k1, R1)
+    rs._certify_free_resolution(res)
+    # one stage past the rank, the maps left as they are
+    longer = dataclasses.replace(res, terms=res.terms + [[("g2_0", -4)]])
+    assert longer.length == 2 > R1.r
+    assert rejection(rs._certify_free_resolution, longer) == \
+        "resolution longer than the number of generators"
+    # x1 + 1 has a unit constant term
+    unit = dataclasses.replace(res, maps=[[[res.maps[0][0][0] + R1.one()]]])
+    assert rejection(rs._certify_free_resolution, unit) == \
+        "resolution is not minimal (unit entry)"
+
+
+def test_injective_certifier_rejects_a_resolution_longer_than_the_rank():
+    res = rs.injective_resolution(sm.cyclic_quotient(R1, [2]))
+    rs._certify_injective_resolution(res)
+    longer = dataclasses.replace(res, stages=res.stages + [res.stages[-1]])
+    assert longer.length == 2 > R1.r
+    assert rejection(rs._certify_injective_resolution, longer) == \
+        "injective resolution longer than the rank"
+
+
+def test_hilbert_identity_fails_on_a_dropped_stage():
+    for M, R in ((sm.cyclic_quotient(R1, [2]), R1), (k2, R2)):
+        res = rs.minimal_free_resolution(M, R)
+        assert rs.hilbert_identity_check(res)
+        # every degree of the finite module is known, so none is skipped
+        assert all(M.known_dim(n) is not None for n in res.window.degrees())
+        assert not rs.hilbert_identity_check(
+            dataclasses.replace(res, realized=res.realized[:-1]))
+
+
+def test_injective_ext_rejects_a_composite_outside_the_hom_space(monkeypatch):
+    """A resolution map that is not a module map sends a module map out of
+    Hom(M, J_1): the first block of J_0 -> J_1 doubled, on M = R/(x^4),
+    whose maps into J_0 reach that block and the one above it."""
+    M, N = sm.cyclic_quotient(R1, [4]), sm.cyclic_quotient(R1, [2])
+    assert rs.ext_bigraded(M, N, "via_injective") == rs.ext_bigraded(M, N, "via_free")
+    real = rs.injective_resolution
+
+    def doubled(X, window=None):
+        res = real(X, window=window)
+        psi = res.maps[0]
+        forms = dict(psi.forms)
+        forms[min(forms)] = _scaled(forms[min(forms)], 2)
+        return dataclasses.replace(
+            res, maps=[GradedMap(psi.source, psi.target, 0, forms)] + res.maps[1:])
+
+    monkeypatch.setattr(rs, "injective_resolution", doubled)
+    with pytest.raises(alg.InvariantViolation) as exc:
+        rs.ext_bigraded(M, N, "via_injective")
+    assert str(exc.value) == "composite escaped the solution space"
