@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .grlin import (
     Window,
-    _column_vector,
     _columns_form,
     _form_rank,
     _kernel,
@@ -62,7 +61,7 @@ def realize_injective(g: GroupData, w: Window | None = None) -> DGModule:
 
 
 def socle(M: DGModule) -> dict:
-    """Degreewise basis of the common kernel of all generator actions."""
+    """Degreewise basis of the common kernel of the actions, as integer columns."""
     R = M.algebra
     out = {}
     for n in M.degrees():
@@ -72,8 +71,7 @@ def socle(M: DGModule) -> dict:
         for a in M.actions:
             f = a.form(n)
             rows += [] if f is None else f[1]
-        vecs = [_column_vector(lead, col, M.dim(n))
-                for lead, col in _kernel(_reduced(rows), M.dim(n))]
+        vecs = _kernel(_reduced(rows), M.dim(n))
         if vecs:
             out[n] = vecs
     return out
@@ -164,12 +162,12 @@ def lift_through_homology(Y: DGModule, W: DGModule, emb: ChainMap,
     the hull, and failure raises instead of degrading.
     """
     sys, _ = map_system(Y, W, 0, range(-1, len(Y.actions)))
-    # prescribed values on homology representatives: Y_n . rep = emb(class)
+    # prescribed values on the homology classes: Y_n . class = emb(class)
     for n in sorted(H.dims()):
         if W.known_dim(n) is not None:
-            reps = H.representatives(n)
-            sys.equate(W.known_dim(n), len(reps),
-                       right=[(1, n, _columns_form(enumerate(reps), Y.dim(n), len(reps)))],
+            classes = H.classes(n)
+            sys.equate(W.known_dim(n), len(classes),
+                       right=[(1, n, _columns_form(enumerate(classes), Y.dim(n), len(classes)))],
                        rhs=emb.map.form(n))
     sol = sys.solve()
     if sol is None:

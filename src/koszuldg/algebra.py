@@ -35,6 +35,8 @@ from .grlin import (
     Matrix,
     Window,
     _assemble,
+    _check_indices,
+    _column_sum,
     _columns_form,
     _coordinates_form,
     _dense,
@@ -791,13 +793,14 @@ def free_basis(F: FreeDGModule, n: int) -> list:
     return out
 
 
-def _vector_to_poly_column(F: FreeDGModule, n: int, v) -> list:
-    """Decode a realized degree-n vector into one Poly per free generator."""
+def _vector_to_poly_column(F: FreeDGModule, n: int, v: tuple) -> list:
+    """Decode a realized degree-n integer column into one Poly per generator."""
     R = F.algebra
     cols = [R.zero() for _ in F.basis]
-    for (j, alpha), c in zip(free_basis(F, n), v):
-        if c:
-            cols[j] = cols[j] + Poly(R, {alpha: c})
+    basis, (den, col) = free_basis(F, n), v
+    for i, c in col.items():
+        j, alpha = basis[i]
+        cols[j] = cols[j] + Poly(R, {alpha: Fraction(c, den)})
     return cols
 
 
@@ -881,8 +884,8 @@ def _realize(polymat, bs: list, ts: list, at: dict | None = None) -> tuple | Non
 def _evaluate(F: FreeDGModule, M: DGModule, images, n: int,
               table: dict | None = None) -> tuple | None:
     """The integer form of the degree-n block of the map from realized F to
-    M sending generator j to the vector images[j] (None for zero), or None
-    when that block is zero.
+    M sending generator j to the integer column images[j] (None for zero),
+    or None when that block is zero.
 
     Column (j, alpha) is x^alpha applied to images[j], the generators acting
     in index order as in action_poly_block: x_l applied to column
@@ -892,8 +895,8 @@ def _evaluate(F: FreeDGModule, M: DGModule, images, n: int,
     evaluates for one F, M and images, the columns under their keys
     (j, alpha) and the free basis of each degree under the degree; a caller
     holding a basis already may put it there.  The block is None at once
-    where M is zero, before any basis is built.  An image whose length is
-    not M's dimension at its degree raises ValueError."""
+    where M is zero, before any basis is built.  An image with an index at
+    or above M's dimension at its degree raises ValueError."""
     if not M.dim(n):
         return None
     table = {} if table is None else table
@@ -918,11 +921,8 @@ def _column(M: DGModule, images, j: int, alpha: tuple, n: int, table: dict):
     if (j, alpha) in table:
         return table[j, alpha]
     if not any(alpha):
-        v = images[j]
-        if v is not None and len(v) != M.dim(n):
-            raise ValueError(f"vector of length {len(v)} for a map from dimension {M.dim(n)}")
-        den = lcm(*[x.denominator for x in v or () if x])
-        vec = {r: x.numerator * (den // x.denominator) for r, x in enumerate(v or ()) if x}
+        den, vec = (1, {}) if images[j] is None else _column_sum(images[j])
+        _check_indices(vec, M.dim(n))
     else:
         last = max(i for i, a in enumerate(alpha) if a)
         deg = n + M.algebra.codegrees[last]  # x_last has degree -codegree
@@ -1303,14 +1303,14 @@ def cone_les_dimension_check(f: ChainMap) -> bool:
 
 
 def homology_map_rank(f: ChainMap, HA, HB, n) -> int | None:
-    reps = HA.representatives(n)
+    classes = HA.classes(n)
     if HA.dim(n) is None or HB.dim(n) is None:
         return None
-    if not reps:
+    if not classes:
         return 0
     vecs = []
-    for rep in reps:
-        img = f.map.apply(n, rep)
+    for c in classes:
+        img = f.map.apply(n, c)
         coords = express_in_homology(f.target, HB, n, img)
         if coords is None:
             return None
@@ -1356,8 +1356,9 @@ class Homology:
     def is_zero(self) -> bool:
         return self.total_dim() == 0
 
-    def representatives(self, n: int) -> list:
-        return self.pieces[n].representatives if n in self.pieces else []
+    def classes(self, n: int) -> list:
+        """The integer columns of the classes at n (HomologyPiece.classes)."""
+        return self.pieces[n].classes if n in self.pieces else []
 
     def window(self) -> Window | None:
         if self.certified is None:
@@ -1408,10 +1409,8 @@ def express_in_homology(M: DGModule, H: Homology, n: int, v) -> list | None:
         v = _int_column(v)
     # nothing stored at n: only boundaries have a (zero) class there, and v
     # is one when appending it to the boundary map leaves the rank as it is
-    den, col = v
     f, cols = M.diff.form(n + 1), M.dim(n + 1)
-    column = (den, [{0: col[i]} if i in col else {} for i in range(dim)], 1) if col else None
-    aug = _assemble(dim, cols + 1, [(f, 0, 0, 1), (column, 0, cols, 1)])
+    aug = _assemble(dim, cols + 1, [(f, 0, 0, 1), (_columns_form([(0, v)], dim, 1), 0, cols, 1)])
     return [] if _form_rank(aug) == _form_rank(f) else None
 
 
@@ -1433,25 +1432,23 @@ def homology_module(M: DGModule, name: str = "", H: Homology | None = None) -> D
     act_blocks = [dict() for _ in gens]
     for n in dims:
         classes = H.pieces[n].classes
-        # the integer columns of the representatives side by side, as a form
-        rows = [{} for _ in range(M.dim(n))]
-        for j, (_, col) in enumerate(classes):
-            for r, x in col.items():
-                rows[r][j] = x
+        # the classes' integer columns side by side, each times its den
+        rows = _columns_form(enumerate((1, col) for _, col in classes), M.dim(n), dims[n])
         for i, g in enumerate(gens):
             t = n + g
             f = M.actions[i].form(n)
             if t not in dims or f is None:
                 continue
             # column j of the product is the image of class j times its den
-            fden, images, _ = _transposed(_int_product(f, (1, rows, dims[n])))
+            fden, images, _ = _transposed(_int_product(f, rows))
             cols = []
             for (s, _), image in zip(classes, images):
                 coords = express_in_homology(M, H, t, (fden * s, image))
                 if coords is None:
                     raise InvariantViolation("action image is not a cycle class")
                 cols.append(coords)
-            act_blocks[i][n] = _columns_form(enumerate(cols), dims[t], dims[n])
+            act_blocks[i][n] = _columns_form(enumerate(map(_int_column, cols)),
+                                             dims[t], dims[n])
     return dg_module(M.algebra, dims, {}, act_blocks, lo, hi,
                      complete_below=M.complete_below,
                      complete_above=M.complete_above,

@@ -13,20 +13,20 @@ basis keys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import add
 
 from .grlin import (
     LinearSystem,
     Window,
     _assemble,
+    _column_sum,
     _columns_form,
+    _echelon,
     _form_rank,
     _insert,
+    _int_column,
     _int_product,
-    _sparse_rows,
     _transposed,
-    is_zero_vector,
     rank,
 )
 from .algebra import (
@@ -221,14 +221,9 @@ def dict_dims(M: DGModule) -> dict:
 # degreewise DGAs: one product, read off a rule on basis keys
 
 
-def _entries(v):
-    """(index, entry) pairs of a dense vector or a sparse {index: entry} one."""
-    return v.items() if isinstance(v, dict) else enumerate(v)
-
-
-def _vector(keys: list, coeff) -> list:
-    """The vector with entry coeff(key) at each basis key, in order."""
-    return [Fraction(coeff(key)) for key in keys]
+def _key_column(keys: list, coeff) -> tuple:
+    """The integer column with the integer coeff(key) at each basis key."""
+    return 1, {k: int(c) for k, key in enumerate(keys) if (c := coeff(key))}
 
 
 @dataclass
@@ -240,35 +235,35 @@ class DegreewiseDGA:
     read only at degrees the module stores, where its length is
     module.dim(n).  rule(a, b) is the product of the basis elements keyed a
     and b: (key, sign) with sign +1 or -1 and key a basis key of the sum
-    degree, or None for zero.  unit is the unit vector in degree zero.
+    degree, or None for zero.  Elements, unit (in degree zero) included, are
+    integer columns over their least denominators, as homology classes are,
+    so two are equal exactly when their columns are.
     """
 
     module: DGModule
     keys: object         # callable n -> list of basis keys
     rule: object         # callable (key, key) -> (key, sign) | None
-    unit: list
+    unit: tuple
     name: str = ""
 
-    def product(self, d1: int, v1, d2: int, v2) -> tuple:
-        """(d1 + d2, v1.v2), the rule extended bilinearly; each factor is a
-        dense vector or a sparse {index: entry} one.  The result has length
-        module.dim(d1 + d2): a product landing outside the stored window is
-        the empty vector."""
+    def product(self, d1: int, v1: tuple, d2: int, v2: tuple) -> tuple:
+        """(d1 + d2, v1.v2), the rule extended bilinearly: a product landing
+        outside the stored window is zero."""
         n = d1 + d2
-        out = [Fraction(0)] * self.module.dim(n)
-        if not out:
-            return n, out
+        (den1, c1), (den2, c2) = v1, v2
+        if not (c1 and c2 and self.module.dim(n)):
+            return n, (1, {})
         at = {key: k for k, key in enumerate(self.keys(n))}
         keys1, keys2 = self.keys(d1), self.keys(d2)
-        right = [(keys2[k], c) for k, c in _entries(v2) if c]
-        for k1, c1 in _entries(v1):
-            if not c1:
-                continue
-            for b, c2 in right:
+        right = [(keys2[k], c) for k, c in c2.items()]
+        out = {}
+        for k1, x1 in c1.items():
+            for b, x2 in right:
                 hit = self.rule(keys1[k1], b)
                 if hit is not None:
-                    out[at[hit[0]]] += hit[1] * c1 * c2
-        return n, out
+                    i = at[hit[0]]
+                    out[i] = out.get(i, 0) + hit[1] * x1 * x2
+        return n, _column_sum((den1 * den2, out))
 
 
 def _free_dga(F: FreeDGModule, module: DGModule, gens: list, gen_rule,
@@ -287,7 +282,7 @@ def _free_dga(F: FreeDGModule, module: DGModule, gens: list, gen_rule,
         hit = gen_rule(a[0], b[0])
         return None if hit is None else ((hit[0], tuple(map(add, a[1], b[1]))), hit[1])
 
-    unit = _vector(keys(0), lambda key: key[0] in unit_gens and not any(key[1]))
+    unit = _key_column(keys(0), lambda key: key[0] in unit_gens and not any(key[1]))
     return DegreewiseDGA(module, keys, rule, unit, name)
 
 
@@ -352,27 +347,24 @@ def _contraction(e: DegreewiseDGA, i: int) -> tuple:
         hit = not any(alpha) and i in S and T == tuple(j for j in S if j != i)
         return L.remove_sign(i, S) if hit else 0
 
-    return deg, _vector(e.keys(deg) if e.module.dim(deg) else [], coeff)
+    return deg, _key_column(e.keys(deg) if e.module.dim(deg) else [], coeff)
 
 
 def _assert_contractions(e: DegreewiseDGA):
     """Contractions are cycles; squares vanish; they anticommute; the
     identity is a cycle."""
     R = e.module.algebra
-    if not is_zero_vector(e.module.diff.apply(0, e.unit)):
+    if e.module.diff.apply(0, e.unit)[1]:
         raise InvariantViolation("identity of End(kbar) is not a cycle")
     iotas = [_contraction(e, i) for i in range(R.r)]
     for i, (di, vi) in enumerate(iotas):
-        if not is_zero_vector(e.module.diff.apply(di, vi)):
+        if e.module.diff.apply(di, vi)[1]:
             raise InvariantViolation(f"contraction {i} is not a cycle")
-        dsq, sq = e.product(di, vi, di, vi)
-        if not is_zero_vector(sq):
+        if e.product(di, vi, di, vi)[1][1]:
             raise InvariantViolation(f"contraction {i} fails square-zero")
         for j in range(i + 1, R.r):
             dj, vj = iotas[j]
-            _, ij = e.product(di, vi, dj, vj)
-            _, ji = e.product(dj, vj, di, vi)
-            if not is_zero_vector([x + y for x, y in zip(ij, ji)]):
+            if _column_sum(e.product(di, vi, dj, vj)[1], e.product(dj, vj, di, vi)[1])[1]:
                 raise InvariantViolation(f"contractions {i},{j} fail anticommutation")
 
 
@@ -405,7 +397,7 @@ def hom_to_k(R: PolyAlgebra) -> DegreewiseDGA:
             sgn = -sgn
         return (tuple(sorted(A + B)), sgn) if sgn else None
 
-    out = DegreewiseDGA(mod, keys, rule, _vector(keys(0), lambda s: s == ()),
+    out = DegreewiseDGA(mod, keys, rule, _key_column(keys(0), lambda s: s == ()),
                         name="Hom(kbar,k)")
     _assert_homk_algebra(out)
     return out
@@ -413,7 +405,7 @@ def hom_to_k(R: PolyAlgebra) -> DegreewiseDGA:
 
 def _assert_homk_algebra(h: DegreewiseDGA):
     """Unit, associativity, graded commutativity on the subset basis."""
-    basis = [(n, _vector(h.keys(n), lambda t: t == s))
+    basis = [(n, _key_column(h.keys(n), lambda t: t == s))
              for n in h.module.degrees() for s in h.keys(n)]
     for d, v in basis:
         if h.product(0, h.unit, d, v)[1] != v:
@@ -423,7 +415,7 @@ def _assert_homk_algebra(h: DegreewiseDGA):
             da, va = h.product(d1, v1, d2, v2)
             db, vb = h.product(d2, v2, d1, v1)
             sgn = -1 if (d1 % 2 and d2 % 2) else 1
-            if va != [sgn * x for x in vb]:
+            if va != (vb[0], {i: sgn * x for i, x in vb[1].items()}):
                 raise InvariantViolation("Hom(kbar,k) fails graded commutativity")
             for d3, v3 in basis:
                 dl, vl = h.product(da, va, d3, v3)
@@ -453,19 +445,20 @@ class CartanReport:
                 and self.multiplicative_on_homology)
 
 
-def cartan_theta(e: DegreewiseDGA, h: DegreewiseDGA, deg: int, v) -> list:
-    """Evaluate the comparison from End(kbar) to Hom(kbar, k): postcompose
-    with the augmentation of the Koszul model (keep the constant coefficient
-    of the empty-subset row).  v is a dense vector or a sparse
-    {index: entry} one."""
+def cartan_theta(e: DegreewiseDGA, h: DegreewiseDGA, deg: int, v: tuple) -> tuple:
+    """Evaluate the comparison from End(kbar) to Hom(kbar, k) on an integer
+    column: postcompose with the augmentation of the Koszul model (keep the
+    constant coefficient of the empty-subset row)."""
     keys = e.keys(deg)
     outs = h.keys(deg)
-    out = [Fraction(0)] * len(outs)
-    for k, c in _entries(v):
+    den, col = v
+    out = {}
+    for k, c in col.items():
         (T, S), alpha = keys[k]
-        if c and T == () and not any(alpha):
-            out[outs.index(S)] += c
-    return out
+        if T == () and not any(alpha):
+            i = outs.index(S)
+            out[i] = out.get(i, 0) + c
+    return _column_sum((den, out))
 
 
 def cartan_map(e: DegreewiseDGA, h: DegreewiseDGA | None = None) -> CartanReport:
@@ -479,13 +472,13 @@ def cartan_map(e: DegreewiseDGA, h: DegreewiseDGA | None = None) -> CartanReport
         f = e.module.diff.form(n)
         # the columns of the block, scaled to integers: zero or not alike
         for col in ([] if f is None else _transposed(f)[1]):
-            if not is_zero_vector(cartan_theta(e, h, n - 1, col)):
+            if cartan_theta(e, h, n - 1, (1, col))[1]:
                 chain_ok = False
     id_ok = cartan_theta(e, h, 0, e.unit) == h.unit
     iota_ok = True
     for i in range(R.r):
         di, vi = _contraction(e, i)
-        if cartan_theta(e, h, di, vi) != _vector(h.keys(di), lambda s: s == (i,)):
+        if cartan_theta(e, h, di, vi) != _key_column(h.keys(di), lambda s: s == (i,)):
             iota_ok = False
     H = homology(e.module)
     # bijectivity on homology within the certified window
@@ -503,14 +496,13 @@ def cartan_map(e: DegreewiseDGA, h: DegreewiseDGA | None = None) -> CartanReport
             continue
         if hd == 0:
             continue
-        imgs = [cartan_theta(e, h, n, rep) for rep in H.representatives(n)]
-        if rank(imgs) != hd:
+        imgs = [cartan_theta(e, h, n, c)[1] for c in H.classes(n)]
+        if len(_echelon(imgs)) != hd:
             iso = False
-    # multiplicativity on homology class representatives, for the products
-    # that land in the stored window
+    # multiplicativity on homology classes, for the products that land in
+    # the stored window
     mult, products = True, 0
-    reps = [(n, rep) for n in H.certified_range() if H.dim(n)
-            for rep in H.representatives(n)]
+    reps = [(n, c) for n in H.certified_range() if H.dim(n) for c in H.classes(n)]
     for (n1, u) in reps:
         for (n2, v) in reps:
             if not e.module.lo <= n1 + n2 <= e.module.hi:
@@ -566,7 +558,7 @@ def double_centralizer_check(g: GroupData, window: Window | None = None) -> Doub
         for j, (dj, vj) in enumerate(iotas[i:], i):
             n, v = e.product(di, vi, dj, vj)
             if j > i:
-                v = [x + y for x, y in zip(v, e.product(dj, vj, di, vi)[1])]
+                v = _column_sum(v, e.product(dj, vj, di, vi)[1])
             relations.append(express_in_homology(e.module, H, n, v))
     relations_ok = all(c is not None and not any(c) for c in relations)
     # products of contraction classes: all 2^r of them, graded-independent
@@ -630,8 +622,8 @@ def acyclic_extension_dga(R: PolyAlgebra, w: Window, cell_degree: int) -> Degree
 
 @dataclass
 class FormalityResult:
-    generator_cycles: list   # (index, degree, vector)
-    map_blocks: dict         # degree -> matrix from R-monomials to A
+    generator_cycles: list   # (index, degree, integer column)
+    map_blocks: dict         # degree -> integer form from R-monomials to A
     homology_iso: bool
     window: Window
 
@@ -670,16 +662,15 @@ def formality_map(A: DegreewiseDGA, R: PolyAlgebra, w: Window | None = None) -> 
         n = -d
         if n not in check_range:
             raise NotPolynomialHomology(f"window misses generator degree {n}")
-        reps = H.representatives(n)
         span = {}
-        for row in _sparse_rows([_monomial_image(A, R, chosen, alpha)
-                                 for alpha in R.monomials(d) if sum(alpha) >= 2]):
-            _insert(span, row)
+        for alpha in R.monomials(d):
+            if sum(alpha) >= 2:
+                _insert(span, _monomial_image(A, R, chosen, alpha)[1])
         # also boundaries: classes live modulo boundaries
         f = M.diff.form(n + 1)
         for col in [] if f is None else _transposed(f)[1]:
             _insert(span, col)
-        new = [v[:] for v, row in zip(reps, _sparse_rows(reps)) if _insert(span, row)]
+        new = [c for c in H.classes(n) if _insert(span, c[1])]
         if len(new) != len(by_codeg[d]):
             raise NotPolynomialHomology(
                 f"found {len(new)} new generator classes at degree {n}, "
@@ -713,8 +704,7 @@ def formality_map(A: DegreewiseDGA, R: PolyAlgebra, w: Window | None = None) -> 
             if coords is None:
                 raise InvariantViolation("monomial image is not a cycle")
             classes.append(coords)
-        blocks[n] = [[cols[j][i] for j in range(len(cols))]
-                     for i in range(M.dim(n))]
+        blocks[n] = _columns_form(enumerate(cols), M.dim(n), len(cols))
         if rank(classes) != len(mons) or H.dim(n) != len(mons):
             iso = False
     return FormalityResult(
@@ -724,7 +714,7 @@ def formality_map(A: DegreewiseDGA, R: PolyAlgebra, w: Window | None = None) -> 
 
 
 def _monomial_image(A: DegreewiseDGA, R: PolyAlgebra, chosen, alpha):
-    deg, vec = 0, list(A.unit)
+    deg, vec = 0, A.unit
     for i, a in enumerate(alpha):
         for _ in range(a):
             if chosen[i] is None:
@@ -740,7 +730,7 @@ def _monomial_image(A: DegreewiseDGA, R: PolyAlgebra, chosen, alpha):
 @dataclass
 class RecognizeResult:
     comparison: ChainMap
-    images: list            # (degree, vector) per Koszul basis element
+    images: list            # (degree, integer column) per Koszul basis element
     cone_acyclic: bool
     nonzero_in_degree_zero: bool
 
@@ -766,7 +756,7 @@ def recognize_k(M: DGModule) -> RecognizeResult:
     kb = koszul_model(R)
     subs = _subsets(R.r)
     bdeg = dict(zip(subs, kb.basis_degrees()))
-    images = {(): (0, H.representatives(0)[0])}
+    images = {(): (0, H.classes(0)[0])}
     for i in range(R.r):
         olds = [s for s in subs if all(j < i for j in s)]
         news = [tuple(sorted(s + (i,))) for s in olds]
@@ -785,7 +775,7 @@ def recognize_k(M: DGModule) -> RecognizeResult:
                     continue
                 if U in images:
                     du, vu = images[U]
-                    act, v = M._action_poly_form(p, du), _columns_form([(0, vu)], len(vu), 1)
+                    act, v = M._action_poly_form(p, du), _columns_form([(0, vu)], M.dim(du), 1)
                     if act is not None and v is not None:
                         known.append((_int_product(act, v), 0, 0, 1))
                 else:
@@ -795,7 +785,8 @@ def recognize_k(M: DGModule) -> RecognizeResult:
         if sol is None:
             raise LinearSolveFailed(f"no extension over the stage-{i+1} cone")
         for T in news:
-            images[T] = (bdeg[T], [sol[(T, row, 0)] for row in range(M.dim(bdeg[T]))])
+            images[T] = (bdeg[T], _int_column([sol[(T, row, 0)]
+                                                for row in range(M.dim(bdeg[T]))]))
     # realize the comparison, 4 degrees below both supports, and verify
     lo = min((M.support_min() or 0) - 1, min(kb.basis_degrees()) - 1) - 4
     hi = max((M.support_max() or 0), 0) + 2

@@ -4,14 +4,16 @@ Everything downstream computes through this module: one fraction-free
 elimination on sparse integer rows behind every echelon form, every span
 and every solution (`Subspace` included), graded vector spaces keyed by
 integer degree, graded maps that store integer block forms, and degreewise
-homology kept in integer columns.  Dense matrices of `fractions.Fraction`
-exist only at the API edge: `rank`, `rref`, `kernel_basis`, `solve` and
-`coordinates`, the dense vectors `Subspace` takes, the dense views
-`GradedMap.block` and `blocks`, and a homology piece's representatives and
-its `cycle_basis` and `boundary_basis` views.  No floats, no rounding,
-ever.  All echelon choices (pivot columns, free-variable order,
-normalisation) are those of the canonical reduced row echelon form, so
-every derived basis is reproducible bit-for-bit across runs.
+homology.  A vector is an integer column (den, {index: int}), the vector
+column / den over its least denominator, from the elimination to every
+reader: kernels, homology classes, `GradedMap.apply`.  Dense `Fraction`
+matrices and vectors exist only at the API edge: `rank`, `rref`,
+`kernel_basis`, `solve`, `coordinates`, `Subspace`, the views `block` and
+`blocks`, a homology piece's `representatives`, `cycle_basis` and
+`boundary_basis`, and the dense vectors class coordinates accept.  No
+floats, no rounding, ever.  All echelon choices (pivot columns,
+free-variable order, normalisation) are those of the canonical reduced row
+echelon form, so every derived basis is reproducible bit-for-bit.
 """
 from __future__ import annotations
 
@@ -160,13 +162,7 @@ def _entry(v: int, den: int) -> Fraction:
 
 def _dense(den: int, rows: list, cols: int) -> Matrix:
     """The dense matrix of {col: int} rows over the denominator den."""
-    out = []
-    for row in rows:
-        dense = [ZERO] * cols
-        for j, v in row.items():
-            dense[j] = _entry(v, den)
-        out.append(dense)
-    return out
+    return [_column_vector(den, row, cols) for row in rows]
 
 
 def _identity_form(n: int, scale: int = 1) -> tuple:
@@ -203,16 +199,29 @@ def _lowest_terms(f: tuple) -> tuple:
 
 def _columns_form(cols, rows: int, width: int) -> tuple | None:
     """The integer form of the rows x width matrix whose column j is the
-    vector v for each (j, v) in cols, the other columns zero; None when it
-    is zero."""
+    integer column c for each (j, c) in cols, the other columns zero; None
+    when it is zero."""
     cols = list(cols)
-    den = lcm(*[x.denominator for _, v in cols for x in v if x])
+    den = lcm(*[d for _, (d, _) in cols])
     out = [{} for _ in range(rows)]
-    for j, v in cols:
-        for i, x in enumerate(v):
-            if x:
-                out[i][j] = x.numerator * (den // x.denominator)
+    for j, (d, col) in cols:
+        s = den // d
+        for i, x in col.items():
+            out[i][j] = x * s
     return (den, out, width) if any(out) else None
+
+
+def _column_sum(*cols) -> tuple:
+    """The sum of integer columns (den, {index: int}) as one, its zero
+    entries dropped, over its least denominator: the one column of its
+    vector, (1, {}) for zero."""
+    den, out = lcm(*[d for d, _ in cols]), {}
+    for d, col in cols:
+        for i, x in col.items():
+            out[i] = out.get(i, 0) + x * (den // d)
+    out = {i: x for i, x in out.items() if x}
+    g = gcd(den, *out.values())
+    return (den // g, {i: x // g for i, x in out.items()}) if g != 1 else (den, out)
 
 
 def _form_rank(f: tuple | None) -> int:
@@ -249,10 +258,6 @@ def _assemble(rows: int, cols: int, pieces) -> tuple | None:
     if summed:
         acc = [{j: x for j, x in row.items() if x} for row in acc]
     return (den, acc, cols) if any(acc) else None
-
-
-def is_zero_vector(v: Vector) -> bool:
-    return not any(v)
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +446,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
         return [row[:] for row in m], []
     n_cols = len(m[0])
     reduced = _reduced(_sparse_rows(m))
-    out = []
-    for p, row in reduced:
-        d = row[p]
-        dense = [ZERO] * n_cols
-        for j, x in row.items():
-            dense[j] = Fraction(x, d)
-        out.append(dense)
+    out = [_column_vector(row[p], row, n_cols) for p, row in reduced]
     out.extend([ZERO] * n_cols for _ in range(len(m) - len(reduced)))
     return out, [p for p, _ in reduced]
 
@@ -464,20 +463,18 @@ def kernel_basis(m: Matrix, cols: int | None = None) -> list[Vector]:
             for lead, col in _kernel(_reduced(_sparse_rows(m)), cols)]
 
 
-def _dense_vector(entries: dict, length: int) -> Vector:
-    """The dense vector of a sparse {index: Fraction} one."""
-    v = [ZERO] * length
-    for i, x in entries.items():
-        v[i] = x
-    return v
-
-
 def _column_vector(den: int, col: dict, length: int) -> Vector:
     """The dense vector col / den of an integer column."""
     v = [ZERO] * length
     for i, x in col.items():
         v[i] = _entry(x, den)
     return v
+
+
+def _check_indices(col: dict, dim: int):
+    """Raise ValueError unless every index of the column is below dim."""
+    if col and (min(col) < 0 or max(col) >= dim):
+        raise ValueError(f"column index {max(col)} for a map from dimension {dim}")
 
 
 def _int_column(v: Vector) -> tuple:
@@ -549,8 +546,7 @@ class Subspace:
         for c in sorted(self._rows):
             if c in row:
                 row = _eliminate(row, self._rows[c], c)
-        scale = row.pop(self.ambient)
-        return _dense_vector({j: Fraction(x, scale) for j, x in row.items()}, self.ambient)
+        return _column_vector(row.pop(self.ambient), row, self.ambient)
 
     def complement_in(self, vectors: list[Vector]) -> list[Vector]:
         """Vectors from the list extending this subspace, greedily in order."""
@@ -590,7 +586,7 @@ def _coordinates_form(basis: list, vectors: list) -> tuple | None:
 def coordinates(basis: list[Vector], v: Vector) -> Vector | None:
     """Coordinates of v in the given (independent) list, or None."""
     if not basis:
-        return [] if is_zero_vector(v) else None
+        return [] if not any(v) else None
     cols = [[b[i] for b in basis] for i in range(len(v))]
     return solve(cols, v)
 
@@ -717,23 +713,24 @@ class GradedMap:
             flag = self._monomial[n] = _is_monomial(self.forms[n][1])
         return flag
 
-    def apply(self, n: int, v: Vector) -> Vector:
-        """The block at n times v; raises ValueError on a length mismatch."""
-        if len(v) != self.source.dim(n):
-            raise ValueError(f"vector of length {len(v)} for a map from "
-                             f"dimension {self.source.dim(n)}")
+    def apply(self, n: int, v: tuple) -> tuple:
+        """The block at n times the integer column v, as an integer column
+        over its least denominator; raises ValueError on an index outside
+        the source dimension."""
+        vden, w = v
+        _check_indices(w, self.source.dim(n))
         f = self.form(n)
         if f is None:
-            return [ZERO] * self.target.dim(n + self.degree)
+            return 1, {}
         den, rows, _ = f
-        vden, w = _int_column(v)
-        dots = [sum(x * w[j] for j, x in row.items() if j in w) for row in rows]
-        return [_entry(x, den * vden) if x else ZERO for x in dots]
+        return _column_sum((den * vden, {i: sum(c * w[j] for j, c in row.items() if j in w)
+                                         for i, row in enumerate(rows)}))
 
 
 class HomologyPiece:
     """Homology at one degree, kept as integer columns (den, {index: int}),
-    each the vector column / den over its least denominator.
+    each the vector column / den over its least denominator, which readers
+    take as they are.
 
     cycles is the kernel basis of the outgoing differential, one canonical
     cycle per free column of its echelon form (free), boundaries the
@@ -741,20 +738,19 @@ class HomologyPiece:
     as representatives; ambient is the dimension of the chain space.  cycles
     is handed over as a list, free then defaulting to each cycle's last
     entry, or as d_out's forward echelon {pivot column: row}, from which
-    it is back-solved (_cycle) when first read.  `representatives` is the
-    dense list of the classes, made once; the dense `cycle_basis` and
-    `boundary_basis` are views built on every read, the way `GradedMap.block`
-    is.  A vector has one such column, so pieces are equal exactly when
-    their dense lists are.  d_out is the integer form of the outgoing
-    differential, shared with its map and None when it is zero; like the
-    solver, it takes no part in equality.
+    it is back-solved (_cycle) when first read.  The dense `representatives`
+    (of the classes), `cycle_basis` and `boundary_basis` are views for the
+    API edge, built on every read, as `GradedMap.block` is.  A vector has
+    one such column, so pieces are equal exactly when their dense lists are.
+    d_out is the integer form of the outgoing differential, shared with its
+    map and None when it is zero; like the solver, it takes no part in
+    equality.
     """
 
     def __init__(self, degree: int, ambient: int, cycles: list | dict, boundaries: list,
                  classes: list, d_out: tuple | None = None, free: list | None = None):
         self.degree, self.ambient, self.d_out = degree, ambient, d_out
         self.boundaries, self.classes, self.dim = boundaries, classes, len(classes)
-        self.representatives = [_column_vector(den, col, ambient) for den, col in classes]
         # a cycle's other entries sit at pivot columns left of its free one
         self.free = [max(col) for _, col in cycles] if free is None else free
         self._cycles, self._solver = cycles, None
@@ -771,6 +767,10 @@ class HomologyPiece:
             for a in ("degree", "ambient", "classes", "boundaries", "cycles"))
 
     @property
+    def representatives(self) -> list:
+        return [_column_vector(den, col, self.ambient) for den, col in self.classes]
+
+    @property
     def cycle_basis(self) -> list:
         return [_column_vector(den, col, self.ambient) for den, col in self.cycles]
 
@@ -779,8 +779,8 @@ class HomologyPiece:
         return [_column_vector(den, col, self.ambient) for den, col in self.boundaries]
 
     def class_coordinates(self, v) -> Vector | None:
-        """Coordinates of v's class on the representatives, or None when v
-        is not in the span of cycles (representatives plus boundaries).
+        """Coordinates of v's class on the classes, or None when v is not
+        in the span of cycles (classes plus boundaries).
 
         v is a dense vector or an integer column (den, {index: int}).  The
         span of the cycles is ker d_out, so v lies in it exactly when
@@ -826,8 +826,8 @@ def homology_at(d_in: GradedMap, d_out: GradedMap, n: int) -> HomologyPiece:
     Raises CompositionNotZero unless d_out . d_in = 0 at n, a product not
     formed again when d_in is d_out and a check found it zero on that map
     (GradedMap._zero_products).  Boundaries are the columns of d_in
-    independent of the ones before them; representatives are the
-    kernel-basis vectors independent of the boundaries and of the ones
+    independent of the ones before them; classes are the kernel-basis
+    vectors independent of the boundaries and of the ones
     before them.  Both are the pivot columns of one elimination of
     [d_in | cycle basis], so the answer is deterministic.  Every column lies
     in ker d_out, which restriction to the free columns of d_out's echelon
@@ -835,8 +835,7 @@ def homology_at(d_in: GradedMap, d_out: GradedMap, n: int) -> HomologyPiece:
     row of d_in at the j-th free column, with 1 for the j-th cycle, its only
     nonzero there.  d_out's forward echelon has the free columns of its
     canonical RREF, so it is not back-substituted; only the chosen classes'
-    cycles are back-solved (_cycle).  Everything stays in integer columns;
-    only the representatives are made dense.
+    cycles are back-solved (_cycle).  Everything stays in integer columns.
     """
     m = n - d_in.degree
     f_in, f_out = d_in.form(m), d_out.form(n)

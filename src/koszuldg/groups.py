@@ -26,6 +26,7 @@ from .grlin import (
     _assemble,
     _columns_form,
     _int_agree,
+    _int_column,
     _int_product,
     _primitive,
     _reduced,
@@ -504,7 +505,7 @@ def _commuting_lifts(rm: RingMap, res: ResolutionData, total: FreeDGModule,
     bases = {n: free_basis(total, n) for n in win.degrees()}
     realized = to_degreewise(total, win, bases=bases)
     images, table = [v for _, v in res.aug_vectors] + [None] * (total.rank - stage0), dict(bases)
-    aug_columns = [(n, _columns_form([(0, v)], len(v), 1)) for n, v in res.aug_vectors]
+    aug_columns = [(n, _columns_form([(0, v)], restricted.dim(n), 1)) for n, v in res.aug_vectors]
     aug = {n: _evaluate(total, restricted, images, n, table)
            for n in win.degrees() if bases[n] and restricted.known_dim(n) is not None}
     lifts, realized_lifts = [], []
@@ -533,8 +534,8 @@ def _commuting_lifts(rm: RingMap, res: ResolutionData, total: FreeDGModule,
         Y = [[S.zero() for _ in range(total.rank)] for _ in range(total.rank)]
         for i, (_, b) in enumerate(total.basis):
             gen_col = free_basis(total, b).index((i, (0,) * S.r))
-            col_vec = [sol.get((b, rr, gen_col), Fraction(0))
-                       for rr in range(realized.dim(b - e))]
+            col_vec = _int_column([sol.get((b, rr, gen_col), Fraction(0))
+                                   for rr in range(realized.dim(b - e))])
             for jj, p in enumerate(_vector_to_poly_column(total, b - e, col_vec)):
                 Y[jj][i] = p
         # exact verification: the decoded matrix is a chain map over the ring
@@ -598,7 +599,7 @@ def _freeness_certificate(rm: RingMap, dual: FreeDGModule, realized: DGModule,
     maps = [realize_poly_map(dual, realized, dual_lifts[jgen], -T.codegrees[jgen])
             for jgen in range(T.r)]
     floor = min(certified, default=0)
-    kept = {gamma: [H.representatives(gamma)[0]]}
+    kept = {gamma: [H.classes(gamma)[0]]}
     spans = {gamma: Subspace(1, [[Fraction(1)]])}
     for n in range(gamma, floor - 1, -1):
         for vec in kept.get(n, ()):
@@ -607,7 +608,7 @@ def _freeness_certificate(rm: RingMap, dual: FreeDGModule, realized: DGModule,
                 if t < floor or not H.dim(t) or (t in spans and spans[t].dim == H.dim(t)):
                     continue
                 img = maps[jgen].apply(n, vec)
-                if not any(img):
+                if not img[1]:
                     continue
                 coords = express_in_homology(realized, H, t, img)
                 if coords is None:

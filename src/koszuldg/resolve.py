@@ -27,9 +27,9 @@ from .grlin import (
     MapBasis,
     Window,
     _assemble,
-    _column_vector,
     _form_rank,
     _insert,
+    _int_agree,
     _int_product,
     _kernel,
     _reduced,
@@ -43,6 +43,7 @@ from .algebra import (
     FreeDGModule,
     InvariantViolation,
     PolyAlgebra,
+    _block_product,
     _evaluate,
     _express_composites,
     _poly_terms,
@@ -134,8 +135,8 @@ class ResolutionData:
     """A minimal free resolution with both symbolic and realized layers.
 
     terms[s] is the generator list of F_s; maps[s] (s >= 1) the Poly matrix
-    of F_s -> F_(s-1); aug sends the F_0 generators to module elements.
-    Realized stages and maps live on the construction window.
+    of F_s -> F_(s-1); aug_vectors holds the images of the F_0 generators as
+    (degree, integer column).  Realized stages and maps live on the window.
     """
 
     kind: str
@@ -235,8 +236,7 @@ def _resolve_with_betti(M: DGModule, R: PolyAlgebra, betti: dict,
         new_gens = []
         for n in range(top, sweep_lo - 1, -1):
             f = prev_map.form(n)
-            dim_n = prev_real.dim(n)  # the sweep stays inside the window
-            ker = _kernel(_reduced([] if f is None else f[1]), dim_n)
+            ker = _kernel(_reduced([] if f is None else f[1]), prev_real.dim(n))  # in the window
             kernels[n] = [col for _, col in ker]
             # the m-multiples: x_i applied to the kernel one generator up,
             # the rows of (kernel rows) . (action block)^T
@@ -252,8 +252,7 @@ def _resolve_with_betti(M: DGModule, R: PolyAlgebra, betti: dict,
             if len(new) != want:
                 raise WindowTooSmall(
                     f"stage {s} found {len(new)} generators at degree {n}, oracle says {want}")
-            for lead, col in new:
-                new_gens.append((n, _column_vector(lead, col, dim_n)))
+            new_gens += [(n, c) for c in new]
         gen_list = [(f"g{s}_{i}", n) for i, (n, _) in enumerate(new_gens)]
         terms.append(gen_list)
         F_s = free_module(R, gen_list)
@@ -404,15 +403,24 @@ def injective_resolution(M: DGModule, window: Window | None = None) -> Injective
 
 
 def _certify_injective_resolution(res: InjectiveResolutionData):
-    """Exactness of 0 -> N -> J_0 -> ... -> J_len -> 0 on the dual of the
-    free resolution's certified range."""
+    """Module maps, and exactness of 0 -> N -> J_0 -> ... -> J_len -> 0 on
+    the dual of the free resolution's certified range: the augmentation and
+    each J_(s-1) -> J_s commute with the actions in every degree of their
+    (finite) source, as ChainMap._commutes reads them."""
     R = res.ring
     if res.length > R.r:
         raise InvariantViolation("injective resolution longer than the rank")
     lo = -(res.window.hi - 1)
     hi = -(res.window.lo + (max(R.codegrees) if R.r else 1))
-    _certify_exact("injective", [res.module] + res.stages, [res.aug] + res.maps,
-                   range(lo, hi + 1))
+    spaces, maps = [res.module] + res.stages, [res.aug] + res.maps
+    for A, B, f in zip(spaces, spaces[1:], maps):
+        for a, b in zip(A.actions, B.actions):
+            for n in A.degrees():
+                if not _int_agree(_block_product(b, n, f, n),
+                                  _block_product(f, n + a.degree, a, n)):
+                    raise InvariantViolation(f"injective resolution map into {B.name} is "
+                                             f"not a module map at degree {n}")
+    _certify_exact("injective", spaces, maps, range(lo, hi + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -601,11 +609,11 @@ _Cells = namedtuple("_Cells", "algebra basis diff")
 
 def _cone_classes(X: DGModule, F: _Cells, to_x: list, m: int,
                   bases: dict, blocks: dict, columns: dict) -> list:
-    """Representatives of the homology at m of the cone of the realized
-    cells F -> X (generator j sent to to_x[j]), from the cone's differential
-    blocks at m and m + 1 alone, placed as mapping_cone places them.  bases,
-    blocks and columns keep free bases, blocks and _evaluate's table, which
-    is handed the bases held here."""
+    """The classes (integer columns) of the homology at m of the cone of the
+    realized cells F -> X (generator j sent to to_x[j]), from the cone's
+    differential blocks at m and m + 1 alone, placed as mapping_cone places
+    them.  bases, blocks and columns keep free bases, blocks and _evaluate's
+    table, which is handed the bases held here."""
     for k in range(m - 2, m + 1):
         if k not in bases:
             bases[k] = free_basis(F, k)
@@ -621,7 +629,7 @@ def _cone_classes(X: DGModule, F: _Cells, to_x: list, m: int,
                 (_realize(F.diff, bases[k - 1], bases[k - 2]), X.dim(k - 1), X.dim(k), -1)])
     space = GradedVS(dims)
     d = GradedMap(space, space, -1, {k: blocks[k] for k in (m, m + 1)})
-    return homology_at(d, d, m).representatives
+    return homology_at(d, d, m).classes
 
 
 def semifree_replacement(X: DGModule, floor: int,
@@ -669,13 +677,14 @@ def semifree_replacement(X: DGModule, floor: int,
             start, bottom = bad[0], min(bottom, bad[0])
             continue
         db = X.dim(n)
-        for rep in reps:
-            col_polys = _vector_to_poly_column(F, n - 1, rep[db:])
+        for den, col in reps:  # the cone's X part first, then the shifted cells'
+            col_polys = _vector_to_poly_column(F, n - 1, (den, {i - db: x for i, x in col.items()
+                                                                if i >= db}))
             cells.append((f"c{len(cells)}", n))
             for i, row in enumerate(diff_rows):
                 row.append(col_polys[i].scale(-1) if i < len(col_polys) else R.zero())
             diff_rows.append([R.zero()] * len(cells))
-            to_x.append(rep[:db])
+            to_x.append((den, {i: x for i, x in col.items() if i < db}))
         F, bases, blocks, columns = _Cells(R, tuple(cells), diff_rows), {}, {}, {}
         start = n - 1
     raise WindowTooSmall("semifree replacement did not stabilize")

@@ -14,7 +14,9 @@ one system of another shape, and a fourth lists the rank takers of
 `resolve`, so both resolutions keep one exactness certificate.  Two more
 keep the writing of equations in map_system and the sites that add their
 side conditions to its system, and keep the Hom spaces of the injective Ext
-route on integer columns: no Fraction is made on that path."""
+route on integer columns: no Fraction is made on that path.  The last guard
+keeps vectors on integer columns: a dense vector is made or read only at
+the edges listed in VECTOR_EDGES."""
 import ast
 from pathlib import Path
 
@@ -192,3 +194,59 @@ def test_linear_systems_keep_what_the_benchmark_tracer_reads():
     assert all(0 <= i < sys.num_vars for row in sys.rows for i in row)
     for name in ("kernel", "solve"):
         assert name in vars(grlin.LinearSystem)
+
+
+# Vectors are integer columns (den, {index: int}) from elimination to every
+# reader; dense vectors are made or read only at these edges: the dense
+# views of grlin (blocks, rref, kernel_basis, Subspace and a homology
+# piece's representatives, cycle and boundary bases), the dense input that
+# class coordinates accept, the dense coordinates that homology_module
+# places, the dense solutions of LinearSystem.solve, and the unit vectors
+# that finiteness_check hands to Subspace.
+VECTOR_NAMES = {"_column_vector", "_dense_vector", "_int_column", "unit_vector",
+                "is_zero_vector", "representatives"}
+VECTOR_EDGES = {
+    ("grlin", "_dense", "_column_vector"),
+    ("grlin", "rref", "_column_vector"),
+    ("grlin", "kernel_basis", "_column_vector"),
+    ("grlin", "Subspace.residue", "_column_vector"),
+    ("grlin", "HomologyPiece.representatives", "_column_vector"),
+    ("grlin", "HomologyPiece.cycle_basis", "_column_vector"),
+    ("grlin", "HomologyPiece.boundary_basis", "_column_vector"),
+    ("grlin", "HomologyPiece.class_coordinates", "_int_column"),
+    ("algebra", "express_in_homology", "_int_column"),
+    ("algebra", "homology_module", "_int_column"),
+    ("duality", "recognize_k", "_int_column"),
+    ("groups", "_commuting_lifts", "_int_column"),
+    ("groups", "finiteness_check", "unit_vector"),
+}
+
+
+def vector_reads(node, module, scope, found):
+    """Append (module, enclosing function, name, line) for every read of a
+    name in VECTOR_NAMES under node: a call, a function handed on, or an
+    attribute such as a piece's `.representatives`."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = scope + [child.name]
+        elif isinstance(child, (ast.Name, ast.Attribute)):
+            name = child.id if isinstance(child, ast.Name) else child.attr
+            if name in VECTOR_NAMES and isinstance(child.ctx, ast.Load):
+                found.append((module, ".".join(scope), name, child.lineno))
+        vector_reads(child, module, inner, found)
+    return found
+
+
+def test_vectors_stay_integer_columns_but_at_the_edges():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        vector_reads(ast.parse(path.read_text(), filename=str(path)), path.stem, [], found)
+    outside = [c for c in found if c[:3] not in VECTOR_EDGES]
+    assert not outside, f"dense vectors outside the edges: {outside}"
+    # every edge listed still reads one, so the list shrinks with the code
+    assert {c[:3] for c in found} == VECTOR_EDGES
+    src = ("def socle(M):\n    vecs = [_column_vector(1, c, 2) for c in cols]\n"
+           "    return map(unit_vector, H.representatives)\n")
+    assert [c[1:3] for c in vector_reads(ast.parse(src), "adams", [], [])] == [
+        ("socle", "_column_vector"), ("socle", "unit_vector"), ("socle", "representatives")]

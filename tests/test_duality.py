@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import os
 import random
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from koszuldg.grlin import Window
+from koszuldg.grlin import GradedMap, Window, _column_vector, _int_column
 from koszuldg import algebra as alg
 from koszuldg import duality as du
 from koszuldg import samples as sm
@@ -139,8 +141,9 @@ def test_end_dga_composition_unit_and_leibniz():
         for n2 in range(-2, 2):
             if real.dim(n1) == 0 or real.dim(n2) == 0:
                 continue
-            u = [F(rng.randint(-2, 2)) for _ in range(real.dim(n1))]
-            v = [F(rng.randint(-2, 2)) for _ in range(real.dim(n2))]
+            # sampled dense, handed over and read back as integer columns
+            u = _int_column([F(rng.randint(-2, 2)) for _ in range(real.dim(n1))])
+            v = _int_column([F(rng.randint(-2, 2)) for _ in range(real.dim(n2))])
             _, uv = e.product(n1, u, n2, v)
             duv = real.diff.apply(n1 + n2, uv)
             du_ = real.diff.apply(n1, u)
@@ -148,8 +151,9 @@ def test_end_dga_composition_unit_and_leibniz():
             _, t1 = e.product(n1 - 1, du_, n2, v)
             _, t2 = e.product(n1, u, n2 - 1, dv)
             sgn = -1 if n1 % 2 else 1
-            want = [a + sgn * b for a, b in zip(t1, t2)]
-            assert duv == want
+            m = real.dim(n1 + n2 - 1)
+            want = [a + sgn * b for a, b in zip(_column_vector(*t1, m), _column_vector(*t2, m))]
+            assert _column_vector(*duv, m) == want
 
 
 @pytest.mark.parametrize("g,expected", [
@@ -288,3 +292,125 @@ def test_contraction_relations():
     # cycles, square zero, anticommutation: asserted by end_dga construction
     for g in (T, T2, SU2):
         du.end_dga(alg.poly_algebra(g))
+
+
+# ---------------------------------------------------------------------------
+# the verdicts of the DGA constructions and of recognition, reached on
+# hand-built DGAs and tampered inputs; each tamper touches a rule, a
+# differential block or an action block, never a vector, so that the test
+# reads the same whatever representation the vectors have
+
+
+def with_diff_block(M, n, block):
+    """A copy of M, unchecked, whose differential has the dense block at n."""
+    blocks = M.diff.blocks
+    blocks[n] = block
+    out = copy.copy(M)
+    out.diff = GradedMap(M.space, M.space, -1, blocks)
+    return out
+
+
+def ones(M, n, degree):
+    return [[F(1)] * M.dim(n) for _ in range(M.dim(n + degree))]
+
+
+def contraction_keys(e, i):
+    """The basis keys in the support of contraction i of End(kbar)."""
+    return {key for key in e.keys(e.module.algebra.codegrees[i] - 1)
+            if not any(key[1]) and i in key[0][1]
+            and key[0][0] == tuple(j for j in key[0][1] if j != i)}
+
+
+def invariant_message(check, *args):
+    with pytest.raises(alg.InvariantViolation) as exc:
+        check(*args)
+    return str(exc.value)
+
+
+def test_end_dga_contraction_checks_reject_tampered_dgas():
+    e = du.end_dga(R1)
+    du._assert_contractions(e)
+    # a differential that moves the unit, then one that moves the contraction
+    broken = dataclasses.replace(e, module=with_diff_block(e.module, 0, ones(e.module, 0, -1)))
+    assert invariant_message(du._assert_contractions, broken) == \
+        "identity of End(kbar) is not a cycle"
+    broken = dataclasses.replace(e, module=with_diff_block(e.module, 1, ones(e.module, 1, -1)))
+    assert invariant_message(du._assert_contractions, broken) == "contraction 0 is not a cycle"
+    e2 = du.end_dga(R2)
+    iota0, iota1 = contraction_keys(e2, 0), contraction_keys(e2, 1)
+    top = (((), (0, 1)), (0, 0))  # f[0<-12], of degree 2
+    assert top in e2.keys(2)
+
+    def squares(a, b):
+        return (top, 1) if a == b == (((), (0,)), (0, 0)) else e2.rule(a, b)
+
+    def commutes(a, b):
+        hit = e2.rule(a, b)
+        return (hit[0], -hit[1]) if hit and a in iota1 and b in iota0 else hit
+
+    assert invariant_message(du._assert_contractions, dataclasses.replace(e2, rule=squares)) \
+        == "contraction 0 fails square-zero"
+    assert invariant_message(du._assert_contractions, dataclasses.replace(e2, rule=commutes)) \
+        == "contractions 0,1 fail anticommutation"
+
+
+def test_hom_to_k_algebra_checks_reject_tampered_products():
+    h2, h3 = du.hom_to_k(R2), du.hom_to_k(alg.poly_algebra(alg.GroupData((2, 2, 2))))
+
+    def negated(h, pairs):
+        def rule(a, b):
+            hit = h.rule(a, b)
+            return (hit[0], -hit[1]) if hit and (a, b) in pairs else hit
+        return dataclasses.replace(h, rule=rule)
+
+    unit = negated(h2, {((), s) for s in [(), (0,), (1,), (0, 1)]})
+    assert invariant_message(du._assert_homk_algebra, unit) == "unit fails in Hom(kbar,k)"
+    # e1.e2 = e2.e1 breaks graded commutativity of two odd classes
+    assert invariant_message(du._assert_homk_algebra, negated(h2, {((0,), (1,))})) == \
+        "Hom(kbar,k) fails graded commutativity"
+    # e1.e23 and e23.e1 negated together commute, but e1.(e2.e3) != (e1.e2).e3
+    assert invariant_message(du._assert_homk_algebra,
+                             negated(h3, {((0,), (1, 2)), ((1, 2), (0,))})) == \
+        "Hom(kbar,k) fails associativity"
+
+
+def test_formality_rejects_noncommuting_representatives():
+    A = du.poly_dga(R2, Window(-8, 0))
+
+    def rule(a, b):
+        hit = A.rule(a, b)
+        return (hit[0], -hit[1]) if a[1] == (0, 1) and b[1] == (1, 0) else hit
+
+    with pytest.raises(du.NotGradedCommutative) as exc:
+        du.formality_map(dataclasses.replace(A, rule=rule), R2)
+    assert str(exc.value) == "representatives for generators 0 and 1 do not commute"
+
+
+def test_formality_rejects_a_monomial_image_off_the_cycles():
+    # x.x sent to v, whose differential is u: the image of x^2 is no cycle
+    A = du.acyclic_extension_dga(R1, Window(-8, 0), -5)
+    assert du.formality_map(A, R1).passed
+
+    def rule(a, b):
+        return (("v", (0,)), 1) if a == b == ("1", (1,)) else A.rule(a, b)
+
+    assert invariant_message(du.formality_map, dataclasses.replace(A, rule=rule), R1) == \
+        "monomial image is not a cycle"
+
+
+def test_recognize_k_rejects_a_stage_without_extension():
+    # k plus the acyclic cone on R/(x^2) shifted to degrees -3 and -5: the
+    # cone's source copies sit in degrees -2 and -4, and the one in degree
+    # -2 is no cycle.  x sent from the class of k onto it leaves d(f(e_1))
+    # = x.f(e_0) without a solution.
+    P = sm.cyclic_quotient(R1, [2]).shift(-3)
+    M = alg.direct_sum(alg.residue_field(R1), alg.mapping_cone(alg.identity_map(P)))
+    assert du.recognize_k(M).passed
+    assert M.dim(0) == M.dim(-2) == 1 and M.diff.block(-2) != [[0]]
+    blocks = M.actions[0].blocks
+    blocks[0] = [[F(1)]]
+    tampered = copy.copy(M)
+    tampered.actions = (GradedMap(M.space, M.space, -2, blocks),)
+    with pytest.raises(du.LinearSolveFailed) as exc:
+        du.recognize_k(tampered)
+    assert str(exc.value) == "no extension over the stage-1 cone"

@@ -117,12 +117,13 @@ cases = {
         alg.free_module(R1, [("a", 0), ("b", 0), ("c", 0)]), alg.residue_field(R1),
         contractions=True),
     "ring_map_images": lambda: gr.ring_map(R2, R1, [R1.gen(0)]),
-    # generator of degree 0 on X, image of length 2 where X has dimension
-    # 1: read as it is (degree 0) and acted on (degree -2)
+    # generator of degree 0 on X, an image with index 1 where X has
+    # dimension 1: read as it is (degree 0) and acted on (degree -2)
     "evaluate_length": lambda: alg._evaluate(
-        alg.free_module(R1, [("g", 0)]), X, [[F(1), F(2)]], 0),
+        alg.free_module(R1, [("g", 0)]), X, [grlin._int_column([F(1), F(2)])], 0),
     "evaluate_length_acted": lambda: alg._evaluate(
-        alg.free_module(R1, [("g", 0)]), X, [[F(1), F(2)]], -2),
+        alg.free_module(R1, [("g", 0)]), X, [grlin._int_column([F(1), F(2)])], -2),
+    "apply_length": lambda: X.diff.apply(0, grlin._int_column([F(1), F(2)])),
     "poly_varnames": lambda: alg.PolyAlgebra(alg.GroupData((2,)), varnames=("a", "b")),
     "remove_sign": lambda: L.remove_sign(0, ()),
     "action_not_poly": lambda: alg.lambda_as_module(L)._action_poly_form(R1.gen(0), 0),
@@ -179,9 +180,10 @@ def test_rejections_hold_without_asserts():
         "contraction_basis": ("InvariantViolation",
                               "contraction actions need the Koszul basis"),
         "ring_map_images": ("InvariantViolation", "1 images for 2 source generators"),
-        "evaluate_length": ("ValueError", "vector of length 2 for a map from dimension 1"),
+        "evaluate_length": ("ValueError", "column index 1 for a map from dimension 1"),
         "evaluate_length_acted": ("ValueError",
-                                  "vector of length 2 for a map from dimension 1"),
+                                  "column index 1 for a map from dimension 1"),
+        "apply_length": ("ValueError", "column index 1 for a map from dimension 1"),
         "poly_varnames": ("ValueError", "2 variable names for rank 1"),
         "remove_sign": ("ValueError", "generator 0 is not a factor of ()"),
         "action_not_poly": ("AlgebraMismatch",

