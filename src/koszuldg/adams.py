@@ -123,7 +123,7 @@ def injective_hull_embedding(N: DGModule, pad: int = 4, soc: dict | None = None)
     sol = sys.solve()
     if sol is None:
         raise LinearSolveFailed("no module map extending the socle pairing")
-    emb = chain_map_from_blocks(N, W, 0, sol)
+    emb = chain_map_from_blocks(N, W, 0, sol, sys.blocks)
     for n in N.degrees():
         if _form_rank(emb.map.form(n)) != N.dim(n):
             raise InvariantViolation(f"hull embedding not injective at degree {n}")
@@ -172,7 +172,7 @@ def lift_through_homology(Y: DGModule, W: DGModule, emb: ChainMap,
     sol = sys.solve()
     if sol is None:
         raise LinearSolveFailed("no chain lift of the hull embedding")
-    return chain_map_from_blocks(Y, W, 0, sol)
+    return chain_map_from_blocks(Y, W, 0, sol, sys.blocks)
 
 
 def adams_tower(Y: DGModule, pad: int = 4) -> AdamsTower:

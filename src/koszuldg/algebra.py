@@ -35,6 +35,7 @@ from .grlin import (
     Matrix,
     Window,
     _assemble,
+    _block_column,
     _check_indices,
     _column_sum,
     _columns_form,
@@ -42,7 +43,7 @@ from .grlin import (
     _dense,
     _form_rank,
     _identity_form,
-    _int_column,
+    _insert,
     _int_agree,
     _int_product,
     _kernel,
@@ -51,7 +52,6 @@ from .grlin import (
     _transposed,
     frac,
     homology_at,
-    rank,
     zeros,
 )
 
@@ -1223,20 +1223,13 @@ def _express_composites(basis: MapBasis, form, shift: int, target: MapBasis,
 
 
 def chain_map_from_blocks(A: DGModule, B: DGModule, degree: int,
-                          entries: dict, check: bool = True) -> ChainMap:
-    """Assemble a ChainMap from {(n, row, col): value} entries."""
-    values = {}
-    for (n, rr, cc), v in entries.items():
-        if v:
-            values.setdefault(n, []).append((rr, cc, frac(v)))
-    blocks = {}
-    for n, vals in values.items():
-        den = lcm(*[x.denominator for _, _, x in vals])
-        rows = [{} for _ in range(B.known_dim(n + degree))]
-        for rr, cc, x in vals:
-            rows[rr][cc] = x.numerator * (den // x.denominator)
-        blocks[n] = (den, rows, A.dim(n))
-    return ChainMap(A, B, degree, blocks, check=check)
+                          column: tuple, blocks: dict) -> ChainMap:
+    """The ChainMap whose block at n is the unknown block n of a map
+    system's solution: column is an integer column over the variables of
+    the layout blocks, {n: (offset, rows, cols)} (LinearSystem.blocks)."""
+    return ChainMap(A, B, degree, {
+        n: _columns_form([(c, _block_column(column, b, c)) for c in range(b[2])], b[1], b[2])
+        for n, b in blocks.items()})
 
 
 def zero_map(A: DGModule, B: DGModule, degree: int = 0) -> ChainMap:
@@ -1303,21 +1296,15 @@ def cone_les_dimension_check(f: ChainMap) -> bool:
 
 
 def homology_map_rank(f: ChainMap, HA, HB, n) -> int | None:
-    classes = HA.classes(n)
     if HA.dim(n) is None or HB.dim(n) is None:
         return None
-    if not classes:
-        return 0
-    vecs = []
-    for c in classes:
-        img = f.map.apply(n, c)
-        coords = express_in_homology(f.target, HB, n, img)
+    span = {}
+    for c in HA.classes(n):
+        coords = express_in_homology(f.target, HB, n, f.map.apply(n, c))
         if coords is None:
             return None
-        vecs.append(coords)
-    if not vecs or not vecs[0]:
-        return 0
-    return rank(vecs)
+        _insert(span, coords[1])
+    return len(span)
 
 
 # ---------------------------------------------------------------------------
@@ -1392,26 +1379,25 @@ def homology_dims(M: DGModule) -> dict:
     return homology(M).dims()
 
 
-def express_in_homology(M: DGModule, H: Homology, n: int, v) -> list | None:
-    """Coordinates of a cycle's class in the homology basis at degree n.
+def express_in_homology(M: DGModule, H: Homology, n: int, v: tuple) -> tuple | None:
+    """Coordinates of the class of the integer column v in the homology
+    basis at degree n, as an integer column over the class indices
+    (HomologyPiece.class_coordinates).
 
-    Returns None when v is not a cycle class at n (up to boundaries).  v is
-    a dense vector or an integer column (den, {index: int}).  H is the
-    homology of M; each piece factors its basis once for all queries.
+    Returns None when v is not a cycle class at n (up to boundaries), and
+    raises ValueError on an index outside M at n.  H is the homology of M;
+    each piece factors its basis once for all queries.
     """
     piece = H.pieces.get(n)
     if piece is not None:
         return piece.class_coordinates(v)
     dim = M.dim(n)
-    if not isinstance(v, tuple):
-        if len(v) != dim:
-            raise ValueError(f"vector of length {len(v)} in degree {n} of dimension {dim}")
-        v = _int_column(v)
+    _check_indices(v[1], dim)
     # nothing stored at n: only boundaries have a (zero) class there, and v
     # is one when appending it to the boundary map leaves the rank as it is
     f, cols = M.diff.form(n + 1), M.dim(n + 1)
     aug = _assemble(dim, cols + 1, [(f, 0, 0, 1), (_columns_form([(0, v)], dim, 1), 0, cols, 1)])
-    return [] if _form_rank(aug) == _form_rank(f) else None
+    return (1, {}) if _form_rank(aug) == _form_rank(f) else None
 
 
 def homology_module(M: DGModule, name: str = "", H: Homology | None = None) -> DGModule:
@@ -1447,8 +1433,7 @@ def homology_module(M: DGModule, name: str = "", H: Homology | None = None) -> D
                 if coords is None:
                     raise InvariantViolation("action image is not a cycle class")
                 cols.append(coords)
-            act_blocks[i][n] = _columns_form(enumerate(map(_int_column, cols)),
-                                             dims[t], dims[n])
+            act_blocks[i][n] = _columns_form(enumerate(cols), dims[t], dims[n])
     return dg_module(M.algebra, dims, {}, act_blocks, lo, hi,
                      complete_below=M.complete_below,
                      complete_above=M.complete_above,

@@ -19,15 +19,14 @@ from .grlin import (
     LinearSystem,
     Window,
     _assemble,
+    _block_column,
     _column_sum,
     _columns_form,
     _echelon,
     _form_rank,
     _insert,
-    _int_column,
     _int_product,
     _transposed,
-    rank,
 )
 from .algebra import (
     ChainMap,
@@ -560,7 +559,7 @@ def double_centralizer_check(g: GroupData, window: Window | None = None) -> Doub
             if j > i:
                 v = _column_sum(v, e.product(dj, vj, di, vi)[1])
             relations.append(express_in_homology(e.module, H, n, v))
-    relations_ok = all(c is not None and not any(c) for c in relations)
+    relations_ok = all(c is not None and not c[1] for c in relations)
     # products of contraction classes: all 2^r of them, graded-independent
     prods = {}
     for S in L.subsets():
@@ -578,8 +577,8 @@ def double_centralizer_check(g: GroupData, window: Window | None = None) -> Doub
             if coords is None:
                 independent = False
                 continue
-            classes.append(coords)
-        if classes and rank(classes) != len(classes):
+            classes.append(coords[1])
+        if len(_echelon(classes)) != len(classes):
             independent = False
     return DoubleCentralizerReport(hdims, ldims, dims_match, relations_ok,
                                    independent, len(relations), e)
@@ -623,7 +622,6 @@ def acyclic_extension_dga(R: PolyAlgebra, w: Window, cell_degree: int) -> Degree
 @dataclass
 class FormalityResult:
     generator_cycles: list   # (index, degree, integer column)
-    map_blocks: dict         # degree -> integer form from R-monomials to A
     homology_iso: bool
     window: Window
 
@@ -686,30 +684,20 @@ def formality_map(A: DegreewiseDGA, R: PolyAlgebra, w: Window | None = None) -> 
             if ij != ji:
                 raise NotGradedCommutative(
                     f"representatives for generators {i} and {j} do not commute")
-    # assemble the map and verify the homology isomorphism
-    blocks = {}
+    # verify the homology isomorphism of the multiplicative extension
     iso = True
     for n in check_range:
         mons = R.monomials(-n)
-        if not mons:
-            if H.dim(n):
-                iso = False
-            continue
-        cols = []
-        classes = []
+        span = {}
         for alpha in mons:
-            vec = _monomial_image(A, R, chosen, alpha)
-            cols.append(vec)
-            coords = express_in_homology(M, H, n, vec)
+            coords = express_in_homology(M, H, n, _monomial_image(A, R, chosen, alpha))
             if coords is None:
                 raise InvariantViolation("monomial image is not a cycle")
-            classes.append(coords)
-        blocks[n] = _columns_form(enumerate(cols), M.dim(n), len(cols))
-        if rank(classes) != len(mons) or H.dim(n) != len(mons):
+            _insert(span, coords[1])
+        if len(span) != len(mons) or H.dim(n) != len(mons):
             iso = False
     return FormalityResult(
-        [(i, -R.codegrees[i], chosen[i]) for i in range(R.r)],
-        blocks, iso,
+        [(i, -R.codegrees[i], chosen[i]) for i in range(R.r)], iso,
         Window(min(check_range), max(check_range)) if check_range else Window(0, 0))
 
 
@@ -785,8 +773,7 @@ def recognize_k(M: DGModule) -> RecognizeResult:
         if sol is None:
             raise LinearSolveFailed(f"no extension over the stage-{i+1} cone")
         for T in news:
-            images[T] = (bdeg[T], _int_column([sol[(T, row, 0)]
-                                                for row in range(M.dim(bdeg[T]))]))
+            images[T] = (bdeg[T], _block_column(sol, sys.blocks[T], 0))
     # realize the comparison, 4 degrees below both supports, and verify
     lo = min((M.support_min() or 0) - 1, min(kb.basis_degrees()) - 1) - 4
     hi = max((M.support_max() or 0), 0) + 2

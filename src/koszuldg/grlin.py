@@ -6,14 +6,15 @@ and every solution (`Subspace` included), graded vector spaces keyed by
 integer degree, graded maps that store integer block forms, and degreewise
 homology.  A vector is an integer column (den, {index: int}), the vector
 column / den over its least denominator, from the elimination to every
-reader: kernels, homology classes, `GradedMap.apply`.  Dense `Fraction`
-matrices and vectors exist only at the API edge: `rank`, `rref`,
-`kernel_basis`, `solve`, `coordinates`, `Subspace`, the views `block` and
-`blocks`, a homology piece's `representatives`, `cycle_basis` and
-`boundary_basis`, and the dense vectors class coordinates accept.  No
-floats, no rounding, ever.  All echelon choices (pivot columns,
-free-variable order, normalisation) are those of the canonical reduced row
-echelon form, so every derived basis is reproducible bit-for-bit.
+reader: kernels, solutions, homology classes and their coordinates,
+`GradedMap.apply`.  Dense `Fraction` matrices and vectors exist only at the
+API edge: `rank`, `rref`, `kernel_basis`, `solve`, `coordinates`,
+`Subspace`, the views `block` and `blocks`, a homology piece's
+`representatives`, `cycle_basis` and `boundary_basis`, and
+`MapBasis.entries`.  No floats, no rounding, ever.  All echelon choices
+(pivot columns, free-variable order, normalisation) are those of the
+canonical reduced row echelon form, so every derived basis is reproducible
+bit-for-bit.
 """
 from __future__ import annotations
 
@@ -419,16 +420,14 @@ def _cycle(pivots: dict, j: int) -> tuple:
     return (lead // g, {i: x // g for i, x in col.items()} if g != 1 else col)
 
 
-def _particular(reduced: list, n_cols: int) -> Vector | None:
+def _particular(reduced: list, n_cols: int) -> tuple | None:
     """The solution with free variables 0 of a reduced augmented system
-    whose right-hand side is column n_cols, or None."""
+    whose right-hand side is column n_cols, as an integer column over its
+    least denominator, or None."""
     if reduced and reduced[-1][0] == n_cols:
         return None
-    x = [ZERO] * n_cols
-    for p, row in reduced:
-        if n_cols in row:
-            x[p] = Fraction(row[n_cols], row[p])
-    return x
+    return _column_sum(*[(abs(row[p]), {p: row[n_cols] if row[p] > 0 else -row[n_cols]})
+                         for p, row in reduced if n_cols in row])
 
 
 def rank(m: Matrix) -> int:
@@ -477,6 +476,16 @@ def _check_indices(col: dict, dim: int):
         raise ValueError(f"column index {max(col)} for a map from dimension {dim}")
 
 
+def _block_column(v: tuple, block: tuple, c: int) -> tuple:
+    """Column c of the unknown block laid out as block = (offset, rows,
+    cols) in the variables of the integer column v, as an integer column
+    over its least denominator."""
+    den, col = v
+    off, rows, cols = block
+    at = range(off + c, off + rows * cols, cols)  # entry (r, c) is variable off + r * cols + c
+    return _column_sum((den, {r: col[i] for r, i in enumerate(at) if i in col}))
+
+
 def _int_column(v: Vector) -> tuple:
     """A dense vector as the integer column (den, {index: int}) over its
     least denominator."""
@@ -495,7 +504,8 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     n_cols = len(a[0]) if a else 0
     if len(b) != len(a):
         raise ValueError(f"right side of length {len(b)} for {len(a)} equations")
-    return _particular(_reduced(_sparse_rows(a, b)), n_cols)
+    x = _particular(_reduced(_sparse_rows(a, b)), n_cols)
+    return None if x is None else _column_vector(*x, n_cols)
 
 
 class Subspace:
@@ -730,7 +740,7 @@ class GradedMap:
 class HomologyPiece:
     """Homology at one degree, kept as integer columns (den, {index: int}),
     each the vector column / den over its least denominator, which readers
-    take as they are.
+    take as they are; class coordinates are integer columns too.
 
     cycles is the kernel basis of the outgoing differential, one canonical
     cycle per free column of its echelon form (free), boundaries the
@@ -778,26 +788,25 @@ class HomologyPiece:
     def boundary_basis(self) -> list:
         return [_column_vector(den, col, self.ambient) for den, col in self.boundaries]
 
-    def class_coordinates(self, v) -> Vector | None:
-        """Coordinates of v's class on the classes, or None when v is not
-        in the span of cycles (classes plus boundaries).
+    def class_coordinates(self, v: tuple) -> tuple | None:
+        """Coordinates of the class of the integer column v on the classes,
+        as an integer column over the class indices and its least
+        denominator, or None when v is not in the span of cycles (classes
+        plus boundaries); raises ValueError on an index outside the chain
+        space.
 
-        v is a dense vector or an integer column (den, {index: int}).  The
-        span of the cycles is ker d_out, so v lies in it exactly when
+        The span of the cycles is ker d_out, so v lies in it exactly when
         d_out . v = 0.  A vector of that kernel is fixed by its entries at
         the free columns, where the cycle for the j-th free column has its
         one nonzero; so [classes | boundaries] restricted to them is square
         and invertible, and one reduction of [that | identity] gives a row
-        that reads off each coordinate from v's free entries.  It is made
-        on the first call and kept with the piece.  A class column scaled
-        by s has the coordinate on its vector times s; the boundary
-        columns' scales do not matter.
+        that reads off each coordinate from v's free entries.  Those rows,
+        over one denominator, are made on the first call and kept with the
+        piece.  A class column scaled by s has the coordinate on its vector
+        times s; the boundary columns' scales do not matter.
         """
-        if not isinstance(v, tuple):
-            if len(v) != self.ambient:
-                raise ValueError(f"vector of length {len(v)} in degree {self.degree}"
-                                 f" of dimension {self.ambient}")
-            v = _int_column(v)
+        den, w = v
+        _check_indices(w, self.ambient)
         if self._solver is None:
             cols = self.classes + self.boundaries
             k, free = len(cols), self.free
@@ -807,17 +816,19 @@ class HomologyPiece:
                 for i, x in col.items():
                     if i in at:
                         rows[at[i]][j] = x
-            self._solver = [(self.classes[p][0], row[p],
-                             {free[j - k]: x for j, x in row.items() if j >= k})
-                            for p, row in _reduced(rows) if p < self.dim]
-        den, w = v
+            solver = [(self.classes[p][0], row[p],
+                       {free[j - k]: x for j, x in row.items() if j >= k})
+                      for p, row in _reduced(rows) if p < self.dim]
+            lead = lcm(*[d for _, d, _ in solver])
+            self._solver = lead, [(s * (lead // d), tail) for s, d, tail in solver]
+        lead, solver = self._solver
 
         def dot(tail):
             return sum(x * w[i] for i, x in tail.items() if i in w)
 
         if self.d_out is not None and any(map(dot, self.d_out[1])):
             return None
-        return [Fraction(s * dot(tail), d * den) for s, d, tail in self._solver]
+        return _column_sum((lead * den, {p: s * dot(tail) for p, (s, tail) in enumerate(solver)}))
 
 
 def homology_at(d_in: GradedMap, d_out: GradedMap, n: int) -> HomologyPiece:
@@ -869,7 +880,7 @@ class MapBasis(list):
     """A basis of a space of block maps: _kernel's integer columns (lead,
     {index: int}), each the map column / lead, over the variables of a
     LinearSystem, whose layout it keeps as `blocks`.  `entries()` is the
-    dict view for the API edge (samples and tests), one {(key, row, col):
+    dict view for the API edge (the tests), one {(key, row, col):
     Fraction} per map, built on every call, the way GradedMap.block is."""
 
     def __init__(self, columns, blocks: dict):
@@ -900,8 +911,8 @@ class LinearSystem:
 
     entry by entry, P, Q and rhs being integer forms: each equation is an
     integer row {variable index: coefficient} in `rows`, its right side in
-    `rhs`.  `kernel` gives integer columns over the indices; `solve` names
-    the entries of its solution (key, row, col).
+    `rhs`.  `kernel` and `solve` give integer columns over the indices,
+    which readers cut into blocks by the layout (_block_column).
     """
 
     def __init__(self):
@@ -961,12 +972,12 @@ class LinearSystem:
                     self.rows.append(row)
                     self.rhs.append(y)
 
-    def solve(self) -> dict | None:
-        """A particular solution as {(key, row, col): value}, or None."""
-        n, names = self.num_vars, _block_names(self.blocks)
+    def solve(self) -> tuple | None:
+        """A particular solution, free variables 0, as an integer column
+        over the variable indices and its least denominator, or None."""
+        n = self.num_vars
         rows = [_primitive({**row, n: y} if y else row) for row, y in zip(self.rows, self.rhs)]
-        sol = _particular(_reduced(rows), n)
-        return None if sol is None else {names[i]: x for i, x in enumerate(sol)}
+        return _particular(_reduced(rows), n)
 
     def kernel(self) -> list:
         """The homogeneous solutions as _kernel's integer columns over the

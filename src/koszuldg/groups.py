@@ -21,16 +21,15 @@ from math import lcm
 from .grlin import (
     GradedMap,
     MapBasis,
-    Subspace,
     Window,
     _assemble,
+    _block_column,
     _columns_form,
+    _insert,
     _int_agree,
-    _int_column,
     _int_product,
     _primitive,
     _reduced,
-    unit_vector,
 )
 from .algebra import (
     DGModule,
@@ -78,11 +77,15 @@ class NotFreeRankOne(ValueError):
 
 @dataclass
 class FinitenessCertificate:
-    """Degreewise cokernel of the image ideal inside the target ring."""
+    """Degreewise cokernel of the image ideal inside the target ring, up to
+    the codegree where it has vanished on a run as long as the largest
+    target codegree.  Its basis is of target monomials: unit integer
+    columns (1, {j: 1}) over the monomials of their codegree, chosen
+    greedily outside the span of the ideal."""
 
     top_codegree: int
     coker_dims: dict          # codegree -> dimension of T/(images)
-    generator_basis: list     # (codegree, monomial-coefficient vector)
+    generator_basis: list     # (codegree, unit integer column)
 
     @property
     def generator_count(self) -> int:
@@ -141,7 +144,7 @@ def finiteness_check(rm: RingMap) -> FinitenessCertificate:
     """
     S, T = rm.source, rm.target
     if T.r == 0:
-        return FinitenessCertificate(0, {0: 1}, [(0, [Fraction(1)])])
+        return FinitenessCertificate(0, {0: 1}, [(0, (1, {0: 1}))])
     max_e = max(T.codegrees)
     probe = sum(S.codegrees) + sum(T.codegrees) + max_e + 2
     coker_dims = {}
@@ -150,26 +153,19 @@ def finiteness_check(rm: RingMap) -> FinitenessCertificate:
     top = 0
     for n in range(probe + 1):
         mons = T.monomials(n)
-        span = Subspace(len(mons))
+        # the span of the image ideal at n: mu . p as a row over the monomials
+        span = {}
         idx = {m: k for k, m in enumerate(mons)}
         for i, p in enumerate(rm.images):
-            if p.is_zero():
-                continue
-            d = S.codegrees[i]
-            for mu in T.monomials(n - d):
-                prod = Poly(T, {mu: Fraction(1)}) * p
-                vec = [Fraction(0)] * len(mons)
-                for a, c in prod.terms.items():
-                    vec[idx[a]] += c
-                span.add(vec)
-        coker = len(mons) - span.dim
+            for mu in T.monomials(n - S.codegrees[i]):
+                _insert(span, _primitive({idx[tuple(x + y for x, y in zip(mu, a))]: c
+                                          for a, c in p.terms.items()}))
+        coker = len(mons) - len(span)
         coker_dims[n] = coker
         if coker:
             top = n
             run = 0
-            for v in span.complement_in([unit_vector(len(mons), j)
-                                         for j in range(len(mons))]):
-                gens.append((n, v))
+            gens += [(n, (1, {j: 1})) for j in range(len(mons)) if _insert(span, {j: 1})]
         else:
             run += 1
             if run >= max_e and n >= max_e:
@@ -534,8 +530,9 @@ def _commuting_lifts(rm: RingMap, res: ResolutionData, total: FreeDGModule,
         Y = [[S.zero() for _ in range(total.rank)] for _ in range(total.rank)]
         for i, (_, b) in enumerate(total.basis):
             gen_col = free_basis(total, b).index((i, (0,) * S.r))
-            col_vec = _int_column([sol.get((b, rr, gen_col), Fraction(0))
-                                   for rr in range(realized.dim(b - e))])
+            # no unknown block where b - e is below the window: a zero column,
+            # which the exact checks below judge
+            col_vec = _block_column(sol, sys.blocks[b], gen_col) if b in sys.blocks else (1, {})
             for jj, p in enumerate(_vector_to_poly_column(total, b - e, col_vec)):
                 Y[jj][i] = p
         # exact verification: the decoded matrix is a chain map over the ring
@@ -599,13 +596,14 @@ def _freeness_certificate(rm: RingMap, dual: FreeDGModule, realized: DGModule,
     maps = [realize_poly_map(dual, realized, dual_lifts[jgen], -T.codegrees[jgen])
             for jgen in range(T.r)]
     floor = min(certified, default=0)
+    # the classes reached at each degree, as echelon rows of their coordinates
     kept = {gamma: [H.classes(gamma)[0]]}
-    spans = {gamma: Subspace(1, [[Fraction(1)]])}
+    spans = {gamma: {0: {0: 1}}}
     for n in range(gamma, floor - 1, -1):
         for vec in kept.get(n, ()):
             for jgen in range(T.r):
                 t = n - T.codegrees[jgen]
-                if t < floor or not H.dim(t) or (t in spans and spans[t].dim == H.dim(t)):
+                if t < floor or not H.dim(t) or len(spans.get(t, ())) == H.dim(t):
                     continue
                 img = maps[jgen].apply(n, vec)
                 if not img[1]:
@@ -613,10 +611,10 @@ def _freeness_certificate(rm: RingMap, dual: FreeDGModule, realized: DGModule,
                 coords = express_in_homology(realized, H, t, img)
                 if coords is None:
                     return gamma, False
-                if spans.setdefault(t, Subspace(len(coords))).add(coords):
+                if _insert(spans.setdefault(t, {}), coords[1]):
                     kept.setdefault(t, []).append(img)
     for n in certified:
-        if H.dim(n) and (n not in spans or spans[n].dim < H.dim(n)):
+        if H.dim(n) and len(spans.get(n, ())) < H.dim(n):
             return gamma, False
     return gamma, True
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .grlin import _int_form, _int_product, rank, rref
+from .grlin import _column_sum, _int_form, _int_product, rank, rref
 from .algebra import (
     ChainMap,
     DGModule,
@@ -110,14 +110,9 @@ def random_chain_map(A: DGModule, B: DGModule, rng: random.Random,
                      degree: int = 0) -> ChainMap:
     """A random small-integer combination of a chain-map-space basis."""
     basis = chain_map_space(A, B, degree)
-    entries = {}
-    for h in basis.entries():
-        c = rng.randint(-2, 2)
-        if not c:
-            continue
-        for key, v in h.items():
-            entries[key] = entries.get(key, Fraction(0)) + c * v
-    return chain_map_from_blocks(A, B, degree, entries)
+    terms = [(lead, {i: c * x for i, x in col.items()})
+             for c, (lead, col) in zip([rng.randint(-2, 2) for _ in basis], basis) if c]
+    return chain_map_from_blocks(A, B, degree, _column_sum(*terms), basis.blocks)
 
 
 def random_zero_diff_module(R: PolyAlgebra, rng: random.Random,

@@ -222,6 +222,23 @@ def test_cone_les_dimension_check_fails_closed_when_nothing_compares():
     assert alg.cone_les_dimension_check(alg.identity_map(k))
 
 
+def test_homology_map_rank_fails_closed_on_an_image_off_the_cycles():
+    # k into k plus the acyclic cone on R/(x^2) shifted to degrees -1 and
+    # -3, whose source copy in degree 0 is no cycle: the class of k sent to
+    # the class of k has rank 1; sent onto that non-cycle too, the image has
+    # no class, and the rank is unknown rather than that of no images
+    k = alg.residue_field(R1)
+    P = sm.cyclic_quotient(R1, [2]).shift(-1)
+    B = alg.direct_sum(k, alg.mapping_cone(alg.identity_map(P)))
+    HA, HB = alg.homology(k), alg.homology(B)
+    assert B.dim(0) == 2 and HB.dims() == {0: 1} and B.diff.block(0) == [[0, 1]]
+    good = alg.ChainMap(k, B, 0, {0: [[F(1)], [F(0)]]})
+    assert alg.homology_map_rank(good, HA, HB, 0) == 1
+    bad = alg.ChainMap(k, B, 0, {0: [[F(1)], [F(1)]]}, check=False)
+    assert not bad.commutes_with_diff()
+    assert alg.homology_map_rank(bad, HA, HB, 0) is None
+
+
 def test_gamma_of_injective_is_everything():
     I = alg.basic_injective(R1, Window(0, 8))
     G = alg.gamma_m(I)
@@ -420,11 +437,13 @@ def test_express_in_homology_at_an_uncertified_edge_degree():
     M = alg.dg_module(R1, {0: 2, 1: 1, 2: 1}, {1: [[F(2)], [F(0)]]}, [{}], 0, 2)
     H = alg.homology(M)
     assert 0 not in H.pieces and 1 in H.pieces
-    assert alg.express_in_homology(M, H, 0, [F(1), F(0)]) == []
-    assert alg.express_in_homology(M, H, 0, (3, {0: 5})) == []
-    assert alg.express_in_homology(M, H, 0, [F(0), F(0)]) == []
-    assert alg.express_in_homology(M, H, 0, [F(0), F(1)]) is None
-    assert alg.express_in_homology(M, H, 0, [F(1, 2), F(-3)]) is None
+    assert alg.express_in_homology(M, H, 0, (1, {0: 1})) == (1, {})
+    assert alg.express_in_homology(M, H, 0, (3, {0: 5})) == (1, {})
+    assert alg.express_in_homology(M, H, 0, (1, {})) == (1, {})
+    assert alg.express_in_homology(M, H, 0, (1, {1: 1})) is None
+    assert alg.express_in_homology(M, H, 0, (2, {0: 1, 1: -6})) is None
+    with pytest.raises(ValueError, match="column index 2 for a map from dimension 2"):
+        alg.express_in_homology(M, H, 0, (1, {2: 1}))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ one system of another shape, and a fourth lists the rank takers of
 `resolve`, so both resolutions keep one exactness certificate.  Two more
 keep the writing of equations in map_system and the sites that add their
 side conditions to its system, and keep the Hom spaces of the injective Ext
-route on integer columns: no Fraction is made on that path.  The last guard
+route, the solutions of linear systems and class coordinates on integer
+columns: no Fraction is made on those paths.  The last guard
 keeps vectors on integer columns: a dense vector is made or read only at
 the edges listed in VECTOR_EDGES."""
 import ast
@@ -165,21 +166,33 @@ def test_map_system_writes_the_equations_of_module_maps():
 
 
 # The Hom spaces of the injective Ext route, their equations and their
-# composites stay on integer columns and forms.
+# composites, the solutions of linear systems, the chain maps cut from them
+# and class coordinates stay on integer columns and forms.
 INTEGER_ONLY = [
     ("algebra", "map_system"),
     ("resolve", "module_hom_space"),
     ("algebra", "_express_composites"),
     ("resolve", "_ext_via_injective"),
     ("resolve", "_ext_connecting_inj"),
+    ("grlin", "LinearSystem.solve"),
+    ("algebra", "chain_map_from_blocks"),
+    ("grlin", "HomologyPiece.class_coordinates"),
 ]
 
 
+def definition(tree, dotted):
+    """The function or method of a module's tree named by its dotted path."""
+    node = tree
+    for name in dotted.split("."):
+        node = next(child for child in ast.iter_child_nodes(node)
+                    if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and child.name == name)
+    return node
+
+
 def test_the_injective_route_makes_no_fraction():
-    trees = {m: ast.parse((SRC / f"{m}.py").read_text()) for m in ("algebra", "resolve")}
+    trees = {m: ast.parse((SRC / f"{m}.py").read_text()) for m, _ in INTEGER_ONLY}
     for module, name in INTEGER_ONLY:
-        fn = next(node for node in ast.walk(trees[module])
-                  if isinstance(node, ast.FunctionDef) and node.name == name)
+        fn = definition(trees[module], name)
         found = dense_calls(fn, module, [name], [], {"Fraction", "_entry", "frac"})
         assert not found, f"rational entries made in {module}.{name}: {found}"
 
@@ -197,28 +210,24 @@ def test_linear_systems_keep_what_the_benchmark_tracer_reads():
 
 
 # Vectors are integer columns (den, {index: int}) from elimination to every
-# reader; dense vectors are made or read only at these edges: the dense
-# views of grlin (blocks, rref, kernel_basis, Subspace and a homology
-# piece's representatives, cycle and boundary bases), the dense input that
-# class coordinates accept, the dense coordinates that homology_module
-# places, the dense solutions of LinearSystem.solve, and the unit vectors
-# that finiteness_check hands to Subspace.
+# reader, solutions, class coordinates and spans included; dense vectors
+# are made or read only at these edges: the dense views of grlin (blocks,
+# rref, kernel_basis, solve, Subspace and a homology piece's
+# representatives, cycle and boundary bases).  The dense Subspace has no
+# caller in the package, and solutions are named entry by entry
+# (_block_names) only in the dict view MapBasis.entries.
 VECTOR_NAMES = {"_column_vector", "_dense_vector", "_int_column", "unit_vector",
-                "is_zero_vector", "representatives"}
+                "is_zero_vector", "representatives", "Subspace", "_block_names"}
 VECTOR_EDGES = {
     ("grlin", "_dense", "_column_vector"),
     ("grlin", "rref", "_column_vector"),
     ("grlin", "kernel_basis", "_column_vector"),
+    ("grlin", "solve", "_column_vector"),
     ("grlin", "Subspace.residue", "_column_vector"),
     ("grlin", "HomologyPiece.representatives", "_column_vector"),
     ("grlin", "HomologyPiece.cycle_basis", "_column_vector"),
     ("grlin", "HomologyPiece.boundary_basis", "_column_vector"),
-    ("grlin", "HomologyPiece.class_coordinates", "_int_column"),
-    ("algebra", "express_in_homology", "_int_column"),
-    ("algebra", "homology_module", "_int_column"),
-    ("duality", "recognize_k", "_int_column"),
-    ("groups", "_commuting_lifts", "_int_column"),
-    ("groups", "finiteness_check", "unit_vector"),
+    ("grlin", "MapBasis.entries", "_block_names"),
 }
 
 
@@ -247,6 +256,8 @@ def test_vectors_stay_integer_columns_but_at_the_edges():
     # every edge listed still reads one, so the list shrinks with the code
     assert {c[:3] for c in found} == VECTOR_EDGES
     src = ("def socle(M):\n    vecs = [_column_vector(1, c, 2) for c in cols]\n"
+           "    span = grlin.Subspace(2, vecs)\n"
            "    return map(unit_vector, H.representatives)\n")
     assert [c[1:3] for c in vector_reads(ast.parse(src), "adams", [], [])] == [
-        ("socle", "_column_vector"), ("socle", "unit_vector"), ("socle", "representatives")]
+        ("socle", "_column_vector"), ("socle", "Subspace"), ("socle", "unit_vector"),
+        ("socle", "representatives")]

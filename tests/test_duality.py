@@ -198,7 +198,7 @@ def test_double_centralizer_for_rank_four_fits_in_one_gib():
     assert out["dims"] == [[0, 1], [1, 4], [2, 6], [3, 4], [4, 1]]
 
 
-@pytest.mark.parametrize("forced", [[F(1)], None])
+@pytest.mark.parametrize("forced", [(1, {0: 1}), None])
 def test_double_centralizer_relations_fail_closed(monkeypatch, forced):
     # over T the only relation is iota.iota, in degree 2; a nonzero class
     # there, or no class at all, fails the report
@@ -208,6 +208,42 @@ def test_double_centralizer_relations_fail_closed(monkeypatch, forced):
     rep = du.double_centralizer_check(T)
     assert rep.dims_match and rep.products_independent
     assert not rep.relations_ok and rep.relations_checked == 1 and not rep.passed
+
+
+@pytest.mark.parametrize("forced", [(1, {}), None])
+def test_double_centralizer_products_fail_closed(monkeypatch, forced):
+    # over T the contraction class is the one product in degree 1: a zero
+    # class there is dependent, and no class at all fails the report too,
+    # though the degree then has no class left to compare
+    real = du.express_in_homology
+    monkeypatch.setattr(du, "express_in_homology",
+                        lambda M, H, n, v: forced if n == 1 else real(M, H, n, v))
+    rep = du.double_centralizer_check(T)
+    assert rep.dims_match and rep.relations_ok
+    assert not rep.products_independent and not rep.passed
+
+
+def test_double_centralizer_rejects_dependent_products(monkeypatch):
+    # End(kbar) over T^2 with the products of the two contractions set to
+    # zero, in both orders: the exterior relations still hold, and the
+    # homology is still the exterior algebra, but the product of the two
+    # contraction classes is zero
+    real = du.end_dga
+
+    def tampered(R, window=None):
+        e = real(R, window)
+        iota0, iota1 = contraction_keys(e, 0), contraction_keys(e, 1)
+
+        def rule(a, b):
+            mixed = (a in iota0 and b in iota1) or (a in iota1 and b in iota0)
+            return None if mixed else e.rule(a, b)
+
+        return dataclasses.replace(e, rule=rule)
+
+    monkeypatch.setattr(du, "end_dga", tampered)
+    rep = du.double_centralizer_check(T2)
+    assert rep.dims_match and rep.relations_ok and rep.relations_checked == 3
+    assert not rep.products_independent and not rep.passed
 
 
 def test_hom_to_k_algebra_structure():
@@ -384,6 +420,20 @@ def test_formality_rejects_noncommuting_representatives():
     with pytest.raises(du.NotGradedCommutative) as exc:
         du.formality_map(dataclasses.replace(A, rule=rule), R2)
     assert str(exc.value) == "representatives for generators 0 and 1 do not commute"
+
+
+def test_formality_rejects_products_that_vanish_in_homology():
+    # R over T with x.x set to zero: the homology still has one class in
+    # every even certified degree, so the dimensions match, but x^2 goes to
+    # zero
+    A = du.poly_dga(R1, Window(-8, 0))
+
+    def rule(a, b):
+        return None if a == b == ("1", (1,)) else A.rule(a, b)
+
+    out = du.formality_map(dataclasses.replace(A, rule=rule), R1)
+    assert alg.homology(A.module).dims() == {0: 1, -2: 1, -4: 1, -6: 1}
+    assert not out.homology_iso and not out.passed
 
 
 def test_formality_rejects_a_monomial_image_off_the_cycles():

@@ -9,7 +9,8 @@ as well, and the length check of the images a free map is evaluated on.  So
 do the last checks that were asserts: variable names against the rank, the
 factor removed from an exterior monomial, the algebra and homogeneity of a
 polynomial action, the algebra of the torsion part, the Koszul stage index,
-and the exponents and invertibility checks of the sample modules."""
+and the exponents and invertibility checks of the sample modules.  The index
+checks of class coordinates run there too."""
 import json
 import os
 import subprocess
@@ -124,6 +125,10 @@ cases = {
     "evaluate_length_acted": lambda: alg._evaluate(
         alg.free_module(R1, [("g", 0)]), X, [grlin._int_column([F(1), F(2)])], -2),
     "apply_length": lambda: X.diff.apply(0, grlin._int_column([F(1), F(2)])),
+    # class coordinates of a column with an index past the chain space: at
+    # a stored piece, and at degree -1, where nothing is stored
+    "coordinates_index": lambda: alg.homology(X).pieces[0].class_coordinates((1, {1: 1})),
+    "express_index": lambda: alg.express_in_homology(X, alg.homology(X), -1, (1, {0: 1})),
     "poly_varnames": lambda: alg.PolyAlgebra(alg.GroupData((2,)), varnames=("a", "b")),
     "remove_sign": lambda: L.remove_sign(0, ()),
     "action_not_poly": lambda: alg.lambda_as_module(L)._action_poly_form(R1.gen(0), 0),
@@ -184,6 +189,8 @@ def test_rejections_hold_without_asserts():
         "evaluate_length_acted": ("ValueError",
                                   "column index 1 for a map from dimension 1"),
         "apply_length": ("ValueError", "column index 1 for a map from dimension 1"),
+        "coordinates_index": ("ValueError", "column index 1 for a map from dimension 1"),
+        "express_index": ("ValueError", "column index 0 for a map from dimension 0"),
         "poly_varnames": ("ValueError", "2 variable names for rank 1"),
         "remove_sign": ("ValueError", "generator 0 is not a factor of ()"),
         "action_not_poly": ("AlgebraMismatch",

@@ -178,6 +178,18 @@ def fraction_homology_at(d_in, d_out, n):
     return reps, cycles, boundaries
 
 
+def dense_class_coordinates(piece, v):
+    """piece.class_coordinates at the dense edge: a dense v goes in as an
+    integer column, and the coordinates, an integer column over the class
+    indices, come out as a dense list; the column is checked to be over
+    its least denominator."""
+    coords = piece.class_coordinates(v if isinstance(v, tuple) else _int_column(v))
+    if coords is None:
+        return None
+    assert grlin._column_sum(coords) == coords
+    return _column_vector(*coords, piece.dim)
+
+
 def fraction_class_coordinates(reps, boundaries, v):
     """HomologyPiece.class_coordinates as it was, from the dense
     representatives and boundaries, without keeping its solver."""
@@ -724,7 +736,7 @@ def dense_homology_actions(M, HM):
             for col, rep in enumerate(H.pieces[n].representatives):
                 coords = alg.express_in_homology(M, H, t,
                                                  M.actions[i].apply(n, _int_column(rep)))
-                for row, c in enumerate(coords):
+                for row, c in enumerate(_column_vector(*coords, HM.dim(t))):
                     m[row][col] = c
             if not is_zero_matrix(m):
                 blocks[n] = m
@@ -926,10 +938,11 @@ def test_homology_pieces_and_coordinates_match_fraction_reference():
             if kind != "fractional cycle" or any(x.denominator > 1 for x in v):
                 seen[kind] += 1
             den, col = grlin._int_column(v)
-            assert piece.class_coordinates(v) == want
+            assert dense_class_coordinates(piece, v) == want
             # the same vector as an integer column, in lowest terms or not
-            assert piece.class_coordinates((den, col)) == want
-            assert piece.class_coordinates((3 * den, {i: 3 * x for i, x in col.items()})) == want
+            assert dense_class_coordinates(piece, (den, col)) == want
+            assert dense_class_coordinates(piece, (3 * den, {i: 3 * x for i, x in col.items()})) \
+                == want
     assert all(count >= 100 for count in seen.values()), seen
 
 
@@ -948,17 +961,19 @@ def test_homology_module_images_match_dense_route():
     assert checked >= 10
 
 
-def test_class_coordinates_reject_a_vector_of_the_wrong_length():
+def test_class_coordinates_reject_an_index_outside_the_chain_space():
     d = GradedMap(GradedVS({0: 2}), GradedVS({0: 2}), -1, {})
     piece = homology_at(d, d, 0)
-    assert piece.class_coordinates([F(1), F(2)]) == [F(1), F(2)]
-    with pytest.raises(ValueError, match="vector of length 3 in degree 0 of dimension 2"):
-        piece.class_coordinates([F(1), F(2), F(3)])
+    assert piece.class_coordinates((2, {0: 2, 1: 4})) == (1, {0: 1, 1: 2})
+    with pytest.raises(ValueError, match="column index 2 for a map from dimension 2"):
+        piece.class_coordinates((1, {0: 1, 2: 3}))
+    with pytest.raises(ValueError, match="column index"):
+        piece.class_coordinates((1, {-1: 1}))
     M = alg.to_degreewise(alg.koszul_model(R1), Window(-4, 2))
     H = alg.homology(M)
     n = next(n for n in range(M.lo, M.hi + 1) if M.dim(n) and n not in H.pieces)
-    with pytest.raises(ValueError, match="vector of length"):
-        alg.express_in_homology(M, H, n, [F(0)] * (M.dim(n) + 1))
+    with pytest.raises(ValueError, match=f"column index {M.dim(n)} for a map from dimension"):
+        alg.express_in_homology(M, H, n, (1, {M.dim(n): 1}))
 
 
 def old_homology_at(d_in, d_out, n):
@@ -1064,10 +1079,11 @@ def test_free_coordinate_homology_matches_the_old_bodies():
             assert kind != "boundary" or coords == [F(0)] * want.dim
             seen[kind] += 1
             den, col = grlin._int_column(v)
-            assert got.class_coordinates(v) == coords
+            assert dense_class_coordinates(got, v) == coords
             # the same vector as an integer column, in lowest terms or not
-            assert got.class_coordinates((den, col)) == coords
-            assert got.class_coordinates((5 * den, {i: 5 * x for i, x in col.items()})) == coords
+            assert dense_class_coordinates(got, (den, col)) == coords
+            assert dense_class_coordinates(got, (5 * den, {i: 5 * x for i, x in col.items()})) \
+                == coords
     assert min(seen.values()) >= 8 and seen["non-cycle"] >= 100, seen
 
 
@@ -1169,7 +1185,7 @@ def test_forward_echelon_homology_matches_the_reduced_body():
             # a cycle plus a unit vector that d_out does not kill
             vectors[2][min(j for row in f_out[1] for j in row)] += F(1, 3)
         for v in vectors:
-            assert got.class_coordinates(v) == want.class_coordinates(v) == old(v)
+            assert dense_class_coordinates(got, v) == dense_class_coordinates(want, v) == old(v)
             seen["probes"] += 1
     assert seen["later pivots"] >= 20 and seen["raised"] >= 40, seen
     assert seen["End(kbar)"] >= 8 and seen["probes"] >= 1000, seen
@@ -1951,6 +1967,17 @@ def test_tensor_over_ext_matches_dense_assembly():
 # the equation builder: LinearSystem.equate against dense equation loops
 
 
+def named_solution(sys):
+    """LinearSystem.solve() as the dict it once was, {(key, row, col):
+    value} over every variable: its integer column converted at the test
+    edge."""
+    col = sys.solve()
+    if col is None:
+        return None
+    names = grlin._block_names(sys.blocks)
+    return {names[i]: x for i, x in enumerate(_column_vector(*col, sys.num_vars))}
+
+
 class TupleLinearSystem:
     """LinearSystem as it was, kept as the reference: sparse exact linear
     system over QQ keyed by hashable variable names.
@@ -2061,6 +2088,7 @@ class TupleLinearSystem:
         sol = grlin._particular(grlin._reduced(rows), n)
         if sol is None:
             return None
+        sol = _column_vector(*sol, n)
         return {name: sol[i] for i, name in enumerate(self._names)}
 
     def kernel(self) -> list[dict]:
@@ -2116,7 +2144,7 @@ def test_lift_equations_match_dense_loops():
         forms.equate(rows, cols, left=[(1, form(P), 5)], right=[(-1, m, form(Q))],
                      rhs=form(rhs))
         assert list(grlin._block_names(forms.blocks).values()) == dense._names
-        assert forms.solve() == dense.solve()
+        assert named_solution(forms) == dense.solve()
         assert grlin.MapBasis(forms.kernel(), forms.blocks).entries() == dense.kernel()
         solved += dense.solve() is not None and any(dense.solve().values())
         commutators += m == 5 and P is not None and Q is not None and rows * cols > 0
@@ -2693,7 +2721,7 @@ def old_commuting_lifts(rm, res, total, Tmod):
                     sys.equate(size(n - e - eprev), size(n),
                                left=[(1, realize_at(prev, n - e, -eprev), n)],
                                right=[(-1, n - eprev, realize_at(prev, n, -eprev))])
-        sol = sys.solve()
+        sol = named_solution(sys)
         assert sol is not None
         Y = [[S.zero() for _ in range(total.rank)] for _ in range(total.rank)]
         for i, (_, b) in enumerate(total.basis):
@@ -2778,6 +2806,8 @@ def dense_chain_map_blocks(A, B, degree, entries):
 
 
 def test_chain_map_from_blocks_matches_dense_blocks():
+    # rational combinations of chain-map-space bases: the solution column
+    # cut into blocks by the layout against the dense blocks of its entries
     rng = random.Random(75)
     mods = sample_modules(rng)
     checked = 0
@@ -2785,12 +2815,16 @@ def test_chain_map_from_blocks_matches_dense_blocks():
         for B in mods:
             if A.algebra != B.algebra:
                 continue
-            keys = [(n, rr, cc) for n in A.degrees()
-                    if B.known_dim(n) is not None
-                    for rr in range(B.known_dim(n)) for cc in range(A.dim(n))]
-            entries = {k: rng.choice([0, F(0), 1, -2, F(3, 4), F(-5, 6)])
-                       for k in rng.sample(keys, min(len(keys), 6))}
-            got = alg.chain_map_from_blocks(A, B, 0, entries, check=False)
+            basis = alg.chain_map_space(A, B, 0)
+            cs = [F(rng.choice([0, 1, -2, F(3, 4), F(-5, 6)])) for _ in basis]
+            entries = {}
+            for c, h in zip(cs, basis.entries()):
+                for key, v in h.items():
+                    entries[key] = entries.get(key, F(0)) + c * v
+            column = grlin._column_sum(*[(lead * c.denominator,
+                                          {i: c.numerator * x for i, x in col.items()})
+                                         for c, (lead, col) in zip(cs, basis) if c])
+            got = alg.chain_map_from_blocks(A, B, 0, column, basis.blocks)
             want = GradedMap(A.space, B.space, 0, dense_chain_map_blocks(A, B, 0, entries))
             assert got.map == want
             checked += bool(want.forms)
@@ -3969,7 +4003,7 @@ def old_injective_hull_embedding(N, pad=4):
     sol = sys.solve()
     if sol is None:
         raise du.LinearSolveFailed("no module map extending the socle pairing")
-    emb = alg.chain_map_from_blocks(N, W, 0, sol)
+    emb = alg.chain_map_from_blocks(N, W, 0, sol, sys.blocks)
     for n in N.degrees():
         if grlin._form_rank(emb.map.form(n)) != N.dim(n):
             raise alg.InvariantViolation(f"hull embedding not injective at degree {n}")
@@ -4005,7 +4039,7 @@ def old_lift_through_homology(Y, W, emb, HY):
     sol = sys.solve()
     if sol is None:
         raise du.LinearSolveFailed("no chain lift of the hull embedding")
-    return alg.chain_map_from_blocks(Y, W, 0, sol)
+    return alg.chain_map_from_blocks(Y, W, 0, sol, sys.blocks)
 
 
 def tuple_map_system(A, B, degree, ops):

@@ -25,7 +25,7 @@ from koszuldg import algebra as alg
 from koszuldg import duality as du
 from koszuldg import resolve as rs
 from koszuldg import samples as sm
-from koszuldg.grlin import kernel_basis, rank, rref, solve
+from koszuldg.grlin import _column_vector, _int_column, kernel_basis, rank, rref, solve
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -98,6 +98,13 @@ def _combination(rng, vectors, length):
     return v
 
 
+def _coordinates(M, H, n, v):
+    """Class coordinates of a dense probe as a dense list: they take and
+    give integer columns, so the probe and the result convert here."""
+    coords = alg.express_in_homology(M, H, n, _int_column(v))
+    return None if coords is None else _column_vector(*coords, H.dim(n))
+
+
 def _piece_payload(M, H, rng) -> dict:
     out = {}
     for n, piece in sorted(H.pieces.items()):
@@ -110,7 +117,7 @@ def _piece_payload(M, H, rng) -> dict:
             "representatives": piece.representatives,
             "cycle_basis": piece.cycle_basis,
             "boundary_basis": piece.boundary_basis,
-            "coordinates": [alg.express_in_homology(M, H, n, v) for v in probes],
+            "coordinates": [_coordinates(M, H, n, v) for v in probes],
         }
     return out
 

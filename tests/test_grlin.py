@@ -12,6 +12,7 @@ from koszuldg.grlin import (
     Window,
     _coordinates_form,
     _dense,
+    _column_vector,
     _int_column,
     homology_at,
     kernel_basis,
@@ -175,7 +176,14 @@ def test_linear_system_roundtrip():
     sys.equate(2, 1, left=[(1, (1, [{0: 1, 1: 1}, {0: 1, 1: -1}], 2), "v")],
                rhs=(1, [{0: 3}, {0: 1}], 1))
     assert sys.rows == [{0: 1, 1: 1}, {0: 1, 1: -1}] and sys.rhs == [3, 1]
-    assert sys.solve() == {("v", 0, 0): F(2), ("v", 1, 0): F(1)}
+    # the solution is an integer column over the variables
+    assert sys.solve() == (1, {0: 2, 1: 1})
+    # 2a + 2b = 3, a - b = 0: a = b = 3/4, over the least denominator
+    sys = LinearSystem()
+    sys.unknowns("v", 2, 1)
+    sys.equate(2, 1, left=[(1, (1, [{0: 2, 1: 2}, {0: 1, 1: -1}], 2), "v")],
+               rhs=(1, [{0: 3}, {}], 1))
+    assert sys.solve() == (4, {0: 3, 1: 3})
 
 
 def test_linear_system_kernel_deterministic():
@@ -502,6 +510,12 @@ def test_express_in_homology_matches_linear_system():
     modules += [sm.conjugate(du.functor_T(sm.random_torsion_dg_module(
         R2, rng, max_total=5)), rng) for _ in range(3)]
     non_cycles = 0
+
+    def express(M, H, n, v):
+        # class coordinates take and give integer columns
+        coords = alg.express_in_homology(M, H, n, _int_column(v))
+        return None if coords is None else _column_vector(*coords, H.dim(n))
+
     for M in modules:
         H = alg.homology(M)
         for n in range(M.lo - 1, M.hi + 2):
@@ -516,15 +530,14 @@ def test_express_in_homology_matches_linear_system():
                             for i in range(dim)]
                 vectors.append(combo(piece.cycle_basis))
                 boundary = combo(piece.boundary_basis)
-                assert alg.express_in_homology(M, H, n, boundary) == [F(0)] * piece.dim
+                assert express(M, H, n, boundary) == [F(0)] * piece.dim
                 vectors.append(boundary)
                 out = M.diff.block(n)
                 for j in range(dim):
                     if any(row[j] for row in out):
                         unit = [F(int(i == j)) for i in range(dim)]
-                        assert alg.express_in_homology(M, H, n, unit) is None
+                        assert express(M, H, n, unit) is None
                         non_cycles += 1
             for v in vectors:
-                assert (alg.express_in_homology(M, H, n, v)
-                        == reference_express(M, H, n, v))
+                assert express(M, H, n, v) == reference_express(M, H, n, v)
     assert non_cycles

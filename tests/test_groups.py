@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from koszuldg.grlin import Window, _column_vector, _int_column, rank
+from koszuldg.grlin import Window, _column_vector, _insert, _int_column, rank
 from koszuldg import algebra as alg
 from koszuldg import groups as gr
 from koszuldg import samples as sm
@@ -191,10 +191,11 @@ def exhaustive_certificate(rm, dual, realized, H, dual_lifts, win):
             continue
         vecs = []
         for v in reach.get(n, []):
-            coords = alg.express_in_homology(realized, H, n, v)
+            # class coordinates are integer columns too
+            coords = alg.express_in_homology(realized, H, n, _int_column(v))
             if coords is None:
                 return gamma, False
-            vecs.append(coords)
+            vecs.append(_column_vector(*coords, H.dim(n)))
         if not vecs or rank(vecs) < H.dim(n):
             return gamma, False
     return gamma, True
@@ -324,6 +325,40 @@ def test_catalog_is_built_once_and_read_only(capsys):
     assert all(again[name] is rm for name, rm in maps.items())
     assert list(again) == list(fresh)
     assert all(vars(again[name]) == vars(fresh[name]) for name in fresh)
+
+
+def test_finiteness_certificate_stops_where_the_vanishing_run_closes():
+    # the quotient by the image ideal is recorded up to the codegree where
+    # it has vanished on a run as long as the largest target codegree, and
+    # its generators are unit columns over the monomials of their codegree
+    cert = MAPS["T<SU(2)"].certificate
+    assert cert.top_codegree == 2 and cert.coker_dims == {0: 1, 1: 0, 2: 1, 3: 0, 4: 0}
+    assert cert.generator_basis == [(0, (1, {0: 1})), (2, (1, {0: 1}))]
+    cert = MAPS["T^2<SU(3)"].certificate
+    assert cert.top_codegree == 6 and max(cert.coker_dims) == 8
+    assert [n for n, _ in cert.generator_basis] == [0, 2, 2, 4, 4, 6]
+    assert MAPS["id-T"].certificate.coker_dims == {0: 1, 1: 0, 2: 0}
+
+
+def test_freeness_certificate_fails_on_an_image_off_the_cycles(monkeypatch):
+    # over T^2 the certificate follows some images whose classes are reached
+    # already in their degree; the first of them reported as no cycle class
+    # fails it, though the other images still span every degree
+    rm = MAPS["id-T^2"]
+    args, dd = certificate_inputs(rm)
+    assert gr._freeness_certificate(*args[:-1]) == (0, True)
+    real, spans, forced = alg.express_in_homology, {}, []
+
+    def express(M, H, t, img):
+        coords = real(M, H, t, img)
+        if not forced and not _insert(spans.setdefault(t, {}), dict(coords[1])):
+            forced.append(t)
+            return None
+        return coords
+
+    monkeypatch.setattr(gr, "express_in_homology", express)
+    assert gr._freeness_certificate(*args[:-1]) == (0, False)
+    assert forced == [-4]
 
 
 def test_freeness_certificate_reads_a_tampered_homology():
