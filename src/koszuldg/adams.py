@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from .grlin import (
     Window,
     _columns_form,
+    _echelon,
     _form_rank,
     _kernel,
-    _reduced,
 )
 from .algebra import (
     ChainMap,
@@ -71,7 +71,7 @@ def socle(M: DGModule) -> dict:
         for a in M.actions:
             f = a.form(n)
             rows += [] if f is None else f[1]
-        vecs = _kernel(_reduced(rows), M.dim(n))
+        vecs = _kernel(_echelon(rows), M.dim(n))
         if vecs:
             out[n] = vecs
     return out

@@ -41,13 +41,13 @@ from .grlin import (
     _columns_form,
     _coordinates_form,
     _dense,
+    _echelon,
     _form_rank,
     _identity_form,
     _insert,
     _int_agree,
     _int_product,
     _kernel,
-    _reduced,
     _scaled,
     _transposed,
     frac,
@@ -1542,12 +1542,12 @@ def gamma_m(M: DGModule, name: str = "") -> DGModule:
             if len(tb) == M.dim(t) or f is None:
                 continue
             # rows whose kernel is exactly the span of tb, times the action
-            proj = [col for _, col in _kernel(_reduced([col for _, col in tb]), M.dim(t))]
+            proj = [col for _, col in _kernel(_echelon([col for _, col in tb]), M.dim(t))]
             rows += _int_product((1, proj, M.dim(t)), f)[1]
         if escaped:
             sub_bases[n] = []
             continue
-        sub_bases[n] = _kernel(_reduced(rows), dn)
+        sub_bases[n] = _kernel(_echelon(rows), dn)
     dims, labels = {}, {}
     for n, vecs in sub_bases.items():
         if vecs:
@@ -1560,11 +1560,7 @@ def gamma_m(M: DGModule, name: str = "") -> DGModule:
             t = n + gm.degree
             if t not in dims:
                 continue
-            f = gm.form(n)
-            images = [(lead * f[0], {i: sum(x * col[j] for j, x in row.items() if j in col)
-                                     for i, row in enumerate(f[1])}) if f else (1, {})
-                      for lead, col in sub_bases[n]]
-            coords = _coordinates_form(sub_bases[t], images)
+            coords = _coordinates_form(sub_bases[t], [gm.apply(n, v) for v in sub_bases[n]])
             if coords is None:
                 raise InvariantViolation("torsion part is not closed")
             blocks[k + 1][n] = coords

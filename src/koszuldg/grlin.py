@@ -270,7 +270,10 @@ def _assemble(rows: int, cols: int, pieces) -> tuple | None:
 # routines below return exactly what Gauss-Jordan elimination over QQ
 # returns, while the arithmetic stays in small Python ints (fraction-free
 # elimination, Bareiss 1968) and touches only nonzeros (structured sparse
-# elimination, LaMacchia & Odlyzko 1990).
+# elimination, LaMacchia & Odlyzko 1990).  An elimination is read one way:
+# null vectors, solutions and coordinates are back-solved (_cycle) from the
+# forward echelon (_echelon); only rref and class coordinates, which read
+# every reduced row, back-substitute (_reduced).
 
 
 def _primitive(row: dict) -> dict:
@@ -339,7 +342,8 @@ def _insert(pivots: dict, row: dict) -> bool:
 
 
 def _echelon(rows: list) -> dict:
-    """Forward pass: {pivot column: row leading there}.
+    """Forward pass: {pivot column: row leading there}, no row with entries
+    left of its pivot; null vectors are back-solved from it (_cycle).
 
     The pivot columns are those of the canonical RREF whatever the row
     order, so the sparsest rows are taken as pivots first to limit fill.
@@ -352,7 +356,8 @@ def _echelon(rows: list) -> dict:
 
 def _reduced(rows: list) -> list:
     """Back-substituted echelon form as [(pivot column, row)], pivots
-    increasing; row / row[pivot] is the corresponding canonical RREF row."""
+    increasing; row / row[pivot] is the corresponding canonical RREF row.
+    Only rref and class coordinates read every reduced row, and call it."""
     pivots = _echelon(rows)
     order = sorted(pivots)
     for c in reversed(order):
@@ -363,49 +368,13 @@ def _reduced(rows: list) -> list:
     return [(c, pivots[c]) for c in order]
 
 
-def _kernel(reduced: list, cols: int) -> list:
-    """Right null space of a reduced form, one vector per free column in
-    increasing order, as integer columns (lead, {index: int}).
-
-    The column is primitive and its first nonzero entry, lead, is positive,
-    so column / lead is the null vector with first nonzero entry 1 (the
-    normalisation of kernel_basis) and lead is its least denominator.  The
-    first nonzero entry sits at the first pivot row touching the free
-    column, or at the free column itself, since a pivot row has no entries
-    left of its pivot.
-    """
-    above = {}  # free column -> [(pivot column, pivot row)] touching it
-    for p, row in reduced:
-        for j in row:
-            if j != p:
-                above.setdefault(j, []).append((p, row))
-    pivot_set = {p for p, _ in reduced}
-    basis = []
-    for j in range(cols):
-        if j in pivot_set:
-            continue
-        touching = above.get(j)
-        if not touching:
-            basis.append((1, {j: 1}))
-            continue
-        scale = lcm(*[row[p] for p, row in touching])
-        col = {p: -row[j] * (scale // row[p]) for p, row in touching}
-        col[j] = scale
-        g = gcd(*col.values())
-        if col[touching[0][0]] < 0:
-            g = -g
-        if g != 1:
-            col = {i: x // g for i, x in col.items()}
-        basis.append((col[touching[0][0]], col))
-    return basis
-
-
 def _cycle(pivots: dict, j: int) -> tuple:
     """The null vector of a forward echelon {pivot column: row} that is 1 at
-    its free column j and 0 at the other free ones, normalised as _kernel's
-    columns are: (lead, primitive integer column).  Rows have no entries left
-    of their pivots, so only pivots p < j are nonzero; they are solved from
-    the last one down, the column scaled in integers to keep entries whole."""
+    its free column j and 0 at the other free ones, as (lead, primitive
+    integer column), lead its first nonzero entry, made positive: column /
+    lead is the vector scaled as kernel_basis scales it.  Only pivots p < j
+    are nonzero; they are solved from the last one down, the column scaled
+    in integers to keep entries whole."""
     col = {j: 1}
     for p in sorted((p for p in pivots if p < j), reverse=True):
         row = pivots[p]
@@ -420,14 +389,22 @@ def _cycle(pivots: dict, j: int) -> tuple:
     return (lead // g, {i: x // g for i, x in col.items()} if g != 1 else col)
 
 
-def _particular(reduced: list, n_cols: int) -> tuple | None:
-    """The solution with free variables 0 of a reduced augmented system
-    whose right-hand side is column n_cols, as an integer column over its
-    least denominator, or None."""
-    if reduced and reduced[-1][0] == n_cols:
+def _kernel(pivots: dict, cols: int) -> list:
+    """Right null space of a forward echelon over cols columns: the _cycle
+    of each free column, in increasing order."""
+    return [_cycle(pivots, j) for j in range(cols) if j not in pivots]
+
+
+def _particular(pivots: dict, n_cols: int) -> tuple | None:
+    """The solution with free variables 0 of an augmented system, from its
+    forward echelon, the right-hand side being column n_cols: minus the
+    null vector that is 1 there (_cycle), as an integer column over its
+    least denominator, or None when column n_cols is a pivot."""
+    if n_cols in pivots:
         return None
-    return _column_sum(*[(abs(row[p]), {p: row[n_cols] if row[p] > 0 else -row[n_cols]})
-                         for p, row in reduced if n_cols in row])
+    _, col = _cycle(pivots, n_cols)
+    d = col.pop(n_cols)
+    return (d, {i: -x for i, x in col.items()}) if d > 0 else (-d, col)
 
 
 def rank(m: Matrix) -> int:
@@ -459,7 +436,7 @@ def kernel_basis(m: Matrix, cols: int | None = None) -> list[Vector]:
     if cols is None:
         cols = len(m[0]) if m else 0
     return [_column_vector(lead, col, cols)
-            for lead, col in _kernel(_reduced(_sparse_rows(m)), cols)]
+            for lead, col in _kernel(_echelon(_sparse_rows(m)), cols)]
 
 
 def _column_vector(den: int, col: dict, length: int) -> Vector:
@@ -504,7 +481,7 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     n_cols = len(a[0]) if a else 0
     if len(b) != len(a):
         raise ValueError(f"right side of length {len(b)} for {len(a)} equations")
-    x = _particular(_reduced(_sparse_rows(a, b)), n_cols)
+    x = _particular(_echelon(_sparse_rows(a, b)), n_cols)
     return None if x is None else _column_vector(*x, n_cols)
 
 
@@ -570,10 +547,11 @@ def _coordinates_form(basis: list, vectors: list) -> tuple | None:
     lies outside the span of basis.
 
     The basis is independent; all are integer columns (den, {key: int}),
-    each the vector column / den, over the same hashable keys.  One
+    each the vector column / den, over the same hashable keys.  One forward
     elimination of [basis | vectors], a row per key, answers for every
-    vector at once: a pivot in the vector part is a vector outside the span,
-    and pivot row p holds the coordinates on basis column p, up to the dens.
+    vector at once: a pivot in the vector part is a vector outside the span;
+    otherwise the null vector at a vector's column c (_cycle) gives it as
+    -col[p] / col[c] times basis column p, up to the dens.
     """
     k = len(basis)
     rows = {}
@@ -581,16 +559,18 @@ def _coordinates_form(basis: list, vectors: list) -> tuple | None:
         for key, x in v.items():
             if x:
                 rows.setdefault(key, {})[j] = x
-    reduced = _reduced([_primitive(row) for row in rows.values()])
-    if reduced and reduced[-1][0] >= k:
+    pivots = _echelon([_primitive(row) for row in rows.values()])
+    if any(p >= k for p in pivots):
         return None
-    pden, vden = lcm(*[row[p] for p, row in reduced]), lcm(*[d for d, _ in vectors])
-    scale = [vden // d for d, _ in vectors]
+    nulls = [(c, d, _cycle(pivots, c)[1]) for c, (d, _) in enumerate(vectors, k)]
+    den = lcm(*[d * col[c] for c, d, col in nulls])
     out = [{} for _ in range(k)]
-    for p, row in reduced:
-        s = pden // row[p] * basis[p][0]
-        out[p] = {j - k: s * x * scale[j - k] for j, x in row.items() if j >= k}
-    return pden * vden, out, len(vectors)
+    for j, (c, d, col) in enumerate(nulls):
+        s = -(den // (d * col[c]))
+        for p, x in col.items():
+            if p < k:
+                out[p][j] = s * x * basis[p][0]
+    return den, out, len(vectors)
 
 
 def coordinates(basis: list[Vector], v: Vector) -> Vector | None:
@@ -743,18 +723,18 @@ class HomologyPiece:
     take as they are; class coordinates are integer columns too.
 
     cycles is the kernel basis of the outgoing differential, one canonical
-    cycle per free column of its echelon form (free), boundaries the
+    cycle per free column of its forward echelon (free), boundaries the
     independent columns of the incoming one, and classes the cycles chosen
     as representatives; ambient is the dimension of the chain space.  cycles
     is handed over as a list, free then defaulting to each cycle's last
-    entry, or as d_out's forward echelon {pivot column: row}, from which
-    it is back-solved (_cycle) when first read.  The dense `representatives`
-    (of the classes), `cycle_basis` and `boundary_basis` are views for the
-    API edge, built on every read, as `GradedMap.block` is.  A vector has
-    one such column, so pieces are equal exactly when their dense lists are.
-    d_out is the integer form of the outgoing differential, shared with its
-    map and None when it is zero; like the solver, it takes no part in
-    equality.
+    entry, or as d_out's forward echelon {pivot column: row}, whose _kernel
+    it is when first read, the classes being _cycles of it.  The dense
+    `representatives` (of the classes), `cycle_basis` and `boundary_basis`
+    are views for the API edge, built on every read, as `GradedMap.block`
+    is.  A vector has one such column, so pieces are equal exactly when
+    their dense lists are.  d_out is the integer form of the outgoing
+    differential, shared with its map and None when it is zero; like the
+    solver, it takes no part in equality.
     """
 
     def __init__(self, degree: int, ambient: int, cycles: list | dict, boundaries: list,
@@ -768,7 +748,7 @@ class HomologyPiece:
     @property
     def cycles(self) -> list:
         if isinstance(self._cycles, dict):
-            self._cycles = [_cycle(self._cycles, j) for j in self.free]
+            self._cycles = _kernel(self._cycles, self.ambient)
         return self._cycles
 
     def __eq__(self, other):
@@ -977,9 +957,9 @@ class LinearSystem:
         over the variable indices and its least denominator, or None."""
         n = self.num_vars
         rows = [_primitive({**row, n: y} if y else row) for row, y in zip(self.rows, self.rhs)]
-        return _particular(_reduced(rows), n)
+        return _particular(_echelon(rows), n)
 
     def kernel(self) -> list:
         """The homogeneous solutions as _kernel's integer columns over the
         variable indices, primitive whatever the scale of the rows."""
-        return _kernel(_reduced(self.rows), self.num_vars)
+        return _kernel(_echelon(self.rows), self.num_vars)

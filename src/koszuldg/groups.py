@@ -25,11 +25,12 @@ from .grlin import (
     _assemble,
     _block_column,
     _columns_form,
+    _cycle,
+    _echelon,
     _insert,
     _int_agree,
     _int_product,
     _primitive,
-    _reduced,
 )
 from .algebra import (
     DGModule,
@@ -227,7 +228,7 @@ def extend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
         pair_basis[n] = bs
         index[n] = {b: k for k, b in enumerate(bs)}
     # degree n of the quotient: the pairs outside the pivot columns of the
-    # reduced relations, and the form P_n projecting every pair onto them
+    # relations, and the form P_n projecting every pair onto them
     projections, complements = {}, {}
     for n in range(lo, hi + 1):
         idx = index[n]
@@ -245,17 +246,13 @@ def extend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
                             if u in frow:
                                 row[idx[(mu, md - di, kk)]] = -Fraction(frow[u], f[0])
                         rows.append(_primitive(row))
-        reduced = _reduced(rows)
-        pivots = {c for c, _ in reduced}
+        pivots = _echelon(rows)
         complements[n] = [j for j in range(len(idx)) if j not in pivots]
-        # P_n: identity on the free pairs, -row_c[j] / row_c[c] at pivot c
-        den = lcm(*[row[c] for c, row in reduced])
-        prows = {j: {j: den} for j in complements[n]}
-        for c, row in reduced:
-            for j, v in row.items():
-                if j != c:
-                    prows[j][c] = -v * (den // row[c])
-        projections[n] = (den, list(prows.values()), len(idx))
+        # P_n: row j the relations' null vector that is 1 at the free pair j
+        nulls = [(j, _cycle(pivots, j)[1]) for j in complements[n]]
+        den = lcm(*[col[j] for j, col in nulls])
+        projections[n] = (den, [{i: x * (den // col[j]) for i, x in col.items()}
+                                for j, col in nulls], len(idx))
 
     dims = {n: len(complements[n]) for n in complements if complements[n]}
     labels = {n: [f"{T.monomial_label(pair_basis[n][j][0])}(x)"

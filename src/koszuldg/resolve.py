@@ -27,12 +27,12 @@ from .grlin import (
     MapBasis,
     Window,
     _assemble,
+    _echelon,
     _form_rank,
     _insert,
     _int_agree,
     _int_product,
     _kernel,
-    _reduced,
     _transposed,
     homology_at,
 )
@@ -236,7 +236,7 @@ def _resolve_with_betti(M: DGModule, R: PolyAlgebra, betti: dict,
         new_gens = []
         for n in range(top, sweep_lo - 1, -1):
             f = prev_map.form(n)
-            ker = _kernel(_reduced([] if f is None else f[1]), prev_real.dim(n))  # in the window
+            ker = _kernel(_echelon([] if f is None else f[1]), prev_real.dim(n))  # in the window
             kernels[n] = [col for _, col in ker]
             # the m-multiples: x_i applied to the kernel one generator up,
             # the rows of (kernel rows) . (action block)^T

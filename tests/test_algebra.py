@@ -222,6 +222,27 @@ def test_cone_les_dimension_check_fails_closed_when_nothing_compares():
     assert alg.cone_les_dimension_check(alg.identity_map(k))
 
 
+def test_cone_les_dimension_check_fails_on_a_rank_off_by_one(monkeypatch):
+    # a stand-in homology_map_rank one too high in a single degree breaks
+    # the count there, so the check must find the mismatch
+    rng = random.Random(3)
+    A, B = sm.random_zero_diff_module(R1, rng), sm.random_zero_diff_module(R1, rng)
+    f = sm.random_chain_map(A, B, rng)
+    rank, asked = alg.homology_map_rank, []
+    monkeypatch.setattr(alg, "homology_map_rank",
+                        lambda f, HA, HB, n: asked.append(n) or rank(f, HA, HB, n))
+    assert alg.cone_les_dimension_check(f)
+    degrees = sorted({n for n in asked if rank(f, alg.homology(A), alg.homology(B), n)
+                      is not None})
+    assert len(degrees) >= 3, degrees
+    for off in degrees:
+        def stand_in(f, HA, HB, n, off=off):
+            r = rank(f, HA, HB, n)
+            return r + 1 if n == off and r is not None else r
+        monkeypatch.setattr(alg, "homology_map_rank", stand_in)
+        assert not alg.cone_les_dimension_check(f), off
+
+
 def test_homology_map_rank_fails_closed_on_an_image_off_the_cycles():
     # k into k plus the acyclic cone on R/(x^2) shifted to degrees -1 and
     # -3, whose source copy in degree 0 is no cycle: the class of k sent to

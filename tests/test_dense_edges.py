@@ -11,7 +11,8 @@ keeps the summing of placed integer forms (`_assemble`) in the summed-module
 builder and a listed few readers, a third keeps the construction of
 linear systems in the one writer of the equations of module maps and the
 one system of another shape, and a fourth lists the rank takers of
-`resolve`, so both resolutions keep one exactness certificate.  Two more
+`resolve`, so both resolutions keep one exactness certificate, and a fifth
+lists the two readers that back-substitute an elimination.  Two more
 keep the writing of equations in map_system and the sites that add their
 side conditions to its system, and keep the Hom spaces of the injective Ext
 route, the solutions of linear systems and class coordinates on integer
@@ -138,6 +139,24 @@ def test_resolutions_share_one_exactness_certificate():
     found = dense_calls(ast.parse(path.read_text(), filename=str(path)), "resolve", [], [],
                         {"_form_rank"})
     assert sorted(c[:2] for c in found) == RANKED
+
+
+# An elimination is read from its forward echelon (_echelon), null vectors,
+# solutions and coordinates being back-solved from it (_cycle); only the
+# readers of every reduced row back-substitute: rref and the class-coordinate
+# solver.  A second back-substituted reader shows up here.
+REDUCED = [
+    ("grlin", "HomologyPiece.class_coordinates"),
+    ("grlin", "rref"),
+]
+
+
+def test_only_the_readers_of_every_row_back_substitute():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        dense_calls(ast.parse(path.read_text(), filename=str(path)), path.stem, [], found,
+                    {"_reduced"})
+    assert sorted(c[:2] for c in found) == REDUCED
 
 
 # Equations are written into a LinearSystem (LinearSystem.equate) by

@@ -25,8 +25,9 @@ projected through a Subspace, and of the commuting lifts, which wrote their
 own linear system, and the free resolution's hand-written stage 0 and the
 two certifiers of the free and the injective resolution, homology_at
 and the class coordinates as they were before they read the kernel's free
-coordinates, and homology_at as it was before it read the outgoing
-differential's forward echelon, kept as they were.
+coordinates, homology_at as it was before it read the outgoing
+differential's forward echelon, and the particular solution read off the
+back-substituted rows of an augmented system, kept as they were.
 Pieces, vectors, blocks, cells, modules and solution-space bases must be
 equal, and rejections must carry the same message."""
 import copy
@@ -860,7 +861,7 @@ def test_homology_at_matches_dense_version_on_edge_cases():
 
 
 def kernel_inputs(rng):
-    """Reduced forms of seeded integer and fractional matrices, with their
+    """Primitive rows of seeded integer and fractional matrices, with their
     widths: empty, zero, square, wide, tall and low-rank."""
     shapes = [(0, 0), (0, 4), (3, 0), (1, 1), (1, 9), (9, 1), (4, 4), (6, 25),
               (25, 6), (30, 40)]
@@ -871,22 +872,72 @@ def kernel_inputs(rng):
         left, right = random_matrix(rng, 12, k, 0.6), random_matrix(rng, k, 15, 0.6)
         mats.append((12, 15, dense_mul(left, right)))
     for rows, cols, m in mats:
-        yield grlin._reduced(grlin._sparse_rows(m)), cols
+        yield grlin._sparse_rows(m), cols
 
 
 def test_kernel_columns_match_fraction_kernel():
     rng = random.Random(141)
     vectors = fractional = 0
-    for reduced, cols in kernel_inputs(rng):
-        got = grlin._kernel(reduced, cols)
+    for rows, cols in kernel_inputs(rng):
+        got = grlin._kernel(_echelon(rows), cols)
         assert [{i: F(x, lead) for i, x in col.items()} for lead, col in got] \
-            == fraction_kernel(reduced, cols)
+            == fraction_kernel(grlin._reduced(rows), cols)
         for lead, col in got:
             # primitive, first nonzero entry positive and equal to lead
             assert lead == col[min(col)] > 0 and gcd(*col.values()) == 1
             fractional += lead > 1
         vectors += len(got)
     assert vectors >= 300 and fractional >= 20
+
+
+def reduced_particular(reduced, n_cols):
+    """_particular as it was: the solution read off the back-substituted
+    rows of the augmented system (_reduced), free variables 0."""
+    if reduced and reduced[-1][0] == n_cols:
+        return None
+    return grlin._column_sum(*[(abs(row[p]), {p: row[n_cols] if row[p] > 0 else -row[n_cols]})
+                               for p, row in reduced if n_cols in row])
+
+
+def augmented_systems(rng):
+    """(label, primitive rows of [a | b], columns of a) over seeded matrices
+    a: b = a . x for a rational x, b a random vector, mostly off the column
+    space of a low-rank a, b all zero, and systems without rows."""
+    for _ in range(60):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        if rng.random() < 0.5:
+            k = rng.randint(1, min(rows, cols))
+            a = dense_mul(random_matrix(rng, rows, k, 0.6), random_matrix(rng, k, cols, 0.6))
+        else:
+            a = random_matrix(rng, rows, cols, rng.choice((0.2, 0.5, 0.9)))
+        x = [F(rng.randint(-4, 4), rng.choice((1, 2, 5))) for _ in range(cols)]
+        yield "a . x", grlin._sparse_rows(a, [sum(map(F.__mul__, row, x), F(0)) for row in a]), cols
+        yield "random", grlin._sparse_rows(a, [F(rng.randint(-3, 3), rng.choice((1, 3)))
+                                               for _ in a]), cols
+        yield "zero", grlin._sparse_rows(a, [F(0)] * rows), cols
+    for cols in range(5):
+        yield "no rows", [], cols
+
+
+def test_particular_matches_the_back_substituted_body():
+    rng = random.Random(151)
+    seen = dict.fromkeys(("a . x", "random", "zero", "no rows", "inconsistent"), 0)
+    for label, rows, cols in augmented_systems(rng):
+        got = grlin._particular(_echelon(rows), cols)
+        assert got == reduced_particular(grlin._reduced(rows), cols)
+        if got is None:
+            assert label == "random"
+            seen["inconsistent"] += 1
+            continue
+        # over its least denominator, and a solution of the system
+        assert grlin._column_sum(got) == got
+        den, x = got
+        for row in rows:
+            assert sum(v * x.get(j, 0) for j, v in row.items() if j < cols) \
+                == den * row.get(cols, 0)
+        assert bool(x) == (label in ("a . x", "random") and any(cols in row for row in rows))
+        seen[label] += 1
+    assert min(seen.values()) >= 5 and seen["a . x"] >= 50, seen
 
 
 def homology_cases(rng):
@@ -984,7 +1035,7 @@ def old_homology_at(d_in, d_out, n):
     if f_in is not None and f_out is not None and any(_int_product(f_out, f_in)[1]):
         raise CompositionNotZero(f"d.d != 0 entering degree {n}")
     amb = d_out.source.dim(n)
-    cycles = grlin._kernel(grlin._reduced([] if f_out is None else f_out[1]), amb)
+    cycles = grlin._kernel(_echelon([] if f_out is None else f_out[1]), amb)
     k = d_in.source.dim(m)
     rows = [{} for _ in range(amb)] if f_in is None else [dict(r) for r in f_in[1]]
     for j, (_, col) in enumerate(cycles):
@@ -1089,14 +1140,14 @@ def test_free_coordinate_homology_matches_the_old_bodies():
 
 def reduced_homology_at(d_in, d_out, n):
     """homology_at as it was before it read d_out's forward echelon: d.d
-    formed on every call, d_out back-substituted (_reduced) and every
-    canonical cycle built (_kernel) before the greedy step."""
+    formed on every call and every canonical cycle built (_kernel, which
+    now reads the forward echelon too) before the greedy step."""
     m = n - d_in.degree
     f_in, f_out = d_in.form(m), d_out.form(n)
     if f_in is not None and f_out is not None and any(_int_product(f_out, f_in)[1]):
         raise CompositionNotZero(f"d.d != 0 entering degree {n}")
     amb = d_out.source.dim(n)
-    cycles = grlin._kernel(grlin._reduced([] if f_out is None else f_out[1]), amb)
+    cycles = grlin._kernel(_echelon([] if f_out is None else f_out[1]), amb)
     k = d_in.source.dim(m)
     rows = [{k + j: 1} for j in range(len(cycles))]
     if f_in is not None:
@@ -2085,7 +2136,7 @@ class TupleLinearSystem:
         n = self.num_vars
         rows = [_primitive({**row, n: y} if y else row)
                 for row, y in zip(self.rows, self.rhs)]
-        sol = grlin._particular(grlin._reduced(rows), n)
+        sol = grlin._particular(_echelon(rows), n)
         if sol is None:
             return None
         sol = _column_vector(*sol, n)
@@ -2095,8 +2146,8 @@ class TupleLinearSystem:
         """Basis of the homogeneous solution space as dicts."""
         names = self._names
         return [{names[i]: grlin._entry(x, lead) for i, x in sorted(col.items())}
-                for lead, col in grlin._kernel(grlin._reduced([_primitive(row) for row in self.rows]),
-                                         self.num_vars)]
+                for lead, col in grlin._kernel(_echelon([_primitive(row) for row in self.rows]),
+                                               self.num_vars)]
 
 
 def dense_equations(sys, n, P, m, Q, rows, cols, rhs=None):
