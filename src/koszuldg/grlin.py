@@ -2,18 +2,17 @@
 
 Everything downstream computes through this module: one fraction-free
 elimination on sparse integer rows behind every echelon form, every span
-and every solution (`Subspace` included), graded vector spaces keyed by
-integer degree, graded maps that store integer block forms, and degreewise
-homology.  A vector is an integer column (den, {index: int}), the vector
-column / den over its least denominator, from the elimination to every
-reader: kernels, solutions, homology classes and their coordinates,
-`GradedMap.apply`.  Dense `Fraction` matrices and vectors exist only at the
-API edge: `rank`, `rref`, `kernel_basis`, `solve`, `coordinates`,
-`Subspace`, the views `block` and `blocks`, a homology piece's
-`representatives`, `cycle_basis` and `boundary_basis`, and
-`MapBasis.entries`.  No floats, no rounding, ever.  All echelon choices
-(pivot columns, free-variable order, normalisation) are those of the
-canonical reduced row echelon form, so every derived basis is reproducible
+and every solution, graded vector spaces keyed by integer degree, graded
+maps that store integer block forms, and degreewise homology.  A vector is
+an integer column (den, {index: int}), the vector column / den over its
+least denominator, from the elimination to every reader: kernels,
+solutions, homology classes and their coordinates, `GradedMap.apply`.
+Dense `Fraction` matrices are made only by the views `GradedMap.block` and
+`.blocks`, and dense vectors only by `Subspace`, which nothing in the
+package calls: it stays for the benchmark tracer, which patches its
+methods.  No floats, no rounding, ever.  All echelon choices (pivot
+columns, free-variable order, normalisation) are those of the canonical
+reduced row echelon form, so every derived basis is reproducible
 bit-for-bit.
 """
 from __future__ import annotations
@@ -272,8 +271,8 @@ def _assemble(rows: int, cols: int, pieces) -> tuple | None:
 # elimination, Bareiss 1968) and touches only nonzeros (structured sparse
 # elimination, LaMacchia & Odlyzko 1990).  An elimination is read one way:
 # null vectors, solutions and coordinates are back-solved (_cycle) from the
-# forward echelon (_echelon); only rref and class coordinates, which read
-# every reduced row, back-substitute (_reduced).
+# forward echelon (_echelon); only class coordinates, which read every
+# reduced row, back-substitute (_reduced).
 
 
 def _primitive(row: dict) -> dict:
@@ -291,15 +290,9 @@ def _primitive(row: dict) -> dict:
     return row
 
 
-def _sparse_rows(m: Matrix, extra=None) -> list:
-    """Primitive integer rows of a dense matrix; extra[i], when given, is
-    appended to row i as one more column."""
-    rows = []
-    for i, row in enumerate(m):
-        if extra is not None:
-            row = row + [extra[i]]
-        rows.append(_primitive(dict(_nonzeros(row))))
-    return rows
+def _sparse_rows(m: Matrix) -> list:
+    """Primitive integer rows of a dense matrix."""
+    return [_primitive(dict(_nonzeros(row))) for row in m]
 
 
 def _eliminate(row: dict, prow: dict, c: int) -> dict:
@@ -357,7 +350,7 @@ def _echelon(rows: list) -> dict:
 def _reduced(rows: list) -> list:
     """Back-substituted echelon form as [(pivot column, row)], pivots
     increasing; row / row[pivot] is the corresponding canonical RREF row.
-    Only rref and class coordinates read every reduced row, and call it."""
+    Only class coordinates read every reduced row, and call it."""
     pivots = _echelon(rows)
     order = sorted(pivots)
     for c in reversed(order):
@@ -372,9 +365,9 @@ def _cycle(pivots: dict, j: int) -> tuple:
     """The null vector of a forward echelon {pivot column: row} that is 1 at
     its free column j and 0 at the other free ones, as (lead, primitive
     integer column), lead its first nonzero entry, made positive: column /
-    lead is the vector scaled as kernel_basis scales it.  Only pivots p < j
-    are nonzero; they are solved from the last one down, the column scaled
-    in integers to keep entries whole."""
+    lead is the vector with a leading 1.  Only pivots p < j are nonzero;
+    they are solved from the last one down, the column scaled in integers
+    to keep entries whole."""
     col = {j: 1}
     for p in sorted((p for p in pivots if p < j), reverse=True):
         row = pivots[p]
@@ -407,38 +400,6 @@ def _particular(pivots: dict, n_cols: int) -> tuple | None:
     return (d, {i: -x for i, x in col.items()}) if d > 0 else (-d, col)
 
 
-def rank(m: Matrix) -> int:
-    """Exact rank: the pivot count of the forward elimination pass."""
-    return len(_echelon(_sparse_rows(m)))
-
-
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and its pivot columns.
-
-    The canonical RREF: pivot rows in increasing pivot column, each scaled
-    to a leading 1, then the zero rows.
-    """
-    if not m or not m[0]:
-        return [row[:] for row in m], []
-    n_cols = len(m[0])
-    reduced = _reduced(_sparse_rows(m))
-    out = [_column_vector(row[p], row, n_cols) for p, row in reduced]
-    out.extend([ZERO] * n_cols for _ in range(len(m) - len(reduced)))
-    return out, [p for p, _ in reduced]
-
-
-def kernel_basis(m: Matrix, cols: int | None = None) -> list[Vector]:
-    """Deterministic basis of the right null space.
-
-    One vector per free column, free columns in increasing order, each
-    vector scaled so its first nonzero entry is +1.
-    """
-    if cols is None:
-        cols = len(m[0]) if m else 0
-    return [_column_vector(lead, col, cols)
-            for lead, col in _kernel(_echelon(_sparse_rows(m)), cols)]
-
-
 def _column_vector(den: int, col: dict, length: int) -> Vector:
     """The dense vector col / den of an integer column."""
     v = [ZERO] * length
@@ -463,35 +424,14 @@ def _block_column(v: tuple, block: tuple, c: int) -> tuple:
     return _column_sum((den, {r: col[i] for r, i in enumerate(at) if i in col}))
 
 
-def _int_column(v: Vector) -> tuple:
-    """A dense vector as the integer column (den, {index: int}) over its
-    least denominator."""
-    den = lcm(*[x.denominator for x in v if x])
-    return den, {i: x.numerator * (den // x.denominator) for i, x in enumerate(v) if x}
-
-
-def unit_vector(n: int, j: int) -> Vector:
-    v = [Fraction(0)] * n
-    v[j] = Fraction(1)
-    return v
-
-
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One exact solution of a x = b with free variables set to 0, or None."""
-    n_cols = len(a[0]) if a else 0
-    if len(b) != len(a):
-        raise ValueError(f"right side of length {len(b)} for {len(a)} equations")
-    x = _particular(_echelon(_sparse_rows(a, b)), n_cols)
-    return None if x is None else _column_vector(*x, n_cols)
-
-
 class Subspace:
     """A subspace of QQ^n, kept as primitive integer rows in echelon form by
     the one elimination (_insert).
 
     Its pivot columns are those of the canonical RREF whatever the insertion
-    order, which is what makes downstream complement choices reproducible.
-    Vectors come and go as dense lists of length n.
+    order.  Vectors come and go as dense lists of length n.  Nothing in the
+    package calls it: it stays only because the benchmark tracer patches
+    its add and contains.
     """
 
     def __init__(self, ambient: int, vectors=()):
@@ -505,7 +445,7 @@ class Subspace:
         entry at column ambient."""
         if len(v) != self.ambient:
             raise ValueError(f"vector of length {len(v)} in QQ^{self.ambient}")
-        return _sparse_rows([v], None if extra is None else [extra])[0]
+        return _sparse_rows([v if extra is None else v + [extra]])[0]
 
     def add(self, v: Vector) -> bool:
         """Insert a vector; return True if the dimension grew."""
@@ -571,14 +511,6 @@ def _coordinates_form(basis: list, vectors: list) -> tuple | None:
             if p < k:
                 out[p][j] = s * x * basis[p][0]
     return den, out, len(vectors)
-
-
-def coordinates(basis: list[Vector], v: Vector) -> Vector | None:
-    """Coordinates of v in the given (independent) list, or None."""
-    if not basis:
-        return [] if not any(v) else None
-    cols = [[b[i] for b in basis] for i in range(len(v))]
-    return solve(cols, v)
 
 
 @dataclass(frozen=True)
@@ -728,13 +660,11 @@ class HomologyPiece:
     as representatives; ambient is the dimension of the chain space.  cycles
     is handed over as a list, free then defaulting to each cycle's last
     entry, or as d_out's forward echelon {pivot column: row}, whose _kernel
-    it is when first read, the classes being _cycles of it.  The dense
-    `representatives` (of the classes), `cycle_basis` and `boundary_basis`
-    are views for the API edge, built on every read, as `GradedMap.block`
-    is.  A vector has one such column, so pieces are equal exactly when
-    their dense lists are.  d_out is the integer form of the outgoing
-    differential, shared with its map and None when it is zero; like the
-    solver, it takes no part in equality.
+    it is when first read, the classes being _cycles of it.  A vector has
+    one such column, so pieces are equal exactly when their vectors are.
+    d_out is the integer form of the outgoing differential, shared with its
+    map and None when it is zero; like the solver, it takes no part in
+    equality.
     """
 
     def __init__(self, degree: int, ambient: int, cycles: list | dict, boundaries: list,
@@ -755,18 +685,6 @@ class HomologyPiece:
         return isinstance(other, HomologyPiece) and all(
             getattr(self, a) == getattr(other, a)
             for a in ("degree", "ambient", "classes", "boundaries", "cycles"))
-
-    @property
-    def representatives(self) -> list:
-        return [_column_vector(den, col, self.ambient) for den, col in self.classes]
-
-    @property
-    def cycle_basis(self) -> list:
-        return [_column_vector(den, col, self.ambient) for den, col in self.cycles]
-
-    @property
-    def boundary_basis(self) -> list:
-        return [_column_vector(den, col, self.ambient) for den, col in self.boundaries]
 
     def class_coordinates(self, v: tuple) -> tuple | None:
         """Coordinates of the class of the integer column v on the classes,
@@ -859,23 +777,11 @@ def homology_at(d_in: GradedMap, d_out: GradedMap, n: int) -> HomologyPiece:
 class MapBasis(list):
     """A basis of a space of block maps: _kernel's integer columns (lead,
     {index: int}), each the map column / lead, over the variables of a
-    LinearSystem, whose layout it keeps as `blocks`.  `entries()` is the
-    dict view for the API edge (the tests), one {(key, row, col):
-    Fraction} per map, built on every call, the way GradedMap.block is."""
+    LinearSystem, whose layout it keeps as `blocks`."""
 
     def __init__(self, columns, blocks: dict):
         super().__init__(columns)
         self.blocks = blocks
-
-    def entries(self) -> list:
-        names = _block_names(self.blocks)
-        return [{names[i]: _entry(x, lead) for i, x in col.items()} for lead, col in self]
-
-
-def _block_names(blocks: dict) -> dict:
-    """{index: (key, row, col)} over the entries of a layout's blocks."""
-    return {off + r * cols + c: (key, r, c) for key, (off, rows, cols) in blocks.items()
-            for r in range(rows) for c in range(cols)}
 
 
 class LinearSystem:

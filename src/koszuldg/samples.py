@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .grlin import _column_sum, _int_form, _int_product, rank, rref
+from .grlin import (_column_sum, _coordinates_form, _echelon, _int_form, _int_product,
+                    _sparse_rows)
 from .algebra import (
     ChainMap,
     DGModule,
@@ -74,24 +75,26 @@ def cyclic_quotient(R: PolyAlgebra, powers, name: str = "") -> DGModule:
 def random_invertible(n: int, rng: random.Random):
     while True:
         m = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
-        if rank(m) == n:
+        if len(_echelon(_sparse_rows(m))) == n:
             return m
 
 
 def mat_inverse(m):
-    n = len(m)
-    aug = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(m)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
+    """The integer form of the inverse of the square matrix m: its column j
+    holds the coordinates of the j-th unit vector on the columns of m."""
+    den, rows, _ = _int_form(m)
+    n = len(rows)
+    columns = [(den, {i: row[j] for i, row in enumerate(rows) if j in row}) for j in range(n)]
+    inverse = _coordinates_form(columns, [(1, {j: 1}) for j in range(n)])
+    if inverse is None:
         raise ValueError("matrix not invertible")
-    return [row[n:] for row in red]
+    return inverse
 
 
 def conjugate(M: DGModule, rng: random.Random, name: str = "") -> DGModule:
     """Change basis degreewise by random invertible matrices."""
     ps = {n: random_invertible(M.dim(n), rng) for n in M.degrees()}
-    inv = {n: _int_form(mat_inverse(p)) for n, p in ps.items()}
+    inv = {n: mat_inverse(p) for n, p in ps.items()}
     ps = {n: _int_form(p) for n, p in ps.items()}
 
     def transform(gm, deg):

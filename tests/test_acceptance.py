@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from koszuldg.grlin import Window, rank
+from koszuldg.grlin import Window
 from koszuldg import algebra as alg
 from koszuldg import resolve as rs
 from koszuldg import duality as du

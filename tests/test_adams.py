@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dense import rank
 from koszuldg.grlin import Window
 from koszuldg import algebra as alg
 from koszuldg import adams as ad
@@ -150,24 +151,39 @@ def test_whitehead_stages_are_built_once(monkeypatch):
 
 
 def test_whitehead_computes_each_stage_homology_once(monkeypatch):
-    # the certificate reads a stage's homology module only under an acyclic
-    # stage, which no torsion module gives; stand-in stages reach it
+    # the certificate reads the stage dimensions alone: an acyclic stage
+    # over one with homology, which no torsion module gives, is False, and
+    # the report fails closed; stand-in stages reach it
     k = alg.residue_field(R2)
     stages = iter([k, k, alg.zero_module(R2)])
     monkeypatch.setattr(ad, "hom_R", lambda K, M: next(stages))
-    calls = []
+    calls, modules = [], []
     kept = alg.homology
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return kept(*args, **kwargs)
-    # homology_module computes its own homology through algebra.homology
     monkeypatch.setattr(ad, "homology", counted)
     monkeypatch.setattr(alg, "homology", counted)
+    monkeypatch.setattr(ad, "homology_module", lambda *args, **kwargs: modules.append(args))
     rep = ad.whitehead_detect(k)
     assert rep.stage_dims == [{0: 1}, {0: 1}, {}] and rep.stage_action_iso == [None, False]
+    assert rep.passed is False and not modules
     # once for the input, once per stage
     assert len(calls) == 4
+
+
+def test_whitehead_fails_closed_on_an_acyclic_stage_over_homology(monkeypatch):
+    # stand-in stages k, 0, k: both sides see homology, so they agree, but
+    # stage 1 is acyclic over a stage 0 that is not
+    k = alg.residue_field(R2)
+    stages = iter([k, alg.zero_module(R2), k])
+    monkeypatch.setattr(ad, "hom_R", lambda K, M: next(stages))
+    rep = ad.whitehead_detect(k)
+    assert rep.stage_action_iso == [False, None]
+    assert rep.agrees and rep.passed is False
+    monkeypatch.undo()
+    assert ad.whitehead_detect(k).passed
 
 
 def test_whitehead_rejects_untorsion():
@@ -183,7 +199,6 @@ def test_socle_and_hull():
     W, emb = ad.injective_hull_embedding(M)
     assert sorted(n for n in soc for _ in soc[n]) == [-4]
     for n in M.degrees():
-        from koszuldg.grlin import rank
         assert rank(emb.block(n)) == M.dim(n)
 
 

@@ -12,13 +12,14 @@ builder and a listed few readers, a third keeps the construction of
 linear systems in the one writer of the equations of module maps and the
 one system of another shape, and a fourth lists the rank takers of
 `resolve`, so both resolutions keep one exactness certificate, and a fifth
-lists the two readers that back-substitute an elimination.  Two more
+lists the one reader that back-substitutes an elimination.  Two more
 keep the writing of equations in map_system and the sites that add their
 side conditions to its system, and keep the Hom spaces of the injective Ext
 route, the solutions of linear systems and class coordinates on integer
 columns: no Fraction is made on those paths.  The last guard
 keeps vectors on integer columns: a dense vector is made or read only at
-the edges listed in VECTOR_EDGES."""
+the edges listed in VECTOR_EDGES.  The dense wrappers that only the tests
+call live in tests/dense.py, and a guard checks that they left grlin."""
 import ast
 from pathlib import Path
 
@@ -71,8 +72,13 @@ def test_guard_sees_calls_in_nested_scopes():
 
 
 def test_dense_helpers_left_the_package():
-    for name in ("mat_mul", "transpose", "identity", "is_zero_matrix"):
+    for name in ("mat_mul", "transpose", "identity", "is_zero_matrix", "rank", "rref",
+                 "kernel_basis", "solve", "coordinates", "unit_vector", "_int_column",
+                 "_block_names"):
         assert not hasattr(grlin, name), name
+    for name in ("representatives", "cycle_basis", "boundary_basis"):
+        assert not hasattr(grlin.HomologyPiece, name), name
+    assert not hasattr(grlin.MapBasis, "entries")
 
 
 # Sums, cones, Hom, twisted tensors, totalizations and r'_! are built by
@@ -143,11 +149,10 @@ def test_resolutions_share_one_exactness_certificate():
 
 # An elimination is read from its forward echelon (_echelon), null vectors,
 # solutions and coordinates being back-solved from it (_cycle); only the
-# readers of every reduced row back-substitute: rref and the class-coordinate
-# solver.  A second back-substituted reader shows up here.
+# reader of every reduced row back-substitutes: the class-coordinate solver.
+# A second back-substituted reader shows up here.
 REDUCED = [
     ("grlin", "HomologyPiece.class_coordinates"),
-    ("grlin", "rref"),
 ]
 
 
@@ -230,23 +235,14 @@ def test_linear_systems_keep_what_the_benchmark_tracer_reads():
 
 # Vectors are integer columns (den, {index: int}) from elimination to every
 # reader, solutions, class coordinates and spans included; dense vectors
-# are made or read only at these edges: the dense views of grlin (blocks,
-# rref, kernel_basis, solve, Subspace and a homology piece's
-# representatives, cycle and boundary bases).  The dense Subspace has no
-# caller in the package, and solutions are named entry by entry
-# (_block_names) only in the dict view MapBasis.entries.
+# are made or read only at these edges: the dense blocks of GradedMap
+# (_dense) and Subspace, which has no caller in the package.
 VECTOR_NAMES = {"_column_vector", "_dense_vector", "_int_column", "unit_vector",
-                "is_zero_vector", "representatives", "Subspace", "_block_names"}
+                "is_zero_vector", "representatives", "cycle_basis", "boundary_basis",
+                "Subspace", "_block_names"}
 VECTOR_EDGES = {
     ("grlin", "_dense", "_column_vector"),
-    ("grlin", "rref", "_column_vector"),
-    ("grlin", "kernel_basis", "_column_vector"),
-    ("grlin", "solve", "_column_vector"),
     ("grlin", "Subspace.residue", "_column_vector"),
-    ("grlin", "HomologyPiece.representatives", "_column_vector"),
-    ("grlin", "HomologyPiece.cycle_basis", "_column_vector"),
-    ("grlin", "HomologyPiece.boundary_basis", "_column_vector"),
-    ("grlin", "MapBasis.entries", "_block_names"),
 }
 
 

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from koszuldg.grlin import GradedMap, Window, _column_vector, _int_column
+from dense import int_column
+from koszuldg.grlin import GradedMap, Window, _column_sum, _column_vector
 from koszuldg import algebra as alg
 from koszuldg import duality as du
 from koszuldg import samples as sm
@@ -111,6 +112,16 @@ def test_roundtrip_fails_closed_on_empty_comparison(monkeypatch, left_deg,
     assert rep.agrees is agrees
 
 
+def test_roundtrip_rejects_a_torsion_module_of_infinite_length():
+    # the windowed basic injective is torsion, complete below but not above:
+    # the torsion side's own guard rejects it before functor_T is reached
+    I = alg.basic_injective(R1, Window(0, 10))
+    assert I.is_torsion() and not I.is_finite()
+    with pytest.raises(alg.NotTorsion,
+                       match="^torsion-side roundtrip needs a finite-length module$"):
+        du.roundtrip_check(I)
+
+
 def test_roundtrip_random_exterior_modules():
     rng = random.Random(43)
     for g in (T, T2):
@@ -142,8 +153,8 @@ def test_end_dga_composition_unit_and_leibniz():
             if real.dim(n1) == 0 or real.dim(n2) == 0:
                 continue
             # sampled dense, handed over and read back as integer columns
-            u = _int_column([F(rng.randint(-2, 2)) for _ in range(real.dim(n1))])
-            v = _int_column([F(rng.randint(-2, 2)) for _ in range(real.dim(n2))])
+            u = int_column([F(rng.randint(-2, 2)) for _ in range(real.dim(n1))])
+            v = int_column([F(rng.randint(-2, 2)) for _ in range(real.dim(n2))])
             _, uv = e.product(n1, u, n2, v)
             duv = real.diff.apply(n1 + n2, uv)
             du_ = real.diff.apply(n1, u)
@@ -256,6 +267,21 @@ def test_cartan_map(g):
     R = alg.poly_algebra(g)
     rep = du.cartan_map(du.end_dga(R))
     assert rep.passed
+
+
+def test_cartan_map_fails_on_dependent_images_of_the_classes(monkeypatch):
+    # a stand-in comparison that sends every column onto a multiple of the
+    # first basis vector: the homology dimensions still match, but the two
+    # classes of degree 1 over T^2 have dependent images
+    e = du.end_dga(R2)
+    real = du.cartan_theta
+
+    def collapsed(e, h, deg, v):
+        den, col = real(e, h, deg, v)
+        return _column_sum((den, {0: sum(col.values())}))
+    monkeypatch.setattr(du, "cartan_theta", collapsed)
+    rep = du.cartan_map(e)
+    assert rep.homology_dims == {0: 1, 1: 2, 2: 1} and not rep.homology_iso
 
 
 def test_cartan_map_in_a_window_below_the_top_products():

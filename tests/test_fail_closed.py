@@ -3,8 +3,9 @@ under `python -O`, which strips every `assert`: they must still reject.  A
 coextension runs there too, since its solution-space test was an assert, and
 so do forced failures of the closure tests of homology_module and gamma_m,
 a free DG module whose differential has the wrong shape, and the shape
-checks of solve and of Subspace.add and .contains, of the contraction basis
-of hom_from_free and of the image count of a ring map, which were asserts
+checks of the tests' dense solve (tests/dense.py), of Subspace.add and
+.contains, of the contraction basis of hom_from_free and of the image
+count of a ring map, which were asserts
 as well, and the length check of the images a free map is evaluated on.  So
 do the last checks that were asserts: variable names against the rank, the
 factor removed from an exterior monomial, the algebra and homogeneity of a
@@ -17,11 +18,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 SCRIPT = r"""
 import json, sys
 from fractions import Fraction as F
+import dense
 from koszuldg import algebra as alg, grlin, groups as gr, samples as sm
 from koszuldg.modfile import parse_module
 
@@ -102,7 +105,7 @@ cases = {
         alg.lambda_as_module(L), alg.lambda_as_module(L), 0, {1: [[F(1)]]}),
     "product_shape": lambda: grlin._int_product(grlin._int_form([[F(1), F(2)]]),
                                                 grlin._int_form([[F(1)]])),
-    "solve_shape": lambda: grlin.solve([[F(1)]], [F(1), F(5)]),
+    "solve_shape": lambda: dense.solve([[F(1)]], [F(1), F(5)]),
     "subspace_add_shape": lambda: grlin.Subspace(2).add([F(1), F(0), F(0)]),
     "subspace_contains_shape": lambda: grlin.Subspace(2).contains([F(1)]),
     "homology_d_squared": lambda: grlin.homology_at(*[grlin.GradedMap(
@@ -121,10 +124,10 @@ cases = {
     # generator of degree 0 on X, an image with index 1 where X has
     # dimension 1: read as it is (degree 0) and acted on (degree -2)
     "evaluate_length": lambda: alg._evaluate(
-        alg.free_module(R1, [("g", 0)]), X, [grlin._int_column([F(1), F(2)])], 0),
+        alg.free_module(R1, [("g", 0)]), X, [dense.int_column([F(1), F(2)])], 0),
     "evaluate_length_acted": lambda: alg._evaluate(
-        alg.free_module(R1, [("g", 0)]), X, [grlin._int_column([F(1), F(2)])], -2),
-    "apply_length": lambda: X.diff.apply(0, grlin._int_column([F(1), F(2)])),
+        alg.free_module(R1, [("g", 0)]), X, [dense.int_column([F(1), F(2)])], -2),
+    "apply_length": lambda: X.diff.apply(0, dense.int_column([F(1), F(2)])),
     # class coordinates of a column with an index past the chain space: at
     # a stored piece, and at degree -1, where nothing is stored
     "coordinates_index": lambda: alg.homology(X).pieces[0].class_coordinates((1, {1: 1})),
@@ -154,7 +157,7 @@ print(json.dumps(out))
 
 def test_rejections_hold_without_asserts():
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(TESTS), env.get("PYTHONPATH", "")])
     run = subprocess.run([sys.executable, "-O", "-c", SCRIPT], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr

@@ -14,20 +14,34 @@ CHANGES.md:
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from dense import (
+    basis_entries,
+    boundary_basis,
+    cycle_basis,
+    int_column,
+    kernel_basis,
+    rank,
+    representatives,
+    rref,
+    solve,
+)
 from koszuldg import algebra as alg
 from koszuldg import duality as du
 from koszuldg import resolve as rs
 from koszuldg import samples as sm
-from koszuldg.grlin import _column_vector, _int_column, kernel_basis, rank, rref, solve
+from koszuldg.grlin import _column_vector
 
-GOLDEN = Path(__file__).parent / "golden"
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
 
 T = alg.named_group("T")
 T2 = alg.named_group("T^2")
@@ -101,22 +115,22 @@ def _combination(rng, vectors, length):
 def _coordinates(M, H, n, v):
     """Class coordinates of a dense probe as a dense list: they take and
     give integer columns, so the probe and the result convert here."""
-    coords = alg.express_in_homology(M, H, n, _int_column(v))
+    coords = alg.express_in_homology(M, H, n, int_column(v))
     return None if coords is None else _column_vector(*coords, H.dim(n))
 
 
 def _piece_payload(M, H, rng) -> dict:
     out = {}
     for n, piece in sorted(H.pieces.items()):
-        probes = [_combination(rng, piece.cycle_basis, M.dim(n))
+        probes = [_combination(rng, cycle_basis(piece), M.dim(n))
                   for _ in range(2)]
-        probes.append(_combination(rng, piece.boundary_basis, M.dim(n)))
+        probes.append(_combination(rng, boundary_basis(piece), M.dim(n)))
         probes.append([F(rng.randint(-1, 1)) for _ in range(M.dim(n))])
         out[n] = {
             "dim": piece.dim,
-            "representatives": piece.representatives,
-            "cycle_basis": piece.cycle_basis,
-            "boundary_basis": piece.boundary_basis,
+            "representatives": representatives(piece),
+            "cycle_basis": cycle_basis(piece),
+            "boundary_basis": boundary_basis(piece),
             "coordinates": [_coordinates(M, H, n, v) for v in probes],
         }
     return out
@@ -173,7 +187,7 @@ def chain_maps_payload() -> dict:
         out.append({
             "degree": degree,
             "basis": [sorted([list(k), v] for k, v in h.items())
-                      for h in basis.entries()],
+                      for h in basis_entries(basis)],
         })
     return {"spaces": out}
 
@@ -216,6 +230,23 @@ def render(name: str) -> str:
 def test_golden(name):
     want = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert render(name) == want, f"tests/golden/{name}.json differs"
+
+
+def test_golden_bytes_under_another_hash_seed():
+    # string hashing is salted per process: a payload built by iterating
+    # over a set of labels would come out in another order in another one
+    env = dict(os.environ, PYTHONHASHSEED="777", PYTHONPATH=os.pathsep.join(
+        [str(TESTS.parent / "src"), str(TESTS), os.environ.get("PYTHONPATH", "")]))
+    script = ("import json, test_golden as g\n"
+              "print(json.dumps({name: g.render(name) for name in g.PAYLOADS}))")
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    rendered = json.loads(run.stdout)
+    assert sorted(rendered) == sorted(PAYLOADS)
+    for name, text in rendered.items():
+        want = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+        assert text == want, f"tests/golden/{name}.json differs under PYTHONHASHSEED=777"
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from koszuldg.grlin import Window, _column_vector, _insert, _int_column, rank
+from dense import int_column, rank, representatives
+from koszuldg.grlin import Window, _column_vector, _insert
 from koszuldg import algebra as alg
 from koszuldg import groups as gr
 from koszuldg import samples as sm
@@ -169,7 +170,7 @@ def exhaustive_certificate(rm, dual, realized, H, dual_lifts, win):
             return gamma, False
     maps = [gr.realize_poly_map(dual, realized, dual_lifts[j], -T.codegrees[j])
             for j in range(T.r)]
-    top = H.pieces[gamma].representatives[0]
+    top = representatives(H.pieces[gamma])[0]
     frontier, reach = [(gamma, top)], {gamma: [top]}
     for _ in range(2 * (win.hi - win.lo)):
         new_frontier = []
@@ -179,7 +180,7 @@ def exhaustive_certificate(rm, dual, realized, H, dual_lifts, win):
                 if t < min(certified, default=0):
                     continue
                 # the maps take and give integer columns
-                img = _column_vector(*maps[j].apply(n, _int_column(vec)), realized.dim(t))
+                img = _column_vector(*maps[j].apply(n, int_column(vec)), realized.dim(t))
                 if any(img) and img not in reach.setdefault(t, []):
                     reach[t].append(img)
                     new_frontier.append((t, img))
@@ -192,7 +193,7 @@ def exhaustive_certificate(rm, dual, realized, H, dual_lifts, win):
         vecs = []
         for v in reach.get(n, []):
             # class coordinates are integer columns too
-            coords = alg.express_in_homology(realized, H, n, _int_column(v))
+            coords = alg.express_in_homology(realized, H, n, int_column(v))
             if coords is None:
                 return gamma, False
             vecs.append(_column_vector(*coords, H.dim(n)))
