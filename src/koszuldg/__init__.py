@@ -17,7 +17,7 @@ from .algebra import (
     ext_algebra,
     fibre,
     gamma_m,
-    hom_R,
+    hom_from_free,
     homology,
     homology_dims,
     homology_module,

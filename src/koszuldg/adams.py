@@ -31,7 +31,7 @@ from .algebra import (
     chain_map_from_blocks,
     direct_sum,
     fibre,
-    hom_R,
+    hom_from_free,
     homology,
     homology_module,
     koszul_stage,
@@ -77,7 +77,7 @@ def socle(M: DGModule) -> dict:
     return out
 
 
-def injective_hull_embedding(N: DGModule, pad: int = 4, soc: dict | None = None):
+def injective_hull_embedding(N: DGModule, soc: dict | None = None):
     """The hull of a zero-differential torsion module, such as a homology
     module, and a verified embedding into it.
 
@@ -85,7 +85,8 @@ def injective_hull_embedding(N: DGModule, pad: int = 4, soc: dict | None = None)
     vector; the embedding is any module map restricting to the socle
     pairing, which is automatically injective because every nonzero
     submodule of a torsion module meets the socle; soc is socle(N) when
-    already computed.
+    already computed.  The hull's window runs four degrees past the top of
+    N and of the shifts.
     """
     R = N.algebra
     if not N.is_torsion():
@@ -96,7 +97,7 @@ def injective_hull_embedding(N: DGModule, pad: int = 4, soc: dict | None = None)
     shifts = sorted(n for n in soc for _ in soc[n])
     if not shifts:
         return zero_module(R), ChainMap(N, zero_module(R), 0, {})
-    hi = max(N.hi + 1, max(shifts)) + pad
+    hi = max(N.hi + 1, max(shifts)) + 4
     pieces = []
     for s in shifts:
         pieces.append(basic_injective(R, Window(0, hi - s)).shift(s))
@@ -175,7 +176,7 @@ def lift_through_homology(Y: DGModule, W: DGModule, emb: ChainMap,
     return chain_map_from_blocks(Y, W, 0, sol, sys.blocks)
 
 
-def adams_tower(Y: DGModule, pad: int = 4) -> AdamsTower:
+def adams_tower(Y: DGModule) -> AdamsTower:
     """Build the tower over a finite-length torsion module.
 
     Stage j maps into the suspension of its homology's injective hull; the
@@ -204,7 +205,7 @@ def adams_tower(Y: DGModule, pad: int = 4) -> AdamsTower:
         if j > R.r:
             raise InvariantViolation("tower exceeded the rank bound")
         soc = socle(HN)
-        W, emb = injective_hull_embedding(HN, pad=pad, soc=soc)
+        W, emb = injective_hull_embedding(HN, soc=soc)
         shifts = sorted(n for n in soc for _ in soc[n])
         if expected is not None and j < len(expected):
             want = sorted(s - j for s in expected[j])
@@ -291,8 +292,7 @@ class InjectiveCaseReport:
     agrees: bool
 
 
-def injective_case_check(X: DGModule, J: DGModule,
-                         w: Window | None = None) -> InjectiveCaseReport:
+def injective_case_check(X: DGModule, J: DGModule) -> InjectiveCaseReport:
     """Maps into a realized injective are plain module maps of homology:
     the edge isomorphism, checked degree by degree."""
     HX = homology_module(X)
@@ -300,16 +300,11 @@ def injective_case_check(X: DGModule, J: DGModule,
     xs = HX.degrees() or [0]
     js = HJ.degrees() or [0]
     hom_hi = HJ.hi - max(xs) - 1
-    if w is None:
-        lo = min(js) - max(xs) - 2
-        w = Window(lo, max(hom_hi - 1, lo))
+    lo = min(js) - max(xs) - 2
+    w = Window(lo, max(hom_hi - 1, lo))
     ab = rhom_homology(X, J, w)
-    dims_hom = {}
-    for n in range(w.lo, min(w.hi, hom_hi) + 1):
-        if HX.total_dim() == 0 or HJ.total_dim() == 0:
-            dims_hom[n] = 0
-            continue
-        dims_hom[n] = len(module_hom_space(HX, HJ, n))
+    dims_hom = {n: len(module_hom_space(HX, HJ, n))
+                for n in range(w.lo, min(w.hi, hom_hi) + 1)}
     agree = True
     dims_rhom = {}
     for n in range(w.lo, min(w.hi, hom_hi) + 1):
@@ -319,7 +314,8 @@ def injective_case_check(X: DGModule, J: DGModule,
         dims_rhom[n] = a
         if a != dims_hom.get(n, 0):
             agree = False
-    return InjectiveCaseReport(dims_rhom, dims_hom, w, agree)
+    # fails closed when no degree was compared
+    return InjectiveCaseReport(dims_rhom, dims_hom, w, agree and bool(dims_rhom))
 
 
 @dataclass
@@ -347,7 +343,8 @@ def whitehead_detect(M: DGModule) -> WhiteheadReport:
     if not M.is_torsion():
         raise NotTorsion("whitehead detection applies to torsion modules")
     a = not homology(M).is_zero()
-    stage_dims = [homology(hom_R(koszul_stage(R, i), M)).dims() for i in range(R.r + 1)]
+    stage_dims = [homology(hom_from_free(koszul_stage(R, i), M)).dims()
+                  for i in range(R.r + 1)]
     b = bool(stage_dims[-1])
     # staged certificate: stage i is the cone of x_i on stage i-1, so an
     # acyclic stage i makes x_i invertible on the torsion homology of stage

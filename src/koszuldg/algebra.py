@@ -736,9 +736,6 @@ class FreeDGModule:
         diff = tuple(tuple(p.scale(sgn) for p in row) for row in self.diff)
         return FreeDGModule(self.algebra, basis, diff)
 
-    def to_degreewise(self, w: Window, name: str = "") -> DGModule:
-        return to_degreewise(self, w, name=name)
-
 
 def free_module(R: PolyAlgebra, gens: list) -> FreeDGModule:
     """Free module with zero differential on generators [(label, degree)]."""
@@ -813,14 +810,11 @@ def _generator_actions(F: FreeDGModule) -> list:
              for j in range(F.rank)] for i in range(R.r)]
 
 
-class _Terms(tuple):
-    """The terms of a polynomial matrix grouped by column: entry i is
-    (den, [(j, beta, v)]), each term c x^beta of entry [j][i] written as the
-    integer v = c * den over the least common denominator den of column i."""
-
-
-def _poly_terms(polymat) -> _Terms:
-    """The _Terms of a polynomial matrix, read in one pass over it."""
+def _poly_terms(polymat) -> list:
+    """The terms of a polynomial matrix grouped by column, read in one pass
+    over it: entry i is (den, [(j, beta, v)]), each term c x^beta of entry
+    [j][i] written as the integer v = c * den over the least common
+    denominator den of column i."""
     cols = [[] for _ in (polymat[0] if polymat else ())]
     for j, row in enumerate(polymat):
         for col, p in zip(cols, row):
@@ -831,7 +825,7 @@ def _poly_terms(polymat) -> _Terms:
         den = lcm(*[c.denominator for _, _, c in col])
         out.append((den, [(j, beta, c.numerator * (den // c.denominator))
                           for j, beta, c in col]))
-    return _Terms(out)
+    return out
 
 
 def _generator_terms(F: FreeDGModule) -> list:
@@ -839,7 +833,7 @@ def _generator_terms(F: FreeDGModule) -> list:
     without the matrices: column j of diag(x_i) is the one term x_i e_j."""
     R = F.algebra
     units = [tuple(int(k == i) for k in range(R.r)) for i in range(R.r)]
-    return [_Terms((1, [(j, e, 1)]) for j in range(F.rank)) for e in units]
+    return [[(1, [(j, e, 1)]) for j in range(F.rank)] for e in units]
 
 
 def _positions(basis: list) -> dict:
@@ -847,15 +841,14 @@ def _positions(basis: list) -> dict:
     return {ba: k for k, ba in enumerate(basis)}
 
 
-def _realize(polymat, bs: list, ts: list, at: dict | None = None) -> tuple | None:
+def _realize(terms: list, bs: list, ts: list, at: dict | None = None) -> tuple | None:
     """The integer form of one block of a map of realized free modules, or
     None when it is zero.
 
-    polymat[j][i] multiplies generator i of the source into generator j of
-    the target; bs and ts are the free bases (free_basis) of the source
-    degree and of the target degree.  A caller realizing one matrix in many
-    degrees hands over its _poly_terms in place of polymat, and may hand
-    over the _positions of ts as at; both are made here otherwise.  The
+    terms are the _poly_terms of a polynomial matrix whose entry [j][i]
+    multiplies generator i of the source into generator j of the target;
+    bs and ts are the free bases (free_basis) of the source degree and of
+    the target degree, and at, when given, the _positions of ts.  The
     denominator is the least common one of the columns of the generators in
     bs.  A term outside ts is an entry of the wrong degree and raises
     InvariantViolation.  Distinct terms of a column land in distinct rows,
@@ -863,7 +856,6 @@ def _realize(polymat, bs: list, ts: list, at: dict | None = None) -> tuple | Non
     """
     if not bs or not ts:
         return None
-    terms = polymat if isinstance(polymat, _Terms) else _poly_terms(polymat)
     if at is None:
         at = _positions(ts)
     gens = {i for i, _ in bs}
@@ -881,8 +873,7 @@ def _realize(polymat, bs: list, ts: list, at: dict | None = None) -> tuple | Non
     return (den, rows, len(bs)) if any(rows) else None
 
 
-def _evaluate(F: FreeDGModule, M: DGModule, images, n: int,
-              table: dict | None = None) -> tuple | None:
+def _evaluate(F: FreeDGModule, M: DGModule, images, n: int, table: dict) -> tuple | None:
     """The integer form of the degree-n block of the map from realized F to
     M sending generator j to the integer column images[j] (None for zero),
     or None when that block is zero.
@@ -899,7 +890,6 @@ def _evaluate(F: FreeDGModule, M: DGModule, images, n: int,
     or above M's dimension at its degree raises ValueError."""
     if not M.dim(n):
         return None
-    table = {} if table is None else table
     bs = table.get(n)
     if bs is None:
         bs = table[n] = free_basis(F, n)
@@ -1232,10 +1222,6 @@ def chain_map_from_blocks(A: DGModule, B: DGModule, degree: int,
         for n, b in blocks.items()})
 
 
-def zero_map(A: DGModule, B: DGModule, degree: int = 0) -> ChainMap:
-    return ChainMap(A, B, degree, {})
-
-
 def mapping_cone(f: ChainMap, name: str = "") -> DGModule:
     """Standard mapping cone: target plus shifted source, twisted
     differential d(b, a) = (db + f(a), -da)."""
@@ -1498,11 +1484,6 @@ def hom_from_free(F: FreeDGModule, M: DGModule, name: str = "",
                               for j, b in enumerate(bdegs)],
                    pieces, klo == _NEG, khi == _POS,
                    name or (f"T({M.name})" if contractions else f"Hom({M.name})"))
-
-
-def hom_R(F: FreeDGModule, M: DGModule, name: str = "") -> DGModule:
-    """Hom over the polynomial ring from a finite free complex into M."""
-    return hom_from_free(F, M, name=name, contractions=False)
 
 
 # ---------------------------------------------------------------------------

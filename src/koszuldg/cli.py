@@ -259,11 +259,14 @@ def cmd_groups(args, rep: RunReport) -> None:
              "shriek": (gr.r_shriek_left, rm.source)}
     fn, ring = which[action]
     M = load_module(args.module, ring, _window(args), rep.inputs, "module")
-    out = fn(rm, M)
+    if action == "shriek":
+        dd = gr.derived_dual(rm)  # shared by the shriek and its comparison
+        out = gr.r_shriek_left(rm, M, dd=dd)
+    else:
+        out = fn(rm, M)
     rep.tables["module"] = print_module(out).splitlines()
     rep.tables["homology"] = dict(sorted(alg.homology_dims(out).items()))
     if action == "shriek":
-        dd = gr.derived_dual(rm)
         if dd.resolution.length == 0:
             co_dims = alg.homology_dims(gr.coextend_scalars(rm, M))
             rep.add_check("matches_coextension_homology",

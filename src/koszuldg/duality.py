@@ -460,11 +460,11 @@ def cartan_theta(e: DegreewiseDGA, h: DegreewiseDGA, deg: int, v: tuple) -> tupl
     return _column_sum((den, out))
 
 
-def cartan_map(e: DegreewiseDGA, h: DegreewiseDGA | None = None) -> CartanReport:
+def cartan_map(e: DegreewiseDGA) -> CartanReport:
     """The evaluation comparison from End(kbar) to Hom(kbar, k): a chain
     map, multiplicative and bijective on homology."""
     R = e.module.algebra
-    h = h or hom_to_k(R)
+    h = hom_to_k(R)
     # chain map: theta kills boundaries (target differential is zero)
     chain_ok = True
     for n in range(e.module.lo + 1, e.module.hi + 1):
@@ -630,7 +630,7 @@ class FormalityResult:
         return self.homology_iso
 
 
-def formality_map(A: DegreewiseDGA, R: PolyAlgebra, w: Window | None = None) -> FormalityResult:
+def formality_map(A: DegreewiseDGA, R: PolyAlgebra) -> FormalityResult:
     """A quasi-isomorphism from the polynomial ring into a commutative DGA
     with polynomial homology.
 
@@ -644,8 +644,7 @@ def formality_map(A: DegreewiseDGA, R: PolyAlgebra, w: Window | None = None) -> 
     """
     M = A.module
     H = homology(M)
-    w = w or Window(M.lo, M.hi)
-    check_range = [n for n in H.certified_range() if w.lo <= n <= w.hi]
+    check_range = [n for n in H.certified_range() if M.lo <= n <= M.hi]
     for n in check_range:
         hd = H.dim(n)
         if hd is not None and hd != R.dim(n):
@@ -696,8 +695,9 @@ def formality_map(A: DegreewiseDGA, R: PolyAlgebra, w: Window | None = None) -> 
             _insert(span, coords[1])
         if len(span) != len(mons) or H.dim(n) != len(mons):
             iso = False
+    # fails closed when no degree was checked
     return FormalityResult(
-        [(i, -R.codegrees[i], chosen[i]) for i in range(R.r)], iso,
+        [(i, -R.codegrees[i], chosen[i]) for i in range(R.r)], iso and bool(check_range),
         Window(min(check_range), max(check_range)) if check_range else Window(0, 0))
 
 

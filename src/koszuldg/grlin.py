@@ -6,11 +6,13 @@ and every solution, graded vector spaces keyed by integer degree, graded
 maps that store integer block forms, and degreewise homology.  A vector is
 an integer column (den, {index: int}), the vector column / den over its
 least denominator, from the elimination to every reader: kernels,
-solutions, homology classes and their coordinates, `GradedMap.apply`.
-Dense `Fraction` matrices are made only by the views `GradedMap.block` and
-`.blocks`, and dense vectors only by `Subspace`, which nothing in the
-package calls: it stays for the benchmark tracer, which patches its
-methods.  No floats, no rounding, ever.  All echelon choices (pivot
+solutions, homology classes and their coordinates, `GradedMap.apply`;
+homology reads its cycles and classes off the outgoing differential's
+forward echelon.  Dense `Fraction` matrices are made only by the views
+`GradedMap.block` and `.blocks`.  `Subspace` takes dense vectors in and
+answers only `add`, `contains` and `dim`; nothing in the package calls it,
+and it stays for the benchmark tracer, which patches `add` and
+`contains`.  No floats, no rounding, ever.  All echelon choices (pivot
 columns, free-variable order, normalisation) are those of the canonical
 reduced row echelon form, so every derived basis is reproducible
 bit-for-bit.
@@ -29,7 +31,7 @@ Matrix = list  # list[list[Fraction]], rows x cols
 # shared small integers, ZERO among them: entries are immutable, and equal
 # entries that are the same object compare without arithmetic
 _INTS = {v: Fraction(v) for v in range(-64, 65)}
-ZERO, _ONE = _INTS[0], _INTS[1]
+ZERO = _INTS[0]
 
 
 class CompositionNotZero(ValueError):
@@ -426,12 +428,10 @@ def _block_column(v: tuple, block: tuple, c: int) -> tuple:
 
 class Subspace:
     """A subspace of QQ^n, kept as primitive integer rows in echelon form by
-    the one elimination (_insert).
-
-    Its pivot columns are those of the canonical RREF whatever the insertion
-    order.  Vectors come and go as dense lists of length n.  Nothing in the
-    package calls it: it stays only because the benchmark tracer patches
-    its add and contains.
+    the one elimination (_insert), grown by add and probed by contains and
+    dim; vectors go in as dense lists of length n.  Nothing in the package
+    calls it: it stays only because the benchmark tracer patches its add
+    and contains.
     """
 
     def __init__(self, ambient: int, vectors=()):
@@ -440,12 +440,11 @@ class Subspace:
         for v in vectors:
             self.add(v)
 
-    def _row(self, v: Vector, extra=None) -> dict:
-        """v as a primitive integer row; extra, when given, is one more
-        entry at column ambient."""
+    def _row(self, v: Vector) -> dict:
+        """v as a primitive integer row."""
         if len(v) != self.ambient:
             raise ValueError(f"vector of length {len(v)} in QQ^{self.ambient}")
-        return _sparse_rows([v if extra is None else v + [extra]])[0]
+        return _sparse_rows([v])[0]
 
     def add(self, v: Vector) -> bool:
         """Insert a vector; return True if the dimension grew."""
@@ -457,28 +456,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self._rows)
-
-    @property
-    def pivots(self) -> list[int]:
-        """The pivot columns, increasing."""
-        return sorted(self._rows)
-
-    def residue(self, v: Vector) -> Vector:
-        """The vector congruent to v modulo the subspace that vanishes at
-        every pivot column: v cleared at the pivots in increasing order,
-        which is the same whatever echelon rows span the subspace.  The
-        entry 1 appended at column ambient, outside every row, records the
-        scale that the integer elimination puts on v."""
-        row = self._row(v, _ONE)
-        for c in sorted(self._rows):
-            if c in row:
-                row = _eliminate(row, self._rows[c], c)
-        return _column_vector(row.pop(self.ambient), row, self.ambient)
-
-    def complement_in(self, vectors: list[Vector]) -> list[Vector]:
-        """Vectors from the list extending this subspace, greedily in order."""
-        probe = dict(self._rows)
-        return [v[:] for v in vectors if _insert(probe, self._row(v))]
 
 
 def _coordinates_form(basis: list, vectors: list) -> tuple | None:
@@ -655,30 +632,27 @@ class HomologyPiece:
     take as they are; class coordinates are integer columns too.
 
     cycles is the kernel basis of the outgoing differential, one canonical
-    cycle per free column of its forward echelon (free), boundaries the
-    independent columns of the incoming one, and classes the cycles chosen
-    as representatives; ambient is the dimension of the chain space.  cycles
-    is handed over as a list, free then defaulting to each cycle's last
-    entry, or as d_out's forward echelon {pivot column: row}, whose _kernel
-    it is when first read, the classes being _cycles of it.  A vector has
-    one such column, so pieces are equal exactly when their vectors are.
-    d_out is the integer form of the outgoing differential, shared with its
-    map and None when it is zero; like the solver, it takes no part in
-    equality.
+    cycle per free column (free) of its forward echelon {pivot column: row},
+    which is handed over and read (_kernel) when cycles is first read;
+    boundaries are the independent columns of the incoming differential,
+    and classes the cycles chosen as representatives, back-solved from the
+    same echelon (_cycle); ambient is the dimension of the chain space.  A
+    vector has one such column, so pieces are equal exactly when their
+    vectors are.  d_out is the integer form of the outgoing differential,
+    shared with its map and None when it is zero; like the solver, it takes
+    no part in equality.
     """
 
-    def __init__(self, degree: int, ambient: int, cycles: list | dict, boundaries: list,
-                 classes: list, d_out: tuple | None = None, free: list | None = None):
+    def __init__(self, degree: int, ambient: int, pivots: dict, boundaries: list,
+                 classes: list, d_out: tuple | None, free: list):
         self.degree, self.ambient, self.d_out = degree, ambient, d_out
         self.boundaries, self.classes, self.dim = boundaries, classes, len(classes)
-        # a cycle's other entries sit at pivot columns left of its free one
-        self.free = [max(col) for _, col in cycles] if free is None else free
-        self._cycles, self._solver = cycles, None
+        self.free, self._pivots, self._cycles, self._solver = free, pivots, None, None
 
     @property
     def cycles(self) -> list:
-        if isinstance(self._cycles, dict):
-            self._cycles = _kernel(self._cycles, self.ambient)
+        if self._cycles is None:
+            self._cycles, self._pivots = _kernel(self._pivots, self.ambient), None
         return self._cycles
 
     def __eq__(self, other):

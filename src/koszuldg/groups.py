@@ -198,8 +198,7 @@ def restrict_scalars(rm: RingMap, N: DGModule, name: str = "") -> DGModule:
                      name=name or f"res({N.name})")
 
 
-def extend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
-                   name: str = "") -> DGModule:
+def extend_scalars(rm: RingMap, M: DGModule, name: str = "") -> DGModule:
     """Target tensor source M: degreewise quotient of pairs (target
     monomial, M basis vector) by the mixed relations.
 
@@ -216,7 +215,7 @@ def extend_scalars(rm: RingMap, M: DGModule, w: Window | None = None,
         return zero_module(T, name=name)
     top = M.support_max()
     max_e = max(T.codegrees) if T.r else 1
-    lo = w.lo if w else M.support_min() - sum(S.codegrees) - 2 * max_e - 2
+    lo = M.support_min() - sum(S.codegrees) - 2 * max_e - 2
     hi = top
     pair_basis, index = {}, {}
     for n in range(lo, hi + 1):
@@ -457,7 +456,7 @@ def derived_dual(rm: RingMap) -> DerivedDual:
               + depth_pad)
     Tmod = poly_as_module(T, Window(depth, 0), name="T")
     restricted = restrict_scalars(rm, Tmod, name="res(T)")
-    res = minimal_free_resolution_fg(restricted, S)
+    res = minimal_free_resolution_fg(restricted)
     total = total_free_module(res)
     dual = dual_free(total)
     lifts = _commuting_lifts(rm, res, total, Tmod)

@@ -54,7 +54,7 @@ from .algebra import (
     double_dual_comparison,
     free_basis,
     free_module,
-    hom_R,
+    hom_from_free,
     homology,
     matlis_dual,
     mapping_cone,
@@ -76,7 +76,7 @@ class WindowTooSmall(ValueError):
 # Betti numbers through the exterior Koszul complex
 
 
-def tor_betti(M: DGModule, R: PolyAlgebra) -> dict:
+def tor_betti(M: DGModule) -> dict:
     """Graded Betti numbers {s: {degree: multiplicity}} of a zero-differential
     module, from the homology of M (x) Koszul.
 
@@ -90,6 +90,7 @@ def tor_betti(M: DGModule, R: PolyAlgebra) -> dict:
     degs = M.degrees()
     if not degs:
         return {}
+    R = M.algebra
     subs = _subsets(R.r)
     total = sum(R.codegrees)
     if M.is_finite():
@@ -168,8 +169,7 @@ class ResolutionData:
         return free_module(self.ring, self.terms[s])
 
 
-def minimal_free_resolution(M: DGModule, R: PolyAlgebra | None = None,
-                            window: Window | None = None) -> ResolutionData:
+def minimal_free_resolution(M: DGModule, window: Window | None = None) -> ResolutionData:
     """Minimal free resolution of a finite-length zero-differential module.
 
     Generators of each stage are the degreewise complement of m-multiples in
@@ -177,14 +177,12 @@ def minimal_free_resolution(M: DGModule, R: PolyAlgebra | None = None,
     degrees must agree with the Betti oracle, exactness and minimality are
     checked afterwards, and the resolution always terminates within r steps.
     """
-    R = R or M.algebra
     if not (M.is_finite() and is_zero_diff(M)):
         raise NotFiniteLength("minimal_free_resolution needs finite length, zero differential")
-    betti = tor_betti(M, R)
-    return _resolve_with_betti(M, R, betti, window)
+    return _resolve_with_betti(M, M.algebra, tor_betti(M), window)
 
 
-def minimal_free_resolution_fg(M: DGModule, R: PolyAlgebra) -> ResolutionData:
+def minimal_free_resolution_fg(M: DGModule) -> ResolutionData:
     """Resolution engine for finitely generated windowed modules.
 
     The caller is responsible for a window deep enough that the Betti
@@ -194,7 +192,8 @@ def minimal_free_resolution_fg(M: DGModule, R: PolyAlgebra) -> ResolutionData:
     """
     if not is_zero_diff(M):
         raise NotFiniteLength("resolution needs a zero-differential module")
-    betti = tor_betti(M, R)
+    R = M.algebra
+    betti = tor_betti(M)
     if betti and not M.is_finite():
         b_min = min(t for row in betti.values() for t in row)
         if b_min - (max(R.codegrees) if R.r else 1) < M.lo + 1:
@@ -376,7 +375,7 @@ def injective_resolution(M: DGModule, window: Window | None = None) -> Injective
     if not (M.is_finite() and is_zero_diff(M)):
         raise NotFiniteLength("injective_resolution needs finite length, zero differential")
     D = matlis_dual(M)
-    res = minimal_free_resolution(D, R, window=window)
+    res = minimal_free_resolution(D, window=window)
     stages = [matlis_dual(F, name=f"J{s}") for s, F in enumerate(res.realized)]
     shifts = [[-b for _, b in gens] for gens in res.terms]
     maps = []
@@ -475,7 +474,7 @@ def ext_bigraded(M: DGModule, N: DGModule, route: str = "via_free") -> BigradedT
 
 
 def _ext_via_free(M: DGModule, N: DGModule) -> BigradedTable:
-    res = minimal_free_resolution(M, M.algebra)
+    res = minimal_free_resolution(M)
     stages = len(res.terms)
     # candidate internal degrees
     ts = set()
@@ -626,7 +625,8 @@ def _cone_classes(X: DGModule, F: _Cells, to_x: list, m: int,
             blocks[k] = _assemble(dims[k - 1], dims[k], [
                 (X.diff.form(k), 0, 0, 1),
                 (_evaluate(F, X, to_x, k - 1, columns), 0, X.dim(k), 1),
-                (_realize(F.diff, bases[k - 1], bases[k - 2]), X.dim(k - 1), X.dim(k), -1)])
+                (_realize(_poly_terms(F.diff), bases[k - 1], bases[k - 2]),
+                 X.dim(k - 1), X.dim(k), -1)])
     space = GradedVS(dims)
     d = GradedMap(space, space, -1, {k: blocks[k] for k in (m, m + 1)})
     return homology_at(d, d, m).classes
@@ -729,7 +729,7 @@ def rhom_homology(X: DGModule, Y: DGModule, w: Window) -> RHomResult:
     y_lo = Y.support_min()
     floor = y_lo - w.hi - 2
     rep = semifree_replacement(X, floor)
-    hom = hom_R(rep.cells, Y, name=f"RHom({X.name},{Y.name})")
+    hom = hom_from_free(rep.cells, Y, name=f"RHom({X.name},{Y.name})")
     H = homology(hom)
     dims = H.dims()
     glo, ghi = w.lo, min(w.hi, y_lo - floor - 2)

@@ -82,6 +82,8 @@ def random_invertible(n: int, rng: random.Random):
 def mat_inverse(m):
     """The integer form of the inverse of the square matrix m: its column j
     holds the coordinates of the j-th unit vector on the columns of m."""
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("matrix not square")
     den, rows, _ = _int_form(m)
     n = len(rows)
     columns = [(den, {i: row[j] for i, row in enumerate(rows) if j in row}) for j in range(n)]

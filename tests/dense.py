@@ -5,7 +5,8 @@ forms, read off one forward echelon (grlin._echelon) and its back-solved
 null vectors (_cycle, _kernel, _particular) or, for every reduced row,
 _reduced.  The tests state many expectations as dense Fraction matrices and
 vectors; these helpers give them from the same readers, converted to dense
-here, so that no dense entry point is left in the package.
+here, so that no dense entry point is left in the package.  DenseSubspace
+is a plain Gauss-Jordan reference of its own.
 """
 from fractions import Fraction
 from math import lcm
@@ -102,3 +103,66 @@ def basis_entries(basis):
     """A MapBasis as one {(key, row, col): Fraction} per map."""
     names = block_names(basis.blocks)
     return [{names[i]: _entry(x, lead) for i, x in col.items()} for lead, col in basis]
+
+
+class DenseSubspace:
+    """A subspace of QQ^n as dense Fraction rows kept in reduced row echelon
+    form by Gauss-Jordan steps, each new pivot cleared from the rows before:
+    the reference that grlin.Subspace is checked against, whose pivots and
+    reduce (a vector cleared at the pivots) old bodies of the package read.
+    Each row's nonzero positions are kept beside it, so a step touches only
+    those."""
+
+    def __init__(self, ambient, vectors=()):
+        self.ambient = ambient
+        self.rows = []
+        self.pivots = []
+        self._support = []
+        for v in vectors:
+            self.add(v)
+
+    def reduce(self, v):
+        """v cleared at every pivot, in increasing pivot order."""
+        v = v[:]
+        for row, p, support in zip(self.rows, self.pivots, self._support):
+            if v[p]:
+                f = v[p]
+                for j in support:
+                    v[j] -= f * row[j]
+        return v
+
+    def add(self, v):
+        assert len(v) == self.ambient
+        v = self.reduce(v)
+        support = [j for j, x in enumerate(v) if x]
+        if not support:
+            return False
+        piv = support[0]
+        inv = 1 / v[piv]
+        for j in support:
+            v[j] *= inv
+        for at, row in enumerate(self.rows):
+            if row[piv]:
+                f = row[piv]
+                for j in support:
+                    row[j] -= f * v[j]
+                self._support[at] = [j for j, x in enumerate(row) if x]
+        at = 0
+        while at < len(self.pivots) and self.pivots[at] < piv:
+            at += 1
+        self.rows.insert(at, v)
+        self.pivots.insert(at, piv)
+        self._support.insert(at, support)
+        return True
+
+    def contains(self, v):
+        assert len(v) == self.ambient
+        return not any(self.reduce(v))
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def complement_in(self, vectors):
+        probe = DenseSubspace(self.ambient, [row[:] for row in self.rows])
+        return [v[:] for v in vectors if probe.add(v)]

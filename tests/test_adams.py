@@ -113,7 +113,32 @@ def test_injective_case_check():
 def test_injective_case_zero_target():
     rep = ad.injective_case_check(k1, alg.zero_module(R1))
     assert rep.agrees
-    assert all(v == 0 for v in rep.dims_rhom.values())
+    assert rep.dims_rhom == rep.dims_hom == {-2: 0}
+    # and from the zero module, Hom and RHom vanish through the whole window
+    rep = ad.injective_case_check(alg.zero_module(R1), alg.basic_injective(R1, Window(0, 12)))
+    assert rep.agrees and rep.dims_rhom == rep.dims_hom == dict.fromkeys(range(-2, 10), 0)
+
+
+def test_injective_case_check_compares_the_whole_computed_window():
+    # the compared degrees run from min H(J) - max H(X) - 2 up to one below
+    # (top of H(J)) - max H(X) - 1, here for sources off degree 0
+    I = alg.basic_injective(R1, Window(0, 12))
+    cases = [(k1.shift(2), -4, 7, {-2: 1}), (k1.shift(-3), 1, 12, {3: 1}),
+             (sm.cyclic_quotient(R1, [2]).shift(1), -3, 8, {-1: 1, 1: 1})]
+    for X, lo, hi, hits in cases:
+        rep = ad.injective_case_check(X, I)
+        assert (rep.window.lo, rep.window.hi) == (lo, hi) and rep.agrees
+        assert rep.dims_rhom == rep.dims_hom == {n: hits.get(n, 0) for n in range(lo, hi + 1)}
+
+
+def test_injective_case_check_fails_closed_on_an_empty_comparison():
+    # acyclic targets whose windows top out below -1: the computed window's
+    # top sits below its floor, so no degree is compared
+    cone = alg.mapping_cone(alg.identity_map(sm.cyclic_quotient(R1, [2]).shift(-3)))
+    empty = alg.dg_module(R1, {}, {}, [{}], -5, -3, complete_below=True, complete_above=True)
+    for J in (cone, empty):
+        rep = ad.injective_case_check(k1, J)
+        assert rep.dims_rhom == rep.dims_hom == {} and not rep.agrees
 
 
 def test_whitehead_injective_nonzero():
@@ -140,8 +165,8 @@ def test_whitehead_random_agreement():
 
 def test_whitehead_stages_are_built_once(monkeypatch):
     stages = []
-    kept = ad.hom_R
-    monkeypatch.setattr(ad, "hom_R", lambda K, M: stages.append(K) or kept(K, M))
+    kept = ad.hom_from_free
+    monkeypatch.setattr(ad, "hom_from_free", lambda K, M: stages.append(K) or kept(K, M))
     M = sm.cyclic_quotient(R2, [2, 1])
     assert ad.whitehead_detect(M).agrees and ad.whitehead_detect(M).agrees
     first, second = stages[:3], stages[3:]
@@ -156,7 +181,7 @@ def test_whitehead_computes_each_stage_homology_once(monkeypatch):
     # the report fails closed; stand-in stages reach it
     k = alg.residue_field(R2)
     stages = iter([k, k, alg.zero_module(R2)])
-    monkeypatch.setattr(ad, "hom_R", lambda K, M: next(stages))
+    monkeypatch.setattr(ad, "hom_from_free", lambda K, M: next(stages))
     calls, modules = [], []
     kept = alg.homology
 
@@ -178,7 +203,7 @@ def test_whitehead_fails_closed_on_an_acyclic_stage_over_homology(monkeypatch):
     # stage 1 is acyclic over a stage 0 that is not
     k = alg.residue_field(R2)
     stages = iter([k, alg.zero_module(R2), k])
-    monkeypatch.setattr(ad, "hom_R", lambda K, M: next(stages))
+    monkeypatch.setattr(ad, "hom_from_free", lambda K, M: next(stages))
     rep = ad.whitehead_detect(k)
     assert rep.stage_action_iso == [False, None]
     assert rep.agrees and rep.passed is False

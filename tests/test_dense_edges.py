@@ -235,14 +235,13 @@ def test_linear_systems_keep_what_the_benchmark_tracer_reads():
 
 # Vectors are integer columns (den, {index: int}) from elimination to every
 # reader, solutions, class coordinates and spans included; dense vectors
-# are made or read only at these edges: the dense blocks of GradedMap
-# (_dense) and Subspace, which has no caller in the package.
+# are made or read only at this edge: the dense blocks of GradedMap
+# (_dense).
 VECTOR_NAMES = {"_column_vector", "_dense_vector", "_int_column", "unit_vector",
                 "is_zero_vector", "representatives", "cycle_basis", "boundary_basis",
                 "Subspace", "_block_names"}
 VECTOR_EDGES = {
     ("grlin", "_dense", "_column_vector"),
-    ("grlin", "Subspace.residue", "_column_vector"),
 }
 
 

@@ -314,11 +314,66 @@ def test_formality_acyclic_extension():
     A = du.acyclic_extension_dga(R1, Window(-10, 2), -3)
     out = du.formality_map(A, R1)
     assert out.passed
+    # the certified degrees run from -9 to 3, one past the module's top: the
+    # map is checked on those inside the module's window
+    assert list(alg.homology(A.module).certified_range()) == list(range(-9, 4))
+    assert out.window == Window(-9, 2)
+
+
+def test_formality_checks_from_the_floor_of_a_complete_module():
+    # over the trivial group R is k, complete below: the certified degrees
+    # start one below the window, and the check starts at its floor
+    R0 = alg.poly_algebra(alg.GroupData(()))
+    A = du.poly_dga(R0, Window(-3, 0))
+    assert list(alg.homology(A.module).certified_range()) == list(range(-4, 2))
+    out = du.formality_map(A, R0)
+    assert out.passed and (out.window.lo, out.window.hi) == (-3, 0)
+
+
+def test_formality_fails_closed_when_no_degree_is_certified():
+    # the Koszul DGA over T in degree 0 alone certifies no homology, so no
+    # degree is checked against the trivial group's ring
+    A = du.koszul_dga(R1, Window(0, 0))
+    assert alg.homology(A.module).certified is None
+    out = du.formality_map(A, alg.poly_algebra(alg.GroupData(())))
+    assert not out.homology_iso and not out.passed
 
 
 def test_formality_rejects_wrong_homology():
     with pytest.raises(du.NotPolynomialHomology):
         du.formality_map(du.poly_dga(R1, Window(-8, 0)), R2)
+
+
+def formality_message(A, R):
+    with pytest.raises(du.NotPolynomialHomology) as exc:
+        du.formality_map(A, R)
+    return str(exc.value)
+
+
+def test_formality_rejects_exterior_homology():
+    # End(kbar) over T has the homology of an exterior algebra: nothing at
+    # its lowest certified degree, -6, where R has x^3
+    assert formality_message(du.end_dga(R1), R1) == \
+        "homology dimension 0 at degree -6, polynomial ring has 1"
+
+
+def test_formality_rejects_a_window_that_misses_a_generator():
+    assert formality_message(du.poly_dga(R1, Window(-1, 0)), R1) == \
+        "window misses generator degree -2"
+
+
+def test_formality_rejects_extra_classes_at_a_generator_degree():
+    # over codegrees 2 and 4 with x0.x0 set to zero: every dimension matches
+    # R, but x0^2 spans nothing at degree -4, so both classes there are new
+    # where one generator is expected
+    R = alg.poly_algebra(alg.GroupData((2, 4)))
+    A = du.poly_dga(R, Window(-8, 0))
+
+    def rule(a, b):
+        return None if a == b == ("1", (1, 0)) else A.rule(a, b)
+
+    assert formality_message(dataclasses.replace(A, rule=rule), R) == \
+        "found 2 new generator classes at degree -4, expected 1"
 
 
 def test_recognize_k_strict():

@@ -124,9 +124,9 @@ cases = {
     # generator of degree 0 on X, an image with index 1 where X has
     # dimension 1: read as it is (degree 0) and acted on (degree -2)
     "evaluate_length": lambda: alg._evaluate(
-        alg.free_module(R1, [("g", 0)]), X, [dense.int_column([F(1), F(2)])], 0),
+        alg.free_module(R1, [("g", 0)]), X, [dense.int_column([F(1), F(2)])], 0, {}),
     "evaluate_length_acted": lambda: alg._evaluate(
-        alg.free_module(R1, [("g", 0)]), X, [dense.int_column([F(1), F(2)])], -2),
+        alg.free_module(R1, [("g", 0)]), X, [dense.int_column([F(1), F(2)])], -2, {}),
     "apply_length": lambda: X.diff.apply(0, dense.int_column([F(1), F(2)])),
     # class coordinates of a column with an index past the chain space: at
     # a stored piece, and at degree -1, where nothing is stored
@@ -140,6 +140,8 @@ cases = {
     "koszul_stage_range": lambda: alg.koszul_stage(R1, 2),
     "cyclic_powers": lambda: sm.cyclic_quotient(R1, [0]),
     "inverse_singular": lambda: sm.mat_inverse([[F(1), F(2)], [F(2), F(4)]]),
+    "inverse_not_square": lambda: sm.mat_inverse([[F(1), F(0), F(5)], [F(0), F(1), F(7)]]),
+    "inverse_too_tall": lambda: sm.mat_inverse([[F(1), F(0)], [F(0), F(1)], [F(0), F(0)]]),
 }
 for name, build in cases.items():
     try:
@@ -203,6 +205,8 @@ def test_rejections_hold_without_asserts():
         "koszul_stage_range": ("ValueError", "Koszul stage 2 of a rank-1 ring"),
         "cyclic_powers": ("ValueError", "cyclic_quotient needs 1 powers >= 1, not [0]"),
         "inverse_singular": ("ValueError", "matrix not invertible"),
+        "inverse_not_square": ("ValueError", "matrix not square"),
+        "inverse_too_tall": ("ValueError", "matrix not square"),
     }
     assert {k: (v[0], v[2]) for k, v in out.items()} == want
     assert all(v[1] for v in out.values()), "every rejection is a ValueError"

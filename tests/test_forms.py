@@ -28,8 +28,9 @@ and the class coordinates as they were before they read the kernel's free
 coordinates, homology_at as it was before it read the outgoing
 differential's forward echelon, and the particular solution read off the
 back-substituted rows of an augmented system, kept as they were.
-Pieces, vectors, blocks, cells, modules and solution-space bases must be
-equal, and rejections must carry the same message."""
+Pieces (a reference body's as a RefPiece, compared field by field),
+vectors, blocks, cells, modules and solution-space bases must be equal, and
+rejections must carry the same message."""
 import copy
 import dataclasses
 import functools
@@ -42,6 +43,7 @@ from math import gcd, lcm
 import pytest
 
 from dense import (
+    DenseSubspace,
     basis_entries,
     block_names,
     boundary_basis,
@@ -98,6 +100,34 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
+@dataclasses.dataclass
+class RefPiece:
+    """A reference body's homology piece: what HomologyPiece compares, the
+    cycles handed over as a list of integer columns."""
+    degree: int
+    ambient: int
+    cycles: list
+    boundaries: list
+    classes: list
+
+    @property
+    def dim(self):
+        return len(self.classes)
+
+    @property
+    def free(self):
+        # a cycle's other entries sit at pivot columns left of its free one
+        return [max(col) for _, col in self.cycles]
+
+
+def ref(piece):
+    """A HomologyPiece as the RefPiece it equals; anything else, such as an
+    outcome's raised exception, as it is."""
+    if not isinstance(piece, HomologyPiece):
+        return piece
+    return RefPiece(piece.degree, piece.ambient, piece.cycles, piece.boundaries, piece.classes)
+
+
 def dense_homology_at(d_in, d_out, n):
     """homology_at as it was before maps kept their forms."""
     stored_in = d_in.blocks.get(n - d_in.degree)
@@ -123,10 +153,9 @@ def dense_homology_at(d_in, d_out, n):
 
 
 def piece_from_dense(n, amb, reps, cycles, boundaries):
-    """The HomologyPiece of dense representatives, cycles and boundaries."""
-    return HomologyPiece(n, amb, [int_column(v) for v in cycles],
-                         [int_column(v) for v in boundaries],
-                         [int_column(v) for v in reps])
+    """The RefPiece of dense representatives, cycles and boundaries."""
+    return RefPiece(n, amb, [int_column(v) for v in cycles],
+                    [int_column(v) for v in boundaries], [int_column(v) for v in reps])
 
 
 def dense_vector(entries, length):
@@ -818,7 +847,7 @@ def test_homology_at_matches_dense_version_on_samples():
         for d in (M.diff, fresh(M.diff)):
             for n in range(M.lo - 1, M.hi + 2):
                 want = dense_homology_at(d, d, n)
-                assert homology_at(d, d, n) == want
+                assert ref(homology_at(d, d, n)) == want
                 checked += want.dim
     assert checked >= 40
 
@@ -858,9 +887,9 @@ def test_homology_at_matches_dense_version_on_edge_cases():
     labels = set()
     for label, d_in, d_out in complexes(rng):
         want = outcome(dense_homology_at, d_in, d_out, 1)
-        assert outcome(homology_at, d_in, d_out, 1) == want
+        assert ref(outcome(homology_at, d_in, d_out, 1)) == want
         # again with every form already computed
-        assert outcome(homology_at, d_in, d_out, 1) == want
+        assert ref(outcome(homology_at, d_in, d_out, 1)) == want
         labels.add((label, isinstance(want, tuple)))
     assert ("d.d != 0", True) in labels
     assert {label for label, _ in labels} == {
@@ -975,7 +1004,7 @@ def test_homology_pieces_and_coordinates_match_fraction_reference():
         assert cycle_basis(piece) == cycles
         assert boundary_basis(piece) == boundaries
         assert piece.dim == len(reps)
-        assert piece == piece_from_dense(n, piece.ambient, reps, cycles, boundaries)
+        assert ref(piece) == piece_from_dense(n, piece.ambient, reps, cycles, boundaries)
         amb = piece.ambient
         probes = []
         for _ in range(2):
@@ -1062,7 +1091,7 @@ def old_homology_at(d_in, d_out, n):
             col = columns[j]
             g = gcd(den, *col.values())
             boundaries.append((den // g, {i: x // g for i, x in col.items()} if g != 1 else col))
-    return HomologyPiece(n, amb, cycles, boundaries, [cycles[j - k] for j in pivots if j >= k])
+    return RefPiece(n, amb, cycles, boundaries, [cycles[j - k] for j in pivots if j >= k])
 
 
 def old_class_coordinates(piece):
@@ -1110,7 +1139,7 @@ def test_free_coordinate_homology_matches_the_old_bodies():
     seen = dict.fromkeys(("cycle", "boundary", "non-cycle", "raised", "End(kbar)"), 0)
     for d_in, d_out, n in cases:
         got, want = outcome(homology_at, d_in, d_out, n), outcome(old_homology_at, d_in, d_out, n)
-        assert got == want
+        assert ref(got) == want
         if isinstance(want, tuple):
             seen["raised"] += 1
             continue
@@ -1174,8 +1203,7 @@ def reduced_homology_at(d_in, d_out, n):
             col = columns[j]
             g = gcd(den, *col.values())
             boundaries.append((den // g, {i: x // g for i, x in col.items()} if g != 1 else col))
-    return HomologyPiece(n, amb, cycles, boundaries, [cycles[j - k] for j in pivots if j >= k],
-                         f_out)
+    return RefPiece(n, amb, cycles, boundaries, [cycles[j - k] for j in pivots if j >= k])
 
 
 def later_pivot_complexes(rng):
@@ -1226,11 +1254,11 @@ def test_forward_echelon_homology_matches_the_reduced_body():
             seen["raised"] += 1
             continue
         # only the classes' cycles are built until the cycles are read
-        assert isinstance(got._cycles, dict) and got.free == want.free
+        assert got._cycles is None and got.free == want.free
         assert (got.classes, got.boundaries, representatives(got), got.dim) \
             == (want.classes, want.boundaries, representatives(want), want.dim)
         assert got.cycles == want.cycles and cycle_basis(got) == cycle_basis(want)
-        assert got == want
+        assert ref(got) == want
         seen["later pivots"] += reaches_later_pivots(d_out.form(n)) and want.dim > 0
         seen["End(kbar)"] += want.dim if d_out is E.diff else 0
         old = old_class_coordinates(want)
@@ -1247,7 +1275,7 @@ def test_forward_echelon_homology_matches_the_reduced_body():
             # a cycle plus a unit vector that d_out does not kill
             vectors[2][min(j for row in f_out[1] for j in row)] += F(1, 3)
         for v in vectors:
-            assert dense_class_coordinates(got, v) == dense_class_coordinates(want, v) == old(v)
+            assert dense_class_coordinates(got, v) == old(v)
             seen["probes"] += 1
     assert seen["later pivots"] >= 20 and seen["raised"] >= 40, seen
     assert seen["End(kbar)"] >= 8 and seen["probes"] >= 1000, seen
@@ -1440,7 +1468,8 @@ def random_polymat(rng, src, tgt, degree):
 
 
 def realize(src, tgt, polymat, degree, n):
-    return alg._realize(polymat, alg.free_basis(src, n), alg.free_basis(tgt, n + degree))
+    return alg._realize(alg._poly_terms(polymat), alg.free_basis(src, n),
+                        alg.free_basis(tgt, n + degree))
 
 
 def test_realize_matches_dense_realization():
@@ -1496,7 +1525,7 @@ def test_resolution_stage_maps_match_dense_realization():
     for R in (R1, R2):
         for M in [alg.residue_field(R)] + [sm.random_zero_diff_module(R, rng)
                                            for _ in range(3)]:
-            res = rs.minimal_free_resolution(M, R)
+            res = rs.minimal_free_resolution(M)
             for s, phi in enumerate(res.realized_maps, start=1):
                 F_s, prev = res.free_stage(s), res.free_stage(s - 1)
                 for n in res.window.degrees():
@@ -1694,7 +1723,7 @@ def test_evaluate_matches_dense_augmentation_loop():
         images = [random_vector(rng, M.dim(b)) for b in gdegs[:-1]] + [None]
         for n in range(M.lo - 6, M.hi + 2):
             want = dense_evaluate(Fr, M, images, n)
-            assert same_block(alg._evaluate(Fr, M, int_columns(images), n), want)
+            assert same_block(alg._evaluate(Fr, M, int_columns(images), n, {}), want)
             checked += not is_zero_matrix(want)
     assert checked >= 20
 
@@ -1703,7 +1732,7 @@ def test_evaluation_sites_match_dense_augmentation_loop():
     rng = random.Random(49)
     for R in (R1, R2):
         M = sm.random_zero_diff_module(R, rng)
-        res = rs.minimal_free_resolution(M, R)
+        res = rs.minimal_free_resolution(M)
         F0 = res.free_stage(0)
         for n in res.window.degrees():
             want = dense_evaluate(F0, M, dense_images(M, res.aug_vectors), n)
@@ -1765,7 +1794,7 @@ def test_evaluate_matches_old_body_at_its_five_callers(monkeypatch):
     rng = random.Random(54)
     for R in (R1, R2, R3):
         M = sm.random_zero_diff_module(R, rng)
-        rs.minimal_free_resolution(M, R)
+        rs.minimal_free_resolution(M)
         rs.semifree_replacement(sm.random_torsion_dg_module(R, rng), -6)
         k = alg.residue_field(R)
         du.recognize_k(alg.direct_sum(k, alg.mapping_cone(alg.identity_map(M))))
@@ -1807,10 +1836,10 @@ def test_evaluate_matches_old_body_through_degrees_outside_the_window():
         old_evaluate(Fr, M, bad, -13)
     for n in (-9, -13):
         with pytest.raises(ValueError, match="column index"):
-            alg._evaluate(Fr, M, bad, n)
+            alg._evaluate(Fr, M, bad, n, {})
 
 
-def old_adams_tower(Y, pad=4):
+def old_adams_tower(Y):
     """adams_tower as it was: each stage's homology computed twice, its
     socle twice, and the starting homology a third time."""
     HY0 = alg.homology_module(Y)
@@ -1825,7 +1854,7 @@ def old_adams_tower(Y, pad=4):
         if not hdims:
             stages.append(ad.TowerStage(j, current, {}, [], None))
             break
-        W, emb = ad.injective_hull_embedding(HN, pad=pad)
+        W, emb = ad.injective_hull_embedding(HN)
         soc = ad.socle(HN)
         shifts = sorted(n for n in soc for _ in soc[n])
         if expected is not None and j < len(expected):
@@ -1868,7 +1897,7 @@ def rebuild_semifree_replacement(X, floor, max_rounds=200):
     for _ in range(max_rounds):
         Fr = alg.FreeDGModule(R, tuple(cells), tuple(tuple(row) for row in diff_rows))
         realized = alg.to_degreewise(Fr, win, name="cells")
-        p = alg.ChainMap(realized, X, 0, {m: alg._evaluate(Fr, X, int_columns(to_x), m)
+        p = alg.ChainMap(realized, X, 0, {m: alg._evaluate(Fr, X, int_columns(to_x), m, {})
                                           for m in win.degrees()})
         H = alg.homology(alg.mapping_cone(p))
         bad = [n for n in sorted(H.dims(), reverse=True) if n >= floor]
@@ -1928,7 +1957,7 @@ def test_cone_classes_match_whole_cone_homology_on_partial_cells():
                 Fj = alg.FreeDGModule(R, cells.basis[:j],
                                       tuple(row[:j] for row in cells.diff[:j]))
                 p = alg.ChainMap(alg.to_degreewise(Fj, win), X, 0,
-                                 {m: alg._evaluate(Fj, X, images, m)
+                                 {m: alg._evaluate(Fj, X, images, m, {})
                                   for m in win.degrees()})
                 H = alg.homology(alg.mapping_cone(p))
                 for m in range(floor + 1, win.hi + 2):
@@ -2000,7 +2029,7 @@ def test_free_ext_connecting_maps_match_dense_assembly():
         for _ in range(4):
             M = sm.random_zero_diff_module(R, rng, max_power=3)
             N = sm.random_zero_diff_module(R, rng, max_pieces=3, max_power=3)
-            res = rs.minimal_free_resolution(M, R)
+            res = rs.minimal_free_resolution(M)
             for s in range(len(res.terms) - 1):
                 for t in range(-12, 8):
                     want = dense_ext_connecting_free(res, s, t, N)
@@ -2451,7 +2480,7 @@ def test_tor_betti_matches_dense_koszul_matrices():
     found = 0
     for M in zero_diff_samples(rng) + mods:
         want = dense_tor_betti(M, M.algebra)
-        assert rs.tor_betti(M, M.algebra) == want
+        assert rs.tor_betti(M) == want
         found += sum(sum(row.values()) for row in want.values())
     assert found >= 60
 
@@ -2576,11 +2605,12 @@ def dense_coordinates_form(basis, vectors):
     return (1, [{} for _ in basis], len(vectors)) if out is None else out
 
 
-def old_extend_scalars(rm, M, w=None, name=""):
+def old_extend_scalars(rm, M, name=""):
     """extend_scalars as it was: the quotient by the mixed relations, every
-    relation a dense vector added to a Subspace, and every column of the
-    differential and the actions a dense vector projected through its
-    residue."""
+    relation a dense vector added to a subspace (DenseSubspace, whose pivots
+    and reduction are those of the Subspace it used), and every column of
+    the differential and the actions a dense vector projected through its
+    reduction."""
     if M.algebra != rm.source:
         raise alg.InvariantViolation("extend_scalars input must live over the source")
     if not M.is_finite():
@@ -2590,7 +2620,7 @@ def old_extend_scalars(rm, M, w=None, name=""):
         return alg.zero_module(T, name=name)
     top = M.support_max()
     max_e = max(T.codegrees) if T.r else 1
-    lo = w.lo if w else M.support_min() - sum(S.codegrees) - 2 * max_e - 2
+    lo = M.support_min() - sum(S.codegrees) - 2 * max_e - 2
     hi = top
     pair_basis = {}
     for n in range(lo, hi + 1):
@@ -2600,7 +2630,7 @@ def old_extend_scalars(rm, M, w=None, name=""):
     for n in range(lo, hi + 1):
         bs = pair_basis[n]
         idx = {b: k for k, b in enumerate(bs)}
-        span = grlin.Subspace(len(bs))
+        span = DenseSubspace(len(bs))
         for i, p in enumerate(rm.images):
             di = S.codegrees[i]
             for md in M.degrees():
@@ -2620,9 +2650,9 @@ def old_extend_scalars(rm, M, w=None, name=""):
         complements[n] = [j for j in range(len(bs)) if j not in pivots]
 
     def project(n, vec):
-        """The residue's complement entries, as the integer column that
+        """The reduction's complement entries, as the integer column that
         _columns_form takes."""
-        v = relations[n].residue(vec)
+        v = relations[n].reduce(vec)
         return int_column([v[j] for j in complements[n]])
 
     dims = {n: len(complements[n]) for n in complements if complements[n]}
@@ -4306,9 +4336,9 @@ def test_adams_lifts_and_hulls_match_old_bodies(monkeypatch):
         lifts.append(got)
         return got
 
-    def hull(N, pad=4, soc=None):
-        W, emb = kept_hull(N, pad, soc)
-        W0, emb0 = old_injective_hull_embedding(N, pad)
+    def hull(N, soc=None):
+        W, emb = kept_hull(N, soc)
+        W0, emb0 = old_injective_hull_embedding(N)
         same_module(W, W0)
         same_map(emb, emb0)
         hulls.append(W)
@@ -4321,7 +4351,7 @@ def test_adams_lifts_and_hulls_match_old_bodies(monkeypatch):
             ad.adams_tower(sm.random_torsion_dg_module(R, rng, max_total=6))
     # hulls of modules the towers do not reach, failures included
     for M in zero_diff_samples(rng) + [sm.random_torsion_dg_module(R1, rng, max_total=6)]:
-        got, want = outcome_any(kept_hull, M, 1), outcome_any(old_injective_hull_embedding, M, 1)
+        got, want = outcome_any(kept_hull, M), outcome_any(old_injective_hull_embedding, M)
         if isinstance(want, tuple) and isinstance(want[0], str):
             assert got == want
         else:

@@ -469,6 +469,19 @@ def test_cli_shriek_reports_a_skipped_comparison_as_skipped(tmp_path, capsys):
     assert "check [skip] coextension_comparison" in text and "[ok]" not in text
 
 
+def test_cli_shriek_builds_the_derived_dual_once(capsys, monkeypatch):
+    # r_shriek_left and the coextension comparison share one derived dual
+    from koszuldg import groups as gr
+    calls, kept = [], gr.derived_dual
+    monkeypatch.setattr(gr, "derived_dual", lambda rm: calls.append(rm) or kept(rm))
+    assert main(["groups", "shriek", "--pair", "T<SU(2)", "--module", "k",
+                 "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    assert [(c["name"], c["passed"]) for c in out["checks"]] == [
+        ("matches_coextension_homology", True)]
+
+
 def test_report_skips_count_neither_way():
     from koszuldg.report import RunReport
     rep = RunReport("x")

@@ -18,12 +18,12 @@ k2 = alg.residue_field(R2)
 
 
 def test_tor_betti_residue_field():
-    assert rs.tor_betti(k1, R1) == {0: {0: 1}, 1: {-2: 1}}
-    assert rs.tor_betti(k2, R2) == {0: {0: 1}, 1: {-2: 2}, 2: {-4: 1}}
+    assert rs.tor_betti(k1) == {0: {0: 1}, 1: {-2: 1}}
+    assert rs.tor_betti(k2) == {0: {0: 1}, 1: {-2: 2}, 2: {-4: 1}}
 
 
 def test_minimal_resolution_circle():
-    res = rs.minimal_free_resolution(k1, R1)
+    res = rs.minimal_free_resolution(k1)
     assert res.length == 1
     assert res.terms == [[("g0_0", 0)], [("g1_0", -2)]]
     assert str(res.maps[0][0][0]) == "x1"
@@ -31,21 +31,21 @@ def test_minimal_resolution_circle():
 
 
 def test_minimal_resolution_rank_two():
-    res = rs.minimal_free_resolution(k2, R2)
+    res = rs.minimal_free_resolution(k2)
     assert res.betti_numbers() == {0: {0: 1}, 1: {-2: 2}, 2: {-4: 1}}
     assert rs.hilbert_identity_check(res)
 
 
 def test_minimal_resolution_cyclic_quotient():
     M = sm.cyclic_quotient(R1, [2])  # R/(c^2)
-    res = rs.minimal_free_resolution(M, R1)
+    res = rs.minimal_free_resolution(M)
     assert res.betti_numbers() == {0: {0: 1}, 1: {-4: 1}}
 
 
 def test_resolution_rejects_nonfinite():
     Rm = alg.poly_as_module(R1, Window(-6, 0))
     with pytest.raises(rs.NotFiniteLength):
-        rs.minimal_free_resolution(Rm, R1)
+        rs.minimal_free_resolution(Rm)
 
 
 def test_resolution_rejects_nonzero_differential():
@@ -55,7 +55,7 @@ def test_resolution_rejects_nonzero_differential():
         if not rs.is_zero_diff(M):
             break
     with pytest.raises(rs.NotFiniteLength):
-        rs.minimal_free_resolution(M, R1)
+        rs.minimal_free_resolution(M)
 
 
 def test_resolution_length_bound_random():
@@ -63,7 +63,7 @@ def test_resolution_length_bound_random():
     for R in (R1, R2):
         for _ in range(6):
             M = sm.random_zero_diff_module(R, rng)
-            res = rs.minimal_free_resolution(M, R)
+            res = rs.minimal_free_resolution(M)
             assert res.length <= R.r
             assert rs.hilbert_identity_check(res)
 
@@ -260,7 +260,7 @@ def rejection(check, res):
 
 
 def test_free_certifier_rejects_a_long_or_non_minimal_resolution():
-    res = rs.minimal_free_resolution(k1, R1)
+    res = rs.minimal_free_resolution(k1)
     rs._certify_free_resolution(res)
     # one stage past the rank, the maps left as they are
     longer = dataclasses.replace(res, terms=res.terms + [[("g2_0", -4)]])
@@ -300,7 +300,7 @@ def test_injective_certifier_rejects_a_map_that_is_no_module_map():
 
 def test_hilbert_identity_fails_on_a_dropped_stage():
     for M, R in ((sm.cyclic_quotient(R1, [2]), R1), (k2, R2)):
-        res = rs.minimal_free_resolution(M, R)
+        res = rs.minimal_free_resolution(M)
         assert rs.hilbert_identity_check(res)
         # every degree of the finite module is known, so none is skipped
         assert all(M.known_dim(n) is not None for n in res.window.degrees())
