@@ -303,19 +303,21 @@ def injective_case_check(X: DGModule, J: DGModule) -> InjectiveCaseReport:
     lo = min(js) - max(xs) - 2
     w = Window(lo, max(hom_hi - 1, lo))
     ab = rhom_homology(X, J, w)
-    dims_hom = {n: len(module_hom_space(HX, HJ, n))
-                for n in range(w.lo, min(w.hi, hom_hi) + 1)}
+    top = min(w.hi, hom_hi)
+    dims_hom = {n: len(module_hom_space(HX, HJ, n)) for n in range(w.lo, top + 1)}
     agree = True
     dims_rhom = {}
-    for n in range(w.lo, min(w.hi, hom_hi) + 1):
+    for n in range(w.lo, top + 1):
         a = ab.dim(n)
         if a is None:
             continue
         dims_rhom[n] = a
         if a != dims_hom.get(n, 0):
             agree = False
-    # fails closed when no degree was compared
-    return InjectiveCaseReport(dims_rhom, dims_hom, w, agree and bool(dims_rhom))
+    # fails closed when no degree was compared, and when Hom is nonzero in a
+    # degree above the compared ones, up to (top of H(J)) - max H(X)
+    unseen = any(module_hom_space(HX, HJ, n) for n in range(top + 1, HJ.hi - max(xs) + 1))
+    return InjectiveCaseReport(dims_rhom, dims_hom, w, agree and bool(dims_rhom) and not unseen)
 
 
 @dataclass

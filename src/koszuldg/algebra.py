@@ -32,7 +32,6 @@ from .grlin import (
     GradedVS,
     LinearSystem,
     MapBasis,
-    Matrix,
     Window,
     _assemble,
     _block_column,
@@ -40,7 +39,6 @@ from .grlin import (
     _column_sum,
     _columns_form,
     _coordinates_form,
-    _dense,
     _echelon,
     _form_rank,
     _identity_form,
@@ -50,9 +48,7 @@ from .grlin import (
     _kernel,
     _scaled,
     _transposed,
-    frac,
     homology_at,
-    zeros,
 )
 
 _NEG = -(10 ** 9)
@@ -226,7 +222,7 @@ class PolyAlgebra:
         return Poly(self, {tuple(e): Fraction(1)})
 
     def poly(self, terms: dict) -> "Poly":
-        return Poly(self, {tuple(a): frac(c) for a, c in terms.items() if c})
+        return Poly(self, {tuple(a): Fraction(c) for a, c in terms.items() if c})
 
     def __str__(self):
         return f"Q[{','.join(self.varnames)}] codegrees {self.group}"
@@ -256,7 +252,7 @@ class Poly:
         return self + other.scale(-1)
 
     def scale(self, c) -> "Poly":
-        c = frac(c)
+        c = Fraction(c)
         return Poly(self.algebra, {a: c * x for a, x in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
@@ -475,21 +471,11 @@ class DGModule:
         """The differential for k = -1, the action of generator k otherwise."""
         return self.diff if k == -1 else self.actions[k]
 
-    def action_poly_block(self, p: "Poly", n: int) -> Matrix:
-        """Matrix of the action of a homogeneous polynomial on degree n.
-
-        Monomials that pass through a zero-dimensional intermediate degree
-        act by zero; shapes stay (dim at n+deg) x (dim at n) throughout.
-        """
-        f = self._action_poly_form(p, n)
-        if f is not None:
-            return _dense(f[0], f[1], self.dim(n))
-        rows = 0 if p.is_zero() else self.space.dim(n + p.degree())
-        return zeros(rows, self.dim(n))
-
     def _action_poly_form(self, p: "Poly", n: int) -> tuple | None:
-        """The integer form of action_poly_block(p, n), or None when the
-        action is zero.  For p a single monomial with coefficient 1 this is
+        """The integer form of the action of the homogeneous polynomial p on
+        degree n, (dim at n + deg p) x (dim at n), or None when the action
+        is zero: monomials that pass through an absent or zero block act by
+        zero.  For p a single monomial with coefficient 1 this is
         the product of the action forms, whose rows may be the stored
         blocks' rows (read-only, as GradedMap's forms are)."""
         if not isinstance(self.algebra, PolyAlgebra):
@@ -566,9 +552,8 @@ class DGModule:
 def dg_module(algebra, dims: dict, diff_blocks: dict, action_blocks: list,
               lo: int, hi: int, complete_below=False, complete_above=False,
               labels: dict | None = None, name: str = "") -> DGModule:
-    """Assemble and validate a DGModule from block data: integer forms, or
-    dense matrices at the API edge, as GradedMap takes them; None and zero
-    blocks are dropped there."""
+    """Assemble and validate a DGModule from block data: integer forms, as
+    GradedMap takes them; None and zero blocks are dropped there."""
     dims = {n: d for n, d in dims.items() if d and lo <= n <= hi}
     if labels is not None:
         labels = {n: labels[n] for n in dims if n in labels}
@@ -611,9 +596,9 @@ def _summed(algebra, lo: int, hi: int, summands, pieces,
 
 
 def _block_product(f: GradedMap, m: int, g: GradedMap, n: int) -> tuple | None:
-    """The integer form of f.block(m) . g.block(n), or None, standing for
-    zero, when either block is absent or zero.  The factors are the forms
-    the maps store (GradedMap.form); no dense block is built, and a right
+    """The integer form of the product of f's block at m and g's block at n,
+    or None, standing for zero, when either block is absent or zero.  The
+    factors are the forms the maps store (GradedMap.form), and a right
     factor that is a monomial matrix (GradedMap.monomial) is multiplied by
     reindexing.  Rows of the product may be rows of g's block.
     """
@@ -879,7 +864,7 @@ def _evaluate(F: FreeDGModule, M: DGModule, images, n: int, table: dict) -> tupl
     or None when that block is zero.
 
     Column (j, alpha) is x^alpha applied to images[j], the generators acting
-    in index order as in action_poly_block: x_l applied to column
+    in index order as in DGModule._action_poly_form: x_l applied to column
     (j, alpha - e_l), l the last index with alpha_l > 0, computed once as a
     sparse {row: int} vector over its least denominator from the rows of the
     action's integer form.  table keeps, across the degrees one caller
@@ -1067,8 +1052,8 @@ def direct_sum(A: DGModule, B: DGModule, name: str = "") -> DGModule:
 class ChainMap:
     """A degree-homogeneous module map commuting with the differentials.
 
-    Its blocks are handed to the GradedMap `map` as GradedMap takes them;
-    `blocks` and `block(n)` are that map's dense views."""
+    Its blocks, integer forms, are handed to the GradedMap `map`, which
+    stores them and is their one reader."""
 
     def __init__(self, source: DGModule, target: DGModule, degree: int,
                  blocks: dict, check: bool = True):
@@ -1081,13 +1066,6 @@ class ChainMap:
                 raise NotChainMap("map does not commute with differentials")
             if not self.is_module_map():
                 raise NotChainMap("map is not linear over the algebra")
-
-    @property
-    def blocks(self) -> dict:
-        return self.map.blocks
-
-    def block(self, n: int) -> Matrix:
-        return self.map.block(n)
 
     def commutes_with_diff(self) -> bool:
         return self._commutes(-1)

@@ -152,7 +152,9 @@ def cmd_endcheck(args, rep: RunReport) -> None:
     rep.tables["endomorphism_homology"] = dict(sorted(dc.homology_dims.items()))
     rep.tables["exterior_dims"] = dict(sorted(dc.exterior_dims.items()))
     rep.add_check("double_centralizer_dims", dc.dims_match)
-    rep.add_check("contraction_products_independent", dc.products_independent)
+    # a failing relation among contraction classes fails this check too
+    rep.add_check("contraction_products_independent",
+                  dc.relations_ok and dc.products_independent)
     cr = du.cartan_map(dc.dga)
     rep.add_check("cartan_chain_map", cr.chain_map_ok)
     rep.add_check("cartan_homology_iso", cr.homology_iso)

@@ -623,7 +623,7 @@ def acyclic_extension_dga(R: PolyAlgebra, w: Window, cell_degree: int) -> Degree
 class FormalityResult:
     generator_cycles: list   # (index, degree, integer column)
     homology_iso: bool
-    window: Window
+    window: Window | None    # the degrees checked; None when there are none
 
     @property
     def passed(self) -> bool:
@@ -698,7 +698,7 @@ def formality_map(A: DegreewiseDGA, R: PolyAlgebra) -> FormalityResult:
     # fails closed when no degree was checked
     return FormalityResult(
         [(i, -R.codegrees[i], chosen[i]) for i in range(R.r)], iso and bool(check_range),
-        Window(min(check_range), max(check_range)) if check_range else Window(0, 0))
+        Window(min(check_range), max(check_range)) if check_range else None)
 
 
 def _monomial_image(A: DegreewiseDGA, R: PolyAlgebra, chosen, alpha):

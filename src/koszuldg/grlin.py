@@ -8,70 +8,29 @@ an integer column (den, {index: int}), the vector column / den over its
 least denominator, from the elimination to every reader: kernels,
 solutions, homology classes and their coordinates, `GradedMap.apply`;
 homology reads its cycles and classes off the outgoing differential's
-forward echelon.  Dense `Fraction` matrices are made only by the views
-`GradedMap.block` and `.blocks`.  `Subspace` takes dense vectors in and
-answers only `add`, `contains` and `dim`; nothing in the package calls it,
-and it stays for the benchmark tracer, which patches `add` and
-`contains`.  No floats, no rounding, ever.  All echelon choices (pivot
-columns, free-variable order, normalisation) are those of the canonical
-reduced row echelon form, so every derived basis is reproducible
-bit-for-bit.
+forward echelon.  Blocks go in and come out as integer forms only; the
+package makes no dense `Fraction` matrix or vector.  `Subspace` alone
+takes dense vectors in, and answers only `add`, `contains` and `dim`;
+nothing in the package calls it, and it stays for the benchmark tracer,
+which patches `add` and `contains`.  No floats, no rounding, ever.  All
+echelon choices (pivot columns, free-variable order, normalisation) are
+those of the canonical reduced row echelon form, so every derived basis is
+reproducible bit-for-bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import compress, repeat
 from math import gcd, lcm
-from operator import is_not
-
-Vector = list  # list[Fraction]
-Matrix = list  # list[list[Fraction]], rows x cols
-
-# shared small integers, ZERO among them: entries are immutable, and equal
-# entries that are the same object compare without arithmetic
-_INTS = {v: Fraction(v) for v in range(-64, 65)}
-ZERO = _INTS[0]
 
 
 class CompositionNotZero(ValueError):
     """Two maps expected to compose to zero do not."""
 
 
-def frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[ZERO] * cols for _ in range(rows)]
-
-
-def _unshared(row):
-    """Indices of the entries that are not the shared ZERO, found without
-    arithmetic."""
-    return compress(range(len(row)), map(is_not, row, repeat(ZERO)))
-
-
-def _nonzeros(row) -> list:
-    """[(index, entry)] of the nonzero entries."""
-    return [(j, row[j]) for j in _unshared(row) if row[j]]
-
-
 # ---------------------------------------------------------------------------
 # integer forms: a matrix as (den, rows, cols), rows being {col: int} dicts of
-# its nonzeros over the one denominator den; cols is None for a matrix
-# without rows, whose width the dense representation does not keep
-
-
-def _int_form(m: Matrix) -> tuple:
-    nz = [_nonzeros(row) for row in m]
-    den = lcm(*[x.denominator for row in nz for _, x in row])
-    if den == 1:
-        rows = [{j: x.numerator for j, x in row} for row in nz]
-    else:
-        rows = [{j: x.numerator * (den // x.denominator) for j, x in row}
-                for row in nz]
-    return den, rows, (len(m[0]) if m else None)
+# its nonzeros over the one denominator den; cols may be None for a matrix
+# without rows, such as a product whose left factor has none
 
 
 def _is_monomial(rows: list) -> bool:
@@ -155,16 +114,6 @@ def _int_agree(p: tuple | None, q: tuple | None, sgn: int = 1) -> bool:
                 if y.get(j) != -v:
                     return False
     return True
-
-
-def _entry(v: int, den: int) -> Fraction:
-    """v / den, small integers being the shared ones."""
-    return _INTS[v] if den == 1 and v in _INTS else Fraction(v, den)
-
-
-def _dense(den: int, rows: list, cols: int) -> Matrix:
-    """The dense matrix of {col: int} rows over the denominator den."""
-    return [_column_vector(den, row, cols) for row in rows]
 
 
 def _identity_form(n: int, scale: int = 1) -> tuple:
@@ -292,11 +241,6 @@ def _primitive(row: dict) -> dict:
     return row
 
 
-def _sparse_rows(m: Matrix) -> list:
-    """Primitive integer rows of a dense matrix."""
-    return [_primitive(dict(_nonzeros(row))) for row in m]
-
-
 def _eliminate(row: dict, prow: dict, c: int) -> dict:
     """row with its entry at c cleared by prow, which leads at c."""
     a, b = prow[c], row[c]
@@ -402,14 +346,6 @@ def _particular(pivots: dict, n_cols: int) -> tuple | None:
     return (d, {i: -x for i, x in col.items()}) if d > 0 else (-d, col)
 
 
-def _column_vector(den: int, col: dict, length: int) -> Vector:
-    """The dense vector col / den of an integer column."""
-    v = [ZERO] * length
-    for i, x in col.items():
-        v[i] = _entry(x, den)
-    return v
-
-
 def _check_indices(col: dict, dim: int):
     """Raise ValueError unless every index of the column is below dim."""
     if col and (min(col) < 0 or max(col) >= dim):
@@ -429,9 +365,9 @@ def _block_column(v: tuple, block: tuple, c: int) -> tuple:
 class Subspace:
     """A subspace of QQ^n, kept as primitive integer rows in echelon form by
     the one elimination (_insert), grown by add and probed by contains and
-    dim; vectors go in as dense lists of length n.  Nothing in the package
-    calls it: it stays only because the benchmark tracer patches its add
-    and contains.
+    dim; vectors go in as dense lists of rationals of length n, the one
+    dense input left in the package.  Nothing in the package calls it: it
+    stays only because the benchmark tracer patches its add and contains.
     """
 
     def __init__(self, ambient: int, vectors=()):
@@ -440,17 +376,17 @@ class Subspace:
         for v in vectors:
             self.add(v)
 
-    def _row(self, v: Vector) -> dict:
+    def _row(self, v: list) -> dict:
         """v as a primitive integer row."""
         if len(v) != self.ambient:
             raise ValueError(f"vector of length {len(v)} in QQ^{self.ambient}")
-        return _sparse_rows([v])[0]
+        return _primitive({j: x for j, x in enumerate(v) if x})
 
-    def add(self, v: Vector) -> bool:
+    def add(self, v: list) -> bool:
         """Insert a vector; return True if the dimension grew."""
         return _insert(self._rows, self._row(v))
 
-    def contains(self, v: Vector) -> bool:
+    def contains(self, v: list) -> bool:
         return not _reduce(self._rows, self._row(v))
 
     @property
@@ -550,11 +486,10 @@ class GradedMap:
     degree n + degree; absent blocks are zero.  Each nonzero block is stored
     as its integer form (den, rows, cols) in `forms`, over its least
     denominator; zero blocks are not stored.  The blocks handed over are
-    integer forms, stored as they are, or dense matrices (tests and other
-    callers at the API edge), converted once here.  Stored forms are read-only: maps
-    share them, so neither the code that handed a form over nor any reader
-    may change it afterwards.  `block(n)` and `blocks` are dense views for
-    the API edge, built on every call and not kept.  `monomial(n)` says
+    integer forms, stored as they are; any other block raises TypeError.
+    Stored forms are read-only: maps share them, so neither the code that
+    handed a form over nor any reader may change it afterwards.  `form(n)`
+    is the one reader.  `monomial(n)` says
     whether the block at n is a monomial matrix (_is_monomial), worked out
     on its first use and kept as one flag per block, so that products with
     it as the right factor reindex its rows (_int_product).  `_zero_products`
@@ -572,14 +507,11 @@ class GradedMap:
         for n, m in (blocks or {}).items():
             if m is None:
                 continue
+            if not isinstance(m, tuple):
+                raise TypeError(f"block at {n} is a {type(m).__name__}, not an integer form")
             r, c = target.dim(n + degree), source.dim(n)
-            if isinstance(m, tuple):
-                if len(m[1]) != r or (r and m[2] != c):
-                    raise ValueError(f"block at {n} is {len(m[1])}x{m[2]} want {r}x{c}")
-            elif len(m) != r or (m and len(m[0]) != c) or (not m and r):
-                raise ValueError(f"block at {n} is {len(m)}x? want {r}x{c}")
-            else:
-                m = _int_form(m)
+            if len(m[1]) != r or (r and m[2] != c):
+                raise ValueError(f"block at {n} is {len(m[1])}x{m[2]} want {r}x{c}")
             if any(m[1]):
                 self.forms[n] = _lowest_terms(m)
 
@@ -587,19 +519,6 @@ class GradedMap:
         return (isinstance(other, GradedMap) and self.degree == other.degree
                 and self.source == other.source and self.target == other.target
                 and self.forms == other.forms)
-
-    def block(self, n: int) -> Matrix:
-        """The dense block at n, built on every call."""
-        cols = self.source.dim(n)
-        f = self.forms.get(n)
-        if f is None:
-            return zeros(self.target.dim(n + self.degree), cols)
-        return _dense(f[0], f[1], cols)
-
-    @property
-    def blocks(self) -> dict:
-        """Dense views of the nonzero blocks, built on every read."""
-        return {n: self.block(n) for n in self.forms}
 
     def form(self, n: int) -> tuple | None:
         """The integer form of the block at n, or None when it is zero."""

@@ -504,8 +504,8 @@ def _ext_via_free(M: DGModule, N: DGModule) -> BigradedTable:
 
 
 def _ext_connecting_free(res: ResolutionData, s: int, t: int, N: DGModule):
-    """Matrix of Hom(F_s, N)_t -> Hom(F_(s+1), N)_t, precomposition, or None
-    when it is zero."""
+    """The integer form of Hom(F_s, N)_t -> Hom(F_(s+1), N)_t,
+    precomposition, or None when it is zero."""
     def offsets(gens):
         offs = [0]
         for _, b in gens:
@@ -564,8 +564,8 @@ def _ext_via_injective(M: DGModule, N: DGModule) -> BigradedTable:
 
 def _ext_connecting_inj(M: DGModule, res: InjectiveResolutionData, s: int,
                         t: int, bases: list):
-    """Matrix of Hom(M, J_s)_t -> Hom(M, J_(s+1))_t, postcomposition, as an
-    integer form; None when the target space is zero."""
+    """The integer form of Hom(M, J_s)_t -> Hom(M, J_(s+1))_t,
+    postcomposition; None when the target space is zero."""
     if not bases[s + 1]:
         return None
     return _express_composites(bases[s], res.maps[s].form, t, bases[s + 1])

@@ -9,10 +9,8 @@ reproducible from their seeds.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from .grlin import (_column_sum, _coordinates_form, _echelon, _int_form, _int_product,
-                    _sparse_rows)
+from .grlin import _column_sum, _coordinates_form, _echelon, _int_product
 from .algebra import (
     ChainMap,
     DGModule,
@@ -72,20 +70,23 @@ def cyclic_quotient(R: PolyAlgebra, powers, name: str = "") -> DGModule:
                      labels=labels, name=name or f"R/{powers}")
 
 
-def random_invertible(n: int, rng: random.Random):
+def random_invertible(n: int, rng: random.Random) -> tuple:
+    """The integer form of a random invertible n x n matrix with entries
+    drawn from -2..2, row by row."""
     while True:
-        m = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
-        if len(_echelon(_sparse_rows(m))) == n:
-            return m
+        rows = [{j: x for j, x in enumerate([rng.randint(-2, 2) for _ in range(n)]) if x}
+                for _ in range(n)]
+        if len(_echelon(rows)) == n:
+            return 1, rows, n
 
 
-def mat_inverse(m):
-    """The integer form of the inverse of the square matrix m: its column j
-    holds the coordinates of the j-th unit vector on the columns of m."""
-    if any(len(row) != len(m) for row in m):
+def mat_inverse(m: tuple) -> tuple:
+    """The integer form of the inverse of the square matrix of the integer
+    form m: its column j holds the coordinates of the j-th unit vector on
+    the columns of m."""
+    den, rows, n = m
+    if n != len(rows):
         raise ValueError("matrix not square")
-    den, rows, _ = _int_form(m)
-    n = len(rows)
     columns = [(den, {i: row[j] for i, row in enumerate(rows) if j in row}) for j in range(n)]
     inverse = _coordinates_form(columns, [(1, {j: 1}) for j in range(n)])
     if inverse is None:
@@ -97,7 +98,6 @@ def conjugate(M: DGModule, rng: random.Random, name: str = "") -> DGModule:
     """Change basis degreewise by random invertible matrices."""
     ps = {n: random_invertible(M.dim(n), rng) for n in M.degrees()}
     inv = {n: mat_inverse(p) for n, p in ps.items()}
-    ps = {n: _int_form(p) for n, p in ps.items()}
 
     def transform(gm, deg):
         return {n: _int_product(ps[n + deg], _int_product(f, inv[n]))

@@ -1,31 +1,84 @@
-"""Dense Fraction views of the package's integer elimination, for the tests.
+"""Dense Fraction views of the package's integer forms and elimination, for
+the tests.
 
-The package computes on integer columns (den, {index: int}) and integer
-forms, read off one forward echelon (grlin._echelon) and its back-solved
-null vectors (_cycle, _kernel, _particular) or, for every reduced row,
-_reduced.  The tests state many expectations as dense Fraction matrices and
-vectors; these helpers give them from the same readers, converted to dense
-here, so that no dense entry point is left in the package.  DenseSubspace
-is a plain Gauss-Jordan reference of its own.
+The package stores blocks as integer forms (den, rows, cols) and computes
+on integer columns (den, {index: int}), read off one forward echelon
+(grlin._echelon) and its back-solved null vectors (_cycle, _kernel,
+_particular) or, for every reduced row, _reduced; it makes no dense matrix.
+The tests state many expectations as dense Fraction matrices and vectors:
+`form` turns one into the integer form a graded map takes, `block`,
+`blocks` and `action_block` read dense blocks off a map or a module, and
+the other helpers give dense answers from the package's readers, converted
+here.  DenseSubspace is a plain Gauss-Jordan reference of its own.
 """
 from fractions import Fraction
 from math import lcm
 
-from koszuldg.grlin import (
-    ZERO,
-    _column_vector,
-    _echelon,
-    _entry,
-    _kernel,
-    _particular,
-    _reduced,
-    _sparse_rows,
-)
+from koszuldg.grlin import _echelon, _kernel, _particular, _primitive, _reduced
+
+
+def zeros(rows, cols):
+    return [[Fraction(0)] * cols for _ in range(rows)]
+
+
+def column_vector(den, col, length):
+    """The dense vector col / den of an integer column."""
+    v = [Fraction(0)] * length
+    for i, x in col.items():
+        v[i] = Fraction(x, den)
+    return v
+
+
+def matrix(den, rows, cols):
+    """The dense matrix of the integer form (den, rows, cols)."""
+    return [column_vector(den, row, cols) for row in rows]
+
+
+def form(m):
+    """The integer form of a dense matrix: its nonzeros as {col: int} rows
+    over the lcm of their denominators; cols is None without rows."""
+    den = lcm(*[x.denominator for row in m for x in row if x])
+    rows = [{j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
+            for row in m]
+    return den, rows, (len(m[0]) if m else None)
+
+
+def forms(dense_blocks):
+    """{n: form(m)} of a dict of dense blocks, as a graded map takes them."""
+    return {n: form(m) for n, m in dense_blocks.items()}
+
+
+def block(gm, n):
+    """The dense block at n of a GradedMap, zero where none is stored."""
+    cols, f = gm.source.dim(n), gm.form(n)
+    if f is None:
+        return zeros(gm.target.dim(n + gm.degree), cols)
+    return matrix(f[0], f[1], cols)
+
+
+def blocks(gm):
+    """The dense blocks of a GradedMap's stored, nonzero blocks."""
+    return {n: block(gm, n) for n in gm.forms}
+
+
+def action_block(M, p, n):
+    """The dense matrix of the action of the homogeneous polynomial p on
+    degree n of M, (dim at n + deg p) x (dim at n); a zero p gives a matrix
+    without rows."""
+    f = M._action_poly_form(p, n)
+    if f is not None:
+        return matrix(f[0], f[1], M.dim(n))
+    return zeros(0 if p.is_zero() else M.space.dim(n + p.degree()), M.dim(n))
+
+
+def sparse_rows(m):
+    """Primitive integer rows of a dense matrix."""
+    return [_primitive({j: x for j, x in enumerate(row) if x}) for row in m]
 
 
 def rank(m):
     """Exact rank: the pivot count of the forward elimination pass."""
-    return len(_echelon(_sparse_rows(m)))
+    return len(_echelon(sparse_rows(m)))
 
 
 def rref(m):
@@ -35,9 +88,9 @@ def rref(m):
     if not m or not m[0]:
         return [row[:] for row in m], []
     n_cols = len(m[0])
-    reduced = _reduced(_sparse_rows(m))
-    out = [_column_vector(row[p], row, n_cols) for p, row in reduced]
-    out.extend([ZERO] * n_cols for _ in range(len(m) - len(reduced)))
+    reduced = _reduced(sparse_rows(m))
+    out = [column_vector(row[p], row, n_cols) for p, row in reduced]
+    out.extend(zeros(len(m) - len(reduced), n_cols))
     return out, [p for p, _ in reduced]
 
 
@@ -46,8 +99,8 @@ def kernel_basis(m, cols=None):
     increasing order, each vector's first nonzero entry +1."""
     if cols is None:
         cols = len(m[0]) if m else 0
-    return [_column_vector(lead, col, cols)
-            for lead, col in _kernel(_echelon(_sparse_rows(m)), cols)]
+    return [column_vector(lead, col, cols)
+            for lead, col in _kernel(_echelon(sparse_rows(m)), cols)]
 
 
 def solve(a, b):
@@ -55,8 +108,8 @@ def solve(a, b):
     n_cols = len(a[0]) if a else 0
     if len(b) != len(a):
         raise ValueError(f"right side of length {len(b)} for {len(a)} equations")
-    x = _particular(_echelon(_sparse_rows([row + [y] for row, y in zip(a, b)])), n_cols)
-    return None if x is None else _column_vector(*x, n_cols)
+    x = _particular(_echelon(sparse_rows([row + [y] for row, y in zip(a, b)])), n_cols)
+    return None if x is None else column_vector(*x, n_cols)
 
 
 def coordinates(basis, v):
@@ -81,15 +134,15 @@ def unit_vector(n, j):
 
 def representatives(piece):
     """The dense vectors of a homology piece's classes."""
-    return [_column_vector(den, col, piece.ambient) for den, col in piece.classes]
+    return [column_vector(den, col, piece.ambient) for den, col in piece.classes]
 
 
 def cycle_basis(piece):
-    return [_column_vector(den, col, piece.ambient) for den, col in piece.cycles]
+    return [column_vector(den, col, piece.ambient) for den, col in piece.cycles]
 
 
 def boundary_basis(piece):
-    return [_column_vector(den, col, piece.ambient) for den, col in piece.boundaries]
+    return [column_vector(den, col, piece.ambient) for den, col in piece.boundaries]
 
 
 def block_names(blocks):
@@ -102,7 +155,7 @@ def block_names(blocks):
 def basis_entries(basis):
     """A MapBasis as one {(key, row, col): Fraction} per map."""
     names = block_names(basis.blocks)
-    return [{names[i]: _entry(x, lead) for i, x in col.items()} for lead, col in basis]
+    return [{names[i]: Fraction(x, lead) for i, x in col.items()} for lead, col in basis]
 
 
 class DenseSubspace:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dense import rank
+from dense import block, rank
 from koszuldg.grlin import Window
 from koszuldg import algebra as alg
 from koszuldg import adams as ad
@@ -131,6 +131,17 @@ def test_injective_case_check_compares_the_whole_computed_window():
         assert rep.dims_rhom == rep.dims_hom == {n: hits.get(n, 0) for n in range(lo, hi + 1)}
 
 
+def test_injective_case_check_fails_closed_on_a_degree_left_out():
+    # over a short injective I the compared range is degree -2 alone, where
+    # both sides are 0, but Hom(k, I) is 1-dimensional at degree 0, above it
+    I = alg.basic_injective(R1, Window(0, 1))
+    rep = ad.injective_case_check(k1, I)
+    assert (rep.window.lo, rep.window.hi) == (-2, -2)
+    assert rep.dims_rhom == rep.dims_hom == {-2: 0} and not rep.agrees
+    HK, HI = alg.homology_module(k1), alg.homology_module(I)
+    assert len(rs.module_hom_space(HK, HI, 0)) == 1
+
+
 def test_injective_case_check_fails_closed_on_an_empty_comparison():
     # acyclic targets whose windows top out below -1: the computed window's
     # top sits below its floor, so no degree is compared
@@ -224,7 +235,7 @@ def test_socle_and_hull():
     W, emb = ad.injective_hull_embedding(M)
     assert sorted(n for n in soc for _ in soc[n]) == [-4]
     for n in M.degrees():
-        assert rank(emb.block(n)) == M.dim(n)
+        assert rank(block(emb.map, n)) == M.dim(n)
 
 
 def test_hull_rejects_a_nonzero_differential_before_solving(monkeypatch):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from dense import action_block, block, blocks, form, forms
 from koszuldg.grlin import GradedMap, Window
 from koszuldg import algebra as alg
 from koszuldg import samples as sm
@@ -131,8 +132,8 @@ def test_basic_injective_circle():
     I = alg.basic_injective(R1, Window(0, 8))
     assert [I.dim(n) for n in range(0, 9)] == [1, 0, 1, 0, 1, 0, 1, 0, 1]
     # x kills the socle and shifts everything else down
-    assert is_zero_matrix(I.actions[0].block(0))
-    assert I.actions[0].block(2) == [[F(1)]]
+    assert is_zero_matrix(block(I.actions[0], 0))
+    assert block(I.actions[0], 2) == [[F(1)]]
 
 
 def test_basic_injective_trivial_group():
@@ -184,8 +185,7 @@ def test_mapping_cone_identity_acyclic():
 def test_mapping_cone_of_multiplication_is_koszul():
     Rm = alg.poly_as_module(R1, Window(-10, 0))
     Rs = Rm.shift(-2)
-    blocks = {n: Rm.actions[0].block(n + 2) for n in Rs.degrees()}
-    c = alg.ChainMap(Rs, Rm, 0, {n: b for n, b in blocks.items()})
+    c = alg.ChainMap(Rs, Rm, 0, {n: Rm.actions[0].form(n + 2) for n in Rs.degrees()})
     cone = alg.mapping_cone(c)
     kbar = alg.to_degreewise(alg.koszul_model(R1), Window(cone.lo, cone.hi))
     assert {n: cone.dim(n) for n in cone.degrees()} == \
@@ -252,10 +252,10 @@ def test_homology_map_rank_fails_closed_on_an_image_off_the_cycles():
     P = sm.cyclic_quotient(R1, [2]).shift(-1)
     B = alg.direct_sum(k, alg.mapping_cone(alg.identity_map(P)))
     HA, HB = alg.homology(k), alg.homology(B)
-    assert B.dim(0) == 2 and HB.dims() == {0: 1} and B.diff.block(0) == [[0, 1]]
-    good = alg.ChainMap(k, B, 0, {0: [[F(1)], [F(0)]]})
+    assert B.dim(0) == 2 and HB.dims() == {0: 1} and block(B.diff, 0) == [[0, 1]]
+    good = alg.ChainMap(k, B, 0, forms({0: [[F(1)], [F(0)]]}))
     assert alg.homology_map_rank(good, HA, HB, 0) == 1
-    bad = alg.ChainMap(k, B, 0, {0: [[F(1)], [F(1)]]}, check=False)
+    bad = alg.ChainMap(k, B, 0, forms({0: [[F(1)], [F(1)]]}), check=False)
     assert not bad.commutes_with_diff()
     assert alg.homology_map_rank(bad, HA, HB, 0) is None
 
@@ -308,7 +308,7 @@ def test_double_dual_is_canonically_isomorphic():
         M = sm.random_torsion_dg_module(R1, rng, max_total=6)
         iso = alg.double_dual_comparison(M)  # validates chain + module map
         for n in M.degrees():
-            assert not is_zero_matrix(iso.block(n))
+            assert not is_zero_matrix(block(iso.map, n))
 
 
 def test_dual_reverses_support():
@@ -361,7 +361,7 @@ def test_quasi_iso_preserved_by_hom_from_koszul():
             m = [[F(0)] * bigger.dim(n) for _ in range(M.dim(n))]
             for i in range(M.dim(n)):
                 m[i][i] = F(1)
-            proj_blocks[n] = m
+            proj_blocks[n] = form(m)
         proj = alg.ChainMap(bigger, M, 0, proj_blocks)
         cone = alg.mapping_cone(proj)
         assert alg.homology(cone).is_zero()
@@ -402,8 +402,8 @@ def test_action_operators_commute_even_anticommute_odd():
     lam = alg.lambda_as_module(L)
     a0 = lam.actions[0]
     a1 = lam.actions[1]
-    ij = mat_mul(a0.block(1), a1.block(0))
-    ji = mat_mul(a1.block(1), a0.block(0))
+    ij = mat_mul(block(a0, 1), block(a1, 0))
+    ji = mat_mul(block(a1, 1), block(a0, 0))
     assert is_zero_matrix(mat_add(ij, ji))
 
 
@@ -415,8 +415,8 @@ def test_invariant_checks_see_odd_signs():
 
     def build(s, square=0):
         return alg.dg_module(L, {0: 1, 1: 2, 2: 1},
-                             {1: [[F(1), F(0)]], 2: [[F(0)], [F(s)]]},
-                             [{0: [[F(0)], [F(1)]], 1: [[F(1), F(square)]]}],
+                             forms({1: [[F(1), F(0)]], 2: [[F(0)], [F(s)]]}),
+                             [forms({0: [[F(0)], [F(1)]], 1: [[F(1), F(square)]]})],
                              0, 2, complete_below=True, complete_above=True)
 
     build(-1)
@@ -430,7 +430,7 @@ def test_invariant_checks_reach_the_lowest_degree_of_an_open_window():
     # not complete below: degrees 0..2 are known, so d.d out of degree 2
     # lands in the lowest one and is checked there
     def build(s):
-        return alg.dg_module(R1, {0: 1, 1: 1, 2: 1}, {1: [[F(1)]], 2: [[F(s)]]},
+        return alg.dg_module(R1, {0: 1, 1: 1, 2: 1}, forms({1: [[F(1)]], 2: [[F(s)]]}),
                              [{}], 0, 2, complete_above=True)
 
     with pytest.raises(alg.InvariantViolation, match="d.d != 0 at degree 2"):
@@ -441,7 +441,7 @@ def test_invariant_checks_reach_the_lowest_degree_of_an_open_window():
 
 
 def test_invariant_checks_refuse_a_wrong_action_count_and_stray_degrees():
-    M = alg.dg_module(R1, {0: 1, 1: 1}, {1: [[F(1)]]}, [{}], 0, 1)
+    M = alg.dg_module(R1, {0: 1, 1: 1}, forms({1: [[F(1)]]}), [{}], 0, 1)
     for actions in ((), M.actions * 2):
         with pytest.raises(alg.InvariantViolation,
                            match="one action operator per generator required"):
@@ -455,7 +455,7 @@ def test_invariant_checks_refuse_a_wrong_action_count_and_stray_degrees():
 def test_express_in_homology_at_an_uncertified_edge_degree():
     # degree 0 is the lowest of a window open below: no piece is stored
     # there, and a vector has a (zero) class exactly when it is a boundary
-    M = alg.dg_module(R1, {0: 2, 1: 1, 2: 1}, {1: [[F(2)], [F(0)]]}, [{}], 0, 2)
+    M = alg.dg_module(R1, {0: 2, 1: 1, 2: 1}, forms({1: [[F(2)], [F(0)]]}), [{}], 0, 2)
     H = alg.homology(M)
     assert 0 not in H.pieces and 1 in H.pieces
     assert alg.express_in_homology(M, H, 0, (1, {0: 1})) == (1, {})
@@ -503,13 +503,13 @@ def _reference_invariants(M):
         if M.dim(n) == 0:
             continue
         if known(n - 1) and known(n - 2):
-            dd = _dense_mul(M.diff.block(n - 1), M.diff.block(n))
+            dd = _dense_mul(block(M.diff, n - 1), block(M.diff, n))
             if not is_zero_matrix(dd):
                 raise alg.InvariantViolation(f"d.d != 0 at degree {n}")
         for i, gi in enumerate(gens):
             if known(n + gi) and known(n + gi - 1) and known(n - 1):
-                lhs = _dense_mul(M.diff.block(n + gi), M.actions[i].block(n))
-                rhs = _dense_mul(M.actions[i].block(n - 1), M.diff.block(n))
+                lhs = _dense_mul(block(M.diff, n + gi), block(M.actions[i], n))
+                rhs = _dense_mul(block(M.actions[i], n - 1), block(M.diff, n))
                 sgn = -1 if gi % 2 else 1
                 if not _maps_agree(lhs, rhs, M.dim(n + gi - 1), M.dim(n), sgn):
                     raise alg.InvariantViolation(
@@ -518,12 +518,12 @@ def _reference_invariants(M):
                 gj = gens[j]
                 if not (known(n + gi) and known(n + gj) and known(n + gi + gj)):
                     continue
-                ij = _dense_mul(M.actions[i].block(n + gj), M.actions[j].block(n))
+                ij = _dense_mul(block(M.actions[i], n + gj), block(M.actions[j], n))
                 if i == j:
                     if gi % 2 and not _maps_agree(ij, [], M.dim(n + 2 * gi), M.dim(n)):
                         raise alg.InvariantViolation(f"odd generator {i} fails square-zero")
                     continue
-                ji = _dense_mul(M.actions[j].block(n + gi), M.actions[i].block(n))
+                ji = _dense_mul(block(M.actions[j], n + gi), block(M.actions[i], n))
                 sgn = -1 if (gi % 2 and gj % 2) else 1
                 if not _maps_agree(ij, ji, M.dim(n + gi + gj), M.dim(n), sgn):
                     raise alg.InvariantViolation(
@@ -539,8 +539,8 @@ def _reference_commutes_with_diff(f):
         if (f.target.known_dim(tn) is None or f.target.known_dim(tn - 1) is None
                 or f.source.known_dim(n - 1) is None):
             continue
-        lhs = _dense_mul(f.target.diff.block(tn), f.map.block(n))
-        rhs = _dense_mul(f.map.block(n - 1), f.source.diff.block(n))
+        lhs = _dense_mul(block(f.target.diff, tn), block(f.map, n))
+        rhs = _dense_mul(block(f.map, n - 1), block(f.source.diff, n))
         if not _maps_agree(lhs, rhs, f.target.known_dim(tn - 1),
                            f.source.dim(n), sgn):
             return False
@@ -557,8 +557,8 @@ def _reference_is_module_map(f):
             if (f.target.known_dim(tn) is None or f.target.known_dim(tn + g) is None
                     or f.source.known_dim(n + g) is None):
                 continue
-            lhs = _dense_mul(f.target.actions[i].block(tn), f.map.block(n))
-            rhs = _dense_mul(f.map.block(n + g), f.source.actions[i].block(n))
+            lhs = _dense_mul(block(f.target.actions[i], tn), block(f.map, n))
+            rhs = _dense_mul(block(f.map, n + g), block(f.source.actions[i], n))
             if not _maps_agree(lhs, rhs, f.target.known_dim(tn + g),
                                f.source.dim(n), sgn):
                 return False
@@ -573,19 +573,19 @@ def _verdict(check, *args):
 
 
 def _perturbations(gm, rng, count):
-    """Copies of gm's block dict, each with one entry changed by an integer
-    or a fraction, in a stored block or in one that is absent."""
+    """Copies of gm's blocks as integer forms, each with one entry changed
+    by an integer or a fraction, in a stored block or in one that is
+    absent."""
     spots = [n for n in gm.source.dims
              if gm.source.dim(n) and gm.target.dim(n + gm.degree)]
     out = []
     for _ in range(count if spots else 0):
         n = rng.choice(spots)
-        blocks = {k: [row[:] for row in b] for k, b in gm.blocks.items()}
-        blk = blocks.setdefault(
-            n, [[F(0)] * gm.source.dim(n) for _ in range(gm.target.dim(n + gm.degree))])
+        dense = blocks(gm)
+        blk = dense.setdefault(n, block(gm, n))
         r, c = rng.randrange(len(blk)), rng.randrange(len(blk[0]))
         blk[r][c] += rng.choice([F(1), F(-2), F(1, 3), F(-5, 2)])
-        out.append((n, blocks))
+        out.append((n, forms(dense)))
     return out
 
 
@@ -630,16 +630,16 @@ def _checks(M):
 
 
 def _monomial_breaks(gm, rng, count):
-    """Copies of gm's block dict, each with one monomial block made not
-    monomial: a second entry put in a row, or a row's entry moved to a
+    """Copies of gm's blocks as integer forms, each with one monomial block
+    made not monomial: a second entry put in a row, or a row's entry moved to a
     column another row has."""
     spots = [n for n in gm.forms if gm.monomial(n)
              and len([r for r in gm.forms[n][1] if r]) >= 2]
     out = []
     for k in range(count if spots else 0):
         n = rng.choice(spots)
-        blocks = {m: [row[:] for row in b] for m, b in gm.blocks.items()}
-        blk = blocks[n]
+        dense = blocks(gm)
+        blk = dense[n]
         full = [i for i, row in enumerate(blk) if any(row)]
         r1, r2 = rng.sample(full, 2)
         c1 = next(j for j, x in enumerate(blk[r1]) if x)
@@ -650,7 +650,7 @@ def _monomial_breaks(gm, rng, count):
         else:
             r2 = r1  # a second entry in one row
         blk[r2][c1 if r2 != r1 else c2] = value
-        out.append((n, blocks))
+        out.append((n, forms(dense)))
     return out
 
 
@@ -773,10 +773,10 @@ def test_odd_square_zero_perturbation_matches_reference():
     # a single entry that makes a1.a1 nonzero on Lambda[a1, a2]
     M = alg.lambda_as_module(alg.ext_algebra(T2))
     a = M.actions[0]
-    blocks = {n: [row[:] for row in b] for n, b in a.blocks.items()}
+    dense = blocks(a)
     # basis (one; a, b; ab): a1 . a is 0, make it ab / 2, so a1 . a1 . one != 0
-    blocks[1][0][0] += F(1, 2)
-    N = _with_blocks(M, 0, blocks)
+    dense[1][0][0] += F(1, 2)
+    N = _with_blocks(M, 0, forms(dense))
     want = _verdict(_reference_invariants, N)
     assert want[0] == "raised" and "square-zero" in want[1]
     assert _verdict(_checks, N) == want
@@ -822,7 +822,7 @@ def _reference_action_poly_block(M, p, n):
         at = n
         for i, a in enumerate(alpha):
             for _ in range(a):
-                m = _dense_mul(M.actions[i].block(at), m)
+                m = _dense_mul(block(M.actions[i], at), m)
                 at += gens[i]
         if rows == 0 or not m or not m[0]:
             continue  # through a zero-dimensional degree
@@ -848,7 +848,7 @@ def test_action_poly_block_matches_dense_reference():
                 if p.is_zero():
                     continue
                 for n in M.degrees():
-                    got = M.action_poly_block(p, n)
+                    got = action_block(M, p, n)
                     assert got == _reference_action_poly_block(M, p, n)
                     checked += 1
     assert checked >= 100

@@ -1,12 +1,13 @@
-"""Dense Fraction matrices stay at the API edges.
+"""The package makes no dense Fraction matrix: blocks are integer forms.
 
-The package computes on integer block forms.  This test parses every module
-of the package and fails on a call to `.block(`, `mat_mul`, `transpose`,
-`zeros(` or `action_poly_block` outside the edges listed in ALLOWED: the
-dense views of GradedMap and ChainMap, and the dense polynomial action.
-Module files are parsed into and printed from integer forms.  A new dense
-read is then a visible edit of this list, not a second representation
-growing back unnoticed.  A second test
+The package takes, stores and computes on integer block forms; GradedMap
+refuses any other block.  This test parses every module of the package
+and fails on a call to `.block(`, `mat_mul`, `transpose`, `zeros(` or
+`action_poly_block` outside the edges listed in ALLOWED, which is empty:
+the package has no dense view left.  Module files are parsed into and
+printed from integer forms.  A new dense read is then a visible edit of
+this list, not a second representation growing back unnoticed.  A second
+test
 keeps the summing of placed integer forms (`_assemble`) in the summed-module
 builder and a listed few readers, a third keeps the construction of
 linear systems in the one writer of the equations of module maps and the
@@ -18,10 +19,14 @@ side conditions to its system, and keep the Hom spaces of the injective Ext
 route, the solutions of linear systems and class coordinates on integer
 columns: no Fraction is made on those paths.  The last guard
 keeps vectors on integer columns: a dense vector is made or read only at
-the edges listed in VECTOR_EDGES.  The dense wrappers that only the tests
-call live in tests/dense.py, and a guard checks that they left grlin."""
+the edges listed in VECTOR_EDGES, which is empty too.  The dense wrappers,
+views and conversions that only the tests call live in tests/dense.py, and
+a guard checks that they left the package."""
 import ast
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from koszuldg import algebra as alg
 from koszuldg import grlin
@@ -29,12 +34,7 @@ from koszuldg import grlin
 SRC = Path(__file__).resolve().parents[1] / "src" / "koszuldg"
 GUARDED = {"block", "mat_mul", "transpose", "zeros", "action_poly_block"}
 # (module, enclosing function, name called)
-ALLOWED = {
-    ("grlin", "GradedMap.block", "zeros"),
-    ("grlin", "GradedMap.blocks", "block"),
-    ("algebra", "DGModule.action_poly_block", "zeros"),
-    ("algebra", "ChainMap.block", "block"),
-}
+ALLOWED = set()
 
 
 def dense_calls(node, module, scope, found, guarded=GUARDED):
@@ -74,11 +74,26 @@ def test_guard_sees_calls_in_nested_scopes():
 def test_dense_helpers_left_the_package():
     for name in ("mat_mul", "transpose", "identity", "is_zero_matrix", "rank", "rref",
                  "kernel_basis", "solve", "coordinates", "unit_vector", "_int_column",
-                 "_block_names"):
+                 "_block_names", "zeros", "frac", "_int_form", "_nonzeros", "_unshared",
+                 "_entry", "_dense", "_column_vector", "_sparse_rows", "_INTS", "ZERO",
+                 "Vector", "Matrix"):
         assert not hasattr(grlin, name), name
     for name in ("representatives", "cycle_basis", "boundary_basis"):
         assert not hasattr(grlin.HomologyPiece, name), name
     assert not hasattr(grlin.MapBasis, "entries")
+    for owner, name in ((grlin.GradedMap, "block"), (grlin.GradedMap, "blocks"),
+                        (alg.DGModule, "action_poly_block"), (alg.ChainMap, "block"),
+                        (alg.ChainMap, "blocks")):
+        assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+
+
+def test_graded_maps_refuse_dense_blocks():
+    vs = grlin.GradedVS({0: 1, 1: 1})
+    with pytest.raises(TypeError, match="block at 1 is a list, not an integer form"):
+        grlin.GradedMap(vs, vs, -1, {1: [[Fraction(1)]]})
+    # None and zero forms are dropped, as before
+    gm = grlin.GradedMap(vs, vs, -1, {0: None, 1: (1, [{}], 1)})
+    assert gm.forms == {}
 
 
 # Sums, cones, Hom, twisted tensors, totalizations and r'_! are built by
@@ -217,7 +232,7 @@ def test_the_injective_route_makes_no_fraction():
     trees = {m: ast.parse((SRC / f"{m}.py").read_text()) for m, _ in INTEGER_ONLY}
     for module, name in INTEGER_ONLY:
         fn = definition(trees[module], name)
-        found = dense_calls(fn, module, [name], [], {"Fraction", "_entry", "frac"})
+        found = dense_calls(fn, module, [name], [], {"Fraction"})
         assert not found, f"rational entries made in {module}.{name}: {found}"
 
 
@@ -234,15 +249,12 @@ def test_linear_systems_keep_what_the_benchmark_tracer_reads():
 
 
 # Vectors are integer columns (den, {index: int}) from elimination to every
-# reader, solutions, class coordinates and spans included; dense vectors
-# are made or read only at this edge: the dense blocks of GradedMap
-# (_dense).
+# reader, solutions, class coordinates and spans included; the package makes
+# or reads a dense vector nowhere, so the list of edges is empty.
 VECTOR_NAMES = {"_column_vector", "_dense_vector", "_int_column", "unit_vector",
                 "is_zero_vector", "representatives", "cycle_basis", "boundary_basis",
                 "Subspace", "_block_names"}
-VECTOR_EDGES = {
-    ("grlin", "_dense", "_column_vector"),
-}
+VECTOR_EDGES = set()
 
 
 def vector_reads(node, module, scope, found):

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from dense import int_column
-from koszuldg.grlin import GradedMap, Window, _column_sum, _column_vector
+from dense import column_vector, form, int_column
+from koszuldg.grlin import GradedMap, Window, _column_sum
 from koszuldg import algebra as alg
 from koszuldg import duality as du
 from koszuldg import samples as sm
@@ -33,7 +33,7 @@ def test_functor_T_of_injective():
     assert H.dims() == {0: 1}
     # trivial exterior action on the single class
     HM = alg.homology_module(TI)
-    assert all(not blk for blk in (a.blocks for a in HM.actions))
+    assert all(not a.forms for a in HM.actions)
 
 
 def test_functor_T_of_residue_field():
@@ -163,8 +163,8 @@ def test_end_dga_composition_unit_and_leibniz():
             _, t2 = e.product(n1, u, n2 - 1, dv)
             sgn = -1 if n1 % 2 else 1
             m = real.dim(n1 + n2 - 1)
-            want = [a + sgn * b for a, b in zip(_column_vector(*t1, m), _column_vector(*t2, m))]
-            assert _column_vector(*duv, m) == want
+            want = [a + sgn * b for a, b in zip(column_vector(*t1, m), column_vector(*t2, m))]
+            assert column_vector(*duv, m) == want
 
 
 @pytest.mark.parametrize("g,expected", [
@@ -337,6 +337,8 @@ def test_formality_fails_closed_when_no_degree_is_certified():
     assert alg.homology(A.module).certified is None
     out = du.formality_map(A, alg.poly_algebra(alg.GroupData(())))
     assert not out.homology_iso and not out.passed
+    # and the record names no window, since none was checked
+    assert out.window is None
 
 
 def test_formality_rejects_wrong_homology():
@@ -420,10 +422,10 @@ def test_contraction_relations():
 
 def with_diff_block(M, n, block):
     """A copy of M, unchecked, whose differential has the dense block at n."""
-    blocks = M.diff.blocks
-    blocks[n] = block
+    forms = dict(M.diff.forms)
+    forms[n] = form(block)
     out = copy.copy(M)
-    out.diff = GradedMap(M.space, M.space, -1, blocks)
+    out.diff = GradedMap(M.space, M.space, -1, forms)
     return out
 
 
@@ -537,11 +539,11 @@ def test_recognize_k_rejects_a_stage_without_extension():
     P = sm.cyclic_quotient(R1, [2]).shift(-3)
     M = alg.direct_sum(alg.residue_field(R1), alg.mapping_cone(alg.identity_map(P)))
     assert du.recognize_k(M).passed
-    assert M.dim(0) == M.dim(-2) == 1 and M.diff.block(-2) != [[0]]
-    blocks = M.actions[0].blocks
-    blocks[0] = [[F(1)]]
+    assert M.dim(0) == M.dim(-2) == 1 and M.diff.form(-2) is not None
+    forms = dict(M.actions[0].forms)
+    forms[0] = (1, [{0: 1}], 1)
     tampered = copy.copy(M)
-    tampered.actions = (GradedMap(M.space, M.space, -2, blocks),)
+    tampered.actions = (GradedMap(M.space, M.space, -2, forms),)
     with pytest.raises(du.LinearSolveFailed) as exc:
         du.recognize_k(tampered)
     assert str(exc.value) == "no extension over the stage-1 cone"

@@ -42,8 +42,8 @@ R1 = alg.poly_algebra(alg.GroupData((2,)))
 
 def odd(s, square=0):
     return alg.dg_module(L, {0: 1, 1: 2, 2: 1},
-                         {1: [[F(1), F(0)]], 2: [[F(0)], [F(s)]]},
-                         [{0: [[F(0)], [F(1)]], 1: [[F(1), F(square)]]}],
+                         dense.forms({1: [[F(1), F(0)]], 2: [[F(0)], [F(s)]]}),
+                         [dense.forms({0: [[F(0)], [F(1)]], 1: [[F(1), F(square)]]})],
                          0, 2, complete_below=True, complete_above=True)
 
 # a module whose coextension along id-T has composites that cancel to
@@ -71,7 +71,7 @@ def coextend_escaped():
 
 
 # x1 sends degree 0 onto degree -2, zero differential
-X = alg.dg_module(R1, {0: 1, -2: 1}, {}, [{0: [[F(1)]]}], -2, 0,
+X = alg.dg_module(R1, {0: 1, -2: 1}, {}, [dense.forms({0: [[F(1)]]})], -2, 0,
                   complete_below=True, complete_above=True)
 
 
@@ -92,25 +92,25 @@ cases = {
     "leibniz": lambda: odd(1),
     "square_zero": lambda: odd(-1, square=1),
     "d_squared": lambda: alg.dg_module(
-        R1, {0: 1, -1: 1, -2: 1}, {0: [[F(1)]], -1: [[F(1, 2)]]}, [{}, ],
+        R1, {0: 1, -1: 1, -2: 1}, dense.forms({0: [[F(1)]], -1: [[F(1, 2)]]}), [{}, ],
         -2, 0, complete_below=True, complete_above=True),
     "commutation": lambda: alg.dg_module(
         R2, {0: 1, -2: 2, -4: 1}, {},
-        [{0: [[F(1)], [F(0)]], -2: [[F(0), F(1)]]},
-         {0: [[F(0)], [F(1)]], -2: [[F(0), F(2)]]}],
+        [dense.forms({0: [[F(1)], [F(0)]], -2: [[F(0), F(1)]]}),
+         dense.forms({0: [[F(0)], [F(1)]], -2: [[F(0), F(2)]]})],
         -4, 0, complete_below=True, complete_above=True),
     "not_chain_map": lambda: alg.ChainMap(
-        odd(-1), odd(-1), 0, {0: [[F(1)]]}),
+        odd(-1), odd(-1), 0, dense.forms({0: [[F(1)]]})),
     "not_module_map": lambda: alg.ChainMap(
-        alg.lambda_as_module(L), alg.lambda_as_module(L), 0, {1: [[F(1)]]}),
-    "product_shape": lambda: grlin._int_product(grlin._int_form([[F(1), F(2)]]),
-                                                grlin._int_form([[F(1)]])),
+        alg.lambda_as_module(L), alg.lambda_as_module(L), 0, dense.forms({1: [[F(1)]]})),
+    "product_shape": lambda: grlin._int_product(dense.form([[F(1), F(2)]]),
+                                                dense.form([[F(1)]])),
     "solve_shape": lambda: dense.solve([[F(1)]], [F(1), F(5)]),
     "subspace_add_shape": lambda: grlin.Subspace(2).add([F(1), F(0), F(0)]),
     "subspace_contains_shape": lambda: grlin.Subspace(2).contains([F(1)]),
     "homology_d_squared": lambda: grlin.homology_at(*[grlin.GradedMap(
         grlin.GradedVS({0: 1, 1: 1, 2: 1}), grlin.GradedVS({0: 1, 1: 1, 2: 1}),
-        -1, {1: [[F(1)]], 2: [[F(1)]]})] * 2, 1),
+        -1, dense.forms({1: [[F(1)]], 2: [[F(1)]]}))] * 2, 1),
     "coextend_escaped": coextend_escaped,
     "homology_not_closed": forced("express_in_homology",
                                   lambda: alg.homology_module(X)),
@@ -139,9 +139,11 @@ cases = {
     "gamma_not_poly": lambda: alg.gamma_m(alg.lambda_as_module(L)),
     "koszul_stage_range": lambda: alg.koszul_stage(R1, 2),
     "cyclic_powers": lambda: sm.cyclic_quotient(R1, [0]),
-    "inverse_singular": lambda: sm.mat_inverse([[F(1), F(2)], [F(2), F(4)]]),
-    "inverse_not_square": lambda: sm.mat_inverse([[F(1), F(0), F(5)], [F(0), F(1), F(7)]]),
-    "inverse_too_tall": lambda: sm.mat_inverse([[F(1), F(0)], [F(0), F(1)], [F(0), F(0)]]),
+    "inverse_singular": lambda: sm.mat_inverse(dense.form([[F(1), F(2)], [F(2), F(4)]])),
+    "inverse_not_square": lambda: sm.mat_inverse(
+        dense.form([[F(1), F(0), F(5)], [F(0), F(1), F(7)]])),
+    "inverse_too_tall": lambda: sm.mat_inverse(
+        dense.form([[F(1), F(0)], [F(0), F(1)], [F(0), F(0)]])),
 }
 for name, build in cases.items():
     try:
@@ -152,7 +154,7 @@ for name, build in cases.items():
 C = gr.coextend_scalars(ID_T, M)
 out["coextend"] = [sorted(C.space.dims.items()),
                    sorted(alg.homology_dims(C).items()),
-                   [sorted(a.blocks) for a in C.actions]]
+                   [sorted(a.forms) for a in C.actions]]
 print(json.dumps(out))
 """
 

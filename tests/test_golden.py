@@ -25,7 +25,9 @@ import pytest
 
 from dense import (
     basis_entries,
+    blocks,
     boundary_basis,
+    column_vector,
     cycle_basis,
     int_column,
     kernel_basis,
@@ -38,7 +40,6 @@ from koszuldg import algebra as alg
 from koszuldg import duality as du
 from koszuldg import resolve as rs
 from koszuldg import samples as sm
-from koszuldg.grlin import _column_vector
 
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden"
@@ -116,7 +117,7 @@ def _coordinates(M, H, n, v):
     """Class coordinates of a dense probe as a dense list: they take and
     give integer columns, so the probe and the result convert here."""
     coords = alg.express_in_homology(M, H, n, int_column(v))
-    return None if coords is None else _column_vector(*coords, H.dim(n))
+    return None if coords is None else column_vector(*coords, H.dim(n))
 
 
 def _piece_payload(M, H, rng) -> dict:
@@ -138,8 +139,8 @@ def _piece_payload(M, H, rng) -> dict:
 
 def _module_payload(M) -> dict:
     return {"dims": {n: M.dim(n) for n in M.degrees()},
-            "diff": dict(sorted(M.diff.blocks.items())),
-            "actions": [dict(sorted(a.blocks.items())) for a in M.actions]}
+            "diff": dict(sorted(blocks(M.diff).items())),
+            "actions": [dict(sorted(blocks(a).items())) for a in M.actions]}
 
 
 def homology_payload() -> dict:
@@ -160,7 +161,7 @@ def homology_payload() -> dict:
         out.append({
             "module": _module_payload(M),
             "pieces": _piece_payload(M, H, rng),
-            "homology_actions": [dict(sorted(a.blocks.items()))
+            "homology_actions": [dict(sorted(blocks(a).items()))
                                  for a in HM.actions],
         })
     return {"modules": out}

@@ -336,10 +336,9 @@ def test_print_parse_round_trip_on_random_samples():
 
 def test_cli_composition_not_zero_is_machine_readable(tmp_path, capsys, monkeypatch):
     # d.d != 0 found while taking homology is a domain error: exit 2, JSON
-    from fractions import Fraction as F
     from koszuldg import grlin
     vs = grlin.GradedVS({0: 1, 1: 1, 2: 1})
-    d = grlin.GradedMap(vs, vs, -1, {1: [[F(1)]], 2: [[F(1)]]})
+    d = grlin.GradedMap(vs, vs, -1, {1: (1, [{0: 1}], 1), 2: (1, [{0: 1}], 1)})
     monkeypatch.setattr(alg, "homology", lambda M: grlin.homology_at(d, d, 1))
     f = tmp_path / "k.kdg"
     f.write_text(K_FILE)
@@ -417,6 +416,21 @@ def test_cli_endcheck(capsys, monkeypatch):
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and all(c["passed"] for c in out["checks"])
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("forced", [(1, {0: 1}), None])
+def test_cli_endcheck_fails_closed_on_a_failing_relation(capsys, monkeypatch, forced):
+    # over T the only relation among contraction classes is iota.iota, in
+    # degree 2: a nonzero class there, or none at all, fails the product
+    # check, while every other check still passes
+    real = du.express_in_homology
+    monkeypatch.setattr(du, "express_in_homology",
+                        lambda M, H, n, v: forced if n == 2 else real(M, H, n, v))
+    code = main(["endcheck", "--group", "2"])
+    out = capsys.readouterr().out
+    assert code == 1 and "check [FAIL]" in out
+    assert [line for line in out.splitlines() if line.startswith("check [FAIL]")] == [
+        "check [FAIL] contraction_products_independent"]
 
 
 def test_cli_endcheck_fails_closed_on_an_empty_homology_window(capsys):
