@@ -1115,11 +1115,12 @@ def map_system(A: DGModule, B: DGModule, degree: int, ops) -> tuple:
     """
     # B.known_dim(n + degree) is None exactly when n lies outside [klo, khi]
     sys, missing, cols = LinearSystem(), [], []
+    a_dims, b_dims = A.space.dims, B.space.dims
     klo, khi = B.known_lo() - degree, B.known_hi() - degree
     for n in A.degrees():
         if klo <= n <= khi:
-            c = A.dim(n)
-            sys.unknowns(n, B.dim(n + degree), c)
+            c = a_dims[n]
+            sys.unknowns(n, b_dims.get(n + degree, 0), c)
             cols.append((n, c))
         else:
             missing.append(n + degree)
@@ -1132,9 +1133,9 @@ def map_system(A: DGModule, B: DGModule, degree: int, ops) -> tuple:
                 continue
             if not klo <= m <= khi:
                 missing.append(m + degree)
-            elif sys.num_vars and B.dim(m + degree):
+            elif sys.num_vars and b_dims.get(m + degree):
                 sgn = -1 if (degree % 2 and a.degree % 2) else 1
-                sys.equate(B.dim(m + degree), c, left=[(1, b.form(n + degree), n)],
+                sys.equate(b_dims[m + degree], c, left=[(1, b.form(n + degree), n)],
                            right=[(-sgn, m, a.form(n))])
     return sys, missing
 
@@ -1559,9 +1560,10 @@ def matlis_dual(M: DGModule, name: str = "") -> DGModule:
                      labels=labels, name=name or f"D({M.name})")
 
 
-def double_dual_comparison(M: DGModule) -> ChainMap:
-    """The canonical chain isomorphism M -> D(D(M)) (sign (-1)^n per degree)."""
-    dd = matlis_dual(matlis_dual(M))
+def double_dual_comparison(M: DGModule, D: DGModule) -> ChainMap:
+    """The canonical chain isomorphism M -> D(D(M)) (sign (-1)^n per degree),
+    D being matlis_dual(M), which the caller has in hand."""
+    dd = matlis_dual(D)
     return ChainMap(M, dd, 0, {n: _identity_form(M.dim(n), -1 if n % 2 else 1)
                                for n in M.degrees()})
 

@@ -19,6 +19,7 @@ reproducible bit-for-bit.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -307,15 +308,16 @@ def _reduced(rows: list) -> list:
     return [(c, pivots[c]) for c in order]
 
 
-def _cycle(pivots: dict, j: int) -> tuple:
+def _cycle(pivots: dict, order: list, j: int) -> tuple:
     """The null vector of a forward echelon {pivot column: row} that is 1 at
     its free column j and 0 at the other free ones, as (lead, primitive
     integer column), lead its first nonzero entry, made positive: column /
     lead is the vector with a leading 1.  Only pivots p < j are nonzero;
     they are solved from the last one down, the column scaled in integers
-    to keep entries whole."""
+    to keep entries whole.  order is sorted(pivots), sorted once by the
+    caller for all its back-solves."""
     col = {j: 1}
-    for p in sorted((p for p in pivots if p < j), reverse=True):
+    for p in reversed(order[:bisect_left(order, j)]):
         row = pivots[p]
         t = -sum(x * col[i] for i, x in row.items() if i in col)
         if t:
@@ -331,7 +333,8 @@ def _cycle(pivots: dict, j: int) -> tuple:
 def _kernel(pivots: dict, cols: int) -> list:
     """Right null space of a forward echelon over cols columns: the _cycle
     of each free column, in increasing order."""
-    return [_cycle(pivots, j) for j in range(cols) if j not in pivots]
+    order = sorted(pivots)
+    return [_cycle(pivots, order, j) for j in range(cols) if j not in pivots]
 
 
 def _particular(pivots: dict, n_cols: int) -> tuple | None:
@@ -341,7 +344,7 @@ def _particular(pivots: dict, n_cols: int) -> tuple | None:
     least denominator, or None when column n_cols is a pivot."""
     if n_cols in pivots:
         return None
-    _, col = _cycle(pivots, n_cols)
+    _, col = _cycle(pivots, sorted(pivots), n_cols)
     d = col.pop(n_cols)
     return (d, {i: -x for i, x in col.items()}) if d > 0 else (-d, col)
 
@@ -415,7 +418,8 @@ def _coordinates_form(basis: list, vectors: list) -> tuple | None:
     pivots = _echelon([_primitive(row) for row in rows.values()])
     if any(p >= k for p in pivots):
         return None
-    nulls = [(c, d, _cycle(pivots, c)[1]) for c, (d, _) in enumerate(vectors, k)]
+    order = sorted(pivots)
+    nulls = [(c, d, _cycle(pivots, order, c)[1]) for c, (d, _) in enumerate(vectors, k)]
     den = lcm(*[d * col[c] for c, d, col in nulls])
     out = [{} for _ in range(k)]
     for j, (c, d, col) in enumerate(nulls):
@@ -663,8 +667,10 @@ def homology_at(d_in: GradedMap, d_out: GradedMap, n: int) -> HomologyPiece:
             col = columns[j]
             g = gcd(den, *col.values())
             boundaries.append((den // g, {i: x // g for i, x in col.items()} if g != 1 else col))
+    order = sorted(pivots)
     return HomologyPiece(n, amb, pivots, boundaries,
-                         [_cycle(pivots, free[j - k]) for j in chosen if j >= k], f_out, free)
+                         [_cycle(pivots, order, free[j - k]) for j in chosen if j >= k],
+                         f_out, free)
 
 
 class MapBasis(list):

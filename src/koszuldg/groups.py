@@ -248,7 +248,8 @@ def extend_scalars(rm: RingMap, M: DGModule, name: str = "") -> DGModule:
         pivots = _echelon(rows)
         complements[n] = [j for j in range(len(idx)) if j not in pivots]
         # P_n: row j the relations' null vector that is 1 at the free pair j
-        nulls = [(j, _cycle(pivots, j)[1]) for j in complements[n]]
+        order = sorted(pivots)
+        nulls = [(j, _cycle(pivots, order, j)[1]) for j in complements[n]]
         den = lcm(*[col[j] for j, col in nulls])
         projections[n] = (den, [{i: x * (den // col[j]) for i, x in col.items()}
                                 for j, col in nulls], len(idx))

@@ -388,7 +388,7 @@ def injective_resolution(M: DGModule, window: Window | None = None) -> Injective
                   if phi.form(-n) is not None}
         maps.append(GradedMap(stages[s - 1].space, stages[s].space, 0, blocks))
     # augmentation M -> J_0 through the double dual
-    dd = double_dual_comparison(M)
+    dd = double_dual_comparison(M, D)
     aug_blocks = {}
     for n in M.degrees():
         f, g = res.realized_aug.form(-n), dd.map.form(n)
@@ -487,9 +487,9 @@ def _ext_via_free(M: DGModule, N: DGModule) -> BigradedTable:
         dims = []
         for s in range(stages):
             dims.append(sum(N.dim(b + t) for _, b in res.terms[s]))
-        mats = []
-        for s in range(stages - 1):
-            mats.append(_ext_connecting_free(res, s, t, N))
+        # a map with a zero side is zero, and is not built
+        mats = [_ext_connecting_free(res, s, t, N) if dims[s] and dims[s + 1] else None
+                for s in range(stages - 1)]
         for s in range(stages):
             if dims[s] == 0:
                 continue
@@ -535,18 +535,33 @@ def module_hom_space(M: DGModule, J: DGModule, t: int) -> MapBasis:
 
 def _ext_via_injective(M: DGModule, N: DGModule) -> BigradedTable:
     R = M.algebra
-    # a-priori internal-degree bound: syzygy generators of either module sit
-    # within the total codegree of a full Koszul word of its support
+    # internal degrees t are swept over a range fixed in advance: syzygy
+    # generators of either module sit within the total codegree of a full
+    # Koszul word of its support
     total = sum(R.codegrees)
     t_lo = N.support_min() - M.support_max() - total
     t_hi = N.support_max() - M.support_min() + total
-    ts = range(t_lo, t_hi + 1)
     need_hi = M.support_max() + t_hi + 1
     res = injective_resolution(N, window=Window(min(-need_hi, -1), 0))
     stages = res.stages
+    # module_hom_space(M, J, t) reads J at n + t and n + g + t, n a degree of
+    # M (finite, so all are read) and g an action degree.  Where J's window
+    # certifies all of them and no degree of J is an n + t, the system has no
+    # unknown and the space is empty: it is not built.  Every other system
+    # is built, and solved or refused for want of J's window; a t where every
+    # space is empty adds nothing to the table.
+    degs = M.degrees()
+    reads = degs + [n + a.degree for n in degs for a in M.actions]
+    lo, hi = min(reads), max(reads)
+    meets = [{d - n for d in J.degrees() for n in degs} for J in stages]
+    empty = MapBasis([], {})
     entries = {}
-    for t in sorted(ts):
-        bases = [module_hom_space(M, J, t) for J in stages]
+    for t in range(t_lo, t_hi + 1):
+        bases = [module_hom_space(M, J, t)
+                 if t in met or not J.known_lo() <= lo + t <= hi + t <= J.known_hi() else empty
+                 for J, met in zip(stages, meets)]
+        if not any(bases):
+            continue
         mats = []
         for s in range(len(stages) - 1):
             mats.append(_ext_connecting_inj(M, res, s, t, bases))
@@ -565,8 +580,8 @@ def _ext_via_injective(M: DGModule, N: DGModule) -> BigradedTable:
 def _ext_connecting_inj(M: DGModule, res: InjectiveResolutionData, s: int,
                         t: int, bases: list):
     """The integer form of Hom(M, J_s)_t -> Hom(M, J_(s+1))_t,
-    postcomposition; None when the target space is zero."""
-    if not bases[s + 1]:
+    postcomposition; None when either space is zero."""
+    if not (bases[s] and bases[s + 1]):
         return None
     return _express_composites(bases[s], res.maps[s].form, t, bases[s + 1])
 
@@ -607,12 +622,13 @@ _Cells = namedtuple("_Cells", "algebra basis diff")
 
 
 def _cone_classes(X: DGModule, F: _Cells, to_x: list, m: int,
-                  bases: dict, blocks: dict, columns: dict) -> list:
+                  bases: dict, blocks: dict, columns: dict, terms: list) -> list:
     """The classes (integer columns) of the homology at m of the cone of the
     realized cells F -> X (generator j sent to to_x[j]), from the cone's
     differential blocks at m and m + 1 alone, placed as mapping_cone places
     them.  bases, blocks and columns keep free bases, blocks and _evaluate's
-    table, which is handed the bases held here."""
+    table, which is handed the bases held here; terms is _poly_terms of the
+    cell differential."""
     for k in range(m - 2, m + 1):
         if k not in bases:
             bases[k] = free_basis(F, k)
@@ -625,7 +641,7 @@ def _cone_classes(X: DGModule, F: _Cells, to_x: list, m: int,
             blocks[k] = _assemble(dims[k - 1], dims[k], [
                 (X.diff.form(k), 0, 0, 1),
                 (_evaluate(F, X, to_x, k - 1, columns), 0, X.dim(k), 1),
-                (_realize(_poly_terms(F.diff), bases[k - 1], bases[k - 2]),
+                (_realize(terms, bases[k - 1], bases[k - 2]),
                  X.dim(k - 1), X.dim(k), -1)])
     space = GradedVS(dims)
     d = GradedMap(space, space, -1, {k: blocks[k] for k in (m, m + 1)})
@@ -655,14 +671,14 @@ def semifree_replacement(X: DGModule, floor: int,
     top = (X.support_max() if X.total_dim() else 0) or 0
     win = Window(floor - 1, max(floor - 1, top + 2))
     cells, diff_rows, to_x = [], [], []
-    F, bases, blocks, columns = _Cells(R, (), diff_rows), {}, {}, {}
+    F, bases, blocks, columns, terms = _Cells(R, (), diff_rows), {}, {}, {}, []
     # cone degree m reads cells of degree m - 2, realized from floor + 1 up;
     # the gate reports degree floor only when R has no generators
     start, bottom = win.hi + 1, floor + 1
     for _ in range(max_rounds):
         reps = []
         for n in range(start, bottom - 1, -1):
-            reps = _cone_classes(X, F, to_x, n, bases, blocks, columns)
+            reps = _cone_classes(X, F, to_x, n, bases, blocks, columns, terms)
             if reps:
                 break
         if not reps:
@@ -686,6 +702,7 @@ def semifree_replacement(X: DGModule, floor: int,
             diff_rows.append([R.zero()] * len(cells))
             to_x.append((den, {i: x for i, x in col.items() if i < db}))
         F, bases, blocks, columns = _Cells(R, tuple(cells), diff_rows), {}, {}, {}
+        terms = _poly_terms(diff_rows)
         start = n - 1
     raise WindowTooSmall("semifree replacement did not stabilize")
 

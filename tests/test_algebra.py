@@ -306,7 +306,7 @@ def test_double_dual_is_canonically_isomorphic():
     rng = random.Random(7)
     for _ in range(5):
         M = sm.random_torsion_dg_module(R1, rng, max_total=6)
-        iso = alg.double_dual_comparison(M)  # validates chain + module map
+        iso = alg.double_dual_comparison(M, alg.matlis_dual(M))  # validates chain + module map
         for n in M.degrees():
             assert not is_zero_matrix(block(iso.map, n))
 

@@ -1965,7 +1965,8 @@ def test_cone_classes_match_whole_cone_homology_on_partial_cells():
                                   for m in win.degrees()})
                 H = alg.homology(alg.mapping_cone(p))
                 for m in range(floor + 1, win.hi + 2):
-                    got = rs._cone_classes(X, Fj, images, m, {}, {}, {})
+                    got = rs._cone_classes(X, Fj, images, m, {}, {}, {},
+                                           alg._poly_terms(Fj.diff))
                     assert got == H.classes(m)
                     found += bool(got)
     assert found >= 20

@@ -328,3 +328,68 @@ def test_injective_ext_rejects_a_composite_outside_the_hom_space(monkeypatch):
     with pytest.raises(alg.InvariantViolation) as exc:
         rs.ext_bigraded(M, N, "via_injective")
     assert str(exc.value) == "composite escaped the solution space"
+
+
+RSU3 = alg.poly_algebra(alg.GroupData((4, 6)))
+# Ext(M, N) over H^*(BSU(3)) on one pair of the kind criterion 3 compares:
+# M = R/(x^2, y^2) in even degrees, N = R/(x^2, y) suspended by 3 in odd ones
+SU3_PAIR = (sm.cyclic_quotient(RSU3, [2, 2]), sm.cyclic_quotient(RSU3, [2, 1]).shift(3))
+SU3_EXT = {(0, -1): 1, (0, 3): 1, (1, 7): 1, (1, 11): 2, (1, 15): 1, (2, 19): 1, (2, 23): 1}
+
+
+def swept(M, N):
+    """The internal degrees t that _ext_via_injective sweeps."""
+    total = sum(M.algebra.codegrees)
+    return range(N.support_min() - M.support_max() - total,
+                 N.support_max() - M.support_min() + total + 1)
+
+
+def meets(M, J, t):
+    return any(n + t in J.degrees() for n in M.degrees())
+
+
+def test_injective_ext_builds_hom_systems_only_where_a_stage_meets_m(monkeypatch):
+    M, N = SU3_PAIR
+    real_res, real_hom, made, calls = rs.injective_resolution, rs.module_hom_space, [], []
+
+    def resolution(X, window=None):
+        made.append(real_res(X, window=window))
+        return made[-1]
+
+    def hom(A, J, t):
+        calls.append((t, J.name))
+        return real_hom(A, J, t)
+
+    monkeypatch.setattr(rs, "injective_resolution", resolution)
+    monkeypatch.setattr(rs, "module_hom_space", hom)
+    assert rs.ext_bigraded(M, N, "via_injective").entries == SU3_EXT
+    # one system per (t, stage) where a degree of the stage is an n + t, in
+    # sweep order: 27 of the 35 x 3 pairs swept
+    stages = made[0].stages
+    assert calls == [(t, J.name) for t in swept(M, N) for J in stages if meets(M, J, t)]
+    assert len(calls) == 27 and len(swept(M, N)) * len(stages) == 105
+    assert rs.ext_bigraded(M, N, "via_free").entries == SU3_EXT
+
+
+def test_injective_ext_refuses_an_uncertified_stage_that_misses_m(monkeypatch):
+    """Stages resolved on Window(-21, 0) certify J up to degree 21, short of
+    the t swept: the first (t, stage) that module_hom_space refuses is at
+    an even t, where no odd degree of a stage meets M, and the skip must
+    refuse it too, with the same message."""
+    M, N = SU3_PAIR
+    res = rs.injective_resolution(N, window=Window(-21, 0))
+    monkeypatch.setattr(rs, "injective_resolution", lambda X, window=None: res)
+
+    def first_refusal():
+        for t in swept(M, N):
+            for J in res.stages:
+                try:
+                    rs.module_hom_space(M, J, t)
+                except rs.WindowTooSmall as exc:
+                    return t, J, str(exc)
+
+    t, J, message = first_refusal()
+    assert t == 22 and J.known_hi() == 21 and not meets(M, J, t)
+    with pytest.raises(rs.WindowTooSmall) as exc:
+        rs.ext_bigraded(M, N, "via_injective")
+    assert str(exc.value) == message
